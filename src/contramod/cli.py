@@ -88,10 +88,7 @@ def _run_cotensor(job: JobSpec, report: dict) -> int:
     n = _load(job.inputs["second"], cio.comodule_from_json, field)
     if m.coalgebra != n.coalgebra:
         raise SchemaError("cotensor: coalgebra mismatch between inputs")
-    try:
-        report["dim"] = cotensor(m, n).dim
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    report["dim"] = cotensor(m, n).dim
     return EXIT_OK
 
 
@@ -101,10 +98,7 @@ def _run_contratensor(job: JobSpec, report: dict) -> int:
     b = _load(job.inputs["second"], cio.contramodule_from_json, field)
     if m.coalgebra != b.coalgebra:
         raise SchemaError("contratensor: coalgebra mismatch between inputs")
-    try:
-        report["dim"] = contratensor(m, b).dim
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    report["dim"] = contratensor(m, b).dim
     return EXIT_OK
 
 
@@ -114,10 +108,7 @@ def _run_cohom(job: JobSpec, report: dict) -> int:
     b = _load(job.inputs["second"], cio.contramodule_from_json, field)
     if m.coalgebra != b.coalgebra:
         raise SchemaError("cohom: coalgebra mismatch between inputs")
-    try:
-        report["dim"] = cohom(m, b).dim
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    report["dim"] = cohom(m, b).dim
     return EXIT_OK
 
 
@@ -129,10 +120,7 @@ def _run_induce(job: JobSpec, report: dict) -> int:
         raise SchemaError("induce: W must live over the target of rho")
     if not check_morphism(rho).ok:
         raise SchemaError("induce: rho is not a valid surjective coalgebra map")
-    try:
-        res = induce(rho, w)
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    res = induce(rho, w)
     report.update({
         "dim_W": w.dim,
         "dim_induced": res.dim,
@@ -191,10 +179,7 @@ def _run_exactness(job: JobSpec, report: dict) -> int:
             raise SchemaError("exactness: could not draw enough nondegenerate sequences")
     failures = []
     for idx, ses in enumerate(probes):
-        try:
-            verdict = exactness_probe(rho, ses)
-        except ValueError as e:
-            raise SchemaError(f"exactness: probe {idx}: {e}") from None
+        verdict = exactness_probe(rho, ses)
         if not verdict.exact:
             failures.append({"probe": idx, "positions": verdict.failures, "dims": list(verdict.dims)})
     report["exactness"] = {"total": len(probes), "failures": failures}
@@ -227,17 +212,12 @@ def _run_tower(job: JobSpec, report: dict) -> int:
     battery = _load_json(job.inputs["battery"])
     if not isinstance(battery, list) or not all(isinstance(x, str) for x in battery):
         raise SchemaError("battery: expected a JSON list of module expressions")
-    try:
-        tower = build_tower(lam, p, m_max)
-        reports = []
-        for expr in battery:
-            v = battery_module(p, expr)
-            rep = cohom_tower(v, tower, lam, p)
-            data = rep.to_json()
-            data["module"] = expr
-            reports.append(data)
-    except (KeyError, ValueError, NotImplementedError) as e:
-        raise SchemaError(f"tower: {e}") from None
+    tower = build_tower(lam, p, m_max)
+    reports = []
+    for expr in battery:
+        data = cohom_tower(battery_module(p, expr), tower, lam, p).to_json()
+        data["module"] = expr
+        reports.append(data)
     report["towers"] = reports
     ok = all(r["match"] for r in reports)
     report["all_match"] = ok
@@ -259,12 +239,13 @@ _HANDLERS = {
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
-    """Execute one job; returns (exit code, report payload)."""
+    """Execute one job; returns (exit code, report payload).  Malformed or
+    out-of-range input, wherever it is detected, ends the job with exit 2."""
     report = {"command": job.command, "seed": job.seed}
     try:
         code = _HANDLERS[job.command](job, report)
-    except SchemaError as e:
-        report["error"] = str(e)
+    except (ValueError, ZeroDivisionError, KeyError, NotImplementedError) as e:
+        report["error"] = str(e) or type(e).__name__
         return EXIT_INPUT_ERROR, report
     return code, report
 
@@ -279,54 +260,54 @@ def _emit(job: JobSpec, report: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the global flags parse before or after the subcommand; their defaults
+    # are JobSpec's, so an absent flag never overwrites one given elsewhere
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, help="seed for randomized probes")
+    common.add_argument("--field", help="scalar field: Q or Fp:<p>")
+    common.add_argument("--pretty", action="store_true", help="indent the JSON report")
+    common.add_argument("--out", help="write the report to a file instead of stdout")
     ap = argparse.ArgumentParser(
-        prog="contramod",
+        prog="contramod", parents=[common],
         description="Exact computations with coalgebras, comodules and contramodules.",
     )
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized probes")
-    ap.add_argument("--field", default="Q", help="scalar field: Q or Fp:<p>")
-    ap.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    ap.add_argument("--out", help="write the report to a file instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify", help="check the axioms of a serialized object")
+    def command(name, doc):
+        return sub.add_parser(name, help=doc, parents=[common])
+
+    sp = command("verify", "check the axioms of a serialized object")
     sp.add_argument("input")
 
     for name, doc in (
         ("hom", "dimension of the comodule hom space"),
         ("cotensor", "cotensor of a right and a left comodule"),
-    ):
-        sp = sub.add_parser(name, help=doc)
-        sp.add_argument("first")
-        sp.add_argument("second")
-
-    for name, doc in (
         ("contratensor", "contratensor of a right comodule and a contramodule"),
         ("cohom", "Cohom of a left comodule and a contramodule"),
     ):
-        sp = sub.add_parser(name, help=doc)
+        sp = command(name, doc)
         sp.add_argument("first")
         sp.add_argument("second")
 
-    sp = sub.add_parser("induce", help="induce a contramodule along a surjection")
+    sp = command("induce", "induce a contramodule along a surjection")
     sp.add_argument("--rho", required=True)
     sp.add_argument("--W", required=True)
 
-    sp = sub.add_parser("adjoint-check", help="induction/restriction adjunction report")
+    sp = command("adjoint-check", "induction/restriction adjunction report")
     sp.add_argument("--rho", required=True)
     sp.add_argument("--W", required=True)
     sp.add_argument("--V", required=True)
 
-    sp = sub.add_parser("exactness", help="probe exactness of induction on sequences")
+    sp = command("exactness", "probe exactness of induction on sequences")
     sp.add_argument("--rho", required=True)
     sp.add_argument("--ses", help="explicit short exact sequence file")
     sp.add_argument("--samples", type=int, default=10, help="random probes when no --ses")
 
-    sp = sub.add_parser("duality", help="Cohom against the dual hom space")
+    sp = command("duality", "Cohom against the dual hom space")
     sp.add_argument("--V", required=True)
     sp.add_argument("--W", required=True)
 
-    sp = sub.add_parser("tower", help="stabilization table for the twisted tensor tower")
+    sp = command("tower", "stabilization table for the twisted tensor tower")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", type=int, required=True)
     sp.add_argument("--mmax", type=int, required=True)
@@ -356,10 +337,8 @@ def job_from_args(args) -> JobSpec:
     elif args.command == "tower":
         inputs["battery"] = args.battery
         params.update({"p": args.p, "lambda": args.lam, "mmax": args.mmax})
-    return JobSpec(
-        command=args.command, inputs=inputs, out=args.out,
-        seed=args.seed, field=args.field, pretty=args.pretty, params=params,
-    )
+    flags = {k: v for k, v in vars(args).items() if k in ("seed", "field", "pretty", "out")}
+    return JobSpec(command=args.command, inputs=inputs, params=params, **flags)
 
 
 def main(argv=None) -> int:

@@ -5,6 +5,12 @@ A left comodule of dimension m over an n-dimensional coalgebra stores its
 coaction as an (n*m) x m matrix, row index c*m + i meaning e_c (x) e_i; a
 right comodule uses shape (m*n) x m with row index i*n + c.  Hom spaces are
 cut out by one equalizer in the flattened space M* (x) N.
+
+Every construction runs once, on the left layout: a right C-comodule is a
+left C^cop-comodule once its coaction rows are reindexed.  The reindexing
+pair ``_left_coaction`` / ``_from_left`` is the only place, besides the
+``cofree`` and ``dual_comodule`` constructors, that knows the right-side
+layout.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalgebra import Coalgebra, Verdict
-from .linalg import Subspace, equalizer, kernel, quotient_by_image, solve
-from .matrix import Mat, kron
+from .linalg import Subspace, equalizer, kernel, quotient_by_image, split_solve
+from .matrix import Mat, kron, map_of_vec
 
 
 @dataclass
@@ -42,46 +48,59 @@ class Comodule:
         return f"Comodule({label}, {self.side}, dim={self.dim} over {self.coalgebra.name or self.coalgebra.dim})"
 
 
-def _add_into(acc, key, val, f):
-    s = f.add(acc.get(key, f.zero()), val)
-    if s == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = s
+def _left_coaction(m: Comodule) -> Mat:
+    """The coaction in left layout, row c*dim + i; for a right comodule this
+    is its coaction as a left C^cop-comodule."""
+    if m.side == "left":
+        return m.coaction
+    n, md = m.coalgebra.dim, m.dim
+    return Mat(n * md, md, m.field,
+               {((idx % n) * md + idx // n, j): v for (idx, j), v in m.coaction.data.items()})
+
+
+def _from_left(c: Coalgebra, side: str, dim: int, coact: Mat, name: str) -> Comodule:
+    """The comodule on the given side whose left-layout coaction is coact."""
+    if side == "right":
+        n = c.dim
+        coact = Mat(dim * n, dim, c.field,
+                    {((idx % dim) * n + idx // dim, j): v for (idx, j), v in coact.data.items()})
+    return Comodule(c, side, dim, coact, name=name)
 
 
 def check_comodule(m: Comodule) -> Verdict:
-    """Coassociativity square and counit triangle, column by column."""
+    """Coassociativity square and counit triangle, column by column; a right
+    comodule is checked as a left comodule over C^cop."""
     c = m.coalgebra
     f = c.field
+    zero = f.zero()
     n, md = c.dim, m.dim
     failures = []
-    coact_cols = m.coaction.columns()
+    coact_cols = _left_coaction(m).columns()
     delta_cols = c.delta.columns()
+    if m.side == "right":
+        delta_cols = {k: {(x % n) * n + x // n: w for x, w in col.items()}
+                      for k, col in delta_cols.items()}
+    eps = c.epsilon.row_groups().get(0, {})
     coassoc_ok = counit_ok = True
     for k in range(md):
-        u = coact_cols.get(k, {})
         lhs: dict = {}
         rhs: dict = {}
         counit_acc: dict = {}
-        for idx, v in u.items():
-            if m.side == "left":
-                cc, i = divmod(idx, md)
-                for idx2, w in delta_cols.get(cc, {}).items():
-                    _add_into(lhs, idx2 * md + i, f.mul(v, w), f)
-                for idx2, w in coact_cols.get(i, {}).items():
-                    _add_into(rhs, cc * n * md + idx2, f.mul(v, w), f)
-                _add_into(counit_acc, i, f.mul(c.eps(cc), v), f)
-            else:
-                i, cc = divmod(idx, n)
-                for idx2, w in delta_cols.get(cc, {}).items():
-                    _add_into(lhs, i * n * n + idx2, f.mul(v, w), f)
-                for idx2, w in coact_cols.get(i, {}).items():
-                    _add_into(rhs, idx2 * n + cc, f.mul(v, w), f)
-                _add_into(counit_acc, i, f.mul(c.eps(cc), v), f)
-        if lhs != rhs:
+        for idx, v in coact_cols.get(k, {}).items():
+            cc, i = divmod(idx, md)
+            for idx2, w in delta_cols.get(cc, {}).items():
+                key = idx2 * md + i
+                lhs[key] = f.add(lhs.get(key, zero), f.mul(v, w))
+            base = cc * n * md
+            for idx2, w in coact_cols.get(i, {}).items():
+                key = base + idx2
+                rhs[key] = f.add(rhs.get(key, zero), f.mul(v, w))
+            e = eps.get(cc)
+            if e is not None:
+                counit_acc[i] = f.add(counit_acc.get(i, zero), f.mul(e, v))
+        if _nonzero(lhs) != _nonzero(rhs):
             coassoc_ok = False
-        if counit_acc != {k: f.one()}:
+        if _nonzero(counit_acc) != {k: f.one()}:
             counit_ok = False
         if not (coassoc_ok or counit_ok):
             break
@@ -90,6 +109,10 @@ def check_comodule(m: Comodule) -> Verdict:
     if not counit_ok:
         failures.append("counit")
     return Verdict(failures)
+
+
+def _nonzero(acc: dict) -> dict:
+    return {key: v for key, v in acc.items() if v != 0}
 
 
 # -- constructions ---------------------------------------------------------
@@ -124,23 +147,14 @@ def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
     d1, d2 = m1.dim, m2.dim
     d = d1 + d2
     entries = []
-    if m1.side == "left":
-        for (idx, j), v in m1.coaction.data.items():
-            cc, i = divmod(idx, d1)
-            entries.append((cc * d + i, j, v))
-        for (idx, j), v in m2.coaction.data.items():
-            cc, i = divmod(idx, d2)
-            entries.append((cc * d + d1 + i, j + d1, v))
-        coact = Mat.from_entries(n * d, d, m1.field, entries)
-    else:
-        for (idx, j), v in m1.coaction.data.items():
-            i, cc = divmod(idx, n)
-            entries.append((i * n + cc, j, v))
-        for (idx, j), v in m2.coaction.data.items():
-            i, cc = divmod(idx, n)
-            entries.append(((d1 + i) * n + cc, j + d1, v))
-        coact = Mat.from_entries(d * n, d, m1.field, entries)
-    return Comodule(m1.coalgebra, m1.side, d, coact, name=f"{m1.name}+{m2.name}")
+    for (idx, j), v in _left_coaction(m1).data.items():
+        cc, i = divmod(idx, d1)
+        entries.append((cc * d + i, j, v))
+    for (idx, j), v in _left_coaction(m2).data.items():
+        cc, i = divmod(idx, d2)
+        entries.append((cc * d + d1 + i, j + d1, v))
+    coact = Mat.from_entries(n * d, d, m1.field, entries)
+    return _from_left(m1.coalgebra, m1.side, d, coact, f"{m1.name}+{m2.name}")
 
 
 def dual_comodule(m: Comodule) -> Comodule:
@@ -166,59 +180,41 @@ def dual_comodule(m: Comodule) -> Comodule:
 # -- hom spaces and cotensor --------------------------------------------------
 
 
-def _postcompose_coaction(m: Comodule, target_dim: int) -> Mat:
-    """Matrix of F -> (Id_C (x) F) o coaction_M  (left) or
-    F -> (F (x) Id_C) o coaction_M (right) on flattened hom spaces."""
-    c = m.coalgebra
-    f = m.field
-    n, md = c.dim, m.dim
-    w_dim = target_dim
+def _hom_equations(x: Comodule, y: Comodule) -> tuple[Mat, Mat]:
+    """The pair F -> coaction_Y o F and F -> (Id_C (x) F) o coaction_X on
+    X* (x) Y, in left layout; Hom(X, Y) is their equalizer."""
+    if x.coalgebra != y.coalgebra:
+        raise ValueError("coalgebra mismatch")
+    if x.side != y.side:
+        raise ValueError("side mismatch")
+    n, xd, yd = x.coalgebra.dim, x.dim, y.dim
+    lhs = kron(Mat.identity(xd, x.field), _left_coaction(y))
     entries = []
-    if m.side == "left":
-        for (idx, vcol), val in m.coaction.data.items():
-            cc, v = divmod(idx, md)
-            for w in range(w_dim):
-                entries.append((vcol * n * w_dim + cc * w_dim + w, v * w_dim + w, val))
-        return Mat.from_entries(md * n * w_dim, md * w_dim, f, entries)
-    for (idx, vcol), val in m.coaction.data.items():
-        v, cc = divmod(idx, n)
-        for w in range(w_dim):
-            entries.append((vcol * w_dim * n + w * n + cc, v * w_dim + w, val))
-    return Mat.from_entries(md * w_dim * n, md * w_dim, f, entries)
+    for (idx, vcol), val in _left_coaction(x).data.items():
+        cc, v = divmod(idx, xd)
+        for w in range(yd):
+            entries.append((vcol * n * yd + cc * yd + w, v * yd + w, val))
+    rhs = Mat.from_entries(xd * n * yd, xd * yd, x.field, entries)
+    return lhs, rhs
 
 
 def hom_comodules(m: Comodule, n_mod: Comodule) -> Subspace:
     """All comodule maps M -> N as a subspace of M* (x) N."""
-    if m.coalgebra != n_mod.coalgebra:
-        raise ValueError("coalgebra mismatch")
-    if m.side != n_mod.side:
-        raise ValueError("side mismatch")
-    lhs = kron(Mat.identity(m.dim, m.field), n_mod.coaction)
-    rhs = _postcompose_coaction(m, n_mod.dim)
-    return equalizer(lhs, rhs)
+    return equalizer(*_hom_equations(m, n_mod))
 
 
 def hom_basis_maps(m: Comodule, n_mod: Comodule, sub: Subspace | None = None) -> list[Mat]:
     """Decode a hom subspace into matrices N.dim x M.dim."""
     if sub is None:
         sub = hom_comodules(m, n_mod)
-    out = []
-    for col in sub.basis_columns():
-        entries = []
-        for idx, v in col.items():
-            x, y = divmod(idx, n_mod.dim)
-            entries.append((y, x, v))
-        out.append(Mat.from_entries(n_mod.dim, m.dim, m.field, entries))
-    return out
+    return [map_of_vec(col, m.dim, n_mod.dim, m.field) for col in sub.basis_columns()]
 
 
 def is_comodule_map(m: Comodule, n_mod: Comodule, t: Mat) -> bool:
     if m.side != n_mod.side:
         return False
-    n = m.coalgebra.dim
-    if m.side == "left":
-        return n_mod.coaction @ t == kron(Mat.identity(n, m.field), t) @ m.coaction
-    return n_mod.coaction @ t == kron(t, Mat.identity(n, m.field)) @ m.coaction
+    eye = Mat.identity(m.coalgebra.dim, m.field)
+    return _left_coaction(n_mod) @ t == kron(eye, t) @ _left_coaction(m)
 
 
 def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
@@ -253,38 +249,40 @@ def tensor_over_bialgebra(b, m: Comodule, n_mod: Comodule) -> Comodule:
 # -- subobjects and quotients ---------------------------------------------------
 
 
-def _coaction_slices(m: Comodule, vec: dict) -> dict:
-    """Apply the coaction to vec and slice the result by coalgebra index."""
-    n, md = m.coalgebra.dim, m.dim
-    out: dict = {}
-    img = m.coaction.apply(vec)
-    for idx, v in img.items():
-        if m.side == "left":
+def _coaction_slices(m: Comodule, vecs: list[dict]) -> list[dict]:
+    """Apply the coaction to each vector and slice the result by coalgebra
+    index: one ``{c: vector}`` per input."""
+    md = m.dim
+    coact = _left_coaction(m)
+    out = []
+    for vec in vecs:
+        slices: dict = {}
+        for idx, v in coact.apply(vec).items():
             cc, i = divmod(idx, md)
-        else:
-            i, cc = divmod(idx, n)
-        out.setdefault(cc, {})[i] = v
+            slices.setdefault(cc, {})[i] = v
+        out.append(slices)
     return out
 
 
 def coaction_stabilizes(m: Comodule, sub: Subspace) -> bool:
     """True iff the coaction maps sub into C (x) sub."""
-    for col in sub.basis_columns():
-        for slice_vec in _coaction_slices(m, col).values():
-            if not sub.contains(slice_vec):
-                return False
-    return True
+    return all(
+        sub.contains(slice_vec)
+        for slices in _coaction_slices(m, sub.basis_columns())
+        for slice_vec in slices.values()
+    )
 
 
 def comodule_closure(m: Comodule, vectors: list[dict]) -> Subspace:
     """Smallest subcomodule containing the given vectors."""
     sub = Subspace.from_columns(m.dim, m.field, vectors)
     while True:
-        extra = []
-        for col in sub.basis_columns():
-            for slice_vec in _coaction_slices(m, col).values():
-                if not sub.contains(slice_vec):
-                    extra.append(slice_vec)
+        extra = [
+            slice_vec
+            for slices in _coaction_slices(m, sub.basis_columns())
+            for slice_vec in slices.values()
+            if not sub.contains(slice_vec)
+        ]
         if not extra:
             return sub
         sub = sub.add(Subspace.from_columns(m.dim, m.field, extra))
@@ -295,19 +293,13 @@ def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
     if not coaction_stabilizes(m, sub):
         raise ValueError("subspace is not a subcomodule")
     k = sub.dim
-    n = m.coalgebra.dim
     entries = []
-    for t, col in enumerate(sub.basis_columns()):
-        for cc, slice_vec in _coaction_slices(m, col).items():
-            coords = sub.coords(slice_vec)
-            for s, v in coords.items():
-                if m.side == "left":
-                    entries.append((cc * k + s, t, v))
-                else:
-                    entries.append((s * n + cc, t, v))
-    shape = n * k if m.side == "left" else k * n
-    coact = Mat.from_entries(shape, k, m.field, entries)
-    return Comodule(m.coalgebra, m.side, k, coact, name=f"{m.name}|sub"), sub.basis
+    for t, slices in enumerate(_coaction_slices(m, sub.basis_columns())):
+        for cc, slice_vec in slices.items():
+            for s, v in sub.coords(slice_vec).items():
+                entries.append((cc * k + s, t, v))
+    coact = Mat.from_entries(m.coalgebra.dim * k, k, m.field, entries)
+    return _from_left(m.coalgebra, m.side, k, coact, f"{m.name}|sub"), sub.basis
 
 
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
@@ -316,15 +308,11 @@ def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
         raise ValueError("subspace is not a subcomodule")
     coeq = quotient_by_image(sub)
     q, sigma = coeq.quotient_map, coeq.section
-    n = m.coalgebra.dim
-    eye = Mat.identity(n, m.field)
-    lift = kron(eye, q) if m.side == "left" else kron(q, eye)
-    coact = lift @ m.coaction @ sigma
-    quot = Comodule(m.coalgebra, m.side, coeq.dim, coact, name=f"{m.name}/sub")
+    lift = kron(Mat.identity(m.coalgebra.dim, m.field), q) @ _left_coaction(m)
     # well-definedness: the composite must kill the subcomodule
-    if not (lift @ m.coaction @ sub.basis).is_zero():
+    if not (lift @ sub.basis).is_zero():
         raise ValueError("quotient coaction not well defined")
-    return quot, q
+    return _from_left(m.coalgebra, m.side, coeq.dim, lift @ sigma, f"{m.name}/sub"), q
 
 
 # -- injectivity ----------------------------------------------------------------
@@ -337,32 +325,11 @@ def is_injective(m: Comodule) -> tuple[bool, Mat | None]:
     comodule on its own carrier, and M is injective iff that embedding
     admits a comodule retraction, found by one linear solve.
     """
-    c = m.coalgebra
-    f = m.field
-    amb = cofree(c, m.dim, side=m.side)
-    # hom condition rows for maps amb -> M
-    lhs = kron(Mat.identity(amb.dim, f), m.coaction)
-    rhs = _postcompose_coaction(amb, m.dim)
-    hom_rows = lhs - rhs
-    # composition-with-iota rows: r o coaction = id
-    comp_entries = []
-    for (x, i), v in m.coaction.data.items():
-        for i2 in range(m.dim):
-            comp_entries.append((i * m.dim + i2, x * m.dim + i2, v))
-    comp = Mat.from_entries(m.dim * m.dim, amb.dim * m.dim, f, comp_entries)
-    system = hom_rows.vstack(comp)
-    rhs_vec = {
-        hom_rows.rows + i * m.dim + i: f.one() for i in range(m.dim)
-    }
-    x = solve(system, rhs_vec)
-    if x is None:
-        return False, None
-    entries = []
-    for idx, v in x.items():
-        col, row = divmod(idx, m.dim)
-        entries.append((row, col, v))
-    retraction = Mat.from_entries(m.dim, amb.dim, f, entries)
-    return True, retraction
+    amb = cofree(m.coalgebra, m.dim, side=m.side)
+    lhs, rhs = _hom_equations(amb, m)
+    # the coaction, as stored, is the embedding of M into amb's carrier
+    retraction = split_solve(lhs - rhs, Mat.identity(m.dim, m.field), m.coaction)
+    return retraction is not None, retraction
 
 
 # -- head and radical -------------------------------------------------------------

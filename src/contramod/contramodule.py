@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
 from .linalg import (
-    Coequalizer, Subspace, coequalizer, equalizer, quotient_by_image, rank, solve,
+    Coequalizer, Subspace, coequalizer, equalizer, quotient_by_image, rank, split_solve,
 )
-from .matrix import Mat, ev_mat, kron, swap_mat
+from .matrix import Mat, ev_mat, kron, map_of_vec, swap_mat
 
 
 @dataclass
@@ -134,39 +134,31 @@ def contra_from_dual(m: Comodule, d: int) -> Contramodule:
 # -- contra-hom spaces ----------------------------------------------------------
 
 
-def _postcompose_theta(target: Contramodule, source_dim: int) -> Mat:
-    """Matrix of f -> theta_D o (Id_C* (x) f) on flattened hom spaces."""
-    n = target.coalgebra.dim
-    d = target.dim
-    b = source_dim
+def _hom_equations(b: Contramodule, d: Contramodule) -> tuple[Mat, Mat]:
+    """The pair f -> f o theta_B and f -> theta_D o (Id_C* (x) f) on
+    B* (x) D; Hom(B, D) is their equalizer."""
+    if b.coalgebra != d.coalgebra:
+        raise ValueError("coalgebra mismatch")
+    n, bd, dd = b.coalgebra.dim, b.dim, d.dim
+    lhs = kron(b.theta.transpose(), Mat.identity(dd, d.field))
     entries = []
-    for (d2, idx), v in target.theta.data.items():
-        j, delta = divmod(idx, d)
-        for beta in range(b):
-            entries.append(((j * b + beta) * d + d2, beta * d + delta, v))
-    return Mat.from_entries(n * b * d, b * d, target.field, entries)
+    for (d2, idx), v in d.theta.data.items():
+        j, delta = divmod(idx, dd)
+        for beta in range(bd):
+            entries.append(((j * bd + beta) * dd + d2, beta * dd + delta, v))
+    rhs = Mat.from_entries(n * bd * dd, bd * dd, d.field, entries)
+    return lhs, rhs
 
 
 def hom_contra(b: Contramodule, d: Contramodule) -> Subspace:
     """Contra-homomorphisms B -> D as a subspace of B* (x) D."""
-    if b.coalgebra != d.coalgebra:
-        raise ValueError("coalgebra mismatch")
-    lhs = kron(b.theta.transpose(), Mat.identity(d.dim, d.field))
-    rhs = _postcompose_theta(d, b.dim)
-    return equalizer(lhs, rhs)
+    return equalizer(*_hom_equations(b, d))
 
 
 def hom_contra_basis_maps(b: Contramodule, d: Contramodule, sub: Subspace | None = None) -> list[Mat]:
     if sub is None:
         sub = hom_contra(b, d)
-    out = []
-    for col in sub.basis_columns():
-        entries = []
-        for idx, v in col.items():
-            x, y = divmod(idx, d.dim)
-            entries.append((y, x, v))
-        out.append(Mat.from_entries(d.dim, b.dim, b.field, entries))
-    return out
+    return [map_of_vec(col, b.dim, d.dim, b.field) for col in sub.basis_columns()]
 
 
 def is_contra_map(b: Contramodule, d: Contramodule, t: Mat) -> bool:
@@ -273,30 +265,10 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
     """Split the canonical free presentation: theta itself is a
     contra-homomorphism from the free contramodule on the carrier of B onto
     B, and B is projective iff it admits a contra-homomorphism section."""
-    c = b.coalgebra
-    f = b.field
-    free = free_contramodule(c, b.dim)
-    # hom condition rows for maps B -> free
-    lhs = kron(b.theta.transpose(), Mat.identity(free.dim, f))
-    rhs = _postcompose_theta(free, b.dim)
-    hom_rows = lhs - rhs
-    # composition rows: theta o s = id_B
-    comp_entries = []
-    for (b2, x), v in b.theta.data.items():
-        for beta in range(b.dim):
-            comp_entries.append((beta * b.dim + b2, beta * free.dim + x, v))
-    comp = Mat.from_entries(b.dim * b.dim, b.dim * free.dim, f, comp_entries)
-    system = hom_rows.vstack(comp)
-    rhs_vec = {hom_rows.rows + i * b.dim + i: f.one() for i in range(b.dim)}
-    x = solve(system, rhs_vec)
-    if x is None:
-        return False, None
-    entries = []
-    for idx, v in x.items():
-        col, row = divmod(idx, free.dim)
-        entries.append((row, col, v))
-    section = Mat.from_entries(free.dim, b.dim, f, entries)
-    return True, section
+    free = free_contramodule(b.coalgebra, b.dim)
+    lhs, rhs = _hom_equations(b, free)
+    section = split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, b.field))
+    return section is not None, section
 
 
 @dataclass
@@ -380,7 +352,7 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
 
     # relations must pair to zero against every comodule map
     for rel_col in co.image_subspace.basis.columns().values():
-        rel = _map_from_vec(rel_col, v.dim, w.dim, f)
+        rel = map_of_vec(rel_col, v.dim, w.dim, f)
         for hmap in hom_maps:
             if trace_pair(rel, hmap) != 0:
                 return DualityReport(co.dim, hom.dim, -1)
@@ -388,7 +360,7 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     entries = []
     sec_cols = co.section.columns()
     for t in range(co.dim):
-        rep = _map_from_vec(sec_cols.get(t, {}), v.dim, w.dim, f)
+        rep = map_of_vec(sec_cols.get(t, {}), v.dim, w.dim, f)
         for s, hmap in enumerate(hom_maps):
             val = trace_pair(rep, hmap)
             if val != 0:
@@ -396,10 +368,3 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     pairing = Mat.from_entries(co.dim, hom.dim, f, entries)
     return DualityReport(co.dim, hom.dim, rank(pairing))
 
-
-def _map_from_vec(vec: dict, dim_x: int, dim_y: int, field) -> Mat:
-    entries = []
-    for idx, v in vec.items():
-        x, y = divmod(idx, dim_y)
-        entries.append((y, x, v))
-    return Mat.from_entries(dim_y, dim_x, field, entries)

@@ -12,18 +12,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is proven deterministic
+# below _MR_LIMIT, about 3.3e24 (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < 4:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not certified above {_MR_LIMIT}")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -91,9 +108,6 @@ class FieldSpec:
                 raise ZeroDivisionError("inverse of 0")
             return 1 / Fraction(a)
         return pow(a, -1, self.characteristic)
-
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
 
     def is_zero(self, a) -> bool:
         return a == 0

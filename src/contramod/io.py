@@ -97,7 +97,7 @@ def coalgebra_to_json(c: Coalgebra) -> dict:
     }
 
 
-_NAME_RE = re.compile(r"([a-z_]+)\((\d+(?:,\s*\d+)*)\)")
+_NAME_RE = re.compile(r"([a-z_][a-z0-9_]*)\((\d+(?:,\s*\d+)*)\)")
 
 
 def coalgebra_by_name(name: str, field: FieldSpec) -> Coalgebra:

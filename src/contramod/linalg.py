@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .matrix import Mat
+from .matrix import Mat, kron, map_of_vec
 
 
 class _EchelonGeneric:
@@ -243,21 +243,12 @@ class Subspace:
         return [cols.get(t, {}) for t in range(self.dim)]
 
     def contains(self, vec: dict) -> bool:
-        ech = make_echelon(self.field, self.ambient)
-        for col in self.basis_columns():
-            ech.add_row(col)
-        return not ech.reduce_vector(vec)
-
-    def contains_matrix(self, m: Mat) -> bool:
-        """True iff every column of m lies in the subspace."""
-        ech = make_echelon(self.field, self.ambient)
-        for col in self.basis_columns():
-            ech.add_row(col)
-        return all(not ech.reduce_vector(col) for col in m.columns().values())
+        return self.coords(vec) is not None
 
     def coords(self, vec: dict) -> dict | None:
         """Coordinates of vec in the canonical basis, or None if outside."""
         f = self.field
+        cols = self.basis.columns()
         coeffs = {}
         residual = dict(vec)
         for t, p in enumerate(self.pivots):
@@ -265,7 +256,7 @@ class Subspace:
             if c is None or c == 0:
                 continue
             coeffs[t] = c
-            for i, v in self.basis.col(t).items():
+            for i, v in cols.get(t, {}).items():
                 s = f.sub(residual.get(i, f.zero()), f.mul(c, v))
                 if s == 0:
                     residual.pop(i, None)
@@ -386,6 +377,18 @@ def solve_matrix(mat: Mat, rhs: Mat) -> Mat | None:
             return None
         entries.extend((i, j, v) for i, v in x.items())
     return Mat.from_entries(mat.cols, rhs.cols, mat.field, entries)
+
+
+def split_solve(hom_rows: Mat, post: Mat, pre: Mat) -> Mat | None:
+    """A map X with hom_rows @ vec(X) = 0 and post @ X @ pre = identity, found
+    by one solve, or None if there is none.  vec flattens X: A -> B as in
+    :func:`matrix.vec_of_map`, which turns the composite into
+    kron(pre^T, post) @ vec(X)."""
+    f = hom_rows.field
+    e = post.rows
+    system = hom_rows.vstack(kron(pre.transpose(), post))
+    x = solve(system, {hom_rows.rows + i * e + i: f.one() for i in range(e)})
+    return None if x is None else map_of_vec(x, pre.rows, post.cols, f)
 
 
 @dataclass

@@ -8,7 +8,7 @@ from a single seed.
 
 from __future__ import annotations
 
-from .coalgebra import Coalgebra, CoalgebraMorphism, dual_of_algebra
+from .coalgebra import Coalgebra, CoalgebraMorphism, _add_into, dual_of_algebra
 from .comodule import Comodule, cofree, comodule_closure, quotient_comodule, sub_comodule
 from .contramodule import (
     Contramodule, contra_closure, free_contramodule, quotient_contramodule,
@@ -44,11 +44,7 @@ def random_subalgebra(rng, c: Coalgebra, tries: int = 2) -> Subspace:
                     for j, vy in y.items():
                         prod = mult.apply({i * n + j: f.mul(vx, vy)})
                         for k, v in prod.items():
-                            s = f.add(xy.get(k, f.zero()), v)
-                            if s == 0:
-                                xy.pop(k, None)
-                            else:
-                                xy[k] = s
+                            _add_into(xy, k, v, f)
                 if xy and not sub.contains(xy):
                     extra.append(xy)
         if not extra:
@@ -77,11 +73,7 @@ def random_surjection(rng, c: Coalgebra) -> CoalgebraMorphism:
                 for j, vy in basis.col(t).items():
                     hit = mult_c.apply({i * n + j: f.mul(vx, vy)})
                     for kk, v in hit.items():
-                        acc = f.add(prod.get(kk, f.zero()), v)
-                        if acc == 0:
-                            prod.pop(kk, None)
-                        else:
-                            prod[kk] = acc
+                        _add_into(prod, kk, v, f)
             coords = sub.coords(prod)
             if coords is None:
                 raise AssertionError("subalgebra not closed")

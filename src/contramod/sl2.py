@@ -395,19 +395,6 @@ def hom_rational(m: RationalComodule, n: RationalComodule) -> Subspace:
     return kernel(big)
 
 
-def hom_rational_maps(m: RationalComodule, n: RationalComodule) -> list:
-    sub = hom_rational(m, n)
-    field = GF(m.p)
-    out = []
-    for col in sub.basis_columns():
-        entries = []
-        for idx, v in col.items():
-            x, y = divmod(idx, n.dim)
-            entries.append((y, x, v))
-        out.append(Mat.from_entries(n.dim, m.dim, field, entries))
-    return out
-
-
 # -- Frobenius kernels ---------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from contramod import randomgen
 from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, group_algebra, grouplike,
     grouplike_elements, matrix_coalgebra,
@@ -132,6 +133,32 @@ def test_hom_equals_cotensor_of_dual():
             v = random_comodule(rng, c)
             m = random_comodule(rng, c)
             assert hom_comodules(v, m).dim == cotensor(dual_comodule(v), m).dim
+
+
+def _bump(rng, m):
+    """m with one coaction entry shifted by a nonzero scalar."""
+    f = m.field
+    i, j = rng.randrange(m.coaction.rows), rng.randrange(m.dim)
+    bump = Mat.from_entries(m.coaction.rows, m.dim, f, [(i, j, f.random(rng, nonzero=True))])
+    return Comodule(m.coalgebra, m.side, m.dim, m.coaction + bump)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_right_comodules_agree_with_their_left_duals(field):
+    # right comodules run through the C^cop reindexing; their duals, built by
+    # dual_comodule, are left comodules that never do
+    rng = random.Random(31)
+    for c in (divided_power_dual(field, 3), matrix_coalgebra(field, 2), grouplike(field, 2)):
+        for _ in range(4):
+            m = randomgen.random_comodule(rng, c, side="right")
+            n = randomgen.random_comodule(rng, c, side="right")
+            for x in (m, _bump(rng, m), _bump(rng, m)):
+                assert check_comodule(x).failures == check_comodule(dual_comodule(x)).failures
+            assert hom_comodules(m, n).dim == hom_comodules(dual_comodule(n), dual_comodule(m)).dim
+            assert check_comodule(direct_sum(m, n)).ok
+            sub = comodule_closure(m, [randomgen.random_vector(rng, m.dim, field)])
+            assert check_comodule(sub_comodule(m, sub)[0]).ok
+            assert check_comodule(quotient_comodule(m, sub)[0]).ok
 
 
 def random_comodule(rng, c, max_cofree=2):

@@ -1,6 +1,12 @@
 """JSON round trips, schema errors, and the CLI exit-code contract."""
 
 import json
+import shlex
+import subprocess
+import sys
+import time
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +15,10 @@ from contramod.cli import DEFAULT_SEED, JobSpec, main, run
 from contramod.coalgebra import divided_power_dual, divided_power_surjection, grouplike
 from contramod.comodule import cofree, comodule_over_self, dual_comodule
 from contramod.contramodule import free_contramodule
-from contramod.fields import GF2, GF3, QQ
+from contramod.fields import _MR_LIMIT, GF, GF2, GF3, QQ, FieldSpec, _is_prime
 from contramod.io import SchemaError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_field_json_roundtrip():
@@ -199,3 +207,87 @@ def test_run_jobspec_directly():
     code, report = run(job)
     assert code == 2 and "not found" in report["error"]
     assert report["seed"] == DEFAULT_SEED
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(10 ** 4) if _is_prime(n) != trial_division(n)] == []
+
+
+def test_composite_and_uncertified_characteristics_rejected():
+    for p in (4, 561):
+        with pytest.raises(ValueError):
+            FieldSpec(p)
+    with pytest.raises(ValueError):
+        _is_prime(_MR_LIMIT)
+
+
+def test_cli_large_prime_field_is_fast(tmp_path, capsys):
+    p = 2 ** 61 - 1
+    doc = cio.comodule_to_json(comodule_over_self(grouplike(GF(p), 2)))
+    doc["coalgebra"] = "grouplike(2)"
+    path = _write(tmp_path, "m.json", doc)
+    start = time.perf_counter()
+    code = main(["--field", f"Fp:{p}", "verify", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(capsys.readouterr().out)["ok"]
+
+
+@pytest.mark.parametrize("where, scalar, flag", [
+    ("delta", "1/2", "Fp:2"),          # 1/2 has no value mod 2
+    ("epsilon", "abc", "Fp:2"),
+    (None, None, "Fp:4"),
+    (None, None, f"Fp:{10 ** 25 + 13}"),  # beyond the certified primality range
+])
+def test_cli_malformed_input_exits_2(where, scalar, flag, tmp_path, capsys):
+    doc = cio.coalgebra_to_json(grouplike(GF2, 2))
+    if where == "delta":
+        doc["delta"][0][3] = scalar
+    elif where == "epsilon":
+        doc["epsilon"][0] = scalar
+    path = _write(tmp_path, "c.json", doc)
+    assert main(["--field", flag, "verify", path]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]
+
+
+def test_cli_verify_named_frobenius_kernel(tmp_path, capsys):
+    from contramod.sl2 import frob_kernel_coalgebra
+
+    doc = cio.contramodule_to_json(free_contramodule(frob_kernel_coalgebra(2, 1), 1))
+    doc["coalgebra"] = "sl2_kernel(1)"
+    path = _write(tmp_path, "b.json", doc)
+    assert main(["--field", "Fp:2", "verify", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "contramodule" and report["ok"]
+
+
+def test_global_flags_after_the_subcommand(tmp_path):
+    rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(divided_power_surjection(GF2, 3, 2, 2)))
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    main(["--seed", "11", "--field", "Fp:2", "--out", str(before), "exactness", "--rho", rho_path])
+    main(["exactness", "--rho", rho_path, "--seed", "11", "--field", "Fp:2", "--out", str(after)])
+    assert json.loads(before.read_text())["seed"] == 11
+    assert before.read_bytes() == after.read_bytes()
+
+
+def _readme_command_lines():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("contramod ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_cli_examples.py"), str(tmp_path / "examples_io")],
+        check=True, capture_output=True,
+    )
+    monkeypatch.chdir(tmp_path)
+    argvs = _readme_command_lines()
+    assert len(argvs) == 10
+    for argv in argvs:
+        assert main(argv) in (0, 1), argv
+        report = json.loads(capsys.readouterr().out)
+        assert "error" not in report and report["command"] in argv

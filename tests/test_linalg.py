@@ -236,6 +236,21 @@ def test_subspace_coords():
         )
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_subspace_contains_against_rank_oracle(field):
+    rng = random.Random(43)
+    for _ in range(80):
+        ambient, k = rng.randint(1, 6), rng.randint(0, 4)
+        gens = random_mat(rng, ambient, k, field, density=0.5)
+        if rng.random() < 0.5:
+            vec = gens.apply({j: field.random(rng) for j in range(k)})
+        else:
+            vec = random_mat(rng, ambient, 1, field).col(0)
+        sub = Subspace.from_columns(ambient, field, gens.columns().values())
+        both = gens.hstack(Mat.column(vec, ambient, field))
+        assert sub.contains(vec) == (dense_rank_oracle(both) == dense_rank_oracle(gens))
+
+
 def test_swap_mat_involution():
     s = swap_mat(QQ, 2, 3)
     s2 = swap_mat(QQ, 3, 2)
