@@ -18,7 +18,7 @@ from .comodule import Comodule
 from .linalg import (
     Coequalizer, Subspace, coequalizer, equalizer, quotient_by_image, rank, split_solve,
 )
-from .matrix import Mat, ev_mat, kron, map_of_vec, swap_mat
+from .matrix import Mat, kron, map_of_vec
 
 
 @dataclass
@@ -46,8 +46,11 @@ class Contramodule:
 
 def _dual_mult(c: Coalgebra) -> Mat:
     """Multiplication of the dual algebra on C* (x) C*, oriented so that the
-    second tensor factor is the outer Hom variable."""
-    return c.delta.transpose() @ swap_mat(c.field, c.dim, c.dim)
+    second tensor factor is the outer Hom variable:
+    ``[k, i*n + j] = delta[j*n + i, k]``."""
+    n = c.dim
+    return Mat(n, n * n, c.field,
+               {(k, (idx % n) * n + idx // n): v for (idx, k), v in c.delta.data.items()})
 
 
 def check_contramodule(b: Contramodule) -> Verdict:
@@ -219,6 +222,22 @@ def quotient_contramodule(b: Contramodule, sub: Subspace) -> tuple[Contramodule,
 # -- contratensor and Cohom -------------------------------------------------------
 
 
+def _contratensor_maps(m: Comodule, b: Contramodule) -> tuple[Mat, Mat]:
+    """The pair M (x) C* (x) B -> M (x) B whose coequalizer is the
+    contratensor product: Id (x) theta, and evaluation after the coaction,
+    written entry by entry as
+    ``[i*db + beta, (s*n + j)*db + beta] = coaction[i*n + j, s]``."""
+    n, db = m.coalgebra.dim, b.dim
+    map1 = kron(Mat.identity(m.dim, m.field), b.theta)
+    data = {}
+    for (idx, s), v in m.coaction.data.items():
+        i, j = divmod(idx, n)
+        col = (s * n + j) * db
+        for beta in range(db):
+            data[(i * db + beta, col + beta)] = v
+    return map1, Mat(m.dim * db, m.dim * n * db, m.field, data)
+
+
 def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:
     """Contratensor product of a right comodule with a contramodule: the
     coequalizer of Id (x) theta against evaluation after the coaction,
@@ -227,29 +246,40 @@ def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:
         raise ValueError("coalgebra mismatch")
     if m.side != "right":
         raise ValueError("contratensor needs a right comodule")
-    f = m.field
-    n = m.coalgebra.dim
-    map1 = kron(Mat.identity(m.dim, f), b.theta)
-    ev = ev_mat(f, n)
-    map2 = kron(kron(Mat.identity(m.dim, f), ev), Mat.identity(b.dim, f)) @ kron(
-        m.coaction, Mat.identity(n * b.dim, f)
-    )
-    return coequalizer(map1, map2)
+    return coequalizer(*_contratensor_maps(m, b))
 
 
 def cohom_maps(m: Comodule, b: Contramodule) -> tuple[Mat, Mat]:
     """The coequalizer pair Hom(C (x) M, B) -> Hom(M, B) defining Cohom:
-    precomposition with the coaction against the contra-action."""
+    precomposition with the coaction against the contra-action.
+
+    Both maps are written entry by entry.  With dm = dim M, db = dim B and
+    coaction row r = c*dm + i:
+
+        f[k*db + beta, r*db + beta] = coaction[r, k]
+        g[i*db + beta', (c*dm + i)*db + beta] = theta[beta', c*db + beta]
+    """
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
     if m.side != "left":
         raise ValueError("cohom needs a left comodule")
-    f = m.field
-    n = m.coalgebra.dim
-    eye_b = Mat.identity(b.dim, f)
-    f_map = kron(m.coaction.transpose(), eye_b)
-    g_map = kron(Mat.identity(m.dim, f), b.theta) @ kron(swap_mat(f, n, m.dim), eye_b)
-    return f_map, g_map
+    n, dm, db = m.coalgebra.dim, m.dim, b.dim
+    f_data = {}
+    for (r, k), v in m.coaction.data.items():
+        for beta in range(db):
+            f_data[(k * db + beta, r * db + beta)] = v
+    # theta's entries once, as (beta', column of g at i = 0, value)
+    theta = []
+    for (bp, idx), v in b.theta.data.items():
+        c, beta = divmod(idx, db)
+        theta.append((bp, c * dm * db + beta, v))
+    g_data = {}
+    for i in range(dm):
+        off = i * db
+        for bp, col, v in theta:
+            g_data[(off + bp, off + col)] = v
+    rows, cols = dm * db, n * dm * db
+    return Mat(rows, cols, m.field, f_data), Mat(rows, cols, m.field, g_data)
 
 
 def cohom(m: Comodule, b: Contramodule) -> Coequalizer:

@@ -100,27 +100,34 @@ def coalgebra_to_json(c: Coalgebra) -> dict:
 _NAME_RE = re.compile(r"([a-z_][a-z0-9_]*)\((\d+(?:,\s*\d+)*)\)")
 
 
+def _sl2_kernel(field: FieldSpec, r: int) -> Coalgebra:
+    from .sl2 import frob_kernel_coalgebra
+
+    if field.characteristic == 0:
+        raise SchemaError("coalgebra: sl2_kernel needs a prime field")
+    return frob_kernel_coalgebra(field.characteristic, r)
+
+
+# Every catalog name takes exactly one size argument.
+_CATALOG = {
+    "grouplike": grouplike,
+    "matrix_coalgebra": matrix_coalgebra,
+    "divided_power_dual": divided_power_dual,
+    "sl2_kernel": _sl2_kernel,
+}
+
+
 def coalgebra_by_name(name: str, field: FieldSpec) -> Coalgebra:
     m = _NAME_RE.fullmatch(name.strip())
     if not m:
         raise SchemaError(f"coalgebra: cannot parse name {name!r}")
     kind = m.group(1)
     args = [int(a) for a in m.group(2).split(",")]
-    builders = {
-        "grouplike": grouplike,
-        "matrix_coalgebra": matrix_coalgebra,
-        "divided_power_dual": divided_power_dual,
-    }
-    if kind in builders:
-        return builders[kind](field, *args)
-    if kind == "sl2_kernel":
-        from .sl2 import frob_kernel_coalgebra
-
-        p = field.characteristic
-        if p == 0:
-            raise SchemaError("coalgebra: sl2_kernel needs a prime field")
-        return frob_kernel_coalgebra(p, *args)
-    raise SchemaError(f"coalgebra: unknown catalog name {kind!r}")
+    if kind not in _CATALOG:
+        raise SchemaError(f"coalgebra: unknown catalog name {kind!r}")
+    if len(args) != 1:
+        raise SchemaError(f"coalgebra: {kind} takes 1 argument, got {len(args)}")
+    return _CATALOG[kind](field, args[0])
 
 
 def coalgebra_from_json(data, default_field: FieldSpec | None = None) -> Coalgebra:

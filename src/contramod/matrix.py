@@ -245,12 +245,6 @@ def swap_mat(field: FieldSpec, a: int, b: int) -> Mat:
     return Mat(a * b, a * b, field, data)
 
 
-def ev_mat(field: FieldSpec, n: int) -> Mat:
-    """Evaluation C (x) C* -> k on an n-dimensional space (1 x n^2)."""
-    one = field.one()
-    return Mat(1, n * n, field, {(0, c * n + c): one for c in range(n)})
-
-
 def vec_of_map(m: Mat) -> dict:
     """Flatten Hom(X, Y) to X* (x) Y coordinates: F[y, x] at x*rows(Y)+y."""
     return {x * m.rows + y: v for (y, x), v in m.data.items()}

@@ -95,8 +95,10 @@ def is_mittag_leffler(sys: InverseSystem, at: int) -> MLResult:
         raise ValueError("need at least two stages beyond the base index")
     chain: list[Subspace] = []
     dims = []
+    out = None
     for j in range(at + 1, last + 1):
-        img = image(sys.composite(at, j))
+        out = sys.transition(j) if out is None else out @ sys.transition(j)
+        img = image(out)
         if chain and img.dim > chain[-1].dim:
             raise AssertionError("image chain must be non-increasing")
         chain.append(img)

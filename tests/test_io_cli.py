@@ -263,6 +263,16 @@ def test_cli_verify_named_frobenius_kernel(tmp_path, capsys):
     assert report["kind"] == "contramodule" and report["ok"]
 
 
+@pytest.mark.parametrize("name", ["sl2_kernel(1,2)", "grouplike(2,3)"])
+def test_cli_catalog_name_with_wrong_arity_exits_2(name, tmp_path, capsys):
+    doc = cio.contramodule_to_json(free_contramodule(grouplike(GF2, 2), 1))
+    doc["coalgebra"] = name
+    path = _write(tmp_path, "b.json", doc)
+    assert main(["--field", "Fp:2", "verify", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert "takes 1 argument, got 2" in error
+
+
 def test_global_flags_after_the_subcommand(tmp_path):
     rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(divided_power_surjection(GF2, 3, 2, 2)))
     before, after = tmp_path / "before.json", tmp_path / "after.json"
