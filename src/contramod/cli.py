@@ -1,9 +1,15 @@
 """Batch command-line entry point: load JSON inputs, run one verification or
 computation job, emit a machine-readable JSON report.
 
+``COMMANDS`` has one row per subcommand: its help text, its input files (an
+argparse spelling and a loader each), its integer options, and a job function
+from the loaded objects to (report fields, all checks passed).  The parser,
+the ``JobSpec`` built by ``main`` and the loading in ``run`` all read it.
+
 Exit codes: 0 when every asserted check passes, 1 on a check failure, 2 on
-an input/schema error.  Reports are deterministic for a fixed seed; --pretty
-only re-indents the identical payload.
+an input/schema error, including the library's ``ValueError`` for inputs
+over different coalgebras.  Reports are deterministic for a fixed seed;
+--pretty only re-indents the identical payload.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
 from . import io as cio
 from .coalgebra import check_coalgebra, check_morphism
-from .comodule import Comodule, cotensor, hom_comodules
+from .comodule import Comodule, check_comodule, cotensor, hom_comodules
 from .contramodule import (
     Contramodule, check_contramodule, cohom, contratensor, duality_check,
 )
@@ -51,16 +58,38 @@ def _load_json(path: str):
         raise SchemaError(f"{path}: invalid JSON: {e}") from None
 
 
-def _load(path: str, loader, field):
-    return loader(_load_json(path), field)
+# -- loaders: (JSON data, field) -> object ---------------------------------------
 
 
-def _run_verify(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    obj = cio.detect_and_load(_load_json(job.inputs["input"]), field)
+def _rho(data, field):
+    rho = cio.morphism_from_json(data, field)
+    if not check_morphism(rho).ok:
+        raise SchemaError("rho is not a valid surjective coalgebra map")
+    return rho
+
+
+def _ses_from_json(data, field) -> ShortExactSeq:
+    for key in ("sub", "mid", "quot", "incl", "proj"):
+        if key not in data:
+            raise SchemaError(f"ses: missing {key}")
+    sub, mid, quot = (cio.contramodule_from_json(data[k], field) for k in ("sub", "mid", "quot"))
+    incl, proj = (cio.mat_from_json(data[k], sub.field, where=f"ses.{k}") for k in ("incl", "proj"))
+    return ShortExactSeq(sub, mid, quot, incl, proj)
+
+
+def _battery(data, field):
+    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+        raise SchemaError("battery: expected a JSON list of module expressions")
+    if not data:
+        raise SchemaError("battery: empty, so there is nothing to check")
+    return data
+
+
+# -- jobs: (job, *loaded inputs) -> (report fields, every check passed) ---------
+
+
+def _verify(job, obj):
     if isinstance(obj, Comodule):
-        from .comodule import check_comodule
-
         kind, verdict = "comodule", check_comodule(obj)
     elif isinstance(obj, Contramodule):
         kind, verdict = "contramodule", check_contramodule(obj)
@@ -68,107 +97,31 @@ def _run_verify(job: JobSpec, report: dict) -> int:
         kind, verdict = "morphism", check_morphism(obj)
     else:
         kind, verdict = "coalgebra", check_coalgebra(obj)
-    report.update({"kind": kind, "ok": verdict.ok, "failures": verdict.failures})
-    return EXIT_OK if verdict.ok else EXIT_CHECK_FAILED
+    return {"kind": kind, "ok": verdict.ok, "failures": verdict.failures}, verdict.ok
 
 
-def _run_hom(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    m = _load(job.inputs["first"], cio.comodule_from_json, field)
-    n = _load(job.inputs["second"], cio.comodule_from_json, field)
-    if m.coalgebra != n.coalgebra:
-        raise SchemaError("hom: the two comodules live over different coalgebras")
-    report["dim"] = hom_comodules(m, n).dim
-    return EXIT_OK
-
-
-def _run_cotensor(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    m = _load(job.inputs["first"], cio.comodule_from_json, field)
-    n = _load(job.inputs["second"], cio.comodule_from_json, field)
-    if m.coalgebra != n.coalgebra:
-        raise SchemaError("cotensor: coalgebra mismatch between inputs")
-    report["dim"] = cotensor(m, n).dim
-    return EXIT_OK
-
-
-def _run_contratensor(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    m = _load(job.inputs["first"], cio.comodule_from_json, field)
-    b = _load(job.inputs["second"], cio.contramodule_from_json, field)
-    if m.coalgebra != b.coalgebra:
-        raise SchemaError("contratensor: coalgebra mismatch between inputs")
-    report["dim"] = contratensor(m, b).dim
-    return EXIT_OK
-
-
-def _run_cohom(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    m = _load(job.inputs["first"], cio.comodule_from_json, field)
-    b = _load(job.inputs["second"], cio.contramodule_from_json, field)
-    if m.coalgebra != b.coalgebra:
-        raise SchemaError("cohom: coalgebra mismatch between inputs")
-    report["dim"] = cohom(m, b).dim
-    return EXIT_OK
-
-
-def _run_induce(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    rho = _load(job.inputs["rho"], cio.morphism_from_json, field)
-    w = _load(job.inputs["W"], cio.contramodule_from_json, field)
-    if w.coalgebra != rho.target:
-        raise SchemaError("induce: W must live over the target of rho")
-    if not check_morphism(rho).ok:
-        raise SchemaError("induce: rho is not a valid surjective coalgebra map")
+def _induce(job, rho, w):
     res = induce(rho, w)
-    report.update({
-        "dim_W": w.dim,
-        "dim_induced": res.dim,
-        "axioms_ok": check_contramodule(res.induced).ok,
-    })
-    return EXIT_OK if report["axioms_ok"] else EXIT_CHECK_FAILED
+    ok = check_contramodule(res.induced).ok
+    return {"dim_W": w.dim, "dim_induced": res.dim, "axioms_ok": ok}, ok
 
 
-def _run_adjoint_check(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    rho = _load(job.inputs["rho"], cio.morphism_from_json, field)
-    w = _load(job.inputs["W"], cio.contramodule_from_json, field)
-    v = _load(job.inputs["V"], cio.contramodule_from_json, field)
-    if w.coalgebra != rho.target or v.coalgebra != rho.source:
-        raise SchemaError("adjoint-check: W must live over the target, V over the source")
-    if not check_morphism(rho).ok:
-        raise SchemaError("adjoint-check: rho is not a valid surjective coalgebra map")
+def _adjoint_check(job, rho, w, v):
     rep = adjunction_check(rho, w, v)
-    report["adjunction"] = {"lhs_dim": rep.lhs_dim, "rhs_dim": rep.rhs_dim}
-    report["roundtrip_ok"] = rep.roundtrip_ok
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    dims = {"lhs_dim": rep.lhs_dim, "rhs_dim": rep.rhs_dim}
+    return {"adjunction": dims, "roundtrip_ok": rep.roundtrip_ok}, rep.ok
 
 
-def _ses_from_json(data, field) -> ShortExactSeq:
-    for key in ("sub", "mid", "quot", "incl", "proj"):
-        if key not in data:
-            raise SchemaError(f"ses: missing {key}")
-    sub = cio.contramodule_from_json(data["sub"], field)
-    mid = cio.contramodule_from_json(data["mid"], field)
-    quot = cio.contramodule_from_json(data["quot"], field)
-    incl = cio.mat_from_json(data["incl"], sub.field, where="ses.incl")
-    proj = cio.mat_from_json(data["proj"], sub.field, where="ses.proj")
-    return ShortExactSeq(sub, mid, quot, incl, proj)
-
-
-def _run_exactness(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    rho = _load(job.inputs["rho"], cio.morphism_from_json, field)
-    if not check_morphism(rho).ok:
-        raise SchemaError("exactness: rho is not a valid surjective coalgebra map")
-    probes = []
-    if "ses" in job.inputs:
-        probes.append(_ses_from_json(_load_json(job.inputs["ses"]), field))
-    else:
+def _exactness(job, rho, ses):
+    probes = [ses]
+    if ses is None:
         from .randomgen import random_contra_ses
 
+        wanted = job.params["samples"]
+        if wanted < 1:
+            raise SchemaError("exactness: --samples must be at least 1")
         rng = random.Random(job.seed)
-        wanted = int(job.params.get("samples", 10))
+        probes = []
         guard = 0
         while len(probes) < wanted and guard < wanted * 50:
             guard += 1
@@ -182,59 +135,68 @@ def _run_exactness(job: JobSpec, report: dict) -> int:
         verdict = exactness_probe(rho, ses)
         if not verdict.exact:
             failures.append({"probe": idx, "positions": verdict.failures, "dims": list(verdict.dims)})
-    report["exactness"] = {"total": len(probes), "failures": failures}
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    return {"exactness": {"total": len(probes), "failures": failures}}, not failures
 
 
-def _run_duality(job: JobSpec, report: dict) -> int:
-    field = parse_field_flag(job.field)
-    v = _load(job.inputs["V"], cio.comodule_from_json, field)
-    w = _load(job.inputs["W"], cio.comodule_from_json, field)
-    if v.coalgebra != w.coalgebra:
-        raise SchemaError("duality: coalgebra mismatch between inputs")
+def _duality(job, v, w):
     rep = duality_check(v, w)
-    report.update({
-        "cohom_dim": rep.cohom_dim,
-        "hom_dim": rep.hom_dim,
-        "pairing_rank": rep.pairing_rank,
-        "ok": rep.ok,
-    })
-    return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
+    return {"cohom_dim": rep.cohom_dim, "hom_dim": rep.hom_dim,
+            "pairing_rank": rep.pairing_rank, "ok": rep.ok}, rep.ok
 
 
-def _run_tower(job: JobSpec, report: dict) -> int:
+def _tower(job, battery):
     from .sl2 import battery_module, build_tower
     from .towers import cohom_tower
 
-    p = int(job.params["p"])
-    lam = int(job.params["lambda"])
-    m_max = int(job.params["mmax"])
-    battery = _load_json(job.inputs["battery"])
-    if not isinstance(battery, list) or not all(isinstance(x, str) for x in battery):
-        raise SchemaError("battery: expected a JSON list of module expressions")
-    tower = build_tower(lam, p, m_max)
+    p, lam = job.params["p"], job.params["lambda"]
+    tower = build_tower(lam, p, job.params["mmax"])
     reports = []
     for expr in battery:
         data = cohom_tower(battery_module(p, expr), tower, lam, p).to_json()
         data["module"] = expr
         reports.append(data)
-    report["towers"] = reports
     ok = all(r["match"] for r in reports)
-    report["all_match"] = ok
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return {"towers": reports, "all_match": ok}, ok
 
 
-_HANDLERS = {
-    "verify": _run_verify,
-    "hom": _run_hom,
-    "cotensor": _run_cotensor,
-    "contratensor": _run_contratensor,
-    "cohom": _run_cohom,
-    "induce": _run_induce,
-    "adjoint-check": _run_adjoint_check,
-    "exactness": _run_exactness,
-    "duality": _run_duality,
-    "tower": _run_tower,
+class Command(NamedTuple):
+    help: str
+    inputs: tuple     # (spelling, loader): "first" positional, "--rho" required, "[--ses]" optional
+    job: Callable     # (JobSpec, *loaded inputs) -> (report fields, every check passed)
+    ints: tuple = ()  # (spelling, default) per integer option; no default: required
+
+
+def _name(spelling: str) -> str:
+    return spelling.strip("[]-")
+
+
+_COMODULES = (("first", cio.comodule_from_json), ("second", cio.comodule_from_json))
+_COMODULE_CONTRA = (("first", cio.comodule_from_json), ("second", cio.contramodule_from_json))
+
+COMMANDS = {
+    "verify": Command("check the axioms of a serialized object",
+                      (("input", cio.detect_and_load),), _verify),
+    "hom": Command("dimension of the comodule hom space", _COMODULES,
+                   lambda job, m, n: ({"dim": hom_comodules(m, n).dim}, True)),
+    "cotensor": Command("cotensor of a right and a left comodule", _COMODULES,
+                        lambda job, m, n: ({"dim": cotensor(m, n).dim}, True)),
+    "contratensor": Command("contratensor of a right comodule and a contramodule", _COMODULE_CONTRA,
+                            lambda job, m, b: ({"dim": contratensor(m, b).dim}, True)),
+    "cohom": Command("Cohom of a left comodule and a contramodule", _COMODULE_CONTRA,
+                     lambda job, m, b: ({"dim": cohom(m, b).dim}, True)),
+    "induce": Command("induce a contramodule along a surjection",
+                      (("--rho", _rho), ("--W", cio.contramodule_from_json)), _induce),
+    "adjoint-check": Command("induction/restriction adjunction report",
+                             (("--rho", _rho), ("--W", cio.contramodule_from_json),
+                              ("--V", cio.contramodule_from_json)), _adjoint_check),
+    "exactness": Command("probe exactness of induction on sequences",
+                         (("--rho", _rho), ("[--ses]", _ses_from_json)), _exactness,
+                         (("--samples", 10),)),
+    "duality": Command("Cohom against the dual hom space",
+                       (("--V", cio.comodule_from_json), ("--W", cio.comodule_from_json)), _duality),
+    "tower": Command("stabilization table for the twisted tensor tower",
+                     (("--battery", _battery),), _tower,
+                     (("--p", None), ("--lambda", None), ("--mmax", None))),
 }
 
 
@@ -243,11 +205,19 @@ def run(job: JobSpec) -> tuple[int, dict]:
     out-of-range input, wherever it is detected, ends the job with exit 2."""
     report = {"command": job.command, "seed": job.seed}
     try:
-        code = _HANDLERS[job.command](job, report)
+        row = COMMANDS[job.command]
+        field = parse_field_flag(job.field)
+        loaded = []
+        for spelling, load in row.inputs:
+            name = _name(spelling)
+            absent = name not in job.inputs and spelling.startswith("[")
+            loaded.append(None if absent else load(_load_json(job.inputs[name]), field))
+        fields, ok = row.job(job, *loaded)
     except (ValueError, ZeroDivisionError, KeyError, NotImplementedError) as e:
         report["error"] = str(e) or type(e).__name__
         return EXIT_INPUT_ERROR, report
-    return code, report
+    report.update(fields)
+    return (EXIT_OK if ok else EXIT_CHECK_FAILED), report
 
 
 def _emit(job: JobSpec, report: dict):
@@ -272,78 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with coalgebras, comodules and contramodules.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name, doc):
-        return sub.add_parser(name, help=doc, parents=[common])
-
-    sp = command("verify", "check the axioms of a serialized object")
-    sp.add_argument("input")
-
-    for name, doc in (
-        ("hom", "dimension of the comodule hom space"),
-        ("cotensor", "cotensor of a right and a left comodule"),
-        ("contratensor", "contratensor of a right comodule and a contramodule"),
-        ("cohom", "Cohom of a left comodule and a contramodule"),
-    ):
-        sp = command(name, doc)
-        sp.add_argument("first")
-        sp.add_argument("second")
-
-    sp = command("induce", "induce a contramodule along a surjection")
-    sp.add_argument("--rho", required=True)
-    sp.add_argument("--W", required=True)
-
-    sp = command("adjoint-check", "induction/restriction adjunction report")
-    sp.add_argument("--rho", required=True)
-    sp.add_argument("--W", required=True)
-    sp.add_argument("--V", required=True)
-
-    sp = command("exactness", "probe exactness of induction on sequences")
-    sp.add_argument("--rho", required=True)
-    sp.add_argument("--ses", help="explicit short exact sequence file")
-    sp.add_argument("--samples", type=int, default=10, help="random probes when no --ses")
-
-    sp = command("duality", "Cohom against the dual hom space")
-    sp.add_argument("--V", required=True)
-    sp.add_argument("--W", required=True)
-
-    sp = command("tower", "stabilization table for the twisted tensor tower")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", type=int, required=True)
-    sp.add_argument("--mmax", type=int, required=True)
-    sp.add_argument("--battery", required=True)
-
+    for name, row in COMMANDS.items():
+        sp = sub.add_parser(name, help=row.help, parents=[common])
+        for spelling, _ in row.inputs:
+            if spelling.startswith("--"):
+                sp.add_argument(spelling, required=True)
+            else:
+                sp.add_argument(spelling.strip("[]"))
+        for spelling, default in row.ints:
+            sp.add_argument(spelling, type=int, default=default, required=default is None)
     return ap
 
 
-def job_from_args(args) -> JobSpec:
-    inputs = {}
-    params = {}
-    if args.command == "verify":
-        inputs["input"] = args.input
-    elif args.command in ("hom", "cotensor", "contratensor", "cohom"):
-        inputs["first"], inputs["second"] = args.first, args.second
-    elif args.command == "induce":
-        inputs["rho"], inputs["W"] = args.rho, args.W
-    elif args.command == "adjoint-check":
-        inputs.update({"rho": args.rho, "W": args.W, "V": args.V})
-    elif args.command == "exactness":
-        inputs["rho"] = args.rho
-        if args.ses:
-            inputs["ses"] = args.ses
-        params["samples"] = args.samples
-    elif args.command == "duality":
-        inputs.update({"V": args.V, "W": args.W})
-    elif args.command == "tower":
-        inputs["battery"] = args.battery
-        params.update({"p": args.p, "lambda": args.lam, "mmax": args.mmax})
-    flags = {k: v for k, v in vars(args).items() if k in ("seed", "field", "pretty", "out")}
-    return JobSpec(command=args.command, inputs=inputs, params=params, **flags)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    job = job_from_args(args)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
+    row = COMMANDS[command]
+    inputs = {_name(s): args.pop(_name(s)) for s, _ in row.inputs}
+    params = {_name(s): args.pop(_name(s)) for s, _ in row.ints}
+    # what is left in args are the global flags given on the command line
+    job = JobSpec(command, {k: v for k, v in inputs.items() if v is not None}, params=params, **args)
     code, report = run(job)
     _emit(job, report)
     return code

@@ -138,23 +138,26 @@ def trivial_comodule(c: Coalgebra, grouplike_vec: dict, side: str = "left") -> C
     return Comodule(c, side, 1, coact, name="trivial")
 
 
+def _block_sum(n: int, a1: Mat, a2: Mat) -> Mat:
+    """The left-layout structure matrix of a direct sum (row c*d + i, column
+    j, d = d1 + d2) from its summands'; a contramodule's theta, transposed,
+    has this layout too."""
+    d1, d = a1.cols, a1.cols + a2.cols
+    data = {}
+    for off, a in ((0, a1), (d1, a2)):
+        for (idx, j), v in a.data.items():
+            c, i = divmod(idx, a.cols)
+            data[(c * d + off + i, off + j)] = v
+    return Mat(n * d, d, a1.field, data)
+
+
 def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
     if m1.coalgebra is not m2.coalgebra and m1.coalgebra != m2.coalgebra:
         raise ValueError("coalgebra mismatch")
     if m1.side != m2.side:
         raise ValueError("side mismatch")
-    n = m1.coalgebra.dim
-    d1, d2 = m1.dim, m2.dim
-    d = d1 + d2
-    entries = []
-    for (idx, j), v in _left_coaction(m1).data.items():
-        cc, i = divmod(idx, d1)
-        entries.append((cc * d + i, j, v))
-    for (idx, j), v in _left_coaction(m2).data.items():
-        cc, i = divmod(idx, d2)
-        entries.append((cc * d + d1 + i, j + d1, v))
-    coact = Mat.from_entries(n * d, d, m1.field, entries)
-    return _from_left(m1.coalgebra, m1.side, d, coact, f"{m1.name}+{m2.name}")
+    coact = _block_sum(m1.coalgebra.dim, _left_coaction(m1), _left_coaction(m2))
+    return _from_left(m1.coalgebra, m1.side, m1.dim + m2.dim, coact, f"{m1.name}+{m2.name}")
 
 
 def dual_comodule(m: Comodule) -> Comodule:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalgebra import Coalgebra, Verdict
-from .comodule import Comodule
+from .comodule import Comodule, _block_sum
 from .linalg import (
     Coequalizer, Subspace, coequalizer, equalizer, quotient_by_image, rank, split_solve,
 )
@@ -89,18 +89,8 @@ def trivial_contramodule(c: Coalgebra, grouplike_vec: dict) -> Contramodule:
 def direct_sum(b1: Contramodule, b2: Contramodule) -> Contramodule:
     if b1.coalgebra != b2.coalgebra:
         raise ValueError("coalgebra mismatch")
-    n = b1.coalgebra.dim
-    d1, d2 = b1.dim, b2.dim
-    d = d1 + d2
-    entries = []
-    for (i, idx), v in b1.theta.data.items():
-        j, k = divmod(idx, d1)
-        entries.append((i, j * d + k, v))
-    for (i, idx), v in b2.theta.data.items():
-        j, k = divmod(idx, d2)
-        entries.append((d1 + i, j * d + d1 + k, v))
-    theta = Mat.from_entries(d, n * d, b1.field, entries)
-    return Contramodule(b1.coalgebra, d, theta, name=f"{b1.name}+{b2.name}")
+    theta_t = _block_sum(b1.coalgebra.dim, b1.theta.transpose(), b2.theta.transpose())
+    return Contramodule(b1.coalgebra, b1.dim + b2.dim, theta_t.transpose(), name=f"{b1.name}+{b2.name}")
 
 
 def contra_from_comodule(w: Comodule) -> Contramodule:

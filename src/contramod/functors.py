@@ -62,7 +62,6 @@ class InductionResult:
     induced: Contramodule
     presentation: Mat     # quotient map from the free contramodule on W's carrier
     section: Mat
-    f_minus_g: Mat
     relations: Subspace   # Im(f - g) inside Hom(C, W)
 
     @property
@@ -73,8 +72,7 @@ class InductionResult:
 def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
     """Induction along a surjective coalgebra map, with its free presentation."""
     _require_surjective(rho)
-    f_map, g_map = build_f_g(rho, w)
-    coeq = coequalizer(f_map, g_map)
+    coeq = coequalizer(*build_f_g(rho, w))
     free = free_contramodule(rho.source, w.dim)
     n_c = rho.source.dim
     eye = Mat.identity(n_c, w.field)
@@ -86,9 +84,7 @@ def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
     verdict = check_contramodule(induced)
     if not verdict.ok:
         raise AssertionError(f"induced object fails axioms: {verdict.failures}")
-    return InductionResult(
-        induced, coeq.quotient_map, coeq.section, f_map - g_map, coeq.image_subspace
-    )
+    return InductionResult(induced, coeq.quotient_map, coeq.section, coeq.image_subspace)
 
 
 def induce_map(

@@ -20,6 +20,7 @@ from contramod.contramodule import (
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.matrix import Mat
+from contramod.randomgen import random_contramodule
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -198,6 +199,21 @@ def test_direct_sum_projectivity():
     triv = trivial_contramodule(c, grouplike_elements(c)[0])
     assert is_projective(direct_sum(free, free))[0]
     assert not is_projective(direct_sum(free, triv))[0]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_direct_sum_block_maps_are_contra_maps(field):
+    rng = random.Random(41)
+    one = field.one()
+    for c in catalog_coalgebras(field)[1:]:
+        for _ in range(3):
+            b1, b2 = random_contramodule(rng, c), random_contramodule(rng, c)
+            s = direct_sum(b1, b2)
+            assert check_contramodule(s).ok
+            for off, b in ((0, b1), (b1.dim, b2)):
+                incl = Mat(s.dim, b.dim, field, {(off + i, i): one for i in range(b.dim)})
+                assert is_contra_map(b, s, incl)
+                assert is_contra_map(s, b, incl.transpose())
 
 
 def test_contramodules_are_dual_algebra_modules():

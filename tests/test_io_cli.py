@@ -1,5 +1,6 @@
 """JSON round trips, schema errors, and the CLI exit-code contract."""
 
+import argparse
 import json
 import shlex
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from contramod import io as cio
-from contramod.cli import DEFAULT_SEED, JobSpec, main, run
+from contramod.cli import COMMANDS, DEFAULT_SEED, JobSpec, build_parser, main, run
 from contramod.coalgebra import divided_power_dual, divided_power_surjection, grouplike
 from contramod.comodule import cofree, comodule_over_self, dual_comodule
 from contramod.contramodule import free_contramodule
@@ -207,6 +208,8 @@ def test_run_jobspec_directly():
     code, report = run(job)
     assert code == 2 and "not found" in report["error"]
     assert report["seed"] == DEFAULT_SEED
+    code, report = run(JobSpec(command="no-such-command"))
+    assert code == 2 and "no-such-command" in report["error"]
 
 
 def test_is_prime_matches_trial_division():
@@ -296,8 +299,69 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     )
     monkeypatch.chdir(tmp_path)
     argvs = _readme_command_lines()
-    assert len(argvs) == 10
+    assert len(argvs) == 11
     for argv in argvs:
         assert main(argv) in (0, 1), argv
         report = json.loads(capsys.readouterr().out)
         assert "error" not in report and report["command"] in argv
+
+
+def test_readme_examples_cover_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS)
+    shown = {word for argv in _readme_command_lines() for word in argv if word in COMMANDS}
+    assert shown == set(COMMANDS)
+
+
+def test_cli_rejects_vacuous_jobs(tmp_path, capsys):
+    rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(divided_power_surjection(GF2, 3, 2, 2)))
+    for samples in ("0", "-3"):
+        assert main(["exactness", "--rho", rho_path, "--samples", samples]) == 2
+        assert "--samples" in json.loads(capsys.readouterr().out)["error"]
+    battery = _write(tmp_path, "battery.json", [])
+    assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "2", "--battery", battery]) == 2
+    assert "empty" in json.loads(capsys.readouterr().out)["error"]
+
+
+def _write_mismatch_inputs(tmp_path):
+    from contramod.matrix import Mat
+
+    c, other = divided_power_dual(GF2, 3), grouplike(GF2, 2)
+    rho = divided_power_surjection(GF2, 3, 2, 2)
+    # surjective and flagged so, but not a coalgebra map: it kills e2 and keeps e1 (x) e1
+    trunc = Mat.from_entries(2, 3, GF2, [(0, 0, 1), (1, 1, 1)])
+    bad_rho = cio.morphism_to_json(rho)
+    bad_rho["matrix"] = cio.mat_to_json(trunc)
+    docs = {
+        "left.json": cio.comodule_to_json(comodule_over_self(c)),
+        "right.json": cio.comodule_to_json(comodule_over_self(c, side="right")),
+        "left_other.json": cio.comodule_to_json(comodule_over_self(other)),
+        "contra_other.json": cio.contramodule_to_json(free_contramodule(other, 1)),
+        "rho.json": cio.morphism_to_json(rho),
+        "bad_rho.json": bad_rho,
+        "w.json": cio.contramodule_to_json(free_contramodule(rho.target, 1)),
+        "v.json": cio.contramodule_to_json(free_contramodule(rho.source, 1)),
+    }
+    for name, doc in docs.items():
+        _write(tmp_path, name, doc)
+
+
+@pytest.mark.parametrize("line, needle", [
+    # inputs over different coalgebras: the library raises, the CLI exits 2
+    ("cotensor right.json left_other.json", "coalgebra"),
+    ("contratensor right.json contra_other.json", "coalgebra"),
+    ("cohom left.json contra_other.json", "coalgebra"),
+    ("duality --V left.json --W left_other.json", "coalgebra"),
+    ("induce --rho rho.json --W contra_other.json", "target"),
+    ("adjoint-check --rho rho.json --W w.json --V contra_other.json", "source"),
+    # a rho that fails check_morphism
+    ("induce --rho bad_rho.json --W w.json", "rho"),
+    ("adjoint-check --rho bad_rho.json --W w.json --V v.json", "rho"),
+    ("exactness --rho bad_rho.json --samples 2", "rho"),
+])
+def test_cli_mismatched_inputs_and_bad_rho_exit_2(line, needle, tmp_path, monkeypatch, capsys):
+    _write_mismatch_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(line.split()) == 2
+    assert needle in json.loads(capsys.readouterr().out)["error"]

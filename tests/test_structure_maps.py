@@ -101,7 +101,8 @@ def test_induce_matches_kron_formulas(field):
             assert res.presentation == oracle.quotient_map
             assert res.section == oracle.section
             assert res.relations == oracle.image_subspace
-            assert res.f_minus_g == f_map - g_map
+            f_new, g_new = build_f_g(rho, w)
+            assert f_new - g_new == f_map - g_map
 
 
 # -- the coequalizer ----------------------------------------------------------------
