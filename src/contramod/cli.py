@@ -69,6 +69,8 @@ def _rho(data, field):
 
 
 def _ses_from_json(data, field) -> ShortExactSeq:
+    if not isinstance(data, dict):
+        raise SchemaError("ses: expected an object")
     for key in ("sub", "mid", "quot", "incl", "proj"):
         if key not in data:
             raise SchemaError(f"ses: missing {key}")

@@ -103,43 +103,18 @@ def _add_into(acc: dict, key, val, f):
 
 
 def check_coalgebra(c: Coalgebra) -> Verdict:
-    """Exact coassociativity and two-sided counit identities."""
-    f = c.field
-    n = c.dim
-    failures = []
-    delta_cols = c.delta.columns()
-    coassoc_ok = True
-    for k in range(n):
-        u = delta_cols.get(k, {})
-        lhs: dict = {}
-        rhs: dict = {}
-        for idx, v in u.items():
-            i, j = divmod(idx, n)
-            for idx2, w in delta_cols.get(i, {}).items():
-                _add_into(lhs, idx2 * n + j, f.mul(v, w), f)
-            for idx2, w in delta_cols.get(j, {}).items():
-                _add_into(rhs, i * n * n + idx2, f.mul(v, w), f)
-        if lhs != rhs:
-            coassoc_ok = False
-            break
-    if not coassoc_ok:
-        failures.append("coassociativity")
-    left_ok = right_ok = True
-    for k in range(n):
-        u = delta_cols.get(k, {})
-        left: dict = {}
-        right: dict = {}
-        for idx, v in u.items():
-            i, j = divmod(idx, n)
-            _add_into(left, j, f.mul(c.eps(i), v), f)
-            _add_into(right, i, f.mul(c.eps(j), v), f)
-        if left != {k: f.one()}:
-            left_ok = False
-        if right != {k: f.one()}:
-            right_ok = False
-    if not left_ok:
-        failures.append("counit-left")
-    if not right_ok:
+    """Coassociativity and the left counit law are the comodule axioms of C
+    over itself; the right counit law is checked column by column."""
+    from .comodule import check_comodule, comodule_over_self
+
+    failures = ["counit-left" if name == "counit" else name
+                for name in check_comodule(comodule_over_self(c)).failures]
+    f, n = c.field, c.dim
+    right: dict = {}
+    for (idx, k), v in c.delta.data.items():
+        i, j = divmod(idx, n)
+        _add_into(right.setdefault(k, {}), i, f.mul(c.eps(j), v), f)
+    if any(right.get(k, {}) != {k: f.one()} for k in range(n)):
         failures.append("counit-right")
     return Verdict(failures)
 

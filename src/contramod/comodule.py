@@ -138,26 +138,20 @@ def trivial_comodule(c: Coalgebra, grouplike_vec: dict, side: str = "left") -> C
     return Comodule(c, side, 1, coact, name="trivial")
 
 
-def _block_sum(n: int, a1: Mat, a2: Mat) -> Mat:
-    """The left-layout structure matrix of a direct sum (row c*d + i, column
-    j, d = d1 + d2) from its summands'; a contramodule's theta, transposed,
-    has this layout too."""
-    d1, d = a1.cols, a1.cols + a2.cols
-    data = {}
-    for off, a in ((0, a1), (d1, a2)):
-        for (idx, j), v in a.data.items():
-            c, i = divmod(idx, a.cols)
-            data[(c * d + off + i, off + j)] = v
-    return Mat(n * d, d, a1.field, data)
-
-
 def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
+    """Block sum in left layout: row c*d + i, column j, d = d1 + d2."""
     if m1.coalgebra is not m2.coalgebra and m1.coalgebra != m2.coalgebra:
         raise ValueError("coalgebra mismatch")
     if m1.side != m2.side:
         raise ValueError("side mismatch")
-    coact = _block_sum(m1.coalgebra.dim, _left_coaction(m1), _left_coaction(m2))
-    return _from_left(m1.coalgebra, m1.side, m1.dim + m2.dim, coact, f"{m1.name}+{m2.name}")
+    d = m1.dim + m2.dim
+    data = {}
+    for off, m in ((0, m1), (m1.dim, m2)):
+        for (idx, j), v in _left_coaction(m).data.items():
+            c, i = divmod(idx, m.dim)
+            data[(c * d + off + i, off + j)] = v
+    coact = Mat(m1.coalgebra.dim * d, d, m1.field, data)
+    return _from_left(m1.coalgebra, m1.side, d, coact, f"{m1.name}+{m2.name}")
 
 
 def dual_comodule(m: Comodule) -> Comodule:

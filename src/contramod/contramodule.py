@@ -7,17 +7,21 @@ b x (n*b) matrix under the identification Hom(C, B) = C* (x) B, column
 j*b + k meaning (dual basis vector j) (x) (basis vector k).  The tensor-hom
 adjunction used throughout is Hom(U, Hom(V, W)) = Hom(V (x) U, W), the
 orientation that makes these LEFT contramodules.
+
+Over a finite-dimensional coalgebra a contramodule is the same thing as a
+left comodule: ``_as_comodule`` and :func:`contra_from_comodule` relabel the
+same entries, and are the identity on maps.  The axioms, hom spaces,
+subobjects, quotients and direct sums run on the comodule code through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from . import comodule
 from .coalgebra import Coalgebra, Verdict
-from .comodule import Comodule, _block_sum
-from .linalg import (
-    Coequalizer, Subspace, coequalizer, equalizer, quotient_by_image, rank, split_solve,
-)
+from .comodule import Comodule
+from .linalg import Coequalizer, Subspace, coequalizer, rank, split_solve
 from .matrix import Mat, kron, map_of_vec
 
 
@@ -44,29 +48,28 @@ class Contramodule:
         return f"Contramodule({label}, dim={self.dim} over {self.coalgebra.name or self.coalgebra.dim})"
 
 
-def _dual_mult(c: Coalgebra) -> Mat:
-    """Multiplication of the dual algebra on C* (x) C*, oriented so that the
-    second tensor factor is the outer Hom variable:
-    ``[k, i*n + j] = delta[j*n + i, k]``."""
-    n = c.dim
-    return Mat(n, n * n, c.field,
-               {(k, (idx % n) * n + idx // n): v for (idx, k), v in c.delta.data.items()})
+def _as_comodule(b: Contramodule) -> Comodule:
+    """The left comodule with the same entries as b, the inverse of
+    :func:`contra_from_comodule`: ``coaction[c*b + i, k] = theta[i, c*b + k]``."""
+    bd = b.dim
+    coact = Mat(b.coalgebra.dim * bd, bd, b.field,
+                {((idx // bd) * bd + i, idx % bd): v for (i, idx), v in b.theta.data.items()})
+    return Comodule(b.coalgebra, "left", bd, coact, name=b.name)
+
+
+def _from_comodule(w: Comodule) -> Contramodule:
+    """:func:`contra_from_comodule`, keeping the comodule's name."""
+    return replace(contra_from_comodule(w), name=w.name)
+
+
+_CONTRA_AXIOMS = {"counit": "contra-unity", "coassociativity": "contra-associativity"}
 
 
 def check_contramodule(b: Contramodule) -> Verdict:
-    """Contra-associativity and contra-unity as exact matrix identities."""
-    c = b.coalgebra
-    f = b.field
-    n, bd = c.dim, b.dim
-    failures = []
-    eye_b = Mat.identity(bd, f)
-    if b.theta @ kron(c.epsilon.transpose(), eye_b) != eye_b:
-        failures.append("contra-unity")
-    lhs = b.theta @ kron(Mat.identity(n, f), b.theta)
-    rhs = b.theta @ kron(_dual_mult(c), eye_b)
-    if lhs != rhs:
-        failures.append("contra-associativity")
-    return Verdict(failures)
+    """Contra-unity and contra-associativity, checked as the counit and
+    coassociativity of the corresponding left comodule."""
+    failed = comodule.check_comodule(_as_comodule(b)).failures
+    return Verdict([name for axiom, name in _CONTRA_AXIOMS.items() if axiom in failed])
 
 
 # -- constructions -----------------------------------------------------------
@@ -76,8 +79,7 @@ def free_contramodule(c: Coalgebra, d: int) -> Contramodule:
     """Hom(C, k^d) = C* (x) k^d with theta from comultiplication."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    theta = kron(_dual_mult(c), Mat.identity(d, c.field))
-    return Contramodule(c, c.dim * d, theta, name=f"free({d})")
+    return replace(contra_from_dual(comodule.comodule_over_self(c, "right"), d), name=f"free({d})")
 
 
 def trivial_contramodule(c: Coalgebra, grouplike_vec: dict) -> Contramodule:
@@ -87,10 +89,7 @@ def trivial_contramodule(c: Coalgebra, grouplike_vec: dict) -> Contramodule:
 
 
 def direct_sum(b1: Contramodule, b2: Contramodule) -> Contramodule:
-    if b1.coalgebra != b2.coalgebra:
-        raise ValueError("coalgebra mismatch")
-    theta_t = _block_sum(b1.coalgebra.dim, b1.theta.transpose(), b2.theta.transpose())
-    return Contramodule(b1.coalgebra, b1.dim + b2.dim, theta_t.transpose(), name=f"{b1.name}+{b2.name}")
+    return _from_comodule(comodule.direct_sum(_as_comodule(b1), _as_comodule(b2)))
 
 
 def contra_from_comodule(w: Comodule) -> Contramodule:
@@ -124,28 +123,12 @@ def contra_from_dual(m: Comodule, d: int) -> Contramodule:
     return Contramodule(m.coalgebra, b, theta, name=f"hom({m.name},k^{d})")
 
 
-# -- contra-hom spaces ----------------------------------------------------------
-
-
-def _hom_equations(b: Contramodule, d: Contramodule) -> tuple[Mat, Mat]:
-    """The pair f -> f o theta_B and f -> theta_D o (Id_C* (x) f) on
-    B* (x) D; Hom(B, D) is their equalizer."""
-    if b.coalgebra != d.coalgebra:
-        raise ValueError("coalgebra mismatch")
-    n, bd, dd = b.coalgebra.dim, b.dim, d.dim
-    lhs = kron(b.theta.transpose(), Mat.identity(dd, d.field))
-    entries = []
-    for (d2, idx), v in d.theta.data.items():
-        j, delta = divmod(idx, dd)
-        for beta in range(bd):
-            entries.append(((j * bd + beta) * dd + d2, beta * dd + delta, v))
-    rhs = Mat.from_entries(n * bd * dd, bd * dd, d.field, entries)
-    return lhs, rhs
+# -- contra-hom spaces and subobjects, through the comodule isomorphism -----------
 
 
 def hom_contra(b: Contramodule, d: Contramodule) -> Subspace:
     """Contra-homomorphisms B -> D as a subspace of B* (x) D."""
-    return equalizer(*_hom_equations(b, d))
+    return comodule.hom_comodules(_as_comodule(b), _as_comodule(d))
 
 
 def hom_contra_basis_maps(b: Contramodule, d: Contramodule, sub: Subspace | None = None) -> list[Mat]:
@@ -155,58 +138,27 @@ def hom_contra_basis_maps(b: Contramodule, d: Contramodule, sub: Subspace | None
 
 
 def is_contra_map(b: Contramodule, d: Contramodule, t: Mat) -> bool:
-    n = b.coalgebra.dim
-    return t @ b.theta == d.theta @ kron(Mat.identity(n, b.field), t)
-
-
-# -- subobjects ------------------------------------------------------------------
+    return comodule.is_comodule_map(_as_comodule(b), _as_comodule(d), t)
 
 
 def theta_stabilizes(b: Contramodule, sub: Subspace) -> bool:
     """True iff theta maps C* (x) sub into sub."""
-    n = b.coalgebra.dim
-    image_cols = (b.theta @ kron(Mat.identity(n, b.field), sub.basis)).columns()
-    return all(sub.contains(col) for col in image_cols.values())
+    return comodule.coaction_stabilizes(_as_comodule(b), sub)
 
 
 def contra_closure(b: Contramodule, vectors: list[dict]) -> Subspace:
     """Smallest subcontramodule containing the given vectors."""
-    sub = Subspace.from_columns(b.dim, b.field, vectors)
-    n = b.coalgebra.dim
-    eye = Mat.identity(n, b.field)
-    while True:
-        hit = b.theta @ kron(eye, sub.basis)
-        grown = sub.add(Subspace.from_columns(b.dim, b.field, hit.columns().values()))
-        if grown.dim == sub.dim:
-            return sub
-        sub = grown
+    return comodule.comodule_closure(_as_comodule(b), vectors)
 
 
 def sub_contramodule(b: Contramodule, sub: Subspace) -> tuple[Contramodule, Mat]:
-    if not theta_stabilizes(b, sub):
-        raise ValueError("subspace is not a subcontramodule")
-    n = b.coalgebra.dim
-    k = sub.dim
-    hit = b.theta @ kron(Mat.identity(n, b.field), sub.basis)
-    entries = []
-    for j_col, col in hit.columns().items():
-        coords = sub.coords(col)
-        for s, v in coords.items():
-            entries.append((s, j_col, v))
-    theta = Mat.from_entries(k, n * k, b.field, entries)
-    return Contramodule(b.coalgebra, k, theta, name=f"{b.name}|sub"), sub.basis
+    w, incl = comodule.sub_comodule(_as_comodule(b), sub)
+    return _from_comodule(w), incl
 
 
 def quotient_contramodule(b: Contramodule, sub: Subspace) -> tuple[Contramodule, Mat]:
-    if not theta_stabilizes(b, sub):
-        raise ValueError("subspace is not a subcontramodule")
-    n = b.coalgebra.dim
-    coeq = quotient_by_image(sub)
-    q, sigma = coeq.quotient_map, coeq.section
-    theta = q @ b.theta @ kron(Mat.identity(n, b.field), sigma)
-    if not (q @ b.theta @ kron(Mat.identity(n, b.field), sub.basis)).is_zero():
-        raise ValueError("quotient theta not well defined")
-    return Contramodule(b.coalgebra, coeq.dim, theta, name=f"{b.name}/sub"), q
+    w, proj = comodule.quotient_comodule(_as_comodule(b), sub)
+    return _from_comodule(w), proj
 
 
 # -- contratensor and Cohom -------------------------------------------------------
@@ -286,7 +238,7 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
     contra-homomorphism from the free contramodule on the carrier of B onto
     B, and B is projective iff it admits a contra-homomorphism section."""
     free = free_contramodule(b.coalgebra, b.dim)
-    lhs, rhs = _hom_equations(b, free)
+    lhs, rhs = comodule._hom_equations(_as_comodule(b), _as_comodule(free))
     section = split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, b.field))
     return section is not None, section
 
@@ -352,15 +304,13 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     equalizer); the pairing on representatives is checked to annihilate the
     coequalizer relations and to have full rank.
     """
-    from .comodule import hom_basis_maps, hom_comodules
-
     if v.side != "left" or w.side != "left":
         raise ValueError("duality check needs left comodules")
     f = v.field
     w_contra = contra_from_comodule(w)
     co = cohom(v, w_contra)
-    hom = hom_comodules(w, v)
-    hom_maps = hom_basis_maps(w, v, hom)
+    hom = comodule.hom_comodules(w, v)
+    hom_maps = comodule.hom_basis_maps(w, v, hom)
 
     def trace_pair(map_vw: Mat, map_wv: Mat):
         acc = f.zero()

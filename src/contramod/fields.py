@@ -118,6 +118,10 @@ class FieldSpec:
         return str(a)
 
     def parse(self, s) -> object:
+        """A serialized scalar: a string like ``"-3"`` or ``"2/5"``, or an
+        integer.  Floats and booleans are refused, not rounded."""
+        if isinstance(s, bool) or not isinstance(s, (str, int)):
+            raise ValueError(f"scalar must be a string or an integer, got {s!r}")
         return self.of(s)
 
     def random(self, rng, nonzero: bool = False):

@@ -24,6 +24,11 @@ class SchemaError(ValueError):
     """Input does not match a schema; message points at the offending field."""
 
 
+# The largest dimension an input may ask for, inline or by catalog name: that
+# of k[G_4] in characteristic 2, the top of the --mmax 4 tower.
+MAX_DIM = 4096
+
+
 def field_to_json(f: FieldSpec):
     return "Q" if f.characteristic == 0 else {"Fp": f.characteristic}
 
@@ -34,7 +39,7 @@ def field_from_json(data) -> FieldSpec:
     if isinstance(data, dict) and set(data) == {"Fp"}:
         try:
             return GF(int(data["Fp"]))
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise SchemaError(f"field: {e}") from None
     raise SchemaError(f"field: expected \"Q\" or {{\"Fp\": p}}, got {data!r}")
 
@@ -97,6 +102,16 @@ def coalgebra_to_json(c: Coalgebra) -> dict:
     }
 
 
+def _dim(data: dict, where: str) -> int:
+    try:
+        dim = int(data["dim"])
+    except (KeyError, TypeError, ValueError):
+        raise SchemaError(f"{where}: missing or bad dim") from None
+    if dim > MAX_DIM:
+        raise SchemaError(f"{where}: dim {dim} exceeds {MAX_DIM}")
+    return dim
+
+
 _NAME_RE = re.compile(r"([a-z_][a-z0-9_]*)\((\d+(?:,\s*\d+)*)\)")
 
 
@@ -108,12 +123,14 @@ def _sl2_kernel(field: FieldSpec, r: int) -> Coalgebra:
     return frob_kernel_coalgebra(field.characteristic, r)
 
 
-# Every catalog name takes exactly one size argument.
+# Every catalog name takes exactly one size argument.  Each row holds the
+# constructor and the dimension it builds over F_p (p = 0 for Q), which is
+# never below the argument when the coalgebra exists.
 _CATALOG = {
-    "grouplike": grouplike,
-    "matrix_coalgebra": matrix_coalgebra,
-    "divided_power_dual": divided_power_dual,
-    "sl2_kernel": _sl2_kernel,
+    "grouplike": (grouplike, lambda p, n: n),
+    "matrix_coalgebra": (matrix_coalgebra, lambda p, n: n * n),
+    "divided_power_dual": (divided_power_dual, lambda p, n: n),
+    "sl2_kernel": (_sl2_kernel, lambda p, r: p ** (3 * r)),
 }
 
 
@@ -127,7 +144,10 @@ def coalgebra_by_name(name: str, field: FieldSpec) -> Coalgebra:
         raise SchemaError(f"coalgebra: unknown catalog name {kind!r}")
     if len(args) != 1:
         raise SchemaError(f"coalgebra: {kind} takes 1 argument, got {len(args)}")
-    return _CATALOG[kind](field, args[0])
+    build, dim = _CATALOG[kind]
+    if args[0] > MAX_DIM or dim(field.characteristic, args[0]) > MAX_DIM:
+        raise SchemaError(f"coalgebra: {kind}({args[0]}) exceeds dimension {MAX_DIM}")
+    return build(field, args[0])
 
 
 def coalgebra_from_json(data, default_field: FieldSpec | None = None) -> Coalgebra:
@@ -138,17 +158,17 @@ def coalgebra_from_json(data, default_field: FieldSpec | None = None) -> Coalgeb
     if not isinstance(data, dict):
         raise SchemaError("coalgebra: expected an object or a catalog name")
     field = field_from_json(data.get("field", "Q"))
-    try:
-        dim = int(data["dim"])
-    except (KeyError, ValueError):
-        raise SchemaError("coalgebra: missing or bad dim") from None
+    dim = _dim(data, "coalgebra")
     delta = _triples_to_mat(data.get("delta", []), dim, dim * dim, dim, field, "delta")
     eps_list = data.get("epsilon")
     if not isinstance(eps_list, list) or len(eps_list) != dim:
         raise SchemaError("epsilon: need a list of length dim")
-    epsilon = Mat.from_entries(
-        1, dim, field, ((0, i, field.parse(v)) for i, v in enumerate(eps_list))
-    )
+    try:
+        epsilon = Mat.from_entries(
+            1, dim, field, ((0, i, field.parse(v)) for i, v in enumerate(eps_list))
+        )
+    except ValueError as e:
+        raise SchemaError(f"epsilon: {e}") from None
     return Coalgebra(field, dim, delta, epsilon, name=data.get("name", ""))
 
 
@@ -169,10 +189,7 @@ def comodule_from_json(data, default_field: FieldSpec | None = None) -> Comodule
     side = data.get("side", "left")
     if side not in ("left", "right"):
         raise SchemaError(f"side: must be left or right, got {side!r}")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, ValueError):
-        raise SchemaError("comodule: missing or bad dim") from None
+    dim = _dim(data, "comodule")
     inner = dim if side == "left" else c.dim
     rows = c.dim * dim if side == "left" else dim * c.dim
     coact = _triples_to_mat(data.get("coaction", []), inner, rows, dim, c.field, "coaction")
@@ -191,10 +208,7 @@ def contramodule_from_json(data, default_field: FieldSpec | None = None) -> Cont
     if not isinstance(data, dict):
         raise SchemaError("contramodule: expected an object")
     c = coalgebra_from_json(data.get("coalgebra"), default_field)
-    try:
-        dim = int(data["dim"])
-    except (KeyError, ValueError):
-        raise SchemaError("contramodule: missing or bad dim") from None
+    dim = _dim(data, "contramodule")
     theta = _triples_to_mat(data.get("theta", []), dim, dim, c.dim * dim, c.field, "theta")
     return Contramodule(c, dim, theta, name=data.get("name", ""))
 

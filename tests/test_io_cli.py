@@ -365,3 +365,85 @@ def test_cli_mismatched_inputs_and_bad_rho_exit_2(line, needle, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     assert main(line.split()) == 2
     assert needle in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_scalars_parse_only_from_strings_and_integers():
+    assert QQ.parse("2/5") == QQ.of("2/5") and QQ.parse(-3) == QQ.of(-3)
+    assert GF3.parse("4") == GF3.parse(4) == 1
+    for field in (QQ, GF2):
+        for value in (0.5, 1.0, True, None, [1], {"x": 1}):
+            with pytest.raises(ValueError, match="string or an integer"):
+                field.parse(value)
+
+
+@pytest.mark.parametrize("flag", ["Q", "Fp:2"])
+@pytest.mark.parametrize("where", ["theta", "delta", "epsilon"])
+@pytest.mark.parametrize("value", [0.5, True])
+def test_cli_non_string_scalar_exits_2(flag, where, value, tmp_path, capsys):
+    field = QQ if flag == "Q" else GF2
+    doc = cio.contramodule_to_json(free_contramodule(grouplike(field, 2), 1))
+    if where == "epsilon":
+        doc["coalgebra"]["epsilon"][0] = value
+    else:
+        target = doc["theta"] if where == "theta" else doc["coalgebra"]["delta"]
+        target[0][3] = value
+    path = _write(tmp_path, "b.json", doc)
+    assert main(["--field", flag, "verify", path]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith(f"{where}:") and "string or an integer" in error
+
+
+def test_cli_bad_epsilon_entry_exits_2(tmp_path, capsys):
+    doc = {"dim": 1, "delta": [[0, 0, 0, "1"]], "epsilon": [{"x": 1}]}
+    path = _write(tmp_path, "c.json", doc)
+    assert main(["verify", path]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("epsilon:")
+
+
+@pytest.mark.parametrize("name", [
+    "grouplike(1000000000)", "divided_power_dual(100000)", "matrix_coalgebra(65)",
+    "sl2_kernel(5)", "sl2_kernel(" + "9" * 40 + ")",
+])
+def test_cli_oversize_catalog_name_exits_2(name, tmp_path, capsys):
+    doc = cio.contramodule_to_json(free_contramodule(grouplike(GF2, 1), 1))
+    doc["coalgebra"] = name
+    path = _write(tmp_path, "b.json", doc)
+    start = time.perf_counter()
+    assert main(["--field", "Fp:2", "verify", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds dimension 4096" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_size_limit_on_dimensions():
+    assert cio.MAX_DIM == 4096
+    assert cio.coalgebra_by_name("grouplike(4096)", QQ).dim == 4096
+    assert cio.coalgebra_by_name("sl2_kernel(4)", GF2).dim == 4096
+    with pytest.raises(SchemaError, match="exceeds"):
+        cio.coalgebra_by_name("grouplike(4097)", QQ)
+    with pytest.raises(SchemaError, match="exceeds"):
+        cio.coalgebra_by_name("sl2_kernel(3)", GF3)   # dimension 3^9
+    for load, doc in ((cio.coalgebra_from_json, cio.coalgebra_to_json(grouplike(QQ, 1))),
+                      (cio.contramodule_from_json,
+                       cio.contramodule_to_json(free_contramodule(grouplike(QQ, 1), 1)))):
+        doc["dim"] = 10 ** 30
+        with pytest.raises(SchemaError, match="exceeds 4096"):
+            load(doc)
+
+
+@pytest.mark.parametrize("edit", ["dim", "field", "ses"])
+def test_cli_wrong_typed_structure_exits_2(edit, tmp_path, capsys):
+    """Inputs the command-line fuzzer found ending in a TypeError."""
+    rho = divided_power_surjection(GF2, 3, 2, 2)
+    rho_doc = cio.morphism_to_json(rho)
+    ses_doc = {"sub": None}
+    if edit == "dim":
+        rho_doc["source"]["dim"] = None
+    elif edit == "field":
+        rho_doc["target"]["field"] = {"Fp": None}
+    else:
+        ses_doc = True
+    argv = ["exactness", "--rho", _write(tmp_path, "rho.json", rho_doc),
+            "--ses", _write(tmp_path, "ses.json", ses_doc)]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith({"dim": "coalgebra:", "field": "field:", "ses": "ses:"}[edit])

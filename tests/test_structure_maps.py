@@ -1,21 +1,32 @@
 """The structure maps written by index arithmetic against their Kronecker
-product formulas, and the column-by-column coequalizer against the quotient
-by the image of f - g.  The oracles live here only."""
+product formulas, the column-by-column coequalizer against the quotient by
+the image of f - g, the contramodule operations that run on the comodule
+code against their direct Kronecker formulas, and ``check_coalgebra``
+against its own column loop.  The oracles live here only."""
 
 import random
 
 import pytest
 
-from contramod.coalgebra import divided_power_dual, grouplike, matrix_coalgebra
+from contramod.coalgebra import (
+    Coalgebra, check_coalgebra, divided_power_dual, grouplike, matrix_coalgebra,
+)
 from contramod.comodule import dual_comodule
 from contramod.contramodule import (
-    _contratensor_maps, _dual_mult, cohom, cohom_maps, contra_from_comodule, contratensor,
+    Contramodule, _contratensor_maps, check_contramodule, cohom, cohom_maps,
+    contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
+    hom_contra, hom_contra_basis_maps, is_contra_map, is_projective, quotient_contramodule, sub_contramodule,
+    theta_stabilizes,
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.functors import build_f_g, comodule_along, induce
-from contramod.linalg import coequalizer, image, quotient_by_image
+from contramod.linalg import (
+    Subspace, coequalizer, equalizer, image, quotient_by_image, split_solve,
+)
 from contramod.matrix import Mat, kron, swap_mat
-from contramod.randomgen import random_comodule, random_contramodule, random_surjection
+from contramod.randomgen import (
+    random_comodule, random_contramodule, random_surjection, random_vector,
+)
 from contramod.sl2 import battery_module, build_tower, restrict_to_kernel
 
 FIELDS = [QQ, GF2, GF3]
@@ -82,9 +93,12 @@ def test_contratensor_maps_match_kron_formulas(field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_dual_mult_matches_swap_formula(field):
+def test_free_contramodule_matches_kron_formula(field):
     for c in small_coalgebras(field) + [grouplike(field, 1)]:
-        assert _dual_mult(c) == kron_dual_mult(c)
+        for d in (0, 1, 2):
+            free = free_contramodule(c, d)
+            assert free.theta == kron(kron_dual_mult(c), Mat.identity(d, field))
+            assert free.name == f"free({d})"
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -126,6 +140,245 @@ def test_coequalizer_matches_image_of_difference(field):
         g = Mat(rows, cols, field, {**g.data, **shared})
         assert coequalizer(f, g) == difference_coequalizer(f, g)
         assert coequalizer(f, f).dim == rows
+
+
+# -- contramodules on the comodule code ------------------------------------------------
+
+
+def kron_check_contramodule(b):
+    c, f = b.coalgebra, b.field
+    eye_b = Mat.identity(b.dim, f)
+    failures = []
+    if b.theta @ kron(c.epsilon.transpose(), eye_b) != eye_b:
+        failures.append("contra-unity")
+    lhs = b.theta @ kron(Mat.identity(c.dim, f), b.theta)
+    if lhs != b.theta @ kron(kron_dual_mult(c), eye_b):
+        failures.append("contra-associativity")
+    return failures
+
+
+def kron_hom_equations(b, d):
+    """f -> f o theta_B and f -> theta_D o (Id_C* (x) f) on B* (x) D."""
+    n, bd, dd = b.coalgebra.dim, b.dim, d.dim
+    lhs = kron(b.theta.transpose(), Mat.identity(dd, d.field))
+    entries = []
+    for (d2, idx), v in d.theta.data.items():
+        j, delta = divmod(idx, dd)
+        for beta in range(bd):
+            entries.append(((j * bd + beta) * dd + d2, beta * dd + delta, v))
+    return lhs, Mat.from_entries(n * bd * dd, bd * dd, d.field, entries)
+
+
+def kron_is_contra_map(b, d, t):
+    return t @ b.theta == d.theta @ kron(Mat.identity(b.coalgebra.dim, b.field), t)
+
+
+def kron_hit(b, basis):
+    """theta applied to C* (x) (the columns of basis)."""
+    return b.theta @ kron(Mat.identity(b.coalgebra.dim, b.field), basis)
+
+
+def kron_stabilizes(b, sub):
+    return all(sub.contains(col) for col in kron_hit(b, sub.basis).columns().values())
+
+
+def kron_closure(b, vectors):
+    sub = Subspace.from_columns(b.dim, b.field, vectors)
+    while True:
+        hit = kron_hit(b, sub.basis).columns().values()
+        grown = sub.add(Subspace.from_columns(b.dim, b.field, hit))
+        if grown.dim == sub.dim:
+            return sub
+        sub = grown
+
+
+def kron_sub(b, sub):
+    n, k = b.coalgebra.dim, sub.dim
+    entries = [(s, j, v) for j, col in kron_hit(b, sub.basis).columns().items()
+               for s, v in sub.coords(col).items()]
+    theta = Mat.from_entries(k, n * k, b.field, entries)
+    return Contramodule(b.coalgebra, k, theta, name=f"{b.name}|sub"), sub.basis
+
+
+def kron_quotient(b, sub):
+    coeq = quotient_by_image(sub)
+    q = coeq.quotient_map
+    assert (q @ kron_hit(b, sub.basis)).is_zero()
+    theta = q @ kron_hit(b, coeq.section)
+    return Contramodule(b.coalgebra, coeq.dim, theta, name=f"{b.name}/sub"), q
+
+
+def kron_direct_sum(b1, b2):
+    f, n = b1.field, b1.coalgebra.dim
+    d1, d2 = b1.dim, b2.dim
+    eye_n = Mat.identity(n, f)
+    incl1 = Mat(d1 + d2, d1, f, {(i, i): f.one() for i in range(d1)})
+    incl2 = Mat(d1 + d2, d2, f, {(d1 + i, i): f.one() for i in range(d2)})
+    theta = (incl1 @ b1.theta @ kron(eye_n, incl1.transpose())
+             + incl2 @ b2.theta @ kron(eye_n, incl2.transpose()))
+    return Contramodule(b1.coalgebra, d1 + d2, theta, name=f"{b1.name}+{b2.name}")
+
+
+def kron_is_projective(b):
+    c, f = b.coalgebra, b.field
+    free = Contramodule(c, c.dim * b.dim, kron(kron_dual_mult(c), Mat.identity(b.dim, f)))
+    lhs, rhs = kron_hom_equations(b, free)
+    section = split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, f))
+    return section is not None, section
+
+
+def mutate_theta(rng, b):
+    """b with one random entry of theta moved by a nonzero scalar."""
+    f = b.field
+    key = (rng.randrange(b.dim), rng.randrange(b.theta.cols))
+    data = dict(b.theta.data)
+    data[key] = f.add(data.get(key, f.zero()), f.random(rng, nonzero=True))
+    data = {k: v for k, v in data.items() if v != 0}
+    return Contramodule(b.coalgebra, b.dim, Mat(b.dim, b.theta.cols, f, data), name=b.name)
+
+
+def random_contramodules(field, seed, count=6):
+    """Seeded random contramodules and mutations of them, named apart."""
+    rng = random.Random(seed)
+    for c in small_coalgebras(field):
+        for t in range(count):
+            b = random_contramodule(rng, c)
+            b.name = f"b{t}"
+            yield rng, b
+            yield rng, mutate_theta(rng, b)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_contramodule_verdicts_match_kron_identities(field):
+    seen = set()
+    for _, b in random_contramodules(field, 505, count=15):
+        # the zero action is contra-associative, never contra-unital
+        zero = Contramodule(b.coalgebra, b.dim, Mat.zeros(b.dim, b.theta.cols, field))
+        for x in (b, zero):
+            failures = check_contramodule(x).failures
+            assert failures == kron_check_contramodule(x)
+            seen.add(tuple(failures))
+    assert seen == {(), ("contra-unity",), ("contra-associativity",),
+                    ("contra-unity", "contra-associativity")}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_contra_homs_match_kron_equations(field):
+    rng = random.Random(606)
+    for _, b in random_contramodules(field, 607):
+        d = random_contramodule(rng, b.coalgebra)
+        for x, y in ((b, d), (d, b), (b, b)):
+            hom = hom_contra(x, y)
+            assert hom == equalizer(*kron_hom_equations(x, y))
+            maps = hom_contra_basis_maps(x, y, hom) + [_random_mat(rng, y.dim, x.dim, field, 0.5)]
+            for t in maps:
+                assert is_contra_map(x, y, t) == kron_is_contra_map(x, y, t)
+        flag, section = is_projective(b)
+        assert (flag, section) == kron_is_projective(b)
+        if flag:
+            assert b.theta @ section == Mat.identity(b.dim, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_contra_subobjects_match_kron_formulas(field):
+    for rng, b in random_contramodules(field, 708):
+        vecs = [random_vector(rng, b.dim, field) for _ in range(rng.randint(1, 2))]
+        span = Subspace.from_columns(b.dim, field, vecs)
+        assert theta_stabilizes(b, span) == kron_stabilizes(b, span)
+        sub = contra_closure(b, vecs)
+        assert sub == kron_closure(b, vecs)
+        assert theta_stabilizes(b, sub)
+        assert sub_contramodule(b, sub) == kron_sub(b, sub)
+        assert quotient_contramodule(b, sub) == kron_quotient(b, sub)
+        if not theta_stabilizes(b, span):
+            with pytest.raises(ValueError, match="not a subcomodule"):
+                sub_contramodule(b, span)
+            with pytest.raises(ValueError, match="not a subcomodule"):
+                quotient_contramodule(b, span)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_contra_direct_sum_matches_block_formula(field):
+    rng = random.Random(809)
+    for _, b in random_contramodules(field, 810):
+        d = mutate_theta(rng, random_contramodule(rng, b.coalgebra))
+        d.name = "d"
+        assert direct_sum(b, d) == kron_direct_sum(b, d)
+        assert direct_sum(d, b) == kron_direct_sum(d, b)
+
+
+# -- check_coalgebra against its column loop -------------------------------------------
+
+
+def loop_check_coalgebra(c):
+    f, n = c.field, c.dim
+    cols = c.delta.columns()
+
+    def add(acc, key, val):
+        s = f.add(acc.get(key, f.zero()), val)
+        if s == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = s
+
+    failures = []
+    for k in range(n):
+        lhs, rhs = {}, {}
+        for idx, v in cols.get(k, {}).items():
+            i, j = divmod(idx, n)
+            for idx2, w in cols.get(i, {}).items():
+                add(lhs, idx2 * n + j, f.mul(v, w))
+            for idx2, w in cols.get(j, {}).items():
+                add(rhs, i * n * n + idx2, f.mul(v, w))
+        if lhs != rhs:
+            failures.append("coassociativity")
+            break
+    left_ok = right_ok = True
+    for k in range(n):
+        left, right = {}, {}
+        for idx, v in cols.get(k, {}).items():
+            i, j = divmod(idx, n)
+            add(left, j, f.mul(c.eps(i), v))
+            add(right, i, f.mul(c.eps(j), v))
+        left_ok = left_ok and left == {k: f.one()}
+        right_ok = right_ok and right == {k: f.one()}
+    if not left_ok:
+        failures.append("counit-left")
+    if not right_ok:
+        failures.append("counit-right")
+    return failures
+
+
+def mutated_coalgebras(rng, c):
+    """c with one delta entry moved, one epsilon entry moved, one delta
+    column zeroed, and the epsilon row zeroed."""
+    f, n = c.field, c.dim
+    row, col = rng.randrange(n * n), rng.randrange(n)
+    delta = dict(c.delta.data)
+    delta[(row, col)] = f.add(delta.get((row, col), f.zero()), f.random(rng, nonzero=True))
+    yield Mat(n * n, n, f, {k: v for k, v in delta.items() if v != 0}), c.epsilon
+    k = rng.randrange(n)
+    eps = dict(c.epsilon.data)
+    eps[(0, k)] = f.add(eps.get((0, k), f.zero()), f.random(rng, nonzero=True))
+    yield c.delta, Mat(1, n, f, {key: v for key, v in eps.items() if v != 0})
+    yield Mat(n * n, n, f, {key: v for key, v in c.delta.data.items() if key[1] != k}), c.epsilon
+    yield c.delta, Mat.zeros(1, n, f)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_check_coalgebra_matches_column_loop(field):
+    rng = random.Random(911)
+    seen = set()
+    sources = small_coalgebras(field) + [grouplike(field, 1), divided_power_dual(field, 4)]
+    for c in sources:
+        assert check_coalgebra(c).failures == loop_check_coalgebra(c) == []
+        for _ in range(8):
+            for delta, eps in mutated_coalgebras(rng, c):
+                bad = Coalgebra(field, c.dim, delta, eps)
+                failures = check_coalgebra(bad).failures
+                assert failures == loop_check_coalgebra(bad)
+                seen.update(failures)
+    assert seen == {"coassociativity", "counit-left", "counit-right"}
 
 
 # -- at tower scale -------------------------------------------------------------------
