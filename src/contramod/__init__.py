@@ -8,9 +8,9 @@ and a concrete SL2 catalog in characteristic 2.
 """
 
 from .coalgebra import (
-    Bialgebra, Coalgebra, CoalgebraMorphism, Verdict, catalog, check_bialgebra,
-    check_coalgebra, check_morphism, divided_power_dual, divided_power_surjection,
-    dual_of_algebra, group_algebra, grouplike, matrix_coalgebra,
+    Coalgebra, CoalgebraMorphism, Verdict, check_coalgebra, check_morphism,
+    divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike,
+    matrix_coalgebra,
 )
 from .comodule import (
     Comodule, check_comodule, cofree, comodule_over_self, cotensor, dual_comodule,
@@ -27,23 +27,23 @@ from .functors import (
     exactness_probe, gamma, gamma_inv, induce, restrict,
 )
 from .linalg import Subspace, coequalizer, equalizer, image, kernel, rank
-from .matrix import Mat, kron, swap_mat
+from .matrix import Mat, kron
 from .towers import InverseSystem, cohom_tower, is_mittag_leffler, limit_four_term
 
 __all__ = [
-    "Bialgebra", "Coalgebra", "CoalgebraMorphism", "Comodule", "Contramodule",
+    "Coalgebra", "CoalgebraMorphism", "Comodule", "Contramodule",
     "FieldSpec", "GF", "GF2", "GF3", "QQ",
     "InductionResult", "InverseSystem", "Mat", "ShortExactSeq", "Subspace", "Verdict",
-    "adjunction_check", "build_f_g", "catalog", "check_bialgebra", "check_coalgebra",
+    "adjunction_check", "build_f_g", "check_coalgebra",
     "check_comodule", "check_contramodule", "check_morphism", "coequalizer", "cofree",
     "cohom", "cohom_tower", "comodule_along", "comodule_over_self",
     "contra_from_comodule", "contra_from_dual", "contratensor", "cotensor",
     "divided_power_dual", "divided_power_surjection", "dual_comodule",
     "dual_of_algebra", "duality_check", "equalizer", "exactness_probe",
-    "free_contramodule", "gamma", "gamma_inv", "group_algebra", "grouplike",
+    "free_contramodule", "gamma", "gamma_inv", "grouplike",
     "head_radical", "hom_comodules", "hom_contra", "image", "induce",
     "is_injective", "is_mittag_leffler", "is_projective", "kernel", "kron",
-    "limit_four_term", "matrix_coalgebra", "rank", "restrict", "swap_mat",
+    "limit_four_term", "matrix_coalgebra", "rank", "restrict",
     "trivial_comodule", "trivial_contramodule",
 ]
 

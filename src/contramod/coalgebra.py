@@ -1,4 +1,4 @@
-"""Coalgebras as structure tensors, morphisms, axiom checkers and a catalog.
+"""Coalgebras as structure tensors, morphisms, axiom checkers and constructors.
 
 A coalgebra is stored as a comultiplication matrix ``delta`` of shape
 ``n^2 x n`` (column k lists the tensor coefficients of the image of the k-th
@@ -146,48 +146,7 @@ def check_morphism(rho: CoalgebraMorphism) -> Verdict:
     return Verdict(failures)
 
 
-@dataclass
-class Bialgebra:
-    """Coalgebra with a compatible algebra structure; used to tensor comodules."""
-
-    coalgebra: Coalgebra
-    mult: Mat   # n x n^2
-    unit: Mat   # n x 1
-
-    @property
-    def dim(self) -> int:
-        return self.coalgebra.dim
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.coalgebra.field
-
-
-def check_bialgebra(b: Bialgebra) -> Verdict:
-    from .matrix import swap_mat
-
-    failures = list(check_coalgebra(b.coalgebra).failures)
-    f = b.field
-    n = b.dim
-    m, u = b.mult, b.unit
-    eye = Mat.identity(n, f)
-    if m @ m.kron(eye) != m @ eye.kron(m):
-        failures.append("associativity")
-    if m @ u.kron(eye) != eye or m @ eye.kron(u) != eye:
-        failures.append("unitality")
-    delta, eps = b.coalgebra.delta, b.coalgebra.epsilon
-    tau = swap_mat(f, n, n)
-    mid = eye.kron(tau).kron(eye)
-    if delta @ m != m.kron(m) @ mid @ delta.kron(delta):
-        failures.append("comultiplication-not-algebra-map")
-    if eps @ m != eps.kron(eps):
-        failures.append("counit-not-algebra-map")
-    if delta @ u != u.kron(u) or eps @ u != Mat.identity(1, f):
-        failures.append("unit-not-coalgebra-map")
-    return Verdict(failures)
-
-
-# -- catalog -------------------------------------------------------------------
+# -- constructors --------------------------------------------------------------
 
 
 def grouplike(field: FieldSpec, n: int) -> Coalgebra:
@@ -241,18 +200,6 @@ def divided_power_dual(field: FieldSpec, m: int) -> Coalgebra:
     return c
 
 
-def group_algebra(field: FieldSpec, n: int) -> Bialgebra:
-    """k[Z/n] with grouplike coalgebra and convolution product."""
-    one = field.one()
-    base = grouplike(field, n)
-    mult = Mat.from_entries(
-        n, n * n, field,
-        [((i + j) % n, i * n + j, one) for i in range(n) for j in range(n)],
-    )
-    unit = Mat(n, 1, field, {(0, 0): one})
-    return Bialgebra(base, mult, unit)
-
-
 def divided_power_surjection(
     field: FieldSpec, m_src: int, m_tgt: int, power: int
 ) -> CoalgebraMorphism:
@@ -293,18 +240,3 @@ def grouplike_elements(c: Coalgebra) -> list[dict]:
             out.append({k: c.field.one()})
     return out
 
-
-def catalog(name: str, field: FieldSpec, *params) -> Coalgebra | Bialgebra:
-    """Constructor dispatch for named catalog objects; dual_of_algebra takes
-    the algebra's structure tensors as parameters instead of integers."""
-    if name == "dual_of_algebra":
-        return dual_of_algebra(*params)
-    table = {
-        "grouplike": grouplike,
-        "matrix_coalgebra": matrix_coalgebra,
-        "divided_power_dual": divided_power_dual,
-        "group_algebra": group_algebra,
-    }
-    if name not in table:
-        raise KeyError(f"unknown catalog coalgebra {name!r}")
-    return table[name](field, *params)

@@ -9,8 +9,7 @@ cut out by one equalizer in the flattened space M* (x) N.
 Every construction runs once, on the left layout: a right C-comodule is a
 left C^cop-comodule once its coaction rows are reindexed.  The reindexing
 pair ``_left_coaction`` / ``_from_left`` is the only place, besides the
-``cofree`` and ``dual_comodule`` constructors, that knows the right-side
-layout.
+``cofree`` constructor, that knows the right-side layout.
 """
 
 from __future__ import annotations
@@ -155,23 +154,16 @@ def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
 
 
 def dual_comodule(m: Comodule) -> Comodule:
-    """Dual of a left comodule is a right comodule on M* (and conversely);
-    with the fixed index conventions the double dual is literally the
-    original matrix."""
-    c = m.coalgebra
-    n, md = c.dim, m.dim
-    entries = []
-    if m.side == "left":
-        for (idx, j), v in m.coaction.data.items():
-            cc, i = divmod(idx, md)
-            entries.append((j * n + cc, i, v))
-        coact = Mat.from_entries(md * n, md, m.field, entries)
-        return Comodule(c, "right", md, coact, name=f"{m.name}*")
-    for (idx, j), v in m.coaction.data.items():
-        i, cc = divmod(idx, n)
-        entries.append((cc * md + j, i, v))
-    coact = Mat.from_entries(n * md, md, m.field, entries)
-    return Comodule(c, "left", md, coact, name=f"{m.name}*")
+    """Dual of a left comodule is a right comodule on M* (and conversely):
+    in left layout the dual swaps i and j inside each block c.  With the
+    fixed index conventions the double dual is literally the original
+    matrix."""
+    md = m.dim
+    coact = Mat(m.coalgebra.dim * md, md, m.field,
+                {((idx // md) * md + j, idx % md): v
+                 for (idx, j), v in _left_coaction(m).data.items()})
+    other = "right" if m.side == "left" else "left"
+    return _from_left(m.coalgebra, other, md, coact, f"{m.name}*")
 
 
 # -- hom spaces and cotensor --------------------------------------------------
@@ -223,24 +215,6 @@ def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
     lhs = kron(m.coaction, Mat.identity(n_mod.dim, m.field))
     rhs = kron(Mat.identity(m.dim, m.field), n_mod.coaction)
     return equalizer(lhs, rhs)
-
-
-def tensor_over_bialgebra(b, m: Comodule, n_mod: Comodule) -> Comodule:
-    """Tensor product of two left comodules over a bialgebra."""
-    from .matrix import swap_mat
-
-    c = b.coalgebra
-    if m.coalgebra != c or n_mod.coalgebra != c:
-        raise ValueError("comodules must live over the bialgebra's coalgebra")
-    if m.side != "left" or n_mod.side != "left":
-        raise ValueError("tensor implemented for left comodules")
-    n = c.dim
-    f = c.field
-    both = kron(m.coaction, n_mod.coaction)
-    mid = kron(kron(Mat.identity(n, f), swap_mat(f, m.dim, n)), Mat.identity(n_mod.dim, f))
-    mult_part = kron(kron(b.mult, Mat.identity(m.dim, f)), Mat.identity(n_mod.dim, f))
-    coact = mult_part @ mid @ both
-    return Comodule(c, "left", m.dim * n_mod.dim, coact, name=f"{m.name}(x){n_mod.name}")
 
 
 # -- subobjects and quotients ---------------------------------------------------

@@ -132,9 +132,7 @@ def hom_contra(b: Contramodule, d: Contramodule) -> Subspace:
 
 
 def hom_contra_basis_maps(b: Contramodule, d: Contramodule, sub: Subspace | None = None) -> list[Mat]:
-    if sub is None:
-        sub = hom_contra(b, d)
-    return [map_of_vec(col, b.dim, d.dim, b.field) for col in sub.basis_columns()]
+    return comodule.hom_basis_maps(_as_comodule(b), _as_comodule(d), sub)
 
 
 def is_contra_map(b: Contramodule, d: Contramodule, t: Mat) -> bool:

@@ -55,14 +55,6 @@ class FieldSpec:
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
-    @property
-    def kind(self) -> str:
-        return "rational" if self.characteristic == 0 else "prime-field"
-
-    @property
-    def p(self) -> int:
-        return self.characteristic
-
     # -- canonical scalars ------------------------------------------------
 
     def zero(self):
@@ -108,9 +100,6 @@ class FieldSpec:
                 raise ZeroDivisionError("inverse of 0")
             return 1 / Fraction(a)
         return pow(a, -1, self.characteristic)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     # -- serialization -----------------------------------------------------
 

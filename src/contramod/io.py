@@ -54,6 +54,14 @@ def parse_field_flag(text: str) -> FieldSpec:
     return GF(int(m.group(1)))
 
 
+def _int(x) -> int:
+    """An index or a size: a JSON integer.  Floats, booleans and strings are
+    refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def mat_to_json(m: Mat) -> dict:
     entries = [[i, j, m.field.format(v)] for (i, j), v in sorted(m.data.items())]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
@@ -64,8 +72,8 @@ def mat_from_json(data, field: FieldSpec, where: str = "matrix") -> Mat:
         raise SchemaError(f"{where}: need rows, cols, entries")
     try:
         return Mat.from_entries(
-            int(data["rows"]), int(data["cols"]), field,
-            ((int(i), int(j), field.parse(v)) for i, j, v in data.get("entries", [])),
+            _int(data["rows"]), _int(data["cols"]), field,
+            ((_int(i), _int(j), field.parse(v)) for i, j, v in data.get("entries", [])),
         )
     except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from None
@@ -76,7 +84,7 @@ def _triples_to_mat(triples, inner_dim: int, rows: int, cols: int, field, where:
     entries = []
     try:
         for i, j, k, v in triples:
-            entries.append((int(i) * inner_dim + int(j), int(k), field.parse(v)))
+            entries.append((_int(i) * inner_dim + _int(j), _int(k), field.parse(v)))
     except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: bad coefficient triple: {e}") from None
     try:
@@ -104,7 +112,7 @@ def coalgebra_to_json(c: Coalgebra) -> dict:
 
 def _dim(data: dict, where: str) -> int:
     try:
-        dim = int(data["dim"])
+        dim = _int(data["dim"])
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{where}: missing or bad dim") from None
     if dim > MAX_DIM:

@@ -225,10 +225,6 @@ class Subspace:
         return cls(ambient, field, basis, pivots)
 
     @classmethod
-    def zero(cls, ambient: int, field: FieldSpec) -> "Subspace":
-        return cls(ambient, field, Mat.zeros(ambient, 0, field), [])
-
-    @classmethod
     def full(cls, ambient: int, field: FieldSpec) -> "Subspace":
         return cls(
             ambient, field, Mat.identity(ambient, field), list(range(ambient))

@@ -151,15 +151,6 @@ class Mat:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        f = self.field
-        c = f.of(c)
-        if c == 0:
-            return Mat.zeros(self.rows, self.cols, f)
-        return Mat(
-            self.rows, self.cols, f, {k: f.mul(c, v) for k, v in self.data.items()}
-        )
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(
@@ -236,13 +227,6 @@ class Mat:
 
 def kron(f: Mat, g: Mat) -> Mat:
     return f.kron(g)
-
-
-def swap_mat(field: FieldSpec, a: int, b: int) -> Mat:
-    """The braiding X (x) Y -> Y (x) X for dim X = a, dim Y = b."""
-    one = field.one()
-    data = {(j * a + i, i * b + j): one for i in range(a) for j in range(b)}
-    return Mat(a * b, a * b, field, data)
 
 
 def vec_of_map(m: Mat) -> dict:

@@ -533,11 +533,6 @@ def restrict_to_kernel(m: RationalComodule, r: int) -> Comodule:
     return Comodule(c, "right", m.dim, coact, name=f"{m.name}|G{r}")
 
 
-def kernel_grouplike(p: int, r: int) -> dict:
-    """The unit monomial is grouplike in k[G_r]."""
-    return {0: GF(p).one()}
-
-
 # -- characters and multiplicities ------------------------------------------------------
 
 

@@ -7,14 +7,14 @@ import pytest
 
 from contramod import randomgen
 from contramod.coalgebra import (
-    divided_power_dual, divided_power_surjection, group_algebra, grouplike,
-    grouplike_elements, matrix_coalgebra,
+    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements,
+    matrix_coalgebra,
 )
 from contramod.comodule import (
     Comodule, check_comodule, coaction_stabilizes, cofree, comodule_closure,
     comodule_over_self, cotensor, direct_sum, dual_comodule, head_radical,
     hom_comodules, is_comodule_map, is_injective,
-    quotient_comodule, sub_comodule, tensor_over_bialgebra, trivial_comodule,
+    quotient_comodule, sub_comodule, trivial_comodule,
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.linalg import rank
@@ -256,10 +256,3 @@ def test_head_radical_nonsemisimple():
     head, _ = quotient_comodule(m, hr.radical)
     assert head_radical(head, [triv]).radical.dim == 0
 
-
-def test_tensor_over_bialgebra():
-    b = group_algebra(GF3, 3)
-    m = comodule_over_self(b.coalgebra)
-    t = tensor_over_bialgebra(b, m, m)
-    assert t.dim == 9
-    assert check_comodule(t).ok

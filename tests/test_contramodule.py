@@ -21,6 +21,7 @@ from contramod.contramodule import (
 from contramod.fields import GF2, GF3, QQ
 from contramod.matrix import Mat
 from contramod.randomgen import random_contramodule
+from test_structure_maps import swap_mat
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -228,8 +229,6 @@ def test_contramodules_are_dual_algebra_modules():
         # unital
         assert act @ unit_star.kron(eye) == eye
         # associative: act(m* (x) id) on C* (x) C* (x) B in convolution order
-        from contramod.matrix import swap_mat
-
         s = swap_mat(GF3, c.dim, c.dim)
         assert act @ (mstar @ s).kron(eye) == act @ Mat.identity(c.dim, GF3).kron(act)
 

@@ -447,3 +447,29 @@ def test_cli_wrong_typed_structure_exits_2(edit, tmp_path, capsys):
     assert main(argv) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.startswith({"dim": "coalgebra:", "field": "field:", "ses": "ses:"}[edit])
+
+
+@pytest.mark.parametrize("where, value", [
+    ("index", 1.5), ("index", True), ("dim", 0.5), ("dim", True), ("dim", "2"),
+    ("rows", 2.7), ("entry", 1.0),
+])
+def test_cli_non_integer_index_or_dim_exits_2(where, value, tmp_path, capsys):
+    """Indices and dims are JSON integers: a float, a boolean or a string is
+    refused, not truncated to a different object."""
+    if where in ("rows", "entry"):
+        doc = cio.morphism_to_json(divided_power_surjection(GF2, 3, 2, 2))
+        if where == "rows":
+            doc["matrix"]["rows"] = value
+        else:
+            doc["matrix"]["entries"][0][0] = value
+        prefix = "morphism.matrix: expected an integer"
+    else:
+        doc = cio.coalgebra_to_json(grouplike(GF2, 2))
+        if where == "dim":
+            doc["dim"] = value
+            prefix = "coalgebra: missing or bad dim"
+        else:
+            doc["delta"][1][0] = value
+            prefix = "delta: bad coefficient triple: expected an integer"
+    assert main(["verify", _write(tmp_path, "x.json", doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(prefix)

@@ -1,7 +1,6 @@
 """Kernel/image/equalizer/coequalizer engine, checked against brute force."""
 
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,7 +10,7 @@ from contramod.fields import GF, GF2, GF3, QQ
 from contramod.linalg import (
     Subspace, coequalizer, equalizer, image, kernel, rank, solve, solve_matrix,
 )
-from contramod.matrix import Mat, kron, swap_mat
+from contramod.matrix import Mat, kron
 
 FIELDS = [QQ, GF2, GF3, GF(5)]
 
@@ -249,15 +248,6 @@ def test_subspace_contains_against_rank_oracle(field):
         sub = Subspace.from_columns(ambient, field, gens.columns().values())
         both = gens.hstack(Mat.column(vec, ambient, field))
         assert sub.contains(vec) == (dense_rank_oracle(both) == dense_rank_oracle(gens))
-
-
-def test_swap_mat_involution():
-    s = swap_mat(QQ, 2, 3)
-    s2 = swap_mat(QQ, 3, 2)
-    assert s2 @ s == Mat.identity(6, QQ)
-    # swap really swaps: e_1 (x) e_2 -> e_2 (x) e_1
-    out = s.apply({1 * 3 + 2: Fraction(1)})
-    assert out == {2 * 2 + 1: Fraction(1)}
 
 
 def test_repeated_runs_identical():

@@ -1,8 +1,9 @@
 """The structure maps written by index arithmetic against their Kronecker
 product formulas, the column-by-column coequalizer against the quotient by
 the image of f - g, the contramodule operations that run on the comodule
-code against their direct Kronecker formulas, and ``check_coalgebra``
-against its own column loop.  The oracles live here only."""
+code against their direct Kronecker formulas, ``check_coalgebra`` against
+its own column loop, and ``dual_comodule`` against one loop per side.  The
+oracles live here only."""
 
 import random
 
@@ -11,7 +12,7 @@ import pytest
 from contramod.coalgebra import (
     Coalgebra, check_coalgebra, divided_power_dual, grouplike, matrix_coalgebra,
 )
-from contramod.comodule import dual_comodule
+from contramod.comodule import Comodule, dual_comodule
 from contramod.contramodule import (
     Contramodule, _contratensor_maps, check_contramodule, cohom, cohom_maps,
     contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
@@ -23,7 +24,7 @@ from contramod.functors import build_f_g, comodule_along, induce
 from contramod.linalg import (
     Subspace, coequalizer, equalizer, image, quotient_by_image, split_solve,
 )
-from contramod.matrix import Mat, kron, swap_mat
+from contramod.matrix import Mat, kron
 from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
@@ -38,6 +39,13 @@ def small_coalgebras(field):
 
 
 # -- oracles ---------------------------------------------------------------------
+
+
+def swap_mat(field, a, b):
+    """The braiding X (x) Y -> Y (x) X for dim X = a, dim Y = b."""
+    one = field.one()
+    data = {(j * a + i, i * b + j): one for i in range(a) for j in range(b)}
+    return Mat(a * b, a * b, field, data)
 
 
 def kron_cohom_maps(m, b):
@@ -379,6 +387,49 @@ def test_check_coalgebra_matches_column_loop(field):
                 assert failures == loop_check_coalgebra(bad)
                 seen.update(failures)
     assert seen == {"coassociativity", "counit-left", "counit-right"}
+
+
+# -- the dual comodule ------------------------------------------------------------------
+
+
+def loop_dual_comodule(m):
+    """The dual read off the stored coaction, one loop per side."""
+    c = m.coalgebra
+    n, md = c.dim, m.dim
+    entries = []
+    if m.side == "left":
+        for (idx, j), v in m.coaction.data.items():
+            cc, i = divmod(idx, md)
+            entries.append((j * n + cc, i, v))
+        coact = Mat.from_entries(md * n, md, m.field, entries)
+        return Comodule(c, "right", md, coact, name=f"{m.name}*")
+    for (idx, j), v in m.coaction.data.items():
+        i, cc = divmod(idx, n)
+        entries.append((cc * md + j, i, v))
+    coact = Mat.from_entries(n * md, md, m.field, entries)
+    return Comodule(c, "left", md, coact, name=f"{m.name}*")
+
+
+def assert_dual_matches_loop(m):
+    dual, oracle = dual_comodule(m), loop_dual_comodule(m)
+    assert (dual.coaction, dual.side, dual.name) == (oracle.coaction, oracle.side, oracle.name)
+    double = dual_comodule(dual)
+    assert (double.coaction, double.side) == (m.coaction, m.side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_dual_comodule_matches_side_loops(field, side):
+    rng = random.Random(505)
+    for c in small_coalgebras(field):
+        for _ in range(PAIRS_PER_COALGEBRA):
+            assert_dual_matches_loop(random_comodule(rng, c, side=side))
+
+
+def test_dual_comodule_of_tower_stages_matches_side_loops():
+    tower = build_tower(0, 2, 3)
+    for offset, stage in enumerate(tower.stages):
+        assert_dual_matches_loop(restrict_to_kernel(stage, tower.m0 + offset))
 
 
 # -- at tower scale -------------------------------------------------------------------
