@@ -178,13 +178,13 @@ def _hom_equations(x: Comodule, y: Comodule) -> tuple[Mat, Mat]:
         raise ValueError("side mismatch")
     n, xd, yd = x.coalgebra.dim, x.dim, y.dim
     lhs = kron(Mat.identity(xd, x.field), _left_coaction(y))
-    entries = []
+    # the keys are distinct, so the entries go straight into the dict
+    data = {}
     for (idx, vcol), val in _left_coaction(x).data.items():
         cc, v = divmod(idx, xd)
         for w in range(yd):
-            entries.append((vcol * n * yd + cc * yd + w, v * yd + w, val))
-    rhs = Mat.from_entries(xd * n * yd, xd * yd, x.field, entries)
-    return lhs, rhs
+            data[(vcol * n * yd + cc * yd + w, v * yd + w)] = val
+    return lhs, Mat(xd * n * yd, xd * yd, x.field, data)
 
 
 def hom_comodules(m: Comodule, n_mod: Comodule) -> Subspace:
@@ -207,14 +207,11 @@ def is_comodule_map(m: Comodule, n_mod: Comodule, t: Mat) -> bool:
 
 
 def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
-    """Cotensor of a right comodule with a left comodule inside M (x) N."""
-    if m.coalgebra != n_mod.coalgebra:
-        raise ValueError("coalgebra mismatch")
+    """Cotensor of a right comodule with a left comodule inside M (x) N,
+    computed as Hom(M*, N), which flattens over M (x) N with the same index."""
     if m.side != "right" or n_mod.side != "left":
         raise ValueError("cotensor needs (right, left) arguments")
-    lhs = kron(m.coaction, Mat.identity(n_mod.dim, m.field))
-    rhs = kron(Mat.identity(m.dim, m.field), n_mod.coaction)
-    return equalizer(lhs, rhs)
+    return hom_comodules(dual_comodule(m), n_mod)
 
 
 # -- subobjects and quotients ---------------------------------------------------
@@ -261,13 +258,14 @@ def comodule_closure(m: Comodule, vectors: list[dict]) -> Subspace:
 
 def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
     """Restrict the coaction to a stable subspace; returns (N, inclusion)."""
-    if not coaction_stabilizes(m, sub):
-        raise ValueError("subspace is not a subcomodule")
     k = sub.dim
     entries = []
     for t, slices in enumerate(_coaction_slices(m, sub.basis_columns())):
         for cc, slice_vec in slices.items():
-            for s, v in sub.coords(slice_vec).items():
+            coords = sub.coords(slice_vec)
+            if coords is None:
+                raise ValueError("subspace is not a subcomodule")
+            for s, v in coords.items():
                 entries.append((cc * k + s, t, v))
     coact = Mat.from_entries(m.coalgebra.dim * k, k, m.field, entries)
     return _from_left(m.coalgebra, m.side, k, coact, f"{m.name}|sub"), sub.basis
@@ -275,14 +273,12 @@ def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
 
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
     """Quotient by a subcomodule; returns (M/sub, projection)."""
-    if not coaction_stabilizes(m, sub):
-        raise ValueError("subspace is not a subcomodule")
     coeq = quotient_by_image(sub)
     q, sigma = coeq.quotient_map, coeq.section
     lift = kron(Mat.identity(m.coalgebra.dim, m.field), q) @ _left_coaction(m)
-    # well-definedness: the composite must kill the subcomodule
+    # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub
     if not (lift @ sub.basis).is_zero():
-        raise ValueError("quotient coaction not well defined")
+        raise ValueError("subspace is not a subcomodule")
     return _from_left(m.coalgebra, m.side, coeq.dim, lift @ sigma, f"{m.name}/sub"), q
 
 

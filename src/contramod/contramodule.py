@@ -98,11 +98,8 @@ def contra_from_comodule(w: Comodule) -> Contramodule:
     if w.side != "left":
         raise ValueError("conversion defined for left comodules")
     md = w.dim
-    entries = []
-    for (idx, k), v in w.coaction.data.items():
-        j, i = divmod(idx, md)
-        entries.append((i, j * md + k, v))
-    theta = Mat.from_entries(md, w.coalgebra.dim * md, w.field, entries)
+    theta = Mat(md, w.coalgebra.dim * md, w.field,
+                {(idx % md, (idx // md) * md + k): v for (idx, k), v in w.coaction.data.items()})
     return Contramodule(w.coalgebra, md, theta, name=f"{w.name}~contra")
 
 
@@ -162,33 +159,6 @@ def quotient_contramodule(b: Contramodule, sub: Subspace) -> tuple[Contramodule,
 # -- contratensor and Cohom -------------------------------------------------------
 
 
-def _contratensor_maps(m: Comodule, b: Contramodule) -> tuple[Mat, Mat]:
-    """The pair M (x) C* (x) B -> M (x) B whose coequalizer is the
-    contratensor product: Id (x) theta, and evaluation after the coaction,
-    written entry by entry as
-    ``[i*db + beta, (s*n + j)*db + beta] = coaction[i*n + j, s]``."""
-    n, db = m.coalgebra.dim, b.dim
-    map1 = kron(Mat.identity(m.dim, m.field), b.theta)
-    data = {}
-    for (idx, s), v in m.coaction.data.items():
-        i, j = divmod(idx, n)
-        col = (s * n + j) * db
-        for beta in range(db):
-            data[(i * db + beta, col + beta)] = v
-    return map1, Mat(m.dim * db, m.dim * n * db, m.field, data)
-
-
-def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:
-    """Contratensor product of a right comodule with a contramodule: the
-    coequalizer of Id (x) theta against evaluation after the coaction,
-    presented as a quotient of M (x) B."""
-    if m.coalgebra != b.coalgebra:
-        raise ValueError("coalgebra mismatch")
-    if m.side != "right":
-        raise ValueError("contratensor needs a right comodule")
-    return coequalizer(*_contratensor_maps(m, b))
-
-
 def cohom_maps(m: Comodule, b: Contramodule) -> tuple[Mat, Mat]:
     """The coequalizer pair Hom(C (x) M, B) -> Hom(M, B) defining Cohom:
     precomposition with the coaction against the contra-action.
@@ -226,6 +196,14 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     """Cohom as a quotient of Hom(M, B) = M* (x) B."""
     f_map, g_map = cohom_maps(m, b)
     return coequalizer(f_map, g_map)
+
+
+def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:
+    """Contratensor product of a right comodule with a contramodule, computed
+    as Cohom(M*, B): the same quotient of M (x) B by the same relations."""
+    if m.side != "right":
+        raise ValueError("contratensor needs a right comodule")
+    return cohom(comodule.dual_comodule(m), b)
 
 
 # -- projectivity -----------------------------------------------------------------

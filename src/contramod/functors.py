@@ -2,20 +2,19 @@
 map, the explicit adjunction isomorphism, and exactness probes.
 
 Induction is the Cohom of the target-side comodule structure on the source
-coalgebra: a quotient of the free contramodule on the carrier of W, with the
-free structure pushed through the quotient after checking it kills the
-relations.
+coalgebra: the quotient contramodule of the free contramodule on the carrier
+of W by Cohom's relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coalgebra import CoalgebraMorphism, Verdict
 from .comodule import Comodule
 from .contramodule import (
     Contramodule, check_contramodule, cohom_maps, free_contramodule,
-    hom_contra, hom_contra_basis_maps, is_contra_map,
+    hom_contra, hom_contra_basis_maps, is_contra_map, quotient_contramodule,
 )
 from .linalg import Subspace, coequalizer, image, kernel, rank
 from .matrix import Mat, kron
@@ -73,14 +72,8 @@ def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
     """Induction along a surjective coalgebra map, with its free presentation."""
     _require_surjective(rho)
     coeq = coequalizer(*build_f_g(rho, w))
-    free = free_contramodule(rho.source, w.dim)
-    n_c = rho.source.dim
-    eye = Mat.identity(n_c, w.field)
-    pushed = coeq.quotient_map @ free.theta
-    if not (pushed @ kron(eye, coeq.image_subspace.basis)).is_zero():
-        raise ValueError("free contra-action does not descend to the quotient")
-    theta = pushed @ kron(eye, coeq.section)
-    induced = Contramodule(rho.source, coeq.dim, theta, name=f"ind({w.name})")
+    quot, _ = quotient_contramodule(free_contramodule(rho.source, w.dim), coeq.image_subspace)
+    induced = replace(quot, name=f"ind({w.name})")
     verdict = check_contramodule(induced)
     if not verdict.ok:
         raise AssertionError(f"induced object fails axioms: {verdict.failures}")

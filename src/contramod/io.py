@@ -4,9 +4,9 @@ and morphisms.
 Scalars serialize as decimal strings, "num/den" for rationals.  Structure
 tensors use coefficient triples: delta/coaction entries are
 ``[i, j, k, "val"]`` meaning the image of basis vector k contains
-val * (e_i (x) e_j); theta entries are ``[i, j, k, "val"]`` meaning
-(dual j) (x) (basis k) maps to val * (basis i).  Coalgebra references may be
-inline objects or catalog names like "grouplike(3)".
+val * (e_i (x) e_j); theta entries are ``[0, i, c*b + k, "val"]`` with
+b = dim, meaning (dual c) (x) (basis k) maps to val * (basis i).  Coalgebra
+references may be inline objects or catalog names like "grouplike(3)".
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def field_from_json(data) -> FieldSpec:
         return QQ
     if isinstance(data, dict) and set(data) == {"Fp"}:
         try:
-            return GF(int(data["Fp"]))
+            return GF(_int(data["Fp"]))
         except (TypeError, ValueError) as e:
             raise SchemaError(f"field: {e}") from None
     raise SchemaError(f"field: expected \"Q\" or {{\"Fp\": p}}, got {data!r}")
@@ -80,11 +80,16 @@ def mat_from_json(data, field: FieldSpec, where: str = "matrix") -> Mat:
 
 
 def _triples_to_mat(triples, inner_dim: int, rows: int, cols: int, field, where: str) -> Mat:
-    """[[i, j, k, val], ...] with row index i*inner_dim + j, column k."""
+    """[[i, j, k, val], ...] with row index i*inner_dim + j, column k; i and j
+    must each lie in their own factor, so that no triple aliases another."""
+    outer = rows // inner_dim if inner_dim else 0
     entries = []
     try:
         for i, j, k, v in triples:
-            entries.append((_int(i) * inner_dim + _int(j), _int(k), field.parse(v)))
+            i, j = _int(i), _int(j)
+            if not (0 <= i < outer and 0 <= j < inner_dim):
+                raise ValueError(f"index ({i}, {j}) outside {outer}x{inner_dim}")
+            entries.append((i * inner_dim + j, _int(k), field.parse(v)))
     except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: bad coefficient triple: {e}") from None
     try:
@@ -236,8 +241,11 @@ def morphism_from_json(data, default_field: FieldSpec | None = None) -> Coalgebr
     src = coalgebra_from_json(data.get("source"), default_field)
     tgt = coalgebra_from_json(data.get("target"), default_field)
     matrix = mat_from_json(data.get("matrix"), src.field, where="morphism.matrix")
+    surjective = data.get("surjective", False)
+    if not isinstance(surjective, bool):
+        raise SchemaError(f"morphism: surjective must be true or false, got {surjective!r}")
     try:
-        return CoalgebraMorphism(src, tgt, matrix, surjective=bool(data.get("surjective", False)))
+        return CoalgebraMorphism(src, tgt, matrix, surjective=surjective)
     except ValueError as e:
         raise SchemaError(f"morphism: {e}") from None
 

@@ -363,18 +363,6 @@ def solve(mat: Mat, rhs: dict) -> dict | None:
     return x
 
 
-def solve_matrix(mat: Mat, rhs: Mat) -> Mat | None:
-    """X with mat @ X = rhs, or None if any column is unsolvable."""
-    cols = rhs.columns()
-    entries = []
-    for j in range(rhs.cols):
-        x = solve(mat, cols.get(j, {}))
-        if x is None:
-            return None
-        entries.extend((i, j, v) for i, v in x.items())
-    return Mat.from_entries(mat.cols, rhs.cols, mat.field, entries)
-
-
 def split_solve(hom_rows: Mat, post: Mat, pre: Mat) -> Mat | None:
     """A map X with hom_rows @ vec(X) = 0 and post @ X @ pre = identity, found
     by one solve, or None if there is none.  vec flattens X: A -> B as in

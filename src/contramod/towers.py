@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .contramodule import Contramodule, is_contra_map
-from .linalg import Subspace, image, kernel, rank, solve_matrix
+from .linalg import Subspace, image, kernel, rank
 from .matrix import Mat
 
 
@@ -212,11 +212,13 @@ def limit_four_term(four: FourTermSystem) -> LimitVerdict:
     pairs = [("alpha", "A", "B"), ("beta", "B", "C"), ("gamma", "C", "D")]
     restricted = {}
     for name, src, tgt in pairs:
-        hit = maps[name] @ stables[src].basis
-        coords = solve_matrix(stables[tgt].basis, hit)
-        if coords is None:
+        s_src, s_tgt = stables[src], stables[tgt]
+        hit = (maps[name] @ s_src.basis).columns()
+        coords = [s_tgt.coords(hit.get(t, {})) for t in range(s_src.dim)]
+        if None in coords:
             return LimitVerdict("fails", {**detail, "reason": f"{name} leaves stable image"})
-        restricted[name] = coords
+        restricted[name] = Mat(s_tgt.dim, s_src.dim, s_tgt.field,
+                               {(s, t): v for t, col in enumerate(coords) for s, v in col.items()})
     al, be, ga = restricted["alpha"], restricted["beta"], restricted["gamma"]
     dims = {k: s.dim for k, s in stables.items()}
     exact = (

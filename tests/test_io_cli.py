@@ -13,9 +13,11 @@ import pytest
 
 from contramod import io as cio
 from contramod.cli import COMMANDS, DEFAULT_SEED, JobSpec, build_parser, main, run
-from contramod.coalgebra import divided_power_dual, divided_power_surjection, grouplike
+from contramod.coalgebra import (
+    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, identity_morphism,
+)
 from contramod.comodule import cofree, comodule_over_self, dual_comodule
-from contramod.contramodule import free_contramodule
+from contramod.contramodule import direct_sum, free_contramodule, trivial_contramodule
 from contramod.fields import _MR_LIMIT, GF, GF2, GF3, QQ, FieldSpec, _is_prime
 from contramod.io import SchemaError
 
@@ -473,3 +475,58 @@ def test_cli_non_integer_index_or_dim_exits_2(where, value, tmp_path, capsys):
             prefix = "delta: bad coefficient triple: expected an integer"
     assert main(["verify", _write(tmp_path, "x.json", doc)]) == 2
     assert json.loads(capsys.readouterr().out)["error"].startswith(prefix)
+
+
+@pytest.mark.parametrize("kind, triple", [
+    ("delta", [0, 3, 1, "1"]), ("delta", [2, -1, 1, "1"]), ("coaction", [0, 1, 0, "1"]),
+])
+def test_cli_triple_index_outside_its_factor_exits_2(kind, triple, tmp_path, capsys):
+    """Each triple index is checked against its own factor, so no triple
+    aliases another entry: both delta triples would land on row 3 of
+    grouplike(2), and the coaction triple on row 1 of a dim-1 comodule."""
+    c = grouplike(GF2, 2)
+    if kind == "delta":
+        doc = cio.coalgebra_to_json(c)
+        doc["delta"][1] = triple
+    else:
+        doc = {"coalgebra": cio.coalgebra_to_json(c), "side": "left", "dim": 1,
+               "coaction": [[1, 0, 0, "1"], triple]}
+    assert main(["verify", _write(tmp_path, "x.json", doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(
+        f"{kind}: bad coefficient triple: index")
+
+
+@pytest.mark.parametrize("value, code", [("false", 2), (0, 2), (None, 2), (False, 1), (True, 0)])
+def test_cli_surjective_flag_is_a_json_boolean(value, code, tmp_path, capsys):
+    """The identity is surjective: a false flag fails verification (exit 1),
+    and a flag that is not a JSON boolean is a schema error (exit 2)."""
+    doc = cio.morphism_to_json(identity_morphism(grouplike(GF2, 2)))
+    doc["surjective"] = value
+    assert main(["verify", _write(tmp_path, "rho.json", doc)]) == code
+    report = json.loads(capsys.readouterr().out)
+    if code == 2:
+        assert report["error"].startswith("morphism: surjective must be true or false")
+    del doc["surjective"]
+    assert not cio.morphism_from_json(doc).surjective
+
+
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "2"])
+def test_cli_non_integer_characteristic_exits_2(p, tmp_path, capsys):
+    doc = cio.coalgebra_to_json(grouplike(GF2, 2))
+    doc["field"] = {"Fp": p}
+    assert main(["verify", _write(tmp_path, "c.json", doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("field: expected an integer")
+
+
+def test_documented_theta_example_loads(tmp_path, capsys):
+    """The contramodule example in the README's schema section, in the theta
+    layout the loader reads and ``contramodule_to_json`` writes."""
+    doc = {"coalgebra": "grouplike(2)", "dim": 2, "theta": [[0, 0, 0, "1"], [0, 1, 3, "1"]]}
+    assert f"`{json.dumps(doc)}`" in (ROOT / "README.md").read_text()
+    assert main(["verify", _write(tmp_path, "b.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    c = grouplike(QQ, 2)
+    trivial = [trivial_contramodule(c, g) for g in grouplike_elements(c)]
+    b = cio.contramodule_from_json(doc, QQ)
+    assert b.theta == direct_sum(*trivial).theta
+    assert cio.contramodule_to_json(b)["theta"] == doc["theta"]

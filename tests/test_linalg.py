@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from contramod.fields import GF, GF2, GF3, QQ
 from contramod.linalg import (
-    Subspace, coequalizer, equalizer, image, kernel, rank, solve, solve_matrix,
+    Subspace, coequalizer, equalizer, image, kernel, rank, solve,
 )
 from contramod.matrix import Mat, kron
 
@@ -197,16 +197,6 @@ def test_solve(field):
     # infeasible system
     m = Mat.from_entries(2, 1, field, [(0, 0, 1)])
     assert solve(m, {1: field.one()}) is None
-
-
-def test_solve_matrix():
-    rng = random.Random(17)
-    m = random_mat(rng, 4, 3, GF3, density=0.9)
-    x_true = random_mat(rng, 3, 2, GF3)
-    rhs = m @ x_true
-    x = solve_matrix(m, rhs)
-    assert x is not None
-    assert m @ x == rhs
 
 
 def test_subspace_ops():

@@ -1,9 +1,11 @@
 """The structure maps written by index arithmetic against their Kronecker
-product formulas, the column-by-column coequalizer against the quotient by
-the image of f - g, the contramodule operations that run on the comodule
-code against their direct Kronecker formulas, ``check_coalgebra`` against
-its own column loop, and ``dual_comodule`` against one loop per side.  The
-oracles live here only."""
+product formulas, cotensor, contratensor and induction (built from Hom,
+Cohom and the quotient contramodule) against their own Kronecker formulas,
+the column-by-column coequalizer against the quotient by the image of
+f - g, the contramodule operations that run on the comodule code against
+their direct Kronecker formulas, ``check_coalgebra`` against its own column
+loop, and ``dual_comodule`` against one loop per side.  The oracles live
+here only."""
 
 import random
 
@@ -12,9 +14,11 @@ import pytest
 from contramod.coalgebra import (
     Coalgebra, check_coalgebra, divided_power_dual, grouplike, matrix_coalgebra,
 )
-from contramod.comodule import Comodule, dual_comodule
+from contramod.comodule import (
+    Comodule, cotensor, dual_comodule, quotient_comodule, sub_comodule,
+)
 from contramod.contramodule import (
-    Contramodule, _contratensor_maps, check_contramodule, cohom, cohom_maps,
+    Contramodule, check_contramodule, cohom, cohom_maps,
     contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
     hom_contra, hom_contra_basis_maps, is_contra_map, is_projective, quotient_contramodule, sub_contramodule,
     theta_stabilizes,
@@ -60,6 +64,13 @@ def kron_dual_mult(c):
     return c.delta.transpose() @ swap_mat(c.field, c.dim, c.dim)
 
 
+def kron_cotensor(m, n_mod):
+    """The equalizer of rho_M (x) Id_N and Id_M (x) rho_N inside M (x) N."""
+    f = m.field
+    return equalizer(kron(m.coaction, Mat.identity(n_mod.dim, f)),
+                     kron(Mat.identity(m.dim, f), n_mod.coaction))
+
+
 def kron_contratensor_maps(m, b):
     f, n = m.field, m.coalgebra.dim
     ev = Mat(1, n * n, f, {(0, c * n + c): f.one() for c in range(n)})
@@ -95,9 +106,25 @@ def test_cohom_maps_match_kron_formulas(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_contratensor_maps_match_kron_formulas(field):
     for m, b in random_pairs(field, "right", 202):
-        maps = _contratensor_maps(m, b)
-        assert maps == kron_contratensor_maps(m, b)
-        assert contratensor(m, b) == difference_coequalizer(*maps)
+        assert contratensor(m, b) == difference_coequalizer(*kron_contratensor_maps(m, b))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cotensor_matches_kron_equalizer(field):
+    rng = random.Random(212)
+    for c in small_coalgebras(field):
+        for _ in range(PAIRS_PER_COALGEBRA):
+            m = random_comodule(rng, c, side="right")
+            n_mod = random_comodule(rng, c, side="left")
+            assert cotensor(m, n_mod) == kron_cotensor(m, n_mod)
+
+
+def test_cotensor_of_kG2_stage_matches_kron_equalizer():
+    stage = restrict_to_kernel(build_tower(0, 2, 2).stages[-1], 2)
+    module = dual_comodule(restrict_to_kernel(battery_module(2, "L1*L1"), 2))
+    sub = cotensor(stage, module)
+    assert sub == kron_cotensor(stage, module)
+    assert sub.dim > 0
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -123,6 +150,10 @@ def test_induce_matches_kron_formulas(field):
             assert res.presentation == oracle.quotient_map
             assert res.section == oracle.section
             assert res.relations == oracle.image_subspace
+            free = free_contramodule(c, w.dim)
+            eye = Mat.identity(c.dim, field)
+            assert res.induced.theta == oracle.quotient_map @ free.theta @ kron(eye, oracle.section)
+            assert res.induced.name == f"ind({w.name})"
             f_new, g_new = build_f_g(rho, w)
             assert f_new - g_new == f_map - g_map
 
@@ -303,6 +334,34 @@ def test_contra_subobjects_match_kron_formulas(field):
                 sub_contramodule(b, span)
             with pytest.raises(ValueError, match="not a subcomodule"):
                 quotient_contramodule(b, span)
+
+
+def kron_right_stable(m, sub):
+    """rho(sub) inside sub (x) C for a right comodule, by one span test."""
+    inside = image(kron(sub.basis, Mat.identity(m.coalgebra.dim, m.field)))
+    return all(inside.contains(col) for col in (m.coaction @ sub.basis).columns().values())
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_right_subobjects_of_unstable_span_raise(field):
+    rng = random.Random(717)
+    seen = set()
+    for c in small_coalgebras(field):
+        for _ in range(6):
+            m = random_comodule(rng, c, side="right")
+            vecs = [random_vector(rng, m.dim, field) for _ in range(rng.randint(1, 2))]
+            span = Subspace.from_columns(m.dim, field, vecs)
+            stable = kron_right_stable(m, span)
+            seen.add(stable)
+            if stable:
+                assert sub_comodule(m, span)[1] == span.basis
+                assert quotient_comodule(m, span)[0].dim == m.dim - span.dim
+                continue
+            with pytest.raises(ValueError, match="not a subcomodule"):
+                sub_comodule(m, span)
+            with pytest.raises(ValueError, match="not a subcomodule"):
+                quotient_comodule(m, span)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -158,6 +158,29 @@ def test_constant_four_term_exact():
         assert verdict.status == "exact"
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_four_term_restricts_maps_to_proper_stable_images(field):
+    """0 -> k -> k^2 + k -> k^2 + k -> k -> 0 where the transitions of B and
+    C kill the extra summand, so the stable images are proper subspaces, and
+    the stage maps are not diagonal in the stable bases: the verdict reads
+    the maps' coordinates in those bases."""
+    stages = 4
+    alpha = Mat.from_dense([[1], [1], [0]], field)
+    beta = Mat.from_dense([[1, -1, 0], [0, 0, 0], [0, 0, 1]], field)
+    gamma = Mat.from_dense([[0, 1, 0]], field)
+    proj = Mat.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 0]], field)
+    eye1 = Mat.identity(1, field)
+    four = _four_term_from_maps(
+        field, [alpha] * stages, [beta] * stages, [gamma] * stages,
+        [eye1] * (stages - 1), [proj] * (stages - 1), [proj] * (stages - 1),
+        [eye1] * (stages - 1),
+    )
+    assert not four.validate()
+    verdict = limit_four_term(four)
+    assert verdict.status == "exact"
+    assert verdict.detail["stable_dims"] == {"A": 1, "B": 2, "C": 2, "D": 1}
+
+
 def test_four_term_validation_rejects_nonexact_stage():
     field = QQ
     four = _constant_four_term(field)
