@@ -150,8 +150,12 @@ def _tower(job, battery):
     from .sl2 import battery_module, build_tower
     from .towers import cohom_tower
 
-    p, lam = job.params["p"], job.params["lambda"]
-    tower = build_tower(lam, p, job.params["mmax"])
+    p, lam, mmax = job.params["p"], job.params["lambda"], job.params["mmax"]
+    # the last stage lives over k[G_mmax], of dimension p^(3 mmax); the
+    # bounds on p and mmax come first so the power is never large
+    if p > 1 and mmax > 0 and (max(p, mmax) > cio.MAX_DIM or p ** (3 * mmax) > cio.MAX_DIM):
+        raise SchemaError(f"tower: k[G_{mmax}] has dimension {p}^{3 * mmax}, above {cio.MAX_DIM}")
+    tower = build_tower(lam, p, mmax)
     reports = []
     for expr in battery:
         data = cohom_tower(battery_module(p, expr), tower, lam, p).to_json()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
-from .linalg import Coequalizer, Subspace, coequalizer, rank, split_solve
+from .linalg import Coequalizer, Subspace, coequalizer, exactness_failures, rank, split_solve
 from .matrix import Mat, kron, map_of_vec
 
 
@@ -220,24 +220,29 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
 
 
 @dataclass
-class CohomExactness:
+class ExactnessVerdict:
     exact: bool
     failures: list   # subset of {"left", "middle", "right"}
-    dims: tuple      # (dim Cohom(Q,B), dim Cohom(M,B), dim Cohom(A,B))
+    dims: tuple      # dimensions of the three terms, left to right
+
+    @classmethod
+    def of(cls, first: Mat, second: Mat) -> "ExactnessVerdict":
+        """Where 0 -> X -> Y -> Z -> 0, with maps first and second, fails."""
+        failures = [("left", "middle", "right")[i] for i in exactness_failures([first, second])]
+        return cls(not failures, failures, (first.cols, first.rows, second.rows))
 
 
 def cohom_exactness_probe(sub: Comodule, mid: Comodule, quot: Comodule,
-                          incl: Mat, proj: Mat, b: Contramodule) -> CohomExactness:
+                          incl: Mat, proj: Mat, b: Contramodule) -> ExactnessVerdict:
     """Apply Cohom(-, B) to a short exact sequence of left comodules
-    0 -> sub -> mid -> quot -> 0 and report where exactness fails.
+    0 -> sub -> mid -> quot -> 0 and report where the image sequence
+    0 -> Cohom(quot, B) -> Cohom(mid, B) -> Cohom(sub, B) -> 0 fails to be
+    exact.
 
     The functor is contravariant and right exact; projectivity of B is
     equivalent to exactness on every input sequence.
     """
-    from .linalg import image as _image, kernel as _kernel
-
-    f = b.field
-    eye_b = Mat.identity(b.dim, f)
+    eye_b = Mat.identity(b.dim, b.field)
     co_a, co_m, co_q = cohom(sub, b), cohom(mid, b), cohom(quot, b)
 
     def descend(co_src, co_tgt, structural: Mat) -> Mat:
@@ -246,16 +251,7 @@ def cohom_exactness_probe(sub: Comodule, mid: Comodule, quot: Comodule,
             raise AssertionError("Cohom functorial map does not descend")
         return lifted @ co_src.section
 
-    pi_star = descend(co_q, co_m, proj)
-    iota_star = descend(co_m, co_a, incl)
-    failures = []
-    if rank(pi_star) != co_q.dim:
-        failures.append("left")
-    if _image(pi_star) != _kernel(iota_star):
-        failures.append("middle")
-    if rank(iota_star) != co_a.dim:
-        failures.append("right")
-    return CohomExactness(not failures, failures, (co_q.dim, co_m.dim, co_a.dim))
+    return ExactnessVerdict.of(descend(co_q, co_m, proj), descend(co_m, co_a, incl))
 
 
 # -- duality ------------------------------------------------------------------------

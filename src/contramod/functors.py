@@ -4,6 +4,11 @@ map, the explicit adjunction isomorphism, and exactness probes.
 Induction is the Cohom of the target-side comodule structure on the source
 coalgebra: the quotient contramodule of the free contramodule on the carrier
 of W by Cohom's relations.
+
+Whether a sequence is exact is decided in one place,
+:func:`linalg.exactness_failures`: ``ShortExactSeq.validate`` names its
+failing positions, and ``exactness_probe`` reports them on the induced
+sequence as the ``ExactnessVerdict`` that the Cohom probe also returns.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from dataclasses import dataclass, replace
 from .coalgebra import CoalgebraMorphism, Verdict
 from .comodule import Comodule
 from .contramodule import (
-    Contramodule, check_contramodule, cohom_maps, free_contramodule,
+    Contramodule, ExactnessVerdict, check_contramodule, cohom_maps, free_contramodule,
     hom_contra, hom_contra_basis_maps, is_contra_map, quotient_contramodule,
 )
-from .linalg import Subspace, coequalizer, image, kernel, rank
+from .linalg import Subspace, coequalizer, exactness_failures, rank
 from .matrix import Mat, kron
 
 
@@ -169,27 +174,13 @@ class ShortExactSeq:
     proj: Mat
 
     def validate(self) -> Verdict:
-        failures = []
-        if self.sub.dim + self.quot.dim != self.mid.dim:
-            failures.append("dimension-count")
-        if rank(self.incl) != self.sub.dim:
-            failures.append("inclusion-not-injective")
-        if rank(self.proj) != self.quot.dim:
-            failures.append("projection-not-surjective")
-        if not (self.proj @ self.incl).is_zero():
-            failures.append("composite-nonzero")
+        names = ("inclusion-not-injective", "not-exact-at-mid", "projection-not-surjective")
+        failures = [names[i] for i in exactness_failures([self.incl, self.proj])]
         if not is_contra_map(self.sub, self.mid, self.incl):
             failures.append("inclusion-not-contra-map")
         if not is_contra_map(self.mid, self.quot, self.proj):
             failures.append("projection-not-contra-map")
         return Verdict(failures)
-
-
-@dataclass
-class ExactnessVerdict:
-    exact: bool
-    failures: list   # subset of {"left", "middle", "right"}
-    dims: tuple      # (dim Ind A, dim Ind B, dim Ind C)
 
 
 def exactness_probe(rho: CoalgebraMorphism, ses: ShortExactSeq) -> ExactnessVerdict:
@@ -200,15 +191,5 @@ def exactness_probe(rho: CoalgebraMorphism, ses: ShortExactSeq) -> ExactnessVerd
     res_a = induce(rho, ses.sub)
     res_b = induce(rho, ses.mid)
     res_c = induce(rho, ses.quot)
-    ind_incl = induce_map(rho, res_a, res_b, ses.incl)
-    ind_proj = induce_map(rho, res_b, res_c, ses.proj)
-    failures = []
-    if rank(ind_incl) != res_a.dim:
-        failures.append("left")
-    img = image(ind_incl)
-    ker = kernel(ind_proj)
-    if img != ker:
-        failures.append("middle")
-    if rank(ind_proj) != res_c.dim:
-        failures.append("right")
-    return ExactnessVerdict(not failures, failures, (res_a.dim, res_b.dim, res_c.dim))
+    return ExactnessVerdict.of(induce_map(rho, res_a, res_b, ses.incl),
+                               induce_map(rho, res_b, res_c, ses.proj))

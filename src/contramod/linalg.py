@@ -1,4 +1,5 @@
-"""Exact Gaussian elimination, kernels, images, equalizers and coequalizers.
+"""Exact Gaussian elimination, kernels, images, equalizers, coequalizers and
+the exactness test for chains of maps.
 
 Two echelon engines share one interface: a generic one whose rows are sparse
 dicts of field scalars, and a GF(2) one whose rows are Python ints used as
@@ -337,6 +338,23 @@ def kernel(mat: Mat) -> Subspace:
 def image(mat: Mat) -> Subspace:
     """Column space as a canonical subspace of k^rows."""
     return Subspace.from_columns(mat.rows, mat.field, mat.columns().values())
+
+
+def exactness_failures(maps: list[Mat]) -> list[int]:
+    """Positions where 0 -> X_0 -> X_1 -> ... -> X_k -> 0 is not exact, with
+    maps[i]: X_i -> X_{i+1} and k = len(maps): 0 when maps[0] is not
+    injective, i when Im maps[i-1] != Ker maps[i], and k when maps[-1] is not
+    surjective.  Im = Ker is read as a zero composite (Im inside Ker) plus
+    equal dimensions by rank-nullity, so no kernel basis is built; maps that
+    do not compose raise ValueError."""
+    ranks = [rank(m) for m in maps]
+    failures = [0] if ranks[0] != maps[0].cols else []
+    for i in range(1, len(maps)):
+        if not (maps[i] @ maps[i - 1]).is_zero() or ranks[i - 1] != maps[i].cols - ranks[i]:
+            failures.append(i)
+    if ranks[-1] != maps[-1].rows:
+        failures.append(len(maps))
+    return failures
 
 
 def solve(mat: Mat, rhs: dict) -> dict | None:

@@ -5,6 +5,11 @@ A system holds stages indexed m0 .. m0+len-1 with transition maps pointing
 DOWN the index: transitions[t] maps stage t+1 to stage t.  Detection of the
 Mittag-Leffler condition is inherently windowed: image chains that are still
 moving at the last stage yield an inconclusive answer, never a guess.
+
+Exactness, of each stage of a four-term system and of the sequence of stable
+images that stands in for its limit, is decided by the one shared test
+:func:`linalg.exactness_failures`; the stable images are the last images
+that :func:`is_mittag_leffler` builds.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .contramodule import Contramodule, is_contra_map
-from .linalg import Subspace, image, kernel, rank
+from .linalg import Subspace, exactness_failures, image
 from .matrix import Mat
 
 
@@ -45,25 +50,9 @@ class InverseSystem:
     def last_index(self) -> int:
         return self.m0 + len(self.stages) - 1
 
-    def dim(self, idx: int) -> int:
-        return _dim_of(self.stages[idx - self.m0])
-
     def transition(self, idx: int) -> Mat:
         """The map from stage idx down to stage idx-1."""
         return self.transitions[idx - 1 - self.m0]
-
-    def composite(self, lo: int, hi: int) -> Mat:
-        """The composed map from stage hi down to stage lo."""
-        if hi < lo:
-            raise ValueError("hi must be >= lo")
-        field = self.transitions[0].field if self.transitions else None
-        out = Mat.identity(self.dim(lo), field) if field else None
-        if hi == lo:
-            return out
-        out = self.transition(lo + 1)
-        for idx in range(lo + 2, hi + 1):
-            out = out @ self.transition(idx)
-        return out
 
     def validate_contra_transitions(self) -> bool:
         """When stages are contramodules, transitions must be contra-homs."""
@@ -80,6 +69,7 @@ class MLResult:
     stabilized: bool
     stabilization_index: int  # first stage j with constant images through the window
     image_dims: list
+    stable_image: Subspace  # image of the last stage in stage ``at``
 
 
 def is_mittag_leffler(sys: InverseSystem, at: int) -> MLResult:
@@ -88,7 +78,8 @@ def is_mittag_leffler(sys: InverseSystem, at: int) -> MLResult:
     Returns the first absolute index j such that the image subspace stays
     constant from j through the end of the window; stabilized is True only
     if that happens strictly before the last stage, i.e. constancy was
-    actually observed at least once.
+    actually observed at least once.  The last image of the chain comes back
+    as ``stable_image``.
     """
     last = sys.last_index
     if last - at < 2:
@@ -109,7 +100,7 @@ def is_mittag_leffler(sys: InverseSystem, at: int) -> MLResult:
             stab = at + 1 + pos
         else:
             break
-    return MLResult(stab < last, stab, dims)
+    return MLResult(stab < last, stab, dims, chain[-1])
 
 
 @dataclass
@@ -129,20 +120,15 @@ class FourTermSystem:
         return len(self.a)
 
     def validate(self) -> list:
-        failures = []
         n = self.stage_count()
         if not (len(self.b) == len(self.c) == len(self.d) == n):
             return ["stage-count-mismatch"]
-        for i in range(n):
-            al, be, ga = self.alphas[i], self.betas[i], self.gammas[i]
-            if rank(al) != _dim_of(self.a.stages[i]):
-                failures.append(f"stage{i}:alpha-not-injective")
-            if image(al) != kernel(be):
-                failures.append(f"stage{i}:not-exact-at-B")
-            if image(be) != kernel(ga):
-                failures.append(f"stage{i}:not-exact-at-C")
-            if rank(ga) != _dim_of(self.d.stages[i]):
-                failures.append(f"stage{i}:gamma-not-surjective")
+        names = ("alpha-not-injective", "not-exact-at-B", "not-exact-at-C", "gamma-not-surjective")
+        failures = [
+            f"stage{i}:{names[pos]}"
+            for i in range(n)
+            for pos in exactness_failures([self.alphas[i], self.betas[i], self.gammas[i]])
+        ]
         for i in range(n - 1):
             if self.alphas[i] @ self.a.transitions[i] != self.b.transitions[i] @ self.alphas[i + 1]:
                 failures.append(f"stage{i}:alpha-square")
@@ -188,47 +174,30 @@ def limit_four_term(four: FourTermSystem) -> LimitVerdict:
         raise ValueError(f"invalid four-term input: {failures}")
     base = four.a.m0
     ml_a = is_mittag_leffler(four.a, base)
-    quot = _quotient_system(four)
-    ml_q = is_mittag_leffler(quot, base)
-    detail = {
-        "ml_A": ml_a,
-        "ml_B_mod_A": ml_q,
-    }
+    ml_q = is_mittag_leffler(_quotient_system(four), base)
+    detail = {"ml_A": ml_a, "ml_B_mod_A": ml_q}
     if not (ml_a.stabilized and ml_q.stabilized):
         return LimitVerdict("inconclusive", detail)
-    # stable images of all four systems at the base stage must also have
-    # settled inside the window for the surrogate to be trustworthy
-    surrogate_systems = {"A": four.a, "B": four.b, "C": four.c, "D": four.d}
-    stables = {}
-    for label, sys in surrogate_systems.items():
+    # stable images of the other three systems at the base stage must also
+    # have settled inside the window for the surrogate to be trustworthy
+    stables = {"A": ml_a.stable_image}
+    for label, sys in (("B", four.b), ("C", four.c), ("D", four.d)):
         ml = is_mittag_leffler(sys, base)
         if not ml.stabilized:
             detail[f"ml_{label}"] = ml
             return LimitVerdict("inconclusive", detail)
-        stables[label] = image(sys.composite(base, sys.last_index))
-    # restrict the stage maps to the stable images and test exactness
-    i0 = 0
-    maps = {"alpha": four.alphas[i0], "beta": four.betas[i0], "gamma": four.gammas[i0]}
-    pairs = [("alpha", "A", "B"), ("beta", "B", "C"), ("gamma", "C", "D")]
-    restricted = {}
-    for name, src, tgt in pairs:
+        stables[label] = ml.stable_image
+    # restrict the base-stage maps to the stable images and test exactness
+    restricted = []
+    for stage_map, src, tgt in zip((four.alphas[0], four.betas[0], four.gammas[0]), "ABC", "BCD"):
         s_src, s_tgt = stables[src], stables[tgt]
-        hit = (maps[name] @ s_src.basis).columns()
+        hit = (stage_map @ s_src.basis).columns()
+        # commuting squares send each stable image into the next: no coords are None
         coords = [s_tgt.coords(hit.get(t, {})) for t in range(s_src.dim)]
-        if None in coords:
-            return LimitVerdict("fails", {**detail, "reason": f"{name} leaves stable image"})
-        restricted[name] = Mat(s_tgt.dim, s_src.dim, s_tgt.field,
-                               {(s, t): v for t, col in enumerate(coords) for s, v in col.items()})
-    al, be, ga = restricted["alpha"], restricted["beta"], restricted["gamma"]
-    dims = {k: s.dim for k, s in stables.items()}
-    exact = (
-        rank(al) == dims["A"]
-        and image(al) == kernel(be)
-        and image(be) == kernel(ga)
-        and rank(ga) == dims["D"]
-    )
-    detail["stable_dims"] = dims
-    return LimitVerdict("exact" if exact else "fails", detail)
+        restricted.append(Mat(s_tgt.dim, s_src.dim, s_tgt.field,
+                              {(s, t): v for t, col in enumerate(coords) for s, v in col.items()}))
+    detail["stable_dims"] = {k: s.dim for k, s in stables.items()}
+    return LimitVerdict("fails" if exactness_failures(restricted) else "exact", detail)
 
 
 @dataclass
@@ -265,12 +234,21 @@ def cohom_tower(v, tower: InverseSystem, lam: int, p: int = 2) -> TowerReport:
     ``v`` is a rational module from the SL2 catalog and ``tower`` the output
     of the tower builder; stage m is computed over the m-th Frobenius-kernel
     coalgebra after restricting both sides and converting the tower stage to
-    a contramodule.
+    a contramodule.  A tower that ends before the first stage where the
+    weight bound of ``v`` holds compares nothing, so it raises ValueError
+    before any Cohom is computed.
     """
     from . import sl2  # local import: sl2 builds on this module's InverseSystem
     from .comodule import dual_comodule
     from .contramodule import cohom, contra_from_comodule
 
+    max_wt = max((abs(w) for w in v.character().keys()), default=0)
+    stable_from = tower.m0
+    while p ** (stable_from - 1) <= max_wt:
+        stable_from += 1
+    if stable_from > tower.last_index:
+        raise ValueError(f"{v.name}: the weight bound first holds at stage {stable_from}, "
+                         f"beyond the last stage {tower.last_index}")
     rows = []
     for offset, stage in enumerate(tower.stages):
         m = tower.m0 + offset
@@ -279,16 +257,11 @@ def cohom_tower(v, tower: InverseSystem, lam: int, p: int = 2) -> TowerReport:
         dim = cohom(v_m, contra_from_comodule(p_m)).dim
         rows.append(TowerRow(m, dim))
     f_v = sl2.f_multiplicity(lam, v)
-    max_wt = max((abs(w) for w in v.character().keys()), default=0)
-    stable_from = tower.m0
-    while p ** (stable_from - 1) <= max_wt:
-        stable_from += 1
     stabilized_at = None
     for row in reversed(rows):
         if row.dim_cohom == rows[-1].dim_cohom:
             stabilized_at = row.m
         else:
             break
-    in_range = [r for r in rows if r.m >= stable_from]
-    match = bool(in_range) and all(r.dim_cohom == f_v for r in in_range)
+    match = all(r.dim_cohom == f_v for r in rows if r.m >= stable_from)
     return TowerReport(lam, p, rows, stabilized_at, f_v, match, stable_from)

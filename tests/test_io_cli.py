@@ -3,6 +3,7 @@
 import argparse
 import json
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -324,6 +325,46 @@ def test_cli_rejects_vacuous_jobs(tmp_path, capsys):
     battery = _write(tmp_path, "battery.json", [])
     assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "2", "--battery", battery]) == 2
     assert "empty" in json.loads(capsys.readouterr().out)["error"]
+
+
+def _within_one_second(call):
+    def on_alarm(signum, frame):
+        raise TimeoutError("took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_cli_tower_refuses_kernels_above_max_dim(tmp_path, capsys, monkeypatch):
+    """The last stage lives over k[G_mmax], of dimension p^(3 mmax): above
+    io.MAX_DIM the job exits 2 before anything is built."""
+    battery = _write(tmp_path, "battery.json", ["L0"])
+    for lam, mmax in (("0", "5"), ("40", "7")):
+        argv = ["tower", "--p", "2", "--lambda", lam, "--mmax", mmax, "--battery", battery]
+        assert _within_one_second(lambda: main(argv)) == 2
+        assert f"k[G_{mmax}]" in json.loads(capsys.readouterr().out)["error"]
+
+    # k[G_4] has dimension exactly io.MAX_DIM, so --mmax 4 reaches build_tower
+    def reached(*args):
+        raise ValueError("build_tower reached")
+
+    monkeypatch.setattr("contramod.sl2.build_tower", reached)
+    assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "4", "--battery", battery]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "build_tower reached"
+
+
+def test_cli_tower_window_that_compares_nothing_is_an_input_error(tmp_path, capsys):
+    """At --mmax 2 the README battery's L2 never reaches stage 3, where its
+    weight bound first holds, so no stage of it would be compared."""
+    battery = _write(tmp_path, "battery.json", ["L0", "L1", "L2", "L3", "L1*L1"])
+    assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "2", "--battery", battery]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("L2:") and "stage 3" in error
 
 
 def _write_mismatch_inputs(tmp_path):

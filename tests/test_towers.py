@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from contramod.fields import GF2, GF3, QQ
-from contramod.linalg import rank
+from contramod.linalg import image, rank
 from contramod.matrix import Mat
 from contramod.towers import (
     FourTermSystem, InverseSystem, cohom_tower, is_mittag_leffler, limit_four_term,
@@ -121,6 +121,9 @@ def test_ml_agrees_with_brute_force_on_random_towers():
                 break
         assert res.stabilization_index == stab_oracle
         assert res.stabilized == (stab_oracle < sys.last_index)
+        # the stable image is the image of the composite of all transitions
+        assert res.stable_image == image(comp)
+        assert p ** res.stable_image.dim == len(sets[-1])
 
 
 def _four_term_from_maps(field, alphas, betas, gammas, ta, tb, tc, td):
