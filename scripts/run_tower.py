@@ -30,16 +30,12 @@ class TowerConfig:
 
 def run(cfg: TowerConfig) -> dict:
     tower = build_tower(cfg.lam, cfg.p, cfg.m_max)
-    out = {"lambda": cfg.lam, "p": cfg.p, "stage_dims": [s.dim for s in tower.stages], "modules": []}
-    for expr in cfg.battery:
-        v = battery_module(cfg.p, expr)
-        t0 = time.time()
-        rep = cohom_tower(v, tower, cfg.lam, cfg.p)
-        data = rep.to_json()
-        data["module"] = expr
-        data["seconds"] = round(time.time() - t0, 3)
-        out["modules"].append(data)
-    return out
+    modules = [battery_module(cfg.p, expr) for expr in cfg.battery]
+    t0 = time.time()
+    reports = cohom_tower(modules, tower, cfg.lam, cfg.p)
+    return {"lambda": cfg.lam, "p": cfg.p, "stage_dims": [s.dim for s in tower.stages],
+            "seconds": round(time.time() - t0, 3),
+            "modules": [{**rep.to_json(), "module": expr} for expr, rep in zip(cfg.battery, reports)]}
 
 
 def main():

@@ -31,6 +31,9 @@ from .functors import ShortExactSeq, adjunction_check, exactness_probe, induce
 from .io import SchemaError, parse_field_flag
 
 DEFAULT_SEED = 20240
+# 1000 sampled probes along the README's rho take about 2 s; without a bound
+# a count like 10^7 would run for hours
+MAX_SAMPLES = 1000
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,6 +79,10 @@ def _ses_from_json(data, field) -> ShortExactSeq:
             raise SchemaError(f"ses: missing {key}")
     sub, mid, quot = (cio.contramodule_from_json(data[k], field) for k in ("sub", "mid", "quot"))
     incl, proj = (cio.mat_from_json(data[k], sub.field, where=f"ses.{k}") for k in ("incl", "proj"))
+    for key, mat, tgt, src in (("incl", incl, mid, sub), ("proj", proj, quot, mid)):
+        if (mat.rows, mat.cols) != (tgt.dim, src.dim):
+            raise SchemaError(f"ses.{key}: expected a {tgt.dim}x{src.dim} matrix, "
+                              f"got {mat.rows}x{mat.cols}")
     return ShortExactSeq(sub, mid, quot, incl, proj)
 
 
@@ -122,6 +129,8 @@ def _exactness(job, rho, ses):
         wanted = job.params["samples"]
         if wanted < 1:
             raise SchemaError("exactness: --samples must be at least 1")
+        if wanted > MAX_SAMPLES:
+            raise SchemaError(f"exactness: --samples must be at most {MAX_SAMPLES}")
         rng = random.Random(job.seed)
         probes = []
         guard = 0
@@ -147,7 +156,7 @@ def _duality(job, v, w):
 
 
 def _tower(job, battery):
-    from .sl2 import battery_module, build_tower
+    from .sl2 import battery_dim, battery_module, build_tower
     from .towers import cohom_tower
 
     p, lam, mmax = job.params["p"], job.params["lambda"], job.params["mmax"]
@@ -156,11 +165,16 @@ def _tower(job, battery):
     if p > 1 and mmax > 0 and (max(p, mmax) > cio.MAX_DIM or p ** (3 * mmax) > cio.MAX_DIM):
         raise SchemaError(f"tower: k[G_{mmax}] has dimension {p}^{3 * mmax}, above {cio.MAX_DIM}")
     tower = build_tower(lam, p, mmax)
-    reports = []
+    # the largest Cohom coequalizer has dim V * dim P(lam, mmax) rows; checked
+    # before any module is tensored together
+    top = tower.stages[-1]
     for expr in battery:
-        data = cohom_tower(battery_module(p, expr), tower, lam, p).to_json()
-        data["module"] = expr
-        reports.append(data)
+        if battery_dim(p, expr) * top.dim > cio.MAX_DIM:
+            raise SchemaError(f"tower: {expr} times the last stage {top.name}, of dimension "
+                              f"{top.dim}, has dimension above {cio.MAX_DIM}")
+    modules = [battery_module(p, expr) for expr in battery]
+    reports = [{**rep.to_json(), "module": expr}
+               for expr, rep in zip(battery, cohom_tower(modules, tower, lam, p))]
     ok = all(r["match"] for r in reports)
     return {"towers": reports, "all_match": ok}, ok
 

@@ -11,9 +11,10 @@ below p^r, using a^{p^r} = 1 and d = a^{p^r - 1}(1 + bc).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
@@ -403,18 +404,21 @@ def _kernel_index(mono3, q: int) -> int:
     return (i * q + j) * q + k
 
 
-def _reduce_mono_kernel(mono: Mono, p: int, q: int):
-    """Image of a normal-form monomial in the kernel basis {b^i c^j a^k}."""
+@lru_cache(maxsize=None)
+def _reduce_mono_kernel(mono: Mono, p: int, q: int) -> tuple:
+    """Image of a normal-form monomial in the kernel basis {b^i c^j a^k}, as
+    ((mono3, coeff), ..).  Memoised: the entries of a tower stage repeat a
+    few thousand monomials across some hundred thousand terms."""
     i, j, k, l = mono
     if l == 0:
-        if i < q and j < q:
-            yield (i, j, k % q), 1
-        return
+        return (((i, j, k % q), 1),) if i < q and j < q else ()
     k2 = (k + (q - 1) * l) % q
+    out = []
     for s in range(min(l, q - 1) + 1):
         c = comb(l, s) % p
         if c and i + s < q and j + s < q:
-            yield (i + s, j + s, k2), c
+            out.append(((i + s, j + s, k2), c))
+    return tuple(out)
 
 
 def reduce_poly_to_kernel(poly: SL2Poly, r: int) -> dict:
@@ -525,11 +529,13 @@ def restrict_to_kernel(m: RationalComodule, r: int) -> Comodule:
     after reduction; left-comodule consumers take the dual."""
     c = frob_kernel_coalgebra(m.p, r)
     q = m.p ** r
-    entries = []
+    # each (i, j) owns its rows i*dim C + .. in column j, and the reduced
+    # coefficients are nonzero residues mod p, so they go straight in
+    data = {}
     for (i, j), poly in m.entries.items():
         for mono3, coeff in reduce_poly_to_kernel(poly, r).items():
-            entries.append((i * c.dim + _kernel_index(mono3, q), j, coeff))
-    coact = Mat.from_entries(m.dim * c.dim, m.dim, c.field, entries)
+            data[(i * c.dim + _kernel_index(mono3, q), j)] = coeff
+    coact = Mat(m.dim * c.dim, m.dim, c.field, data)
     return Comodule(c, "right", m.dim, coact, name=f"{m.name}|G{r}")
 
 
@@ -617,15 +623,27 @@ def build_tower(lam: int, p: int = 2, m_max: int = 3) -> InverseSystem:
     return InverseSystem(stages, transitions, m0=s + 1)
 
 
-def battery_module(p: int, expr: str) -> RationalComodule:
-    """Parse battery expressions like "L1*L1" or "L3" into catalog tensors."""
+def _battery_factors(p: int, expr: str) -> list:
     cat = catalog_modules(p)
     factors = [f.strip() for f in expr.split("*")]
-    out = None
     for f in factors:
         if f not in cat or f == "q":
             raise KeyError(f"unknown battery module {f!r}")
-        m = cat[f]
+    return [cat[f] for f in factors]
+
+
+def battery_dim(p: int, expr: str) -> int:
+    """Dimension of a battery expression from its factors' catalog
+    dimensions, without tensoring anything.  Taken as a product of powers:
+    a running product over a million factors would take seconds."""
+    powers = Counter(m.dim for m in _battery_factors(p, expr))
+    return prod(d ** k for d, k in powers.items())
+
+
+def battery_module(p: int, expr: str) -> RationalComodule:
+    """Parse battery expressions like "L1*L1" or "L3" into catalog tensors."""
+    out = None
+    for m in _battery_factors(p, expr):
         out = m if out is None else tensor_rational(out, m)
     out.name = expr
     return out

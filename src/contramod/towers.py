@@ -227,41 +227,49 @@ class TowerReport:
         }
 
 
-def cohom_tower(v, tower: InverseSystem, lam: int, p: int = 2) -> TowerReport:
-    """Dimension table of Cohom over the stage kernels against the character
-    multiplicity oracle.
+def cohom_tower(modules: list, tower: InverseSystem, lam: int, p: int = 2) -> list[TowerReport]:
+    """Dimension tables of Cohom over the stage kernels against the character
+    multiplicity oracle, one ``TowerReport`` per module.
 
-    ``v`` is a rational module from the SL2 catalog and ``tower`` the output
-    of the tower builder; stage m is computed over the m-th Frobenius-kernel
-    coalgebra after restricting both sides and converting the tower stage to
-    a contramodule.  A tower that ends before the first stage where the
-    weight bound of ``v`` holds compares nothing, so it raises ValueError
-    before any Cohom is computed.
+    ``modules`` are rational modules from the SL2 catalog and ``tower`` the
+    output of the tower builder; stage m is computed over the m-th
+    Frobenius-kernel coalgebra.  Every module's weight window is checked
+    first: a tower that ends before the first stage where a module's weight
+    bound holds compares nothing for it, so that raises ValueError naming the
+    first such module before anything is built.  Then each stage is
+    restricted and made a contramodule once, and each module is restricted
+    once per stage.
     """
     from . import sl2  # local import: sl2 builds on this module's InverseSystem
     from .comodule import dual_comodule
     from .contramodule import cohom, contra_from_comodule
 
-    max_wt = max((abs(w) for w in v.character().keys()), default=0)
-    stable_from = tower.m0
-    while p ** (stable_from - 1) <= max_wt:
-        stable_from += 1
-    if stable_from > tower.last_index:
-        raise ValueError(f"{v.name}: the weight bound first holds at stage {stable_from}, "
-                         f"beyond the last stage {tower.last_index}")
-    rows = []
+    stable_froms = []
+    for v in modules:
+        max_wt = max((abs(w) for w in v.character().keys()), default=0)
+        stable_from = tower.m0
+        while p ** (stable_from - 1) <= max_wt:
+            stable_from += 1
+        if stable_from > tower.last_index:
+            raise ValueError(f"{v.name}: the weight bound first holds at stage {stable_from}, "
+                             f"beyond the last stage {tower.last_index}")
+        stable_froms.append(stable_from)
+    rows = [[] for _ in modules]
     for offset, stage in enumerate(tower.stages):
         m = tower.m0 + offset
-        v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
-        p_m = dual_comodule(sl2.restrict_to_kernel(stage, m))
-        dim = cohom(v_m, contra_from_comodule(p_m)).dim
-        rows.append(TowerRow(m, dim))
-    f_v = sl2.f_multiplicity(lam, v)
-    stabilized_at = None
-    for row in reversed(rows):
-        if row.dim_cohom == rows[-1].dim_cohom:
-            stabilized_at = row.m
-        else:
-            break
-    match = all(r.dim_cohom == f_v for r in rows if r.m >= stable_from)
-    return TowerReport(lam, p, rows, stabilized_at, f_v, match, stable_from)
+        p_m = contra_from_comodule(dual_comodule(sl2.restrict_to_kernel(stage, m)))
+        for v, v_rows in zip(modules, rows):
+            v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
+            v_rows.append(TowerRow(m, cohom(v_m, p_m).dim))
+    reports = []
+    for v, v_rows, stable_from in zip(modules, rows, stable_froms):
+        f_v = sl2.f_multiplicity(lam, v)
+        stabilized_at = None
+        for row in reversed(v_rows):
+            if row.dim_cohom == v_rows[-1].dim_cohom:
+                stabilized_at = row.m
+            else:
+                break
+        match = all(r.dim_cohom == f_v for r in v_rows if r.m >= stable_from)
+        reports.append(TowerReport(lam, p, v_rows, stabilized_at, f_v, match, stable_from))
+    return reports

@@ -430,9 +430,8 @@ def test_criterion_6_tower_stabilization():
     }
     for lam in (0, 1):
         tower = build_tower(lam, 2, 3)
-        for expr in battery:
-            v = battery_module(2, expr)
-            rep = cohom_tower(v, tower, lam, 2)
+        reports = cohom_tower([battery_module(2, expr) for expr in battery], tower, lam, 2)
+        for expr, rep in zip(battery, reports):
             assert rep.f_v == expected[lam][expr], (lam, expr, rep.f_v)
             assert rep.match, (lam, expr, [r.dim_cohom for r in rep.stages], rep.stable_from)
             in_range = [r.dim_cohom for r in rep.stages if r.m >= rep.stable_from]

@@ -1,10 +1,11 @@
 """Deterministic fuzzing of the command line: the example inputs of
 ``scripts/make_cli_examples.py``, with keys dropped, values of the wrong
 type, indices out of range and oversized catalog names, run through every
-README command line except ``tower`` (a full tower run takes about a second;
-its battery loader is covered in ``test_io_cli.py``).  Whatever the input,
-no exception escapes, the exit code is 0, 1 or 2, and exit 2 carries an
-error message."""
+README command line except ``tower``; and ``tower`` itself at ``--mmax`` at
+most 2 (the README line's ``--mmax 3`` takes about half a second), on
+batteries with unknown names, non-strings, empty lists and products too large
+for the size guard.  Whatever the input, no exception escapes, the exit code
+is 0, 1 or 2, and exit 2 carries an error message."""
 
 import copy
 import json
@@ -97,6 +98,57 @@ def test_cli_survives_mutated_inputs(tmp_path, monkeypatch, capsys):
             doc = _mutate(data, doc)
         (tmp_path / "fuzzed.json").write_text(json.dumps(doc))
         argv[slot] = "fuzzed.json"
+        code = main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 1, 2), argv
+        assert (code == 2) == ("error" in report), (argv, report)
+        if code == 2:
+            assert report["error"]
+
+    check()
+
+
+# catalog names, twice as likely as the projection q (not a module), near
+# misses and blanks; " L1 " is L1
+TOWER_FACTORS = ["L0", "L1", "L2", "L3", "P0", "P1"] * 2 + ["q", "L4", "l1", "", " L1 ", "L1*"]
+
+
+# every weight within +-1, so their windows fit a tower up to stage 2
+SMALL_FACTORS = ["L0", "L1", "P1"]
+
+
+def _battery(data):
+    kind = data.draw(st.sampled_from(["small", "small", "names", "junk", "empty", "oversize"]))
+    if kind == "empty":
+        return data.draw(st.sampled_from([[], "", {}]))
+    factor = st.sampled_from(SMALL_FACTORS if kind == "small" else TOWER_FACTORS)
+    if kind == "small":
+        return data.draw(st.lists(factor, min_size=1, max_size=3))
+    battery = data.draw(st.lists(st.lists(factor, min_size=1, max_size=2).map("*".join),
+                                 min_size=1, max_size=3))
+    if kind == "junk":
+        battery.insert(data.draw(st.integers(0, len(battery))), _junk(data))
+    elif kind == "oversize":
+        # L1 to the 12th power has dimension 4096, so any stage makes it too large
+        power = data.draw(st.integers(12, 40))
+        battery.insert(data.draw(st.integers(0, len(battery))), "*".join(["L1"] * power))
+    return battery
+
+
+def _tower_argv(data, battery_path) -> list:
+    battery_path.write_text(json.dumps(_battery(data)))
+    # mostly a tower that exists: p = 2, lambda >= 0 and mmax above its top digit
+    return ["tower", "--p", data.draw(st.sampled_from(["2"] * 5 + ["3"])),
+            "--lambda", data.draw(st.sampled_from(["0", "1"] * 3 + ["2", "3", "-1"])),
+            "--mmax", data.draw(st.sampled_from(["2", "2", "1", "0"])),
+            "--battery", str(battery_path)]
+
+
+def test_cli_tower_survives_mutated_batteries(tmp_path, capsys):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def check(data):
+        argv = _tower_argv(data, tmp_path / "battery.json")
         code = main(argv)
         report = json.loads(capsys.readouterr().out)
         assert code in (0, 1, 2), argv

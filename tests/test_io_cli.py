@@ -358,6 +358,65 @@ def test_cli_tower_refuses_kernels_above_max_dim(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["error"] == "build_tower reached"
 
 
+def test_cli_tower_refuses_battery_modules_above_max_dim(tmp_path, capsys, monkeypatch):
+    """dim V * dim P(lambda, mmax) is the row count of the largest Cohom
+    coequalizer: above io.MAX_DIM the job exits 2, naming the module, before
+    any module is tensored together."""
+    from contramod.sl2 import battery_dim
+
+    assert [battery_dim(2, e) for e in ("L0", "L1", "L3", "P1", "L1*L1", " P0 * L2 ")] == [1, 2, 4, 2, 4, 8]
+    ninth = "*".join(["L1"] * 9)
+    battery = _write(tmp_path, "battery.json", ["L0", ninth, "L1*L1*L1*L1*L1*L1*L1*L1*L1*L1"])
+    argv = ["tower", "--p", "2", "--lambda", "0", "--mmax", "2", "--battery", battery]
+    assert _within_one_second(lambda: main(argv)) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == f"tower: {ninth} times the last stage P(0,2), of dimension 16, has dimension above 4096"
+
+    # 256 * 16 is exactly io.MAX_DIM, so L3^4 at --mmax 2 reaches the modules
+    def reached(*args):
+        raise ValueError("battery_module reached")
+
+    monkeypatch.setattr("contramod.sl2.battery_module", reached)
+    battery = _write(tmp_path, "battery.json", ["L3*L3*L3*L3"])
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "battery_module reached"
+
+
+def test_cli_caps_samples_before_drawing(tmp_path, capsys, monkeypatch):
+    rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(divided_power_surjection(GF2, 3, 2, 2)))
+
+    def draw(rng, target):
+        raise AssertionError("a sequence was drawn")
+
+    monkeypatch.setattr("contramod.randomgen.random_contra_ses", draw)
+    for samples in ("1001", "100000"):
+        argv = ["exactness", "--rho", rho_path, "--samples", samples]
+        assert _within_one_second(lambda: main(argv)) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "exactness: --samples must be at most 1000"
+    # 1000 is allowed: a draw that never succeeds gives up with its own error
+    monkeypatch.setattr("contramod.randomgen.random_contra_ses", lambda rng, target: None)
+    assert main(["exactness", "--rho", rho_path, "--samples", "1000"]) == 2
+    assert "could not draw" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("key, dim, value", [
+    ("incl", "rows", 3), ("incl", "cols", 2), ("proj", "rows", 2), ("proj", "cols", 4),
+])
+def test_cli_ses_maps_of_the_wrong_shape_exit_2(key, dim, value, tmp_path, capsys):
+    """incl must be mid x sub and proj quot x mid; the witness is 0 -> k -> D* -> k -> 0."""
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_cli_examples.py"), str(tmp_path / "examples_io")],
+        check=True, capture_output=True,
+    )
+    doc = json.loads((tmp_path / "examples_io" / "ses_witness.json").read_text())
+    assert (doc["incl"]["rows"], doc["incl"]["cols"], doc["proj"]["rows"], doc["proj"]["cols"]) == (2, 1, 1, 2)
+    doc[key][dim] = value
+    argv = ["--field", "Fp:2", "exactness", "--rho", str(tmp_path / "examples_io" / "rho_dpd32.json"),
+            "--ses", _write(tmp_path, "ses.json", doc)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(f"ses.{key}: expected a ")
+
+
 def test_cli_tower_window_that_compares_nothing_is_an_input_error(tmp_path, capsys):
     """At --mmax 2 the README battery's L2 never reaches stage 3, where its
     weight bound first holds, so no stage of it would be compared."""

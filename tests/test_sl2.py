@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from contramod.comodule import (
 from contramod.contramodule import check_contramodule, contra_from_comodule, is_projective
 from contramod.fields import GF2
 from contramod.linalg import rank
+from contramod.matrix import Mat
 from contramod.sl2 import (
     SL2Poly, battery_module, build_tower, catalog_modules, character_decomposition,
     char_product, delta_poly, f_multiplicity, frob_kernel_coalgebra, frobenius_twist,
@@ -21,6 +23,7 @@ from contramod.sl2 import (
     reduce_poly_to_kernel, restrict_to_kernel, simple_character, simple_module,
     standard_rational, tensor_rational, trivial_rational,
 )
+from contramod.sl2 import _kernel_index, _reduce_mono_kernel
 
 
 def _gens(p=2):
@@ -458,3 +461,53 @@ def test_character_invariants():
         ch = cat[name].character()
         assert sum(ch.values()) == cat[name].dim
         assert ch == {-w: m for w, m in ch.items()}
+
+
+def _reduce_mono_oracle(mono, p, q):
+    """The uncached generator that _reduce_mono_kernel memoises."""
+    i, j, k, l = mono
+    if l == 0:
+        if i < q and j < q:
+            yield (i, j, k % q), 1
+        return
+    k2 = (k + (q - 1) * l) % q
+    for s in range(min(l, q - 1) + 1):
+        c = comb(l, s) % p
+        if c and i + s < q and j + s < q:
+            yield (i + s, j + s, k2), c
+
+
+def _restrict_oracle(m, r):
+    """The coaction of restrict_to_kernel, accumulated by Mat.from_entries
+    from the uncached reduction."""
+    c = frob_kernel_coalgebra(m.p, r)
+    q = m.p ** r
+    entries = [(i * c.dim + _kernel_index(m3, q), j, coeff * c2)
+               for (i, j), poly in m.entries.items()
+               for mono, coeff in poly.terms.items()
+               for m3, c2 in _reduce_mono_oracle(mono, m.p, q)]
+    return Mat.from_entries(m.dim * c.dim, m.dim, c.field, entries)
+
+
+def test_memoised_reduction_and_restriction_match_the_uncached_path():
+    rng = random.Random(41)
+    stage = build_tower(0, 2, 3).stages[-1]
+    monos = {(2, 3): sorted({mono for poly in stage.entries.values() for mono in poly.terms})}
+    for p, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        q = p ** r
+        drawn = monos.setdefault((p, r), [])
+        for _ in range(200):
+            i, j, e = rng.randrange(2 * q), rng.randrange(2 * q), rng.randrange(3 * q)
+            drawn.append((i, j, e, 0) if rng.random() < 0.5 else (i, j, 0, e))
+    for (p, r), batch in monos.items():
+        q = p ** r
+        for mono in batch + batch:  # the second pass reads the memo
+            assert _reduce_mono_kernel(mono, p, q) == tuple(_reduce_mono_oracle(mono, p, q)), mono
+    l1_3 = standard_rational(3)
+    modules = [(stage, r) for r in (1, 2, 3)] + [
+        (m, r) for m in (tensor_rational(l1_3, l1_3), tensor_rational(l1_3, frobenius_twist(l1_3, 1)))
+        for r in (1, 2)]
+    for m, r in modules:
+        got = restrict_to_kernel(m, r).coaction
+        want = _restrict_oracle(m, r)
+        assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data), (m.name, r)

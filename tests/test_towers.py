@@ -280,9 +280,91 @@ def test_cohom_tower_report_shape():
     from contramod.sl2 import battery_module, build_tower
 
     tower = build_tower(0, 2, 2)
-    rep = cohom_tower(battery_module(2, "L0"), tower, 0, 2)
+    [rep] = cohom_tower([battery_module(2, "L0")], tower, 0, 2)
     assert rep.f_v == 1
     assert [r.dim_cohom for r in rep.stages] == [1, 1]
     assert rep.match
     data = rep.to_json()
     assert data["lambda"] == 0 and data["stages"][0]["m"] == 1
+
+
+README_BATTERY = ["L0", "L1", "L2", "L3", "L1*L1"]
+
+
+def _cohom_tower_one(v, tower, lam, p):
+    """The per-module loop the battery call replaced: every stage is
+    restricted and made a contramodule again for each module."""
+    from contramod import sl2
+    from contramod.comodule import dual_comodule
+    from contramod.contramodule import cohom, contra_from_comodule
+    from contramod.towers import TowerReport, TowerRow
+
+    max_wt = max((abs(w) for w in v.character()), default=0)
+    stable_from = tower.m0
+    while p ** (stable_from - 1) <= max_wt:
+        stable_from += 1
+    rows = []
+    for offset, stage in enumerate(tower.stages):
+        m = tower.m0 + offset
+        v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
+        p_m = dual_comodule(sl2.restrict_to_kernel(stage, m))
+        rows.append(TowerRow(m, cohom(v_m, contra_from_comodule(p_m)).dim))
+    f_v = sl2.f_multiplicity(lam, v)
+    stabilized_at = None
+    for row in reversed(rows):
+        if row.dim_cohom == rows[-1].dim_cohom:
+            stabilized_at = row.m
+        else:
+            break
+    match = all(r.dim_cohom == f_v for r in rows if r.m >= stable_from)
+    return TowerReport(lam, p, rows, stabilized_at, f_v, match, stable_from)
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_cohom_tower_matches_the_per_module_loop(lam):
+    from contramod.sl2 import battery_module, build_tower
+
+    tower = build_tower(lam, 2, 3)
+    modules = [battery_module(2, expr) for expr in README_BATTERY]
+    reports = cohom_tower(modules, tower, lam, 2)
+    assert reports == [_cohom_tower_one(v, tower, lam, 2) for v in modules]
+    assert [r.stable_from for r in reports] == [1, 2, 3, 3, 3]
+
+
+def _count_restrictions(monkeypatch) -> list:
+    from contramod import sl2
+
+    calls = []
+    restrict = sl2.restrict_to_kernel
+
+    def counted(m, r):
+        calls.append((m.name, r))
+        return restrict(m, r)
+
+    monkeypatch.setattr(sl2, "restrict_to_kernel", counted)
+    return calls
+
+
+def test_cohom_tower_restricts_each_stage_once(monkeypatch):
+    from contramod.sl2 import battery_module, build_tower
+
+    tower = build_tower(0, 2, 2)
+    modules = [battery_module(2, expr) for expr in ("L0", "L1", "P1")]
+    calls = _count_restrictions(monkeypatch)
+    cohom_tower(modules, tower, 0, 2)
+    assert len(calls) == len(tower.stages) * (1 + len(modules))
+    stages = [(s.name, tower.m0 + i) for i, s in enumerate(tower.stages)]
+    assert sorted(calls) == sorted(stages + [(v.name, m) for _, m in stages for v in modules])
+
+
+def test_cohom_tower_window_error_names_the_first_offending_module(monkeypatch):
+    """At --mmax 2 the README battery's L2, L3 and L1*L1 all first compare
+    at stage 3; the error names L2 and nothing is restricted."""
+    from contramod.sl2 import battery_module, build_tower
+
+    tower = build_tower(0, 2, 2)
+    modules = [battery_module(2, expr) for expr in README_BATTERY]
+    calls = _count_restrictions(monkeypatch)
+    with pytest.raises(ValueError, match=r"^L2: .*stage 3, beyond the last stage 2$"):
+        cohom_tower(modules, tower, 0, 2)
+    assert calls == []
