@@ -274,12 +274,11 @@ def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
     """Quotient by a subcomodule; returns (M/sub, projection)."""
     coeq = quotient_by_image(sub)
-    q, sigma = coeq.quotient_map, coeq.section
-    lift = kron(Mat.identity(m.coalgebra.dim, m.field), q) @ _left_coaction(m)
+    q = coeq.quotient_map
     # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub
-    if not (lift @ sub.basis).is_zero():
-        raise ValueError("subspace is not a subcomodule")
-    return _from_left(m.coalgebra, m.side, coeq.dim, lift @ sigma, f"{m.name}/sub"), q
+    coact = coeq.descend(kron(Mat.identity(m.coalgebra.dim, m.field), q) @ _left_coaction(m),
+                         "subspace is not a subcomodule")
+    return _from_left(m.coalgebra, m.side, coeq.dim, coact, f"{m.name}/sub"), q
 
 
 # -- injectivity ----------------------------------------------------------------

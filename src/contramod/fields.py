@@ -132,6 +132,10 @@ QQ = FieldSpec(0)
 
 
 def GF(p: int) -> FieldSpec:
+    """The prime field F_p.  A non-prime p is refused, 0 included: FieldSpec(0)
+    would be the rationals."""
+    if not _is_prime(p):
+        raise ValueError(f"F_p needs a prime p, got {p}")
     return FieldSpec(p)
 
 

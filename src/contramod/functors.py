@@ -21,7 +21,7 @@ from .contramodule import (
     Contramodule, ExactnessVerdict, check_contramodule, cohom_maps, free_contramodule,
     hom_contra, hom_contra_basis_maps, is_contra_map, quotient_contramodule,
 )
-from .linalg import Subspace, coequalizer, exactness_failures, rank
+from .linalg import Coequalizer, coequalizer, exactness_failures, rank
 from .matrix import Mat, kron
 
 
@@ -64,9 +64,7 @@ def build_f_g(rho: CoalgebraMorphism, w: Contramodule) -> tuple[Mat, Mat]:
 @dataclass
 class InductionResult:
     induced: Contramodule
-    presentation: Mat     # quotient map from the free contramodule on W's carrier
-    section: Mat
-    relations: Subspace   # Im(f - g) inside Hom(C, W)
+    coeq: Coequalizer     # Hom(C, W) = the free contramodule on W's carrier, mod Im(f - g)
 
     @property
     def dim(self) -> int:
@@ -82,7 +80,7 @@ def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
     verdict = check_contramodule(induced)
     if not verdict.ok:
         raise AssertionError(f"induced object fails axioms: {verdict.failures}")
-    return InductionResult(induced, coeq.quotient_map, coeq.section, coeq.image_subspace)
+    return InductionResult(induced, coeq)
 
 
 def induce_map(
@@ -92,13 +90,9 @@ def induce_map(
     h: Mat,
 ) -> Mat:
     """Functorial action on a contra-homomorphism h: W -> W'."""
-    n_c = rho.source.dim
-    f = h.field
-    eye = Mat.identity(n_c, f)
-    lifted = res_tgt.presentation @ kron(eye, h)
-    if not (lifted @ res_src.relations.basis).is_zero():
-        raise ValueError("map does not descend: is h a contra-homomorphism?")
-    return lifted @ res_src.section
+    eye = Mat.identity(rho.source.dim, h.field)
+    return res_src.coeq.descend(res_tgt.coeq.quotient_map @ kron(eye, h),
+                                "map does not descend: is h a contra-homomorphism?")
 
 
 # -- the adjunction ---------------------------------------------------------------
@@ -107,20 +101,18 @@ def induce_map(
 def gamma(rho: CoalgebraMorphism, res: InductionResult, phi: Mat) -> Mat:
     """Turn a contra-hom Ind(W) -> V into W -> V|_D by precomposing with the
     counit-induced splitting of the free presentation."""
-    w_dim = res.presentation.cols // rho.source.dim
+    presentation = res.coeq.quotient_map
+    w_dim = presentation.cols // rho.source.dim
     eps_sec = kron(rho.source.epsilon.transpose(), Mat.identity(w_dim, phi.field))
-    return phi @ res.presentation @ eps_sec
+    return phi @ presentation @ eps_sec
 
 
 def gamma_inv(rho: CoalgebraMorphism, res: InductionResult, v: Contramodule, psi: Mat) -> Mat:
     """Inverse direction: extend W -> V|_D to Ind(W) -> V via the
     contra-action of V."""
-    n_c = rho.source.dim
-    eye = Mat.identity(n_c, psi.field)
-    on_free = v.theta @ kron(eye, psi)
-    if not (on_free @ res.relations.basis).is_zero():
-        raise ValueError("extension does not kill the induction relations")
-    return on_free @ res.section
+    eye = Mat.identity(rho.source.dim, psi.field)
+    return res.coeq.descend(v.theta @ kron(eye, psi),
+                            "extension does not kill the induction relations")
 
 
 @dataclass

@@ -243,23 +243,11 @@ class Subspace:
         return self.coords(vec) is not None
 
     def coords(self, vec: dict) -> dict | None:
-        """Coordinates of vec in the canonical basis, or None if outside."""
-        f = self.field
-        cols = self.basis.columns()
-        coeffs = {}
-        residual = dict(vec)
-        for t, p in enumerate(self.pivots):
-            c = residual.get(p)
-            if c is None or c == 0:
-                continue
-            coeffs[t] = c
-            for i, v in cols.get(t, {}).items():
-                s = f.sub(residual.get(i, f.zero()), f.mul(c, v))
-                if s == 0:
-                    residual.pop(i, None)
-                else:
-                    residual[i] = s
-        if any(v != 0 for v in residual.values()):
+        """Coordinates of vec in the canonical basis, or None if outside.
+        Pivot row ``pivots[t]`` meets only column t, with entry 1, so
+        coordinate t is ``vec[pivots[t]]``."""
+        coeffs = {t: vec[p] for t, p in enumerate(self.pivots) if vec.get(p, 0) != 0}
+        if self.basis.apply(coeffs) != {i: v for i, v in vec.items() if v != 0}:
             return None
         return coeffs
 
@@ -402,6 +390,13 @@ class Coequalizer:
     dim: int
     section: Mat
     image_subspace: Subspace
+
+    def descend(self, lifted: Mat, error: str) -> Mat:
+        """The map out of the quotient induced by ``lifted``, a map out of
+        k^ambient; raises ValueError(error) unless lifted kills the span."""
+        if not (lifted @ self.image_subspace.basis).is_zero():
+            raise ValueError(error)
+        return lifted @ self.section
 
 
 def quotient_by_image(sub: Subspace) -> Coequalizer:

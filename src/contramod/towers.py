@@ -64,6 +64,14 @@ class InverseSystem:
         return True
 
 
+def _settled_from(values: list) -> int:
+    """First position from which every value equals the last one."""
+    pos = len(values) - 1
+    while pos > 0 and values[pos - 1] == values[-1]:
+        pos -= 1
+    return pos
+
+
 @dataclass
 class MLResult:
     stabilized: bool
@@ -94,12 +102,7 @@ def is_mittag_leffler(sys: InverseSystem, at: int) -> MLResult:
             raise AssertionError("image chain must be non-increasing")
         chain.append(img)
         dims.append(img.dim)
-    stab = last
-    for pos in range(len(chain) - 1, -1, -1):
-        if chain[pos] == chain[-1]:
-            stab = at + 1 + pos
-        else:
-            break
+    stab = at + 1 + _settled_from(chain)
     return MLResult(stab < last, stab, dims, chain[-1])
 
 
@@ -264,12 +267,9 @@ def cohom_tower(modules: list, tower: InverseSystem, lam: int, p: int = 2) -> li
     reports = []
     for v, v_rows, stable_from in zip(modules, rows, stable_froms):
         f_v = sl2.f_multiplicity(lam, v)
-        stabilized_at = None
-        for row in reversed(v_rows):
-            if row.dim_cohom == v_rows[-1].dim_cohom:
-                stabilized_at = row.m
-            else:
-                break
+        # stabilization counts only when it was observed: before the last stage
+        pos = _settled_from([r.dim_cohom for r in v_rows])
+        stabilized_at = v_rows[pos].m if pos < len(v_rows) - 1 else None
         match = all(r.dim_cohom == f_v for r in v_rows if r.m >= stable_from)
         reports.append(TowerReport(lam, p, v_rows, stabilized_at, f_v, match, stable_from))
     return reports

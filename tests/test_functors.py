@@ -15,7 +15,7 @@ from contramod.contramodule import (
 )
 from contramod.functors import (
     ShortExactSeq, adjunction_check, build_f_g, comodule_along, exactness_probe,
-    gamma, induce, induce_map, restrict,
+    gamma, gamma_inv, induce, induce_map, restrict,
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.linalg import rank
@@ -91,7 +91,7 @@ def test_induce_along_identity():
         res = induce(identity_morphism(c), w)
         assert res.dim == w.dim
         # explicit isomorphism: theta descends and inverts against the counit section
-        descended = w.theta @ res.section
+        descended = w.theta @ res.coeq.section
         assert rank(descended) == w.dim
 
 
@@ -130,7 +130,7 @@ def test_gamma_identity_case():
         w = free_contramodule(c, 1)
         res = induce(identity_morphism(c), w)
         # phi := descended theta is a contra-hom Ind(W) -> W; gamma(phi) = id_W
-        phi = w.theta @ res.section
+        phi = w.theta @ res.coeq.section
         assert is_contra_map(res.induced, w, phi)
         assert gamma(identity_morphism(c), res, phi) == Mat.identity(w.dim, field)
 
@@ -257,6 +257,24 @@ def test_induce_map_functorial_on_identity():
     assert induce_map(rho, res, res, eye) == Mat.identity(res.dim, QQ)
 
 
+def test_maps_that_are_not_contra_homs_do_not_descend():
+    """induce_map and gamma_inv refuse a map whose lift does not kill the
+    relations of the induction quotient."""
+    for field in FIELDS:
+        rho = divided_power_surjection(field, 3, 2, 2)
+        w = free_contramodule(rho.target, 1)
+        res = induce(rho, w)
+        h = Mat.from_entries(w.dim, w.dim, field, [(0, 1, 1)])
+        assert not is_contra_map(w, w, h)
+        with pytest.raises(ValueError, match=r"^map does not descend: is h a contra-homomorphism\?$"):
+            induce_map(rho, res, res, h)
+        v = free_contramodule(rho.source, 1)
+        psi = Mat.from_entries(v.dim, w.dim, field, [(0, 1, 1)])
+        assert not is_contra_map(w, restrict(rho, v), psi)
+        with pytest.raises(ValueError, match=r"^extension does not kill the induction relations$"):
+            gamma_inv(rho, res, v, psi)
+
+
 def test_section3_consistency_on_catalog_surjections():
     """For each catalog surjection: sampled induction probes are all exact
     iff the source is injective as a comodule over the target."""
@@ -325,5 +343,5 @@ def test_induction_presentation_invariant():
         w = free_contramodule(rho.target, 1)
         res = induce(rho, w)
         f_map, g_map = build_f_g(rho, w)
-        assert kernel(res.presentation) == image(f_map - g_map)
-        assert res.relations == image(f_map - g_map)
+        assert kernel(res.coeq.quotient_map) == image(f_map - g_map)
+        assert res.coeq.image_subspace == image(f_map - g_map)

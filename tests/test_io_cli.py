@@ -192,6 +192,14 @@ def test_cli_tower(tmp_path, capsys):
     assert dims["L1"][-1] == 0
 
 
+def test_cli_tower_single_stage_reports_no_stabilization(tmp_path, capsys):
+    battery = _write(tmp_path, "battery.json", ["L0"])
+    assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "1", "--battery", battery]) == 0
+    [row] = json.loads(capsys.readouterr().out)["towers"]
+    assert row["stages"] == [{"m": 1, "dim_cohom": 1}]
+    assert row["stabilized_at"] is None
+
+
 def test_cli_determinism(tmp_path):
     rho = divided_power_surjection(GF2, 3, 2, 2)
     rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(rho))
@@ -228,6 +236,22 @@ def test_composite_and_uncertified_characteristics_rejected():
             FieldSpec(p)
     with pytest.raises(ValueError):
         _is_prime(_MR_LIMIT)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 561])
+def test_gf_refuses_a_non_prime(p):
+    with pytest.raises(ValueError, match=rf"^F_p needs a prime p, got {p}$"):
+        GF(p)
+
+
+def test_cli_zero_characteristic_exits_2(tmp_path, capsys):
+    """Fp:0 and {"Fp": 0} name no prime field: neither selects Q."""
+    doc = cio.coalgebra_to_json(grouplike(QQ, 2))
+    assert main(["--field", "Fp:0", "verify", _write(tmp_path, "c.json", doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "F_p needs a prime p, got 0"
+    doc["field"] = {"Fp": 0}
+    assert main(["verify", _write(tmp_path, "c0.json", doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "field: F_p needs a prime p, got 0"
 
 
 def test_cli_large_prime_field_is_fast(tmp_path, capsys):

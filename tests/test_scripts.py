@@ -13,7 +13,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 @pytest.mark.parametrize("argv", [
     ["limit_survey.py"],
     ["adjunction_battery.py", "--trials", "4"],
-    ["run_tower.py", "--mmax", "3", "--battery", "L0", "L1"],
 ])
 def test_script_exits_0_with_a_json_report(argv):
     proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],

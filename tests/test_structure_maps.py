@@ -4,21 +4,23 @@ Cohom and the quotient contramodule) against their own Kronecker formulas,
 the column-by-column coequalizer against the quotient by the image of
 f - g, the contramodule operations that run on the comodule code against
 their direct Kronecker formulas, ``check_coalgebra`` against its own column
-loop, and ``dual_comodule`` against one loop per side.  The oracles live
-here only."""
+loop, ``dual_comodule`` against one loop per side, pivot-read
+``Subspace.coords`` against elimination, and ``duality_check`` against the
+trace-pairing loops.  The oracles live here only."""
 
 import random
 
 import pytest
 
+from contramod import comodule
 from contramod.coalgebra import (
     Coalgebra, check_coalgebra, divided_power_dual, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
-    Comodule, cotensor, dual_comodule, quotient_comodule, sub_comodule,
+    Comodule, cotensor, dual_comodule, hom_basis_maps, quotient_comodule, sub_comodule,
 )
 from contramod.contramodule import (
-    Contramodule, check_contramodule, cohom, cohom_maps,
+    Contramodule, check_contramodule, cohom, cohom_maps, duality_check,
     contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
     hom_contra, hom_contra_basis_maps, is_contra_map, is_projective, quotient_contramodule, sub_contramodule,
     theta_stabilizes,
@@ -26,9 +28,9 @@ from contramod.contramodule import (
 from contramod.fields import GF2, GF3, QQ
 from contramod.functors import build_f_g, comodule_along, induce
 from contramod.linalg import (
-    Subspace, coequalizer, equalizer, image, quotient_by_image, split_solve,
+    Subspace, coequalizer, equalizer, image, quotient_by_image, rank, split_solve,
 )
-from contramod.matrix import Mat, kron
+from contramod.matrix import Mat, kron, map_of_vec
 from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
@@ -147,9 +149,9 @@ def test_induce_matches_kron_formulas(field):
             assert build_f_g(rho, w) == (f_map, g_map)
             res = induce(rho, w)
             oracle = difference_coequalizer(f_map, g_map)
-            assert res.presentation == oracle.quotient_map
-            assert res.section == oracle.section
-            assert res.relations == oracle.image_subspace
+            assert res.coeq.quotient_map == oracle.quotient_map
+            assert res.coeq.section == oracle.section
+            assert res.coeq.image_subspace == oracle.image_subspace
             free = free_contramodule(c, w.dim)
             eye = Mat.identity(c.dim, field)
             assert res.induced.theta == oracle.quotient_map @ free.theta @ kron(eye, oracle.section)
@@ -489,6 +491,96 @@ def test_dual_comodule_of_tower_stages_matches_side_loops():
     tower = build_tower(0, 2, 3)
     for offset, stage in enumerate(tower.stages):
         assert_dual_matches_loop(restrict_to_kernel(stage, tower.m0 + offset))
+
+
+# -- pivot-read coordinates and the duality pairing -----------------------------------
+
+
+def elimination_coords(sub, vec):
+    """Coordinates by subtracting each basis column in pivot order, or None
+    when a residual is left."""
+    f = sub.field
+    cols = sub.basis.columns()
+    coeffs, residual = {}, dict(vec)
+    for t, p in enumerate(sub.pivots):
+        c = residual.get(p)
+        if c is None or c == 0:
+            continue
+        coeffs[t] = c
+        for i, v in cols.get(t, {}).items():
+            s = f.sub(residual.get(i, f.zero()), f.mul(c, v))
+            if s == 0:
+                residual.pop(i, None)
+            else:
+                residual[i] = s
+    if any(v != 0 for v in residual.values()):
+        return None
+    return coeffs
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_coords_matches_elimination(field):
+    rng = random.Random(606)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        amb = rng.randint(1, 9)
+        cols = [random_vector(rng, amb, field) for _ in range(rng.randint(0, 5))]
+        sub = Subspace.from_columns(amb, field, cols)
+        inside = [sub.basis.apply(random_vector(rng, sub.dim, field)) for _ in range(3) if sub.dim]
+        for vec in inside + [random_vector(rng, amb, field) for _ in range(3)]:
+            want = elimination_coords(sub, vec)
+            assert sub.coords(vec) == want
+            assert sub.contains(vec) == (want is not None)
+            seen[want is not None] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
+def trace_pair_duality(v, w):
+    """(cohom_dim, hom_dim, pairing_rank) by decoding every relation, section
+    column and hom basis vector to a matrix and pairing them by trace."""
+    f = v.field
+    co = cohom(v, contra_from_comodule(w))
+    hom = comodule.hom_comodules(w, v)
+    hom_maps = hom_basis_maps(w, v, hom)
+
+    def trace_pair(map_vw, map_wv):
+        acc = f.zero()
+        for (y, x), val in map_vw.data.items():
+            other = map_wv[x, y]
+            if other != 0:
+                acc = f.add(acc, f.mul(val, other))
+        return acc
+
+    for rel_col in co.image_subspace.basis.columns().values():
+        rel = map_of_vec(rel_col, v.dim, w.dim, f)
+        if any(trace_pair(rel, hmap) != 0 for hmap in hom_maps):
+            return co.dim, hom.dim, -1
+    sec_cols = co.section.columns()
+    entries = []
+    for t in range(co.dim):
+        rep = map_of_vec(sec_cols.get(t, {}), v.dim, w.dim, f)
+        entries += [(t, s, trace_pair(rep, hmap)) for s, hmap in enumerate(hom_maps)]
+    return co.dim, hom.dim, rank(Mat.from_entries(co.dim, hom.dim, f, entries))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_duality_check_matches_trace_pair_loops(field, monkeypatch):
+    """Seeded pairs, then the same pairs with Hom(W, V) widened to all of
+    W* (x) V, so that the relations no longer pair to zero: the -1 verdict."""
+    rng = random.Random(707)
+    pairs = [(random_comodule(rng, c), random_comodule(rng, c))
+             for c in small_coalgebras(field) for _ in range(PAIRS_PER_COALGEBRA)]
+    ranks = set()
+    for v, w in pairs:
+        rep = duality_check(v, w)
+        assert (rep.cohom_dim, rep.hom_dim, rep.pairing_rank) == trace_pair_duality(v, w)
+        ranks.add(rep.pairing_rank)
+    assert len(ranks) > 2 and -1 not in ranks
+    monkeypatch.setattr(comodule, "hom_comodules", lambda m, n: Subspace.full(m.dim * n.dim, m.field))
+    widened = [duality_check(v, w) for v, w in pairs]
+    assert [(r.cohom_dim, r.hom_dim, r.pairing_rank) for r in widened] == [
+        trace_pair_duality(v, w) for v, w in pairs]
+    assert any(r.pairing_rank == -1 for r in widened)
 
 
 # -- at tower scale -------------------------------------------------------------------

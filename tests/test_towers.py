@@ -311,7 +311,7 @@ def _cohom_tower_one(v, tower, lam, p):
         rows.append(TowerRow(m, cohom(v_m, contra_from_comodule(p_m)).dim))
     f_v = sl2.f_multiplicity(lam, v)
     stabilized_at = None
-    for row in reversed(rows):
+    for row in reversed(rows[:-1]):
         if row.dim_cohom == rows[-1].dim_cohom:
             stabilized_at = row.m
         else:
@@ -329,6 +329,25 @@ def test_cohom_tower_matches_the_per_module_loop(lam):
     reports = cohom_tower(modules, tower, lam, 2)
     assert reports == [_cohom_tower_one(v, tower, lam, 2) for v in modules]
     assert [r.stable_from for r in reports] == [1, 2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("dims, stabilized_at", [
+    ([1, 1, 1], 1), ([2, 1, 1], 2), ([1, 1, 2], None), ([1, 2, 1], None), ([1], None),
+])
+def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, monkeypatch):
+    """stabilized_at is the first stage from which the dimensions equal the
+    last one, and None unless that stage comes before the last: a one-stage
+    tower observes nothing."""
+    from types import SimpleNamespace
+
+    from contramod import contramodule
+    from contramod.sl2 import battery_module, build_tower
+
+    scripted = iter(dims)
+    monkeypatch.setattr(contramodule, "cohom", lambda v, b: SimpleNamespace(dim=next(scripted)))
+    [rep] = cohom_tower([battery_module(2, "L0")], build_tower(0, 2, len(dims)), 0, 2)
+    assert [r.dim_cohom for r in rep.stages] == dims
+    assert rep.stabilized_at == stabilized_at
 
 
 def _count_restrictions(monkeypatch) -> list:
