@@ -23,8 +23,8 @@ from .contramodule import (
 )
 from .fields import FieldSpec, GF, GF2, GF3, QQ
 from .functors import (
-    InductionResult, ShortExactSeq, adjunction_check, build_f_g, comodule_along,
-    exactness_probe, gamma, gamma_inv, induce, restrict,
+    InductionResult, ShortExactSeq, adjunction_check, comodule_along, exactness_probe,
+    gamma, gamma_inv, induce, restrict,
 )
 from .linalg import Subspace, coequalizer, equalizer, image, kernel, rank
 from .matrix import Mat, kron
@@ -34,7 +34,7 @@ __all__ = [
     "Coalgebra", "CoalgebraMorphism", "Comodule", "Contramodule",
     "FieldSpec", "GF", "GF2", "GF3", "QQ",
     "InductionResult", "InverseSystem", "Mat", "ShortExactSeq", "Subspace", "Verdict",
-    "adjunction_check", "build_f_g", "check_coalgebra",
+    "adjunction_check", "check_coalgebra",
     "check_comodule", "check_contramodule", "check_morphism", "coequalizer", "cofree",
     "cohom", "cohom_tower", "comodule_along", "comodule_over_self",
     "contra_from_comodule", "contra_from_dual", "contratensor", "cotensor",

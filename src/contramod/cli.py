@@ -149,6 +149,17 @@ def _exactness(job, rho, ses):
     return {"exactness": {"total": len(probes), "failures": failures}}, not failures
 
 
+def _sized(fn):
+    """A two-object job, refused when its flattened space X* (x) Y has more
+    than ``io.MAX_DIM`` entries, the rule the tower applies to its Cohoms."""
+    def guarded(job, x, y):
+        if x.dim * y.dim > cio.MAX_DIM:
+            raise SchemaError(f"{job.command}: dims {x.dim} and {y.dim} give a space of dimension "
+                              f"{x.dim * y.dim}, above {cio.MAX_DIM}")
+        return fn(job, x, y)
+    return guarded
+
+
 def _duality(job, v, w):
     rep = duality_check(v, w)
     return {"cohom_dim": rep.cohom_dim, "hom_dim": rep.hom_dim,
@@ -197,13 +208,13 @@ COMMANDS = {
     "verify": Command("check the axioms of a serialized object",
                       (("input", cio.detect_and_load),), _verify),
     "hom": Command("dimension of the comodule hom space", _COMODULES,
-                   lambda job, m, n: ({"dim": hom_comodules(m, n).dim}, True)),
+                   _sized(lambda job, m, n: ({"dim": hom_comodules(m, n).dim}, True))),
     "cotensor": Command("cotensor of a right and a left comodule", _COMODULES,
-                        lambda job, m, n: ({"dim": cotensor(m, n).dim}, True)),
+                        _sized(lambda job, m, n: ({"dim": cotensor(m, n).dim}, True))),
     "contratensor": Command("contratensor of a right comodule and a contramodule", _COMODULE_CONTRA,
-                            lambda job, m, b: ({"dim": contratensor(m, b).dim}, True)),
+                            _sized(lambda job, m, b: ({"dim": contratensor(m, b).dim}, True))),
     "cohom": Command("Cohom of a left comodule and a contramodule", _COMODULE_CONTRA,
-                     lambda job, m, b: ({"dim": cohom(m, b).dim}, True)),
+                     _sized(lambda job, m, b: ({"dim": cohom(m, b).dim}, True))),
     "induce": Command("induce a contramodule along a surjection",
                       (("--rho", _rho), ("--W", cio.contramodule_from_json)), _induce),
     "adjoint-check": Command("induction/restriction adjunction report",
@@ -213,7 +224,8 @@ COMMANDS = {
                          (("--rho", _rho), ("[--ses]", _ses_from_json)), _exactness,
                          (("--samples", 10),)),
     "duality": Command("Cohom against the dual hom space",
-                       (("--V", cio.comodule_from_json), ("--W", cio.comodule_from_json)), _duality),
+                       (("--V", cio.comodule_from_json), ("--W", cio.comodule_from_json)),
+                       _sized(_duality)),
     "tower": Command("stabilization table for the twisted tensor tower",
                      (("--battery", _battery),), _tower,
                      (("--p", None), ("--lambda", None), ("--mmax", None))),

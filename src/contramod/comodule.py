@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalgebra import Coalgebra, Verdict
-from .linalg import Subspace, equalizer, kernel, quotient_by_image, split_solve
+from .linalg import Coequalizer, Subspace, equalizer, kernel, quotient_by_image, split_solve
 from .matrix import Mat, kron, map_of_vec
 
 
@@ -131,10 +131,10 @@ def comodule_over_self(c: Coalgebra, side: str = "left") -> Comodule:
     return Comodule(c, side, c.dim, c.delta, name=f"{c.name or 'C'}-regular")
 
 
-def trivial_comodule(c: Coalgebra, grouplike_vec: dict, side: str = "left") -> Comodule:
-    """One-dimensional comodule along a grouplike element."""
+def trivial_comodule(c: Coalgebra, grouplike_vec: dict) -> Comodule:
+    """One-dimensional left comodule along a grouplike element."""
     coact = Mat.column(grouplike_vec, c.dim, c.field)
-    return Comodule(c, side, 1, coact, name="trivial")
+    return Comodule(c, "left", 1, coact, name="trivial")
 
 
 def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
@@ -274,11 +274,15 @@ def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
     """Quotient by a subcomodule; returns (M/sub, projection)."""
     coeq = quotient_by_image(sub)
-    q = coeq.quotient_map
+    return _descend_coaction(m, coeq), coeq.quotient_map
+
+
+def _descend_coaction(m: Comodule, coeq: Coequalizer) -> Comodule:
+    """M/sub, for coeq the quotient of M's carrier by a subcomodule sub."""
     # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub
-    coact = coeq.descend(kron(Mat.identity(m.coalgebra.dim, m.field), q) @ _left_coaction(m),
-                         "subspace is not a subcomodule")
-    return _from_left(m.coalgebra, m.side, coeq.dim, coact, f"{m.name}/sub"), q
+    lifted = kron(Mat.identity(m.coalgebra.dim, m.field), coeq.quotient_map) @ _left_coaction(m)
+    coact = coeq.descend(lifted, "subspace is not a subcomodule")
+    return _from_left(m.coalgebra, m.side, coeq.dim, coact, f"{m.name}/sub")
 
 
 # -- injectivity ----------------------------------------------------------------

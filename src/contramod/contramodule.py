@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
-from .linalg import Coequalizer, Subspace, coequalizer, exactness_failures, rank, split_solve
+from .linalg import Coequalizer, Subspace, exactness_failures, quotient_by_image, rank, split_solve
 from .matrix import Mat, kron
 
 
@@ -159,43 +159,41 @@ def quotient_contramodule(b: Contramodule, sub: Subspace) -> tuple[Contramodule,
 # -- contratensor and Cohom -------------------------------------------------------
 
 
-def cohom_maps(m: Comodule, b: Contramodule) -> tuple[Mat, Mat]:
-    """The coequalizer pair Hom(C (x) M, B) -> Hom(M, B) defining Cohom:
-    precomposition with the coaction against the contra-action.
+def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
+    """Cohom as the quotient of Hom(M, B) = M* (x) B by the relations
+    f(x) - g(x), where f and g: Hom(C (x) M, B) -> Hom(M, B) precompose with
+    the coaction and apply the contra-action.
 
-    Both maps are written entry by entry.  With dm = dim M, db = dim B and
-    coaction row r = c*dm + i:
-
-        f[k*db + beta, r*db + beta] = coaction[r, k]
-        g[i*db + beta', (c*dm + i)*db + beta] = theta[beta', c*db + beta]
+    The relation columns are written entry by entry.  With dm = dim M,
+    db = dim B and coaction row r = c*dm + i, the column for
+    x = r*db + beta holds coaction[r, k] at row k*db + beta, minus
+    theta[beta', c*db + beta] at row i*db + beta'.
     """
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
     if m.side != "left":
         raise ValueError("cohom needs a left comodule")
-    n, dm, db = m.coalgebra.dim, m.dim, b.dim
-    f_data = {}
+    dm, db, fld = m.dim, b.dim, m.field
+    zero = fld.zero()
+    cols: dict = {}
     for (r, k), v in m.coaction.data.items():
         for beta in range(db):
-            f_data[(k * db + beta, r * db + beta)] = v
-    # theta's entries once, as (beta', column of g at i = 0, value)
+            cols.setdefault(r * db + beta, {})[k * db + beta] = v
+    # theta's entries once, as (beta', column at i = 0, value)
     theta = []
     for (bp, idx), v in b.theta.data.items():
         c, beta = divmod(idx, db)
         theta.append((bp, c * dm * db + beta, v))
-    g_data = {}
     for i in range(dm):
         off = i * db
-        for bp, col, v in theta:
-            g_data[(off + bp, off + col)] = v
-    rows, cols = dm * db, n * dm * db
-    return Mat(rows, cols, m.field, f_data), Mat(rows, cols, m.field, g_data)
-
-
-def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
-    """Cohom as a quotient of Hom(M, B) = M* (x) B."""
-    f_map, g_map = cohom_maps(m, b)
-    return coequalizer(f_map, g_map)
+        for bp, x, v in theta:
+            col, row = cols.setdefault(off + x, {}), off + bp
+            s = fld.sub(col.get(row, zero), v)
+            if s == 0:
+                col.pop(row, None)
+            else:
+                col[row] = s
+    return quotient_by_image(Subspace.from_columns(dm * db, fld, cols.values()))
 
 
 def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:
@@ -271,8 +269,9 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     equalizer).  Cohom is a quotient of V* (x) W, index x*dim W + y, and
     Hom(W, V) a subspace of W* (x) V, index y*dim V + x; with the Hom basis
     reindexed to the first layout the trace pairing is a plain dot product.
-    It must annihilate the coequalizer relations and have full rank on the
-    section representatives.
+    Hom(W, V) is the equalizer of the transposes of the two maps whose
+    coequalizer is Cohom, so the pairing kills Cohom's relations for any
+    coaction data, and it is well defined on the section representatives.
     """
     if v.side != "left" or w.side != "left":
         raise ValueError("duality check needs left comodules")
@@ -281,6 +280,4 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     dv, dw = v.dim, w.dim
     hom_basis = Mat(dv * dw, hom.dim, v.field,
                     {((i % dv) * dw + i // dv, s): val for (i, s), val in hom.basis.data.items()})
-    if not (co.image_subspace.basis.transpose() @ hom_basis).is_zero():
-        return DualityReport(co.dim, hom.dim, -1)
     return DualityReport(co.dim, hom.dim, rank(co.section.transpose() @ hom_basis))

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .coalgebra import CoalgebraMorphism, Verdict
-from .comodule import Comodule
+from .comodule import Comodule, _descend_coaction
 from .contramodule import (
-    Contramodule, ExactnessVerdict, check_contramodule, cohom_maps, free_contramodule,
-    hom_contra, hom_contra_basis_maps, is_contra_map, quotient_contramodule,
+    Contramodule, ExactnessVerdict, _as_comodule, check_contramodule, cohom, contra_from_comodule,
+    free_contramodule, hom_contra, hom_contra_basis_maps, is_contra_map,
 )
-from .linalg import Coequalizer, coequalizer, exactness_failures, rank
+from .linalg import Coequalizer, exactness_failures, rank
 from .matrix import Mat, kron
 
 
@@ -40,25 +40,13 @@ def restrict(rho: CoalgebraMorphism, v: Contramodule) -> Contramodule:
     return Contramodule(rho.target, v.dim, theta, name=f"{v.name}|res")
 
 
-def comodule_along(rho: CoalgebraMorphism, side: str = "left") -> Comodule:
-    """The source coalgebra as a comodule over the target, via
-    (rho (x) id) o Delta (left) or (id (x) rho) o Delta (right)."""
+def comodule_along(rho: CoalgebraMorphism) -> Comodule:
+    """The source coalgebra as a left comodule over the target, via
+    (rho (x) id) o Delta."""
     _require_surjective(rho)
     c = rho.source
-    eye = Mat.identity(c.dim, c.field)
-    if side == "left":
-        coact = kron(rho.matrix, eye) @ c.delta
-    else:
-        coact = kron(eye, rho.matrix) @ c.delta
-    return Comodule(rho.target, side, c.dim, coact, name=f"{c.name or 'C'}-over-{rho.target.name or 'D'}")
-
-
-def build_f_g(rho: CoalgebraMorphism, w: Contramodule) -> tuple[Mat, Mat]:
-    """The coequalizer pair Hom(D (x) C, W) -> Hom(C, W) whose quotient is
-    the induced contramodule."""
-    if w.coalgebra != rho.target:
-        raise ValueError("contramodule does not live over the target coalgebra")
-    return cohom_maps(comodule_along(rho, side="left"), w)
+    coact = kron(rho.matrix, Mat.identity(c.dim, c.field)) @ c.delta
+    return Comodule(rho.target, "left", c.dim, coact, name=f"{c.name or 'C'}-over-{rho.target.name or 'D'}")
 
 
 @dataclass
@@ -72,11 +60,15 @@ class InductionResult:
 
 
 def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
-    """Induction along a surjective coalgebra map, with its free presentation."""
-    _require_surjective(rho)
-    coeq = coequalizer(*build_f_g(rho, w))
-    quot, _ = quotient_contramodule(free_contramodule(rho.source, w.dim), coeq.image_subspace)
-    induced = replace(quot, name=f"ind({w.name})")
+    """Induction along a surjective coalgebra map, with its free presentation:
+    Cohom_D(C, W), whose quotient of Hom(C, W) also carries the free
+    contramodule on W's carrier down to the induced contramodule."""
+    c_over_d = comodule_along(rho)
+    if w.coalgebra != rho.target:
+        raise ValueError("contramodule does not live over the target coalgebra")
+    coeq = cohom(c_over_d, w)
+    free = _as_comodule(free_contramodule(rho.source, w.dim))
+    induced = replace(contra_from_comodule(_descend_coaction(free, coeq)), name=f"ind({w.name})")
     verdict = check_contramodule(induced)
     if not verdict.ok:
         raise AssertionError(f"induced object fails axioms: {verdict.failures}")

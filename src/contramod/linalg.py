@@ -432,25 +432,10 @@ def equalizer(f: Mat, g: Mat) -> Subspace:
 
 
 def coequalizer(f: Mat, g: Mat) -> Coequalizer:
-    """Quotient of the common codomain by Im(f - g).  The columns of f - g
-    are formed one by one, g's entries subtracted into f's columns, so the
-    difference never exists as a matrix."""
+    """Quotient of the common codomain by Im(f - g); f and g must have
+    identical shapes."""
     if f.rows != g.rows or f.cols != g.cols:
         raise ValueError(
             f"coequalizer shape mismatch: {f.rows}x{f.cols} vs {g.rows}x{g.cols}"
         )
-    if f.field != g.field:
-        raise ValueError("field mismatch")
-    fld = f.field
-    zero = fld.zero()
-    cols = f.columns()
-    for (i, j), v in g.data.items():
-        col = cols.get(j)
-        if col is None:
-            col = cols[j] = {}
-        s = fld.sub(col.get(i, zero), v)
-        if s == 0:
-            col.pop(i, None)
-        else:
-            col[i] = s
-    return quotient_by_image(Subspace.from_columns(f.rows, fld, cols.values()))
+    return quotient_by_image(image(f - g))

@@ -406,6 +406,34 @@ def test_cli_tower_refuses_battery_modules_above_max_dim(tmp_path, capsys, monke
     assert json.loads(capsys.readouterr().out)["error"] == "battery_module reached"
 
 
+@pytest.mark.parametrize("command", ["hom", "cotensor", "cohom", "contratensor", "duality"])
+def test_cli_two_object_jobs_refuse_spaces_above_max_dim(command, tmp_path, capsys):
+    """Each of these jobs works in the flattened space X* (x) Y: above
+    io.MAX_DIM entries it exits 2, naming both dims, before anything is
+    built; at exactly io.MAX_DIM it runs."""
+    def obj(kind, dim):
+        body = {"coalgebra": "grouplike(1)", "dim": dim}
+        if kind == "contramodule":
+            return {**body, "theta": []}
+        return {**body, "side": kind, "coaction": []}
+
+    first, second = {"hom": ("left", "left"), "cotensor": ("right", "left"),
+                     "cohom": ("left", "contramodule"), "contratensor": ("right", "contramodule"),
+                     "duality": ("left", "left")}[command]
+    for dims, code in (((65, 64), 2), ((64, 64), 0)):
+        x = _write(tmp_path, "x.json", obj(first, dims[0]))
+        y = _write(tmp_path, "y.json", obj(second, dims[1]))
+        files = ["--V", x, "--W", y] if command == "duality" else [x, y]
+        argv = ["--field", "Fp:2", command, *files]
+        assert _within_one_second(lambda: main(argv)) == code
+        report = json.loads(capsys.readouterr().out)
+        if code == 2:
+            assert report["error"] == (f"{command}: dims 65 and 64 give a space of dimension 4160, "
+                                       "above 4096")
+        else:
+            assert "error" not in report
+
+
 def test_cli_caps_samples_before_drawing(tmp_path, capsys, monkeypatch):
     rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(divided_power_surjection(GF2, 3, 2, 2)))
 
