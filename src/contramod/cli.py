@@ -8,7 +8,8 @@ the ``JobSpec`` built by ``main`` and the loading in ``run`` all read it.
 
 Exit codes: 0 when every asserted check passes, 1 on a check failure, 2 on
 an input/schema error, including the library's ``ValueError`` for inputs
-over different coalgebras.  Reports are deterministic for a fixed seed;
+over different coalgebras, and on a report that cannot be written to
+``--out``.  Reports are deterministic for a fixed seed;
 --pretty only re-indents the identical payload.
 """
 
@@ -18,7 +19,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, NamedTuple
 
 from . import io as cio
@@ -57,8 +58,12 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}") from None
+    except OSError as e:
+        raise SchemaError(f"{path}: cannot read input: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to parse") from None
 
 
 # -- loaders: (JSON data, field) -> object ---------------------------------------
@@ -109,19 +114,38 @@ def _verify(job, obj):
     return {"kind": kind, "ok": verdict.ok, "failures": verdict.failures}, verdict.ok
 
 
+def _check_size(job, dims: str, size: int):
+    """Refuse a job, before it builds anything, whose largest flattened space
+    has dimension above ``io.MAX_DIM``, the rule the tower applies to its
+    Cohoms."""
+    if size > cio.MAX_DIM:
+        raise SchemaError(f"{job.command}: {dims} give a space of dimension {size}, above {cio.MAX_DIM}")
+
+
 def _induce(job, rho, w):
+    # inducing W along rho: C -> D works in Hom(C, W) = C* (x) W
+    c = rho.source.dim
+    _check_size(job, f"dim C {c} and dim W {w.dim}", c * w.dim)
     # induce asserts the contramodule axioms of what it returns
     res = induce(rho, w)
     return {"dim_W": w.dim, "dim_induced": res.dim, "axioms_ok": True}, True
 
 
 def _adjoint_check(job, rho, w, v):
+    # Hom(Ind W, V) lies inside Hom(C* (x) W, V)
+    c = rho.source.dim
+    _check_size(job, f"dim C {c}, dim W {w.dim} and dim V {v.dim}", c * w.dim * v.dim)
     rep = adjunction_check(rho, w, v)
     dims = {"lhs_dim": rep.lhs_dim, "rhs_dim": rep.rhs_dim}
     return {"adjunction": dims, "roundtrip_ok": rep.roundtrip_ok}, rep.ok
 
 
 def _exactness(job, rho, ses):
+    # the middle term is the largest one induced; random_contra_ses draws
+    # middle terms of dim at most 2 dim D
+    c = rho.source.dim
+    what, mid = ("dim mid", ses.mid.dim) if ses is not None else ("drawn dim mid up to", 2 * rho.target.dim)
+    _check_size(job, f"dim C {c} and {what} {mid}", c * mid)
     probes = [ses]
     if ses is None:
         from .randomgen import random_contra_ses
@@ -150,12 +174,9 @@ def _exactness(job, rho, ses):
 
 
 def _sized(fn):
-    """A two-object job, refused when its flattened space X* (x) Y has more
-    than ``io.MAX_DIM`` entries, the rule the tower applies to its Cohoms."""
+    """A two-object job, which works in the flattened space X* (x) Y."""
     def guarded(job, x, y):
-        if x.dim * y.dim > cio.MAX_DIM:
-            raise SchemaError(f"{job.command}: dims {x.dim} and {y.dim} give a space of dimension "
-                              f"{x.dim * y.dim}, above {cio.MAX_DIM}")
+        _check_size(job, f"dims {x.dim} and {y.dim}", x.dim * y.dim)
         return fn(job, x, y)
     return guarded
 
@@ -295,7 +316,12 @@ def main(argv=None) -> int:
     # what is left in args are the global flags given on the command line
     job = JobSpec(command, {k: v for k, v in inputs.items() if v is not None}, params=params, **args)
     code, report = run(job)
-    _emit(job, report)
+    try:
+        _emit(job, report)
+    except OSError as e:
+        error = f"cannot write the report to {job.out}: {e.strerror or e}"
+        _emit(replace(job, out=None), {"command": job.command, "seed": job.seed, "error": error})
+        return EXIT_INPUT_ERROR
     return code
 
 

@@ -3,8 +3,8 @@ duals, injectivity and head/radical structure.
 
 A left comodule of dimension m over an n-dimensional coalgebra stores its
 coaction as an (n*m) x m matrix, row index c*m + i meaning e_c (x) e_i; a
-right comodule uses shape (m*n) x m with row index i*n + c.  Hom spaces are
-cut out by one equalizer in the flattened space M* (x) N.
+right comodule uses shape (m*n) x m with row index i*n + c.  Hom(M, N) is
+the kernel of one system on M* (x) N, written from the coaction entries.
 
 Every construction runs once, on the left layout: a right C-comodule is a
 left C^cop-comodule once its coaction rows are reindexed.  The reindexing
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalgebra import Coalgebra, Verdict
-from .linalg import Coequalizer, Subspace, equalizer, kernel, quotient_by_image, split_solve
+from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
 from .matrix import Mat, kron, map_of_vec
 
 
@@ -169,27 +169,27 @@ def dual_comodule(m: Comodule) -> Comodule:
 # -- hom spaces and cotensor --------------------------------------------------
 
 
-def _hom_equations(x: Comodule, y: Comodule) -> tuple[Mat, Mat]:
-    """The pair F -> coaction_Y o F and F -> (Id_C (x) F) o coaction_X on
-    X* (x) Y, in left layout; Hom(X, Y) is their equalizer."""
+def _hom_system(x: Comodule, y: Comodule) -> Mat:
+    """Hom(X, Y) is the kernel of F -> coaction_Y o F - (Id_C (x) F) o coaction_X
+    on X* (x) Y, in left layout.  Column v*yd + w holds coaction_Y[r, w] at row
+    v*n*yd + r, minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w."""
     if x.coalgebra != y.coalgebra:
         raise ValueError("coalgebra mismatch")
     if x.side != y.side:
         raise ValueError("side mismatch")
-    n, xd, yd = x.coalgebra.dim, x.dim, y.dim
-    lhs = kron(Mat.identity(xd, x.field), _left_coaction(y))
-    # the keys are distinct, so the entries go straight into the dict
-    data = {}
+    n, xd, yd, fld = x.coalgebra.dim, x.dim, y.dim, x.field
+    zero, coact_y = fld.zero(), _left_coaction(y).data.items()
+    data = {(v * n * yd + r, v * yd + w): val for v in range(xd) for (r, w), val in coact_y}
     for (idx, vcol), val in _left_coaction(x).data.items():
-        cc, v = divmod(idx, xd)
+        row, col = vcol * n * yd + idx // xd * yd, idx % xd * yd
         for w in range(yd):
-            data[(vcol * n * yd + cc * yd + w, v * yd + w)] = val
-    return lhs, Mat(xd * n * yd, xd * yd, x.field, data)
+            data[row + w, col + w] = fld.sub(data.get((row + w, col + w), zero), val)
+    return Mat(xd * n * yd, xd * yd, fld, {key: s for key, s in data.items() if s != 0})
 
 
 def hom_comodules(m: Comodule, n_mod: Comodule) -> Subspace:
     """All comodule maps M -> N as a subspace of M* (x) N."""
-    return equalizer(*_hom_equations(m, n_mod))
+    return kernel(_hom_system(m, n_mod))
 
 
 def hom_basis_maps(m: Comodule, n_mod: Comodule, sub: Subspace | None = None) -> list[Mat]:
@@ -296,9 +296,8 @@ def is_injective(m: Comodule) -> tuple[bool, Mat | None]:
     admits a comodule retraction, found by one linear solve.
     """
     amb = cofree(m.coalgebra, m.dim, side=m.side)
-    lhs, rhs = _hom_equations(amb, m)
     # the coaction, as stored, is the embedding of M into amb's carrier
-    retraction = split_solve(lhs - rhs, Mat.identity(m.dim, m.field), m.coaction)
+    retraction = split_solve(_hom_system(amb, m), Mat.identity(m.dim, m.field), m.coaction)
     return retraction is not None, retraction
 
 

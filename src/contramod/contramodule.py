@@ -212,8 +212,8 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
     contra-homomorphism from the free contramodule on the carrier of B onto
     B, and B is projective iff it admits a contra-homomorphism section."""
     free = free_contramodule(b.coalgebra, b.dim)
-    lhs, rhs = comodule._hom_equations(_as_comodule(b), _as_comodule(free))
-    section = split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, b.field))
+    system = comodule._hom_system(_as_comodule(b), _as_comodule(free))
+    section = split_solve(system, b.theta, Mat.identity(b.dim, b.field))
     return section is not None, section
 
 

@@ -434,6 +434,89 @@ def test_cli_two_object_jobs_refuse_spaces_above_max_dim(command, tmp_path, caps
             assert "error" not in report
 
 
+def _grouplike_rho(n, d):
+    """grouplike(n) -> grouplike(d), g_i -> g_(i mod d), as JSON."""
+    entries = [[i % d, i, "1"] for i in range(n)]
+    return {"source": f"grouplike({n})", "target": f"grouplike({d})",
+            "matrix": {"rows": d, "cols": n, "entries": entries}, "surjective": True}
+
+
+def _trivial_contra(name, dim):
+    """k^dim with theta evaluating at the first grouplike, as JSON."""
+    return {"coalgebra": name, "dim": dim, "theta": [[0, i, i, "1"] for i in range(dim)]}
+
+
+def _ses_over_point(mid):
+    """0 -> k -> k^mid -> k^(mid-1) -> 0 over grouplike(1), as JSON."""
+    return {"sub": _trivial_contra("grouplike(1)", 1), "mid": _trivial_contra("grouplike(1)", mid),
+            "quot": _trivial_contra("grouplike(1)", mid - 1),
+            "incl": {"rows": mid, "cols": 1, "entries": [[0, 0, "1"]]},
+            "proj": {"rows": mid - 1, "cols": mid, "entries": [[i, i + 1, "1"] for i in range(mid - 1)]}}
+
+
+# per induction job: its inputs at a size s, the refusal at s + 1, and the
+# size s at which the bounded quantity is exactly io.MAX_DIM
+INDUCTION_SIZES = {
+    "induce": (lambda s: {"--rho": _grouplike_rho(64, 1), "--W": _trivial_contra("grouplike(1)", s)},
+               "induce: dim C 64 and dim W 65 give a space of dimension 4160, above 4096", 64),
+    "adjoint-check": (lambda s: {"--rho": _grouplike_rho(16, 1), "--W": _trivial_contra("grouplike(1)", 16),
+                                 "--V": _trivial_contra("grouplike(16)", s)},
+                      "adjoint-check: dim C 16, dim W 16 and dim V 17 give a space of dimension 4352, "
+                      "above 4096", 16),
+    "exactness": (lambda s: {"--rho": _grouplike_rho(64, 1), "--ses": _ses_over_point(s)},
+                  "exactness: dim C 64 and dim mid 65 give a space of dimension 4160, above 4096", 64),
+    "sampled": (lambda s: {"--rho": _grouplike_rho(s, 32)},
+                "exactness: dim C 65 and drawn dim mid up to 64 give a space of dimension 4160, "
+                "above 4096", 64),
+}
+
+
+@pytest.mark.parametrize("job", list(INDUCTION_SIZES))
+def test_cli_induction_jobs_refuse_spaces_above_max_dim(job, tmp_path, capsys, monkeypatch):
+    """Each job that induces is refused, naming the dims, before anything is
+    induced or drawn when its space is above io.MAX_DIM; at exactly
+    io.MAX_DIM it reaches induction."""
+    for name in ("contramod.cli.induce", "contramod.functors.induce", "contramod.randomgen.random_contra_ses"):
+        def reached(*args, name=name):
+            raise ValueError(f"{name} reached")
+
+        monkeypatch.setattr(name, reached)
+    inputs, refusal, size = INDUCTION_SIZES[job]
+    for s, error in ((size + 1, refusal), (size, None)):
+        files = [x for flag, payload in inputs(s).items()
+                 for x in (flag, _write(tmp_path, f"{flag[2:]}.json", payload))]
+        argv = ["exactness" if job == "sampled" else job, *files]
+        assert _within_one_second(lambda: main(argv)) == 2
+        reported = json.loads(capsys.readouterr().out)["error"]
+        if error is not None:
+            assert reported == error
+        else:
+            assert reported.endswith(" reached") and "give a space" not in reported
+
+
+def test_cli_input_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith(f"{tmp_path}: cannot read input")
+
+
+def test_cli_json_nested_past_the_parser_limit_exits_2(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
+    assert main(["verify", str(nested)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == f"{nested}: JSON nested too deeply to parse"
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    """A report that cannot be written is an error report on stdout that
+    names the path, with exit 2."""
+    c = _write(tmp_path, "c.json", cio.coalgebra_to_json(grouplike(QQ, 3)))
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert main(["--out", str(out), "verify", c]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "verify" and str(out) in report["error"]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_caps_samples_before_drawing(tmp_path, capsys, monkeypatch):
     rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(divided_power_surjection(GF2, 3, 2, 2)))
 

@@ -1,5 +1,6 @@
 """The structure maps written by index arithmetic against their Kronecker
-product formulas, cotensor, contratensor and induction (built from Hom,
+product formulas, the Hom system against the Kronecker pair whose
+difference it is, cotensor, contratensor and induction (built from Hom,
 Cohom and the quotient contramodule) against their own Kronecker formulas,
 the coequalizer against the quotient by the image of f - g, the
 contramodule operations that run on the comodule code against their direct
@@ -18,7 +19,8 @@ from contramod.coalgebra import (
     Coalgebra, check_coalgebra, divided_power_dual, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
-    Comodule, cotensor, dual_comodule, hom_basis_maps, quotient_comodule, sub_comodule,
+    Comodule, check_comodule, cofree, cotensor, dual_comodule, hom_basis_maps, hom_comodules,
+    is_injective, quotient_comodule, sub_comodule,
 )
 from contramod.contramodule import (
     Contramodule, check_contramodule, cohom, duality_check,
@@ -314,6 +316,63 @@ def test_contra_homs_match_kron_equations(field):
         assert (flag, section) == kron_is_projective(b)
         if flag:
             assert b.theta @ section == Mat.identity(b.dim, field)
+
+
+def kron_hom_pair(x, y):
+    """The pair F -> coaction_Y o F, a Kronecker product with an identity, and
+    F -> (Id_C (x) F) o coaction_X on X* (x) Y, in left layout; Hom(X, Y) is
+    their equalizer."""
+    n, xd, yd = x.coalgebra.dim, x.dim, y.dim
+    lhs = kron(Mat.identity(xd, x.field), comodule._left_coaction(y))
+    data = {}
+    for (idx, vcol), val in comodule._left_coaction(x).data.items():
+        cc, v = divmod(idx, xd)
+        for w in range(yd):
+            data[(vcol * n * yd + cc * yd + w, v * yd + w)] = val
+    return lhs, Mat(xd * n * yd, xd * yd, x.field, data)
+
+
+def kron_is_injective(m):
+    amb = cofree(m.coalgebra, m.dim, side=m.side)
+    lhs, rhs = kron_hom_pair(amb, m)
+    retraction = split_solve(lhs - rhs, Mat.identity(m.dim, m.field), m.coaction)
+    return retraction is not None, retraction
+
+
+def mutate_coaction(rng, m):
+    """m with one random coaction entry moved by a nonzero scalar, redrawn
+    until the result is not a comodule."""
+    f = m.field
+    while True:
+        key = (rng.randrange(m.coaction.rows), rng.randrange(m.dim))
+        data = dict(m.coaction.data)
+        data[key] = f.add(data.get(key, f.zero()), f.random(rng, nonzero=True))
+        coact = Mat(m.coaction.rows, m.dim, f, {k: v for k, v in data.items() if v != 0})
+        bad = Comodule(m.coalgebra, m.side, m.dim, coact, name=f"{m.name}~")
+        if not check_comodule(bad).ok:
+            return bad
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_hom_system_matches_kron_pair(field, side):
+    rng = random.Random(818 if side == "left" else 828)
+    for c in small_coalgebras(field):
+        for _ in range(4):
+            x, y = random_comodule(rng, c, side=side), random_comodule(rng, c, side=side)
+            bad = mutate_coaction(rng, y)
+            for a, b in ((x, y), (y, x), (x, x), (x, bad), (bad, x), (bad, bad)):
+                lhs, rhs = kron_hom_pair(a, b)
+                assert comodule._hom_system(a, b) == lhs - rhs
+                assert hom_comodules(a, b) == equalizer(lhs, rhs)
+            for m in (x, bad):
+                flag, retraction = is_injective(m)
+                assert (flag, retraction) == kron_is_injective(m)
+                if flag:
+                    assert retraction @ m.coaction == Mat.identity(m.dim, field)
+        other = random_comodule(rng, c, side="right" if side == "left" else "left")
+        with pytest.raises(ValueError, match="side mismatch"):
+            hom_comodules(x, other)
 
 
 @pytest.mark.parametrize("field", FIELDS)
