@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
 from .linalg import rank
-from .matrix import Mat
+from .matrix import Mat, kron
 
 
 @dataclass
@@ -131,13 +131,24 @@ class CoalgebraMorphism:
             raise ValueError("morphism matrix shape mismatch")
 
 
+def _push_delta(r: Mat, c: Coalgebra) -> Mat:
+    """(r (x) Id_C) o Delta_C by index arithmetic: Delta_C[i*n + j, k] goes to
+    row d*n + j with weight r[d, i]."""
+    f, n = c.field, c.dim
+    r_cols, zero, data = r.columns(), f.zero(), {}
+    for (idx, k), v in c.delta.data.items():
+        i, j = divmod(idx, n)
+        for d, w in r_cols.get(i, {}).items():
+            data[d * n + j, k] = f.add(data.get((d * n + j, k), zero), f.mul(w, v))
+    return Mat(r.rows * n, n, f, {key: s for key, s in data.items() if s != 0})
+
+
 def check_morphism(rho: CoalgebraMorphism) -> Verdict:
-    """Compatibility with comultiplication and counit; surjectivity flag."""
+    """Compatibility with comultiplication and counit; surjectivity flag.
+    (r (x) r) o Delta_C is written as (Id_D (x) r) o (r (x) Id_C) o Delta_C."""
     c, d, r = rho.source, rho.target, rho.matrix
     failures = []
-    lhs = d.delta @ r
-    rhs = r.kron(r) @ c.delta
-    if lhs != rhs:
+    if d.delta @ r != kron(Mat.identity(d.dim, d.field), r) @ _push_delta(r, c):
         failures.append("comultiplication-compatibility")
     if d.epsilon @ r != c.epsilon:
         failures.append("counit-compatibility")

@@ -279,8 +279,15 @@ def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
 
 def _descend_coaction(m: Comodule, coeq: Coequalizer) -> Comodule:
     """M/sub, for coeq the quotient of M's carrier by a subcomodule sub."""
-    # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub
-    lifted = kron(Mat.identity(m.coalgebra.dim, m.field), coeq.quotient_map) @ _left_coaction(m)
+    # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub;
+    # coaction row c*dim + i goes to row c*qdim + s with weight q[s, i]
+    f, md, qd = m.field, m.dim, coeq.dim
+    q_cols, zero, lifted = coeq.quotient_map.columns(), f.zero(), {}
+    for (idx, k), v in _left_coaction(m).data.items():
+        c, i = divmod(idx, md)
+        for s, w in q_cols.get(i, {}).items():
+            lifted[c * qd + s, k] = f.add(lifted.get((c * qd + s, k), zero), f.mul(w, v))
+    lifted = Mat(m.coalgebra.dim * qd, md, f, {key: s for key, s in lifted.items() if s != 0})
     coact = coeq.descend(lifted, "subspace is not a subcomodule")
     return _from_left(m.coalgebra, m.side, coeq.dim, coact, f"{m.name}/sub")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .coalgebra import CoalgebraMorphism, Verdict
+from .coalgebra import CoalgebraMorphism, Verdict, _push_delta
 from .comodule import Comodule, _descend_coaction
 from .contramodule import (
     Contramodule, ExactnessVerdict, _as_comodule, check_contramodule, cohom, contra_from_comodule,
@@ -45,8 +45,8 @@ def comodule_along(rho: CoalgebraMorphism) -> Comodule:
     (rho (x) id) o Delta."""
     _require_surjective(rho)
     c = rho.source
-    coact = kron(rho.matrix, Mat.identity(c.dim, c.field)) @ c.delta
-    return Comodule(rho.target, "left", c.dim, coact, name=f"{c.name or 'C'}-over-{rho.target.name or 'D'}")
+    return Comodule(rho.target, "left", c.dim, _push_delta(rho.matrix, c),
+                    name=f"{c.name or 'C'}-over-{rho.target.name or 'D'}")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from a single seed.
 
 from __future__ import annotations
 
-from .coalgebra import Coalgebra, CoalgebraMorphism, _add_into, dual_of_algebra
+from .coalgebra import Coalgebra, CoalgebraMorphism, _push_delta
 from .comodule import Comodule, cofree, comodule_closure, quotient_comodule, sub_comodule
 from .contramodule import (
     Contramodule, contra_closure, free_contramodule, quotient_contramodule,
@@ -16,7 +16,7 @@ from .contramodule import (
 )
 from .functors import ShortExactSeq
 from .linalg import Subspace
-from .matrix import Mat
+from .matrix import Mat, kron
 
 
 def random_vector(rng, dim, field, max_support=4) -> dict:
@@ -39,12 +39,7 @@ def random_subalgebra(rng, c: Coalgebra, tries: int = 2) -> Subspace:
         cols = sub.basis_columns()
         for x in cols:
             for y in cols:
-                xy = {}
-                for i, vx in x.items():
-                    for j, vy in y.items():
-                        prod = mult.apply({i * n + j: f.mul(vx, vy)})
-                        for k, v in prod.items():
-                            _add_into(xy, k, v, f)
+                xy = mult.apply({i * n + j: f.mul(vx, vy) for i, vx in x.items() for j, vy in y.items()})
                 if xy and not sub.contains(xy):
                     extra.append(xy)
         if not extra:
@@ -55,36 +50,18 @@ def random_subalgebra(rng, c: Coalgebra, tries: int = 2) -> Subspace:
 def random_surjection(rng, c: Coalgebra) -> CoalgebraMorphism:
     """Surjective coalgebra map out of C: dualize a random subalgebra of C*.
 
-    The target is the dual coalgebra of the subalgebra in its canonical
-    basis, and the map is restriction of functionals.
+    The map rho is restriction of functionals to the subalgebra's canonical
+    basis.  The section sigma of rho picks the basis's pivot rows, so the
+    target's structure is read off C's: Delta = (rho (x) rho) o Delta_C o sigma
+    and epsilon = epsilon_C o sigma.
     """
     f = c.field
     sub = random_subalgebra(rng, c)
     k = sub.dim
-    n = c.dim
-    basis = sub.basis  # n x k, columns = chosen basis of the subalgebra
-    mult_c = c.delta.transpose()
-    # structure constants of the subalgebra in its basis
-    entries = []
-    for s in range(k):
-        for t in range(k):
-            prod = {}
-            for i, vx in basis.col(s).items():
-                for j, vy in basis.col(t).items():
-                    hit = mult_c.apply({i * n + j: f.mul(vx, vy)})
-                    for kk, v in hit.items():
-                        _add_into(prod, kk, v, f)
-            coords = sub.coords(prod)
-            if coords is None:
-                raise AssertionError("subalgebra not closed")
-            for u, v in coords.items():
-                entries.append((u, s * k + t, v))
-    mult_sub = Mat.from_entries(k, k * k, f, entries)
-    unit_coords = sub.coords(dict(c.epsilon.row_groups().get(0, {})))
-    unit = Mat.from_entries(k, 1, f, [(u, 0, v) for u, v in unit_coords.items()])
-    target = dual_of_algebra(mult_sub, unit, name=f"dual-sub({k})")
-    # rho: C -> target, c |-> (alpha |-> alpha(c)): matrix rows = basis values
-    rho = basis.transpose()
+    rho = sub.basis.transpose()
+    sigma = Mat(c.dim, k, f, {(p, t): f.one() for t, p in enumerate(sub.pivots)})
+    delta = kron(Mat.identity(k, f), rho) @ (_push_delta(rho, c) @ sigma)
+    target = Coalgebra(f, k, delta, c.epsilon @ sigma, name=f"dual-sub({k})")
     return CoalgebraMorphism(c, target, rho, surjective=True)
 
 

@@ -369,16 +369,12 @@ def hom_rational(m: RationalComodule, n: RationalComodule) -> Subspace:
     nvars = m.dim * n.dim
     rows: dict = {}
 
-    def row_key(l2, j, mono):
-        return (l2, j, mono)
-
     for (l2, l), poly in n.entries.items():
         # T[l, j] contributes poly to equation (l2, j)
         for j in range(m.dim):
             var = j * n.dim + l
             for mono, c in poly.terms.items():
-                rows.setdefault(row_key(l2, j, mono), {})
-                cur = rows[(l2, j, mono)]
+                cur = rows.setdefault((l2, j, mono), {})
                 cur[var] = (cur.get(var, 0) + c) % m.p
     for (i, j), poly in m.entries.items():
         # -T[l2, i] contributes for every l2
@@ -438,7 +434,8 @@ def reduce_poly_to_kernel(poly: SL2Poly, r: int) -> dict:
 
 def _kernel_delta_factory(p: int, r: int):
     """Comultiplication of k[G_r], built generator by generator in the
-    truncated tensor ring where monomial products are single terms."""
+    truncated tensor ring where monomial products are single terms; the
+    generator coproducts are those of k[SL2], reduced to the kernel basis."""
     q = p ** r
     dim = q * q * q
     field = GF(p)
@@ -468,20 +465,17 @@ def _kernel_delta_factory(p: int, r: int):
                     out.pop(key, None)
         return out
 
+    def reduced_delta(gen):
+        out: dict = {}
+        for (x, y), c in _delta_mono(gen, p).items():
+            for mx, cx in _reduce_mono_kernel(x, p, q):
+                for my, cy in _reduce_mono_kernel(y, p, q):
+                    out[mx, my] = (out.get((mx, my), 0) + c * cx * cy) % p
+        return {key: c for key, c in out.items() if c}
+
     e = (0, 0, 0)
     unit = {(e, e): 1}
-    # d in the truncated basis: a^{q-1}(1 + bc)
-    da = {((0, 0, 1), (0, 0, 1)): 1, ((1, 0, 0), (0, 1, 0)): 1}
-    db = {
-        ((0, 0, 1), (1, 0, 0)): 1,
-        ((1, 0, 0), (0, 0, q - 1)): 1,
-        ((1, 0, 0), (1, 1, q - 1)): 1,
-    }
-    dc = {
-        ((0, 1, 0), (0, 0, 1)): 1,
-        ((0, 0, q - 1), (0, 1, 0)): 1,
-        ((1, 1, q - 1), (0, 1, 0)): 1,
-    }
+    db, dc, da = (reduced_delta(gen) for gen in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
 
     def build():
         entries = []

@@ -494,6 +494,33 @@ def test_cli_induction_jobs_refuse_spaces_above_max_dim(job, tmp_path, capsys, m
             assert reported.endswith(" reached") and "give a space" not in reported
 
 
+@pytest.mark.parametrize("job", ["induce", "adjoint-check"])
+def test_cli_induction_at_max_dim_forms_no_large_kron(job, tmp_path, capsys, monkeypatch):
+    """Along grouplike(4096) -> grouplike(1) with dim W = dim V = 1 both jobs
+    sit exactly at their guard, and run without any Kronecker product of more
+    than io.MAX_DIM entries: loading rho, induction and the adjunction all
+    push Delta and descend the coaction by index arithmetic."""
+    from contramod.matrix import Mat
+
+    kron = Mat.kron
+
+    def capped(a, b):
+        assert a.nnz * b.nnz <= cio.MAX_DIM, f"kron of {a} and {b}"
+        return kron(a, b)
+
+    monkeypatch.setattr(Mat, "kron", capped)
+    inputs = {"--rho": _grouplike_rho(cio.MAX_DIM, 1), "--W": _trivial_contra("grouplike(1)", 1)}
+    if job == "adjoint-check":
+        inputs["--V"] = _trivial_contra(f"grouplike({cio.MAX_DIM})", 1)
+    files = [x for flag, payload in inputs.items() for x in (flag, _write(tmp_path, f"{flag[2:]}.json", payload))]
+    assert main(["--field", "Fp:2", job, *files]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if job == "induce":
+        assert report["dim_induced"] == cio.MAX_DIM and report["axioms_ok"]
+    else:
+        assert report["adjunction"] == {"lhs_dim": 1, "rhs_dim": 1} and report["roundtrip_ok"]
+
+
 def test_cli_input_that_is_a_directory_exits_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"].startswith(f"{tmp_path}: cannot read input")

@@ -13,7 +13,7 @@ from contramod.comodule import (
     head_radical, is_injective, quotient_comodule,
 )
 from contramod.contramodule import check_contramodule, contra_from_comodule, is_projective
-from contramod.fields import GF2
+from contramod.fields import GF, GF2
 from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.sl2 import (
@@ -511,3 +511,43 @@ def test_memoised_reduction_and_restriction_match_the_uncached_path():
         got = restrict_to_kernel(m, r).coaction
         want = _restrict_oracle(m, r)
         assert (got.rows, got.cols, got.data) == (want.rows, want.cols, want.data), (m.name, r)
+
+
+def hand_table_kernel_delta(p, r):
+    """The comultiplication of k[G_r] from hand-written generator coproducts
+    in the kernel basis, with d = a^{q-1}(1 + bc) substituted."""
+    q = p ** r
+    dim = q * q * q
+
+    def mul3(m1, m2):
+        i, j = m1[0] + m2[0], m1[1] + m2[1]
+        return None if i >= q or j >= q else (i, j, (m1[2] + m2[2]) % q)
+
+    def tmul(acc, factor):
+        out: dict = {}
+        for (x1, y1), c1 in acc.items():
+            for (x2, y2), c2 in factor.items():
+                mx, my = mul3(x1, x2), mul3(y1, y2)
+                if mx is not None and my is not None:
+                    out[mx, my] = (out.get((mx, my), 0) + c1 * c2) % p
+        return {key: c for key, c in out.items() if c}
+
+    da = {((0, 0, 1), (0, 0, 1)): 1, ((1, 0, 0), (0, 1, 0)): 1}
+    db = {((0, 0, 1), (1, 0, 0)): 1, ((1, 0, 0), (0, 0, q - 1)): 1, ((1, 0, 0), (1, 1, q - 1)): 1}
+    dc = {((0, 1, 0), (0, 0, 1)): 1, ((0, 0, q - 1), (0, 1, 0)): 1, ((1, 1, q - 1), (0, 1, 0)): 1}
+    entries = []
+    for i, j, k in product(range(q), repeat=3):
+        cur = {((0, 0, 0), (0, 0, 0)): 1}
+        for factor, exp in ((db, i), (dc, j), (da, k)):
+            for _ in range(exp):
+                cur = tmul(cur, factor)
+        for (m1, m2), c in cur.items():
+            entries.append((_kernel_index(m1, q) * dim + _kernel_index(m2, q), _kernel_index((i, j, k), q), c))
+    return Mat.from_entries(dim * dim, dim, GF(p), entries)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_delta_matches_hand_tables(r):
+    """The generator coproducts reduced from k[SL2] give the same k[G_r]
+    comultiplication as the hand-written kernel-basis tables."""
+    assert frob_kernel_coalgebra(2, r).delta == hand_table_kernel_delta(2, r)

@@ -7,8 +7,10 @@ contramodule operations that run on the comodule code against their direct
 Kronecker formulas, ``check_coalgebra`` against its own column loop,
 ``dual_comodule`` against one loop per side, pivot-read ``Subspace.coords``
 against elimination, ``duality_check`` against the trace-pairing loops, and
-the identity that makes Hom pair to zero against Cohom's relations.  The
-oracles live here only."""
+the identity that makes Hom pair to zero against Cohom's relations, and Delta
+pushed along a coalgebra map (``check_morphism``, ``comodule_along``,
+``random_surjection``) against the Kronecker product and structure-constant
+formulas.  The oracles live here only."""
 
 import random
 
@@ -16,7 +18,8 @@ import pytest
 
 from contramod import comodule
 from contramod.coalgebra import (
-    Coalgebra, check_coalgebra, divided_power_dual, grouplike, matrix_coalgebra,
+    Coalgebra, CoalgebraMorphism, _add_into, _push_delta, check_coalgebra, check_morphism,
+    divided_power_dual, dual_of_algebra, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
     Comodule, check_comodule, cofree, cotensor, dual_comodule, hom_basis_maps, hom_comodules,
@@ -662,6 +665,139 @@ def test_hom_pairs_to_zero_against_cohom_relations(field):
         nonzero += hom.dim > 0 and co.image_subspace.dim > 0
         non_comodules += not (comodule.check_comodule(v).ok and comodule.check_comodule(w).ok)
     assert nonzero > len(pairs) // 2 and non_comodules > len(pairs) // 2
+
+
+# -- pushing Delta along a coalgebra map --------------------------------------------------
+
+
+def surjection_sources(field):
+    """battery_q's four sources and matrix_coalgebra(3)."""
+    return [matrix_coalgebra(field, 2), divided_power_dual(field, 3), divided_power_dual(field, 4),
+            grouplike(field, 3), matrix_coalgebra(field, 3)]
+
+
+def kron_check_morphism(rho):
+    """check_morphism's failures with (r (x) r) o Delta_C as a Kronecker product."""
+    c, d, r = rho.source, rho.target, rho.matrix
+    failures = []
+    if d.delta @ r != r.kron(r) @ c.delta:
+        failures.append("comultiplication-compatibility")
+    if d.epsilon @ r != c.epsilon:
+        failures.append("counit-compatibility")
+    if rho.surjective != (rank(r) == d.dim):
+        failures.append("surjectivity-flag")
+    return failures
+
+
+def structure_constant_surjection(rng, c):
+    """random_surjection with the target built as the dual of the
+    subalgebra's structure constants, one product per pair of entries."""
+    f, n = c.field, c.dim
+    mult = c.delta.transpose()
+
+    def product(x, y):
+        xy = {}
+        for i, vx in x.items():
+            for j, vy in y.items():
+                for k, v in mult.apply({i * n + j: f.mul(vx, vy)}).items():
+                    _add_into(xy, k, v, f)
+        return xy
+
+    gens = [dict(c.epsilon.row_groups().get(0, {}))]
+    for _ in range(rng.randint(0, 2)):
+        gens.append(random_vector(rng, n, f))
+    sub = Subspace.from_columns(n, f, gens)
+    while True:
+        cols = sub.basis_columns()
+        extra = [xy for x in cols for y in cols if (xy := product(x, y)) and not sub.contains(xy)]
+        if not extra:
+            break
+        sub = sub.add(Subspace.from_columns(n, f, extra))
+    k, cols = sub.dim, sub.basis_columns()
+    entries = []
+    for s in range(k):
+        for t in range(k):
+            coords = sub.coords(product(cols[s], cols[t]))
+            assert coords is not None, "subalgebra not closed"
+            entries += [(u, s * k + t, v) for u, v in coords.items()]
+    unit_coords = sub.coords(dict(c.epsilon.row_groups().get(0, {})))
+    unit = Mat.from_entries(k, 1, f, [(u, 0, v) for u, v in unit_coords.items()])
+    target = dual_of_algebra(Mat.from_entries(k, k * k, f, entries), unit, name=f"dual-sub({k})")
+    return CoalgebraMorphism(c, target, sub.basis.transpose(), surjective=True)
+
+
+def typed(m):
+    """A matrix with the type of every entry, so Fraction(1) and 1 differ."""
+    return m.rows, m.cols, m.field, sorted((key, type(v).__name__, v) for key, v in m.data.items())
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_random_surjection_matches_structure_constants(field):
+    """Seeded draws give bit-identical maps, targets and generator states."""
+    for c in surjection_sources(field):
+        for seed in range(20):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            rho, old = random_surjection(rng, c), structure_constant_surjection(oracle_rng, c)
+            assert typed(rho.matrix) == typed(old.matrix)
+            assert typed(rho.target.delta) == typed(old.target.delta)
+            assert typed(rho.target.epsilon) == typed(old.target.epsilon)
+            assert (rho.target.name, rho.surjective) == (old.target.name, old.surjective)
+            assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_push_delta_matches_kron(field):
+    """(r (x) Id_C) o Delta_C by index arithmetic, for random maps r and for
+    the coaction of comodule_along."""
+    rng = random.Random(1313)
+    for c in surjection_sources(field):
+        eye = Mat.identity(c.dim, field)
+        for _ in range(4):
+            r = _random_mat(rng, rng.randint(1, c.dim + 1), c.dim, field, 0.4)
+            assert _push_delta(r, c) == kron(r, eye) @ c.delta
+            rho = random_surjection(rng, c)
+            assert comodule_along(rho).coaction == kron(rho.matrix, eye) @ c.delta
+
+
+def morphism_variants(rng, rho):
+    """rho, its wrong flag, one-entry mutations of its matrix, a zero map, a
+    target whose structure tensors are mutated, and for grouplike sources a
+    non-surjective inclusion, each with both flags."""
+    c, d, r = rho.source, rho.target, rho.matrix
+    f = c.field
+    variants = [(d, r)]
+    for _ in range(3):
+        data = dict(r.data)
+        key = (rng.randrange(d.dim), rng.randrange(c.dim))
+        data[key] = f.add(data.get(key, f.zero()), f.random(rng, nonzero=True))
+        variants.append((d, Mat(d.dim, c.dim, f, {k: v for k, v in data.items() if v != 0})))
+    variants.append((d, Mat.zeros(d.dim, c.dim, f)))
+    variants += [(Coalgebra(f, d.dim, delta, eps), r) for delta, eps in mutated_coalgebras(rng, d)]
+    if c.name.startswith("grouplike"):
+        bigger = grouplike(f, c.dim + 1)
+        variants.append((bigger, Mat.from_entries(c.dim + 1, c.dim, f, [(i, i, 1) for i in range(c.dim)])))
+    for target, matrix in variants:
+        for flag in (True, False):
+            yield CoalgebraMorphism(c, target, matrix, surjective=flag)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_check_morphism_matches_kron_oracle(field):
+    """The same failure lists as (r (x) r) o Delta_C formed by kron, on
+    valid maps, mutations, non-surjective maps, wrong flags and targets that
+    are not coalgebras."""
+    rng = random.Random(1717)
+    seen, passed = set(), 0
+    for c in surjection_sources(field):
+        for _ in range(3):
+            for rho in morphism_variants(rng, random_surjection(rng, c)):
+                failures = check_morphism(rho).failures
+                assert failures == kron_check_morphism(rho)
+                seen.update(failures)
+                passed += not failures
+    assert seen == {"comultiplication-compatibility", "counit-compatibility", "surjectivity-flag"}
+    # every drawn map with its true flag, and the three grouplike inclusions
+    assert passed >= 15 + 3
 
 
 # -- at tower scale -------------------------------------------------------------------

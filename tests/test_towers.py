@@ -49,6 +49,20 @@ def test_surjective_transitions_stabilize_immediately():
     assert res.stabilized and res.stabilization_index == 1
 
 
+def test_transitions_and_base_index_outside_the_stages_raise():
+    """Stages m0 .. last_index have transitions into m0 .. last_index - 1
+    only; an index outside wraps to no real stage, so it raises."""
+    sys = InverseSystem([1, 2, 3, 4, 5], [Mat.zeros(d, d + 1, QQ) for d in (1, 2, 3, 4)], m0=2)
+    assert [sys.transition(idx).rows for idx in range(3, 7)] == [1, 2, 3, 4]
+    for idx in (sys.m0 - 1, sys.m0, sys.last_index + 1):
+        with pytest.raises(ValueError):
+            sys.transition(idx)
+    assert is_mittag_leffler(sys, sys.m0).image_dims == [0, 0, 0, 0]
+    for at in (sys.m0 - 1, sys.m0 - 3):
+        with pytest.raises(ValueError):
+            is_mittag_leffler(sys, at)
+
+
 def random_surjection_3x3(rng):
     while True:
         m = random_mat(rng, 3, 3, GF3, density=0.9)
