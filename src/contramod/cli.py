@@ -188,7 +188,7 @@ def _duality(job, v, w):
 
 
 def _tower(job, battery):
-    from .sl2 import battery_dim, battery_module, build_tower
+    from .sl2 import battery_dim, battery_module, stage_dim
     from .towers import cohom_tower
 
     p, lam, mmax = job.params["p"], job.params["lambda"], job.params["mmax"]
@@ -196,17 +196,16 @@ def _tower(job, battery):
     # bounds on p and mmax come first so the power is never large
     if p > 1 and mmax > 0 and (max(p, mmax) > cio.MAX_DIM or p ** (3 * mmax) > cio.MAX_DIM):
         raise SchemaError(f"tower: k[G_{mmax}] has dimension {p}^{3 * mmax}, above {cio.MAX_DIM}")
-    tower = build_tower(lam, p, mmax)
     # the largest Cohom coequalizer has dim V * dim P(lam, mmax) rows; checked
-    # before any module is tensored together
-    top = tower.stages[-1]
+    # before any stage or module is tensored together
+    top = stage_dim(lam, p, mmax)
     for expr in battery:
-        if battery_dim(p, expr) * top.dim > cio.MAX_DIM:
-            raise SchemaError(f"tower: {expr} times the last stage {top.name}, of dimension "
-                              f"{top.dim}, has dimension above {cio.MAX_DIM}")
+        if battery_dim(p, expr) * top > cio.MAX_DIM:
+            raise SchemaError(f"tower: {expr} times the last stage P({lam},{mmax}), of dimension "
+                              f"{top}, has dimension above {cio.MAX_DIM}")
     modules = [battery_module(p, expr) for expr in battery]
     reports = [{**rep.to_json(), "module": expr}
-               for expr, rep in zip(battery, cohom_tower(modules, tower, lam, p))]
+               for expr, rep in zip(battery, cohom_tower(modules, lam, p, mmax))]
     ok = all(r["match"] for r in reports)
     return {"towers": reports, "all_match": ok}, ok
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
 from .linalg import rank
-from .matrix import Mat, kron
+from .matrix import Mat
 
 
 @dataclass
@@ -143,12 +143,25 @@ def _push_delta(r: Mat, c: Coalgebra) -> Mat:
     return Mat(r.rows * n, n, f, {key: s for key, s in data.items() if s != 0})
 
 
+def _push_second(r: Mat, t: Mat, n: int) -> Mat:
+    """(Id (x) r) o t by index arithmetic, for t with rows a*n + j: t[a*n + j, k]
+    goes to row a*dim D + e with weight r[e, j]."""
+    f, m = t.field, r.rows
+    r_cols, zero, data = r.columns(), f.zero(), {}
+    for (idx, k), v in t.data.items():
+        a, j = divmod(idx, n)
+        for e, w in r_cols.get(j, {}).items():
+            data[a * m + e, k] = f.add(data.get((a * m + e, k), zero), f.mul(w, v))
+    return Mat(t.rows // n * m, t.cols, f, {key: s for key, s in data.items() if s != 0})
+
+
 def check_morphism(rho: CoalgebraMorphism) -> Verdict:
     """Compatibility with comultiplication and counit; surjectivity flag.
-    (r (x) r) o Delta_C is written as (Id_D (x) r) o (r (x) Id_C) o Delta_C."""
+    (r (x) r) o Delta_C is written as (Id_D (x) r) o (r (x) Id_C) o Delta_C,
+    both pushes by index arithmetic."""
     c, d, r = rho.source, rho.target, rho.matrix
     failures = []
-    if d.delta @ r != kron(Mat.identity(d.dim, d.field), r) @ _push_delta(r, c):
+    if d.delta @ r != _push_second(r, _push_delta(r, c), c.dim):
         failures.append("comultiplication-compatibility")
     if d.epsilon @ r != c.epsilon:
         failures.append("counit-compatibility")

@@ -167,13 +167,16 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     The relation columns are written entry by entry.  With dm = dim M,
     db = dim B and coaction row r = c*dm + i, the column for
     x = r*db + beta holds coaction[r, k] at row k*db + beta, minus
-    theta[beta', c*db + beta] at row i*db + beta'.
+    theta[beta', c*db + beta] at row i*db + beta'.  Over F2 the columns are
+    int bitmasks instead (:func:`_gf2_relations`).
     """
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
     if m.side != "left":
         raise ValueError("cohom needs a left comodule")
     dm, db, fld = m.dim, b.dim, m.field
+    if fld.characteristic == 2:
+        return quotient_by_image(Subspace.from_columns(dm * db, fld, _gf2_relations(m, b)))
     zero = fld.zero()
     cols: dict = {}
     for (r, k), v in m.coaction.data.items():
@@ -194,6 +197,38 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
             else:
                 col[row] = s
     return quotient_by_image(Subspace.from_columns(dm * db, fld, cols.values()))
+
+
+def _gf2_relations(m: Comodule, b: Contramodule) -> set:
+    """Cohom's relation columns over F2, as ints with bit k*db + beta for row
+    (k, beta).  K_r has bit k*db for each coaction[r, k] = 1 and T_y bit beta'
+    for each theta[beta', y] = 1; then column (r = c*dm + i, beta) is
+    (K_r << beta) ^ (T_{c*db + beta} << i*db).  Most columns repeat, so they
+    come back as a set, without the zero column."""
+    dm, db = m.dim, b.dim
+    ks: dict = {}
+    for r, k in m.coaction.data:
+        ks[r] = ks.get(r, 0) | 1 << k * db
+    ts: dict = {}
+    for bp, y in b.theta.data:
+        ts[y] = ts.get(y, 0) | 1 << bp
+    cols = set()
+    for r, kr in ks.items():
+        c, i = divmod(r, dm)
+        y, off = c * db, i * db
+        cols.update((kr << beta) ^ (ts.get(y + beta, 0) << off) for beta in range(db))
+    # rows r without a coaction entry give theta's masks alone, shifted
+    with_k = {r // dm for r in ks}
+    alone = set()
+    for y, t in ts.items():
+        c = y // db
+        if c in with_k:
+            cols.update(t << i * db for i in range(dm) if c * dm + i not in ks)
+        else:
+            alone.add(t)
+    cols.update(t << i * db for t in alone for i in range(dm))
+    cols.discard(0)
+    return cols
 
 
 def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:

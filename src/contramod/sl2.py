@@ -12,8 +12,8 @@ below p^r, using a^{p^r} = 1 and d = a^{p^r - 1}(1 + bc).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 from math import comb, prod
 
 from .coalgebra import Coalgebra, Verdict
@@ -432,6 +432,16 @@ def reduce_poly_to_kernel(poly: SL2Poly, r: int) -> dict:
     return out
 
 
+def _mul3(m1, m2, q: int):
+    """Product of two monomials b^i c^j a^k of k[G_r], q = p^r: one monomial,
+    or None where b^q = 0 or c^q = 0 kills it; a^q = 1."""
+    i = m1[0] + m2[0]
+    j = m1[1] + m2[1]
+    if i >= q or j >= q:
+        return None
+    return (i, j, (m1[2] + m2[2]) % q)
+
+
 def _kernel_delta_factory(p: int, r: int):
     """Comultiplication of k[G_r], built generator by generator in the
     truncated tensor ring where monomial products are single terms; the
@@ -440,21 +450,14 @@ def _kernel_delta_factory(p: int, r: int):
     dim = q * q * q
     field = GF(p)
 
-    def mul3(m1, m2):
-        i = m1[0] + m2[0]
-        j = m1[1] + m2[1]
-        if i >= q or j >= q:
-            return None
-        return (i, j, (m1[2] + m2[2]) % q)
-
     def tmul(acc, factor):
         out: dict = {}
         for (x1, y1), c1 in acc.items():
             for (x2, y2), c2 in factor.items():
-                mx = mul3(x1, x2)
+                mx = _mul3(x1, x2, q)
                 if mx is None:
                     continue
-                my = mul3(y1, y2)
+                my = _mul3(y1, y2, q)
                 if my is None:
                     continue
                 key = (mx, my)
@@ -533,6 +536,51 @@ def restrict_to_kernel(m: RationalComodule, r: int) -> Comodule:
     return Comodule(c, "right", m.dim, coact, name=f"{m.name}|G{r}")
 
 
+def tensor_kernel(m: Comodule, n: Comodule) -> Comodule:
+    """Tensor product of two right comodules over the same k[G_r], the
+    counterpart of :func:`tensor_rational` after restriction: reduction to
+    k[G_r] is a ring map, so entry (i*dim N + i2, j*dim N + j2) is the
+    product of entries (i, j) and (i2, j2), multiplied monomial by monomial
+    in the truncated ring."""
+    c = m.coalgebra
+    if n.coalgebra is not c or m.side != "right" or n.side != "right":
+        raise ValueError("tensor_kernel needs right comodules over one coalgebra")
+    p, dim = c.field.characteristic, c.dim
+    r = 1
+    while p > 1 and p ** (3 * r) < dim:
+        r += 1
+    if p < 2 or c is not frob_kernel_coalgebra(p, r):
+        raise ValueError("tensor_kernel needs comodules over a Frobenius kernel k[G_r]")
+    q = p ** r
+
+    def entries(w):
+        # entry (i, j) as [(monomial, coefficient)]
+        out: dict = {}
+        for (row, j), v in w.coaction.data.items():
+            i, x = divmod(row, dim)
+            a, k = divmod(x, q)
+            out.setdefault((i, j), []).append(((*divmod(a, q), k), v))
+        return out
+
+    nd = n.dim
+    right = list(entries(n).items())
+    data = {}
+    for (i, j), e1 in entries(m).items():
+        for (i2, j2), e2 in right:
+            acc: dict = {}
+            for x1, c1 in e1:
+                for x2, c2 in e2:
+                    x = _mul3(x1, x2, q)
+                    if x is not None:
+                        acc[x] = (acc.get(x, 0) + c1 * c2) % p
+            base, col = (i * nd + i2) * dim, j * nd + j2
+            for x, v in acc.items():
+                if v:
+                    data[base + _kernel_index(x, q), col] = v
+    return Comodule(c, "right", m.dim * nd, Mat(m.dim * nd * dim, m.dim * nd, c.field, data),
+                    name=f"{m.name}*{n.name}")
+
+
 # -- characters and multiplicities ------------------------------------------------------
 
 
@@ -588,33 +636,59 @@ def f_multiplicity(lam: int, v: RationalComodule) -> int:
 # -- the twisted tensor tower --------------------------------------------------------
 
 
+def tower_base(lam: int, p: int, m_max: int) -> int:
+    """The first stage index s + 1 of the tower of lam, where s indexes the
+    top p-adic digit; raises unless the tower reaches stage m_max."""
+    if p != 2:
+        raise NotImplementedError("tower catalog is shipped for p = 2 only")
+    s = len(p_adic_digits(lam, p)) - 1
+    if m_max <= s:
+        raise ValueError(f"m_max must exceed the top digit index {s}")
+    return s + 1
+
+
+def _stage_factors(lam: int, p: int, m: int) -> list:
+    """The twisted factors whose tensor product, in order, is P(lam, m): the
+    projective P_d twisted t times for the p-adic digit d of lam at place t,
+    then P0 twisted t times for t = s+1 .. m-1."""
+    m0 = tower_base(lam, p, m)
+    cat = catalog_modules(p)
+    proj = {0: cat["P0"], 1: cat["P1"]}
+    digits = p_adic_digits(lam, p)
+    return ([frobenius_twist(proj[d], t) for t, d in enumerate(digits)]
+            + [frobenius_twist(cat["P0"], t) for t in range(m0, m)])
+
+
+def stage_dim(lam: int, p: int, m: int) -> int:
+    """Dimension of P(lam, m) from its factors, without tensoring anything."""
+    return prod(f.dim for f in _stage_factors(lam, p, m))
+
+
+def kernel_stage(lam: int, p: int, m: int) -> Comodule:
+    """P(lam, m) restricted to G_m, equal entry for entry to restricting the
+    stage of :func:`build_tower`: each twisted factor is restricted, and the
+    factors are tensored in k[G_m], so no k[SL2] product is formed."""
+    out = reduce(tensor_kernel, [restrict_to_kernel(f, m) for f in _stage_factors(lam, p, m)])
+    return replace(out, name=f"P({lam},{m})|G{m}")
+
+
 def build_tower(lam: int, p: int = 2, m_max: int = 3) -> InverseSystem:
     """Stages P_{lam, m} for m = s+1 .. m_max, where s indexes the top p-adic
     digit; transitions tensor the fixed projection q into the top twist."""
-    if p != 2:
-        raise NotImplementedError("tower catalog is shipped for p = 2 only")
-    cat = catalog_modules(p)
-    digits = p_adic_digits(lam, p)
-    s = len(digits) - 1
-    if m_max <= s:
-        raise ValueError(f"m_max must exceed the top digit index {s}")
-    proj = {0: cat["P0"], 1: cat["P1"]}
-    stage = None
-    for t, digit in enumerate(digits):
-        factor = frobenius_twist(proj[digit], t)
-        stage = factor if stage is None else tensor_rational(stage, factor)
-    stage.name = f"P({lam},{s + 1})"
+    m0 = tower_base(lam, p, m_max)
+    factors = _stage_factors(lam, p, m_max)
+    stage = reduce(tensor_rational, factors[:m0])
+    stage.name = f"P({lam},{m0})"
     stages = [stage]
     transitions = []
-    field = GF(p)
-    for m in range(s + 2, m_max + 1):
+    proj = catalog_modules(p)["q"]
+    for m, top in enumerate(factors[m0:], start=m0 + 1):
         prev = stages[-1]
-        top = frobenius_twist(cat["P0"], m - 1)
         nxt = tensor_rational(prev, top)
         nxt.name = f"P({lam},{m})"
         stages.append(nxt)
-        transitions.append(Mat.identity(prev.dim, field).kron(cat["q"]))
-    return InverseSystem(stages, transitions, m0=s + 1)
+        transitions.append(Mat.identity(prev.dim, proj.field).kron(proj))
+    return InverseSystem(stages, transitions, m0=m0)
 
 
 def _battery_factors(p: int, expr: str) -> list:

@@ -210,37 +210,37 @@ class TowerReport:
         }
 
 
-def cohom_tower(modules: list, tower: InverseSystem, lam: int, p: int = 2) -> list[TowerReport]:
+def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[TowerReport]:
     """Dimension tables of Cohom over the stage kernels against the character
     multiplicity oracle, one ``TowerReport`` per module.
 
-    ``modules`` are rational modules from the SL2 catalog and ``tower`` the
-    output of the tower builder; stage m is computed over the m-th
-    Frobenius-kernel coalgebra.  Every module's weight window is checked
-    first: a tower that ends before the first stage where a module's weight
-    bound holds compares nothing for it, so that raises ValueError naming the
-    first such module before anything is built.  Then each stage is
-    restricted and made a contramodule once, and each module is restricted
-    once per stage.
+    ``modules`` are rational modules from the SL2 catalog; the tower of lam
+    runs from its first stage m0 to ``m_max``, and stage m is computed over
+    the m-th Frobenius-kernel coalgebra.  Every module's weight window is
+    checked first: a tower that ends before the first stage where a module's
+    weight bound holds compares nothing for it, so that raises ValueError
+    naming the first such module before anything is built.  Then each stage
+    is built in its kernel and made a contramodule once, and each module is
+    restricted once per stage.
     """
     from . import sl2  # local import: sl2 builds on this module's InverseSystem
     from .comodule import dual_comodule
     from .contramodule import cohom, contra_from_comodule
 
+    m0 = sl2.tower_base(lam, p, m_max)
     stable_froms = []
     for v in modules:
         max_wt = max((abs(w) for w in v.character().keys()), default=0)
-        stable_from = tower.m0
+        stable_from = m0
         while p ** (stable_from - 1) <= max_wt:
             stable_from += 1
-        if stable_from > tower.last_index:
+        if stable_from > m_max:
             raise ValueError(f"{v.name}: the weight bound first holds at stage {stable_from}, "
-                             f"beyond the last stage {tower.last_index}")
+                             f"beyond the last stage {m_max}")
         stable_froms.append(stable_from)
     rows = [[] for _ in modules]
-    for offset, stage in enumerate(tower.stages):
-        m = tower.m0 + offset
-        p_m = contra_from_comodule(dual_comodule(sl2.restrict_to_kernel(stage, m)))
+    for m in range(m0, m_max + 1):
+        p_m = contra_from_comodule(dual_comodule(sl2.kernel_stage(lam, p, m)))
         for v, v_rows in zip(modules, rows):
             v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
             v_rows.append(TowerRow(m, cohom(v_m, p_m).dim))

@@ -373,13 +373,13 @@ def test_cli_tower_refuses_kernels_above_max_dim(tmp_path, capsys, monkeypatch):
         assert _within_one_second(lambda: main(argv)) == 2
         assert f"k[G_{mmax}]" in json.loads(capsys.readouterr().out)["error"]
 
-    # k[G_4] has dimension exactly io.MAX_DIM, so --mmax 4 reaches build_tower
+    # k[G_4] has dimension exactly io.MAX_DIM, so --mmax 4 reaches the stage
     def reached(*args):
-        raise ValueError("build_tower reached")
+        raise ValueError("stage_dim reached")
 
-    monkeypatch.setattr("contramod.sl2.build_tower", reached)
+    monkeypatch.setattr("contramod.sl2.stage_dim", reached)
     assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "4", "--battery", battery]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "build_tower reached"
+    assert json.loads(capsys.readouterr().out)["error"] == "stage_dim reached"
 
 
 def test_cli_tower_refuses_battery_modules_above_max_dim(tmp_path, capsys, monkeypatch):
@@ -494,12 +494,8 @@ def test_cli_induction_jobs_refuse_spaces_above_max_dim(job, tmp_path, capsys, m
             assert reported.endswith(" reached") and "give a space" not in reported
 
 
-@pytest.mark.parametrize("job", ["induce", "adjoint-check"])
-def test_cli_induction_at_max_dim_forms_no_large_kron(job, tmp_path, capsys, monkeypatch):
-    """Along grouplike(4096) -> grouplike(1) with dim W = dim V = 1 both jobs
-    sit exactly at their guard, and run without any Kronecker product of more
-    than io.MAX_DIM entries: loading rho, induction and the adjunction all
-    push Delta and descend the coaction by index arithmetic."""
+def _cap_kron(monkeypatch):
+    """Make any Kronecker product of more than io.MAX_DIM entries fail."""
     from contramod.matrix import Mat
 
     kron = Mat.kron
@@ -509,6 +505,15 @@ def test_cli_induction_at_max_dim_forms_no_large_kron(job, tmp_path, capsys, mon
         return kron(a, b)
 
     monkeypatch.setattr(Mat, "kron", capped)
+
+
+@pytest.mark.parametrize("job", ["induce", "adjoint-check"])
+def test_cli_induction_at_max_dim_forms_no_large_kron(job, tmp_path, capsys, monkeypatch):
+    """Along grouplike(4096) -> grouplike(1) with dim W = dim V = 1 both jobs
+    sit exactly at their guard, and run without any Kronecker product of more
+    than io.MAX_DIM entries: loading rho, induction and the adjunction all
+    push Delta and descend the coaction by index arithmetic."""
+    _cap_kron(monkeypatch)
     inputs = {"--rho": _grouplike_rho(cio.MAX_DIM, 1), "--W": _trivial_contra("grouplike(1)", 1)}
     if job == "adjoint-check":
         inputs["--V"] = _trivial_contra(f"grouplike({cio.MAX_DIM})", 1)
@@ -519,6 +524,17 @@ def test_cli_induction_at_max_dim_forms_no_large_kron(job, tmp_path, capsys, mon
         assert report["dim_induced"] == cio.MAX_DIM and report["axioms_ok"]
     else:
         assert report["adjunction"] == {"lhs_dim": 1, "rhs_dim": 1} and report["roundtrip_ok"]
+
+
+def test_cli_verify_identity_at_max_dim_forms_no_large_kron(tmp_path, capsys, monkeypatch):
+    """verify on the identity of grouplike(4096) over F2 compares Delta_D o r
+    with (r (x) r) o Delta_C without any Kronecker product of more than
+    io.MAX_DIM entries: both pushes of Delta are index arithmetic."""
+    _cap_kron(monkeypatch)
+    rho = _write(tmp_path, "rho.json", _grouplike_rho(cio.MAX_DIM, cio.MAX_DIM))
+    assert main(["--field", "Fp:2", "verify", rho]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kind"], report["ok"], report["failures"]) == ("morphism", True, [])
 
 
 def test_cli_input_that_is_a_directory_exits_2(tmp_path, capsys):
@@ -586,6 +602,66 @@ def test_cli_tower_window_that_compares_nothing_is_an_input_error(tmp_path, caps
     assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "2", "--battery", battery]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.startswith("L2:") and "stage 3" in error
+
+
+README_BATTERY = ["L0", "L1", "L2", "L3", "L1*L1"]
+
+# the README's tower line, byte for byte
+README_TOWER_STDOUT = (
+    '{"all_match": true, "command": "tower", "seed": 20240, "towers": ['
+    '{"f_V": 1, "lambda": 0, "match": true, "module": "L0", "p": 2, "stabilized_at": 1, "stages": '
+    '[{"dim_cohom": 1, "m": 1}, {"dim_cohom": 1, "m": 2}, {"dim_cohom": 1, "m": 3}]}, '
+    '{"f_V": 0, "lambda": 0, "match": true, "module": "L1", "p": 2, "stabilized_at": 1, "stages": '
+    '[{"dim_cohom": 0, "m": 1}, {"dim_cohom": 0, "m": 2}, {"dim_cohom": 0, "m": 3}]}, '
+    '{"f_V": 0, "lambda": 0, "match": true, "module": "L2", "p": 2, "stabilized_at": 2, "stages": '
+    '[{"dim_cohom": 2, "m": 1}, {"dim_cohom": 0, "m": 2}, {"dim_cohom": 0, "m": 3}]}, '
+    '{"f_V": 0, "lambda": 0, "match": true, "module": "L3", "p": 2, "stabilized_at": 1, "stages": '
+    '[{"dim_cohom": 0, "m": 1}, {"dim_cohom": 0, "m": 2}, {"dim_cohom": 0, "m": 3}]}, '
+    '{"f_V": 2, "lambda": 0, "match": true, "module": "L1*L1", "p": 2, "stabilized_at": 2, "stages": '
+    '[{"dim_cohom": 4, "m": 1}, {"dim_cohom": 2, "m": 2}, {"dim_cohom": 2, "m": 3}]}]}\n'
+)
+
+
+def test_cli_tower_builds_stages_in_the_kernels(tmp_path, capsys, monkeypatch):
+    """The README tower job prints its pinned report without building the
+    k[SL2] tower, without tensoring anything larger than a battery module in
+    k[SL2], and without materialising the comultiplication of any k[G_m]."""
+    from functools import lru_cache
+
+    from contramod import sl2
+
+    def refused(*args):
+        raise AssertionError("the full-ring tower was built")
+
+    tensor = sl2.tensor_rational
+
+    def capped(m, n):
+        assert m.dim * n.dim <= 4, f"tensored {m.name} and {n.name} in k[SL2]"
+        return tensor(m, n)
+
+    kernels = lru_cache(maxsize=None)(sl2.frob_kernel_coalgebra.__wrapped__)
+    monkeypatch.setattr(sl2, "build_tower", refused)
+    monkeypatch.setattr(sl2, "tensor_rational", capped)
+    monkeypatch.setattr(sl2, "frob_kernel_coalgebra", kernels)
+    battery = _write(tmp_path, "battery_std.json", README_BATTERY)
+    assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "3", "--battery", battery]) == 0
+    assert capsys.readouterr().out == README_TOWER_STDOUT
+    assert kernels.cache_info().currsize == 3
+    assert all(kernels(2, m)._delta is None for m in (1, 2, 3))
+
+
+@pytest.mark.parametrize("mmax, battery, error", [
+    ("5", ["L0"], "tower: k[G_5] has dimension 2^15, above 4096"),
+    ("2", ["L0", "*".join(["L1"] * 9)],
+     "tower: L1*L1*L1*L1*L1*L1*L1*L1*L1 times the last stage P(0,2), of dimension 16, "
+     "has dimension above 4096"),
+    ("2", README_BATTERY, "L2: the weight bound first holds at stage 3, beyond the last stage 2"),
+])
+def test_cli_tower_guard_messages(mmax, battery, error, tmp_path, capsys):
+    path = _write(tmp_path, "battery.json", battery)
+    assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", mmax, "--battery", path]) == 2
+    assert capsys.readouterr().out == json.dumps(
+        {"command": "tower", "error": error, "seed": DEFAULT_SEED}, sort_keys=True) + "\n"
 
 
 def _write_mismatch_inputs(tmp_path):

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contramod.coalgebra import check_coalgebra
+from contramod.coalgebra import check_coalgebra, grouplike
 from contramod.comodule import (
     check_comodule, coaction_stabilizes, comodule_over_self, dual_comodule,
     head_radical, is_injective, quotient_comodule,
@@ -19,9 +19,9 @@ from contramod.matrix import Mat
 from contramod.sl2 import (
     SL2Poly, battery_module, build_tower, catalog_modules, character_decomposition,
     char_product, delta_poly, f_multiplicity, frob_kernel_coalgebra, frobenius_twist,
-    hom_rational, is_rational_map, p_adic_digits,
-    reduce_poly_to_kernel, restrict_to_kernel, simple_character, simple_module,
-    standard_rational, tensor_rational, trivial_rational,
+    hom_rational, is_rational_map, kernel_stage, p_adic_digits,
+    reduce_poly_to_kernel, restrict_to_kernel, simple_character, simple_module, stage_dim,
+    standard_rational, tensor_kernel, tensor_rational, trivial_rational,
 )
 from contramod.sl2 import _kernel_index, _reduce_mono_kernel
 
@@ -551,3 +551,88 @@ def test_kernel_delta_matches_hand_tables(r):
     """The generator coproducts reduced from k[SL2] give the same k[G_r]
     comultiplication as the hand-written kernel-basis tables."""
     assert frob_kernel_coalgebra(2, r).delta == hand_table_kernel_delta(2, r)
+
+
+# -- tower stages built in k[G_m] -------------------------------------------------------
+
+
+def loop_build_tower(lam, p, m_max):
+    """build_tower as one loop: the digit factors tensored together, then one
+    P0 twist tensored into the last stage per further stage."""
+    cat = catalog_modules(p)
+    digits = p_adic_digits(lam, p)
+    s = len(digits) - 1
+    proj = {0: cat["P0"], 1: cat["P1"]}
+    stage = None
+    for t, digit in enumerate(digits):
+        factor = frobenius_twist(proj[digit], t)
+        stage = factor if stage is None else tensor_rational(stage, factor)
+    stage.name = f"P({lam},{s + 1})"
+    stages, transitions = [stage], []
+    for m in range(s + 2, m_max + 1):
+        prev = stages[-1]
+        nxt = tensor_rational(prev, frobenius_twist(cat["P0"], m - 1))
+        nxt.name = f"P({lam},{m})"
+        stages.append(nxt)
+        transitions.append(Mat.identity(prev.dim, GF2).kron(cat["q"]))
+    return stages, transitions, s + 1
+
+
+def typed(m):
+    """A matrix with the type of every entry, so Fraction(1) and 1 differ."""
+    return m.rows, m.cols, m.field, sorted((key, type(v).__name__, v) for key, v in m.data.items())
+
+
+def assert_same_comodule(got, want):
+    assert typed(got.coaction) == typed(want.coaction)
+    assert (got.side, got.dim, got.name) == (want.side, want.dim, want.name)
+    assert got.coalgebra is want.coalgebra
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3])
+def test_build_tower_matches_the_stage_loop(m_max):
+    for lam in range(2 ** m_max):
+        tower = build_tower(lam, 2, m_max)
+        assert (tower.stages, tower.transitions, tower.m0) == loop_build_tower(lam, 2, m_max)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_stage_matches_the_restricted_tower_stage(m):
+    """Every lambda whose tower reaches stage m, that is lambda < 2^m."""
+    for lam in range(2 ** m):
+        want = restrict_to_kernel(build_tower(lam, 2, m).stages[-1], m)
+        assert_same_comodule(kernel_stage(lam, 2, m), want)
+        assert stage_dim(lam, 2, m) == want.dim
+
+
+@pytest.mark.slow
+def test_kernel_stage_matches_the_restricted_tower_stage_at_g4():
+    want = restrict_to_kernel(build_tower(0, 2, 4).stages[-1], 4)
+    assert_same_comodule(kernel_stage(0, 2, 4), want)
+
+
+def test_tensor_kernel_matches_restricted_tensor_products():
+    """Reduction to k[G_r] is a ring map: tensoring after restriction equals
+    restricting the k[SL2] tensor product, in characteristic 2 and 3."""
+    cat = catalog_modules(2)
+    pairs = [(cat[x], cat[y]) for x, y in (("L1", "L1"), ("L1", "L2"), ("P0", "P1"), ("L3", "L1"), ("L0", "P0"))]
+    l1_3 = standard_rational(3)
+    cases = [(x, y, r) for x, y in pairs for r in (1, 2, 3)]
+    cases += [(l1_3, frobenius_twist(l1_3, t), r) for t in (0, 1) for r in (1, 2)]
+    for x, y, r in cases:
+        got = tensor_kernel(restrict_to_kernel(x, r), restrict_to_kernel(y, r))
+        want = restrict_to_kernel(tensor_rational(x, y), r)
+        assert typed(got.coaction) == typed(want.coaction), (x.name, y.name, r)
+        assert got.coalgebra is want.coalgebra and got.dim == want.dim
+
+
+def test_tensor_kernel_refuses_other_coalgebras():
+    l1 = catalog_modules(2)["L1"]
+    with pytest.raises(ValueError):
+        tensor_kernel(restrict_to_kernel(l1, 1), restrict_to_kernel(l1, 2))
+    with pytest.raises(ValueError):
+        tensor_kernel(dual_comodule(restrict_to_kernel(l1, 1)), restrict_to_kernel(l1, 1))
+    # the same dimension as k[G_1], but not a Frobenius kernel
+    regular = comodule_over_self(grouplike(GF2, 8), "right")
+    with pytest.raises(ValueError):
+        tensor_kernel(regular, regular)

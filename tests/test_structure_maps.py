@@ -10,7 +10,8 @@ against elimination, ``duality_check`` against the trace-pairing loops, and
 the identity that makes Hom pair to zero against Cohom's relations, and Delta
 pushed along a coalgebra map (``check_morphism``, ``comodule_along``,
 ``random_surjection``) against the Kronecker product and structure-constant
-formulas.  The oracles live here only."""
+formulas, and Cohom's F2 bitmask relations against its dict columns.  The
+oracles live here only."""
 
 import random
 
@@ -19,11 +20,11 @@ import pytest
 from contramod import comodule
 from contramod.coalgebra import (
     Coalgebra, CoalgebraMorphism, _add_into, _push_delta, check_coalgebra, check_morphism,
-    divided_power_dual, dual_of_algebra, grouplike, matrix_coalgebra,
+    divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
-    Comodule, check_comodule, cofree, cotensor, dual_comodule, hom_basis_maps, hom_comodules,
-    is_injective, quotient_comodule, sub_comodule,
+    Comodule, check_comodule, cofree, comodule_over_self, cotensor, dual_comodule, hom_basis_maps,
+    hom_comodules, is_injective, quotient_comodule, sub_comodule,
 )
 from contramod.contramodule import (
     Contramodule, check_contramodule, cohom, duality_check,
@@ -40,7 +41,7 @@ from contramod.matrix import Mat, kron, map_of_vec
 from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
-from contramod.sl2 import battery_module, build_tower, restrict_to_kernel
+from contramod.sl2 import battery_module, build_tower, kernel_stage, restrict_to_kernel
 
 FIELDS = [QQ, GF2, GF3]
 PAIRS_PER_COALGEBRA = 15
@@ -93,6 +94,32 @@ def difference_coequalizer(f, g):
     return quotient_by_image(image(f - g))
 
 
+def dict_cohom(m, b):
+    """Cohom with its relation columns written as dicts of field scalars, over
+    every field: column r*db + beta holds coaction[r, k] at row k*db + beta,
+    minus theta[beta', c*db + beta] at row i*db + beta', for r = c*dm + i."""
+    dm, db, fld = m.dim, b.dim, m.field
+    zero = fld.zero()
+    cols: dict = {}
+    for (r, k), v in m.coaction.data.items():
+        for beta in range(db):
+            cols.setdefault(r * db + beta, {})[k * db + beta] = v
+    theta = []
+    for (bp, idx), v in b.theta.data.items():
+        c, beta = divmod(idx, db)
+        theta.append((bp, c * dm * db + beta, v))
+    for i in range(dm):
+        off = i * db
+        for bp, x, v in theta:
+            col, row = cols.setdefault(off + x, {}), off + bp
+            s = fld.sub(col.get(row, zero), v)
+            if s == 0:
+                col.pop(row, None)
+            else:
+                col[row] = s
+    return quotient_by_image(Subspace.from_columns(dm * db, fld, cols.values()))
+
+
 def random_pairs(field, side, seed):
     rng = random.Random(seed)
     for c in small_coalgebras(field):
@@ -107,6 +134,39 @@ def random_pairs(field, side, seed):
 def test_cohom_maps_match_kron_formulas(field):
     for m, b in random_pairs(field, "left", 101):
         assert cohom(m, b) == difference_coequalizer(*kron_cohom_maps(m, b))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cohom_matches_dict_columns_on_random_pairs(field):
+    """Over F2 the relation columns are bitmasks; over Q and F3 they are the
+    dict columns.  The whole coequalizer agrees either way."""
+    for seed in (101, 303):
+        for m, b in random_pairs(field, "left", seed):
+            assert cohom(m, b) == dict_cohom(m, b)
+
+
+def test_cohom_matches_dict_columns_on_readme_inputs():
+    """The README's F2 cohom, duality and induce lines over divided_power_dual(3)."""
+    c3 = divided_power_dual(GF2, 3)
+    rho = divided_power_surjection(GF2, 3, 2, 2)
+    regular = comodule_over_self(c3)
+    pairs = [(regular, free_contramodule(c3, 1)), (regular, contra_from_comodule(cofree(c3, 1))),
+             (comodule_along(rho), free_contramodule(rho.target, 1))]
+    for m, b in pairs:
+        co = cohom(m, b)
+        assert co == dict_cohom(m, b)
+        assert co.dim == 3
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_cohom_matches_dict_columns_on_tower_stages(m):
+    """Every stage P(lam, m), lam < 2^m, against the README battery."""
+    modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
+               for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
+    for lam in range(2 ** m):
+        b = contra_from_comodule(dual_comodule(kernel_stage(lam, 2, m)))
+        for v in modules:
+            assert cohom(v, b) == dict_cohom(v, b), (lam, v.name)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -291,10 +291,9 @@ def test_transition_contra_hom_validation():
 
 
 def test_cohom_tower_report_shape():
-    from contramod.sl2 import battery_module, build_tower
+    from contramod.sl2 import battery_module
 
-    tower = build_tower(0, 2, 2)
-    [rep] = cohom_tower([battery_module(2, "L0")], tower, 0, 2)
+    [rep] = cohom_tower([battery_module(2, "L0")], 0, 2, 2)
     assert rep.f_v == 1
     assert [r.dim_cohom for r in rep.stages] == [1, 1]
     assert rep.match
@@ -340,7 +339,7 @@ def test_cohom_tower_matches_the_per_module_loop(lam):
 
     tower = build_tower(lam, 2, 3)
     modules = [battery_module(2, expr) for expr in README_BATTERY]
-    reports = cohom_tower(modules, tower, lam, 2)
+    reports = cohom_tower(modules, lam, 2, 3)
     assert reports == [_cohom_tower_one(v, tower, lam, 2) for v in modules]
     assert [r.stable_from for r in reports] == [1, 2, 3, 3, 3]
 
@@ -355,16 +354,19 @@ def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, mo
     from types import SimpleNamespace
 
     from contramod import contramodule
-    from contramod.sl2 import battery_module, build_tower
+    from contramod.sl2 import battery_module
 
     scripted = iter(dims)
     monkeypatch.setattr(contramodule, "cohom", lambda v, b: SimpleNamespace(dim=next(scripted)))
-    [rep] = cohom_tower([battery_module(2, "L0")], build_tower(0, 2, len(dims)), 0, 2)
+    [rep] = cohom_tower([battery_module(2, "L0")], 0, 2, len(dims))
     assert [r.dim_cohom for r in rep.stages] == dims
     assert rep.stabilized_at == stabilized_at
 
 
-def _count_restrictions(monkeypatch) -> list:
+def _count_builds(monkeypatch, stages: dict) -> list:
+    """Record each stage built in its kernel as ("stage", m) and each module
+    restricted as (name, m).  Stages come from ``stages``, built beforehand,
+    so the restrictions of their factors are not recorded."""
     from contramod import sl2
 
     calls = []
@@ -374,30 +376,34 @@ def _count_restrictions(monkeypatch) -> list:
         calls.append((m.name, r))
         return restrict(m, r)
 
+    def stage(lam, p, m):
+        calls.append(("stage", m))
+        return stages[m]
+
     monkeypatch.setattr(sl2, "restrict_to_kernel", counted)
+    monkeypatch.setattr(sl2, "kernel_stage", stage)
     return calls
 
 
 def test_cohom_tower_restricts_each_stage_once(monkeypatch):
-    from contramod.sl2 import battery_module, build_tower
+    """Each stage is built in its kernel once for the whole battery, and
+    each module is restricted once per stage."""
+    from contramod.sl2 import battery_module, kernel_stage
 
-    tower = build_tower(0, 2, 2)
     modules = [battery_module(2, expr) for expr in ("L0", "L1", "P1")]
-    calls = _count_restrictions(monkeypatch)
-    cohom_tower(modules, tower, 0, 2)
-    assert len(calls) == len(tower.stages) * (1 + len(modules))
-    stages = [(s.name, tower.m0 + i) for i, s in enumerate(tower.stages)]
+    calls = _count_builds(monkeypatch, {m: kernel_stage(0, 2, m) for m in (1, 2)})
+    cohom_tower(modules, 0, 2, 2)
+    stages = [("stage", 1), ("stage", 2)]
     assert sorted(calls) == sorted(stages + [(v.name, m) for _, m in stages for v in modules])
 
 
 def test_cohom_tower_window_error_names_the_first_offending_module(monkeypatch):
     """At --mmax 2 the README battery's L2, L3 and L1*L1 all first compare
-    at stage 3; the error names L2 and nothing is restricted."""
-    from contramod.sl2 import battery_module, build_tower
+    at stage 3; the error names L2 and nothing is built or restricted."""
+    from contramod.sl2 import battery_module
 
-    tower = build_tower(0, 2, 2)
     modules = [battery_module(2, expr) for expr in README_BATTERY]
-    calls = _count_restrictions(monkeypatch)
+    calls = _count_builds(monkeypatch, {})
     with pytest.raises(ValueError, match=r"^L2: .*stage 3, beyond the last stage 2$"):
-        cohom_tower(modules, tower, 0, 2)
+        cohom_tower(modules, 0, 2, 2)
     assert calls == []
