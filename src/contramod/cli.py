@@ -188,8 +188,8 @@ def _duality(job, v, w):
 
 
 def _tower(job, battery):
-    from .sl2 import battery_dim, battery_module, stage_dim
-    from .towers import cohom_tower
+    from .sl2 import battery_dim, battery_module, battery_top_weight, stage_dim, tower_base
+    from .towers import cohom_tower, first_stable_stage
 
     p, lam, mmax = job.params["p"], job.params["lambda"], job.params["mmax"]
     # the last stage lives over k[G_mmax], of dimension p^(3 mmax); the
@@ -203,6 +203,10 @@ def _tower(job, battery):
         if battery_dim(p, expr) * top > cio.MAX_DIM:
             raise SchemaError(f"tower: {expr} times the last stage P({lam},{mmax}), of dimension "
                               f"{top}, has dimension above {cio.MAX_DIM}")
+    # so is each module's weight window, read off its factors' characters
+    m0 = tower_base(lam, p, mmax)
+    for expr in battery:
+        first_stable_stage(expr, battery_top_weight(p, expr), m0, p, mmax)
     modules = [battery_module(p, expr) for expr in battery]
     reports = [{**rep.to_json(), "module": expr}
                for expr, rep in zip(battery, cohom_tower(modules, lam, p, mmax))]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .coalgebra import Coalgebra, Verdict
 from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
-from .matrix import Mat, kron, map_of_vec
+from .matrix import Mat, kron_identity, map_of_vec
 
 
 @dataclass
@@ -121,10 +121,10 @@ def cofree(c: Coalgebra, d: int, side: str = "left") -> Comodule:
     """Carrier C (x) k^d (resp. k^d (x) C) with coaction Delta (x) Id."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    eye = Mat.identity(d, c.field)
+    coaction = kron_identity(c.delta, d, left=side != "left")  # Id_d (x) Delta on the right side
     if side == "left":
-        return Comodule(c, "left", c.dim * d, kron(c.delta, eye), name=f"cofree({d})")
-    return Comodule(c, "right", d * c.dim, kron(eye, c.delta), name=f"cofree_r({d})")
+        return Comodule(c, "left", c.dim * d, coaction, name=f"cofree({d})")
+    return Comodule(c, "right", d * c.dim, coaction, name=f"cofree_r({d})")
 
 
 def comodule_over_self(c: Coalgebra, side: str = "left") -> Comodule:
@@ -202,8 +202,8 @@ def hom_basis_maps(m: Comodule, n_mod: Comodule, sub: Subspace | None = None) ->
 def is_comodule_map(m: Comodule, n_mod: Comodule, t: Mat) -> bool:
     if m.side != n_mod.side:
         return False
-    eye = Mat.identity(m.coalgebra.dim, m.field)
-    return _left_coaction(n_mod) @ t == kron(eye, t) @ _left_coaction(m)
+    id_t = kron_identity(t, m.coalgebra.dim, left=True)
+    return _left_coaction(n_mod) @ t == id_t @ _left_coaction(m)
 
 
 def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:

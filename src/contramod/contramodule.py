@@ -22,7 +22,7 @@ from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
 from .linalg import Coequalizer, Subspace, exactness_failures, quotient_by_image, rank, split_solve
-from .matrix import Mat, kron
+from .matrix import Mat, kron_identity
 
 
 @dataclass
@@ -275,11 +275,11 @@ def cohom_exactness_probe(sub: Comodule, mid: Comodule, quot: Comodule,
     The functor is contravariant and right exact; projectivity of B is
     equivalent to exactness on every input sequence.
     """
-    eye_b = Mat.identity(b.dim, b.field)
     co_a, co_m, co_q = cohom(sub, b), cohom(mid, b), cohom(quot, b)
     error = "Cohom functorial map does not descend"
-    return ExactnessVerdict.of(co_q.descend(co_m.quotient_map @ kron(proj.transpose(), eye_b), error),
-                               co_m.descend(co_a.quotient_map @ kron(incl.transpose(), eye_b), error))
+    from_mid = co_m.quotient_map @ kron_identity(proj.transpose(), b.dim, left=False)
+    from_sub = co_a.quotient_map @ kron_identity(incl.transpose(), b.dim, left=False)
+    return ExactnessVerdict.of(co_q.descend(from_mid, error), co_m.descend(from_sub, error))
 
 
 # -- duality ------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
 Scalars are plain Python objects: ``fractions.Fraction`` over the rationals,
-canonical representatives ``0..p-1`` (ints) over a prime field.  All matrix
-code routes arithmetic through a :class:`FieldSpec`, so there is no floating
-point anywhere downstream.
+canonical representatives ``0..p-1`` (ints) over a prime field.  A
+:class:`FieldSpec` coerces, parses and formats them and does scalar
+arithmetic.  The hot kernels (elimination in :mod:`linalg`, products in
+:mod:`matrix`) work on Python ints instead and hand back canonical scalars;
+there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Fraction is immutable, so every rational zero and one can be the same object.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Ground field: characteristic 0 means the rationals, p means F_p."""
@@ -58,10 +65,10 @@ class FieldSpec:
     # -- canonical scalars ------------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
+        return _Q_ZERO if self.characteristic == 0 else 0
 
     def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+        return _Q_ONE if self.characteristic == 0 else 1
 
     def of(self, x):
         """Coerce an int, Fraction or string like ``"-3"``/``"2/5"``."""

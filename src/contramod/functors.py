@@ -22,7 +22,7 @@ from .contramodule import (
     free_contramodule, hom_contra, hom_contra_basis_maps, is_contra_map,
 )
 from .linalg import Coequalizer, exactness_failures, rank
-from .matrix import Mat, kron
+from .matrix import Mat, kron_identity
 
 
 def _require_surjective(rho: CoalgebraMorphism):
@@ -35,8 +35,7 @@ def restrict(rho: CoalgebraMorphism, v: Contramodule) -> Contramodule:
     if v.coalgebra != rho.source:
         raise ValueError("contramodule does not live over the source coalgebra")
     _require_surjective(rho)
-    eye = Mat.identity(v.dim, v.field)
-    theta = v.theta @ kron(rho.matrix.transpose(), eye)
+    theta = v.theta @ kron_identity(rho.matrix.transpose(), v.dim, left=False)
     return Contramodule(rho.target, v.dim, theta, name=f"{v.name}|res")
 
 
@@ -82,9 +81,8 @@ def induce_map(
     h: Mat,
 ) -> Mat:
     """Functorial action on a contra-homomorphism h: W -> W'."""
-    eye = Mat.identity(rho.source.dim, h.field)
-    return res_src.coeq.descend(res_tgt.coeq.quotient_map @ kron(eye, h),
-                                "map does not descend: is h a contra-homomorphism?")
+    lifted = res_tgt.coeq.quotient_map @ kron_identity(h, rho.source.dim, left=True)
+    return res_src.coeq.descend(lifted, "map does not descend: is h a contra-homomorphism?")
 
 
 # -- the adjunction ---------------------------------------------------------------
@@ -95,15 +93,14 @@ def gamma(rho: CoalgebraMorphism, res: InductionResult, phi: Mat) -> Mat:
     counit-induced splitting of the free presentation."""
     presentation = res.coeq.quotient_map
     w_dim = presentation.cols // rho.source.dim
-    eps_sec = kron(rho.source.epsilon.transpose(), Mat.identity(w_dim, phi.field))
+    eps_sec = kron_identity(rho.source.epsilon.transpose(), w_dim, left=False)
     return phi @ presentation @ eps_sec
 
 
 def gamma_inv(rho: CoalgebraMorphism, res: InductionResult, v: Contramodule, psi: Mat) -> Mat:
     """Inverse direction: extend W -> V|_D to Ind(W) -> V via the
     contra-action of V."""
-    eye = Mat.identity(rho.source.dim, psi.field)
-    return res.coeq.descend(v.theta @ kron(eye, psi),
+    return res.coeq.descend(v.theta @ kron_identity(psi, rho.source.dim, left=True),
                             "extension does not kill the induction relations")
 
 

@@ -1,10 +1,11 @@
 """Exact Gaussian elimination, kernels, images, equalizers, coequalizers and
 the exactness test for chains of maps.
 
-Two echelon engines share one interface: a generic one whose rows are sparse
-dicts of field scalars, and a GF(2) one whose rows are Python ints used as
-bitmasks.  Both keep rows fully reduced on demand (Jordan form), which makes
-kernels, particular solutions and canonical subspace bases read off directly.
+Two echelon engines share one interface: a generic one over Q and F_p whose
+rows are sparse dicts of Python ints, and a GF(2) one whose rows are Python
+ints used as bitmasks.  Both keep rows fully reduced on demand (Jordan
+form), which makes kernels, particular solutions and canonical subspace
+bases read off directly.
 
 The engines are incremental: rows are fed one at a time, so very wide or very
 tall sparse systems (the Cohom coequalizers over the 512-dimensional
@@ -14,16 +15,52 @@ coalgebras) never materialize densely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .fields import FieldSpec
-from .matrix import Mat, kron, map_of_vec
+from .matrix import Mat, _ints, _scalars, kron, map_of_vec
+
+
+def _eliminate(row: dict, existing: dict, j: int, p: int) -> int:
+    """Clear column j of an int row with a stored row whose pivot is j:
+    ``row <- e*row - c*existing``, with c and e the two entries at j over
+    their gcd, reduced mod p when p > 0.  Returns e (always 1 over F_p,
+    whose stored pivots are 1)."""
+    c, e = row[j], existing[j]
+    if e != 1:
+        g = gcd(c, e)
+        c, e = c // g, e // g
+        if e != 1:
+            for k, v in row.items():
+                row[k] = v * e
+    get = row.get
+    for k, v in existing.items():
+        s = get(k, 0) - c * v
+        if p:
+            s %= p
+        if s:
+            row[k] = s
+        else:
+            del row[k]
+    return e
+
+
+def _primitive(row: dict) -> None:
+    """Divide an int row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k, v in row.items():
+            row[k] = v // g
 
 
 class _EchelonGeneric:
-    """Row echelon accumulator over an arbitrary exact field.
+    """Row echelon accumulator over Q or F_p, fraction-free.
 
-    Rows are sparse dicts; the pivot of a row is its smallest column, and
-    pivot entries are normalized to 1 on insertion.
+    A stored row is a sparse dict of ints standing for itself divided by its
+    pivot entry, the entry at its smallest column: over Q the ints are
+    coprime and the pivot is positive, over F_p they are representatives
+    ``0..p-1`` and the pivot is 1.  Field scalars are read on input and made
+    again only by ``row_items`` and ``reduce_vector``.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
@@ -35,73 +72,64 @@ class _EchelonGeneric:
     def rank(self) -> int:
         return len(self.rows)
 
+    def _int_row(self, row: dict) -> tuple[dict, int]:
+        """A fresh int copy of a row of scalars, zeros dropped, and the
+        scale it was multiplied by."""
+        ints, scale = _ints(row, self.field)
+        return {j: v for j, v in ints.items() if v}, scale.get(None, 1)
+
     def add_row(self, row: dict) -> bool:
-        f = self.field
-        row = {j: v for j, v in row.items() if v != 0}
+        p = self.field.characteristic
+        row, _ = self._int_row(row)
         while row:
             piv = min(row)
             existing = self.rows.get(piv)
             if existing is None:
-                inv = f.invert(row[piv])
-                row = {j: f.mul(inv, v) for j, v in row.items()}
+                if p:
+                    inv = pow(row[piv], -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+                else:
+                    _primitive(row)
+                    if row[piv] < 0:
+                        row = {j: -v for j, v in row.items()}
                 self.rows[piv] = row
                 self._jordan = False
                 return True
-            c = row[piv]
-            for j, v in existing.items():
-                s = f.sub(row.get(j, f.zero()), f.mul(c, v))
-                if s == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = s
+            if _eliminate(row, existing, piv, p) != 1:
+                _primitive(row)
         return False
 
     def finalize(self):
-        """Back-eliminate so every pivot column appears in one row only."""
+        """Back-eliminate so every pivot column appears in one row only.
+        Rows are done from the last pivot down, so each row met is already
+        reduced and one pass over a row's pivot columns clears them all."""
         if self._jordan:
             return
-        f = self.field
-        for piv in sorted(self.rows, reverse=True):
-            row = self.rows[piv]
-            hits = [j for j in row if j != piv and j in self.rows]
-            while hits:
-                for j in hits:
-                    c = row.get(j)
-                    if c is None or c == 0:
-                        continue
-                    for jj, v in self.rows[j].items():
-                        s = f.sub(row.get(jj, f.zero()), f.mul(c, v))
-                        if s == 0:
-                            row.pop(jj, None)
-                        else:
-                            row[jj] = s
-                hits = [j for j in row if j != piv and j in self.rows]
+        p, rows = self.field.characteristic, self.rows
+        for piv in sorted(rows, reverse=True):
+            row = rows[piv]
+            scaled = False
+            for j in [j for j in row if j != piv and j in rows]:
+                scaled |= _eliminate(row, rows[j], j, p) != 1
+            if scaled:
+                _primitive(row)
         self._jordan = True
 
     def reduce_vector(self, row: dict) -> dict:
         """Residual of a vector after full reduction (no insertion)."""
-        f = self.field
-        row = {j: v for j, v in row.items() if v != 0}
-        changed = True
-        while changed:
-            changed = False
-            for j in sorted(row):
-                existing = self.rows.get(j)
-                if existing is None:
-                    continue
-                c = row[j]
-                for jj, v in existing.items():
-                    s = f.sub(row.get(jj, f.zero()), f.mul(c, v))
-                    if s == 0:
-                        row.pop(jj, None)
-                    else:
-                        row[jj] = s
-                changed = True
-                break
-        return row
+        p, rows = self.field.characteristic, self.rows
+        row, scale = self._int_row(row)
+        # a stored row has no entry left of its pivot, so clearing pivot
+        # columns from the left never brings back one already cleared
+        done = -1
+        while hits := [j for j in row if j > done and j in rows]:
+            done = min(hits)
+            scale *= _eliminate(row, rows[done], done, p)
+        return _scalars(row, self.field, scale)
 
     def row_items(self):
-        return [(piv, dict(r)) for piv, r in sorted(self.rows.items())]
+        f = self.field
+        return [(piv, _scalars(dict(r), f, r[piv])) for piv, r in sorted(self.rows.items())]
 
 
 class _EchelonGF2:

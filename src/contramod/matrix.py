@@ -9,13 +9,88 @@ the matrix entry ``F[y, x]`` sits at flat index ``x * dim(Y) + y``.
 Matrices are immutable by convention: construct once, never mutate.  Storage
 is a dict keyed by ``(row, col)`` holding nonzero scalars only, which is what
 the 512-dimensional coalgebras at the top of the catalog require.
+
+Products (``@``, ``apply``, ``kron``) run on Python ints: over Q each row of
+the left operand and each column of the right one (each row, for ``kron``) is
+scaled to integers by the lcm of its own denominators, and one ``Fraction``
+is made per output nonzero; over F_p each output entry is reduced once.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Iterable
 
 from .fields import FieldSpec
+
+
+def _ints(data: dict, field: FieldSpec, line=None) -> tuple[dict, dict]:
+    """Scalars as ints, each line of entries scaled by the lcm of its own
+    denominators, so the scale stays bounded by one row or column however
+    many denominators the whole operand has.  ``line(key)`` names the line
+    of an entry (its row or column); without it the dict is one line, keyed
+    ``None``.  Returns the ints and ``{line: scale}`` for the lines whose
+    scale is not 1; over F_p the representatives themselves and ``{}``."""
+    if field.characteristic:
+        return data, {}
+    # Fraction's numerator and denominator are properties, a Python call
+    # each; the slots behind them are read directly
+    try:
+        dens = {v._denominator for v in data.values()}
+    except AttributeError:  # an int among the scalars
+        return _ints({k: Fraction(v) for k, v in data.items()}, field, line)
+    dens.discard(1)
+    if not dens:
+        return {k: v._numerator for k, v in data.items()}, {}
+    if line is None:
+        s = lcm(*dens)
+        return {k: v._numerator * (s // v._denominator) for k, v in data.items()}, {None: s}
+    scales: dict = {}
+    for k, v in data.items():
+        d = v._denominator
+        if d != 1:
+            ln = line(k)
+            s = scales.get(ln, 1)
+            if s % d:
+                scales[ln] = lcm(s, d)
+    get = scales.get
+    return {k: v._numerator * (get(line(k), 1) // v._denominator)
+            for k, v in data.items()}, scales
+
+
+def _scalars(acc: dict, field: FieldSpec, scale=1) -> dict:
+    """Turn an int accumulator into canonical nonzero scalars in place and
+    return it: entry k becomes ``acc[k] / scale``, where ``scale`` is an int
+    or a function of k."""
+    p = field.characteristic
+    zeros = []
+    if p:
+        for k, v in acc.items():
+            v %= p
+            if v:
+                acc[k] = v
+            else:
+                zeros.append(k)
+    elif callable(scale):
+        for k, v in acc.items():
+            if v:
+                acc[k] = Fraction(v, scale(k))
+            else:
+                zeros.append(k)
+    else:
+        for k, v in acc.items():
+            if v:
+                acc[k] = Fraction(v, scale)
+            else:
+                zeros.append(k)
+    for k in zeros:
+        del acc[k]
+    return acc
+
+
+_row, _col = itemgetter(0), itemgetter(1)
 
 
 class Mat:
@@ -45,18 +120,26 @@ class Mat:
     @classmethod
     def from_entries(cls, rows, cols, field, entries: Iterable):
         """Accumulate ``(i, j, value)`` triples; repeated keys add up."""
+        p = field.characteristic
         data = {}
         for i, j, v in entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-            v = field.of(v)
-            if v == 0:
+            # canonical scalars need no coercion
+            if p == 0:
+                if type(v) is not Fraction:
+                    v = field.of(v)
+            elif type(v) is not int or not 0 <= v < p:
+                v = field.of(v)
+            if not v:
                 continue
-            acc = field.add(data.get((i, j), field.zero()), v)
-            if acc == 0:
-                data.pop((i, j), None)
+            old = data.get((i, j))
+            if old is None:
+                data[i, j] = v
+            elif acc := field.add(old, v):
+                data[i, j] = acc
             else:
-                data[(i, j)] = acc
+                del data[i, j]
         return cls(rows, cols, field, data)
 
     @classmethod
@@ -159,18 +242,20 @@ class Mat:
         if self.field != other.field:
             raise ValueError("field mismatch")
         f = self.field
-        brows = other.row_groups()
+        a, sa = _ints(self.data, f, _row)
+        b, sb = _ints(other.data, f, _col)
+        brows: dict = {}
+        for (k, j), vb in b.items():
+            brows.setdefault(k, {})[j] = vb
         acc: dict = {}
-        for (i, k), va in self.data.items():
+        get = acc.get
+        for (i, k), va in a.items():
             row = brows.get(k)
-            if not row:
-                continue
-            for j, vb in row.items():
-                key = (i, j)
-                s = f.add(acc.get(key, 0), f.mul(va, vb))
-                acc[key] = s
-        data = {k: v for k, v in acc.items() if v != 0}
-        return Mat(self.rows, other.cols, f, data)
+            if row:
+                for j, vb in row.items():
+                    acc[i, j] = get((i, j), 0) + va * vb
+        scale = (lambda k: sa.get(k[0], 1) * sb.get(k[1], 1)) if sa or sb else 1
+        return Mat(self.rows, other.cols, f, _scalars(acc, f, scale))
 
     def transpose(self):
         return Mat(
@@ -185,28 +270,28 @@ class Mat:
         if self.field != other.field:
             raise ValueError("field mismatch")
         f = self.field
-        data = {}
-        for (i, j), va in self.data.items():
-            for (k, l), vb in other.data.items():
-                data[(i * other.rows + k, j * other.cols + l)] = f.mul(va, vb)
-        return Mat(self.rows * other.rows, self.cols * other.cols, f, data)
+        a, sa = _ints(self.data, f, _row)
+        b, sb = _ints(other.data, f, _row)
+        r, c = other.rows, other.cols
+        data = {(i * r + k, j * c + l): va * vb
+                for (i, j), va in a.items() for (k, l), vb in b.items()}
+        # output row i*r + k carries the scales of row i of self and row k of other
+        scale = (lambda key: sa.get(key[0] // r, 1) * sb.get(key[0] % r, 1)) if sa or sb else 1
+        return Mat(self.rows * r, self.cols * c, f, _scalars(data, f, scale))
 
     def apply(self, vec: dict) -> dict:
         """Image of a sparse column vector, as a sparse dict."""
         f = self.field
-        cols = self.columns()
+        a, sa = _ints(self.data, f, _row)
+        x, sx = _ints(vec, f)
         acc: dict = {}
-        for j, c in vec.items():
-            col = cols.get(j)
-            if not col:
-                continue
-            for i, v in col.items():
-                s = f.add(acc.get(i, f.zero()), f.mul(v, c))
-                if s == 0:
-                    acc.pop(i, None)
-                else:
-                    acc[i] = s
-        return acc
+        get = acc.get
+        for (i, j), v in a.items():
+            c = x.get(j)
+            if c:
+                acc[i] = get(i, 0) + v * c
+        s = sx.get(None, 1)
+        return _scalars(acc, f, (lambda i: sa.get(i, 1) * s) if sa else s)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.field != other.field:
@@ -227,6 +312,17 @@ class Mat:
 
 def kron(f: Mat, g: Mat) -> Mat:
     return f.kron(g)
+
+
+def kron_identity(t: Mat, n: int, left: bool) -> Mat:
+    """``Id_n (x) t`` when ``left``, else ``t (x) Id_n``: the Kronecker
+    product with an identity, its entries copied without arithmetic."""
+    r, c = t.rows, t.cols
+    if left:
+        data = {(a * r + i, a * c + j): v for a in range(n) for (i, j), v in t.data.items()}
+    else:
+        data = {(i * n + a, j * n + a): v for (i, j), v in t.data.items() for a in range(n)}
+    return Mat(n * r, n * c, t.field, data)
 
 
 def vec_of_map(m: Mat) -> dict:

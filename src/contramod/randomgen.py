@@ -16,7 +16,7 @@ from .contramodule import (
 )
 from .functors import ShortExactSeq
 from .linalg import Subspace
-from .matrix import Mat, kron
+from .matrix import Mat, kron_identity
 
 
 def random_vector(rng, dim, field, max_support=4) -> dict:
@@ -60,7 +60,7 @@ def random_surjection(rng, c: Coalgebra) -> CoalgebraMorphism:
     k = sub.dim
     rho = sub.basis.transpose()
     sigma = Mat(c.dim, k, f, {(p, t): f.one() for t, p in enumerate(sub.pivots)})
-    delta = kron(Mat.identity(k, f), rho) @ (_push_delta(rho, c) @ sigma)
+    delta = kron_identity(rho, k, left=True) @ (_push_delta(rho, c) @ sigma)
     target = Coalgebra(f, k, delta, c.epsilon @ sigma, name=f"dual-sub({k})")
     return CoalgebraMorphism(c, target, rho, surjective=True)
 

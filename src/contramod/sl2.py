@@ -20,7 +20,7 @@ from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
 from .fields import GF
 from .linalg import Subspace, kernel
-from .matrix import Mat
+from .matrix import Mat, kron_identity
 from .towers import InverseSystem
 
 Mono = tuple  # (b_exp, c_exp, a_exp, d_exp), a_exp * d_exp == 0
@@ -687,7 +687,7 @@ def build_tower(lam: int, p: int = 2, m_max: int = 3) -> InverseSystem:
         nxt = tensor_rational(prev, top)
         nxt.name = f"P({lam},{m})"
         stages.append(nxt)
-        transitions.append(Mat.identity(prev.dim, proj.field).kron(proj))
+        transitions.append(kron_identity(proj, prev.dim, left=True))
     return InverseSystem(stages, transitions, m0=m0)
 
 
@@ -706,6 +706,16 @@ def battery_dim(p: int, expr: str) -> int:
     a running product over a million factors would take seconds."""
     powers = Counter(m.dim for m in _battery_factors(p, expr))
     return prod(d ** k for d, k in powers.items())
+
+
+def battery_top_weight(p: int, expr: str) -> int:
+    """Largest absolute weight of a battery expression, from its factors'
+    characters without tensoring anything: weights add under tensor
+    products, so the product's top and bottom weights are the sums of the
+    factors'."""
+    factors = _battery_factors(p, expr)
+    chars = [m.character() for m in factors]
+    return max(sum(max(c) for c in chars), -sum(min(c) for c in chars))
 
 
 def battery_module(p: int, expr: str) -> RationalComodule:

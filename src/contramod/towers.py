@@ -210,6 +210,19 @@ class TowerReport:
         }
 
 
+def first_stable_stage(name: str, top_weight: int, m0: int, p: int, m_max: int) -> int:
+    """The first stage m >= m0 where the weight bound p^(m-1) > top_weight
+    holds for a module of that top (absolute) weight; raises ValueError
+    naming the module when the tower ends at m_max before it."""
+    m = m0
+    while p ** (m - 1) <= top_weight:
+        m += 1
+    if m > m_max:
+        raise ValueError(f"{name}: the weight bound first holds at stage {m}, "
+                         f"beyond the last stage {m_max}")
+    return m
+
+
 def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[TowerReport]:
     """Dimension tables of Cohom over the stage kernels against the character
     multiplicity oracle, one ``TowerReport`` per module.
@@ -230,14 +243,8 @@ def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
     m0 = sl2.tower_base(lam, p, m_max)
     stable_froms = []
     for v in modules:
-        max_wt = max((abs(w) for w in v.character().keys()), default=0)
-        stable_from = m0
-        while p ** (stable_from - 1) <= max_wt:
-            stable_from += 1
-        if stable_from > m_max:
-            raise ValueError(f"{v.name}: the weight bound first holds at stage {stable_from}, "
-                             f"beyond the last stage {m_max}")
-        stable_froms.append(stable_from)
+        top = max((abs(w) for w in v.character()), default=0)
+        stable_froms.append(first_stable_stage(v.name, top, m0, p, m_max))
     rows = [[] for _ in modules]
     for m in range(m0, m_max + 1):
         p_m = contra_from_comodule(dual_comodule(sl2.kernel_stage(lam, p, m)))

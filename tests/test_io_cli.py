@@ -396,14 +396,15 @@ def test_cli_tower_refuses_battery_modules_above_max_dim(tmp_path, capsys, monke
     error = json.loads(capsys.readouterr().out)["error"]
     assert error == f"tower: {ninth} times the last stage P(0,2), of dimension 16, has dimension above 4096"
 
-    # 256 * 16 is exactly io.MAX_DIM, so L3^4 at --mmax 2 reaches the modules
+    # 256 * 16 is exactly io.MAX_DIM, so L3^4 at --mmax 2 passes the size
+    # guard and reaches the weight window, the next check
     def reached(*args):
-        raise ValueError("battery_module reached")
+        raise ValueError("weight window reached")
 
-    monkeypatch.setattr("contramod.sl2.battery_module", reached)
+    monkeypatch.setattr("contramod.sl2.battery_top_weight", reached)
     battery = _write(tmp_path, "battery.json", ["L3*L3*L3*L3"])
     assert main(argv) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "battery_module reached"
+    assert json.loads(capsys.readouterr().out)["error"] == "weight window reached"
 
 
 @pytest.mark.parametrize("command", ["hom", "cotensor", "cohom", "contratensor", "duality"])
@@ -602,6 +603,31 @@ def test_cli_tower_window_that_compares_nothing_is_an_input_error(tmp_path, caps
     assert main(["tower", "--p", "2", "--lambda", "0", "--mmax", "2", "--battery", battery]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error.startswith("L2:") and "stage 3" in error
+
+
+def test_cli_tower_reads_the_weight_window_before_building_modules(tmp_path, capsys, monkeypatch):
+    """L1^10 (dimension 1024) passes the size guard at --mmax 1, but its top
+    weight 10 first meets the weight bound at stage 5: the job exits 2 with
+    the same message as when the window was read off the tensored module,
+    and no battery module is built."""
+    def refused(*args):
+        raise AssertionError("a battery module was built")
+
+    monkeypatch.setattr("contramod.sl2.battery_module", refused)
+    expr = "*".join(["L1"] * 10)
+    battery = _write(tmp_path, "battery.json", [expr])
+    argv = ["tower", "--p", "2", "--lambda", "0", "--mmax", "1", "--battery", battery]
+    assert _within_one_second(lambda: main(argv)) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        f"{expr}: the weight bound first holds at stage 5, beyond the last stage 1")
+
+
+def test_battery_top_weight_matches_the_tensored_character():
+    from contramod.sl2 import battery_module, battery_top_weight
+
+    for expr in ("L0", "L1", "L2", "L3", "P0", "P1", "L1*L1", " P0 * L2 ", "L3*L1*L0"):
+        top = max(abs(w) for w in battery_module(2, expr).character())
+        assert battery_top_weight(2, expr) == top
 
 
 README_BATTERY = ["L0", "L1", "L2", "L3", "L1*L1"]

@@ -1,6 +1,7 @@
 """Kernel/image/equalizer/coequalizer engine, checked against brute force."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from contramod.fields import GF, GF2, GF3, QQ
 from contramod.linalg import (
-    Subspace, coequalizer, equalizer, image, kernel, rank, solve,
+    Subspace, _EchelonGeneric, coequalizer, equalizer, image, kernel, rank, solve,
 )
-from contramod.matrix import Mat, kron
+from contramod.matrix import Mat, _col, _ints, _row, kron, kron_identity
 
 FIELDS = [QQ, GF2, GF3, GF(5)]
 
@@ -24,30 +25,33 @@ def random_mat(rng, rows, cols, field, density=0.6):
     return Mat.from_entries(rows, cols, field, entries)
 
 
-def dense_rank_oracle(mat):
-    """Independent dense row reduction, no shared code with the engine."""
-    f = mat.field
-    dense = [row[:] for row in mat.to_dense()]
+def gauss_jordan(dense, ncols, field):
+    """Dense Gauss-Jordan on field scalars (``Fraction`` over Q), no shared
+    code with the engines: the pivot columns and the nonzero rows of the
+    reduced row echelon form, each row a dense list with pivot entry 1."""
+    f = field
+    dense = [[f.of(v) for v in row] for row in dense]
     r = 0
-    for col in range(mat.cols):
-        piv = None
-        for i in range(r, mat.rows):
-            if dense[i][col] != 0:
-                piv = i
-                break
+    pivots = []
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(dense)) if dense[i][col] != 0), None)
         if piv is None:
             continue
         dense[r], dense[piv] = dense[piv], dense[r]
         inv = f.invert(dense[r][col])
         dense[r] = [f.mul(inv, v) for v in dense[r]]
-        for i in range(mat.rows):
+        for i in range(len(dense)):
             if i != r and dense[i][col] != 0:
                 c = dense[i][col]
                 dense[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(dense[i], dense[r])]
+        pivots.append(col)
         r += 1
-        if r == mat.rows:
-            break
-    return r
+    return pivots, dense[:r]
+
+
+def dense_rank_oracle(mat):
+    """Independent dense row reduction, no shared code with the engine."""
+    return len(gauss_jordan(mat.to_dense(), mat.cols, mat.field)[0])
 
 
 def enumerate_vectors(field, n):
@@ -87,6 +91,20 @@ def test_kron_identity_and_mixed_shapes():
             for a in range(3):
                 for b in range(2):
                     assert k[i * 3 + a, j * 2 + b] == f[i, j] * g[a, b]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kron_identity_copies_kron_with_an_identity(field):
+    """Id_n (x) t and t (x) Id_n hold t's own scalar objects, no products."""
+    rng = random.Random(17)
+    for _ in range(10):
+        t = random_mat(rng, rng.randint(1, 3), rng.randint(1, 3), field)
+        n = rng.randint(0, 3)
+        eye = Mat.identity(n, field)
+        left, right = kron_identity(t, n, left=True), kron_identity(t, n, left=False)
+        assert left == kron(eye, t) and right == kron(t, eye)
+        own = {id(v) for v in t.data.values()}
+        assert all(id(v) in own for m in (left, right) for v in m.data.values())
 
 
 def test_kron_functoriality():
@@ -284,3 +302,198 @@ def test_gf2_engine_agrees_with_generic_engine():
         assert fast.row_items() == slow.row_items()
         probe = {j: 1 for j in rng.sample(range(cols), k=min(cols, 3))}
         assert fast.reduce_vector(dict(probe)) == slow.reduce_vector(dict(probe))
+
+
+# -- the fraction-free kernels against dense Fraction oracles --------------------
+
+
+def wide_scalar(rng, field):
+    """A nonzero scalar; over Q with numerator and denominator up to 10^6
+    and either sign."""
+    if field.characteristic:
+        return rng.randrange(1, field.characteristic)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+
+
+def hard_rows(rng, nrows, ncols, field):
+    """Sparse rows with wide scalars, mixed with zero rows, duplicate rows
+    and combinations of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append({})
+        elif kind < 0.3 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.45 and len(rows) > 1:
+            a, b = rng.sample(rows, 2)
+            c = wide_scalar(rng, field)
+            combo = {j: field.add(a.get(j, field.zero()), field.mul(c, b.get(j, field.zero())))
+                     for j in set(a) | set(b)}
+            rows.append({j: v for j, v in combo.items() if v != 0})
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, ncols))
+            rows.append({j: wide_scalar(rng, field) for j in cols})
+    return rows
+
+
+def as_dense(rows, ncols, field):
+    return [[row.get(j, field.zero()) for j in range(ncols)] for row in rows]
+
+
+def as_sparse(dense_row):
+    return {j: v for j, v in enumerate(dense_row) if v != 0}
+
+
+def reduce_oracle(pivots, rref, vec, ncols, field):
+    """vec minus the combination of reduced rows that clears its pivot
+    columns."""
+    vec = [vec.get(j, field.zero()) for j in range(ncols)]
+    for p, row in zip(pivots, rref):
+        c = vec[p]
+        vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, row)]
+    return as_sparse(vec)
+
+
+def is_canonical(v, field):
+    if field.characteristic:
+        return type(v) is int and 0 < v < field.characteristic
+    return type(v) is Fraction and v != 0
+
+
+ORACLE_FIELDS = [QQ, GF2, GF3, GF(5)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_generic_engine_matches_dense_gauss_jordan(field):
+    """Rank, reduced rows and residuals of the fraction-free engine, before
+    and after back elimination, equal those of dense Gauss-Jordan."""
+    rng = random.Random(2024)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = hard_rows(rng, nrows, ncols, field)
+        pivots, rref = gauss_jordan(as_dense(rows, ncols, field), ncols, field)
+        ech = _EchelonGeneric(field, ncols)
+        for row in rows:
+            ech.add_row(dict(row))
+        assert ech.rank() == len(pivots)
+        probe = {j: wide_scalar(rng, field) for j in rng.sample(range(ncols), rng.randint(1, ncols))}
+        expected = reduce_oracle(pivots, rref, probe, ncols, field)
+        assert ech.reduce_vector(dict(probe)) == expected
+        ech.finalize()
+        items = ech.row_items()
+        assert items == [(p, as_sparse(row)) for p, row in zip(pivots, rref)]
+        assert all(is_canonical(v, field) for _, row in items for v in row.values())
+        residual = ech.reduce_vector(dict(probe))
+        assert residual == expected
+        assert all(is_canonical(v, field) for v in residual.values())
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_linalg_matches_dense_gauss_jordan(field):
+    """rank, kernel, solve and Subspace.from_columns on wide scalars, zero
+    and duplicate rows, against bases read off dense Gauss-Jordan."""
+    rng = random.Random(99)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = hard_rows(rng, nrows, ncols, field)
+        mat = Mat.from_entries(nrows, ncols, field,
+                               [(i, j, v) for i, row in enumerate(rows) for j, v in row.items()])
+        pivots, rref = gauss_jordan(as_dense(rows, ncols, field), ncols, field)
+        assert rank(mat) == len(pivots)
+
+        sub = Subspace.from_columns(ncols, field, rows)
+        assert sub.pivots == pivots
+        assert sub.basis_columns() == [as_sparse(row) for row in rref]
+
+        # the kernel's canonical basis: the null vectors read off rref, reduced
+        null = []
+        for j in (j for j in range(ncols) if j not in pivots):
+            vec = {j: field.one()}
+            vec.update({p: field.neg(row[j]) for p, row in zip(pivots, rref) if row[j] != 0})
+            null.append(vec)
+        k_pivots, k_rref = gauss_jordan(as_dense(null, ncols, field), ncols, field)
+        ker = kernel(mat)
+        assert ker.pivots == k_pivots
+        assert ker.basis_columns() == [as_sparse(row) for row in k_rref]
+
+        # one solution with free variables 0, or None when the system is infeasible
+        if rng.random() < 0.5:
+            rhs = mat.apply({j: wide_scalar(rng, field) for j in range(ncols)})
+        else:
+            rhs = {i: wide_scalar(rng, field) for i in rng.sample(range(nrows), rng.randint(1, nrows))}
+        aug = [row + [rhs.get(i, field.zero())] for i, row in enumerate(mat.to_dense())]
+        a_pivots, a_rref = gauss_jordan(aug, ncols + 1, field)
+        if ncols in a_pivots:
+            assert solve(mat, rhs) is None
+        else:
+            expected = {p: row[ncols] for p, row in zip(a_pivots, a_rref) if row[ncols] != 0}
+            assert solve(mat, rhs) == expected
+
+
+def dense_product(a, b, field):
+    return [[_dot(row, [b[k][j] for k in range(len(b))], field) for j in range(len(b[0]))]
+            for row in a]
+
+
+def _dot(xs, ys, field):
+    acc = field.zero()
+    for x, y in zip(xs, ys):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def wide_mat(rng, rows, cols, field):
+    entries = [(i, j, wide_scalar(rng, field)) for i in range(rows) for j in range(cols)
+               if rng.random() < 0.6]
+    return Mat.from_entries(rows, cols, field, entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_products_match_dense_loops(field):
+    """``@``, ``apply`` and ``kron`` on integers against dense loops of field
+    arithmetic, with canonical nonzero scalars in every output."""
+    rng = random.Random(5)
+    for _ in range(25):
+        n, m, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = wide_mat(rng, n, m, field), wide_mat(rng, m, k, field)
+        prod_ = a @ b
+        assert prod_ == Mat.from_dense(dense_product(a.to_dense(), b.to_dense(), field), field)
+        vec = {j: wide_scalar(rng, field) for j in rng.sample(range(m), rng.randint(1, m))}
+        col = [[vec.get(j, field.zero())] for j in range(m)]
+        assert a.apply(vec) == as_sparse([r[0] for r in dense_product(a.to_dense(), col, field)])
+        kr = a.kron(b)
+        da, db = a.to_dense(), b.to_dense()
+        dense_kron = [[field.mul(da[i][j], db[s][t]) for j in range(m) for t in range(k)]
+                      for i in range(n) for s in range(m)]
+        assert kr == Mat.from_dense(dense_kron, field)
+        for out in (prod_.data, a.apply(vec), kr.data):
+            assert all(is_canonical(v, field) for v in out.values())
+
+
+def test_product_scales_are_per_line():
+    """Each row (or column) of a Q operand is scaled by the lcm of its own
+    denominators, not the whole operand's, and the products stay exact."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    a = Mat.from_entries(4, 3, QQ, [(i, j, Fraction(1, primes[3 * i + j]))
+                                    for i in range(4) for j in range(3)])
+    _, rows = _ints(a.data, QQ, _row)
+    assert rows == {i: primes[3 * i] * primes[3 * i + 1] * primes[3 * i + 2] for i in range(4)}
+    _, cols = _ints(a.data, QQ, _col)
+    assert cols == {j: primes[j] * primes[3 + j] * primes[6 + j] * primes[9 + j] for j in range(3)}
+    b = a.transpose()
+    assert a @ b == Mat.from_dense(dense_product(a.to_dense(), b.to_dense(), QQ), QQ)
+    vec = {0: Fraction(1, 41), 2: Fraction(-3, 43)}
+    assert a.apply(vec) == as_sparse([r[0] for r in dense_product(
+        a.to_dense(), [[vec.get(j, QQ.zero())] for j in range(3)], QQ)])
+    kr = a.kron(b)
+    assert all(kr[i * 3 + s, j * 4 + t] == a[i, j] * b[s, t]
+               for i in range(4) for j in range(3) for s in range(3) for t in range(4))
+
+
+def test_from_entries_drops_cancelling_entries():
+    q = Mat.from_entries(2, 2, QQ, [(0, 0, Fraction(1, 3)), (0, 0, Fraction(-1, 3)),
+                                    (1, 1, "2/4"), (1, 1, Fraction(-1, 2)), (0, 1, 0), (1, 0, 3)])
+    assert q.data == {(1, 0): 3} and type(q.data[1, 0]) is Fraction
+    f3 = Mat.from_entries(2, 2, GF3, [(0, 0, 2), (0, 0, 1), (1, 1, 5), (1, 1, -1), (0, 1, 3)])
+    assert f3.data == {(1, 1): 1}
