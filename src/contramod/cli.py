@@ -9,7 +9,8 @@ the ``JobSpec`` built by ``main`` and the loading in ``run`` all read it.
 Exit codes: 0 when every asserted check passes, 1 on a check failure, 2 on
 an input/schema error, including the library's ``ValueError`` for inputs
 over different coalgebras, and on a report that cannot be written to
-``--out``.  Reports are deterministic for a fixed seed;
+``--out``.  A reader that closes stdout early leaves the exit code as it
+is.  Reports are deterministic for a fixed seed;
 --pretty only re-indents the identical payload.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field as dc_field, replace
@@ -282,7 +284,9 @@ def _emit(job: JobSpec, report: dict):
         with open(job.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        # flushed here, so a closed pipe fails inside main's handler and
+        # not in the interpreter's flush at exit
+        print(text, flush=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,6 +326,14 @@ def main(argv=None) -> int:
     try:
         _emit(job, report)
     except OSError as e:
+        if isinstance(e, BrokenPipeError) and not job.out:
+            # the reader of stdout went away, which does not change the
+            # verdict; stdout goes to devnull so the flush at exit cannot
+            # fail on the pipe again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return code
         error = f"cannot write the report to {job.out}: {e.strerror or e}"
         _emit(replace(job, out=None), {"command": job.command, "seed": job.seed, "error": error})
         return EXIT_INPUT_ERROR

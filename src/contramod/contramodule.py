@@ -248,7 +248,7 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
     B, and B is projective iff it admits a contra-homomorphism section."""
     free = free_contramodule(b.coalgebra, b.dim)
     system = comodule._hom_system(_as_comodule(b), _as_comodule(free))
-    section = split_solve(system, b.theta, Mat.identity(b.dim, b.field))
+    section = split_solve(system, b.theta, section=True)
     return section is not None, section
 
 

@@ -4,8 +4,10 @@ Scalars are plain Python objects: ``fractions.Fraction`` over the rationals,
 canonical representatives ``0..p-1`` (ints) over a prime field.  A
 :class:`FieldSpec` coerces, parses and formats them and does scalar
 arithmetic.  The hot kernels (elimination in :mod:`linalg`, products in
-:mod:`matrix`) work on Python ints instead and hand back canonical scalars;
-there is no floating point anywhere.
+:mod:`matrix`, the axiom checkers in :mod:`comodule` and :mod:`coalgebra`)
+work on Python ints instead, the kernels handing back canonical scalars;
+there is no floating point anywhere.  A serialized integer such as ``"-12"``
+is parsed as an int, without a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -118,6 +120,12 @@ class FieldSpec:
         integer.  Floats and booleans are refused, not rounded."""
         if isinstance(s, bool) or not isinstance(s, (str, int)):
             raise ValueError(f"scalar must be a string or an integer, got {s!r}")
+        if isinstance(s, str):
+            # ASCII digits with an optional "-" read as an int, without
+            # Fraction's string parser; every other string goes through of()
+            digits = s[1:] if s[:1] == "-" else s
+            if digits.isascii() and digits.isdigit():
+                s = int(s)
         return self.of(s)
 
     def random(self, rng, nonzero: bool = False):

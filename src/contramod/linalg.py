@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .fields import FieldSpec
-from .matrix import Mat, _ints, _scalars, kron, map_of_vec
+from .matrix import Mat, _ints, _scalars, kron_identity, map_of_vec
 
 
 def _eliminate(row: dict, existing: dict, j: int, p: int) -> int:
@@ -397,16 +397,19 @@ def solve(mat: Mat, rhs: dict) -> dict | None:
     return x
 
 
-def split_solve(hom_rows: Mat, post: Mat, pre: Mat) -> Mat | None:
-    """A map X with hom_rows @ vec(X) = 0 and post @ X @ pre = identity, found
-    by one solve, or None if there is none.  vec flattens X: A -> B as in
-    :func:`matrix.vec_of_map`, which turns the composite into
-    kron(pre^T, post) @ vec(X)."""
+def split_solve(hom_rows: Mat, t: Mat, section: bool) -> Mat | None:
+    """A map X with hom_rows @ vec(X) = 0 that splits t, found by one solve,
+    or None if there is none: a section, t @ X = identity, when ``section``,
+    else a retraction, X @ t = identity.  vec flattens X as in
+    :func:`matrix.vec_of_map`, which turns t @ X into (Id (x) t) @ vec(X) and
+    X @ t into (t^T (x) Id) @ vec(X)."""
     f = hom_rows.field
-    e = post.rows
-    system = hom_rows.vstack(kron(pre.transpose(), post))
-    x = solve(system, {hom_rows.rows + i * e + i: f.one() for i in range(e)})
-    return None if x is None else map_of_vec(x, pre.rows, post.cols, f)
+    if section:
+        e, block = t.rows, kron_identity(t, t.rows, left=True)
+    else:
+        e, block = t.cols, kron_identity(t.transpose(), t.cols, left=False)
+    x = solve(hom_rows.vstack(block), {hom_rows.rows + i * e + i: f.one() for i in range(e)})
+    return None if x is None else map_of_vec(x, t.rows, t.cols, f)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import shlex
 import signal
 import subprocess
@@ -740,6 +741,68 @@ def test_scalars_parse_only_from_strings_and_integers():
         for value in (0.5, 1.0, True, None, [1], {"x": 1}):
             with pytest.raises(ValueError, match="string or an integer"):
                 field.parse(value)
+
+
+def _outcome(read, s):
+    """What reading s gives: the scalar and its type, or the exception."""
+    try:
+        v = read(s)
+    except Exception as e:
+        return type(e), str(e)
+    return type(v), v
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ])
+def test_parse_reads_integer_strings_as_of_does(field):
+    """Integer strings take parse's int path; every string, on that path or
+    not, is accepted or refused exactly as of() does, with the same scalar
+    or the same exception and message."""
+    for s in ("0", "-0", "7", "-12", "9" * 60, "-" + "7" * 60):
+        assert _outcome(field.parse, s) == _outcome(field.of, s)
+        assert field.parse(s) == field.of(int(s))
+    for s in ("--3", "+3", " 3", "\u00b2", "\u0663", "1/0", "3/2", "-", "", "1_0"):
+        assert _outcome(field.parse, s) == _outcome(field.of, s), s
+    for s in ("--3", "\u00b2", "-", ""):
+        with pytest.raises(ValueError):
+            field.parse(s)
+    with pytest.raises(ZeroDivisionError):
+        field.parse("1/0")
+    assert field.parse("+3") == field.parse(" 3") == field.of(3)
+    if field == GF2:
+        with pytest.raises(ZeroDivisionError):
+            field.parse("3/2")
+
+
+@pytest.mark.parametrize("args, want", [
+    # a report far larger than the pipe buffer, and one far smaller, which
+    # would sit in stdout's buffer until the flush at exit if not flushed
+    (["--field", "Fp:2", "exactness", "--rho", "rho_dpd32.json", "--samples", "20", "--seed", "11"], 1),
+    (["verify", "coalgebra_grouplike3.json"], 0),
+])
+def test_cli_closed_stdout_keeps_the_verdict_without_a_traceback(args, want, tmp_path):
+    """A reader that closes the pipe before the report is written (``| head
+    -c 0``) changes neither the exit code nor stderr, whatever the report's
+    size."""
+    examples = tmp_path / "examples_io"
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_cli_examples.py"), str(examples)],
+        check=True, capture_output=True,
+    )
+    argv = [sys.executable, "-m", "contramod.cli",
+            *(str(examples / a) if a.endswith(".json") else a for a in args)]
+    # stdout block-buffered, as it is on a pipe unless PYTHONUNBUFFERED is set
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    verdict = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert verdict.returncode == want and verdict.stdout and not verdict.stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert not closed.stderr
+    assert closed.returncode == want
 
 
 @pytest.mark.parametrize("flag", ["Q", "Fp:2"])

@@ -4,14 +4,16 @@ difference it is, cotensor, contratensor and induction (built from Hom,
 Cohom and the quotient contramodule) against their own Kronecker formulas,
 the coequalizer against the quotient by the image of f - g, the
 contramodule operations that run on the comodule code against their direct
-Kronecker formulas, ``check_coalgebra`` against its own column loop,
-``dual_comodule`` against one loop per side, pivot-read ``Subspace.coords``
-against elimination, ``duality_check`` against the trace-pairing loops, and
-the identity that makes Hom pair to zero against Cohom's relations, and Delta
-pushed along a coalgebra map (``check_morphism``, ``comodule_along``,
-``random_surjection``) against the Kronecker product and structure-constant
-formulas, and Cohom's F2 bitmask relations against its dict columns.  The
-oracles live here only."""
+Kronecker formulas, ``check_coalgebra`` against its own column loop and
+``check_comodule`` against its per-scalar loop on seeded, rescaled and
+mutated comodules, ``split_solve`` against one solve on the Kronecker
+product, ``dual_comodule`` against one loop per side, pivot-read
+``Subspace.coords`` against elimination, ``duality_check`` against the
+trace-pairing loops, and the identity that makes Hom pair to zero against
+Cohom's relations, and Delta pushed along a coalgebra map
+(``check_morphism``, ``comodule_along``, ``random_surjection``) against the
+Kronecker product and structure-constant formulas, and Cohom's F2 bitmask
+relations against its dict columns.  The oracles live here only."""
 
 import random
 
@@ -19,7 +21,7 @@ import pytest
 
 from contramod import comodule
 from contramod.coalgebra import (
-    Coalgebra, CoalgebraMorphism, _add_into, _push_delta, check_coalgebra, check_morphism,
+    Coalgebra, CoalgebraMorphism, _push_delta, check_coalgebra, check_morphism,
     divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
@@ -32,10 +34,10 @@ from contramod.contramodule import (
     hom_contra, hom_contra_basis_maps, is_contra_map, is_projective, quotient_contramodule, sub_contramodule,
     theta_stabilizes,
 )
-from contramod.fields import GF2, GF3, QQ
+from contramod.fields import GF, GF2, GF3, QQ
 from contramod.functors import comodule_along, induce
 from contramod.linalg import (
-    Subspace, coequalizer, equalizer, image, quotient_by_image, rank, split_solve,
+    Subspace, coequalizer, equalizer, image, quotient_by_image, rank, solve,
 )
 from contramod.matrix import Mat, kron, map_of_vec
 from contramod.randomgen import (
@@ -321,11 +323,20 @@ def kron_direct_sum(b1, b2):
     return Contramodule(b1.coalgebra, d1 + d2, theta, name=f"{b1.name}+{b2.name}")
 
 
+def kron_split_solve(hom_rows, post, pre):
+    """A map X with hom_rows @ vec(X) = 0 and post @ X @ pre = identity, or
+    None: one solve on the Kronecker product kron(pre^T, post)."""
+    f, e = hom_rows.field, post.rows
+    system = hom_rows.vstack(kron(pre.transpose(), post))
+    x = solve(system, {hom_rows.rows + i * e + i: f.one() for i in range(e)})
+    return None if x is None else map_of_vec(x, pre.rows, post.cols, f)
+
+
 def kron_is_projective(b):
     c, f = b.coalgebra, b.field
     free = Contramodule(c, c.dim * b.dim, kron(kron_dual_mult(c), Mat.identity(b.dim, f)))
     lhs, rhs = kron_hom_equations(b, free)
-    section = split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, f))
+    section = kron_split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, f))
     return section is not None, section
 
 
@@ -398,7 +409,7 @@ def kron_hom_pair(x, y):
 def kron_is_injective(m):
     amb = cofree(m.coalgebra, m.dim, side=m.side)
     lhs, rhs = kron_hom_pair(amb, m)
-    retraction = split_solve(lhs - rhs, Mat.identity(m.dim, m.field), m.coaction)
+    retraction = kron_split_solve(lhs - rhs, Mat.identity(m.dim, m.field), m.coaction)
     return retraction is not None, retraction
 
 
@@ -497,26 +508,27 @@ def test_contra_direct_sum_matches_block_formula(field):
 # -- check_coalgebra against its column loop -------------------------------------------
 
 
+def add_into(acc, key, val, f):
+    """acc[key] += val in the field f, keeping only nonzero entries."""
+    s = f.add(acc.get(key, f.zero()), val)
+    if s == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 def loop_check_coalgebra(c):
     f, n = c.field, c.dim
     cols = c.delta.columns()
-
-    def add(acc, key, val):
-        s = f.add(acc.get(key, f.zero()), val)
-        if s == 0:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-
     failures = []
     for k in range(n):
         lhs, rhs = {}, {}
         for idx, v in cols.get(k, {}).items():
             i, j = divmod(idx, n)
             for idx2, w in cols.get(i, {}).items():
-                add(lhs, idx2 * n + j, f.mul(v, w))
+                add_into(lhs, idx2 * n + j, f.mul(v, w), f)
             for idx2, w in cols.get(j, {}).items():
-                add(rhs, i * n * n + idx2, f.mul(v, w))
+                add_into(rhs, i * n * n + idx2, f.mul(v, w), f)
         if lhs != rhs:
             failures.append("coassociativity")
             break
@@ -525,8 +537,8 @@ def loop_check_coalgebra(c):
         left, right = {}, {}
         for idx, v in cols.get(k, {}).items():
             i, j = divmod(idx, n)
-            add(left, j, f.mul(c.eps(i), v))
-            add(right, i, f.mul(c.eps(j), v))
+            add_into(left, j, f.mul(c.eps(i), v), f)
+            add_into(right, i, f.mul(c.eps(j), v), f)
         left_ok = left_ok and left == {k: f.one()}
         right_ok = right_ok and right == {k: f.one()}
     if not left_ok:
@@ -566,6 +578,160 @@ def test_check_coalgebra_matches_column_loop(field):
                 assert failures == loop_check_coalgebra(bad)
                 seen.update(failures)
     assert seen == {"coassociativity", "counit-left", "counit-right"}
+
+
+# -- check_comodule against its per-scalar loop ---------------------------------------
+
+
+def loop_check_comodule(m):
+    """Coassociativity and counit column by column, one field operation per
+    product of scalars; a right comodule is checked over C^cop."""
+    c = m.coalgebra
+    f = c.field
+    zero = f.zero()
+    n, md = c.dim, m.dim
+    coact_cols = comodule._left_coaction(m).columns()
+    delta_cols = c.delta.columns()
+    if m.side == "right":
+        delta_cols = {k: {(x % n) * n + x // n: w for x, w in col.items()}
+                      for k, col in delta_cols.items()}
+    eps = c.epsilon.row_groups().get(0, {})
+    coassoc_ok = counit_ok = True
+    for k in range(md):
+        lhs, rhs, counit_acc = {}, {}, {}
+        for idx, v in coact_cols.get(k, {}).items():
+            cc, i = divmod(idx, md)
+            for idx2, w in delta_cols.get(cc, {}).items():
+                add_into(lhs, idx2 * md + i, f.mul(v, w), f)
+            for idx2, w in coact_cols.get(i, {}).items():
+                add_into(rhs, cc * n * md + idx2, f.mul(v, w), f)
+            if cc in eps:
+                add_into(counit_acc, i, f.mul(eps[cc], v), f)
+        coassoc_ok = coassoc_ok and lhs == rhs
+        counit_ok = counit_ok and counit_acc == {k: f.one()}
+    return [name for name, ok in (("coassociativity", coassoc_ok), ("counit", counit_ok)) if not ok]
+
+
+def with_coaction(m, data, name):
+    """m with its coaction replaced by data, in m's own layout."""
+    f = m.field
+    coact = Mat(m.coaction.rows, m.coaction.cols, f, {k: v for k, v in data.items() if v != 0})
+    return Comodule(m.coalgebra, m.side, m.dim, coact, name=name)
+
+
+def broken_comodules(rng, m):
+    """m with its coaction changed three ways: coassociativity broken with
+    the counit law kept, the counit law broken with coassociativity kept, and
+    both broken.  Each is redrawn until the scalar loop reports exactly that."""
+    c, f, md = m.coalgebra, m.field, m.dim
+    eps = c.epsilon.row_groups().get(0, {})
+    n = c.dim
+
+    def row(cc, i):
+        # row of coalgebra index cc and module index i in m's own layout
+        return cc * md + i if m.side == "left" else i * n + cc
+
+    def redraw(want, perturb):
+        for _ in range(200):
+            data = dict(m.coaction.data)
+            perturb(data)
+            bad = with_coaction(m, data, f"{m.name}~")
+            if loop_check_comodule(bad) == want:
+                return bad
+        raise AssertionError(f"no {want} mutation of {m.name}")
+
+    def shift(data, key, val):
+        data[key] = f.add(data.get(key, f.zero()), val)
+
+    def keep_counit(data):
+        # a change in the kernel of eps (x) Id: eps(c2) a at (c1, i), -eps(c1) a at (c2, i)
+        c1, c2 = rng.sample(range(n), 2)
+        i, k, a = rng.randrange(md), rng.randrange(md), f.random(rng, nonzero=True)
+        shift(data, (row(c1, i), k), f.mul(eps.get(c2, f.zero()), a) if c1 in eps else a)
+        if c1 in eps:
+            shift(data, (row(c2, i), k), f.neg(f.mul(eps[c1], a)))
+
+    def anywhere(data):
+        for _ in range(rng.randint(1, 3)):
+            shift(data, (rng.randrange(m.coaction.rows), rng.randrange(md)), f.random(rng, nonzero=True))
+
+    yield redraw(["coassociativity"], keep_counit)
+    # Delta (x) Id and Id (x) coaction agree on the block sum M + N with N's
+    # columns zeroed, since M's coaction lands in C (x) M; the counit fails on N
+    other = comodule.direct_sum(m, m)
+    data = {key: v for key, v in other.coaction.data.items() if key[1] < md}
+    yield with_coaction(other, data, f"{m.name}+0")
+    yield redraw(["coassociativity", "counit"], anywhere)
+
+
+def rescaled(m, coalgebra_scales, module_scales):
+    """m and its coalgebra in the bases g_c e_c and d_i m_i, so their entries
+    pick up the denominators g_a g_b and g_c d_i: an isomorphic comodule."""
+    c, f = m.coalgebra, m.field
+    n, md = c.dim, m.dim
+    g = [f.of(coalgebra_scales[a % len(coalgebra_scales)]) for a in range(n)]
+    d = [f.of(module_scales[i % len(module_scales)]) for i in range(md)]
+    delta = Mat(n * n, n, f, {(x, k): v * g[k] / (g[x // n] * g[x % n])
+                              for (x, k), v in c.delta.data.items()})
+    eps = Mat(1, n, f, {(0, k): v * g[k] for (_, k), v in c.epsilon.data.items()})
+    c2 = Coalgebra(f, n, delta, eps, name=f"{c.name}'")
+    coact = Mat(n * md, md, f, {(idx, j): v * d[j] / (g[idx // md] * d[idx % md])
+                                for (idx, j), v in comodule._left_coaction(m).data.items()})
+    return comodule._from_left(c2, m.side, md, coact, f"{m.name}'")
+
+
+CHECK_FIELDS = [QQ, GF2, GF3, GF(5)]
+ALL_VERDICTS = {(), ("coassociativity",), ("counit",), ("coassociativity", "counit")}
+
+
+def assert_check_matches_loop(m, rng, seen):
+    for x in (m, *broken_comodules(rng, m)):
+        failures = check_comodule(x).failures
+        assert failures == loop_check_comodule(x), x.name
+        seen.add(tuple(failures))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", CHECK_FIELDS)
+def test_check_comodule_matches_scalar_loop(field, side):
+    rng = random.Random(1212 if side == "left" else 1313)
+    seen = set()
+    for c in small_coalgebras(field):
+        for t in range(4):
+            m = random_comodule(rng, c, side=side)
+            m.name = f"m{t}"
+            assert check_comodule(m).ok
+            assert_check_matches_loop(m, rng, seen)
+    assert seen == ALL_VERDICTS
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_check_comodule_with_many_distinct_denominators(side):
+    """Delta, epsilon and the coaction rescaled by the primes 2..43, so each
+    operand's common scale is the lcm of many coprime denominators."""
+    rng = random.Random(1414)
+    seen, dens = set(), set()
+    for c in small_coalgebras(QQ):
+        for m in (random_comodule(rng, c, side=side), cofree(c, 2, side=side)):
+            m = rescaled(m, [2, 5, 13, 41, 43], [3, 7, 11, 17, 19, 23])
+            dens.update(v.denominator for v in m.coaction.data.values())
+            assert check_coalgebra(m.coalgebra).ok and check_comodule(m).ok
+            assert_check_matches_loop(m, rng, seen)
+            for delta, eps in mutated_coalgebras(rng, m.coalgebra):
+                bad = Coalgebra(QQ, c.dim, delta, eps)
+                assert check_coalgebra(bad).failures == loop_check_coalgebra(bad)
+    assert all(any(den % q == 0 for den in dens) for q in (2, 3, 5, 7, 11, 13, 41))
+    assert seen == ALL_VERDICTS
+
+
+def test_check_comodule_matches_scalar_loop_on_kG2_stage():
+    rng = random.Random(1515)
+    right = kernel_stage(0, 2, 2)
+    seen = set()
+    for m in (right, dual_comodule(right)):
+        assert check_comodule(m).ok
+        assert_check_matches_loop(m, rng, seen)
+    assert seen == ALL_VERDICTS
 
 
 # -- the dual comodule ------------------------------------------------------------------
@@ -760,7 +926,7 @@ def structure_constant_surjection(rng, c):
         for i, vx in x.items():
             for j, vy in y.items():
                 for k, v in mult.apply({i * n + j: f.mul(vx, vy)}).items():
-                    _add_into(xy, k, v, f)
+                    add_into(xy, k, v, f)
         return xy
 
     gens = [dict(c.epsilon.row_groups().get(0, {}))]
