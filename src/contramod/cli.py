@@ -105,10 +105,10 @@ def _battery(data, field):
 
 
 def _verify(job, obj):
-    if isinstance(obj, Comodule):
-        kind, verdict = "comodule", check_comodule(obj)
-    elif isinstance(obj, Contramodule):
+    if isinstance(obj, Contramodule):  # a Comodule too
         kind, verdict = "contramodule", check_contramodule(obj)
+    elif isinstance(obj, Comodule):
+        kind, verdict = "comodule", check_comodule(obj)
     elif hasattr(obj, "matrix"):
         kind, verdict = "morphism", check_morphism(obj)
     else:

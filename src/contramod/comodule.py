@@ -1,20 +1,22 @@
 """Comodules over a coalgebra: axioms, cofree objects, hom spaces, cotensor,
 duals, injectivity and head/radical structure.
 
-A left comodule of dimension m over an n-dimensional coalgebra stores its
-coaction as an (n*m) x m matrix, row index c*m + i meaning e_c (x) e_i; a
-right comodule uses shape (m*n) x m with row index i*n + c.  Hom(M, N) is
-the kernel of one system on M* (x) N, written from the coaction entries.
-
-Every construction runs once, on the left layout: a right C-comodule is a
-left C^cop-comodule once its coaction rows are reindexed.  The reindexing
-pair ``_left_coaction`` / ``_from_left`` is the only place, besides the
-``cofree`` constructor, that knows the right-side layout.
+Every coaction is stored once, in left layout: a comodule of dimension m
+over an n-dimensional coalgebra C keeps an (n*m) x m matrix
+``left_coaction``, row c*m + i meaning e_c (x) e_i.  A right C-comodule is
+stored as a left C^cop-comodule, so every construction runs on one layout;
+``side`` says whether the stored matrix is over C or C^cop, which only the
+axiom checker and the constructors that read Delta need.  The right layout,
+row i*n + c, is the view ``coaction``.  The one reindexing of a stored
+matrix is :func:`dual_comodule`'s block transpose.  A contramodule is a left
+comodule on the same matrix, and the constructions here that build a new
+object of the same kind return a contramodule for one.  Hom(M, N) is the
+kernel of one system on M* (x) N, written from the stored entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coalgebra import Coalgebra, Verdict
 from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
@@ -26,49 +28,41 @@ class Comodule:
     coalgebra: Coalgebra
     side: str   # "left" | "right"
     dim: int
-    coaction: Mat
+    left_coaction: Mat   # (n * dim) x dim, row c*dim + i; over C^cop when side is right
     name: str = ""
 
     def __post_init__(self):
         n, m = self.coalgebra.dim, self.dim
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be left or right, got {self.side!r}")
-        if self.coaction.rows != n * m or self.coaction.cols != m:
+        if self.left_coaction.rows != n * m or self.left_coaction.cols != m:
             raise ValueError(f"coaction must be {n * m}x{m}")
-        if self.coaction.field != self.coalgebra.field:
+        if self.left_coaction.field != self.coalgebra.field:
             raise ValueError("field mismatch")
 
     @property
     def field(self):
         return self.coalgebra.field
 
+    @property
+    def coaction(self) -> Mat:
+        """The coaction in its side's layout: ``left_coaction`` for a left
+        comodule, rows i*n + c for a right one, M -> M (x) C."""
+        if self.side == "left":
+            return self.left_coaction
+        n, md = self.coalgebra.dim, self.dim
+        return Mat(md * n, md, self.field,
+                   {((idx % md) * n + idx // md, j): v
+                    for (idx, j), v in self.left_coaction.data.items()})
+
     def __repr__(self):
         label = self.name or "comodule"
         return f"Comodule({label}, {self.side}, dim={self.dim} over {self.coalgebra.name or self.coalgebra.dim})"
 
 
-def _left_coaction(m: Comodule) -> Mat:
-    """The coaction in left layout, row c*dim + i; for a right comodule this
-    is its coaction as a left C^cop-comodule."""
-    if m.side == "left":
-        return m.coaction
-    n, md = m.coalgebra.dim, m.dim
-    return Mat(n * md, md, m.field,
-               {((idx % n) * md + idx // n, j): v for (idx, j), v in m.coaction.data.items()})
-
-
-def _from_left(c: Coalgebra, side: str, dim: int, coact: Mat, name: str) -> Comodule:
-    """The comodule on the given side whose left-layout coaction is coact."""
-    if side == "right":
-        n = c.dim
-        coact = Mat(dim * n, dim, c.field,
-                    {((idx % dim) * n + idx // dim, j): v for (idx, j), v in coact.data.items()})
-    return Comodule(c, side, dim, coact, name=name)
-
-
 def check_comodule(m: Comodule) -> Verdict:
-    """Coassociativity square and counit triangle; a right comodule is
-    checked as a left comodule over C^cop.  The sums run on Python ints: each
+    """Coassociativity square and counit triangle of the stored left
+    coaction, over C^cop for a right comodule.  The sums run on Python ints: each
     law scales the matrices it reads (coaction, Delta, epsilon) to integers,
     by one common denominator per matrix, and holds when the scaled
     difference of its two sides is 0 in the field."""
@@ -94,17 +88,17 @@ def _vanishes(acc: dict, p: int) -> bool:
 
 def _coassociative(m: Comodule) -> bool:
     """(Delta (x) Id) o coaction = (Id (x) coaction) o coaction, column by
-    column, on the left-layout coaction = ints / s.  Both sides are brought
+    column, on the stored coaction = ints / s.  Both sides are brought
     to the scale s*s*sd, Delta = delta / sd, and subtracted in one dict."""
     c = m.coalgebra
     n, md = c.dim, m.dim
-    coact, s = _int_entries(_left_coaction(m))
+    coact, s = _int_entries(m.left_coaction)
     delta, sd = _int_entries(c.delta)
     coact_cols: dict = {}
     for (idx, k), v in coact.items():
         coact_cols.setdefault(k, {})[idx] = v
     delta_cols: dict = {}
-    if m.side == "right":
+    if m.side == "right":  # Delta^cop, read off Delta's rows
         for (x, k), w in delta.items():
             delta_cols.setdefault(k, {})[(x % n) * n + x // n] = w
     else:
@@ -130,22 +124,19 @@ def _coassociative(m: Comodule) -> bool:
 
 
 def counit_holds(m: Comodule) -> bool:
-    """The counit law, (eps (x) Id) o coaction = Id for a left comodule and
-    (Id (x) eps) o coaction = Id for a right one, summed on ints: with the
-    coaction = ints / s and eps = ints / se, the sum is compared with the
-    identity at scale s*se."""
-    c, n, md = m.coalgebra, m.coalgebra.dim, m.dim
-    coact, s = _int_entries(m.coaction)
+    """The counit law (eps (x) Id) o coaction = Id of the stored coaction,
+    which is that of a right comodule too, since C^cop has C's counit.
+    Summed on ints: with the coaction = ints / s and eps = ints / se, the
+    sum is compared with the identity at scale s*se."""
+    c, md = m.coalgebra, m.dim
+    coact, s = _int_entries(m.left_coaction)
     eps, se = _int_entries(c.epsilon)
     eps = {cc: e for (_, cc), e in eps.items()}
-    left = m.side == "left"
     acc: dict = {}
     for (idx, k), v in coact.items():
-        # row cc*md + i of a left coaction, i*n + cc of a right one
-        i, cc = (idx % md, idx // md) if left else divmod(idx, n)
-        e = eps.get(cc)
+        e = eps.get(idx // md)
         if e:
-            key = (i, k)
+            key = (idx % md, k)
             acc[key] = acc.get(key, 0) + e * v
     one = s * se
     for k in range(md):
@@ -157,17 +148,26 @@ def counit_holds(m: Comodule) -> bool:
 
 
 def cofree(c: Coalgebra, d: int, side: str = "left") -> Comodule:
-    """Carrier C (x) k^d (resp. k^d (x) C) with coaction Delta (x) Id."""
+    """Carrier C (x) k^d with coaction Delta (x) Id, or k^d (x) C with
+    Id (x) Delta on the right side, whose stored row z*d*n + a*n + y holds
+    Delta's entry at row y*n + z, for each a < d."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    coaction = kron_identity(c.delta, d, left=side != "left")  # Id_d (x) Delta on the right side
     if side == "left":
-        return Comodule(c, "left", c.dim * d, coaction, name=f"cofree({d})")
-    return Comodule(c, "right", d * c.dim, coaction, name=f"cofree_r({d})")
+        return Comodule(c, "left", c.dim * d, kron_identity(c.delta, d, left=False),
+                        name=f"cofree({d})")
+    n = c.dim
+    entries = [(z * d * n + y, k, v) for (x, k), v in c.delta.data.items() for y, z in [divmod(x, n)]]
+    data = {(row + a * n, a * n + k): v for a in range(d) for row, k, v in entries}
+    return Comodule(c, "right", d * n, Mat(n * d * n, d * n, c.field, data), name=f"cofree_r({d})")
 
 
 def comodule_over_self(c: Coalgebra, side: str = "left") -> Comodule:
-    return Comodule(c, side, c.dim, c.delta, name=f"{c.name or 'C'}-regular")
+    """C over itself: Delta, or on the right side the cofree comodule on k,
+    whose stored matrix is Delta^cop."""
+    if side == "left":
+        return Comodule(c, "left", c.dim, c.delta, name=f"{c.name or 'C'}-regular")
+    return replace(cofree(c, 1, side), name=f"{c.name or 'C'}-regular")
 
 
 def trivial_comodule(c: Coalgebra, grouplike_vec: dict) -> Comodule:
@@ -177,7 +177,7 @@ def trivial_comodule(c: Coalgebra, grouplike_vec: dict) -> Comodule:
 
 
 def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
-    """Block sum in left layout: row c*d + i, column j, d = d1 + d2."""
+    """Block sum of the stored matrices: row c*d + i, column j, d = d1 + d2."""
     if m1.coalgebra is not m2.coalgebra and m1.coalgebra != m2.coalgebra:
         raise ValueError("coalgebra mismatch")
     if m1.side != m2.side:
@@ -185,24 +185,23 @@ def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
     d = m1.dim + m2.dim
     data = {}
     for off, m in ((0, m1), (m1.dim, m2)):
-        for (idx, j), v in _left_coaction(m).data.items():
+        for (idx, j), v in m.left_coaction.data.items():
             c, i = divmod(idx, m.dim)
             data[(c * d + off + i, off + j)] = v
     coact = Mat(m1.coalgebra.dim * d, d, m1.field, data)
-    return _from_left(m1.coalgebra, m1.side, d, coact, f"{m1.name}+{m2.name}")
+    return replace(m1, dim=d, left_coaction=coact, name=f"{m1.name}+{m2.name}")
 
 
 def dual_comodule(m: Comodule) -> Comodule:
     """Dual of a left comodule is a right comodule on M* (and conversely):
-    in left layout the dual swaps i and j inside each block c.  With the
-    fixed index conventions the double dual is literally the original
-    matrix."""
+    the stored matrix swaps i and j inside each block c.  With the fixed
+    index conventions the double dual is literally the original matrix."""
     md = m.dim
     coact = Mat(m.coalgebra.dim * md, md, m.field,
                 {((idx // md) * md + j, idx % md): v
-                 for (idx, j), v in _left_coaction(m).data.items()})
+                 for (idx, j), v in m.left_coaction.data.items()})
     other = "right" if m.side == "left" else "left"
-    return _from_left(m.coalgebra, other, md, coact, f"{m.name}*")
+    return Comodule(m.coalgebra, other, md, coact, f"{m.name}*")
 
 
 # -- hom spaces and cotensor --------------------------------------------------
@@ -210,16 +209,16 @@ def dual_comodule(m: Comodule) -> Comodule:
 
 def _hom_system(x: Comodule, y: Comodule) -> Mat:
     """Hom(X, Y) is the kernel of F -> coaction_Y o F - (Id_C (x) F) o coaction_X
-    on X* (x) Y, in left layout.  Column v*yd + w holds coaction_Y[r, w] at row
+    on X* (x) Y, from the stored coactions.  Column v*yd + w holds coaction_Y[r, w] at row
     v*n*yd + r, minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w."""
     if x.coalgebra != y.coalgebra:
         raise ValueError("coalgebra mismatch")
     if x.side != y.side:
         raise ValueError("side mismatch")
     n, xd, yd, fld = x.coalgebra.dim, x.dim, y.dim, x.field
-    zero, coact_y = fld.zero(), _left_coaction(y).data.items()
+    zero, coact_y = fld.zero(), y.left_coaction.data.items()
     data = {(v * n * yd + r, v * yd + w): val for v in range(xd) for (r, w), val in coact_y}
-    for (idx, vcol), val in _left_coaction(x).data.items():
+    for (idx, vcol), val in x.left_coaction.data.items():
         row, col = vcol * n * yd + idx // xd * yd, idx % xd * yd
         for w in range(yd):
             data[row + w, col + w] = fld.sub(data.get((row + w, col + w), zero), val)
@@ -242,7 +241,7 @@ def is_comodule_map(m: Comodule, n_mod: Comodule, t: Mat) -> bool:
     if m.side != n_mod.side:
         return False
     id_t = kron_identity(t, m.coalgebra.dim, left=True)
-    return _left_coaction(n_mod) @ t == id_t @ _left_coaction(m)
+    return n_mod.left_coaction @ t == id_t @ m.left_coaction
 
 
 def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
@@ -259,8 +258,7 @@ def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
 def _coaction_slices(m: Comodule, vecs: list[dict]) -> list[dict]:
     """Apply the coaction to each vector and slice the result by coalgebra
     index: one ``{c: vector}`` per input."""
-    md = m.dim
-    coact = _left_coaction(m)
+    md, coact = m.dim, m.left_coaction
     out = []
     for vec in vecs:
         slices: dict = {}
@@ -269,15 +267,6 @@ def _coaction_slices(m: Comodule, vecs: list[dict]) -> list[dict]:
             slices.setdefault(cc, {})[i] = v
         out.append(slices)
     return out
-
-
-def coaction_stabilizes(m: Comodule, sub: Subspace) -> bool:
-    """True iff the coaction maps sub into C (x) sub."""
-    return all(
-        sub.contains(slice_vec)
-        for slices in _coaction_slices(m, sub.basis_columns())
-        for slice_vec in slices.values()
-    )
 
 
 def comodule_closure(m: Comodule, vectors: list[dict]) -> Subspace:
@@ -307,7 +296,7 @@ def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
             for s, v in coords.items():
                 entries.append((cc * k + s, t, v))
     coact = Mat.from_entries(m.coalgebra.dim * k, k, m.field, entries)
-    return _from_left(m.coalgebra, m.side, k, coact, f"{m.name}|sub"), sub.basis
+    return replace(m, dim=k, left_coaction=coact, name=f"{m.name}|sub"), sub.basis
 
 
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
@@ -322,13 +311,13 @@ def _descend_coaction(m: Comodule, coeq: Coequalizer) -> Comodule:
     # coaction row c*dim + i goes to row c*qdim + s with weight q[s, i]
     f, md, qd = m.field, m.dim, coeq.dim
     q_cols, zero, lifted = coeq.quotient_map.columns(), f.zero(), {}
-    for (idx, k), v in _left_coaction(m).data.items():
+    for (idx, k), v in m.left_coaction.data.items():
         c, i = divmod(idx, md)
         for s, w in q_cols.get(i, {}).items():
             lifted[c * qd + s, k] = f.add(lifted.get((c * qd + s, k), zero), f.mul(w, v))
     lifted = Mat(m.coalgebra.dim * qd, md, f, {key: s for key, s in lifted.items() if s != 0})
     coact = coeq.descend(lifted, "subspace is not a subcomodule")
-    return _from_left(m.coalgebra, m.side, coeq.dim, coact, f"{m.name}/sub")
+    return replace(m, dim=coeq.dim, left_coaction=coact, name=f"{m.name}/sub")
 
 
 # -- injectivity ----------------------------------------------------------------
@@ -342,7 +331,7 @@ def is_injective(m: Comodule) -> tuple[bool, Mat | None]:
     admits a comodule retraction, found by one linear solve.
     """
     amb = cofree(m.coalgebra, m.dim, side=m.side)
-    # the coaction, as stored, is the embedding of M into amb's carrier
+    # the coaction in its side's layout is the embedding of M into amb's carrier
     retraction = split_solve(_hom_system(amb, m), m.coaction, section=False)
     return retraction is not None, retraction
 

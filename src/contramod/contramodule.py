@@ -2,21 +2,21 @@
 the comodule conversion, contratensor, Cohom, projectivity and the
 Hom/Cohom duality pairing.
 
-A contramodule of dimension b stores the structure map theta as a
-b x (n*b) matrix under the identification Hom(C, B) = C* (x) B, column
-j*b + k meaning (dual basis vector j) (x) (basis vector k).  The tensor-hom
-adjunction used throughout is Hom(U, Hom(V, W)) = Hom(V (x) U, W), the
-orientation that makes these LEFT contramodules.
-
 Over a finite-dimensional coalgebra a contramodule is the same thing as a
-left comodule: ``_as_comodule`` and :func:`contra_from_comodule` relabel the
-same entries, and are the identity on maps.  The axioms, hom spaces,
-subobjects, quotients and direct sums run on the comodule code through them.
+left comodule, so a :class:`Contramodule` is a left :class:`Comodule` that
+stores the same matrix, ``left_coaction``, row c*b + i for b = dim.  Its
+structure map theta, a b x (n*b) matrix under Hom(C, B) = C* (x) B with
+column j*b + k meaning (dual basis vector j) (x) (basis vector k), is the
+view ``theta``: theta[i, c*b + k] = left_coaction[c*b + i, k].  The
+tensor-hom adjunction used throughout is Hom(U, Hom(V, W)) = Hom(V (x) U, W),
+the orientation that makes these LEFT contramodules.  So
+:func:`contra_from_comodule` copies no entry, and the axioms, hom spaces,
+subobjects, quotients and direct sums are the comodule code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
@@ -26,40 +26,21 @@ from .matrix import Mat, kron_identity
 
 
 @dataclass
-class Contramodule:
-    coalgebra: Coalgebra
-    dim: int
-    theta: Mat   # dim x (n * dim)
-    name: str = ""
+class Contramodule(Comodule):
+    """Built as ``Contramodule(coalgebra, dim, left_coaction, name)``."""
 
-    def __post_init__(self):
-        n, b = self.coalgebra.dim, self.dim
-        if self.theta.rows != b or self.theta.cols != n * b:
-            raise ValueError(f"theta must be {b}x{n * b}")
-        if self.theta.field != self.coalgebra.field:
-            raise ValueError("field mismatch")
+    side: str = field(default="left", init=False)
 
     @property
-    def field(self):
-        return self.coalgebra.field
+    def theta(self) -> Mat:
+        """The contra-action C* (x) B -> B as a b x (n*b) matrix."""
+        b = self.dim
+        return Mat(b, self.coalgebra.dim * b, self.field,
+                   {(idx % b, idx - idx % b + k): v for (idx, k), v in self.left_coaction.data.items()})
 
     def __repr__(self):
         label = self.name or "contramodule"
         return f"Contramodule({label}, dim={self.dim} over {self.coalgebra.name or self.coalgebra.dim})"
-
-
-def _as_comodule(b: Contramodule) -> Comodule:
-    """The left comodule with the same entries as b, the inverse of
-    :func:`contra_from_comodule`: ``coaction[c*b + i, k] = theta[i, c*b + k]``."""
-    bd = b.dim
-    coact = Mat(b.coalgebra.dim * bd, bd, b.field,
-                {((idx // bd) * bd + i, idx % bd): v for (i, idx), v in b.theta.data.items()})
-    return Comodule(b.coalgebra, "left", bd, coact, name=b.name)
-
-
-def _from_comodule(w: Comodule) -> Contramodule:
-    """:func:`contra_from_comodule`, keeping the comodule's name."""
-    return replace(contra_from_comodule(w), name=w.name)
 
 
 _CONTRA_AXIOMS = {"counit": "contra-unity", "coassociativity": "contra-associativity"}
@@ -67,40 +48,47 @@ _CONTRA_AXIOMS = {"counit": "contra-unity", "coassociativity": "contra-associati
 
 def check_contramodule(b: Contramodule) -> Verdict:
     """Contra-unity and contra-associativity, checked as the counit and
-    coassociativity of the corresponding left comodule."""
-    failed = comodule.check_comodule(_as_comodule(b)).failures
+    coassociativity of the stored left coaction."""
+    failed = comodule.check_comodule(b).failures
     return Verdict([name for axiom, name in _CONTRA_AXIOMS.items() if axiom in failed])
 
 
 # -- constructions -----------------------------------------------------------
 
 
+def _hom_into(c: Coalgebra, md: int, d: int, entries, name: str) -> Contramodule:
+    """Hom(M, k^d) for a right comodule M of dimension md whose coaction
+    sends e_s to v * e_i (x) e_j for each (i, j, s, v) in entries; carrier
+    M* (x) k^d, so theta[s*d + l, j*b + i*d + l] = v, b = md*d."""
+    b = md * d
+    coact = Mat.from_entries(c.dim * b, b, c.field,
+                             ((j * b + s * d + l, i * d + l, v)
+                              for i, j, s, v in entries for l in range(d)))
+    return Contramodule(c, b, coact, name=name)
+
+
 def free_contramodule(c: Coalgebra, d: int) -> Contramodule:
-    """Hom(C, k^d) = C* (x) k^d with theta from comultiplication."""
+    """Hom(C, k^d) = C* (x) k^d with theta from comultiplication, read off
+    Delta's rows i*n + j as C's coaction over itself on the right."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return replace(contra_from_dual(comodule.comodule_over_self(c, "right"), d), name=f"free({d})")
+    n = c.dim
+    return _hom_into(c, n, d, ((*divmod(x, n), s, v) for (x, s), v in c.delta.data.items()),
+                     f"free({d})")
 
 
 def trivial_contramodule(c: Coalgebra, grouplike_vec: dict) -> Contramodule:
     """k with theta = evaluation at a grouplike element."""
-    theta = Mat(1, c.dim, c.field, {(0, j): v for j, v in grouplike_vec.items() if v != 0})
-    return Contramodule(c, 1, theta, name="trivial")
-
-
-def direct_sum(b1: Contramodule, b2: Contramodule) -> Contramodule:
-    return _from_comodule(comodule.direct_sum(_as_comodule(b1), _as_comodule(b2)))
+    return Contramodule(c, 1, Mat.column(grouplike_vec, c.dim, c.field), name="trivial")
 
 
 def contra_from_comodule(w: Comodule) -> Contramodule:
     """The natural dual-algebra action on a finite-dimensional left comodule,
-    as a contra-action: evaluate the functional against the coaction."""
+    as a contra-action: evaluate the functional against the coaction.  The
+    contramodule keeps the comodule's matrix."""
     if w.side != "left":
         raise ValueError("conversion defined for left comodules")
-    md = w.dim
-    theta = Mat(md, w.coalgebra.dim * md, w.field,
-                {(idx % md, (idx // md) * md + k): v for (idx, k), v in w.coaction.data.items()})
-    return Contramodule(w.coalgebra, md, theta, name=f"{w.name}~contra")
+    return Contramodule(w.coalgebra, w.dim, w.left_coaction, name=f"{w.name}~contra")
 
 
 def contra_from_dual(m: Comodule, d: int) -> Contramodule:
@@ -109,51 +97,27 @@ def contra_from_dual(m: Comodule, d: int) -> Contramodule:
     contramodule on k^d entry for entry."""
     if m.side != "right":
         raise ValueError("contra_from_dual needs a right comodule")
-    n, md = m.coalgebra.dim, m.dim
-    b = md * d
-    entries = []
-    for (idx, s), v in m.coaction.data.items():
-        i, j = divmod(idx, n)
-        for l in range(d):
-            entries.append((s * d + l, j * b + i * d + l, v))
-    theta = Mat.from_entries(b, n * b, m.field, entries)
-    return Contramodule(m.coalgebra, b, theta, name=f"hom({m.name},k^{d})")
+    md = m.dim
+    # stored row j*md + i is e_i (x) e_j
+    entries = ((idx % md, idx // md, s, v) for (idx, s), v in m.left_coaction.data.items())
+    return _hom_into(m.coalgebra, md, d, entries, f"hom({m.name},k^{d})")
 
 
-# -- contra-hom spaces and subobjects, through the comodule isomorphism -----------
+# -- contra-hom spaces and subobjects: the comodule code on the same matrix -------
 
 
 def hom_contra(b: Contramodule, d: Contramodule) -> Subspace:
     """Contra-homomorphisms B -> D as a subspace of B* (x) D."""
-    return comodule.hom_comodules(_as_comodule(b), _as_comodule(d))
+    return comodule.hom_comodules(b, d)
 
 
-def hom_contra_basis_maps(b: Contramodule, d: Contramodule, sub: Subspace | None = None) -> list[Mat]:
-    return comodule.hom_basis_maps(_as_comodule(b), _as_comodule(d), sub)
-
-
-def is_contra_map(b: Contramodule, d: Contramodule, t: Mat) -> bool:
-    return comodule.is_comodule_map(_as_comodule(b), _as_comodule(d), t)
-
-
-def theta_stabilizes(b: Contramodule, sub: Subspace) -> bool:
-    """True iff theta maps C* (x) sub into sub."""
-    return comodule.coaction_stabilizes(_as_comodule(b), sub)
-
-
-def contra_closure(b: Contramodule, vectors: list[dict]) -> Subspace:
-    """Smallest subcontramodule containing the given vectors."""
-    return comodule.comodule_closure(_as_comodule(b), vectors)
-
-
-def sub_contramodule(b: Contramodule, sub: Subspace) -> tuple[Contramodule, Mat]:
-    w, incl = comodule.sub_comodule(_as_comodule(b), sub)
-    return _from_comodule(w), incl
-
-
-def quotient_contramodule(b: Contramodule, sub: Subspace) -> tuple[Contramodule, Mat]:
-    w, proj = comodule.quotient_comodule(_as_comodule(b), sub)
-    return _from_comodule(w), proj
+# the comodule constructions return a contramodule for a contramodule
+direct_sum = comodule.direct_sum
+hom_contra_basis_maps = comodule.hom_basis_maps
+is_contra_map = comodule.is_comodule_map
+contra_closure = comodule.comodule_closure
+sub_contramodule = comodule.sub_comodule
+quotient_contramodule = comodule.quotient_comodule
 
 
 # -- contratensor and Cohom -------------------------------------------------------
@@ -164,11 +128,12 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     f(x) - g(x), where f and g: Hom(C (x) M, B) -> Hom(M, B) precompose with
     the coaction and apply the contra-action.
 
-    The relation columns are written entry by entry.  With dm = dim M,
-    db = dim B and coaction row r = c*dm + i, the column for
-    x = r*db + beta holds coaction[r, k] at row k*db + beta, minus
-    theta[beta', c*db + beta] at row i*db + beta'.  Over F2 the columns are
-    int bitmasks instead (:func:`_gf2_relations`).
+    The relation columns are written entry by entry, from the two stored
+    coactions.  With dm = dim M, db = dim B and coaction row r = c*dm + i,
+    the column for x = r*db + beta holds coaction[r, k] at row k*db + beta,
+    minus theta[beta', c*db + beta] = B's coaction[c*db + beta', beta] at
+    row i*db + beta'.  Over F2 the columns are int bitmasks instead
+    (:func:`_gf2_relations`).
     """
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
@@ -179,13 +144,13 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
         return quotient_by_image(Subspace.from_columns(dm * db, fld, _gf2_relations(m, b)))
     zero = fld.zero()
     cols: dict = {}
-    for (r, k), v in m.coaction.data.items():
+    for (r, k), v in m.left_coaction.data.items():
         for beta in range(db):
             cols.setdefault(r * db + beta, {})[k * db + beta] = v
     # theta's entries once, as (beta', column at i = 0, value)
     theta = []
-    for (bp, idx), v in b.theta.data.items():
-        c, beta = divmod(idx, db)
+    for (idx, beta), v in b.left_coaction.data.items():
+        c, bp = divmod(idx, db)
         theta.append((bp, c * dm * db + beta, v))
     for i in range(dm):
         off = i * db
@@ -202,15 +167,18 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
 def _gf2_relations(m: Comodule, b: Contramodule) -> set:
     """Cohom's relation columns over F2, as ints with bit k*db + beta for row
     (k, beta).  K_r has bit k*db for each coaction[r, k] = 1 and T_y bit beta'
-    for each theta[beta', y] = 1; then column (r = c*dm + i, beta) is
+    for each theta[beta', y] = 1, read off B's stored coaction: entry
+    (c*db + beta', k) sets bit beta' of T_(c*db + k).  Then column (r = c*dm + i, beta) is
     (K_r << beta) ^ (T_{c*db + beta} << i*db).  Most columns repeat, so they
     come back as a set, without the zero column."""
     dm, db = m.dim, b.dim
     ks: dict = {}
-    for r, k in m.coaction.data:
+    for r, k in m.left_coaction.data:
         ks[r] = ks.get(r, 0) | 1 << k * db
     ts: dict = {}
-    for bp, y in b.theta.data:
+    for idx, k in b.left_coaction.data:
+        bp = idx % db
+        y = idx - bp + k
         ts[y] = ts.get(y, 0) | 1 << bp
     cols = set()
     for r, kr in ks.items():
@@ -247,8 +215,7 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
     contra-homomorphism from the free contramodule on the carrier of B onto
     B, and B is projective iff it admits a contra-homomorphism section."""
     free = free_contramodule(b.coalgebra, b.dim)
-    system = comodule._hom_system(_as_comodule(b), _as_comodule(free))
-    section = split_solve(system, b.theta, section=True)
+    section = split_solve(comodule._hom_system(b, free), b.theta, section=True)
     return section is not None, section
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from .coalgebra import CoalgebraMorphism, Verdict, _push_delta
 from .comodule import Comodule, _descend_coaction
 from .contramodule import (
-    Contramodule, ExactnessVerdict, _as_comodule, check_contramodule, cohom, contra_from_comodule,
-    free_contramodule, hom_contra, hom_contra_basis_maps, is_contra_map,
+    Contramodule, ExactnessVerdict, check_contramodule, cohom, free_contramodule, hom_contra,
+    hom_contra_basis_maps, is_contra_map,
 )
 from .linalg import Coequalizer, exactness_failures, rank
 from .matrix import Mat, kron_identity
@@ -31,12 +31,13 @@ def _require_surjective(rho: CoalgebraMorphism):
 
 
 def restrict(rho: CoalgebraMorphism, v: Contramodule) -> Contramodule:
-    """View a C-contramodule as a D-contramodule through rho*: D* -> C*."""
+    """View a C-contramodule as a D-contramodule through rho*: D* -> C*; its
+    coaction is (rho (x) Id) o coaction."""
     if v.coalgebra != rho.source:
         raise ValueError("contramodule does not live over the source coalgebra")
     _require_surjective(rho)
-    theta = v.theta @ kron_identity(rho.matrix.transpose(), v.dim, left=False)
-    return Contramodule(rho.target, v.dim, theta, name=f"{v.name}|res")
+    coact = kron_identity(rho.matrix, v.dim, left=False) @ v.left_coaction
+    return Contramodule(rho.target, v.dim, coact, name=f"{v.name}|res")
 
 
 def comodule_along(rho: CoalgebraMorphism) -> Comodule:
@@ -66,8 +67,8 @@ def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
     if w.coalgebra != rho.target:
         raise ValueError("contramodule does not live over the target coalgebra")
     coeq = cohom(c_over_d, w)
-    free = _as_comodule(free_contramodule(rho.source, w.dim))
-    induced = replace(contra_from_comodule(_descend_coaction(free, coeq)), name=f"ind({w.name})")
+    free = free_contramodule(rho.source, w.dim)
+    induced = replace(_descend_coaction(free, coeq), name=f"ind({w.name})")
     verdict = check_contramodule(induced)
     if not verdict.ok:
         raise AssertionError(f"induced object fails axioms: {verdict.failures}")
@@ -99,9 +100,11 @@ def gamma(rho: CoalgebraMorphism, res: InductionResult, phi: Mat) -> Mat:
 
 def gamma_inv(rho: CoalgebraMorphism, res: InductionResult, v: Contramodule, psi: Mat) -> Mat:
     """Inverse direction: extend W -> V|_D to Ind(W) -> V via the
-    contra-action of V."""
-    return res.coeq.descend(v.theta @ kron_identity(psi, rho.source.dim, left=True),
-                            "extension does not kill the induction relations")
+    contra-action of V: e_j* (x) w_k goes to row j*dim V + i of coaction @ psi."""
+    bv, wd, composed = v.dim, psi.cols, (v.left_coaction @ psi).data.items()
+    lifted = Mat(bv, rho.source.dim * wd, v.field,
+                 {(idx % bv, idx // bv * wd + k): val for (idx, k), val in composed})
+    return res.coeq.descend(lifted, "extension does not kill the induction relations")
 
 
 @dataclass

@@ -7,11 +7,17 @@ tensors use coefficient triples: delta/coaction entries are
 val * (e_i (x) e_j); theta entries are ``[0, i, c*b + k, "val"]`` with
 b = dim, meaning (dual c) (x) (basis k) maps to val * (basis i).  Coalgebra
 references may be inline objects or catalog names like "grouplike(3)".
+
+The right layout and theta live only here: every coaction is stored in
+left layout (see :mod:`comodule`), so a right coaction's [i, c, k, val] and
+theta's [0, i, c*b + k, val] are read straight into, and written back from,
+stored entry (c*dim + i, k), in the same sorted order.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .coalgebra import Coalgebra, CoalgebraMorphism, divided_power_dual, grouplike, matrix_coalgebra
 from .comodule import Comodule
@@ -79,31 +85,42 @@ def mat_from_json(data, field: FieldSpec, where: str = "matrix") -> Mat:
         raise SchemaError(f"{where}: {e}") from None
 
 
-def _triples_to_mat(triples, inner_dim: int, rows: int, cols: int, field, where: str) -> Mat:
-    """[[i, j, k, val], ...] with row index i*inner_dim + j, column k; i and j
-    must each lie in their own factor, so that no triple aliases another."""
+def _triples_to_mat(triples, inner_dim: int, rows: int, cols: int, field, where: str,
+                    store=None, shape=None) -> Mat:
+    """[[i, j, k, val], ...] with row index i*inner_dim + j, column k, in a
+    rows x cols layout; i and j must each lie in their own factor, so that no
+    triple aliases another; stored at ``store(i, j, k)`` in a ``shape``
+    matrix when given.  Each distinct scalar string is parsed once."""
     outer = rows // inner_dim if inner_dim else 0
-    entries = []
+    parse = lru_cache(maxsize=None)(field.parse)
+    entries, outside = [], None
     try:
         for i, j, k, v in triples:
-            i, j = _int(i), _int(j)
+            if type(i) is not int or type(j) is not int:
+                i, j = _int(i), _int(j)
             if not (0 <= i < outer and 0 <= j < inner_dim):
                 raise ValueError(f"index ({i}, {j}) outside {outer}x{inner_dim}")
-            entries.append((i * inner_dim + j, _int(k), field.parse(v)))
+            if type(k) is not int:
+                k = _int(k)
+            val = parse(v) if type(v) is str else field.parse(v)
+            if not 0 <= k < cols:
+                # reported once every triple has passed, as the matrix would
+                outside = outside or f"entry ({i * inner_dim + j},{k}) outside {rows}x{cols}"
+            else:
+                entries.append((*store(i, j, k), val) if store else (i * inner_dim + j, k, val))
     except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: bad coefficient triple: {e}") from None
-    try:
-        return Mat.from_entries(rows, cols, field, entries)
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from None
+    if outside:
+        raise SchemaError(f"{where}: {outside}")
+    return Mat.from_entries(*(shape or (rows, cols)), field, entries)
 
 
-def _mat_to_triples(m: Mat, inner_dim: int, field) -> list:
-    out = []
-    for (row, k), v in sorted(m.data.items()):
-        i, j = divmod(row, inner_dim)
-        out.append([i, j, k, field.format(v)])
-    return out
+def _mat_to_triples(m: Mat, inner_dim: int, field, triple=None) -> list:
+    """The sorted triples [i, j, k, val] of entry (i*inner_dim + j, k), or of
+    the stored entry (row, k) at ``triple(row, k)`` = (i, j, k)."""
+    triple = triple or (lambda row, k: (*divmod(row, inner_dim), k))
+    return [[i, j, k, field.format(v)]
+            for (i, j, k), v in sorted((triple(row, k), v) for (row, k), v in m.data.items())]
 
 
 def coalgebra_to_json(c: Coalgebra) -> dict:
@@ -186,12 +203,14 @@ def coalgebra_from_json(data, default_field: FieldSpec | None = None) -> Coalgeb
 
 
 def comodule_to_json(m: Comodule) -> dict:
-    inner = m.dim if m.side == "left" else m.coalgebra.dim
+    md = m.dim
+    # a right coaction's triple [i, c, k] is stored at row c*md + i
+    triple = None if m.side == "left" else lambda row, k: (row % md, row // md, k)
     return {
         "coalgebra": coalgebra_to_json(m.coalgebra),
         "side": m.side,
-        "dim": m.dim,
-        "coaction": _mat_to_triples(m.coaction, inner, m.field),
+        "dim": md,
+        "coaction": _mat_to_triples(m.left_coaction, md, m.field, triple),
     }
 
 
@@ -203,17 +222,23 @@ def comodule_from_json(data, default_field: FieldSpec | None = None) -> Comodule
     if side not in ("left", "right"):
         raise SchemaError(f"side: must be left or right, got {side!r}")
     dim = _dim(data, "comodule")
-    inner = dim if side == "left" else c.dim
-    rows = c.dim * dim if side == "left" else dim * c.dim
-    coact = _triples_to_mat(data.get("coaction", []), inner, rows, dim, c.field, "coaction")
+    triples = data.get("coaction", [])
+    if side == "left":
+        coact = _triples_to_mat(triples, dim, c.dim * dim, dim, c.field, "coaction")
+    else:
+        coact = _triples_to_mat(triples, c.dim, dim * c.dim, dim, c.field, "coaction",
+                                store=lambda i, cc, k: (cc * dim + i, k))
     return Comodule(c, side, dim, coact, name=data.get("name", ""))
 
 
 def contramodule_to_json(b: Contramodule) -> dict:
+    bd = b.dim
+    # theta's triple [0, i, c*b + k] is stored at row c*b + i, column k
     return {
         "coalgebra": coalgebra_to_json(b.coalgebra),
-        "dim": b.dim,
-        "theta": _mat_to_triples(b.theta, b.dim, b.field),
+        "dim": bd,
+        "theta": _mat_to_triples(b.left_coaction, bd, b.field,
+                                 lambda row, k: (0, row % bd, row - row % bd + k)),
     }
 
 
@@ -222,8 +247,10 @@ def contramodule_from_json(data, default_field: FieldSpec | None = None) -> Cont
         raise SchemaError("contramodule: expected an object")
     c = coalgebra_from_json(data.get("coalgebra"), default_field)
     dim = _dim(data, "contramodule")
-    theta = _triples_to_mat(data.get("theta", []), dim, dim, c.dim * dim, c.field, "theta")
-    return Contramodule(c, dim, theta, name=data.get("name", ""))
+    coact = _triples_to_mat(data.get("theta", []), dim, dim, c.dim * dim, c.field, "theta",
+                            store=lambda _, i, y: (y - y % dim + i, y % dim),
+                            shape=(c.dim * dim, dim))
+    return Contramodule(c, dim, coact, name=data.get("name", ""))
 
 
 def morphism_to_json(rho: CoalgebraMorphism) -> dict:

@@ -17,7 +17,7 @@ from functools import lru_cache, reduce
 from math import comb, prod
 
 from .coalgebra import Coalgebra, Verdict
-from .comodule import Comodule
+from .comodule import Comodule, dual_comodule
 from .fields import GF
 from .linalg import Subspace, kernel
 from .matrix import Mat, kron_identity
@@ -283,15 +283,6 @@ def tensor_rational(m: RationalComodule, n: RationalComodule) -> RationalComodul
     return RationalComodule(m.p, m.dim * n.dim, entries, name=f"{m.name}*{n.name}")
 
 
-def direct_sum_rational(m: RationalComodule, n: RationalComodule) -> RationalComodule:
-    if m.p != n.p:
-        raise ValueError("characteristic mismatch")
-    entries = dict(m.entries)
-    for (i, j), poly in n.entries.items():
-        entries[(m.dim + i, m.dim + j)] = poly
-    return RationalComodule(m.p, m.dim + n.dim, entries, name=f"{m.name}+{n.name}")
-
-
 def p_adic_digits(lam: int, p: int) -> list:
     if lam < 0:
         raise ValueError("weight must be nonnegative")
@@ -525,26 +516,28 @@ def restrict_to_kernel(m: RationalComodule, r: int) -> Comodule:
     The polynomial coaction v_j -> sum_i v_i (x) a_ij lands in V (x) k[G_r]
     after reduction; left-comodule consumers take the dual."""
     c = frob_kernel_coalgebra(m.p, r)
-    q = m.p ** r
-    # each (i, j) owns its rows i*dim C + .. in column j, and the reduced
+    q, md = m.p ** r, m.dim
+    # each (i, j) owns the stored rows x*dim + i of column j, and the reduced
     # coefficients are nonzero residues mod p, so they go straight in
     data = {}
     for (i, j), poly in m.entries.items():
         for mono3, coeff in reduce_poly_to_kernel(poly, r).items():
-            data[(i * c.dim + _kernel_index(mono3, q), j)] = coeff
+            data[(_kernel_index(mono3, q) * md + i, j)] = coeff
     coact = Mat(m.dim * c.dim, m.dim, c.field, data)
     return Comodule(c, "right", m.dim, coact, name=f"{m.name}|G{r}")
 
 
 def tensor_kernel(m: Comodule, n: Comodule) -> Comodule:
-    """Tensor product of two right comodules over the same k[G_r], the
+    """Tensor product of two comodules on one side over the same k[G_r], the
     counterpart of :func:`tensor_rational` after restriction: reduction to
     k[G_r] is a ring map, so entry (i*dim N + i2, j*dim N + j2) is the
-    product of entries (i, j) and (i2, j2), multiplied monomial by monomial
-    in the truncated ring."""
+    product of entries (i, j) and (i2, j2), each the polynomial with
+    coefficient coaction[x*dim + i, j] at monomial index x.  k[G_r] is
+    commutative, so this serves either side; monomial indices multiply
+    through a table over the distinct pairs the operands hold."""
     c = m.coalgebra
-    if n.coalgebra is not c or m.side != "right" or n.side != "right":
-        raise ValueError("tensor_kernel needs right comodules over one coalgebra")
+    if n.coalgebra is not c or m.side != n.side:
+        raise ValueError("tensor_kernel needs comodules on one side over one coalgebra")
     p, dim = c.field.characteristic, c.dim
     r = 1
     while p > 1 and p ** (3 * r) < dim:
@@ -553,31 +546,42 @@ def tensor_kernel(m: Comodule, n: Comodule) -> Comodule:
         raise ValueError("tensor_kernel needs comodules over a Frobenius kernel k[G_r]")
     q = p ** r
 
-    def entries(w):
-        # entry (i, j) as [(monomial, coefficient)]
+    def polys(w):
+        # entry (i, j) as [(monomial index, coefficient)]
         out: dict = {}
-        for (row, j), v in w.coaction.data.items():
-            i, x = divmod(row, dim)
-            a, k = divmod(x, q)
-            out.setdefault((i, j), []).append(((*divmod(a, q), k), v))
+        for (row, j), v in w.left_coaction.data.items():
+            x, i = divmod(row, w.dim)
+            out.setdefault((i, j), []).append((x, v))
         return out
 
+    def exps(x):
+        return x // (q * q), x // q % q, x % q
+
+    left, right = polys(m), list(polys(n).items())
+    ys = [(y, *exps(y)) for y in {y for _, e in right for y, _ in e}]
+    table = {}
+    for x in {x for e in left.values() for x, _ in e}:
+        i, j, k = exps(x)
+        # x + y adds the exponents; an a-exponent of q or more wraps by q
+        table[x] = {y: x + y - q if k + k2 >= q else x + y
+                    for y, i2, j2, k2 in ys if i + i2 < q and j + j2 < q}
     nd = n.dim
-    right = list(entries(n).items())
+    out_dim = m.dim * nd
     data = {}
-    for (i, j), e1 in entries(m).items():
+    for (i, j), e1 in left.items():
         for (i2, j2), e2 in right:
             acc: dict = {}
-            for x1, c1 in e1:
-                for x2, c2 in e2:
-                    x = _mul3(x1, x2, q)
-                    if x is not None:
-                        acc[x] = (acc.get(x, 0) + c1 * c2) % p
-            base, col = (i * nd + i2) * dim, j * nd + j2
-            for x, v in acc.items():
-                if v:
-                    data[base + _kernel_index(x, q), col] = v
-    return Comodule(c, "right", m.dim * nd, Mat(m.dim * nd * dim, m.dim * nd, c.field, data),
+            for x, c1 in e1:
+                tx = table[x]
+                for y, c2 in e2:
+                    z = tx.get(y)
+                    if z is not None:
+                        acc[z] = acc.get(z, 0) + c1 * c2
+            off, col = i * nd + i2, j * nd + j2
+            for z, v in acc.items():
+                if v % p:
+                    data[z * out_dim + off, col] = v % p
+    return Comodule(c, m.side, out_dim, Mat(dim * out_dim, out_dim, c.field, data),
                     name=f"{m.name}*{n.name}")
 
 
@@ -664,12 +668,14 @@ def stage_dim(lam: int, p: int, m: int) -> int:
     return prod(f.dim for f in _stage_factors(lam, p, m))
 
 
-def kernel_stage(lam: int, p: int, m: int) -> Comodule:
-    """P(lam, m) restricted to G_m, equal entry for entry to restricting the
-    stage of :func:`build_tower`: each twisted factor is restricted, and the
-    factors are tensored in k[G_m], so no k[SL2] product is formed."""
-    out = reduce(tensor_kernel, [restrict_to_kernel(f, m) for f in _stage_factors(lam, p, m)])
-    return replace(out, name=f"P({lam},{m})|G{m}")
+def dual_kernel_stage(lam: int, p: int, m: int) -> Comodule:
+    """The dual of P(lam, m) restricted to G_m, a left comodule equal entry
+    for entry to the dual of the restricted stage of :func:`build_tower`:
+    each twisted factor is restricted and dualised, and the duals are
+    tensored in k[G_m], so no k[SL2] product is formed and the stage itself
+    is never reindexed."""
+    factors = [dual_comodule(restrict_to_kernel(f, m)) for f in _stage_factors(lam, p, m)]
+    return replace(reduce(tensor_kernel, factors), name=f"P({lam},{m})|G{m}*")
 
 
 def build_tower(lam: int, p: int = 2, m_max: int = 3) -> InverseSystem:

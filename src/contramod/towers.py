@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .contramodule import Contramodule, is_contra_map
 from .linalg import Subspace, exactness_failures, image
 from .matrix import Mat
 
@@ -55,15 +54,6 @@ class InverseSystem:
         if not self.m0 < idx <= self.last_index:
             raise ValueError(f"no transition from stage {idx}: stages run from {self.m0} to {self.last_index}")
         return self.transitions[idx - 1 - self.m0]
-
-    def validate_contra_transitions(self) -> bool:
-        """When stages are contramodules, transitions must be contra-homs."""
-        for t, tr in enumerate(self.transitions):
-            src, tgt = self.stages[t + 1], self.stages[t]
-            if isinstance(src, Contramodule) and isinstance(tgt, Contramodule):
-                if not is_contra_map(src, tgt, tr):
-                    return False
-        return True
 
 
 def _settled_from(values: list) -> int:
@@ -233,8 +223,8 @@ def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
     checked first: a tower that ends before the first stage where a module's
     weight bound holds compares nothing for it, so that raises ValueError
     naming the first such module before anything is built.  Then each stage
-    is built in its kernel and made a contramodule once, and each module is
-    restricted once per stage.
+    is built once in its kernel, as the left comodule its contramodule
+    shares, and each module is restricted once per stage.
     """
     from . import sl2  # local import: sl2 builds on this module's InverseSystem
     from .comodule import dual_comodule
@@ -247,7 +237,7 @@ def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
         stable_froms.append(first_stable_stage(v.name, top, m0, p, m_max))
     rows = [[] for _ in modules]
     for m in range(m0, m_max + 1):
-        p_m = contra_from_comodule(dual_comodule(sl2.kernel_stage(lam, p, m)))
+        p_m = contra_from_comodule(sl2.dual_kernel_stage(lam, p, m))
         for v, v_rows in zip(modules, rows):
             v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
             v_rows.append(TowerRow(m, cohom(v_m, p_m).dim))

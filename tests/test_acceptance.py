@@ -16,12 +16,12 @@ from contramod.coalgebra import (
     divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
 from contramod.comodule import (
-    Comodule, check_comodule, coaction_stabilizes, cofree, comodule_over_self,
+    check_comodule, cofree, comodule_over_self,
     cotensor, dual_comodule, head_radical, hom_comodules, is_injective,
     trivial_comodule,
 )
 from contramod.contramodule import (
-    Contramodule, check_contramodule, cohom, cohom_exactness_probe,
+    check_contramodule, cohom, cohom_exactness_probe,
     contra_from_comodule, contratensor, direct_sum as contra_direct_sum,
     duality_check, free_contramodule, is_projective, trivial_contramodule,
 )
@@ -40,6 +40,7 @@ from contramod.sl2 import (
     restrict_to_kernel, simple_module,
 )
 from contramod.towers import InverseSystem, cohom_tower, is_mittag_leffler
+from test_structure_maps import coaction_stabilizes, comodule_of, contra_of_theta
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -213,8 +214,8 @@ def _mutate(obj, kind, rng):
             return Coalgebra(obj.field, obj.dim, flip(obj.delta, obj.field), obj.epsilon)
         return Coalgebra(obj.field, obj.dim, obj.delta, flip(obj.epsilon, obj.field))
     if kind == "comodule":
-        return Comodule(obj.coalgebra, obj.side, obj.dim, flip(obj.coaction, obj.field))
-    return Contramodule(obj.coalgebra, obj.dim, flip(obj.theta, obj.field))
+        return comodule_of(obj.coalgebra, obj.side, obj.dim, flip(obj.coaction, obj.field))
+    return contra_of_theta(obj.coalgebra, obj.dim, flip(obj.theta, obj.field))
 
 
 def test_criterion_1_axiom_suite_and_mutations():

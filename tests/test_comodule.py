@@ -11,7 +11,7 @@ from contramod.coalgebra import (
     matrix_coalgebra,
 )
 from contramod.comodule import (
-    Comodule, check_comodule, coaction_stabilizes, cofree, comodule_closure,
+    Comodule, check_comodule, cofree, comodule_closure,
     comodule_over_self, cotensor, direct_sum, dual_comodule, head_radical,
     hom_comodules, is_comodule_map, is_injective,
     quotient_comodule, sub_comodule, trivial_comodule,
@@ -19,6 +19,7 @@ from contramod.comodule import (
 from contramod.fields import GF2, GF3, QQ
 from contramod.linalg import rank
 from contramod.matrix import Mat
+from test_structure_maps import coaction_stabilizes, comodule_of
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -140,7 +141,7 @@ def _bump(rng, m):
     f = m.field
     i, j = rng.randrange(m.coaction.rows), rng.randrange(m.dim)
     bump = Mat.from_entries(m.coaction.rows, m.dim, f, [(i, j, f.random(rng, nonzero=True))])
-    return Comodule(m.coalgebra, m.side, m.dim, m.coaction + bump)
+    return comodule_of(m.coalgebra, m.side, m.dim, m.coaction + bump)
 
 
 @pytest.mark.parametrize("field", FIELDS)

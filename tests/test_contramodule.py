@@ -21,7 +21,7 @@ from contramod.contramodule import (
 from contramod.fields import GF2, GF3, QQ
 from contramod.matrix import Mat
 from contramod.randomgen import random_contramodule
-from test_structure_maps import swap_mat
+from test_structure_maps import contra_of_theta, swap_mat
 
 FIELDS = [QQ, GF2, GF3]
 
@@ -57,7 +57,7 @@ def test_mutated_theta_fails():
     c = divided_power_dual(QQ, 3)
     b = free_contramodule(c, 1)
     bad = b.theta + Mat.from_entries(3, 9, QQ, [(2, 1, 1)])
-    assert not check_contramodule(Contramodule(c, 3, bad)).ok
+    assert not check_contramodule(contra_of_theta(c, 3, bad)).ok
 
 
 def test_contra_from_comodule():

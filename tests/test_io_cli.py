@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import os
 import shlex
 import signal
@@ -17,11 +18,14 @@ from contramod import io as cio
 from contramod.cli import COMMANDS, DEFAULT_SEED, JobSpec, build_parser, main, run
 from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, identity_morphism,
+    matrix_coalgebra,
 )
 from contramod.comodule import cofree, comodule_over_self, dual_comodule
 from contramod.contramodule import direct_sum, free_contramodule, trivial_contramodule
 from contramod.fields import _MR_LIMIT, GF, GF2, GF3, QQ, FieldSpec, _is_prime
 from contramod.io import SchemaError
+from contramod.matrix import Mat
+from contramod.randomgen import random_comodule, random_contramodule
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +62,123 @@ def test_comodule_and_contramodule_roundtrip():
     b = free_contramodule(c, 2)
     back = cio.contramodule_from_json(cio.contramodule_to_json(b))
     assert back.theta == b.theta
+
+
+def layout_triples(m, inner_dim, field):
+    """The writer's triples read off a matrix in the input's own layout:
+    entry (i*inner_dim + j, k) as [i, j, k, val], sorted."""
+    return [[*divmod(row, inner_dim), k, field.format(v)] for (row, k), v in sorted(m.data.items())]
+
+
+# matrix_coalgebra(Q, 2) over itself on the right, and its free contramodule
+# on k, as the writer has always emitted them
+PINNED_RIGHT = (
+    '{"coalgebra": {"field": "Q", "dim": 4, "delta": [[0, 0, 0, "1"], [0, 1, 1, "1"], '
+    '[1, 2, 0, "1"], [1, 3, 1, "1"], [2, 0, 2, "1"], [2, 1, 3, "1"], [3, 2, 2, "1"], '
+    '[3, 3, 3, "1"]], "epsilon": ["1", "0", "0", "1"]}, "side": "right", "dim": 4, '
+    '"coaction": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 2, 0, "1"], [1, 3, 1, "1"], '
+    '[2, 0, 2, "1"], [2, 1, 3, "1"], [3, 2, 2, "1"], [3, 3, 3, "1"]]}'
+)
+PINNED_THETA = (
+    '[[0, 0, 0, "1"], [0, 0, 9, "1"], [0, 1, 4, "1"], [0, 1, 13, "1"], '
+    '[0, 2, 2, "1"], [0, 2, 11, "1"], [0, 3, 6, "1"], [0, 3, 15, "1"]]'
+)
+
+
+def test_right_comodule_and_contramodule_json_is_pinned():
+    c = matrix_coalgebra(QQ, 2)
+    assert json.dumps(cio.comodule_to_json(comodule_over_self(c, "right"))) == PINNED_RIGHT
+    assert json.dumps(cio.contramodule_to_json(free_contramodule(c, 1))["theta"]) == PINNED_THETA
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+def test_json_triples_are_the_sorted_input_layouts(field):
+    """Right coactions and theta are written from the stored matrix in the
+    order of their own layouts, and read back to the same stored matrix."""
+    rng = random.Random(1818)
+    for c in (matrix_coalgebra(field, 2), divided_power_dual(field, 3)):
+        for _ in range(6):
+            m = random_comodule(rng, c, side="right")
+            b = random_contramodule(rng, c)
+            doc, bdoc = cio.comodule_to_json(m), cio.contramodule_to_json(b)
+            assert doc["coaction"] == layout_triples(m.coaction, c.dim, field)
+            assert bdoc["theta"] == layout_triples(b.theta, b.dim, field)
+            back = cio.comodule_from_json(json.loads(json.dumps(doc)))
+            assert (back.left_coaction, back.side) == (m.left_coaction, "right")
+            assert cio.contramodule_from_json(json.loads(json.dumps(bdoc))).left_coaction == b.left_coaction
+
+
+def old_triples_to_mat(triples, inner_dim, rows, cols, field, where):
+    """The loader as it read every layout as given: one check per index and
+    one parse per scalar, then the matrix checks its own columns."""
+    outer = rows // inner_dim if inner_dim else 0
+    entries = []
+    try:
+        for i, j, k, v in triples:
+            i, j = cio._int(i), cio._int(j)
+            if not (0 <= i < outer and 0 <= j < inner_dim):
+                raise ValueError(f"index ({i}, {j}) outside {outer}x{inner_dim}")
+            entries.append((i * inner_dim + j, cio._int(k), field.parse(v)))
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{where}: bad coefficient triple: {e}") from None
+    try:
+        return Mat.from_entries(rows, cols, field, entries)
+    except ValueError as e:
+        raise SchemaError(f"{where}: {e}") from None
+
+
+def _edited_triples(rng, triples, dims):
+    """Copies of triples with one or two entries replaced by a wrong type, a
+    bad scalar or an index just outside its range, or a triple of the wrong
+    length, a duplicate or a cancelling pair added."""
+    junk = [0.5, True, 1, None, "x", "1/0", "1/2", "0", [], -1, 10 ** 30, *dims]
+
+    def edit(ts):
+        t = rng.randrange(len(ts))
+        kind = rng.randrange(4)
+        if kind == 0:
+            ts[t] = ts[t][:rng.randrange(4)] if rng.random() < 0.5 else [*ts[t], "1"]
+        elif kind == 1:
+            ts.append(list(ts[t]))
+            ts.append([*ts[t][:3], "-1" if rng.random() < 0.5 else "2"])
+        elif ts[t]:
+            ts[t] = list(ts[t])
+            ts[t][rng.randrange(len(ts[t]))] = rng.choice(junk)
+
+    # an int scalar, then True: each read as it stands, not as the other
+    yield [[*triples[0][:3], 1], [*triples[1][:3], True], *triples[2:]]
+    for _ in range(150):
+        ts = [list(t) for t in triples]
+        for _ in range(rng.randint(1, 2)):
+            edit(ts)
+        yield ts
+
+
+@pytest.mark.parametrize("field", [QQ, GF3])
+def test_loader_matches_the_layout_loader(field):
+    """Right coactions and theta are read straight into the stored matrix,
+    each scalar string parsed once: every edited input is accepted or
+    refused as the loader that read each layout as given did, with the same
+    first error message, and an accepted one gives the same matrix."""
+    rng = random.Random(1919)
+    c = matrix_coalgebra(field, 2)
+    n = c.dim
+    m = random_comodule(rng, c, side="right")
+    b = random_contramodule(rng, c)
+    md, bd = m.dim, b.dim
+    right = cio.comodule_to_json(m)
+    theta = cio.contramodule_to_json(b)
+    cases = [(right, "coaction", (md, n, md * n), lambda doc: cio.comodule_from_json(doc).coaction,
+              lambda ts: old_triples_to_mat(ts, n, md * n, md, field, "coaction")),
+             (theta, "theta", (bd, n * bd), lambda doc: cio.contramodule_from_json(doc).theta,
+              lambda ts: old_triples_to_mat(ts, bd, bd, n * bd, field, "theta"))]
+    refused = 0
+    for doc, key, dims, load, old in cases:
+        for ts in _edited_triples(rng, doc[key], dims):
+            got, want = _outcome(load, {**doc, key: ts}), _outcome(old, ts)
+            assert got == want, ts
+            refused += want[0] is SchemaError
+    assert 100 < refused < 300
 
 
 def test_named_coalgebra_resolution():

@@ -1,6 +1,7 @@
 """Normal-form arithmetic, Frobenius kernels, the p=2 catalog and towers."""
 
 import random
+from functools import reduce
 from itertools import product
 from math import comb
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from contramod.coalgebra import check_coalgebra, grouplike
 from contramod.comodule import (
-    check_comodule, coaction_stabilizes, comodule_over_self, dual_comodule,
+    check_comodule, comodule_over_self, dual_comodule,
     head_radical, is_injective, quotient_comodule,
 )
 from contramod.contramodule import check_contramodule, contra_from_comodule, is_projective
@@ -17,13 +18,14 @@ from contramod.fields import GF, GF2
 from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.sl2 import (
-    SL2Poly, battery_module, build_tower, catalog_modules, character_decomposition,
+    RationalComodule, SL2Poly, battery_module, build_tower, catalog_modules, character_decomposition,
     char_product, delta_poly, f_multiplicity, frob_kernel_coalgebra, frobenius_twist,
-    hom_rational, is_rational_map, kernel_stage, p_adic_digits,
+    dual_kernel_stage, hom_rational, is_rational_map, p_adic_digits,
     reduce_poly_to_kernel, restrict_to_kernel, simple_character, simple_module, stage_dim,
     standard_rational, tensor_kernel, tensor_rational, trivial_rational,
 )
-from contramod.sl2 import _kernel_index, _reduce_mono_kernel
+from contramod.sl2 import _kernel_index, _mul3, _reduce_mono_kernel, _stage_factors
+from test_structure_maps import coaction_stabilizes, comodule_of
 
 
 def _gens(p=2):
@@ -360,9 +362,16 @@ def test_lemma_hom_agreement_small():
     assert lhs == rhs == f_multiplicity(1, v)
 
 
-def test_direct_sum_character_additive():
-    from contramod.sl2 import direct_sum_rational
+def direct_sum_rational(m, n):
+    if m.p != n.p:
+        raise ValueError("characteristic mismatch")
+    entries = dict(m.entries)
+    for (i, j), poly in n.entries.items():
+        entries[(m.dim + i, m.dim + j)] = poly
+    return RationalComodule(m.p, m.dim + n.dim, entries, name=f"{m.name}+{n.name}")
 
+
+def test_direct_sum_character_additive():
     cat = catalog_modules(2)
     both = direct_sum_rational(cat["L1"], cat["P0"])
     assert both.validate().ok
@@ -600,15 +609,91 @@ def test_build_tower_matches_the_stage_loop(m_max):
 def test_kernel_stage_matches_the_restricted_tower_stage(m):
     """Every lambda whose tower reaches stage m, that is lambda < 2^m."""
     for lam in range(2 ** m):
-        want = restrict_to_kernel(build_tower(lam, 2, m).stages[-1], m)
-        assert_same_comodule(kernel_stage(lam, 2, m), want)
+        want = dual_comodule(restrict_to_kernel(build_tower(lam, 2, m).stages[-1], m))
+        assert_same_comodule(dual_kernel_stage(lam, 2, m), want)
         assert stage_dim(lam, 2, m) == want.dim
 
 
 @pytest.mark.slow
 def test_kernel_stage_matches_the_restricted_tower_stage_at_g4():
-    want = restrict_to_kernel(build_tower(0, 2, 4).stages[-1], 4)
-    assert_same_comodule(kernel_stage(0, 2, 4), want)
+    want = dual_comodule(restrict_to_kernel(build_tower(0, 2, 4).stages[-1], 4))
+    assert_same_comodule(dual_kernel_stage(0, 2, 4), want)
+
+
+def loop_tensor_kernel(m, n, q):
+    """tensor_kernel on two right comodules as one loop over their right
+    layouts, rows i*dim C + x: each entry (i, j) a list of monomials
+    (b, c, a exponents), multiplied pair by pair."""
+    c = m.coalgebra
+    p, dim = c.field.characteristic, c.dim
+
+    def entries(w):
+        out: dict = {}
+        for (row, j), v in w.coaction.data.items():
+            i, x = divmod(row, dim)
+            a, k = divmod(x, q)
+            out.setdefault((i, j), []).append(((*divmod(a, q), k), v))
+        return out
+
+    nd = n.dim
+    right = list(entries(n).items())
+    data = {}
+    for (i, j), e1 in entries(m).items():
+        for (i2, j2), e2 in right:
+            acc: dict = {}
+            for x1, c1 in e1:
+                for x2, c2 in e2:
+                    x = _mul3(x1, x2, q)
+                    if x is not None:
+                        acc[x] = (acc.get(x, 0) + c1 * c2) % p
+            base, col = (i * nd + i2) * dim, j * nd + j2
+            for x, v in acc.items():
+                if v:
+                    data[base + _kernel_index(x, q), col] = v
+    coact = Mat(m.dim * nd * dim, m.dim * nd, c.field, data)
+    return comodule_of(c, "right", m.dim * nd, coact, name=f"{m.name}*{n.name}")
+
+
+def tensor_cases():
+    cat = catalog_modules(2)
+    pairs = [(cat[x], cat[y]) for x, y in (("L1", "L1"), ("L1", "L2"), ("P0", "P1"), ("L3", "L1"), ("L0", "P0"))]
+    l1_3 = standard_rational(3)
+    cases = [(x, y, 2, r) for x, y in pairs for r in (1, 2, 3)]
+    return cases + [(l1_3, frobenius_twist(l1_3, t), 3, r) for t in (0, 1) for r in (1, 2)]
+
+
+def test_tensor_kernel_matches_the_monomial_loop_on_either_side():
+    """The product table against the pair-by-pair loop on the right layout;
+    on the left side, the tensor product of the duals is the dual of the
+    tensor product, since k[G_r] is commutative."""
+    for x, y, p, r in tensor_cases():
+        a, b = restrict_to_kernel(x, r), restrict_to_kernel(y, r)
+        want = loop_tensor_kernel(a, b, p ** r)
+        assert_same_comodule(tensor_kernel(a, b), want)
+        left = tensor_kernel(dual_comodule(a), dual_comodule(b))
+        assert typed(left.left_coaction) == typed(dual_comodule(want).left_coaction), (x.name, y.name, r)
+        assert (left.side, left.dim) == ("left", want.dim)
+
+
+def assert_dual_of_looped_stage(lam, m):
+    """The tower's left stage, tensored from the factors' duals, against the
+    dual of the right stage the monomial loop tensors from the factors."""
+    looped = reduce(lambda x, y: loop_tensor_kernel(x, y, 2 ** m),
+                    [restrict_to_kernel(f, m) for f in _stage_factors(lam, 2, m)])
+    left = dual_kernel_stage(lam, 2, m)
+    assert typed(left.left_coaction) == typed(dual_comodule(looped).left_coaction)
+    assert (left.side, left.dim) == ("left", looped.dim)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dual_kernel_stage_is_the_dual_of_the_looped_stage(m):
+    for lam in range(2 ** m):
+        assert_dual_of_looped_stage(lam, m)
+
+
+@pytest.mark.slow
+def test_dual_kernel_stage_is_the_dual_of_the_looped_stage_at_g4():
+    assert_dual_of_looped_stage(0, 4)
 
 
 def test_tensor_kernel_matches_restricted_tensor_products():

@@ -13,7 +13,10 @@ trace-pairing loops, and the identity that makes Hom pair to zero against
 Cohom's relations, and Delta pushed along a coalgebra map
 (``check_morphism``, ``comodule_along``, ``random_surjection``) against the
 Kronecker product and structure-constant formulas, and Cohom's F2 bitmask
-relations against its dict columns.  The oracles live here only."""
+relations against its dict columns.  The stored left layout is checked
+against the relabels that once converted each object to and from it, and a
+right C-comodule against the left C^cop-comodule it is stored as.  The
+oracles live here only."""
 
 import random
 
@@ -25,14 +28,15 @@ from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
-    Comodule, check_comodule, cofree, comodule_over_self, cotensor, dual_comodule, hom_basis_maps,
-    hom_comodules, is_injective, quotient_comodule, sub_comodule,
+    Comodule, check_comodule, cofree, comodule_closure, comodule_over_self,
+    cotensor, dual_comodule, hom_basis_maps, hom_comodules, is_injective, quotient_comodule,
+    sub_comodule,
 )
 from contramod.contramodule import (
     Contramodule, check_contramodule, cohom, duality_check,
     contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
-    hom_contra, hom_contra_basis_maps, is_contra_map, is_projective, quotient_contramodule, sub_contramodule,
-    theta_stabilizes,
+    contra_from_dual, hom_contra, hom_contra_basis_maps, is_contra_map, is_projective,
+    quotient_contramodule, sub_contramodule,
 )
 from contramod.fields import GF, GF2, GF3, QQ
 from contramod.functors import comodule_along, induce
@@ -43,7 +47,7 @@ from contramod.matrix import Mat, kron, map_of_vec
 from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
-from contramod.sl2 import battery_module, build_tower, kernel_stage, restrict_to_kernel
+from contramod.sl2 import battery_module, build_tower, dual_kernel_stage, restrict_to_kernel
 
 FIELDS = [QQ, GF2, GF3]
 PAIRS_PER_COALGEBRA = 15
@@ -51,6 +55,85 @@ PAIRS_PER_COALGEBRA = 15
 
 def small_coalgebras(field):
     return [grouplike(field, 3), matrix_coalgebra(field, 2), divided_power_dual(field, 3)]
+
+
+# -- the side layouts: the relabels that once converted to and from left layout ------
+
+
+def right_to_left(coaction, n, md):
+    """Rows i*n + c of a right coaction to rows c*md + i."""
+    return Mat(n * md, md, coaction.field,
+               {((idx % n) * md + idx // n, j): v for (idx, j), v in coaction.data.items()})
+
+
+def left_to_right(coact, n, md):
+    """Rows c*md + i of a left-layout coaction to rows i*n + c."""
+    return Mat(md * n, md, coact.field,
+               {((idx % md) * n + idx // md, j): v for (idx, j), v in coact.data.items()})
+
+
+def theta_to_left(theta, n, b):
+    """``coaction[c*b + i, k] = theta[i, c*b + k]``."""
+    return Mat(n * b, b, theta.field,
+               {((idx // b) * b + i, idx % b): v for (i, idx), v in theta.data.items()})
+
+
+def left_to_theta(coact, n, b):
+    """``theta[i, c*b + k] = coaction[c*b + i, k]``."""
+    return Mat(b, n * b, coact.field,
+               {(idx % b, (idx // b) * b + k): v for (idx, k), v in coact.data.items()})
+
+
+def _left_coaction(m):
+    """The coaction in left layout, read off the side's layout ``m.coaction``;
+    for a right comodule this is its coaction as a left C^cop-comodule."""
+    return m.coaction if m.side == "left" else right_to_left(m.coaction, m.coalgebra.dim, m.dim)
+
+
+def _from_left(c, side, dim, coact):
+    """The coaction in the side's layout whose left layout is coact."""
+    return coact if side == "left" else left_to_right(coact, c.dim, dim)
+
+
+def comodule_of(c, side, dim, coaction, name=""):
+    """The comodule whose coaction in the side's layout is coaction."""
+    return Comodule(c, side, dim, coaction if side == "left" else right_to_left(coaction, c.dim, dim),
+                    name=name)
+
+
+def _as_comodule(b):
+    """The left comodule with the same entries as b, read off theta."""
+    return Comodule(b.coalgebra, "left", b.dim, theta_to_left(b.theta, b.coalgebra.dim, b.dim),
+                    name=b.name)
+
+
+def contra_of_theta(c, dim, theta, name=""):
+    """The contramodule whose structure map is theta."""
+    return Contramodule(c, dim, theta_to_left(theta, c.dim, dim), name=name)
+
+
+def relabel_contra_from_comodule(w):
+    """The contramodule of a left comodule, its theta relabelled from the
+    coaction entry by entry."""
+    return contra_of_theta(w.coalgebra, w.dim, left_to_theta(w.coaction, w.coalgebra.dim, w.dim),
+                           name=f"{w.name}~contra")
+
+
+def cop(c):
+    """The coopposite coalgebra C^cop, its Delta materialised."""
+    n = c.dim
+    delta = Mat(n * n, n, c.field, {((x % n) * n + x // n, k): v for (x, k), v in c.delta.data.items()})
+    return Coalgebra(c.field, n, delta, c.epsilon, name=f"{c.name}^cop")
+
+
+def coaction_stabilizes(m, sub):
+    """True iff the coaction maps sub into C (x) sub: sub is its own closure."""
+    return comodule_closure(m, sub.basis_columns()).dim == sub.dim
+
+
+def theta_stabilizes(b, sub):
+    """True iff theta maps C* (x) sub into sub."""
+    return coaction_stabilizes(b, sub)
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -129,6 +212,105 @@ def random_pairs(field, side, seed):
             yield random_comodule(rng, c, side=side), random_contramodule(rng, c)
 
 
+# -- one stored layout against the relabels ------------------------------------------
+
+
+def relabel_contra_from_dual(m, d):
+    """contra_from_dual read off the right layout ``m.coaction``."""
+    n, md = m.coalgebra.dim, m.dim
+    b = md * d
+    entries = []
+    for (idx, s), v in m.coaction.data.items():
+        i, j = divmod(idx, n)
+        entries.extend((s * d + l, j * b + i * d + l, v) for l in range(d))
+    return contra_of_theta(m.coalgebra, b, Mat.from_entries(b, n * b, m.field, entries),
+                           name=f"hom({m.name},k^{d})")
+
+
+def seeded_comodules(field, side, seed, count=4):
+    rng = random.Random(seed)
+    for c in small_coalgebras(field):
+        for t in range(count):
+            m = random_comodule(rng, c, side=side)
+            m.name = f"m{t}"
+            yield rng, m
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_stored_layout_matches_the_relabels(field, side):
+    """The stored matrix is the side's layout relabelled, the side's layout
+    is the relabel back, and a contramodule's theta is the relabel of its
+    comodule's coaction."""
+    for _, m in seeded_comodules(field, side, 1616):
+        c, md = m.coalgebra, m.dim
+        assert _left_coaction(m) == m.left_coaction
+        assert _from_left(c, side, md, m.left_coaction) == m.coaction
+        assert comodule_of(c, side, md, m.coaction, m.name) == m
+        dual = dual_comodule(m)
+        assert _left_coaction(dual) == dual.left_coaction
+        if side == "left":
+            b = contra_from_comodule(m)
+            assert b == relabel_contra_from_comodule(m)
+            assert _as_comodule(b).left_coaction == m.left_coaction
+            assert contra_of_theta(c, md, b.theta, b.name) == b
+        else:
+            for d in (1, 2):
+                assert contra_from_dual(m, d) == relabel_contra_from_dual(m, d)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_constructors_match_the_side_layouts(field):
+    """cofree and C over itself, written straight into the stored layout,
+    against Id (x) Delta and Delta on the right side; the free contramodule,
+    read off Delta, against Hom(C, k^d) for C over itself on the right."""
+    for c in small_coalgebras(field) + [grouplike(field, 1)]:
+        for d in (0, 1, 2):
+            assert cofree(c, d, "right").coaction == kron(Mat.identity(d, field), c.delta)
+            assert cofree(c, d, "left").coaction == kron(c.delta, Mat.identity(d, field))
+            right_self = comodule_over_self(c, "right")
+            assert free_contramodule(c, d).left_coaction == contra_from_dual(right_self, d).left_coaction
+        assert comodule_over_self(c, "right").coaction == comodule_over_self(c).coaction == c.delta
+
+
+def over_cop(m):
+    """A right comodule as the left C^cop-comodule on its relabelled layout,
+    and a left one as the right C^cop-comodule on the same matrix, with
+    C^cop's Delta materialised."""
+    other = "left" if m.side == "right" else "right"
+    return Comodule(cop(m.coalgebra), other, m.dim, _left_coaction(m), name=m.name)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_comodules_match_the_other_side_over_cop(field, side):
+    """A right C-comodule is a left C^cop-comodule, and conversely: the axiom
+    verdicts, injectivity, hom spaces, duals, closures, subobjects,
+    quotients and direct sums agree, the stored matrices entry for entry."""
+    for rng, m in seeded_comodules(field, side, 1717):
+        c = m.coalgebra
+        n = random_comodule(rng, c, side=side)
+        bad = mutate_coaction(rng, m)
+        for x in (m, bad):
+            assert check_comodule(x).failures == check_comodule(over_cop(x)).failures
+        assert is_injective(m)[0] == is_injective(over_cop(m))[0]
+        m2, n2 = over_cop(m), over_cop(n)
+        for x, y in ((m, n), (n, m), (m, m)):
+            assert hom_comodules(x, y) == hom_comodules(over_cop(x), over_cop(y))
+        dual, dual2 = dual_comodule(m), dual_comodule(m2)
+        assert dual.left_coaction == dual2.left_coaction and dual.side == m2.side
+        total, total2 = comodule.direct_sum(m, n), comodule.direct_sum(m2, n2)
+        assert total.left_coaction == total2.left_coaction
+        assert total.coaction == _from_left(c, side, total.dim, total2.left_coaction)
+        vecs = [random_vector(rng, m.dim, field) for _ in range(rng.randint(1, 2))]
+        sub = comodule_closure(m, vecs)
+        assert sub == comodule_closure(m2, vecs)
+        for build in (sub_comodule, quotient_comodule):
+            (got, got_map), (want, want_map) = build(m, sub), build(m2, sub)
+            assert (got.left_coaction, got_map) == (want.left_coaction, want_map)
+            assert got.coaction == _from_left(c, side, got.dim, want.left_coaction)
+
+
 # -- the maps ---------------------------------------------------------------------
 
 
@@ -166,7 +348,7 @@ def test_cohom_matches_dict_columns_on_tower_stages(m):
     modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
                for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
     for lam in range(2 ** m):
-        b = contra_from_comodule(dual_comodule(kernel_stage(lam, 2, m)))
+        b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
         for v in modules:
             assert cohom(v, b) == dict_cohom(v, b), (lam, v.name)
 
@@ -301,7 +483,7 @@ def kron_sub(b, sub):
     entries = [(s, j, v) for j, col in kron_hit(b, sub.basis).columns().items()
                for s, v in sub.coords(col).items()]
     theta = Mat.from_entries(k, n * k, b.field, entries)
-    return Contramodule(b.coalgebra, k, theta, name=f"{b.name}|sub"), sub.basis
+    return contra_of_theta(b.coalgebra, k, theta, name=f"{b.name}|sub"), sub.basis
 
 
 def kron_quotient(b, sub):
@@ -309,7 +491,7 @@ def kron_quotient(b, sub):
     q = coeq.quotient_map
     assert (q @ kron_hit(b, sub.basis)).is_zero()
     theta = q @ kron_hit(b, coeq.section)
-    return Contramodule(b.coalgebra, coeq.dim, theta, name=f"{b.name}/sub"), q
+    return contra_of_theta(b.coalgebra, coeq.dim, theta, name=f"{b.name}/sub"), q
 
 
 def kron_direct_sum(b1, b2):
@@ -320,7 +502,7 @@ def kron_direct_sum(b1, b2):
     incl2 = Mat(d1 + d2, d2, f, {(d1 + i, i): f.one() for i in range(d2)})
     theta = (incl1 @ b1.theta @ kron(eye_n, incl1.transpose())
              + incl2 @ b2.theta @ kron(eye_n, incl2.transpose()))
-    return Contramodule(b1.coalgebra, d1 + d2, theta, name=f"{b1.name}+{b2.name}")
+    return contra_of_theta(b1.coalgebra, d1 + d2, theta, name=f"{b1.name}+{b2.name}")
 
 
 def kron_split_solve(hom_rows, post, pre):
@@ -334,7 +516,7 @@ def kron_split_solve(hom_rows, post, pre):
 
 def kron_is_projective(b):
     c, f = b.coalgebra, b.field
-    free = Contramodule(c, c.dim * b.dim, kron(kron_dual_mult(c), Mat.identity(b.dim, f)))
+    free = contra_of_theta(c, c.dim * b.dim, kron(kron_dual_mult(c), Mat.identity(b.dim, f)))
     lhs, rhs = kron_hom_equations(b, free)
     section = kron_split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, f))
     return section is not None, section
@@ -347,7 +529,7 @@ def mutate_theta(rng, b):
     data = dict(b.theta.data)
     data[key] = f.add(data.get(key, f.zero()), f.random(rng, nonzero=True))
     data = {k: v for k, v in data.items() if v != 0}
-    return Contramodule(b.coalgebra, b.dim, Mat(b.dim, b.theta.cols, f, data), name=b.name)
+    return contra_of_theta(b.coalgebra, b.dim, Mat(b.dim, b.theta.cols, f, data), name=b.name)
 
 
 def random_contramodules(field, seed, count=6):
@@ -366,7 +548,7 @@ def test_contramodule_verdicts_match_kron_identities(field):
     seen = set()
     for _, b in random_contramodules(field, 505, count=15):
         # the zero action is contra-associative, never contra-unital
-        zero = Contramodule(b.coalgebra, b.dim, Mat.zeros(b.dim, b.theta.cols, field))
+        zero = contra_of_theta(b.coalgebra, b.dim, Mat.zeros(b.dim, b.theta.cols, field))
         for x in (b, zero):
             failures = check_contramodule(x).failures
             assert failures == kron_check_contramodule(x)
@@ -397,9 +579,9 @@ def kron_hom_pair(x, y):
     F -> (Id_C (x) F) o coaction_X on X* (x) Y, in left layout; Hom(X, Y) is
     their equalizer."""
     n, xd, yd = x.coalgebra.dim, x.dim, y.dim
-    lhs = kron(Mat.identity(xd, x.field), comodule._left_coaction(y))
+    lhs = kron(Mat.identity(xd, x.field), _left_coaction(y))
     data = {}
-    for (idx, vcol), val in comodule._left_coaction(x).data.items():
+    for (idx, vcol), val in _left_coaction(x).data.items():
         cc, v = divmod(idx, xd)
         for w in range(yd):
             data[(vcol * n * yd + cc * yd + w, v * yd + w)] = val
@@ -422,7 +604,7 @@ def mutate_coaction(rng, m):
         data = dict(m.coaction.data)
         data[key] = f.add(data.get(key, f.zero()), f.random(rng, nonzero=True))
         coact = Mat(m.coaction.rows, m.dim, f, {k: v for k, v in data.items() if v != 0})
-        bad = Comodule(m.coalgebra, m.side, m.dim, coact, name=f"{m.name}~")
+        bad = comodule_of(m.coalgebra, m.side, m.dim, coact, name=f"{m.name}~")
         if not check_comodule(bad).ok:
             return bad
 
@@ -590,7 +772,7 @@ def loop_check_comodule(m):
     f = c.field
     zero = f.zero()
     n, md = c.dim, m.dim
-    coact_cols = comodule._left_coaction(m).columns()
+    coact_cols = _left_coaction(m).columns()
     delta_cols = c.delta.columns()
     if m.side == "right":
         delta_cols = {k: {(x % n) * n + x // n: w for x, w in col.items()}
@@ -616,7 +798,7 @@ def with_coaction(m, data, name):
     """m with its coaction replaced by data, in m's own layout."""
     f = m.field
     coact = Mat(m.coaction.rows, m.coaction.cols, f, {k: v for k, v in data.items() if v != 0})
-    return Comodule(m.coalgebra, m.side, m.dim, coact, name=name)
+    return comodule_of(m.coalgebra, m.side, m.dim, coact, name=name)
 
 
 def broken_comodules(rng, m):
@@ -676,8 +858,8 @@ def rescaled(m, coalgebra_scales, module_scales):
     eps = Mat(1, n, f, {(0, k): v * g[k] for (_, k), v in c.epsilon.data.items()})
     c2 = Coalgebra(f, n, delta, eps, name=f"{c.name}'")
     coact = Mat(n * md, md, f, {(idx, j): v * d[j] / (g[idx // md] * d[idx % md])
-                                for (idx, j), v in comodule._left_coaction(m).data.items()})
-    return comodule._from_left(c2, m.side, md, coact, f"{m.name}'")
+                                for (idx, j), v in _left_coaction(m).data.items()})
+    return Comodule(c2, m.side, md, coact, f"{m.name}'")
 
 
 CHECK_FIELDS = [QQ, GF2, GF3, GF(5)]
@@ -726,7 +908,7 @@ def test_check_comodule_with_many_distinct_denominators(side):
 
 def test_check_comodule_matches_scalar_loop_on_kG2_stage():
     rng = random.Random(1515)
-    right = kernel_stage(0, 2, 2)
+    right = dual_comodule(dual_kernel_stage(0, 2, 2))
     seen = set()
     for m in (right, dual_comodule(right)):
         assert check_comodule(m).ok
@@ -747,7 +929,7 @@ def loop_dual_comodule(m):
             cc, i = divmod(idx, md)
             entries.append((j * n + cc, i, v))
         coact = Mat.from_entries(md * n, md, m.field, entries)
-        return Comodule(c, "right", md, coact, name=f"{m.name}*")
+        return comodule_of(c, "right", md, coact, name=f"{m.name}*")
     for (idx, j), v in m.coaction.data.items():
         i, cc = divmod(idx, n)
         entries.append((cc * md + j, i, v))

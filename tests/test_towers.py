@@ -278,6 +278,18 @@ def test_limit_never_exact_against_stable_stage_contradiction():
     assert limit_four_term(four).status == "exact"
 
 
+def validate_contra_transitions(sys: InverseSystem) -> bool:
+    """When stages are contramodules, transitions must be contra-homs."""
+    from contramod.contramodule import Contramodule, is_contra_map
+
+    for t, tr in enumerate(sys.transitions):
+        src, tgt = sys.stages[t + 1], sys.stages[t]
+        if isinstance(src, Contramodule) and isinstance(tgt, Contramodule):
+            if not is_contra_map(src, tgt, tr):
+                return False
+    return True
+
+
 def test_transition_contra_hom_validation():
     from contramod.coalgebra import divided_power_dual
     from contramod.contramodule import free_contramodule
@@ -285,9 +297,9 @@ def test_transition_contra_hom_validation():
     c = divided_power_dual(GF2, 2)
     b = free_contramodule(c, 1)
     good = InverseSystem([b, b], [Mat.identity(2, GF2)])
-    assert good.validate_contra_transitions()
+    assert validate_contra_transitions(good)
     bad = InverseSystem([b, b], [Mat.from_entries(2, 2, GF2, [(0, 1, 1)])])
-    assert not bad.validate_contra_transitions()
+    assert not validate_contra_transitions(bad)
 
 
 def test_cohom_tower_report_shape():
@@ -381,20 +393,42 @@ def _count_builds(monkeypatch, stages: dict) -> list:
         return stages[m]
 
     monkeypatch.setattr(sl2, "restrict_to_kernel", counted)
-    monkeypatch.setattr(sl2, "kernel_stage", stage)
+    monkeypatch.setattr(sl2, "dual_kernel_stage", stage)
     return calls
 
 
 def test_cohom_tower_restricts_each_stage_once(monkeypatch):
     """Each stage is built in its kernel once for the whole battery, and
     each module is restricted once per stage."""
-    from contramod.sl2 import battery_module, kernel_stage
+    from contramod.sl2 import battery_module, dual_kernel_stage
 
     modules = [battery_module(2, expr) for expr in ("L0", "L1", "P1")]
-    calls = _count_builds(monkeypatch, {m: kernel_stage(0, 2, m) for m in (1, 2)})
+    calls = _count_builds(monkeypatch, {m: dual_kernel_stage(0, 2, m) for m in (1, 2)})
     cohom_tower(modules, 0, 2, 2)
     stages = [("stage", 1), ("stage", 2)]
     assert sorted(calls) == sorted(stages + [(v.name, m) for _, m in stages for v in modules])
+
+
+def test_cohom_tower_relabels_no_full_stage(monkeypatch):
+    """The tower's stages are tensored from the factors' duals: every matrix
+    handed to dual_comodule is a restricted factor or module, each smaller
+    than the stage at m = 2, and all of them together smaller than the
+    stage at m = 3."""
+    from contramod import comodule, sl2
+
+    handed = []
+    dual = comodule.dual_comodule
+
+    def counted(m):
+        handed.append(m.left_coaction.nnz)
+        return dual(m)
+
+    monkeypatch.setattr(comodule, "dual_comodule", counted)
+    monkeypatch.setattr(sl2, "dual_comodule", counted)
+    modules = [sl2.battery_module(2, expr) for expr in ("L0", "L1*L1")]
+    cohom_tower(modules, 0, 2, 3)
+    stage2, stage3 = (sl2.dual_kernel_stage(0, 2, m).left_coaction.nnz for m in (2, 3))
+    assert handed and max(handed) < stage2 and sum(handed) < stage3
 
 
 def test_cohom_tower_window_error_names_the_first_offending_module(monkeypatch):
