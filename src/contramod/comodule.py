@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .coalgebra import Coalgebra, Verdict
 from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
-from .matrix import Mat, _ints, kron_identity, map_of_vec
+from .matrix import Mat, _ints, kron_identity, map_of_vec, push
 
 
 @dataclass
@@ -238,10 +238,12 @@ def hom_basis_maps(m: Comodule, n_mod: Comodule, sub: Subspace | None = None) ->
 
 
 def is_comodule_map(m: Comodule, n_mod: Comodule, t: Mat) -> bool:
+    """Whether coaction_N o t = (Id_C (x) t) o coaction_M."""
+    if m.coalgebra != n_mod.coalgebra:
+        raise ValueError("coalgebra mismatch")
     if m.side != n_mod.side:
         return False
-    id_t = kron_identity(t, m.coalgebra.dim, left=True)
-    return n_mod.left_coaction @ t == id_t @ m.left_coaction
+    return n_mod.left_coaction @ t == push(t, m.coalgebra.dim, True, m.left_coaction)
 
 
 def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
@@ -307,15 +309,8 @@ def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
 
 def _descend_coaction(m: Comodule, coeq: Coequalizer) -> Comodule:
     """M/sub, for coeq the quotient of M's carrier by a subcomodule sub."""
-    # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub;
-    # coaction row c*dim + i goes to row c*qdim + s with weight q[s, i]
-    f, md, qd = m.field, m.dim, coeq.dim
-    q_cols, zero, lifted = coeq.quotient_map.columns(), f.zero(), {}
-    for (idx, k), v in m.left_coaction.data.items():
-        c, i = divmod(idx, md)
-        for s, w in q_cols.get(i, {}).items():
-            lifted[c * qd + s, k] = f.add(lifted.get((c * qd + s, k), zero), f.mul(w, v))
-    lifted = Mat(m.coalgebra.dim * qd, md, f, {key: s for key, s in lifted.items() if s != 0})
+    # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub
+    lifted = push(coeq.quotient_map, m.coalgebra.dim, True, m.left_coaction)
     coact = coeq.descend(lifted, "subspace is not a subcomodule")
     return replace(m, dim=coeq.dim, left_coaction=coact, name=f"{m.name}/sub")
 

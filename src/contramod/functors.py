@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .coalgebra import CoalgebraMorphism, Verdict, _push_delta
+from .coalgebra import CoalgebraMorphism, Verdict
 from .comodule import Comodule, _descend_coaction
 from .contramodule import (
     Contramodule, ExactnessVerdict, check_contramodule, cohom, free_contramodule, hom_contra,
     hom_contra_basis_maps, is_contra_map,
 )
 from .linalg import Coequalizer, exactness_failures, rank
-from .matrix import Mat, kron_identity
+from .matrix import Mat, kron_identity, push
 
 
 def _require_surjective(rho: CoalgebraMorphism):
@@ -36,7 +36,7 @@ def restrict(rho: CoalgebraMorphism, v: Contramodule) -> Contramodule:
     if v.coalgebra != rho.source:
         raise ValueError("contramodule does not live over the source coalgebra")
     _require_surjective(rho)
-    coact = kron_identity(rho.matrix, v.dim, left=False) @ v.left_coaction
+    coact = push(rho.matrix, v.dim, False, v.left_coaction)
     return Contramodule(rho.target, v.dim, coact, name=f"{v.name}|res")
 
 
@@ -45,7 +45,7 @@ def comodule_along(rho: CoalgebraMorphism) -> Comodule:
     (rho (x) id) o Delta."""
     _require_surjective(rho)
     c = rho.source
-    return Comodule(rho.target, "left", c.dim, _push_delta(rho.matrix, c),
+    return Comodule(rho.target, "left", c.dim, push(rho.matrix, c.dim, False, c.delta),
                     name=f"{c.name or 'C'}-over-{rho.target.name or 'D'}")
 
 

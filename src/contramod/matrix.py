@@ -10,10 +10,13 @@ Matrices are immutable by convention: construct once, never mutate.  Storage
 is a dict keyed by ``(row, col)`` holding nonzero scalars only, which is what
 the 512-dimensional coalgebras at the top of the catalog require.
 
-Products (``@``, ``apply``, ``kron``) run on Python ints: over Q each row of
-the left operand and each column of the right one (each row, for ``kron``) is
-scaled to integers by the lcm of its own denominators, and one ``Fraction``
-is made per output nonzero; over F_p each output entry is reduced once.
+Products (``@``, ``apply``, ``kron``, ``push``) run on Python ints: over Q
+each row of the left operand and each column of the right one (each row, for
+``kron``) is scaled to integers by the lcm of its own denominators, and one
+``Fraction`` is made per output nonzero; over F_p each output entry is
+reduced once.  :func:`push` applies a map along one tensor factor, the
+product ``kron_identity(t, n, left) @ m`` without forming the Kronecker
+product; restriction, coaction pushes and the comodule-map test run on it.
 """
 
 from __future__ import annotations
@@ -323,6 +326,34 @@ def kron_identity(t: Mat, n: int, left: bool) -> Mat:
     else:
         data = {(i * n + a, j * n + a): v for (i, j), v in t.data.items() for a in range(n)}
     return Mat(n * r, n * c, t.field, data)
+
+
+def push(t: Mat, n: int, left: bool, m: Mat) -> Mat:
+    """``kron_identity(t, n, left) @ m`` by index arithmetic, on ints as ``@``
+    runs: weight t[i, j] takes m's row a*t.cols + j to row a*t.rows + i when
+    ``left``, else row j*n + a to row i*n + a."""
+    r, c = t.rows, t.cols
+    if n * c != m.rows:
+        raise ValueError(f"cannot compose {n * r}x{n * c} with {m.rows}x{m.cols}")
+    if t.field != m.field:
+        raise ValueError("field mismatch")
+    f = t.field
+    a, sa = _ints(t.data, f, _row)
+    b, sb = _ints(m.data, f, _col)
+    tcols: dict = {}
+    for (i, j), va in a.items():
+        tcols.setdefault(j, []).append((i if left else i * n, va))
+    acc: dict = {}
+    get = acc.get
+    for (x, k), vb in b.items():
+        hi, lo = divmod(x, c if left else n)
+        base, j = (hi * r, lo) if left else (lo, hi)
+        for off, va in tcols.get(j, ()):
+            key = base + off, k
+            acc[key] = get(key, 0) + va * vb
+    t_row = (lambda y: y % r) if left else (lambda y: y // n)
+    scale = (lambda key: sa.get(t_row(key[0]), 1) * sb.get(key[1], 1)) if sa or sb else 1
+    return Mat(n * r, m.cols, f, _scalars(acc, f, scale))
 
 
 def vec_of_map(m: Mat) -> dict:

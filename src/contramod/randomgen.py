@@ -8,15 +8,12 @@ from a single seed.
 
 from __future__ import annotations
 
-from .coalgebra import Coalgebra, CoalgebraMorphism, _push_delta
+from .coalgebra import Coalgebra, CoalgebraMorphism
 from .comodule import Comodule, cofree, comodule_closure, quotient_comodule, sub_comodule
-from .contramodule import (
-    Contramodule, contra_closure, free_contramodule, quotient_contramodule,
-    sub_contramodule,
-)
+from .contramodule import Contramodule, free_contramodule
 from .functors import ShortExactSeq
 from .linalg import Subspace
-from .matrix import Mat, kron_identity
+from .matrix import Mat, push
 
 
 def random_vector(rng, dim, field, max_support=4) -> dict:
@@ -60,15 +57,14 @@ def random_surjection(rng, c: Coalgebra) -> CoalgebraMorphism:
     k = sub.dim
     rho = sub.basis.transpose()
     sigma = Mat(c.dim, k, f, {(p, t): f.one() for t, p in enumerate(sub.pivots)})
-    delta = kron_identity(rho, k, left=True) @ (_push_delta(rho, c) @ sigma)
+    delta = push(rho, k, True, push(rho, c.dim, False, c.delta @ sigma))
     target = Coalgebra(f, k, delta, c.epsilon @ sigma, name=f"dual-sub({k})")
     return CoalgebraMorphism(c, target, rho, surjective=True)
 
 
-def random_comodule(rng, c: Coalgebra, max_cofree: int = 2, side: str = "left") -> Comodule:
-    """Random subcomodule or quotient of a cofree comodule."""
-    amb = cofree(c, rng.randint(1, max_cofree), side=side)
-    vecs = [random_vector(rng, amb.dim, c.field) for _ in range(rng.randint(1, 2))]
+def _subquotient(rng, amb: Comodule) -> Comodule:
+    """Random subobject or quotient of amb, of amb's own kind."""
+    vecs = [random_vector(rng, amb.dim, amb.field) for _ in range(rng.randint(1, 2))]
     sub = comodule_closure(amb, vecs)
     if sub.dim == 0 or sub.dim == amb.dim:
         return amb
@@ -77,47 +73,41 @@ def random_comodule(rng, c: Coalgebra, max_cofree: int = 2, side: str = "left") 
     return quotient_comodule(amb, sub)[0]
 
 
+def random_comodule(rng, c: Coalgebra, max_cofree: int = 2, side: str = "left") -> Comodule:
+    """Random subcomodule or quotient of a cofree comodule."""
+    return _subquotient(rng, cofree(c, rng.randint(1, max_cofree), side=side))
+
+
 def random_contramodule(rng, c: Coalgebra, max_free: int = 2) -> Contramodule:
     """Random subcontramodule or quotient of a free contramodule."""
-    amb = free_contramodule(c, rng.randint(1, max_free))
-    vecs = [random_vector(rng, amb.dim, c.field) for _ in range(rng.randint(1, 2))]
-    sub = contra_closure(amb, vecs)
-    if sub.dim == 0 or sub.dim == amb.dim:
-        return amb
-    if rng.random() < 0.5:
-        return sub_contramodule(amb, sub)[0]
-    return quotient_contramodule(amb, sub)[0]
+    return _subquotient(rng, free_contramodule(c, rng.randint(1, max_free)))
 
 
-def random_contra_ses(rng, c: Coalgebra, max_free: int = 2, attempts: int = 20) -> ShortExactSeq | None:
-    """Short exact sequence of contramodules with a nontrivial middle term;
-    degenerate draws (zero or full subobject) are redrawn."""
+def _random_ses(rng, draw_mid, attempts: int) -> tuple | None:
+    """(sub, mid, quot, incl, proj) with a nontrivial middle term from
+    ``draw_mid()``; degenerate draws (zero or full subobject) are redrawn."""
     for _ in range(attempts):
-        mid = random_contramodule(rng, c, max_free)
+        mid = draw_mid()
         if mid.dim < 2:
             continue
-        sub = contra_closure(mid, [random_vector(rng, mid.dim, c.field)])
-        if sub.dim in (0, mid.dim):
-            continue
-        s, incl = sub_contramodule(mid, sub)
-        q, proj = quotient_contramodule(mid, sub)
-        return ShortExactSeq(s, mid, q, incl, proj)
-    return None
-
-
-def random_comodule_ses(rng, c: Coalgebra, max_cofree: int = 2, attempts: int = 20):
-    """Short exact sequence of left comodules: (sub, mid, quot, incl, proj)."""
-    for _ in range(attempts):
-        mid = random_comodule(rng, c, max_cofree)
-        if mid.dim < 2:
-            continue
-        sub = comodule_closure(mid, [random_vector(rng, mid.dim, c.field)])
+        sub = comodule_closure(mid, [random_vector(rng, mid.dim, mid.field)])
         if sub.dim in (0, mid.dim):
             continue
         s, incl = sub_comodule(mid, sub)
         q, proj = quotient_comodule(mid, sub)
         return s, mid, q, incl, proj
     return None
+
+
+def random_contra_ses(rng, c: Coalgebra, max_free: int = 2, attempts: int = 20) -> ShortExactSeq | None:
+    """Short exact sequence of contramodules with a nontrivial middle term."""
+    drawn = _random_ses(rng, lambda: random_contramodule(rng, c, max_free), attempts)
+    return None if drawn is None else ShortExactSeq(*drawn)
+
+
+def random_comodule_ses(rng, c: Coalgebra, max_cofree: int = 2, attempts: int = 20):
+    """Short exact sequence of left comodules: (sub, mid, quot, incl, proj)."""
+    return _random_ses(rng, lambda: random_comodule(rng, c, max_cofree), attempts)
 
 
 def socle_filtration_sequences(c: Coalgebra):

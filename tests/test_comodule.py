@@ -257,3 +257,21 @@ def test_head_radical_nonsemisimple():
     head, _ = quotient_comodule(m, hr.radical)
     assert head_radical(head, [triv]).radical.dim == 0
 
+
+
+def test_maps_between_comodules_over_different_coalgebras_raise():
+    """is_comodule_map and is_contra_map refuse what hom_comodules refuses,
+    rather than comparing coactions over two coalgebras of the same dimension."""
+    from contramod.contramodule import contra_from_comodule, is_contra_map
+
+    one = GF2.one()
+    m = trivial_comodule(grouplike(GF2, 2), {0: one})
+    n_mod = trivial_comodule(divided_power_dual(GF2, 2), {0: one})
+    eye = Mat.identity(1, GF2)
+    with pytest.raises(ValueError, match="coalgebra mismatch"):
+        hom_comodules(m, n_mod)
+    with pytest.raises(ValueError, match="coalgebra mismatch"):
+        is_comodule_map(m, n_mod, eye)
+    with pytest.raises(ValueError, match="coalgebra mismatch"):
+        is_contra_map(contra_from_comodule(m), contra_from_comodule(n_mod), eye)
+    assert is_comodule_map(m, m, eye) and is_comodule_map(n_mod, n_mod, eye)

@@ -21,7 +21,10 @@ from contramod.coalgebra import (
     matrix_coalgebra,
 )
 from contramod.comodule import cofree, comodule_over_self, dual_comodule
-from contramod.contramodule import direct_sum, free_contramodule, trivial_contramodule
+from contramod.contramodule import (
+    contra_closure, direct_sum, free_contramodule, quotient_contramodule, sub_contramodule,
+    trivial_contramodule,
+)
 from contramod.fields import _MR_LIMIT, GF, GF2, GF3, QQ, FieldSpec, _is_prime
 from contramod.io import SchemaError
 from contramod.matrix import Mat
@@ -269,8 +272,6 @@ def test_cli_exactness_witness_and_sampling(tmp_path, capsys):
     rho = divided_power_surjection(GF2, 3, 2, 2)
     rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(rho))
     # explicit witness: 0 -> k -> D* -> k -> 0 over the target
-    from contramod.contramodule import contra_closure, sub_contramodule, quotient_contramodule
-
     breg = free_contramodule(rho.target, 1)
     rad = contra_closure(breg, [{1: GF2.one()}])
     sub, incl = sub_contramodule(breg, rad)
@@ -831,6 +832,14 @@ def _write_mismatch_inputs(tmp_path):
         "w.json": cio.contramodule_to_json(free_contramodule(rho.target, 1)),
         "v.json": cio.contramodule_to_json(free_contramodule(rho.source, 1)),
     }
+    # 0 -> k -> D* -> k -> 0 over rho's target, but with its k on the left over grouplike(2)
+    breg = free_contramodule(rho.target, 1)
+    rad = contra_closure(breg, [{1: GF2.one()}])
+    incl, (quot, proj) = sub_contramodule(breg, rad)[1], quotient_contramodule(breg, rad)
+    sub = trivial_contramodule(other, {0: GF2.one()})
+    docs["ses_mixed.json"] = {"sub": cio.contramodule_to_json(sub), "mid": cio.contramodule_to_json(breg),
+                              "quot": cio.contramodule_to_json(quot), "incl": cio.mat_to_json(incl),
+                              "proj": cio.mat_to_json(proj)}
     for name, doc in docs.items():
         _write(tmp_path, name, doc)
 
@@ -843,6 +852,7 @@ def _write_mismatch_inputs(tmp_path):
     ("duality --V left.json --W left_other.json", "coalgebra"),
     ("induce --rho rho.json --W contra_other.json", "target"),
     ("adjoint-check --rho rho.json --W w.json --V contra_other.json", "source"),
+    ("exactness --rho rho.json --ses ses_mixed.json", "coalgebra mismatch"),
     # a rho that fails check_morphism
     ("induce --rho bad_rho.json --W w.json", "rho"),
     ("adjoint-check --rho bad_rho.json --W w.json --V v.json", "rho"),

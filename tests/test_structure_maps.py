@@ -10,7 +10,8 @@ mutated comodules, ``split_solve`` against one solve on the Kronecker
 product, ``dual_comodule`` against one loop per side, pivot-read
 ``Subspace.coords`` against elimination, ``duality_check`` against the
 trace-pairing loops, and the identity that makes Hom pair to zero against
-Cohom's relations, and Delta pushed along a coalgebra map
+Cohom's relations, ``matrix.push`` against the product with
+``kron_identity`` and Delta pushed along a coalgebra map
 (``check_morphism``, ``comodule_along``, ``random_surjection``) against the
 Kronecker product and structure-constant formulas, and Cohom's F2 bitmask
 relations against its dict columns.  The stored left layout is checked
@@ -19,12 +20,14 @@ right C-comodule against the left C^cop-comodule it is stored as.  The
 oracles live here only."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from contramod import comodule
 from contramod.coalgebra import (
-    Coalgebra, CoalgebraMorphism, _push_delta, check_coalgebra, check_morphism,
+    Coalgebra, CoalgebraMorphism, check_coalgebra, check_morphism,
     divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
@@ -43,7 +46,7 @@ from contramod.functors import comodule_along, induce
 from contramod.linalg import (
     Subspace, coequalizer, equalizer, image, quotient_by_image, rank, solve,
 )
-from contramod.matrix import Mat, kron, map_of_vec
+from contramod.matrix import Mat, kron, kron_identity, map_of_vec, push
 from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
@@ -1153,16 +1156,44 @@ def test_random_surjection_matches_structure_constants(field):
             assert rng.getstate() == oracle_rng.getstate()
 
 
+def _push_operand(rng, rows, cols, field):
+    """A random matrix whose Q entries have denominators 1, 3 and 7."""
+    def scalar():
+        if field.characteristic:
+            return field.random(rng)
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 3, 7)))
+    return Mat.from_entries(rows, cols, field, [(i, j, scalar()) for i in range(rows)
+                                                for j in range(cols) if rng.random() < 0.5])
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_push_delta_matches_kron(field):
-    """(r (x) Id_C) o Delta_C by index arithmetic, for random maps r and for
-    the coaction of comodule_along."""
+    """push(t, n, left, m) equals kron_identity(t, n, left) @ m, entry types
+    included, on random operands, empty ones and a t with no rows, and raises
+    the same ValueError where the shapes do not compose; (r (x) Id_C) o Delta_C
+    and the coaction of comodule_along equal the Kronecker product."""
     rng = random.Random(1313)
+    for _ in range(150):
+        left, n = rng.random() < 0.5, rng.randint(0, 3)
+        t = _push_operand(rng, rng.randint(0, 3), rng.randint(0, 3), field)
+        m = _push_operand(rng, n * t.cols, rng.randint(0, 3), field)
+        assert typed(push(t, n, left, m)) == typed(kron_identity(t, n, left) @ m)
+        bad = _push_operand(rng, n * t.cols + rng.choice((-1, 1)) if n * t.cols else 1, 2, field)
+        with pytest.raises(ValueError) as want:
+            kron_identity(t, n, left) @ bad
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            push(t, n, left, bad)
+    t = _push_operand(rng, 2, 3, field)
+    for left in (True, False):
+        assert push(t, 2, left, Mat(6, 4, field)) == Mat(4, 4, field)
+        assert push(Mat(0, 3, field), 2, left, _push_operand(rng, 6, 4, field)) == Mat(0, 4, field)
+    with pytest.raises(ValueError, match="field mismatch"):
+        push(Mat.identity(2, field), 1, True, Mat.identity(2, GF(5)))
     for c in surjection_sources(field):
         eye = Mat.identity(c.dim, field)
         for _ in range(4):
             r = _random_mat(rng, rng.randint(1, c.dim + 1), c.dim, field, 0.4)
-            assert _push_delta(r, c) == kron(r, eye) @ c.delta
+            assert push(r, c.dim, False, c.delta) == kron(r, eye) @ c.delta
             rho = random_surjection(rng, c)
             assert comodule_along(rho).coaction == kron(rho.matrix, eye) @ c.delta
 
