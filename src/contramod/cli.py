@@ -272,7 +272,9 @@ def run(job: JobSpec) -> tuple[int, dict]:
             loaded.append(None if absent else load(_load_json(job.inputs[name]), field))
         fields, ok = row.job(job, *loaded)
     except (ValueError, ZeroDivisionError, KeyError, NotImplementedError) as e:
-        report["error"] = str(e) or type(e).__name__
+        # str() of a KeyError is the repr of its message
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        report["error"] = str(message) or type(e).__name__
         return EXIT_INPUT_ERROR, report
     report.update(fields)
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), report

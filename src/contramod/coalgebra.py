@@ -218,15 +218,6 @@ def divided_power_surjection(
     return CoalgebraMorphism(src, tgt, matrix, surjective=True)
 
 
-def augmentation(c: Coalgebra) -> CoalgebraMorphism:
-    """The counit viewed as a surjection onto the trivial coalgebra."""
-    return CoalgebraMorphism(c, grouplike(c.field, 1), c.epsilon, surjective=True)
-
-
-def identity_morphism(c: Coalgebra) -> CoalgebraMorphism:
-    return CoalgebraMorphism(c, c, Mat.identity(c.dim, c.field), surjective=True)
-
-
 def grouplike_elements(c: Coalgebra) -> list[dict]:
     """Basis vectors g with Delta g = g (x) g and eps(g) = 1, found among the
     coordinate basis (enough for the catalog; no general variety solving)."""

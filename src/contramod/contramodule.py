@@ -30,6 +30,7 @@ class Contramodule(Comodule):
     """Built as ``Contramodule(coalgebra, dim, left_coaction, name)``."""
 
     side: str = field(default="left", init=False)
+    _masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def theta(self) -> Mat:
@@ -37,6 +38,15 @@ class Contramodule(Comodule):
         b = self.dim
         return Mat(b, self.coalgebra.dim * b, self.field,
                    {(idx % b, idx - idx % b + k): v for (idx, k), v in self.left_coaction.data.items()})
+
+    @property
+    def gf2_masks(self) -> dict:
+        """Theta's columns over F2 as int bitmasks, T_y with bit beta' for
+        each theta[beta', y] = 1.  They depend on B alone, so they are built
+        on first read and kept with the matrix they were read off."""
+        if self._masks is None or self._masks[0] is not self.left_coaction:
+            self._masks = (self.left_coaction, _gf2_masks(self))
+        return self._masks[1]
 
     def __repr__(self):
         label = self.name or "contramodule"
@@ -164,22 +174,29 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     return quotient_by_image(Subspace.from_columns(dm * db, fld, cols.values()))
 
 
+def _gf2_masks(b: Contramodule) -> dict:
+    """T_y for each column y of theta, read off B's stored coaction: entry
+    (c*db + beta', k) sets bit beta' of T_(c*db + k)."""
+    db = b.dim
+    ts: dict = {}
+    for idx, k in b.left_coaction.data:
+        bp = idx % db
+        y = idx - bp + k
+        ts[y] = ts.get(y, 0) | 1 << bp
+    return ts
+
+
 def _gf2_relations(m: Comodule, b: Contramodule) -> set:
     """Cohom's relation columns over F2, as ints with bit k*db + beta for row
-    (k, beta).  K_r has bit k*db for each coaction[r, k] = 1 and T_y bit beta'
-    for each theta[beta', y] = 1, read off B's stored coaction: entry
-    (c*db + beta', k) sets bit beta' of T_(c*db + k).  Then column (r = c*dm + i, beta) is
+    (k, beta).  K_r has bit k*db for each coaction[r, k] = 1, and T_y are B's
+    masks :attr:`Contramodule.gf2_masks`.  Then column (r = c*dm + i, beta) is
     (K_r << beta) ^ (T_{c*db + beta} << i*db).  Most columns repeat, so they
     come back as a set, without the zero column."""
     dm, db = m.dim, b.dim
     ks: dict = {}
     for r, k in m.left_coaction.data:
         ks[r] = ks.get(r, 0) | 1 << k * db
-    ts: dict = {}
-    for idx, k in b.left_coaction.data:
-        bp = idx % db
-        y = idx - bp + k
-        ts[y] = ts.get(y, 0) | 1 << bp
+    ts = b.gf2_masks
     cols = set()
     for r, kr in ks.items():
         c, i = divmod(r, dm)

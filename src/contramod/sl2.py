@@ -533,8 +533,14 @@ def tensor_kernel(m: Comodule, n: Comodule) -> Comodule:
     k[G_r] is a ring map, so entry (i*dim N + i2, j*dim N + j2) is the
     product of entries (i, j) and (i2, j2), each the polynomial with
     coefficient coaction[x*dim + i, j] at monomial index x.  k[G_r] is
-    commutative, so this serves either side; monomial indices multiply
-    through a table over the distinct pairs the operands hold."""
+    commutative, so this serves either side.
+
+    For each monomial y of N the image of M's whole coaction under
+    x -> x*y is written as (row at i2 = 0, column at j2 = 0, coefficient),
+    one image at a time.  Multiplying by a monomial is injective, so every
+    entry of N that is the one monomial y writes that image with no
+    accumulation, one coefficient product mod p per term; only an entry with
+    several monomials adds its images, then reduces mod p."""
     c = m.coalgebra
     if n.coalgebra is not c or m.side != n.side:
         raise ValueError("tensor_kernel needs comodules on one side over one coalgebra")
@@ -545,42 +551,40 @@ def tensor_kernel(m: Comodule, n: Comodule) -> Comodule:
     if p < 2 or c is not frob_kernel_coalgebra(p, r):
         raise ValueError("tensor_kernel needs comodules over a Frobenius kernel k[G_r]")
     q = p ** r
+    md, nd = m.dim, n.dim
+    out_dim = md * nd
+    # M's stored row x*md + i is row x*out_dim + i*nd of the product at i2 = 0
+    by_x: dict = {}
+    for (row, j), v in m.left_coaction.data.items():
+        by_x.setdefault(row // md, []).append((row * nd, j * nd, v))
+    exps = {x: (x // (q * q), x // q % q, x % q) for x in by_x}
 
-    def polys(w):
-        # entry (i, j) as [(monomial index, coefficient)]
-        out: dict = {}
-        for (row, j), v in w.left_coaction.data.items():
-            x, i = divmod(row, w.dim)
-            out.setdefault((i, j), []).append((x, v))
-        return out
+    def image(y):
+        # x*y adds the exponents; an a-exponent of q or more wraps by q
+        yb, yc, ya = y // (q * q), y // q % q, y % q
+        return [(row + (y - q if xa + ya >= q else y) * out_dim, col, v)
+                for x, (xb, xc, xa) in exps.items() if xb + yb < q and xc + yc < q
+                for row, col, v in by_x[x]]
 
-    def exps(x):
-        return x // (q * q), x // q % q, x % q
-
-    left, right = polys(m), list(polys(n).items())
-    ys = [(y, *exps(y)) for y in {y for _, e in right for y, _ in e}]
-    table = {}
-    for x in {x for e in left.values() for x, _ in e}:
-        i, j, k = exps(x)
-        # x + y adds the exponents; an a-exponent of q or more wraps by q
-        table[x] = {y: x + y - q if k + k2 >= q else x + y
-                    for y, i2, j2, k2 in ys if i + i2 < q and j + j2 < q}
-    nd = n.dim
-    out_dim = m.dim * nd
-    data = {}
-    for (i, j), e1 in left.items():
-        for (i2, j2), e2 in right:
+    groups: dict = {}
+    for (row, j2), v in n.left_coaction.data.items():
+        y, i2 = divmod(row, nd)
+        groups.setdefault((i2, j2), []).append((y, v))
+    singles: dict = {}
+    for (i2, j2), e in groups.items():
+        if len(e) == 1:
+            y, c2 = e[0]
+            singles.setdefault(y, []).append((i2, j2, c2))
+    data = {(row + i2, col + j2): v * c2 % p
+            for y, uses in singles.items() for row, col, v in image(y) for i2, j2, c2 in uses}
+    for (i2, j2), e in groups.items():
+        if len(e) > 1:
             acc: dict = {}
-            for x, c1 in e1:
-                tx = table[x]
-                for y, c2 in e2:
-                    z = tx.get(y)
-                    if z is not None:
-                        acc[z] = acc.get(z, 0) + c1 * c2
-            off, col = i * nd + i2, j * nd + j2
-            for z, v in acc.items():
-                if v % p:
-                    data[z * out_dim + off, col] = v % p
+            for y, c2 in e:
+                for row, col, v in image(y):
+                    key = row + i2, col + j2
+                    acc[key] = acc.get(key, 0) + v * c2
+            data.update({key: v % p for key, v in acc.items() if v % p})
     return Comodule(c, m.side, out_dim, Mat(dim * out_dim, out_dim, c.field, data),
                     name=f"{m.name}*{n.name}")
 

@@ -3,14 +3,26 @@
 import pytest
 
 from contramod.coalgebra import (
-    CoalgebraMorphism, augmentation, check_coalgebra, check_morphism,
+    Coalgebra, CoalgebraMorphism, check_coalgebra, check_morphism,
     divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike,
-    grouplike_elements, identity_morphism, matrix_coalgebra, truncated_poly_algebra,
+    grouplike_elements, matrix_coalgebra, truncated_poly_algebra,
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.matrix import Mat
 
 FIELDS = [QQ, GF2, GF3]
+
+
+# -- coalgebra maps that the other test modules import --------------------------
+
+
+def augmentation(c: Coalgebra) -> CoalgebraMorphism:
+    """The counit viewed as a surjection onto the trivial coalgebra."""
+    return CoalgebraMorphism(c, grouplike(c.field, 1), c.epsilon, surjective=True)
+
+
+def identity_morphism(c: Coalgebra) -> CoalgebraMorphism:
+    return CoalgebraMorphism(c, c, Mat.identity(c.dim, c.field), surjective=True)
 
 
 @pytest.mark.parametrize("field", FIELDS)

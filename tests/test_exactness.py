@@ -12,8 +12,7 @@ from dataclasses import replace
 import pytest
 
 from contramod.coalgebra import (
-    augmentation, divided_power_dual, divided_power_surjection, grouplike,
-    grouplike_elements, identity_morphism, matrix_coalgebra,
+    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
 from contramod.contramodule import (
     cohom, cohom_exactness_probe, direct_sum, free_contramodule, is_contra_map,
@@ -28,6 +27,7 @@ from contramod.randomgen import (
     socle_filtration_sequences,
 )
 from contramod.towers import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
+from test_coalgebra import augmentation, identity_morphism
 
 FIELDS = [QQ, GF2, GF3]
 

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from contramod.coalgebra import (
-    divided_power_dual, divided_power_surjection, augmentation, grouplike,
-    grouplike_elements, identity_morphism,
+    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements,
 )
 from contramod.comodule import check_comodule, cofree, is_injective
 from contramod.contramodule import (
@@ -20,6 +19,7 @@ from contramod.functors import (
 from contramod.fields import GF2, GF3, QQ
 from contramod.linalg import rank
 from contramod.matrix import Mat
+from test_coalgebra import augmentation, identity_morphism
 from test_structure_maps import kron_cohom_maps
 
 FIELDS = [QQ, GF2, GF3]

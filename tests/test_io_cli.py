@@ -17,8 +17,7 @@ import pytest
 from contramod import io as cio
 from contramod.cli import COMMANDS, DEFAULT_SEED, JobSpec, build_parser, main, run
 from contramod.coalgebra import (
-    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, identity_morphism,
-    matrix_coalgebra,
+    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
 from contramod.comodule import cofree, comodule_over_self, dual_comodule
 from contramod.contramodule import (
@@ -29,6 +28,7 @@ from contramod.fields import _MR_LIMIT, GF, GF2, GF3, QQ, FieldSpec, _is_prime
 from contramod.io import SchemaError
 from contramod.matrix import Mat
 from contramod.randomgen import random_comodule, random_contramodule
+from test_coalgebra import identity_morphism
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -805,6 +805,9 @@ def test_cli_tower_builds_stages_in_the_kernels(tmp_path, capsys, monkeypatch):
      "tower: L1*L1*L1*L1*L1*L1*L1*L1*L1 times the last stage P(0,2), of dimension 16, "
      "has dimension above 4096"),
     ("2", README_BATTERY, "L2: the weight bound first holds at stage 3, beyond the last stage 2"),
+    # the message of the parser's KeyError, not its repr
+    ("3", ["q"], "unknown battery module 'q'"),
+    ("3", ["L1*"], "unknown battery module ''"),
 ])
 def test_cli_tower_guard_messages(mmax, battery, error, tmp_path, capsys):
     path = _write(tmp_path, "battery.json", battery)

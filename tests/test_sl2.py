@@ -659,11 +659,37 @@ def tensor_cases():
     pairs = [(cat[x], cat[y]) for x, y in (("L1", "L1"), ("L1", "L2"), ("P0", "P1"), ("L3", "L1"), ("L0", "P0"))]
     l1_3 = standard_rational(3)
     cases = [(x, y, 2, r) for x, y in pairs for r in (1, 2, 3)]
-    return cases + [(l1_3, frobenius_twist(l1_3, t), 3, r) for t in (0, 1) for r in (1, 2)]
+    cases += [(l1_3, frobenius_twist(l1_3, t), 3, r) for t in (0, 1) for r in (1, 2)]
+    # d*d reduces to a^(2q-2) (1 + 2bc + b^2 c^2) in k[G_r]: coefficients 2
+    return cases + [(tensor_rational(l1_3, l1_3), l1_3, 3, r) for r in (1, 2)]
+
+
+def tensor_branches(a, b, p):
+    """The branches of tensor_kernel that a (x) b runs: an entry of b with
+    several monomials accumulates; an entry with one monomial writes the
+    products of its coefficient with a's, some of them other than 1."""
+    groups: dict = {}
+    for (row, j), v in b.left_coaction.data.items():
+        groups.setdefault((row % b.dim, j), []).append(v)
+    left = set(a.left_coaction.data.values())
+    out = set()
+    if any(len(e) > 1 for e in groups.values()):
+        out.add("several monomials")
+    if any(v * e[0] % p != 1 for e in groups.values() if len(e) == 1 for v in left):
+        out.add("coefficient product")
+    return out
+
+
+def test_tensor_cases_run_both_branches():
+    """The loop oracle below checks tensor_kernel on both of its branches."""
+    branches = set()
+    for x, y, p, r in tensor_cases():
+        branches |= tensor_branches(restrict_to_kernel(x, r), restrict_to_kernel(y, r), p)
+    assert branches == {"several monomials", "coefficient product"}
 
 
 def test_tensor_kernel_matches_the_monomial_loop_on_either_side():
-    """The product table against the pair-by-pair loop on the right layout;
+    """The monomial images against the pair-by-pair loop on the right layout;
     on the left side, the tensor product of the duals is the dual of the
     tensor product, since k[G_r] is commutative."""
     for x, y, p, r in tensor_cases():
@@ -699,12 +725,7 @@ def test_dual_kernel_stage_is_the_dual_of_the_looped_stage_at_g4():
 def test_tensor_kernel_matches_restricted_tensor_products():
     """Reduction to k[G_r] is a ring map: tensoring after restriction equals
     restricting the k[SL2] tensor product, in characteristic 2 and 3."""
-    cat = catalog_modules(2)
-    pairs = [(cat[x], cat[y]) for x, y in (("L1", "L1"), ("L1", "L2"), ("P0", "P1"), ("L3", "L1"), ("L0", "P0"))]
-    l1_3 = standard_rational(3)
-    cases = [(x, y, r) for x, y in pairs for r in (1, 2, 3)]
-    cases += [(l1_3, frobenius_twist(l1_3, t), r) for t in (0, 1) for r in (1, 2)]
-    for x, y, r in cases:
+    for x, y, _, r in tensor_cases():
         got = tensor_kernel(restrict_to_kernel(x, r), restrict_to_kernel(y, r))
         want = restrict_to_kernel(tensor_rational(x, y), r)
         assert typed(got.coaction) == typed(want.coaction), (x.name, y.name, r)

@@ -356,6 +356,36 @@ def test_cohom_matches_dict_columns_on_tower_stages(m):
             assert cohom(v, b) == dict_cohom(v, b), (lam, v.name)
 
 
+def test_stage_masks_serve_only_their_own_matrix(monkeypatch):
+    """Cohom over two stages of one dimension in the order A, B, A, over a
+    ``replace`` copy of A with B's coaction, and over A after its coaction is
+    reassigned, each against the dict columns: the masks kept on a
+    contramodule are built once for each matrix it holds."""
+    from dataclasses import replace
+
+    from contramod import contramodule
+
+    builds = []
+
+    def counted(b):
+        builds.append(b.left_coaction)
+        return real(b)
+
+    real = contramodule._gf2_masks
+    monkeypatch.setattr(contramodule, "_gf2_masks", counted)
+    v = dual_comodule(restrict_to_kernel(battery_module(2, "L1*L1"), 2))
+    a, b = (contra_from_comodule(dual_kernel_stage(lam, 2, 2)) for lam in (1, 2))
+    assert a.dim == b.dim and cohom(v, a) != cohom(v, b)
+    for x in (a, b, a):
+        assert cohom(v, x) == dict_cohom(v, x)
+    assert builds == [a.left_coaction, b.left_coaction]
+    copy = replace(a, left_coaction=b.left_coaction)
+    assert cohom(v, copy) == dict_cohom(v, b)
+    a.left_coaction = b.left_coaction
+    assert cohom(v, a) == dict_cohom(v, b)
+    assert len(builds) == 4
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_contratensor_maps_match_kron_formulas(field):
     for m, b in random_pairs(field, "right", 202):

@@ -316,6 +316,25 @@ def test_cohom_tower_report_shape():
 README_BATTERY = ["L0", "L1", "L2", "L3", "L1*L1"]
 
 
+def test_cohom_tower_builds_each_stage_mask_once(monkeypatch):
+    """The F2 masks of a stage depend on the stage alone: one tower over the
+    README battery builds them once per stage, not once per module."""
+    from contramod import contramodule
+    from contramod.sl2 import battery_module
+
+    builds = []
+
+    def counted(b):
+        builds.append(b.name)
+        return real(b)
+
+    real = contramodule._gf2_masks
+    monkeypatch.setattr(contramodule, "_gf2_masks", counted)
+    modules = [battery_module(2, expr) for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
+    cohom_tower(modules, 0, 2, 3)
+    assert builds == [f"P(0,{m})|G{m}*~contra" for m in (1, 2, 3)]
+
+
 def _cohom_tower_one(v, tower, lam, p):
     """The per-module loop the battery call replaced: every stage is
     restricted and made a contramodule again for each module."""
