@@ -210,7 +210,8 @@ def dual_comodule(m: Comodule) -> Comodule:
 def _hom_system(x: Comodule, y: Comodule) -> Mat:
     """Hom(X, Y) is the kernel of F -> coaction_Y o F - (Id_C (x) F) o coaction_X
     on X* (x) Y, from the stored coactions.  Column v*yd + w holds coaction_Y[r, w] at row
-    v*n*yd + r, minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w."""
+    v*n*yd + r, minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w.  Its rows
+    are also the relations of Cohom(Y, X) (:func:`contramodule.cohom`)."""
     if x.coalgebra != y.coalgebra:
         raise ValueError("coalgebra mismatch")
     if x.side != y.side:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
-from .linalg import Coequalizer, Subspace, exactness_failures, quotient_by_image, rank, split_solve
-from .matrix import Mat, kron_identity
+from .linalg import Coequalizer, Subspace, quotient_by_image, rank, split_solve
+from .matrix import Mat
 
 
 @dataclass
@@ -66,25 +66,15 @@ def check_contramodule(b: Contramodule) -> Verdict:
 # -- constructions -----------------------------------------------------------
 
 
-def _hom_into(c: Coalgebra, md: int, d: int, entries, name: str) -> Contramodule:
-    """Hom(M, k^d) for a right comodule M of dimension md whose coaction
-    sends e_s to v * e_i (x) e_j for each (i, j, s, v) in entries; carrier
-    M* (x) k^d, so theta[s*d + l, j*b + i*d + l] = v, b = md*d."""
-    b = md * d
-    coact = Mat.from_entries(c.dim * b, b, c.field,
-                             ((j * b + s * d + l, i * d + l, v)
-                              for i, j, s, v in entries for l in range(d)))
-    return Contramodule(c, b, coact, name=name)
-
-
 def free_contramodule(c: Coalgebra, d: int) -> Contramodule:
-    """Hom(C, k^d) = C* (x) k^d with theta from comultiplication, read off
-    Delta's rows i*n + j as C's coaction over itself on the right."""
+    """Hom(C, k^d) = C* (x) k^d: :func:`contra_from_dual` of C over itself on
+    the right, the cofree right comodule on k, whose theta is the
+    comultiplication."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    n = c.dim
-    return _hom_into(c, n, d, ((*divmod(x, n), s, v) for (x, s), v in c.delta.data.items()),
-                     f"free({d})")
+    free = contra_from_dual(comodule.cofree(c, 1, "right"), d)
+    free.name = f"free({d})"
+    return free
 
 
 def trivial_contramodule(c: Coalgebra, grouplike_vec: dict) -> Contramodule:
@@ -103,14 +93,19 @@ def contra_from_comodule(w: Comodule) -> Contramodule:
 
 def contra_from_dual(m: Comodule, d: int) -> Contramodule:
     """Hom(M, k^d) as a contramodule, for M a finite-dimensional right
-    comodule; carrier indexed as M* (x) k^d so that M = C reproduces the free
-    contramodule on k^d entry for entry."""
+    comodule; carrier M* (x) k^d.  Stored row j*md + i of M is
+    e_i (x) e_j, and its entry v at column s becomes
+    theta[s*d + l, j*b + i*d + l] = v, b = md*d, so that M = C over itself
+    gives the free contramodule on k^d."""
     if m.side != "right":
         raise ValueError("contra_from_dual needs a right comodule")
-    md = m.dim
-    # stored row j*md + i is e_i (x) e_j
-    entries = ((idx % md, idx // md, s, v) for (idx, s), v in m.left_coaction.data.items())
-    return _hom_into(m.coalgebra, md, d, entries, f"hom({m.name},k^{d})")
+    md, c = m.dim, m.coalgebra
+    b = md * d
+    # one distinct key per stored entry and l, so the entries are copied as they are
+    coact = Mat(c.dim * b, b, c.field,
+                {(idx // md * b + s * d + l, idx % md * d + l): v
+                 for (idx, s), v in m.left_coaction.data.items() for l in range(d)})
+    return Contramodule(c, b, coact, name=f"hom({m.name},k^{d})")
 
 
 # -- contra-hom spaces and subobjects: the comodule code on the same matrix -------
@@ -138,11 +133,11 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     f(x) - g(x), where f and g: Hom(C (x) M, B) -> Hom(M, B) precompose with
     the coaction and apply the contra-action.
 
-    The relation columns are written entry by entry, from the two stored
-    coactions.  With dm = dim M, db = dim B and coaction row r = c*dm + i,
-    the column for x = r*db + beta holds coaction[r, k] at row k*db + beta,
-    minus theta[beta', c*db + beta] = B's coaction[c*db + beta', beta] at
-    row i*db + beta'.  Over F2 the columns are int bitmasks instead
+    Hom(B, M) is the equalizer of the transposes of f and g, so the
+    relations are the rows of its system :func:`comodule._hom_system`:
+    row x, with entry v at column beta*dm + k of B* (x) M, is the relation
+    column x with v at row k*db + beta of M* (x) B, for dm = dim M and
+    db = dim B.  Over F2 the same rows come packed as int bitmasks
     (:func:`_gf2_relations`).
     """
     if m.coalgebra != b.coalgebra:
@@ -152,25 +147,10 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     dm, db, fld = m.dim, b.dim, m.field
     if fld.characteristic == 2:
         return quotient_by_image(Subspace.from_columns(dm * db, fld, _gf2_relations(m, b)))
-    zero = fld.zero()
     cols: dict = {}
-    for (r, k), v in m.left_coaction.data.items():
-        for beta in range(db):
-            cols.setdefault(r * db + beta, {})[k * db + beta] = v
-    # theta's entries once, as (beta', column at i = 0, value)
-    theta = []
-    for (idx, beta), v in b.left_coaction.data.items():
-        c, bp = divmod(idx, db)
-        theta.append((bp, c * dm * db + beta, v))
-    for i in range(dm):
-        off = i * db
-        for bp, x, v in theta:
-            col, row = cols.setdefault(off + x, {}), off + bp
-            s = fld.sub(col.get(row, zero), v)
-            if s == 0:
-                col.pop(row, None)
-            else:
-                col[row] = s
+    for (x, y), v in comodule._hom_system(b, m).data.items():
+        beta, k = divmod(y, dm)
+        cols.setdefault(x, {})[k * db + beta] = v
     return quotient_by_image(Subspace.from_columns(dm * db, fld, cols.values()))
 
 
@@ -187,11 +167,12 @@ def _gf2_masks(b: Contramodule) -> dict:
 
 
 def _gf2_relations(m: Comodule, b: Contramodule) -> set:
-    """Cohom's relation columns over F2, as ints with bit k*db + beta for row
-    (k, beta).  K_r has bit k*db for each coaction[r, k] = 1, and T_y are B's
-    masks :attr:`Contramodule.gf2_masks`.  Then column (r = c*dm + i, beta) is
-    (K_r << beta) ^ (T_{c*db + beta} << i*db).  Most columns repeat, so they
-    come back as a set, without the zero column."""
+    """The rows of ``comodule._hom_system(b, m)`` over F2, packed as Cohom's
+    relation columns: ints with bit k*db + beta for the system's column
+    beta*dm + k.  K_r has bit k*db for each coaction[r, k] = 1, and T_y are
+    B's masks :attr:`Contramodule.gf2_masks`.  Then the row for (beta, r),
+    r = c*dm + i, is (K_r << beta) ^ (T_{c*db + beta} << i*db).  Most rows
+    repeat, so they come back as a set, without the zero row."""
     dm, db = m.dim, b.dim
     ks: dict = {}
     for r, k in m.left_coaction.data:
@@ -236,36 +217,6 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
     return section is not None, section
 
 
-@dataclass
-class ExactnessVerdict:
-    exact: bool
-    failures: list   # subset of {"left", "middle", "right"}
-    dims: tuple      # dimensions of the three terms, left to right
-
-    @classmethod
-    def of(cls, first: Mat, second: Mat) -> "ExactnessVerdict":
-        """Where 0 -> X -> Y -> Z -> 0, with maps first and second, fails."""
-        failures = [("left", "middle", "right")[i] for i in exactness_failures([first, second])]
-        return cls(not failures, failures, (first.cols, first.rows, second.rows))
-
-
-def cohom_exactness_probe(sub: Comodule, mid: Comodule, quot: Comodule,
-                          incl: Mat, proj: Mat, b: Contramodule) -> ExactnessVerdict:
-    """Apply Cohom(-, B) to a short exact sequence of left comodules
-    0 -> sub -> mid -> quot -> 0 and report where the image sequence
-    0 -> Cohom(quot, B) -> Cohom(mid, B) -> Cohom(sub, B) -> 0 fails to be
-    exact.
-
-    The functor is contravariant and right exact; projectivity of B is
-    equivalent to exactness on every input sequence.
-    """
-    co_a, co_m, co_q = cohom(sub, b), cohom(mid, b), cohom(quot, b)
-    error = "Cohom functorial map does not descend"
-    from_mid = co_m.quotient_map @ kron_identity(proj.transpose(), b.dim, left=False)
-    from_sub = co_a.quotient_map @ kron_identity(incl.transpose(), b.dim, left=False)
-    return ExactnessVerdict.of(co_q.descend(from_mid, error), co_m.descend(from_sub, error))
-
-
 # -- duality ------------------------------------------------------------------------
 
 
@@ -284,13 +235,14 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     """Compare Cohom(V, W-as-contramodule) with Hom(W, V)* and certify the
     trace pairing between them is perfect.
 
-    Both sides are computed through independent routes (a coequalizer and an
-    equalizer).  Cohom is a quotient of V* (x) W, index x*dim W + y, and
-    Hom(W, V) a subspace of W* (x) V, index y*dim V + x; with the Hom basis
-    reindexed to the first layout the trace pairing is a plain dot product.
-    Hom(W, V) is the equalizer of the transposes of the two maps whose
-    coequalizer is Cohom, so the pairing kills Cohom's relations for any
-    coaction data, and it is well defined on the section representatives.
+    Both sides read one system, ``comodule._hom_system(W, V)``: Cohom is the
+    quotient of V* (x) W, index x*dim W + y, by its rows (packed as bitmasks
+    over F2), and Hom(W, V) its kernel in W* (x) V, index y*dim V + x.  So
+    the pairing kills Cohom's relations for any coaction data and is well
+    defined on the section representatives; with the Hom basis reindexed to
+    the first layout it is a plain dot product.  The check certifies that
+    the pairing is perfect, not that either side is right: the tests hold
+    the independent Kronecker and dict-column oracles for Cohom.
     """
     if v.side != "left" or w.side != "left":
         raise ValueError("duality check needs left comodules")

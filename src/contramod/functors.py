@@ -8,7 +8,7 @@ of W by Cohom's relations.
 Whether a sequence is exact is decided in one place,
 :func:`linalg.exactness_failures`: ``ShortExactSeq.validate`` names its
 failing positions, and ``exactness_probe`` reports them on the induced
-sequence as the ``ExactnessVerdict`` that the Cohom probe also returns.
+sequence as an ``ExactnessVerdict``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from .coalgebra import CoalgebraMorphism, Verdict
 from .comodule import Comodule, _descend_coaction
 from .contramodule import (
-    Contramodule, ExactnessVerdict, check_contramodule, cohom, free_contramodule, hom_contra,
+    Contramodule, check_contramodule, cohom, free_contramodule, hom_contra,
     hom_contra_basis_maps, is_contra_map,
 )
 from .linalg import Coequalizer, exactness_failures, rank
@@ -165,6 +165,19 @@ class ShortExactSeq:
         if not is_contra_map(self.mid, self.quot, self.proj):
             failures.append("projection-not-contra-map")
         return Verdict(failures)
+
+
+@dataclass
+class ExactnessVerdict:
+    exact: bool
+    failures: list   # subset of {"left", "middle", "right"}
+    dims: tuple      # dimensions of the three terms, left to right
+
+    @classmethod
+    def of(cls, first: Mat, second: Mat) -> "ExactnessVerdict":
+        """Where 0 -> X -> Y -> Z -> 0, with maps first and second, fails."""
+        failures = [("left", "middle", "right")[i] for i in exactness_failures([first, second])]
+        return cls(not failures, failures, (first.cols, first.rows, second.rows))
 
 
 def exactness_probe(rho: CoalgebraMorphism, ses: ShortExactSeq) -> ExactnessVerdict:

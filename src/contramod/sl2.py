@@ -304,27 +304,22 @@ def simple_module(p: int, mu: int) -> RationalComodule:
         factor = trivial_rational(p) if digit == 0 else standard_rational(p)
         factor = frobenius_twist(factor, t)
         out = factor if out is None else tensor_rational(out, factor)
-    out.name = f"L({mu})"
+    out.name = f"L{mu}"
     return out
 
 
 def catalog_modules(p: int = 2) -> dict:
-    """The hard-coded characteristic-2 catalog: simples up to the Steinberg
-    square range, the projective G-structures, and the fixed projection q."""
+    """The characteristic-2 catalog: the simples L0-L3 from
+    :func:`simple_module`, the projective G-structures, and the fixed
+    projection q."""
     if p != 2:
         raise NotImplementedError("catalog is shipped for p = 2 only")
-    l0 = trivial_rational(p)
-    l1 = standard_rational(p)
-    l2 = frobenius_twist(l1, 1)
-    l2.name = "L2"
-    l3 = tensor_rational(l1, l2)
-    l3.name = "L3"
-    p0 = tensor_rational(l1, l1)
-    p0.name = "P0"
-    p1 = RationalComodule(p, 2, dict(l1.entries), name="P1")
-    field = GF(p)
-    q = Mat.from_entries(1, 4, field, [(0, 1, 1), (0, 2, 1)])
-    return {"L0": l0, "L1": l1, "L2": l2, "L3": l3, "P0": p0, "P1": p1, "q": q}
+    out = {f"L{mu}": simple_module(p, mu) for mu in range(4)}
+    l1 = out["L1"]
+    out["P0"] = replace(tensor_rational(l1, l1), name="P0")
+    out["P1"] = RationalComodule(p, 2, dict(l1.entries), name="P1")
+    out["q"] = Mat.from_entries(1, 4, GF(p), [(0, 1, 1), (0, 2, 1)])
+    return out
 
 
 def is_rational_map(t: Mat, m: RationalComodule, n: RationalComodule) -> bool:

@@ -21,9 +21,9 @@ from contramod.comodule import (
     trivial_comodule,
 )
 from contramod.contramodule import (
-    check_contramodule, cohom, cohom_exactness_probe,
-    contra_from_comodule, contratensor, direct_sum as contra_direct_sum,
-    duality_check, free_contramodule, is_projective, trivial_contramodule,
+    check_contramodule, cohom, contra_from_comodule, contratensor,
+    direct_sum as contra_direct_sum, duality_check, free_contramodule, is_projective,
+    trivial_contramodule,
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.functors import (
@@ -40,6 +40,7 @@ from contramod.sl2 import (
     restrict_to_kernel, simple_module,
 )
 from contramod.towers import InverseSystem, cohom_tower, is_mittag_leffler
+from test_exactness import cohom_exactness_probe
 from test_structure_maps import coaction_stabilizes, comodule_of, contra_of_theta
 
 FIELDS = [QQ, GF2, GF3]

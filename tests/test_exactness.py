@@ -1,6 +1,8 @@
 """The shared exactness test, ``linalg.exactness_failures``, against
 independent oracles for every check that runs on it: ``ShortExactSeq.validate``,
 both exactness probes, ``FourTermSystem.validate`` and ``limit_four_term``.
+The Cohom probe, ``cohom_exactness_probe``, is defined here: only the tests
+call it.
 
 The oracles decide exactness the long way: ranks against the dimensions of
 the objects, and Im against Ker compared as canonical subspaces.
@@ -14,14 +16,14 @@ import pytest
 from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
+from contramod.comodule import Comodule
 from contramod.contramodule import (
-    cohom, cohom_exactness_probe, direct_sum, free_contramodule, is_contra_map,
-    trivial_contramodule,
+    Contramodule, cohom, direct_sum, free_contramodule, is_contra_map, trivial_contramodule,
 )
 from contramod.fields import GF2, GF3, QQ
-from contramod.functors import exactness_probe, induce, induce_map
+from contramod.functors import ExactnessVerdict, exactness_probe, induce, induce_map
 from contramod.linalg import exactness_failures, image, kernel, quotient_by_image, rank, solve
-from contramod.matrix import Mat, kron
+from contramod.matrix import Mat, kron, kron_identity
 from contramod.randomgen import (
     random_comodule_ses, random_contra_ses, random_contramodule, random_surjection,
     socle_filtration_sequences,
@@ -30,6 +32,26 @@ from contramod.towers import FourTermSystem, InverseSystem, is_mittag_leffler, l
 from test_coalgebra import augmentation, identity_morphism
 
 FIELDS = [QQ, GF2, GF3]
+
+
+# -- the Cohom exactness probe that the other test modules import ------------------
+
+
+def cohom_exactness_probe(sub: Comodule, mid: Comodule, quot: Comodule,
+                          incl: Mat, proj: Mat, b: Contramodule) -> ExactnessVerdict:
+    """Apply Cohom(-, B) to a short exact sequence of left comodules
+    0 -> sub -> mid -> quot -> 0 and report where the image sequence
+    0 -> Cohom(quot, B) -> Cohom(mid, B) -> Cohom(sub, B) -> 0 fails to be
+    exact.
+
+    The functor is contravariant and right exact; projectivity of B is
+    equivalent to exactness on every input sequence.
+    """
+    co_a, co_m, co_q = cohom(sub, b), cohom(mid, b), cohom(quot, b)
+    error = "Cohom functorial map does not descend"
+    from_mid = co_m.quotient_map @ kron_identity(proj.transpose(), b.dim, left=False)
+    from_sub = co_a.quotient_map @ kron_identity(incl.transpose(), b.dim, left=False)
+    return ExactnessVerdict.of(co_q.descend(from_mid, error), co_m.descend(from_sub, error))
 
 
 # -- oracles ---------------------------------------------------------------------

@@ -14,7 +14,7 @@ Cohom's relations, ``matrix.push`` against the product with
 ``kron_identity`` and Delta pushed along a coalgebra map
 (``check_morphism``, ``comodule_along``, ``random_surjection``) against the
 Kronecker product and structure-constant formulas, and Cohom's F2 bitmask
-relations against its dict columns.  The stored left layout is checked
+relations against its dict columns and the packed rows of the Hom system.  The stored left layout is checked
 against the relabels that once converted each object to and from it, and a
 right C-comodule against the left C^cop-comodule it is stored as.  The
 oracles live here only."""
@@ -39,7 +39,7 @@ from contramod.contramodule import (
     Contramodule, check_contramodule, cohom, duality_check,
     contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
     contra_from_dual, hom_contra, hom_contra_basis_maps, is_contra_map, is_projective,
-    quotient_contramodule, sub_contramodule,
+    quotient_contramodule, sub_contramodule, _gf2_relations,
 )
 from contramod.fields import GF, GF2, GF3, QQ
 from contramod.functors import comodule_along, induce
@@ -50,7 +50,10 @@ from contramod.matrix import Mat, kron, kron_identity, map_of_vec, push
 from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
-from contramod.sl2 import battery_module, build_tower, dual_kernel_stage, restrict_to_kernel
+from contramod.sl2 import (
+    battery_module, build_tower, dual_kernel_stage, frobenius_twist, restrict_to_kernel,
+    standard_rational, tensor_rational,
+)
 
 FIELDS = [QQ, GF2, GF3]
 PAIRS_PER_COALGEBRA = 15
@@ -354,6 +357,51 @@ def test_cohom_matches_dict_columns_on_tower_stages(m):
         b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
         for v in modules:
             assert cohom(v, b) == dict_cohom(v, b), (lam, v.name)
+
+
+def packed_hom_rows(m, b):
+    """The nonzero rows of ``_hom_system(b, m)`` over F2 as ints, entry
+    (x, beta*dm + k) setting bit k*db + beta of row x."""
+    rows: dict = {}
+    for (x, y), v in comodule._hom_system(b, m).data.items():
+        if v & 1:
+            beta, k = divmod(y, m.dim)
+            rows[x] = rows.get(x, 0) ^ 1 << k * b.dim + beta
+    return {r for r in rows.values() if r}
+
+
+def test_gf2_relations_are_the_packed_hom_rows():
+    """Cohom's F2 bitmask relations are the rows of the one Hom system, on
+    seeded pairs and on every stage P(lam, m), m <= 2, against the README
+    battery."""
+    pairs = [pair for seed in (101, 303) for pair in random_pairs(GF2, "left", seed)]
+    for m in (1, 2):
+        modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
+                   for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
+        pairs += [(v, contra_from_comodule(dual_kernel_stage(lam, 2, m)))
+                  for lam in range(2 ** m) for v in modules]
+    for m, b in pairs:
+        assert _gf2_relations(m, b) == packed_hom_rows(m, b)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_cohom_on_frobenius_kernels_at_p3(r):
+    """Cohom over F3 on k[G_r]: the duals of L1, L1*L1 and L1*L1^Fr1
+    restricted to G_r, each paired with each as a contramodule, against the
+    dict columns, and at r = 1 against the Kronecker pair."""
+    l1 = standard_rational(3)
+    modules = [dual_comodule(restrict_to_kernel(x, r))
+               for x in (l1, tensor_rational(l1, l1), tensor_rational(l1, frobenius_twist(l1, 1)))]
+    dims = []
+    for m in modules:
+        for w in modules:
+            b = contra_from_comodule(w)
+            co = cohom(m, b)
+            assert co == dict_cohom(m, b), (m.name, w.name)
+            if r == 1:
+                assert co == difference_coequalizer(*kron_cohom_maps(m, b)), (m.name, w.name)
+            dims.append(co.dim)
+    assert any(dims)
 
 
 def test_stage_masks_serve_only_their_own_matrix(monkeypatch):
