@@ -17,10 +17,11 @@ kernel of one system on M* (x) N, written from the stored entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import lcm
 
 from .coalgebra import Coalgebra, Verdict
 from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
-from .matrix import Mat, _ints, kron_identity, map_of_vec, push
+from .matrix import Mat, _ints, _scalars, kron_identity, map_of_vec, push
 
 
 @dataclass
@@ -210,20 +211,27 @@ def dual_comodule(m: Comodule) -> Comodule:
 def _hom_system(x: Comodule, y: Comodule) -> Mat:
     """Hom(X, Y) is the kernel of F -> coaction_Y o F - (Id_C (x) F) o coaction_X
     on X* (x) Y, from the stored coactions.  Column v*yd + w holds coaction_Y[r, w] at row
-    v*n*yd + r, minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w.  Its rows
-    are also the relations of Cohom(Y, X) (:func:`contramodule.cohom`)."""
+    v*n*yd + r, minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w, summed on
+    ints over the lcm of the two coactions' scales.  Its rows are also the
+    relations of Cohom(Y, X) (:func:`contramodule.cohom`)."""
     if x.coalgebra != y.coalgebra:
         raise ValueError("coalgebra mismatch")
     if x.side != y.side:
         raise ValueError("side mismatch")
     n, xd, yd, fld = x.coalgebra.dim, x.dim, y.dim, x.field
-    zero, coact_y = fld.zero(), y.left_coaction.data.items()
-    data = {(v * n * yd + r, v * yd + w): val for v in range(xd) for (r, w), val in coact_y}
-    for (idx, vcol), val in x.left_coaction.data.items():
-        row, col = vcol * n * yd + idx // xd * yd, idx % xd * yd
+    coact_x, sx = _int_entries(x.left_coaction)
+    coact_y, sy = _int_entries(y.left_coaction)
+    s = lcm(sx, sy)
+    ex, ey = s // sx, s // sy
+    data = {(v * n * yd + r, v * yd + w): val * ey
+            for v in range(xd) for (r, w), val in coact_y.items()}
+    get = data.get
+    for (idx, vcol), val in coact_x.items():
+        row, col, val = vcol * n * yd + idx // xd * yd, idx % xd * yd, val * ex
         for w in range(yd):
-            data[row + w, col + w] = fld.sub(data.get((row + w, col + w), zero), val)
-    return Mat(xd * n * yd, xd * yd, fld, {key: s for key, s in data.items() if s != 0})
+            key = row + w, col + w
+            data[key] = get(key, 0) - val
+    return Mat(xd * n * yd, xd * yd, fld, _scalars(data, fld, s))
 
 
 def hom_comodules(m: Comodule, n_mod: Comodule) -> Subspace:

@@ -1,13 +1,15 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Scalars are plain Python objects: ``fractions.Fraction`` over the rationals,
-canonical representatives ``0..p-1`` (ints) over a prime field.  A
+Scalars are plain Python objects.  Over the rationals a canonical scalar is
+an ``int`` when it is integral and a ``fractions.Fraction`` with denominator
+> 1 otherwise; over a prime field it is a representative ``0..p-1``.  A
 :class:`FieldSpec` coerces, parses and formats them and does scalar
 arithmetic.  The hot kernels (elimination in :mod:`linalg`, products in
 :mod:`matrix`, the axiom checkers in :mod:`comodule` and :mod:`coalgebra`)
 work on Python ints instead, the kernels handing back canonical scalars;
 there is no floating point anywhere.  A serialized integer such as ``"-12"``
-is parsed as an int, without a ``Fraction``.
+is parsed as an int, without a ``Fraction``.  Integral rationals being ints,
+the kernels read most rational operands as they are, with no conversion.
 """
 
 from __future__ import annotations
@@ -48,9 +50,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# Fraction is immutable, so every rational zero and one can be the same object.
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
+def _rational(x):
+    """The canonical rational scalar of an int or a Fraction."""
+    if type(x) is int:
+        return x
+    # Fraction's numerator and denominator are properties, a Python call
+    # each; the slots behind them are read directly
+    return x._numerator if x._denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -67,17 +73,17 @@ class FieldSpec:
     # -- canonical scalars ------------------------------------------------
 
     def zero(self):
-        return _Q_ZERO if self.characteristic == 0 else 0
+        return 0
 
     def one(self):
-        return _Q_ONE if self.characteristic == 0 else 1
+        return 1
 
     def of(self, x):
         """Coerce an int, Fraction or string like ``"-3"``/``"2/5"``."""
         if isinstance(x, str):
             x = Fraction(x)
         if self.characteristic == 0:
-            return Fraction(x)
+            return _rational(x if type(x) is int else Fraction(x))
         p = self.characteristic
         if isinstance(x, Fraction):
             den = x.denominator % p
@@ -90,15 +96,15 @@ class FieldSpec:
 
     def add(self, a, b):
         s = a + b
-        return s if self.characteristic == 0 else s % self.characteristic
+        return _rational(s) if self.characteristic == 0 else s % self.characteristic
 
     def sub(self, a, b):
         s = a - b
-        return s if self.characteristic == 0 else s % self.characteristic
+        return _rational(s) if self.characteristic == 0 else s % self.characteristic
 
     def mul(self, a, b):
         s = a * b
-        return s if self.characteristic == 0 else s % self.characteristic
+        return _rational(s) if self.characteristic == 0 else s % self.characteristic
 
     def neg(self, a):
         return -a if self.characteristic == 0 else (-a) % self.characteristic
@@ -107,7 +113,7 @@ class FieldSpec:
         if self.characteristic == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / Fraction(a)
+            return _rational(1 / Fraction(a))
         return pow(a, -1, self.characteristic)
 
     # -- serialization -----------------------------------------------------
@@ -134,7 +140,7 @@ class FieldSpec:
             val = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 2]))
             while nonzero and val == 0:
                 val = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 2]))
-            return val
+            return _rational(val)
         p = self.characteristic
         lo = 1 if nonzero else 0
         return rng.randrange(lo, p)

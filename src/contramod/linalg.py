@@ -76,7 +76,11 @@ class _EchelonGeneric:
         """A fresh int copy of a row of scalars, zeros dropped, and the
         scale it was multiplied by."""
         ints, scale = _ints(row, self.field)
-        return {j: v for j, v in ints.items() if v}, scale.get(None, 1)
+        if 0 in ints.values():
+            ints = {j: v for j, v in ints.items() if v}
+        elif ints is row:
+            ints = dict(row)
+        return ints, scale.get(None, 1)
 
     def add_row(self, row: dict) -> bool:
         p = self.field.characteristic

@@ -12,8 +12,11 @@ the 512-dimensional coalgebras at the top of the catalog require.
 
 Products (``@``, ``apply``, ``kron``, ``push``) run on Python ints: over Q
 each row of the left operand and each column of the right one (each row, for
-``kron``) is scaled to integers by the lcm of its own denominators, and one
-``Fraction`` is made per output nonzero; over F_p each output entry is
+``kron``) is scaled to integers by the lcm of its own denominators, and an
+output nonzero is an int where the scale divides it and a ``Fraction`` only
+for a true fraction.  A rational operand whose scalars are all integral
+(canonical rationals are ints when integral, see :mod:`fields`) is read as
+it stands, with no conversion and no scale.  Over F_p each output entry is
 reduced once.  :func:`push` applies a map along one tensor factor, the
 product ``kron_identity(t, n, left) @ m`` without forming the Kronecker
 product; restriction, coaction pushes and the comodule-map test run on it.
@@ -35,61 +38,50 @@ def _ints(data: dict, field: FieldSpec, line=None) -> tuple[dict, dict]:
     many denominators the whole operand has.  ``line(key)`` names the line
     of an entry (its row or column); without it the dict is one line, keyed
     ``None``.  Returns the ints and ``{line: scale}`` for the lines whose
-    scale is not 1; over F_p the representatives themselves and ``{}``."""
-    if field.characteristic:
+    scale is not 1.  A dict with no ``Fraction`` in it (every one over F_p,
+    and over Q every one whose scalars are integral) is returned itself,
+    not copied, with ``{}``: callers read it and never write to it."""
+    if field.characteristic or Fraction not in set(map(type, data.values())):
         return data, {}
     # Fraction's numerator and denominator are properties, a Python call
     # each; the slots behind them are read directly
-    try:
-        dens = {v._denominator for v in data.values()}
-    except AttributeError:  # an int among the scalars
-        return _ints({k: Fraction(v) for k, v in data.items()}, field, line)
-    dens.discard(1)
-    if not dens:
-        return {k: v._numerator for k, v in data.items()}, {}
-    if line is None:
-        s = lcm(*dens)
-        return {k: v._numerator * (s // v._denominator) for k, v in data.items()}, {None: s}
     scales: dict = {}
     for k, v in data.items():
-        d = v._denominator
-        if d != 1:
-            ln = line(k)
+        if type(v) is not int and v._denominator != 1:
+            ln = line(k) if line else None
             s = scales.get(ln, 1)
-            if s % d:
-                scales[ln] = lcm(s, d)
+            if s % v._denominator:
+                scales[ln] = lcm(s, v._denominator)
+    if line is None:
+        s = scales.get(None, 1)
+        return {k: v * s if type(v) is int else v._numerator * (s // v._denominator)
+                for k, v in data.items()}, scales
     get = scales.get
-    return {k: v._numerator * (get(line(k), 1) // v._denominator)
+    return {k: v * get(line(k), 1) if type(v) is int
+            else v._numerator * (get(line(k), 1) // v._denominator)
             for k, v in data.items()}, scales
 
 
 def _scalars(acc: dict, field: FieldSpec, scale=1) -> dict:
     """Turn an int accumulator into canonical nonzero scalars in place and
     return it: entry k becomes ``acc[k] / scale``, where ``scale`` is an int
-    or a function of k."""
+    or a function of k.  Over Q that is an int where the scale divides the
+    entry, and a ``Fraction`` only for a true fraction."""
     p = field.characteristic
-    zeros = []
     if p:
         for k, v in acc.items():
-            v %= p
-            if v:
-                acc[k] = v
-            else:
-                zeros.append(k)
+            acc[k] = v % p
     elif callable(scale):
         for k, v in acc.items():
-            if v:
-                acc[k] = Fraction(v, scale(k))
-            else:
-                zeros.append(k)
-    else:
+            s = scale(k)
+            if s != 1:
+                acc[k] = v // s if v % s == 0 else Fraction(v, s)
+    elif scale != 1:
         for k, v in acc.items():
-            if v:
-                acc[k] = Fraction(v, scale)
-            else:
-                zeros.append(k)
-    for k in zeros:
-        del acc[k]
+            acc[k] = v // scale if v % scale == 0 else Fraction(v, scale)
+    if 0 in acc.values():
+        for k in [k for k, v in acc.items() if not v]:
+            del acc[k]
     return acc
 
 
@@ -130,7 +122,7 @@ class Mat:
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
             # canonical scalars need no coercion
             if p == 0:
-                if type(v) is not Fraction:
+                if type(v) is not int:
                     v = field.of(v)
             elif type(v) is not int or not 0 <= v < p:
                 v = field.of(v)

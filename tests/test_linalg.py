@@ -26,7 +26,7 @@ def random_mat(rng, rows, cols, field, density=0.6):
 
 
 def gauss_jordan(dense, ncols, field):
-    """Dense Gauss-Jordan on field scalars (``Fraction`` over Q), no shared
+    """Dense Gauss-Jordan on field scalars (ints and ``Fraction``s over Q), no shared
     code with the engines: the pivot columns and the nonzero rows of the
     reduced row echelon form, each row a dense list with pivot entry 1."""
     f = field
@@ -356,9 +356,11 @@ def reduce_oracle(pivots, rref, vec, ncols, field):
 
 
 def is_canonical(v, field):
+    """A nonzero canonical scalar: over F_p a representative 1..p-1, over Q a
+    nonzero int, or a Fraction with denominator > 1."""
     if field.characteristic:
         return type(v) is int and 0 < v < field.characteristic
-    return type(v) is Fraction and v != 0
+    return (type(v) is int and v != 0) or (type(v) is Fraction and v.denominator > 1)
 
 
 ORACLE_FIELDS = [QQ, GF2, GF3, GF(5)]
@@ -494,6 +496,6 @@ def test_product_scales_are_per_line():
 def test_from_entries_drops_cancelling_entries():
     q = Mat.from_entries(2, 2, QQ, [(0, 0, Fraction(1, 3)), (0, 0, Fraction(-1, 3)),
                                     (1, 1, "2/4"), (1, 1, Fraction(-1, 2)), (0, 1, 0), (1, 0, 3)])
-    assert q.data == {(1, 0): 3} and type(q.data[1, 0]) is Fraction
+    assert q.data == {(1, 0): 3} and type(q.data[1, 0]) is int
     f3 = Mat.from_entries(2, 2, GF3, [(0, 0, 2), (0, 0, 1), (1, 1, 5), (1, 1, -1), (0, 1, 3)])
     assert f3.data == {(1, 1): 1}

@@ -1,13 +1,13 @@
 """The structure maps written by index arithmetic against their Kronecker
 product formulas, the Hom system against the Kronecker pair whose
-difference it is, cotensor, contratensor and induction (built from Hom,
-Cohom and the quotient contramodule) against their own Kronecker formulas,
-the coequalizer against the quotient by the image of f - g, the
-contramodule operations that run on the comodule code against their direct
-Kronecker formulas, ``check_coalgebra`` against its own column loop and
-``check_comodule`` against its per-scalar loop on seeded, rescaled and
-mutated comodules, ``split_solve`` against one solve on the Kronecker
-product, ``dual_comodule`` against one loop per side, pivot-read
+difference it is and against its per-scalar writer, cotensor, contratensor
+and induction (built from Hom, Cohom and the quotient contramodule) against
+their own Kronecker formulas, the coequalizer against the quotient by the
+image of f - g, the contramodule operations that run on the comodule code
+against their direct Kronecker formulas, ``check_coalgebra`` against its
+own column loop and ``check_comodule`` against its per-scalar loop on
+seeded, rescaled and mutated comodules, ``split_solve`` against one solve
+on the Kronecker product, ``dual_comodule`` against one loop per side, pivot-read
 ``Subspace.coords`` against elimination, ``duality_check`` against the
 trace-pairing loops, and the identity that makes Hom pair to zero against
 Cohom's relations, ``matrix.push`` against the product with
@@ -690,6 +690,27 @@ def mutate_coaction(rng, m):
             return bad
 
 
+def scalar_hom_system(x, y):
+    """The Hom system written one field scalar at a time, with ``fld.sub``."""
+    n, xd, yd, fld = x.coalgebra.dim, x.dim, y.dim, x.field
+    zero, coact_y = fld.zero(), y.left_coaction.data.items()
+    data = {(v * n * yd + r, v * yd + w): val for v in range(xd) for (r, w), val in coact_y}
+    for (idx, vcol), val in x.left_coaction.data.items():
+        row, col = vcol * n * yd + idx // xd * yd, idx % xd * yd
+        for w in range(yd):
+            data[row + w, col + w] = fld.sub(data.get((row + w, col + w), zero), val)
+    return Mat(xd * n * yd, xd * yd, fld, {key: s for key, s in data.items() if s != 0})
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_hom_system_matches_scalar_writer(field):
+    """The int-accumulated Hom system equals the per-scalar one, entry types
+    included, on the pairs Cohom and Hom read it for."""
+    for m, b in random_pairs(field, "left", 909):
+        for x, y in ((b, m), (m, b), (m, m), (b, b)):
+            assert typed(comodule._hom_system(x, y)) == typed(scalar_hom_system(x, y))
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("field", FIELDS)
 def test_hom_system_matches_kron_pair(field, side):
@@ -934,11 +955,11 @@ def rescaled(m, coalgebra_scales, module_scales):
     n, md = c.dim, m.dim
     g = [f.of(coalgebra_scales[a % len(coalgebra_scales)]) for a in range(n)]
     d = [f.of(module_scales[i % len(module_scales)]) for i in range(md)]
-    delta = Mat(n * n, n, f, {(x, k): v * g[k] / (g[x // n] * g[x % n])
+    delta = Mat(n * n, n, f, {(x, k): f.mul(v * g[k], f.invert(g[x // n] * g[x % n]))
                               for (x, k), v in c.delta.data.items()})
-    eps = Mat(1, n, f, {(0, k): v * g[k] for (_, k), v in c.epsilon.data.items()})
+    eps = Mat(1, n, f, {(0, k): f.mul(v, g[k]) for (_, k), v in c.epsilon.data.items()})
     c2 = Coalgebra(f, n, delta, eps, name=f"{c.name}'")
-    coact = Mat(n * md, md, f, {(idx, j): v * d[j] / (g[idx // md] * d[idx % md])
+    coact = Mat(n * md, md, f, {(idx, j): f.mul(v * d[j], f.invert(g[idx // md] * d[idx % md]))
                                 for (idx, j), v in _left_coaction(m).data.items()})
     return Comodule(c2, m.side, md, coact, f"{m.name}'")
 
