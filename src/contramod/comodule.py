@@ -266,48 +266,34 @@ def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
 # -- subobjects and quotients ---------------------------------------------------
 
 
-def _coaction_slices(m: Comodule, vecs: list[dict]) -> list[dict]:
-    """Apply the coaction to each vector and slice the result by coalgebra
-    index: one ``{c: vector}`` per input."""
-    md, coact = m.dim, m.left_coaction
-    out = []
-    for vec in vecs:
-        slices: dict = {}
-        for idx, v in coact.apply(vec).items():
-            cc, i = divmod(idx, md)
-            slices.setdefault(cc, {})[i] = v
-        out.append(slices)
-    return out
-
-
 def comodule_closure(m: Comodule, vectors: list[dict]) -> Subspace:
-    """Smallest subcomodule containing the given vectors."""
-    sub = Subspace.from_columns(m.dim, m.field, vectors)
+    """Smallest subcomodule containing the given vectors: the span grows by
+    the coaction's slices on its basis, one per coalgebra index, until it
+    holds them all."""
+    md = m.dim
+    sub = Subspace.from_columns(md, m.field, vectors)
     while True:
-        extra = [
-            slice_vec
-            for slices in _coaction_slices(m, sub.basis_columns())
-            for slice_vec in slices.values()
-            if not sub.contains(slice_vec)
-        ]
+        slices: dict = {}
+        for (idx, t), v in (m.left_coaction @ sub.basis).data.items():
+            slices.setdefault((t, idx // md), {})[idx % md] = v
+        extra = [vec for vec in slices.values() if not sub.contains(vec)]
         if not extra:
             return sub
-        sub = sub.add(Subspace.from_columns(m.dim, m.field, extra))
+        sub = sub.add(Subspace.from_columns(md, m.field, extra))
 
 
 def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
-    """Restrict the coaction to a stable subspace; returns (N, inclusion)."""
-    k = sub.dim
-    entries = []
-    for t, slices in enumerate(_coaction_slices(m, sub.basis_columns())):
-        for cc, slice_vec in slices.items():
-            coords = sub.coords(slice_vec)
-            if coords is None:
-                raise ValueError("subspace is not a subcomodule")
-            for s, v in coords.items():
-                entries.append((cc * k + s, t, v))
-    coact = Mat.from_entries(m.coalgebra.dim * k, k, m.field, entries)
-    return replace(m, dim=k, left_coaction=coact, name=f"{m.name}|sub"), sub.basis
+    """Restrict the coaction to a stable subspace; returns (N, inclusion B).
+    With pick the projection onto B's pivot rows, pick @ B = Id, N's coaction
+    is (Id_C (x) pick) o coaction o B, certified by the comodule-map
+    condition on B."""
+    n, basis, one = m.coalgebra.dim, sub.basis, m.field.one()
+    pick = Mat(sub.dim, m.dim, m.field, {(t, p): one for t, p in enumerate(sub.pivots)})
+    hit = m.left_coaction @ basis
+    coact = push(pick, n, True, hit)
+    if push(basis, n, True, coact) != hit:
+        raise ValueError("subspace is not a subcomodule")
+    return replace(m, dim=sub.dim, left_coaction=coact, name=f"{m.name}|sub"), basis
 
 
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
@@ -336,7 +322,7 @@ def is_injective(m: Comodule) -> tuple[bool, Mat | None]:
     """
     amb = cofree(m.coalgebra, m.dim, side=m.side)
     # the coaction in its side's layout is the embedding of M into amb's carrier
-    retraction = split_solve(_hom_system(amb, m), m.coaction, section=False)
+    retraction = split_solve(_hom_system(amb, m), m.coaction)
     return retraction is not None, retraction
 
 

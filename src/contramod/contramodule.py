@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
-from .linalg import Coequalizer, Subspace, quotient_by_image, rank, split_solve
+from .linalg import Coequalizer, Subspace, quotient_by_image, rank
 from .matrix import Mat
 
 
@@ -209,12 +209,17 @@ def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:
 
 
 def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
-    """Split the canonical free presentation: theta itself is a
-    contra-homomorphism from the free contramodule on the carrier of B onto
-    B, and B is projective iff it admits a contra-homomorphism section."""
-    free = free_contramodule(b.coalgebra, b.dim)
-    section = split_solve(comodule._hom_system(b, free), b.theta, section=True)
-    return section is not None, section
+    """Split the canonical free presentation: theta is a contra-homomorphism
+    onto B from the free contramodule on B's carrier, and B is projective iff
+    it has a contra-homomorphism section.  The k-dual of such a section is a
+    retraction r of the cofree embedding of B*, so the split is
+    :func:`comodule.is_injective` of B*, and r[i, j*n + c] is the section's
+    entry at (c*b + j, i)."""
+    n, bd = b.coalgebra.dim, b.dim
+    flag, r = comodule.is_injective(comodule.dual_comodule(b))
+    if not flag:
+        return False, None
+    return True, Mat(n * bd, bd, b.field, {(x % n * bd + x // n, i): v for (i, x), v in r.data.items()})
 
 
 # -- duality ------------------------------------------------------------------------

@@ -63,9 +63,8 @@ class _EchelonGeneric:
     again only by ``row_items`` and ``reduce_vector``.
     """
 
-    def __init__(self, field: FieldSpec, ncols: int):
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.ncols = ncols
         self.rows: dict[int, dict] = {}  # pivot column -> row
         self._jordan = True
 
@@ -139,9 +138,8 @@ class _EchelonGeneric:
 class _EchelonGF2:
     """Bitmask echelon over GF(2); rows are ints, bit j = column j."""
 
-    def __init__(self, field: FieldSpec, ncols: int):
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.ncols = ncols
         self.rows: dict[int, int] = {}
         self._jordan = True
 
@@ -219,10 +217,10 @@ def _bits(x: int):
         x ^= low
 
 
-def make_echelon(field: FieldSpec, ncols: int):
+def make_echelon(field: FieldSpec):
     if field.characteristic == 2:
-        return _EchelonGF2(field, ncols)
-    return _EchelonGeneric(field, ncols)
+        return _EchelonGF2(field)
+    return _EchelonGeneric(field)
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -247,14 +245,15 @@ class Subspace:
     @classmethod
     def from_columns(cls, ambient: int, field: FieldSpec, columns) -> "Subspace":
         """Span of sparse column dicts (need not be independent)."""
-        ech = make_echelon(field, ambient)
+        ech = make_echelon(field)
         for col in columns:
             ech.add_row(col)
         ech.finalize()
         items = ech.row_items()
         pivots = [p for p, _ in items]
-        entries = [(i, t, v) for t, (_, vec) in enumerate(items) for i, v in vec.items()]
-        basis = Mat.from_entries(ambient, len(items), field, entries)
+        # the rows' entries are canonical nonzero scalars at distinct keys
+        basis = Mat(ambient, len(items), field,
+                    {(i, t): v for t, (_, vec) in enumerate(items) for i, v in vec.items()})
         return cls(ambient, field, basis, pivots)
 
     @classmethod
@@ -319,7 +318,7 @@ class Subspace:
 
 
 def row_echelon(mat: Mat):
-    ech = make_echelon(mat.field, mat.cols)
+    ech = make_echelon(mat.field)
     for row in mat.row_groups().values():
         ech.add_row(row)
     return ech
@@ -329,7 +328,7 @@ def rank(mat: Mat) -> int:
     # eliminate in the cheaper orientation; rank is symmetric
     if mat.cols <= mat.rows:
         return row_echelon(mat).rank()
-    ech = make_echelon(mat.field, mat.rows)
+    ech = make_echelon(mat.field)
     for col in mat.columns().values():
         ech.add_row(col)
     return ech.rank()
@@ -381,7 +380,7 @@ def solve(mat: Mat, rhs: dict) -> dict | None:
     """One solution x of mat @ x = rhs, or None.  Free variables are 0."""
     f = mat.field
     aug_col = mat.cols
-    ech = make_echelon(f, mat.cols + 1)
+    ech = make_echelon(f)
     rows = mat.row_groups()
     for i in range(mat.rows):
         row = dict(rows.get(i, {}))
@@ -401,25 +400,21 @@ def solve(mat: Mat, rhs: dict) -> dict | None:
     return x
 
 
-def split_solve(hom_rows: Mat, t: Mat, section: bool) -> Mat | None:
-    """A map X with hom_rows @ vec(X) = 0 that splits t, found by one solve,
-    or None if there is none: a section, t @ X = identity, when ``section``,
-    else a retraction, X @ t = identity.  vec flattens X as in
-    :func:`matrix.vec_of_map`, which turns t @ X into (Id (x) t) @ vec(X) and
-    X @ t into (t^T (x) Id) @ vec(X)."""
-    f = hom_rows.field
-    if section:
-        e, block = t.rows, kron_identity(t, t.rows, left=True)
-    else:
-        e, block = t.cols, kron_identity(t.transpose(), t.cols, left=False)
+def split_solve(hom_rows: Mat, t: Mat) -> Mat | None:
+    """A retraction X of t, X @ t = identity, with hom_rows @ vec(X) = 0,
+    found by one solve, or None if there is none.  vec(X) holds X[y, x] at
+    x*t.cols + y (:func:`matrix.map_of_vec`), so X @ t is (t^T (x) Id) @ vec(X)."""
+    f, e = hom_rows.field, t.cols
+    block = kron_identity(t.transpose(), e, left=False)
     x = solve(hom_rows.vstack(block), {hom_rows.rows + i * e + i: f.one() for i in range(e)})
-    return None if x is None else map_of_vec(x, t.rows, t.cols, f)
+    return None if x is None else map_of_vec(x, t.rows, e, f)
 
 
 @dataclass
 class Coequalizer:
-    """Quotient of k^ambient by a column span: surjection, dim, and a section
-    picking the coset representatives supported on non-pivot rows."""
+    """Quotient of k^ambient by a subspace (:func:`quotient_by_image`), with
+    ``section`` picking the coset representatives supported on the non-pivot
+    rows, ``nonpivot[t]`` for coordinate t of the quotient."""
 
     quotient_map: Mat
     dim: int
@@ -428,33 +423,29 @@ class Coequalizer:
 
     def descend(self, lifted: Mat, error: str) -> Mat:
         """The map out of the quotient induced by ``lifted``, a map out of
-        k^ambient; raises ValueError(error) unless lifted kills the span."""
+        k^ambient; raises ValueError(error) unless lifted kills the subspace.
+        It is lifted @ section: column ``nonpivot[t]`` of lifted, as column t."""
         if not (lifted @ self.image_subspace.basis).is_zero():
             raise ValueError(error)
-        return lifted @ self.section
+        where = {i: t for i, t in self.section.data}
+        return Mat(lifted.rows, self.dim, lifted.field,
+                   {(r, where[j]): v for (r, j), v in lifted.data.items() if j in where})
 
 
 def quotient_by_image(sub: Subspace) -> Coequalizer:
-    f = sub.field
-    ambient = sub.ambient
-    pivot_rows = sub.pivots
-    pivot_set = set(pivot_rows)
-    nonpivot = [i for i in range(ambient) if i not in pivot_set]
+    """k^ambient / sub by index arithmetic on sub's canonical basis B, with
+    pick the projection onto sub's pivot rows: the quotient map is
+    section^T o (Id - B o pick).  Its row t has 1 at ``nonpivot[t]`` and
+    -B[nonpivot[t], s] at ``pivots[s]``, since pivot row ``pivots[s]`` of B
+    meets only column s, with entry 1."""
+    f, pivots, one = sub.field, sub.pivots, sub.field.one()
+    nonpivot = sorted(set(range(sub.ambient)).difference(pivots))
+    where = {i: t for t, i in enumerate(nonpivot)}
+    q = {(t, i): one for i, t in where.items()}
+    q.update({(where[i], pivots[s]): f.neg(v) for (i, s), v in sub.basis.data.items() if i in where})
     qdim = len(nonpivot)
-    basis_cols = sub.basis_columns()
-    q_entries = []
-    for t, i in enumerate(nonpivot):
-        q_entries.append((t, i, f.one()))
-        # subtract the echelon combination hitting pivot rows
-        for s, col in enumerate(basis_cols):
-            c = col.get(i)
-            if c is not None and c != 0:
-                q_entries.append((t, pivot_rows[s], f.neg(c)))
-    quotient_map = Mat.from_entries(qdim, ambient, f, q_entries)
-    section = Mat.from_entries(
-        ambient, qdim, f, [(i, t, f.one()) for t, i in enumerate(nonpivot)]
-    )
-    return Coequalizer(quotient_map, qdim, section, sub)
+    section = Mat(sub.ambient, qdim, f, {(i, t): one for i, t in where.items()})
+    return Coequalizer(Mat(qdim, sub.ambient, f, q), qdim, section, sub)
 
 
 def equalizer(f: Mat, g: Mat) -> Subspace:

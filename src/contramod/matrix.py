@@ -348,13 +348,9 @@ def push(t: Mat, n: int, left: bool, m: Mat) -> Mat:
     return Mat(n * r, m.cols, f, _scalars(acc, f, scale))
 
 
-def vec_of_map(m: Mat) -> dict:
-    """Flatten Hom(X, Y) to X* (x) Y coordinates: F[y, x] at x*rows(Y)+y."""
-    return {x * m.rows + y: v for (y, x), v in m.data.items()}
-
-
 def map_of_vec(vec: dict, dim_x: int, dim_y: int, field: FieldSpec) -> Mat:
-    """Inverse of :func:`vec_of_map`."""
+    """The map F: k^dim_x -> k^dim_y whose X* (x) Y coordinates are vec:
+    entry F[y, x] is vec[x*dim_y + y]."""
     data = {}
     for idx, v in vec.items():
         x, y = divmod(idx, dim_y)

@@ -152,7 +152,7 @@ def test_engine_rows_and_residuals_are_canonical_and_equal_fraction_oracles():
             c = vec[p]
             vec = [x - c * y for x, y in zip(vec, row)]
         residual = {j: v for j, v in enumerate(vec) if v}
-        ech = _EchelonGeneric(QQ, ncols)
+        ech = _EchelonGeneric(QQ)
         for row in rows:
             ech.add_row(row)
         assert_canonical_equal(ech.reduce_vector(probe), residual)

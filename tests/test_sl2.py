@@ -308,6 +308,24 @@ def test_p0_is_projective_cover_of_trivial_over_g1():
     assert is_projective(contra_from_comodule(dual_comodule(m)))[0]
 
 
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("name", ["L0", "L1", "P0"])
+def test_projectivity_controls_over_frobenius_kernels(name, r):
+    """Over k[G_1] the Steinberg module L1 and P0 are projective and L0 is
+    not; over k[G_2] none of the three is.  Each contramodule's verdict
+    agrees with the injectivity of its comodule, and a returned section
+    splits theta."""
+    m = restrict_to_kernel(catalog_modules(2)[name], r)
+    b = contra_from_comodule(dual_comodule(m))
+    flag, section = is_projective(b)
+    assert flag == ((name, r) in {("L1", 1), ("P0", 1)})
+    assert is_injective(m)[0] == flag
+    if flag:
+        assert b.theta @ section == Mat.identity(b.dim, GF2)
+    else:
+        assert section is None
+
+
 def test_regular_comodule_over_g1():
     c = frob_kernel_coalgebra(2, 1)
     assert check_comodule(comodule_over_self(c)).ok
