@@ -11,7 +11,10 @@ view ``theta``: theta[i, c*b + k] = left_coaction[c*b + i, k].  The
 tensor-hom adjunction used throughout is Hom(U, Hom(V, W)) = Hom(V (x) U, W),
 the orientation that makes these LEFT contramodules.  So
 :func:`contra_from_comodule` copies no entry, and the axioms, hom spaces,
-subobjects, quotients and direct sums are the comodule code.
+subobjects, quotients and direct sums are the comodule code.  Over F2
+Cohom reads B only as theta's columns packed as int bitmasks, which
+:func:`gf2_cohom` takes as an argument: the tower tensors each stage's
+masks from its factors and forms no contramodule of the stage.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class Contramodule(Comodule):
     """Built as ``Contramodule(coalgebra, dim, left_coaction, name)``."""
 
     side: str = field(default="left", init=False)
-    _masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def theta(self) -> Mat:
@@ -38,15 +40,6 @@ class Contramodule(Comodule):
         b = self.dim
         return Mat(b, self.coalgebra.dim * b, self.field,
                    {(idx % b, idx - idx % b + k): v for (idx, k), v in self.left_coaction.data.items()})
-
-    @property
-    def gf2_masks(self) -> dict:
-        """Theta's columns over F2 as int bitmasks, T_y with bit beta' for
-        each theta[beta', y] = 1.  They depend on B alone, so they are built
-        on first read and kept with the matrix they were read off."""
-        if self._masks is None or self._masks[0] is not self.left_coaction:
-            self._masks = (self.left_coaction, _gf2_masks(self))
-        return self._masks[1]
 
     def __repr__(self):
         label = self.name or "contramodule"
@@ -137,8 +130,8 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     relations are the rows of its system :func:`comodule._hom_system`:
     row x, with entry v at column beta*dm + k of B* (x) M, is the relation
     column x with v at row k*db + beta of M* (x) B, for dm = dim M and
-    db = dim B.  Over F2 the same rows come packed as int bitmasks
-    (:func:`_gf2_relations`).
+    db = dim B.  Over F2 the same rows come packed as int bitmasks from
+    theta's masks (:func:`gf2_cohom`).
     """
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
@@ -146,7 +139,7 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
         raise ValueError("cohom needs a left comodule")
     dm, db, fld = m.dim, b.dim, m.field
     if fld.characteristic == 2:
-        return quotient_by_image(Subspace.from_columns(dm * db, fld, _gf2_relations(m, b)))
+        return gf2_cohom(m, db, _gf2_masks(b))
     cols: dict = {}
     for (x, y), v in comodule._hom_system(b, m).data.items():
         beta, k = divmod(y, dm)
@@ -154,9 +147,18 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     return quotient_by_image(Subspace.from_columns(dm * db, fld, cols.values()))
 
 
-def _gf2_masks(b: Contramodule) -> dict:
-    """T_y for each column y of theta, read off B's stored coaction: entry
-    (c*db + beta', k) sets bit beta' of T_(c*db + k)."""
+def gf2_cohom(m: Comodule, db: int, ts: dict) -> Coequalizer:
+    """Cohom over F2 of a left comodule M and a contramodule B given only by
+    its dimension db and theta's masks ts (:func:`_gf2_masks`), so a caller
+    holding the masks, as the tower does for each stage, forms no B."""
+    return quotient_by_image(Subspace.from_columns(m.dim * db, m.field, _gf2_relations(m, db, ts)))
+
+
+def _gf2_masks(b: Comodule) -> dict:
+    """Theta's columns over F2 as int bitmasks T_y, bit beta' for each
+    theta[beta', y] = 1, read off the stored coaction of B or of the left
+    comodule it shares: entry (c*db + beta', k) sets bit beta' of
+    T_(c*db + k)."""
     db = b.dim
     ts: dict = {}
     for idx, k in b.left_coaction.data:
@@ -166,18 +168,17 @@ def _gf2_masks(b: Contramodule) -> dict:
     return ts
 
 
-def _gf2_relations(m: Comodule, b: Contramodule) -> set:
+def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
     """The rows of ``comodule._hom_system(b, m)`` over F2, packed as Cohom's
     relation columns: ints with bit k*db + beta for the system's column
-    beta*dm + k.  K_r has bit k*db for each coaction[r, k] = 1, and T_y are
-    B's masks :attr:`Contramodule.gf2_masks`.  Then the row for (beta, r),
+    beta*dm + k, for B of dimension db with theta's masks T_y = ts[y].  K_r
+    has bit k*db for each coaction[r, k] = 1.  Then the row for (beta, r),
     r = c*dm + i, is (K_r << beta) ^ (T_{c*db + beta} << i*db).  Most rows
     repeat, so they come back as a set, without the zero row."""
-    dm, db = m.dim, b.dim
+    dm = m.dim
     ks: dict = {}
     for r, k in m.left_coaction.data:
         ks[r] = ks.get(r, 0) | 1 << k * db
-    ts = b.gf2_masks
     cols = set()
     for r, kr in ks.items():
         c, i = divmod(r, dm)

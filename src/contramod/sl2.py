@@ -18,6 +18,7 @@ from math import comb, prod
 
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule, dual_comodule
+from .contramodule import _gf2_masks
 from .fields import GF
 from .linalg import Subspace, kernel
 from .matrix import Mat, kron_identity
@@ -522,68 +523,6 @@ def restrict_to_kernel(m: RationalComodule, r: int) -> Comodule:
     return Comodule(c, "right", m.dim, coact, name=f"{m.name}|G{r}")
 
 
-def tensor_kernel(m: Comodule, n: Comodule) -> Comodule:
-    """Tensor product of two comodules on one side over the same k[G_r], the
-    counterpart of :func:`tensor_rational` after restriction: reduction to
-    k[G_r] is a ring map, so entry (i*dim N + i2, j*dim N + j2) is the
-    product of entries (i, j) and (i2, j2), each the polynomial with
-    coefficient coaction[x*dim + i, j] at monomial index x.  k[G_r] is
-    commutative, so this serves either side.
-
-    For each monomial y of N the image of M's whole coaction under
-    x -> x*y is written as (row at i2 = 0, column at j2 = 0, coefficient),
-    one image at a time.  Multiplying by a monomial is injective, so every
-    entry of N that is the one monomial y writes that image with no
-    accumulation, one coefficient product mod p per term; only an entry with
-    several monomials adds its images, then reduces mod p."""
-    c = m.coalgebra
-    if n.coalgebra is not c or m.side != n.side:
-        raise ValueError("tensor_kernel needs comodules on one side over one coalgebra")
-    p, dim = c.field.characteristic, c.dim
-    r = 1
-    while p > 1 and p ** (3 * r) < dim:
-        r += 1
-    if p < 2 or c is not frob_kernel_coalgebra(p, r):
-        raise ValueError("tensor_kernel needs comodules over a Frobenius kernel k[G_r]")
-    q = p ** r
-    md, nd = m.dim, n.dim
-    out_dim = md * nd
-    # M's stored row x*md + i is row x*out_dim + i*nd of the product at i2 = 0
-    by_x: dict = {}
-    for (row, j), v in m.left_coaction.data.items():
-        by_x.setdefault(row // md, []).append((row * nd, j * nd, v))
-    exps = {x: (x // (q * q), x // q % q, x % q) for x in by_x}
-
-    def image(y):
-        # x*y adds the exponents; an a-exponent of q or more wraps by q
-        yb, yc, ya = y // (q * q), y // q % q, y % q
-        return [(row + (y - q if xa + ya >= q else y) * out_dim, col, v)
-                for x, (xb, xc, xa) in exps.items() if xb + yb < q and xc + yc < q
-                for row, col, v in by_x[x]]
-
-    groups: dict = {}
-    for (row, j2), v in n.left_coaction.data.items():
-        y, i2 = divmod(row, nd)
-        groups.setdefault((i2, j2), []).append((y, v))
-    singles: dict = {}
-    for (i2, j2), e in groups.items():
-        if len(e) == 1:
-            y, c2 = e[0]
-            singles.setdefault(y, []).append((i2, j2, c2))
-    data = {(row + i2, col + j2): v * c2 % p
-            for y, uses in singles.items() for row, col, v in image(y) for i2, j2, c2 in uses}
-    for (i2, j2), e in groups.items():
-        if len(e) > 1:
-            acc: dict = {}
-            for y, c2 in e:
-                for row, col, v in image(y):
-                    key = row + i2, col + j2
-                    acc[key] = acc.get(key, 0) + v * c2
-            data.update({key: v % p for key, v in acc.items() if v % p})
-    return Comodule(c, m.side, out_dim, Mat(dim * out_dim, out_dim, c.field, data),
-                    name=f"{m.name}*{n.name}")
-
-
 # -- characters and multiplicities ------------------------------------------------------
 
 
@@ -667,14 +606,47 @@ def stage_dim(lam: int, p: int, m: int) -> int:
     return prod(f.dim for f in _stage_factors(lam, p, m))
 
 
-def dual_kernel_stage(lam: int, p: int, m: int) -> Comodule:
-    """The dual of P(lam, m) restricted to G_m, a left comodule equal entry
-    for entry to the dual of the restricted stage of :func:`build_tower`:
-    each twisted factor is restricted and dualised, and the duals are
-    tensored in k[G_m], so no k[SL2] product is formed and the stage itself
-    is never reindexed."""
-    factors = [dual_comodule(restrict_to_kernel(f, m)) for f in _stage_factors(lam, p, m)]
-    return replace(reduce(tensor_kernel, factors), name=f"P({lam},{m})|G{m}*")
+def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
+    """The dual of P(lam, m) restricted to G_m over F2, as (dim, masks):
+    masks[z*dim + j] has bit i for each entry (z*dim + i, j) of the dual
+    stage, the theta masks :func:`contramodule._gf2_masks` reads off its
+    contramodule.  No matrix of the stage is formed: the masks are tensored
+    from those of the restricted factors' duals, in k[G_m], which is
+    commutative, so the product of the duals is the dual of the product.
+
+    For M of dimension md and N of dimension nd, out = md*nd, entry
+    ((x*y)*out + i*nd + i2, j*nd + j2) of M (x) N adds the products of M's
+    entries (x*md + i, j) and N's (y*nd + i2, j2), where x*y is one
+    truncated monomial or 0 (a^q = 1, b^q = c^q = 0).  So M's mask (x, j),
+    spread once to bit i*nd for its bit i, times N's mask (y, j2) is the
+    image at key (x*y)*out + j*nd + j2: the bits i*nd + i2 are distinct, so
+    the integer product carries nothing.  Images at one key add mod 2."""
+    q = 2 ** m
+    dim, masks = 1, {0: 1}  # the trivial comodule, e -> 1 (x) e
+    for f in _stage_factors(lam, 2, m):
+        nd, pad = f.dim, "0" * (f.dim - 1)
+        out = dim * nd
+        by_y: dict = {}
+        for key, t in _gf2_masks(dual_comodule(restrict_to_kernel(f, m))).items():
+            y, j2 = divmod(key, nd)
+            by_y.setdefault(y, []).append((j2, t))
+        by_x: dict = {}
+        for key, t in masks.items():
+            x, j = divmod(key, dim)
+            by_x.setdefault(x, []).append((j * nd, int(pad.join(bin(t)[2:]), 2)))
+        exps = [(x // (q * q), x // q % q, x % q, x, images) for x, images in by_x.items()]
+        acc: dict = {}
+        for y, uses in by_y.items():
+            yb, yc, ya = y // (q * q), y // q % q, y % q
+            for xb, xc, xa, x, images in exps:
+                if xb + yb < q and xc + yc < q:
+                    base = (x + y - q if xa + ya >= q else x + y) * out
+                    for j2, t2 in uses:
+                        for col, spread in images:
+                            key = base + col + j2
+                            acc[key] = acc.get(key, 0) ^ spread * t2
+        dim, masks = out, {key: t for key, t in acc.items() if t}
+    return dim, masks
 
 
 def build_tower(lam: int, p: int = 2, m_max: int = 3) -> InverseSystem:

@@ -223,12 +223,12 @@ def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
     checked first: a tower that ends before the first stage where a module's
     weight bound holds compares nothing for it, so that raises ValueError
     naming the first such module before anything is built.  Then each stage
-    is built once in its kernel, as the left comodule its contramodule
-    shares, and each module is restricted once per stage.
+    is built once in its kernel, only as the F2 theta masks of its dual
+    (:func:`sl2.kernel_stage_masks`), and each module is restricted once
+    per stage and paired with those masks by :func:`contramodule.gf2_cohom`.
     """
-    from . import sl2  # local import: sl2 builds on this module's InverseSystem
+    from . import contramodule, sl2  # local import: sl2 builds on this module's InverseSystem
     from .comodule import dual_comodule
-    from .contramodule import cohom, contra_from_comodule
 
     m0 = sl2.tower_base(lam, p, m_max)
     stable_froms = []
@@ -237,10 +237,10 @@ def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
         stable_froms.append(first_stable_stage(v.name, top, m0, p, m_max))
     rows = [[] for _ in modules]
     for m in range(m0, m_max + 1):
-        p_m = contra_from_comodule(sl2.dual_kernel_stage(lam, p, m))
+        db, ts = sl2.kernel_stage_masks(lam, m)
         for v, v_rows in zip(modules, rows):
             v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
-            v_rows.append(TowerRow(m, cohom(v_m, p_m).dim))
+            v_rows.append(TowerRow(m, contramodule.gf2_cohom(v_m, db, ts).dim))
     reports = []
     for v, v_rows, stable_from in zip(modules, rows, stable_froms):
         f_v = sl2.f_multiplicity(lam, v)

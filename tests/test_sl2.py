@@ -1,6 +1,8 @@
 """Normal-form arithmetic, Frobenius kernels, the p=2 catalog and towers."""
 
 import random
+import tracemalloc
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 from math import comb
@@ -10,19 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 from contramod.coalgebra import check_coalgebra, grouplike
 from contramod.comodule import (
-    check_comodule, comodule_over_self, dual_comodule,
+    Comodule, check_comodule, comodule_over_self, dual_comodule,
     head_radical, is_injective, quotient_comodule,
 )
-from contramod.contramodule import check_contramodule, contra_from_comodule, is_projective
+from contramod.contramodule import _gf2_masks, check_contramodule, contra_from_comodule, is_projective
 from contramod.fields import GF, GF2
 from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.sl2 import (
     RationalComodule, SL2Poly, battery_module, build_tower, catalog_modules, character_decomposition,
     char_product, delta_poly, f_multiplicity, frob_kernel_coalgebra, frobenius_twist,
-    dual_kernel_stage, hom_rational, is_rational_map, p_adic_digits,
+    hom_rational, is_rational_map, kernel_stage_masks, p_adic_digits,
     reduce_poly_to_kernel, restrict_to_kernel, simple_character, simple_module, stage_dim,
-    standard_rational, tensor_kernel, tensor_rational, trivial_rational,
+    standard_rational, tensor_rational, trivial_rational,
 )
 from contramod.sl2 import _kernel_index, _mul3, _reduce_mono_kernel, _stage_factors
 from test_structure_maps import coaction_stabilizes, comodule_of
@@ -638,6 +640,80 @@ def test_kernel_stage_matches_the_restricted_tower_stage_at_g4():
     assert_same_comodule(dual_kernel_stage(0, 2, 4), want)
 
 
+# -- the dict stage: the oracle for kernel_stage_masks --------------------------------
+
+
+def tensor_kernel(m: Comodule, n: Comodule) -> Comodule:
+    """Tensor product of two comodules on one side over the same k[G_r], the
+    counterpart of :func:`tensor_rational` after restriction: reduction to
+    k[G_r] is a ring map, so entry (i*dim N + i2, j*dim N + j2) is the
+    product of entries (i, j) and (i2, j2), each the polynomial with
+    coefficient coaction[x*dim + i, j] at monomial index x.  k[G_r] is
+    commutative, so this serves either side.
+
+    For each monomial y of N the image of M's whole coaction under
+    x -> x*y is written as (row at i2 = 0, column at j2 = 0, coefficient),
+    one image at a time.  Multiplying by a monomial is injective, so every
+    entry of N that is the one monomial y writes that image with no
+    accumulation, one coefficient product mod p per term; only an entry with
+    several monomials adds its images, then reduces mod p."""
+    c = m.coalgebra
+    if n.coalgebra is not c or m.side != n.side:
+        raise ValueError("tensor_kernel needs comodules on one side over one coalgebra")
+    p, dim = c.field.characteristic, c.dim
+    r = 1
+    while p > 1 and p ** (3 * r) < dim:
+        r += 1
+    if p < 2 or c is not frob_kernel_coalgebra(p, r):
+        raise ValueError("tensor_kernel needs comodules over a Frobenius kernel k[G_r]")
+    q = p ** r
+    md, nd = m.dim, n.dim
+    out_dim = md * nd
+    # M's stored row x*md + i is row x*out_dim + i*nd of the product at i2 = 0
+    by_x: dict = {}
+    for (row, j), v in m.left_coaction.data.items():
+        by_x.setdefault(row // md, []).append((row * nd, j * nd, v))
+    exps = {x: (x // (q * q), x // q % q, x % q) for x in by_x}
+
+    def image(y):
+        # x*y adds the exponents; an a-exponent of q or more wraps by q
+        yb, yc, ya = y // (q * q), y // q % q, y % q
+        return [(row + (y - q if xa + ya >= q else y) * out_dim, col, v)
+                for x, (xb, xc, xa) in exps.items() if xb + yb < q and xc + yc < q
+                for row, col, v in by_x[x]]
+
+    groups: dict = {}
+    for (row, j2), v in n.left_coaction.data.items():
+        y, i2 = divmod(row, nd)
+        groups.setdefault((i2, j2), []).append((y, v))
+    singles: dict = {}
+    for (i2, j2), e in groups.items():
+        if len(e) == 1:
+            y, c2 = e[0]
+            singles.setdefault(y, []).append((i2, j2, c2))
+    data = {(row + i2, col + j2): v * c2 % p
+            for y, uses in singles.items() for row, col, v in image(y) for i2, j2, c2 in uses}
+    for (i2, j2), e in groups.items():
+        if len(e) > 1:
+            acc: dict = {}
+            for y, c2 in e:
+                for row, col, v in image(y):
+                    key = row + i2, col + j2
+                    acc[key] = acc.get(key, 0) + v * c2
+            data.update({key: v % p for key, v in acc.items() if v % p})
+    return Comodule(c, m.side, out_dim, Mat(dim * out_dim, out_dim, c.field, data),
+                    name=f"{m.name}*{n.name}")
+
+
+def dual_kernel_stage(lam: int, p: int, m: int) -> Comodule:
+    """The dual of P(lam, m) restricted to G_m, a left comodule equal entry
+    for entry to the dual of the restricted stage of :func:`build_tower`:
+    each twisted factor is restricted and dualised, and the duals are
+    tensored in k[G_m] by :func:`tensor_kernel`."""
+    factors = [dual_comodule(restrict_to_kernel(f, m)) for f in _stage_factors(lam, p, m)]
+    return replace(reduce(tensor_kernel, factors), name=f"P({lam},{m})|G{m}*")
+
+
 def loop_tensor_kernel(m, n, q):
     """tensor_kernel on two right comodules as one loop over their right
     layouts, rows i*dim C + x: each entry (i, j) a list of monomials
@@ -760,3 +836,37 @@ def test_tensor_kernel_refuses_other_coalgebras():
     regular = comodule_over_self(grouplike(GF2, 8), "right")
     with pytest.raises(ValueError):
         tensor_kernel(regular, regular)
+
+
+# -- the stage's F2 masks, tensored from the factors ------------------------------------
+
+
+def assert_masks_of_the_dict_stage(lam, m):
+    b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
+    assert kernel_stage_masks(lam, m) == (b.dim, _gf2_masks(b)), (lam, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_stage_masks_are_the_masks_of_the_dict_stage(m):
+    """Every lambda whose tower reaches stage m, that is lambda < 2^m."""
+    for lam in range(2 ** m):
+        assert_masks_of_the_dict_stage(lam, m)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", [0, 1, 7])
+def test_kernel_stage_masks_are_the_masks_of_the_dict_stage_at_g4(lam):
+    assert_masks_of_the_dict_stage(lam, 4)
+
+
+def test_kernel_stage_masks_trace_under_10_mb_at_g4():
+    """P(0,4)'s masks take about 4 MB; the dict stage they were once packed
+    from held 135016 entries and traced a 20 MB peak."""
+    tracemalloc.start()
+    try:
+        dim, masks = kernel_stage_masks(0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 256 and sum(t.bit_count() for t in masks.values()) == 135016
+    assert peak < 10_000_000, peak

@@ -39,7 +39,7 @@ from contramod.contramodule import (
     Contramodule, check_contramodule, cohom, duality_check,
     contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
     contra_from_dual, hom_contra, hom_contra_basis_maps, is_contra_map, is_projective,
-    quotient_contramodule, sub_contramodule, _gf2_relations,
+    quotient_contramodule, sub_contramodule, _gf2_masks, _gf2_relations,
 )
 from contramod.fields import GF, GF2, GF3, QQ
 from contramod.functors import comodule_along, induce
@@ -51,7 +51,7 @@ from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
 from contramod.sl2 import (
-    battery_module, build_tower, dual_kernel_stage, frobenius_twist, restrict_to_kernel,
+    battery_module, build_tower, frobenius_twist, kernel_stage_masks, restrict_to_kernel,
     standard_rational, tensor_rational,
 )
 
@@ -351,6 +351,8 @@ def test_cohom_matches_dict_columns_on_readme_inputs():
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_cohom_matches_dict_columns_on_tower_stages(m):
     """Every stage P(lam, m), lam < 2^m, against the README battery."""
+    from test_sl2 import dual_kernel_stage
+
     modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
                for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
     for lam in range(2 ** m):
@@ -372,16 +374,21 @@ def packed_hom_rows(m, b):
 
 def test_gf2_relations_are_the_packed_hom_rows():
     """Cohom's F2 bitmask relations are the rows of the one Hom system, on
-    seeded pairs and on every stage P(lam, m), m <= 2, against the README
+    seeded pairs with B's masks, and on every stage P(lam, m), m <= 2, with
+    the masks the tower tensors from the factors, against the README
     battery."""
-    pairs = [pair for seed in (101, 303) for pair in random_pairs(GF2, "left", seed)]
+    from test_sl2 import dual_kernel_stage
+
+    for m, b in (pair for seed in (101, 303) for pair in random_pairs(GF2, "left", seed)):
+        assert _gf2_relations(m, b.dim, _gf2_masks(b)) == packed_hom_rows(m, b)
     for m in (1, 2):
         modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
                    for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
-        pairs += [(v, contra_from_comodule(dual_kernel_stage(lam, 2, m)))
-                  for lam in range(2 ** m) for v in modules]
-    for m, b in pairs:
-        assert _gf2_relations(m, b) == packed_hom_rows(m, b)
+        for lam in range(2 ** m):
+            db, ts = kernel_stage_masks(lam, m)
+            b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
+            for v in modules:
+                assert _gf2_relations(v, db, ts) == packed_hom_rows(v, b), (lam, v.name)
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -404,34 +411,24 @@ def test_cohom_on_frobenius_kernels_at_p3(r):
     assert any(dims)
 
 
-def test_stage_masks_serve_only_their_own_matrix(monkeypatch):
+def test_stage_masks_serve_only_their_own_matrix():
     """Cohom over two stages of one dimension in the order A, B, A, over a
     ``replace`` copy of A with B's coaction, and over A after its coaction is
-    reassigned, each against the dict columns: the masks kept on a
-    contramodule are built once for each matrix it holds."""
+    reassigned, each against the dict columns: Cohom reads B's masks off the
+    matrix B holds at the call."""
     from dataclasses import replace
 
-    from contramod import contramodule
+    from test_sl2 import dual_kernel_stage
 
-    builds = []
-
-    def counted(b):
-        builds.append(b.left_coaction)
-        return real(b)
-
-    real = contramodule._gf2_masks
-    monkeypatch.setattr(contramodule, "_gf2_masks", counted)
     v = dual_comodule(restrict_to_kernel(battery_module(2, "L1*L1"), 2))
     a, b = (contra_from_comodule(dual_kernel_stage(lam, 2, 2)) for lam in (1, 2))
     assert a.dim == b.dim and cohom(v, a) != cohom(v, b)
     for x in (a, b, a):
         assert cohom(v, x) == dict_cohom(v, x)
-    assert builds == [a.left_coaction, b.left_coaction]
     copy = replace(a, left_coaction=b.left_coaction)
     assert cohom(v, copy) == dict_cohom(v, b)
     a.left_coaction = b.left_coaction
     assert cohom(v, a) == dict_cohom(v, b)
-    assert len(builds) == 4
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -1009,6 +1006,8 @@ def test_check_comodule_with_many_distinct_denominators(side):
 
 
 def test_check_comodule_matches_scalar_loop_on_kG2_stage():
+    from test_sl2 import dual_kernel_stage
+
     rng = random.Random(1515)
     right = dual_comodule(dual_kernel_stage(0, 2, 2))
     seen = set()

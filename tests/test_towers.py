@@ -319,20 +319,19 @@ README_BATTERY = ["L0", "L1", "L2", "L3", "L1*L1"]
 def test_cohom_tower_builds_each_stage_mask_once(monkeypatch):
     """The F2 masks of a stage depend on the stage alone: one tower over the
     README battery builds them once per stage, not once per module."""
-    from contramod import contramodule
-    from contramod.sl2 import battery_module
+    from contramod import sl2
 
     builds = []
 
-    def counted(b):
-        builds.append(b.name)
-        return real(b)
+    def counted(lam, m):
+        builds.append((lam, m))
+        return real(lam, m)
 
-    real = contramodule._gf2_masks
-    monkeypatch.setattr(contramodule, "_gf2_masks", counted)
-    modules = [battery_module(2, expr) for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
+    real = sl2.kernel_stage_masks
+    monkeypatch.setattr(sl2, "kernel_stage_masks", counted)
+    modules = [sl2.battery_module(2, expr) for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
     cohom_tower(modules, 0, 2, 3)
-    assert builds == [f"P(0,{m})|G{m}*~contra" for m in (1, 2, 3)]
+    assert builds == [(0, m) for m in (1, 2, 3)]
 
 
 def _cohom_tower_one(v, tower, lam, p):
@@ -388,7 +387,7 @@ def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, mo
     from contramod.sl2 import battery_module
 
     scripted = iter(dims)
-    monkeypatch.setattr(contramodule, "cohom", lambda v, b: SimpleNamespace(dim=next(scripted)))
+    monkeypatch.setattr(contramodule, "gf2_cohom", lambda v, db, ts: SimpleNamespace(dim=next(scripted)))
     [rep] = cohom_tower([battery_module(2, "L0")], 0, 2, len(dims))
     assert [r.dim_cohom for r in rep.stages] == dims
     assert rep.stabilized_at == stabilized_at
@@ -407,47 +406,56 @@ def _count_builds(monkeypatch, stages: dict) -> list:
         calls.append((m.name, r))
         return restrict(m, r)
 
-    def stage(lam, p, m):
+    def stage(lam, m):
         calls.append(("stage", m))
         return stages[m]
 
     monkeypatch.setattr(sl2, "restrict_to_kernel", counted)
-    monkeypatch.setattr(sl2, "dual_kernel_stage", stage)
+    monkeypatch.setattr(sl2, "kernel_stage_masks", stage)
     return calls
 
 
 def test_cohom_tower_restricts_each_stage_once(monkeypatch):
     """Each stage is built in its kernel once for the whole battery, and
     each module is restricted once per stage."""
-    from contramod.sl2 import battery_module, dual_kernel_stage
+    from contramod.sl2 import battery_module, kernel_stage_masks
 
     modules = [battery_module(2, expr) for expr in ("L0", "L1", "P1")]
-    calls = _count_builds(monkeypatch, {m: dual_kernel_stage(0, 2, m) for m in (1, 2)})
+    calls = _count_builds(monkeypatch, {m: kernel_stage_masks(0, m) for m in (1, 2)})
     cohom_tower(modules, 0, 2, 2)
     stages = [("stage", 1), ("stage", 2)]
     assert sorted(calls) == sorted(stages + [(v.name, m) for _, m in stages for v in modules])
 
 
 def test_cohom_tower_relabels_no_full_stage(monkeypatch):
-    """The tower's stages are tensored from the factors' duals: every matrix
-    handed to dual_comodule is a restricted factor or module, each smaller
-    than the stage at m = 2, and all of them together smaller than the
-    stage at m = 3."""
+    """The tower's stages are tensored from the factors' duals, as masks:
+    every matrix handed to dual_comodule is a restricted factor or module,
+    each smaller than the stage at m = 2, and all of them together smaller
+    than the stage at m = 3; no comodule or contramodule of the dimension of
+    a stage beyond m = 1 is formed."""
     from contramod import comodule, sl2
+    from test_sl2 import dual_kernel_stage
 
-    handed = []
-    dual = comodule.dual_comodule
+    handed, formed = [], []
+    dual, init = comodule.dual_comodule, comodule.Comodule.__post_init__
 
     def counted(m):
         handed.append(m.left_coaction.nnz)
         return dual(m)
 
+    def built(m):
+        formed.append(m.dim)
+        init(m)
+
     monkeypatch.setattr(comodule, "dual_comodule", counted)
     monkeypatch.setattr(sl2, "dual_comodule", counted)
+    monkeypatch.setattr(comodule.Comodule, "__post_init__", built)
     modules = [sl2.battery_module(2, expr) for expr in ("L0", "L1*L1")]
     cohom_tower(modules, 0, 2, 3)
-    stage2, stage3 = (sl2.dual_kernel_stage(0, 2, m).left_coaction.nnz for m in (2, 3))
+    monkeypatch.undo()
+    stage2, stage3 = (dual_kernel_stage(0, 2, m).left_coaction.nnz for m in (2, 3))
     assert handed and max(handed) < stage2 and sum(handed) < stage3
+    assert formed and max(formed) < sl2.stage_dim(0, 2, 2)
 
 
 def test_cohom_tower_window_error_names_the_first_offending_module(monkeypatch):
