@@ -178,7 +178,7 @@ def truncated_poly_algebra(field: FieldSpec, m: int) -> tuple[Mat, Mat]:
         for i in range(m) for j in range(m) if i + j < m
     ]
     mult = Mat.from_entries(m, m * m, field, entries)
-    unit = Mat(m, 1, field, {(0, 0): one})
+    unit = Mat(m, 1, field, {(0, 0): one} if m else {})
     return mult, unit
 
 

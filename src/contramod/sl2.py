@@ -7,6 +7,9 @@ Normal form: the relation ad = 1 + bc eliminates mixed a/d monomials, so a
 monomial is (i, j, k, l) for b^i c^j a^k d^l with k*l = 0.  The r-th
 Frobenius-kernel coordinate ring has basis b^i c^j a^k with all exponents
 below p^r, using a^{p^r} = 1 and d = a^{p^r - 1}(1 + bc).
+
+Every mod-p sum adds plain ints and is reduced once, by :func:`_mod`, as the
+matrix kernels reduce once per output entry.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from itertools import accumulate
 from math import comb, prod
 
 from .coalgebra import Coalgebra, Verdict
@@ -25,6 +29,11 @@ from .matrix import Mat, kron_identity
 from .towers import InverseSystem
 
 Mono = tuple  # (b_exp, c_exp, a_exp, d_exp), a_exp * d_exp == 0
+
+
+def _mod(acc: dict, p: int) -> dict:
+    """The nonzero residues mod p of an int accumulator."""
+    return {k: s for k, v in acc.items() if (s := v % p)}
 
 
 def _mono_mul(m1: Mono, m2: Mono, p: int) -> dict:
@@ -74,31 +83,19 @@ class SL2Poly:
         raise TypeError("SL2Poly is not hashable")
 
     def __add__(self, other: "SL2Poly") -> "SL2Poly":
-        p = self.p
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = (terms.get(m, 0) + c) % p
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return SL2Poly(p, terms)
+            terms[m] = terms.get(m, 0) + c
+        return SL2Poly(self.p, _mod(terms, self.p))
 
     def __mul__(self, other: "SL2Poly") -> "SL2Poly":
         p = self.p
         acc: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c12 = c1 * c2 % p
-                if not c12:
-                    continue
                 for m, cr in _mono_mul(m1, m2, p).items():
-                    s = (acc.get(m, 0) + c12 * cr) % p
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
-        return SL2Poly(p, acc)
+                    acc[m] = acc.get(m, 0) + c1 * c2 * cr
+        return SL2Poly(p, _mod(acc, p))
 
     def frobenius(self, s: int) -> "SL2Poly":
         """Raise to the p^s power: exponents scale, coefficients are fixed."""
@@ -117,13 +114,8 @@ class SL2Poly:
         for (i, j, k, l), c in self.terms.items():
             if i or j:
                 continue
-            w = k - l
-            s = (out.get(w, 0) + c) % self.p
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return out
+            out[k - l] = out.get(k - l, 0) + c
+        return _mod(out, self.p)
 
     def __repr__(self):
         if not self.terms:
@@ -148,18 +140,10 @@ def _delta_mono(mono: Mono, p: int) -> dict:
         out: dict = {}
         for (x1, y1), c1 in acc.items():
             for (x2, y2), c2 in pairs.items():
-                c12 = c1 * c2 % p
-                if not c12:
-                    continue
                 for mx, cx in _mono_mul(x1, x2, p).items():
                     for my, cy in _mono_mul(y1, y2, p).items():
-                        key = (mx, my)
-                        s = (out.get(key, 0) + c12 * cx * cy) % p
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return out
+                        out[mx, my] = out.get((mx, my), 0) + c1 * c2 * cx * cy
+        return _mod(out, p)
 
     # binomial expansions of the generator coproducts, each in one shot:
     # (a(x)b + b(x)d)^i, (c(x)a + d(x)c)^j, (a(x)a + b(x)c)^k, (c(x)b + d(x)d)^l
@@ -183,12 +167,8 @@ def delta_poly(poly: SL2Poly) -> dict:
     acc: dict = {}
     for mono, c in poly.terms.items():
         for key, c2 in _delta_mono(mono, p).items():
-            s = (acc.get(key, 0) + c * c2) % p
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return acc
+            acc[key] = acc.get(key, 0) + c * c2
+    return _mod(acc, p)
 
 
 # -- rational modules -------------------------------------------------------------
@@ -221,13 +201,8 @@ class RationalComodule:
                         continue
                     for m1, c1 in e1.terms.items():
                         for m2, c2 in e2.terms.items():
-                            key = (m1, m2)
-                            s = (rhs.get(key, 0) + c1 * c2) % p
-                            if s:
-                                rhs[key] = s
-                            else:
-                                rhs.pop(key, None)
-                if lhs != rhs:
+                            rhs[m1, m2] = rhs.get((m1, m2), 0) + c1 * c2
+                if lhs != _mod(rhs, p):
                     failures.append(f"delta({i},{j})")
                 want = 1 if i == j else 0
                 if self.entry(i, j).eps() != want:
@@ -300,13 +275,9 @@ def simple_module(p: int, mu: int) -> RationalComodule:
     """Twisted tensor product of restricted simples along the p-adic digits."""
     if p != 2:
         raise NotImplementedError("module catalog is shipped for p = 2 only")
-    out = None
-    for t, digit in enumerate(p_adic_digits(mu, p)):
-        factor = trivial_rational(p) if digit == 0 else standard_rational(p)
-        factor = frobenius_twist(factor, t)
-        out = factor if out is None else tensor_rational(out, factor)
-    out.name = f"L{mu}"
-    return out
+    factors = [frobenius_twist(standard_rational(p) if digit else trivial_rational(p), t)
+               for t, digit in enumerate(p_adic_digits(mu, p))]
+    return replace(reduce(tensor_rational, factors), name=f"L{mu}")
 
 
 def catalog_modules(p: int = 2) -> dict:
@@ -319,30 +290,27 @@ def catalog_modules(p: int = 2) -> dict:
     l1 = out["L1"]
     out["P0"] = replace(tensor_rational(l1, l1), name="P0")
     out["P1"] = RationalComodule(p, 2, dict(l1.entries), name="P1")
-    out["q"] = Mat.from_entries(1, 4, GF(p), [(0, 1, 1), (0, 2, 1)])
+    out["q"] = Mat(1, 4, GF(p), {(0, 1): 1, (0, 2): 1})
     return out
 
 
 def is_rational_map(t: Mat, m: RationalComodule, n: RationalComodule) -> bool:
-    """Exact polynomial identity: coaction_N o T = (id (x) T) o coaction_M."""
-    p = m.p
+    """Exact polynomial identity: coaction_N o T = (id (x) T) o coaction_M,
+    as one accumulator over (l2, j, monomial) that must vanish mod p."""
+    if m.p != n.p or t.field != GF(m.p):
+        raise ValueError("characteristic mismatch")
     if t.rows != n.dim or t.cols != m.dim:
         return False
-    for l2 in range(n.dim):
+    acc: dict = {}
+    for (l, i), coeff in t.data.items():
+        # T[l, i] meets column l of N's coaction and row i of M's
+        for l2 in range(n.dim):
+            for mono, c in n.entry(l2, l).terms.items():
+                acc[l2, i, mono] = acc.get((l2, i, mono), 0) + c * coeff
         for j in range(m.dim):
-            lhs = SL2Poly(p)
-            for l in range(n.dim):
-                coeff = t[l, j]
-                if coeff != 0:
-                    lhs = lhs + n.entry(l2, l) * SL2Poly.const(p, int(coeff))
-            rhs = SL2Poly(p)
-            for i in range(m.dim):
-                coeff = t[l2, i]
-                if coeff != 0:
-                    rhs = rhs + m.entry(i, j) * SL2Poly.const(p, int(coeff))
-            if lhs != rhs:
-                return False
-    return True
+            for mono, c in m.entry(i, j).terms.items():
+                acc[l, j, mono] = acc.get((l, j, mono), 0) - c * coeff
+    return not _mod(acc, m.p)
 
 
 def hom_rational(m: RationalComodule, n: RationalComodule) -> Subspace:
@@ -352,31 +320,24 @@ def hom_rational(m: RationalComodule, n: RationalComodule) -> Subspace:
     """
     if m.p != n.p:
         raise ValueError("characteristic mismatch")
-    field = GF(m.p)
-    nvars = m.dim * n.dim
     rows: dict = {}
-
     for (l2, l), poly in n.entries.items():
         # T[l, j] contributes poly to equation (l2, j)
         for j in range(m.dim):
             var = j * n.dim + l
             for mono, c in poly.terms.items():
                 cur = rows.setdefault((l2, j, mono), {})
-                cur[var] = (cur.get(var, 0) + c) % m.p
+                cur[var] = cur.get(var, 0) + c
     for (i, j), poly in m.entries.items():
         # -T[l2, i] contributes for every l2
         for l2 in range(n.dim):
             var = i * n.dim + l2
             for mono, c in poly.terms.items():
                 cur = rows.setdefault((l2, j, mono), {})
-                cur[var] = (cur.get(var, 0) - c) % m.p
-    entries = []
-    for ridx, row in enumerate(rows.values()):
-        for var, c in row.items():
-            if c:
-                entries.append((ridx, var, c))
-    big = Mat.from_entries(len(rows), nvars, field, entries)
-    return kernel(big)
+                cur[var] = cur.get(var, 0) - c
+    data = {(ridx, var): c for ridx, row in enumerate(rows.values())
+            for var, c in _mod(row, m.p).items()}
+    return kernel(Mat(len(rows), m.dim * n.dim, GF(m.p), data))
 
 
 # -- Frobenius kernels ---------------------------------------------------------------
@@ -411,12 +372,8 @@ def reduce_poly_to_kernel(poly: SL2Poly, r: int) -> dict:
     out: dict = {}
     for mono, c in poly.terms.items():
         for m3, c2 in _reduce_mono_kernel(mono, p, q):
-            s = (out.get(m3, 0) + c * c2) % p
-            if s:
-                out[m3] = s
-            else:
-                out.pop(m3, None)
-    return out
+            out[m3] = out.get(m3, 0) + c * c2
+    return _mod(out, p)
 
 
 def _mul3(m1, m2, q: int):
@@ -429,13 +386,14 @@ def _mul3(m1, m2, q: int):
     return (i, j, (m1[2] + m2[2]) % q)
 
 
-def _kernel_delta_factory(p: int, r: int):
+def _kernel_delta(p: int, r: int) -> Mat:
     """Comultiplication of k[G_r], built generator by generator in the
     truncated tensor ring where monomial products are single terms; the
-    generator coproducts are those of k[SL2], reduced to the kernel basis."""
+    generator coproducts are those of k[SL2], reduced to the kernel basis.
+    Each column's keys are distinct and its residues canonical, so the
+    entries go straight into the matrix."""
     q = p ** r
     dim = q * q * q
-    field = GF(p)
 
     def tmul(acc, factor):
         out: dict = {}
@@ -447,46 +405,36 @@ def _kernel_delta_factory(p: int, r: int):
                 my = _mul3(y1, y2, q)
                 if my is None:
                     continue
-                key = (mx, my)
-                s = (out.get(key, 0) + c1 * c2) % p
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
+                out[mx, my] = out.get((mx, my), 0) + c1 * c2
+        return _mod(out, p)
 
     def reduced_delta(gen):
         out: dict = {}
         for (x, y), c in _delta_mono(gen, p).items():
             for mx, cx in _reduce_mono_kernel(x, p, q):
                 for my, cy in _reduce_mono_kernel(y, p, q):
-                    out[mx, my] = (out.get((mx, my), 0) + c * cx * cy) % p
-        return {key: c for key, c in out.items() if c}
+                    out[mx, my] = out.get((mx, my), 0) + c * cx * cy
+        return _mod(out, p)
 
-    e = (0, 0, 0)
-    unit = {(e, e): 1}
     db, dc, da = (reduced_delta(gen) for gen in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
-
-    def build():
-        entries = []
-        base_i = unit
-        for i in range(q):
-            if i:
-                base_i = tmul(base_i, db)
-            base_j = base_i
-            for j in range(q):
-                if j:
-                    base_j = tmul(base_j, dc)
-                cur = base_j
-                for k in range(q):
-                    if k:
-                        cur = tmul(cur, da)
-                    col = _kernel_index((i, j, k), q)
-                    for (m1, m2), c in cur.items():
-                        entries.append((_kernel_index(m1, q) * dim + _kernel_index(m2, q), col, c))
-        return Mat.from_entries(dim * dim, dim, field, entries)
-
-    return build
+    e = (0, 0, 0)
+    data = {}
+    base_i = {(e, e): 1}
+    for i in range(q):
+        if i:
+            base_i = tmul(base_i, db)
+        base_j = base_i
+        for j in range(q):
+            if j:
+                base_j = tmul(base_j, dc)
+            cur = base_j
+            for k in range(q):
+                if k:
+                    cur = tmul(cur, da)
+                col = _kernel_index((i, j, k), q)
+                for (m1, m2), c in cur.items():
+                    data[_kernel_index(m1, q) * dim + _kernel_index(m2, q), col] = c
+    return Mat(dim * dim, dim, GF(p), data)
 
 
 @lru_cache(maxsize=None)
@@ -498,11 +446,10 @@ def frob_kernel_coalgebra(p: int, r: int) -> Coalgebra:
     q = p ** r
     dim = q * q * q
     field = GF(p)
-    eps_entries = [(0, _kernel_index((0, 0, k), q), 1) for k in range(q)]
-    epsilon = Mat.from_entries(1, dim, field, eps_entries)
+    epsilon = Mat(1, dim, field, {(0, _kernel_index((0, 0, k), q)): 1 for k in range(q)})
     return Coalgebra(
         field, dim, epsilon=epsilon, name=f"k[G_{r}]",
-        delta_factory=_kernel_delta_factory(p, r),
+        delta_factory=lambda: _kernel_delta(p, r),
     )
 
 
@@ -654,17 +601,10 @@ def build_tower(lam: int, p: int = 2, m_max: int = 3) -> InverseSystem:
     digit; transitions tensor the fixed projection q into the top twist."""
     m0 = tower_base(lam, p, m_max)
     factors = _stage_factors(lam, p, m_max)
-    stage = reduce(tensor_rational, factors[:m0])
-    stage.name = f"P({lam},{m0})"
-    stages = [stage]
-    transitions = []
+    products = accumulate(factors[m0:], tensor_rational, initial=reduce(tensor_rational, factors[:m0]))
+    stages = [replace(stage, name=f"P({lam},{m})") for m, stage in enumerate(products, start=m0)]
     proj = catalog_modules(p)["q"]
-    for m, top in enumerate(factors[m0:], start=m0 + 1):
-        prev = stages[-1]
-        nxt = tensor_rational(prev, top)
-        nxt.name = f"P({lam},{m})"
-        stages.append(nxt)
-        transitions.append(kron_identity(proj, prev.dim, left=True))
+    transitions = [kron_identity(proj, prev.dim, left=True) for prev in stages[:-1]]
     return InverseSystem(stages, transitions, m0=m0)
 
 
@@ -697,8 +637,4 @@ def battery_top_weight(p: int, expr: str) -> int:
 
 def battery_module(p: int, expr: str) -> RationalComodule:
     """Parse battery expressions like "L1*L1" or "L3" into catalog tensors."""
-    out = None
-    for m in _battery_factors(p, expr):
-        out = m if out is None else tensor_rational(out, m)
-    out.name = expr
-    return out
+    return replace(reduce(tensor_rational, _battery_factors(p, expr)), name=expr)

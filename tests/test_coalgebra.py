@@ -117,3 +117,15 @@ def test_grouplike_elements_found():
 
 def test_catalog_dispatch():
     assert check_coalgebra(dual_of_algebra(*truncated_poly_algebra(QQ, 3))).ok
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_constructors_keep_entries_inside_their_shapes(field, n):
+    for c in (grouplike(field, n), matrix_coalgebra(field, n), divided_power_dual(field, n)):
+        for m in (c.delta, c.epsilon):
+            assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in m.data), (c.name, m)
+
+
+def test_divided_power_dual_of_zero_is_the_zero_coalgebra():
+    assert divided_power_dual(QQ, 0) == grouplike(QQ, 0)

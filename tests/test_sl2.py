@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import comb
@@ -16,7 +17,7 @@ from contramod.comodule import (
     head_radical, is_injective, quotient_comodule,
 )
 from contramod.contramodule import _gf2_masks, check_contramodule, contra_from_comodule, is_projective
-from contramod.fields import GF, GF2
+from contramod.fields import GF, GF2, QQ
 from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.sl2 import (
@@ -127,6 +128,43 @@ def test_delta_is_algebra_map_on_samples():
     assert lhs == rhs
 
 
+def _nonzero_residues(d: dict, p: int) -> bool:
+    return all(type(c) is int and 0 < c < p for c in d.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sl2_sums_cancel_to_nonzero_residues(p):
+    """At p = 2 every stored coefficient is 1, so only p >= 3 exercises a
+    reduction after a sum.  Sums whose terms cancel store no zero and no
+    unreduced coefficient, and Delta stays multiplicative."""
+    g = _gens(p)
+    minus = SL2Poly.const(p, p - 1)
+    one = SL2Poly.const(p, 1)
+    det = g["a"] * g["d"] + minus * g["b"] * g["c"]
+    assert det == one  # ad - bc = 1
+    assert det.torus_restrict() == {0: 1}
+    assert delta_poly(det) == {((0, 0, 0, 0), (0, 0, 0, 0)): 1}
+    assert reduce_poly_to_kernel(g["a"].frobenius(1) + minus, 1) == {}  # a^p = 1 in k[G_1]
+    rng = random.Random(100 + p)
+    for _ in range(12):
+        x, y = _random_poly(rng, p, nterms=4), _random_poly(rng, p, nterms=4)
+        assert (x + minus * x).is_zero()
+        assert (x * (y + minus * y)).is_zero()
+        for poly in (x + y, x * y, (x + one) * (y + minus * x)):
+            for stored in (poly.terms, poly.torus_restrict(), delta_poly(poly),
+                           reduce_poly_to_kernel(poly, 1), reduce_poly_to_kernel(poly, 2)):
+                assert _nonzero_residues(stored, p)
+        want: dict = {}
+        for (x1, y1), c1 in delta_poly(x).items():
+            for (x2, y2), c2 in delta_poly(y).items():
+                left = SL2Poly(p, {x1: 1}) * SL2Poly(p, {x2: 1})
+                right = SL2Poly(p, {y1: 1}) * SL2Poly(p, {y2: 1})
+                for mx, cx in left.terms.items():
+                    for my, cy in right.terms.items():
+                        want[mx, my] = (want.get((mx, my), 0) + c1 * c2 * cx * cy) % p
+        assert delta_poly(x * y) == {key: c for key, c in want.items() if c}
+
+
 def test_catalog_validates():
     cat = catalog_modules(2)
     for name in ("L0", "L1", "L2", "L3", "P0", "P1"):
@@ -174,6 +212,21 @@ def test_q_is_a_surjective_module_map():
     from contramod.linalg import kernel
 
     assert kernel(q).dim == 3
+
+
+def test_is_rational_map_refuses_what_it_cannot_check():
+    """A map over another field is refused rather than read through int();
+    near misses of q are not module maps."""
+    cat = catalog_modules(2)
+    p0, l0, q = cat["P0"], cat["L0"], cat["q"]
+    halves = Mat(1, 4, QQ, {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="characteristic mismatch"):
+        is_rational_map(halves, p0, l0)
+    with pytest.raises(ValueError, match="characteristic mismatch"):
+        is_rational_map(q, p0, trivial_rational(3))
+    assert not is_rational_map(Mat(1, 4, GF2, {**q.data, (0, 0): 1}), p0, l0)
+    assert not is_rational_map(Mat(1, 4, GF2, {(0, 1): 1}), p0, l0)
+    assert not is_rational_map(Mat(4, 1, GF2, {(1, 0): 1, (2, 0): 1}), p0, l0)
 
 
 def test_simple_characters_and_digits():
@@ -575,11 +628,21 @@ def hand_table_kernel_delta(p, r):
     return Mat.from_entries(dim * dim, dim, GF(p), entries)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_kernel_delta_matches_hand_tables(r):
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)],
+                         ids=["1", "2", "3", "p3-1", "p3-2", "p5-1"])
+def test_kernel_delta_matches_hand_tables(p, r):
     """The generator coproducts reduced from k[SL2] give the same k[G_r]
-    comultiplication as the hand-written kernel-basis tables."""
-    assert frob_kernel_coalgebra(2, r).delta == hand_table_kernel_delta(2, r)
+    comultiplication as the hand-written kernel-basis tables.  At p >= 3
+    the coefficients are not all 1, so the builder's sums reduce after
+    cancelling."""
+    assert frob_kernel_coalgebra(p, r).delta == hand_table_kernel_delta(p, r)
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (3, 1)])
+def test_kernel_coalgebra_keeps_entries_inside_its_shape(p, r):
+    c = frob_kernel_coalgebra(p, r)
+    for m in (c.delta, c.epsilon):
+        assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in m.data)
 
 
 # -- tower stages built in k[G_m] -------------------------------------------------------
