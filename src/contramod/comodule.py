@@ -11,7 +11,9 @@ row i*n + c, is the view ``coaction``.  The one reindexing of a stored
 matrix is :func:`dual_comodule`'s block transpose.  A contramodule is a left
 comodule on the same matrix, and the constructions here that build a new
 object of the same kind return a contramodule for one.  Hom(M, N) is the
-kernel of one system on M* (x) N, written from the stored entries.
+kernel of one system on M* (x) N, written from the stored entries.  Over F2
+the stored matrix is also read packed, by :func:`_gf2_masks`: block c of
+column k is one int with bit i for each stored entry (c*m + i, k).
 """
 
 from __future__ import annotations
@@ -63,12 +65,15 @@ class Comodule:
 
 def check_comodule(m: Comodule) -> Verdict:
     """Coassociativity square and counit triangle of the stored left
-    coaction, over C^cop for a right comodule.  The sums run on Python ints: each
-    law scales the matrices it reads (coaction, Delta, epsilon) to integers,
+    coaction, over C^cop for a right comodule.  Over F2 the square runs on
+    packed coaction blocks, one int XOR per block
+    (:func:`_gf2_coassociative`).  Otherwise each law sums on Python ints:
+    it scales the matrices it reads (coaction, Delta, epsilon) to integers,
     by one common denominator per matrix, and holds when the scaled
     difference of its two sides is 0 in the field."""
+    coassociative = _gf2_coassociative if m.field.characteristic == 2 else _coassociative
     failures = []
-    if not _coassociative(m):
+    if not coassociative(m):
         failures.append("coassociativity")
     if not counit_holds(m):
         failures.append("counit")
@@ -122,6 +127,73 @@ def _coassociative(m: Comodule) -> bool:
         if not _vanishes(acc, p):
             return False
     return True
+
+
+def _gf2_masks(m: Comodule) -> dict:
+    """The stored coaction over F2 packed by blocks: the int at key c*d + k,
+    d = dim M, has bit i for each stored entry (c*d + i, k).  For a
+    contramodule this is theta's column c*d + k as a bitmask."""
+    d = m.dim
+    masks: dict = {}
+    for idx, k in m.left_coaction.data:
+        i = idx % d
+        key = idx - i + k
+        masks[key] = masks.get(key, 0) | 1 << i
+    return masks
+
+
+def _gf2_coassociative(m: Comodule) -> bool:
+    """:func:`_coassociative` over F2 on the packed blocks B_k(c) of
+    :func:`_gf2_masks`.  For each column k both sides are held as one int
+    over i per row x = a*n + b of C (x) C: (Delta (x) Id) XORs B_k(c) into
+    row x for each entry (x, c) of Delta (of Delta^cop on the right), and
+    (Id (x) coaction) XORs B_j(b) into row c*n + b for each bit j of B_k(c).
+    The square holds iff every row XORs to 0.  The second side depends on
+    B_k(c) only through its bits, and few block values occur, so the XOR of
+    the blocks B_j(b) over the bits j of a block value is formed once per
+    value."""
+    n, d = m.coalgebra.dim, m.dim
+    cols: list = [[] for _ in range(d)]   # cols[k]: the blocks (c, B_k(c))
+    for key, t in _gf2_masks(m).items():
+        c, k = divmod(key, d)
+        cols[k].append((c, t))
+    targets: dict = {}   # c -> the rows x of Delta's column c
+    if m.side == "right":
+        for x, c in m.coalgebra.delta.data:
+            targets.setdefault(c, []).append(x % n * n + x // n)
+    else:
+        for x, c in m.coalgebra.delta.data:
+            targets.setdefault(c, []).append(x)
+    images: dict = {}   # block value t -> _xor_blocks(cols, t)
+    for col in cols:
+        acc: dict = {}
+        get = acc.get
+        for c, t in col:
+            for x in targets.get(c, ()):
+                acc[x] = get(x, 0) ^ t
+            image = images.get(t)
+            if image is None:
+                image = images[t] = _xor_blocks(cols, t)
+            base = c * n
+            for b, u in image:
+                key = base + b
+                acc[key] = get(key, 0) ^ u
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _xor_blocks(cols: list, t: int) -> list:
+    """The nonzero (b, XOR of B_j(b) over the bits j of t), for cols[j] the
+    blocks (b, B_j(b)) of column j."""
+    out: dict = {}
+    get = out.get
+    while t:
+        low = t & -t
+        for b, u in cols[low.bit_length() - 1]:
+            out[b] = get(b, 0) ^ u
+        t ^= low
+    return [bu for bu in out.items() if bu[1]]
 
 
 def counit_holds(m: Comodule) -> bool:

@@ -139,7 +139,7 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
         raise ValueError("cohom needs a left comodule")
     dm, db, fld = m.dim, b.dim, m.field
     if fld.characteristic == 2:
-        return gf2_cohom(m, db, _gf2_masks(b))
+        return gf2_cohom(m, db, comodule._gf2_masks(b))
     cols: dict = {}
     for (x, y), v in comodule._hom_system(b, m).data.items():
         beta, k = divmod(y, dm)
@@ -149,23 +149,9 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
 
 def gf2_cohom(m: Comodule, db: int, ts: dict) -> Coequalizer:
     """Cohom over F2 of a left comodule M and a contramodule B given only by
-    its dimension db and theta's masks ts (:func:`_gf2_masks`), so a caller
+    its dimension db and theta's masks ts (:func:`comodule._gf2_masks`), so a caller
     holding the masks, as the tower does for each stage, forms no B."""
     return quotient_by_image(Subspace.from_columns(m.dim * db, m.field, _gf2_relations(m, db, ts)))
-
-
-def _gf2_masks(b: Comodule) -> dict:
-    """Theta's columns over F2 as int bitmasks T_y, bit beta' for each
-    theta[beta', y] = 1, read off the stored coaction of B or of the left
-    comodule it shares: entry (c*db + beta', k) sets bit beta' of
-    T_(c*db + k)."""
-    db = b.dim
-    ts: dict = {}
-    for idx, k in b.left_coaction.data:
-        bp = idx % db
-        y = idx - bp + k
-        ts[y] = ts.get(y, 0) | 1 << bp
-    return ts
 
 
 def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:

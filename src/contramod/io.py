@@ -90,10 +90,13 @@ def _triples_to_mat(triples, inner_dim: int, rows: int, cols: int, field, where:
     """[[i, j, k, val], ...] with row index i*inner_dim + j, column k, in a
     rows x cols layout; i and j must each lie in their own factor, so that no
     triple aliases another; stored at ``store(i, j, k)`` in a ``shape``
-    matrix when given.  Each distinct scalar string is parsed once."""
+    matrix when given.  The entries go straight into the matrix's dict, and
+    repeated keys add up, as in :meth:`Mat.from_entries`; the checks above
+    keep every key inside the shape.  Each distinct scalar string is parsed
+    once, to a canonical scalar."""
     outer = rows // inner_dim if inner_dim else 0
     parse = lru_cache(maxsize=None)(field.parse)
-    entries, outside = [], None
+    add, data, outside = field.add, {}, None
     try:
         for i, j, k, v in triples:
             if type(i) is not int or type(j) is not int:
@@ -104,15 +107,22 @@ def _triples_to_mat(triples, inner_dim: int, rows: int, cols: int, field, where:
                 k = _int(k)
             val = parse(v) if type(v) is str else field.parse(v)
             if not 0 <= k < cols:
-                # reported once every triple has passed, as the matrix would
+                # a malformed triple anywhere in the list is reported first
                 outside = outside or f"entry ({i * inner_dim + j},{k}) outside {rows}x{cols}"
-            else:
-                entries.append((*store(i, j, k), val) if store else (i * inner_dim + j, k, val))
+            elif val:
+                key = store(i, j, k) if store else (i * inner_dim + j, k)
+                old = data.get(key)
+                if old is None:
+                    data[key] = val
+                elif acc := add(old, val):
+                    data[key] = acc
+                else:
+                    del data[key]
     except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: bad coefficient triple: {e}") from None
     if outside:
         raise SchemaError(f"{where}: {outside}")
-    return Mat.from_entries(*(shape or (rows, cols)), field, entries)
+    return Mat(*(shape or (rows, cols)), field, data)
 
 
 def _mat_to_triples(m: Mat, inner_dim: int, field, triple=None) -> list:

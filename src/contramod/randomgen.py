@@ -105,11 +105,6 @@ def random_contra_ses(rng, c: Coalgebra, max_free: int = 2, attempts: int = 20) 
     return None if drawn is None else ShortExactSeq(*drawn)
 
 
-def random_comodule_ses(rng, c: Coalgebra, max_cofree: int = 2, attempts: int = 20):
-    """Short exact sequence of left comodules: (sub, mid, quot, incl, proj)."""
-    return _random_ses(rng, lambda: random_comodule(rng, c, max_cofree), attempts)
-
-
 def socle_filtration_sequences(c: Coalgebra):
     """Deterministic comodule SES battery from subcomodules of C itself;
     these discriminate non-exactness of Cohom(-, B) for the catalog."""

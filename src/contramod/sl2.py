@@ -21,8 +21,7 @@ from itertools import accumulate
 from math import comb, prod
 
 from .coalgebra import Coalgebra, Verdict
-from .comodule import Comodule, dual_comodule
-from .contramodule import _gf2_masks
+from .comodule import Comodule, _gf2_masks, dual_comodule
 from .fields import GF
 from .linalg import Subspace, kernel
 from .matrix import Mat, kron_identity
@@ -556,7 +555,7 @@ def stage_dim(lam: int, p: int, m: int) -> int:
 def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
     """The dual of P(lam, m) restricted to G_m over F2, as (dim, masks):
     masks[z*dim + j] has bit i for each entry (z*dim + i, j) of the dual
-    stage, the theta masks :func:`contramodule._gf2_masks` reads off its
+    stage, the theta masks :func:`comodule._gf2_masks` reads off its
     contramodule.  No matrix of the stage is formed: the masks are tensored
     from those of the restricted factors' duals, in k[G_m], which is
     commutative, so the product of the duals is the dual of the product.

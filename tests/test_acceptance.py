@@ -32,8 +32,8 @@ from contramod.functors import (
 from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.randomgen import (
-    random_comodule, random_comodule_ses, random_contra_ses, random_contramodule,
-    random_surjection, socle_filtration_sequences,
+    random_comodule, random_contra_ses, random_contramodule, random_surjection,
+    socle_filtration_sequences,
 )
 from contramod.sl2 import (
     battery_module, build_tower, catalog_modules, frob_kernel_coalgebra,
@@ -41,6 +41,7 @@ from contramod.sl2 import (
 )
 from contramod.towers import InverseSystem, cohom_tower, is_mittag_leffler
 from test_exactness import cohom_exactness_probe
+from test_randomgen import random_comodule_ses
 from test_structure_maps import coaction_stabilizes, comodule_of, contra_of_theta
 
 FIELDS = [QQ, GF2, GF3]

@@ -25,11 +25,11 @@ from contramod.functors import ExactnessVerdict, exactness_probe, induce, induce
 from contramod.linalg import exactness_failures, image, kernel, quotient_by_image, rank, solve
 from contramod.matrix import Mat, kron, kron_identity
 from contramod.randomgen import (
-    random_comodule_ses, random_contra_ses, random_contramodule, random_surjection,
-    socle_filtration_sequences,
+    random_contra_ses, random_contramodule, random_surjection, socle_filtration_sequences,
 )
 from contramod.towers import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
 from test_coalgebra import augmentation, identity_morphism
+from test_randomgen import random_comodule_ses
 
 FIELDS = [QQ, GF2, GF3]
 

@@ -1,5 +1,6 @@
 """Seeded generators: random surjections are genuine coalgebra maps, random
-subquotients satisfy the axioms, sequences validate."""
+subquotients satisfy the axioms, sequences validate.  The comodule sequence
+drawer, used by the tests only, lives here."""
 
 import hashlib
 import random
@@ -11,11 +12,16 @@ from contramod.comodule import check_comodule
 from contramod.contramodule import check_contramodule
 from contramod.fields import GF2, GF3, QQ
 from contramod.randomgen import (
-    random_comodule, random_comodule_ses, random_contra_ses, random_contramodule,
+    _random_ses, random_comodule, random_contra_ses, random_contramodule,
     random_surjection, socle_filtration_sequences,
 )
 
 FIELDS = [QQ, GF2, GF3]
+
+
+def random_comodule_ses(rng, c, max_cofree=2, attempts=20):
+    """Short exact sequence of left comodules: (sub, mid, quot, incl, proj)."""
+    return _random_ses(rng, lambda: random_comodule(rng, c, max_cofree), attempts)
 
 
 def source_coalgebras(field):

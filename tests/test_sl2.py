@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from contramod.coalgebra import check_coalgebra, grouplike
 from contramod.comodule import (
-    Comodule, check_comodule, comodule_over_self, dual_comodule,
+    Comodule, _gf2_masks, check_comodule, comodule_over_self, dual_comodule,
     head_radical, is_injective, quotient_comodule,
 )
-from contramod.contramodule import _gf2_masks, check_contramodule, contra_from_comodule, is_projective
+from contramod.contramodule import check_contramodule, contra_from_comodule, is_projective
 from contramod.fields import GF, GF2, QQ
 from contramod.linalg import rank
 from contramod.matrix import Mat
@@ -27,7 +27,7 @@ from contramod.sl2 import (
     reduce_poly_to_kernel, restrict_to_kernel, simple_character, simple_module, stage_dim,
     standard_rational, tensor_rational, trivial_rational,
 )
-from contramod.sl2 import _kernel_index, _mul3, _reduce_mono_kernel, _stage_factors
+from contramod.sl2 import _kernel_index, _mono_mul, _mul3, _reduce_mono_kernel, _stage_factors
 from test_structure_maps import coaction_stabilizes, comodule_of
 
 
@@ -107,25 +107,20 @@ def test_delta_poly_on_generators():
     }
 
 
-def test_delta_is_algebra_map_on_samples():
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_delta_is_algebra_map_on_samples(p):
+    """Delta(xy) = Delta(x) Delta(y) on each of 8 seeded pairs, the right
+    side multiplied out monomial by monomial with _mono_mul."""
     rng = random.Random(11)
     for _ in range(8):
-        x, y = _random_poly(rng, nterms=2, maxexp=2), _random_poly(rng, nterms=2, maxexp=2)
-        lhs = delta_poly(x * y)
-        rhs = {}
+        x, y = _random_poly(rng, p, nterms=2, maxexp=2), _random_poly(rng, p, nterms=2, maxexp=2)
+        rhs: dict = {}
         for (x1, y1), c1 in delta_poly(x).items():
             for (x2, y2), c2 in delta_poly(y).items():
-                from contramod.sl2 import _mono_mul
-
-                for mx, cx in _mono_mul(x1, x2, 2).items():
-                    for my, cy in _mono_mul(y1, y2, 2).items():
-                        key = (mx, my)
-                        s = (rhs.get(key, 0) + c1 * c2 * cx * cy) % 2
-                        if s:
-                            rhs[key] = s
-                        else:
-                            rhs.pop(key, None)
-    assert lhs == rhs
+                for mx, cx in _mono_mul(x1, x2, p).items():
+                    for my, cy in _mono_mul(y1, y2, p).items():
+                        rhs[mx, my] = (rhs.get((mx, my), 0) + c1 * c2 * cx * cy) % p
+        assert delta_poly(x * y) == {key: c for key, c in rhs.items() if c}, (x.terms, y.terms)
 
 
 def _nonzero_residues(d: dict, p: int) -> bool:

@@ -6,7 +6,8 @@ their own Kronecker formulas, the coequalizer against the quotient by the
 image of f - g, the contramodule operations that run on the comodule code
 against their direct Kronecker formulas, ``check_coalgebra`` against its
 own column loop and ``check_comodule`` against its per-scalar loop on
-seeded, rescaled and mutated comodules, ``split_solve`` against one solve
+seeded, rescaled and mutated comodules (over F2 also on k[G_1], k[G_2]
+and k[G_3], with flips whose packed contributions cancel mod 2), ``split_solve`` against one solve
 on the Kronecker product, ``dual_comodule`` against one loop per side, pivot-read
 ``Subspace.coords`` against elimination, ``duality_check`` against the
 trace-pairing loops, and the identity that makes Hom pair to zero against
@@ -31,7 +32,7 @@ from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike, matrix_coalgebra,
 )
 from contramod.comodule import (
-    Comodule, check_comodule, cofree, comodule_closure, comodule_over_self,
+    Comodule, _gf2_masks, check_comodule, cofree, comodule_closure, comodule_over_self,
     cotensor, dual_comodule, hom_basis_maps, hom_comodules, is_injective, quotient_comodule,
     sub_comodule,
 )
@@ -39,7 +40,7 @@ from contramod.contramodule import (
     Contramodule, check_contramodule, cohom, duality_check,
     contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
     contra_from_dual, hom_contra, hom_contra_basis_maps, is_contra_map, is_projective,
-    quotient_contramodule, sub_contramodule, _gf2_masks, _gf2_relations,
+    quotient_contramodule, sub_contramodule, _gf2_relations,
 )
 from contramod.fields import GF, GF2, GF3, QQ
 from contramod.functors import comodule_along, induce
@@ -51,8 +52,8 @@ from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
 from contramod.sl2 import (
-    battery_module, build_tower, frobenius_twist, kernel_stage_masks, restrict_to_kernel,
-    standard_rational, tensor_rational,
+    battery_module, build_tower, frob_kernel_coalgebra, frobenius_twist, kernel_stage_masks,
+    restrict_to_kernel, standard_rational, tensor_rational,
 )
 
 FIELDS = [QQ, GF2, GF3]
@@ -1015,6 +1016,83 @@ def test_check_comodule_matches_scalar_loop_on_kG2_stage():
         assert check_comodule(m).ok
         assert_check_matches_loop(m, rng, seen)
     assert seen == ALL_VERDICTS
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_check_comodule_matches_scalar_loop_on_kG2(side):
+    """k[G_2] over itself, whose Delta is not cocommutative, so the right
+    side's Delta^cop rows differ from Delta's."""
+    rng = random.Random(1616)
+    seen = set()
+    m = comodule_over_self(frob_kernel_coalgebra(2, 2), side)
+    assert check_comodule(m).ok
+    assert_check_matches_loop(m, rng, seen)
+    assert seen == ALL_VERDICTS
+
+
+def parity_flips(rng, m, count):
+    """(k, (r1, r2)): two stored entries in column k of m over F2 whose
+    changes meet in one packed row of the coassociativity square and cancel
+    there.  Either one bit i of two blocks c1, c2 whose Delta columns
+    (Delta^cop's on the right) share a row x, so the first side flips bit i
+    of row x twice; or two bits i, i2 of one block c whose coaction columns
+    hold one block value at a common b, so the second side XORs that value
+    into row c*n + b twice."""
+    n, d = m.coalgebra.dim, m.dim
+    holders: dict = {}
+    for x, c in m.coalgebra.delta.data:
+        holders.setdefault(x if m.side == "left" else x % n * n + x // n, set()).add(c)
+    columns_at: dict = {}   # (b, block value u) -> the columns j with B_j(b) = u
+    for key, u in _gf2_masks(m).items():
+        b, j = divmod(key, d)
+        columns_at.setdefault((b, u), set()).add(j)
+    shared_rows = sorted(sorted(cs) for cs in holders.values() if len(cs) > 1)
+    shared_values = sorted(sorted(js) for js in columns_at.values() if len(js) > 1)
+    for _ in range(count):
+        k, i = rng.randrange(d), rng.randrange(d)
+        c1, c2 = rng.sample(rng.choice(shared_rows), 2)
+        yield k, (c1 * d + i, c2 * d + i)
+        c = rng.randrange(n)
+        i, i2 = rng.sample(rng.choice(shared_values), 2)
+        yield k, (c * d + i, c * d + i2)
+
+
+def flipped(m, k, rows):
+    """m with its stored entries (r, k), r in rows, flipped over F2."""
+    data = dict(m.left_coaction.data)
+    for r in rows:
+        if data.pop((r, k), None) is None:
+            data[r, k] = 1
+    return Comodule(m.coalgebra, m.side, m.dim, Mat(m.left_coaction.rows, m.dim, GF2, data), f"{m.name}~")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_check_comodule_matches_scalar_loop_on_parity_flips(r, side):
+    rng = random.Random(1818 + r)
+    seen = set()
+    m = comodule_over_self(frob_kernel_coalgebra(2, r), side)
+    for k, rows in parity_flips(rng, m, 30):
+        bad = flipped(m, k, rows)
+        failures = check_comodule(bad).failures
+        assert failures == loop_check_comodule(bad), (k, rows)
+        seen.add(tuple(failures))
+    assert seen == {("coassociativity",), ("coassociativity", "counit")}
+
+
+def test_check_coalgebra_on_kG3():
+    """k[G_3] (dimension 512) is a coalgebra, and deleting one Delta entry
+    (a*n + b, k) with eps(a) = eps(b) = 0 breaks coassociativity alone."""
+    c = frob_kernel_coalgebra(2, 3)
+    n = c.dim
+    assert check_coalgebra(c).ok
+    eps = {k for _, k in c.epsilon.data}
+    entries = sorted(key for key in c.delta.data if not {key[0] // n, key[0] % n} & eps)
+    rng = random.Random(1919)
+    for key in rng.sample(entries, 2):
+        bad = Coalgebra(GF2, n, Mat(n * n, n, GF2, {e: v for e, v in c.delta.data.items() if e != key}),
+                        c.epsilon)
+        assert check_coalgebra(bad).failures == loop_check_coalgebra(bad) == ["coassociativity"], key
 
 
 # -- the dual comodule ------------------------------------------------------------------
