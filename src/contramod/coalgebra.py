@@ -96,14 +96,14 @@ class Coalgebra:
 
 def check_coalgebra(c: Coalgebra) -> Verdict:
     """Coassociativity and the left counit law are the comodule axioms of C
-    over itself; the right counit law (Id (x) eps) o Delta = Id is the
-    counit law of C over itself on the right, whose stored matrix is
-    Delta^cop."""
-    from .comodule import check_comodule, comodule_over_self, counit_holds
+    over itself; the right counit law (Id (x) eps) o Delta = Id is read off
+    Delta's entries, as the counit law of C over itself on the right in its
+    right layout, which is Delta itself."""
+    from .comodule import _counit_law, check_comodule, comodule_over_self
 
     failures = ["counit-left" if name == "counit" else name
                 for name in check_comodule(comodule_over_self(c)).failures]
-    if not counit_holds(comodule_over_self(c, "right")):
+    if not _counit_law(c.delta, c.dim, c.epsilon, False):
         failures.append("counit-right")
     return Verdict(failures)
 

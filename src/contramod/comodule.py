@@ -198,23 +198,30 @@ def _xor_blocks(cols: list, t: int) -> list:
 
 def counit_holds(m: Comodule) -> bool:
     """The counit law (eps (x) Id) o coaction = Id of the stored coaction,
-    which is that of a right comodule too, since C^cop has C's counit.
-    Summed on ints: with the coaction = ints / s and eps = ints / se, the
-    sum is compared with the identity at scale s*se."""
-    c, md = m.coalgebra, m.dim
-    coact, s = _int_entries(m.left_coaction)
-    eps, se = _int_entries(c.epsilon)
+    which is that of a right comodule too, since C^cop has C's counit."""
+    return _counit_law(m.left_coaction, m.dim, m.coalgebra.epsilon, True)
+
+
+def _counit_law(coact: Mat, md: int, epsilon: Mat, left: bool) -> bool:
+    """(eps (x) Id) o coact = Id for coact in left layout, row c*md + i, or
+    (Id (x) eps) o coact = Id for coact in right layout, row i*n + c, which
+    for Delta itself is the right counit law of C.  Summed on ints: with
+    coact = ints / s and eps = ints / se, the sum is compared with the
+    identity at scale s*se."""
+    coact, s = _int_entries(coact)
+    eps, se = _int_entries(epsilon)
     eps = {cc: e for (_, cc), e in eps.items()}
+    n = epsilon.cols
     acc: dict = {}
     for (idx, k), v in coact.items():
-        e = eps.get(idx // md)
+        e = eps.get(idx // md if left else idx % n)
         if e:
-            key = (idx % md, k)
+            key = (idx % md if left else idx // n, k)
             acc[key] = acc.get(key, 0) + e * v
     one = s * se
     for k in range(md):
         acc[k, k] = acc.get((k, k), 0) - one
-    return _vanishes(acc, c.field.characteristic)
+    return _vanishes(acc, epsilon.field.characteristic)
 
 
 # -- constructions ---------------------------------------------------------

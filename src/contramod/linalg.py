@@ -414,20 +414,27 @@ def split_solve(hom_rows: Mat, t: Mat) -> Mat | None:
 class Coequalizer:
     """Quotient of k^ambient by a subspace (:func:`quotient_by_image`), with
     ``section`` picking the coset representatives supported on the non-pivot
-    rows, ``nonpivot[t]`` for coordinate t of the quotient."""
+    rows, ``nonpivot[t]`` for coordinate t of the quotient, and ``where``
+    the inverse index, nonpivot[t] -> t."""
 
     quotient_map: Mat
     dim: int
     section: Mat
     image_subspace: Subspace
+    where: dict
 
     def descend(self, lifted: Mat, error: str) -> Mat:
         """The map out of the quotient induced by ``lifted``, a map out of
         k^ambient; raises ValueError(error) unless lifted kills the subspace.
-        It is lifted @ section: column ``nonpivot[t]`` of lifted, as column t."""
+        It is lifted @ section (:meth:`on_section`)."""
         if not (lifted @ self.image_subspace.basis).is_zero():
             raise ValueError(error)
-        where = {i: t for i, t in self.section.data}
+        return self.on_section(lifted)
+
+    def on_section(self, lifted: Mat) -> Mat:
+        """lifted @ section by index: column ``nonpivot[t]`` of lifted, as
+        column t.  Only a lifted map that kills the subspace descends to it."""
+        where = self.where
         return Mat(lifted.rows, self.dim, lifted.field,
                    {(r, where[j]): v for (r, j), v in lifted.data.items() if j in where})
 
@@ -445,7 +452,7 @@ def quotient_by_image(sub: Subspace) -> Coequalizer:
     q.update({(where[i], pivots[s]): f.neg(v) for (i, s), v in sub.basis.data.items() if i in where})
     qdim = len(nonpivot)
     section = Mat(sub.ambient, qdim, f, {(i, t): one for i, t in where.items()})
-    return Coequalizer(Mat(qdim, sub.ambient, f, q), qdim, section, sub)
+    return Coequalizer(Mat(qdim, sub.ambient, f, q), qdim, section, sub, where)
 
 
 def equalizer(f: Mat, g: Mat) -> Subspace:

@@ -5,20 +5,22 @@ import random
 import pytest
 
 from contramod.coalgebra import (
-    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements,
+    divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
 from contramod.comodule import check_comodule, cofree, is_injective
 from contramod.contramodule import (
-    check_contramodule, cohom, contra_closure, free_contramodule, hom_contra,
-    is_contra_map, sub_contramodule, quotient_contramodule, trivial_contramodule,
+    Contramodule, check_contramodule, cohom, contra_closure, free_contramodule, hom_contra,
+    hom_contra_basis_maps, is_contra_map, sub_contramodule, quotient_contramodule,
+    trivial_contramodule,
 )
 from contramod.functors import (
-    ShortExactSeq, adjunction_check, comodule_along, exactness_probe,
+    AdjunctionReport, ShortExactSeq, adjunction_check, comodule_along, exactness_probe,
     gamma, gamma_inv, induce, induce_map, restrict,
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.linalg import rank
 from contramod.matrix import Mat
+from contramod.randomgen import random_contramodule, random_surjection
 from test_coalgebra import augmentation, identity_morphism
 from test_structure_maps import kron_cohom_maps
 
@@ -155,6 +157,154 @@ def test_adjunction_battery_catalog_surjection():
             v = _random_contramodule(rng, rho.source)
             rep = adjunction_check(rho, w, v)
             assert rep.ok, (field, w.dim, v.dim)
+
+
+# -- adjunction_check against its per-map loop --------------------------------------
+
+
+def loop_adjunction_check(rho, w, v):
+    """Both round trips one basis map at a time, stopping at the first map
+    that fails."""
+    res = induce(rho, w)
+    v_res = restrict(rho, v)
+    lhs = hom_contra(res.induced, v)
+    rhs = hom_contra(w, v_res)
+    ok = True
+    for phi in hom_contra_basis_maps(res.induced, v, lhs):
+        psi = gamma(rho, res, phi)
+        if not is_contra_map(w, v_res, psi):
+            ok = False
+            break
+        if gamma_inv(rho, res, v, psi) != phi:
+            ok = False
+            break
+    if ok:
+        for psi in hom_contra_basis_maps(w, v_res, rhs):
+            phi = gamma_inv(rho, res, v, psi)
+            if not is_contra_map(res.induced, v, phi):
+                ok = False
+                break
+            if gamma(rho, res, phi) != psi:
+                ok = False
+                break
+    return AdjunctionReport(lhs.dim, rhs.dim, ok)
+
+
+def _outcome(check, rho, w, v):
+    """The report, or the type and message of what was raised."""
+    try:
+        return check(rho, w, v)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _battery_sources(field):
+    return [matrix_coalgebra(field, 2), divided_power_dual(field, 3),
+            divided_power_dual(field, 4), grouplike(field, 3)]
+
+
+def _entry_changed(rng, m):
+    """m with one entry changed by a random nonzero scalar."""
+    f = m.field
+    key = (rng.randrange(m.rows), rng.randrange(m.cols))
+    data = dict(m.data)
+    data[key] = f.add(data.get(key, f.zero()), f.random(rng, nonzero=True))
+    return Mat(m.rows, m.cols, f, {k: x for k, x in data.items() if x != 0})
+
+
+def _one_entry_changed(rng, b):
+    """b with one coaction entry changed."""
+    return Contramodule(b.coalgebra, b.dim, _entry_changed(rng, b.left_coaction))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_adjunction_check_matches_loop_on_random_triples(field):
+    rng = random.Random(2801)
+    sources = _battery_sources(field)
+    for trial in range(24):
+        rho = random_surjection(rng, sources[trial % len(sources)])
+        w = random_contramodule(rng, rho.target, max_free=3)
+        v = random_contramodule(rng, rho.source, max_free=3)
+        rep = adjunction_check(rho, w, v)
+        assert rep == loop_adjunction_check(rho, w, v)
+        assert rep.ok, (trial, w.dim, v.dim)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_adjunction_check_matches_loop_on_catalog_surjection(field):
+    rng = random.Random(2802)
+    rho = divided_power_surjection(field, 3, 2, 2)
+    d = rho.target
+    ws = [free_contramodule(d, 1), free_contramodule(d, 2), free_contramodule(d, 0),
+          trivial_contramodule(d, grouplike_elements(d)[0])]
+    vs = [free_contramodule(rho.source, 1), free_contramodule(rho.source, 0)]
+    ws += [_random_contramodule(rng, d) for _ in range(3)]
+    vs += [_random_contramodule(rng, rho.source) for _ in range(3)]
+    for w in ws:
+        for v in vs:
+            rep = adjunction_check(rho, w, v)
+            assert rep == loop_adjunction_check(rho, w, v)
+            assert rep.ok
+
+
+def test_adjunction_check_matches_loop_on_one_changed_entry():
+    """With W or V not a contramodule, the first basis map that fails decides
+    the verdict, in the loop's order: a passing report, a failing one, or
+    the extension's ValueError."""
+    rng = random.Random(2803)
+    seen = set()
+    for field in FIELDS:
+        sources = _battery_sources(field)
+        for trial in range(60):
+            rho = random_surjection(rng, sources[trial % len(sources)])
+            w = random_contramodule(rng, rho.target, max_free=3)
+            v = random_contramodule(rng, rho.source, max_free=3)
+            for w2, v2 in ((_one_entry_changed(rng, w), v), (w, _one_entry_changed(rng, v))):
+                got = _outcome(adjunction_check, rho, w2, v2)
+                assert got == _outcome(loop_adjunction_check, rho, w2, v2), (field, trial)
+                seen.add(got.roundtrip_ok if isinstance(got, AdjunctionReport) else got)
+    assert seen == {True, False, ("ValueError", "extension does not kill the induction relations")}
+
+
+@pytest.mark.parametrize("wrong", ["unit", "restriction", "extension"])
+def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
+    """gamma built on a unit W -> Ind(W)|_D, Hom(W, V|_D) on a V|_D, or
+    gamma_inv on a coaction of V, with one entry changed.  gamma and
+    gamma_inv then no longer match the two hom spaces: psi = gamma(phi) can
+    fail to be a contra-map, the first round trip can fail where the second
+    passes, and gamma_inv(gamma(phi)) can fail to descend.  The stacked
+    check, which reads all three through the module, still gives the loop's
+    verdict."""
+    from contramod import functors
+
+    rng = random.Random(2804)
+    seen = set()
+    true_unit, true_restrict, true_lift = functors._unit, functors.restrict, functors._lift
+    for field in FIELDS:
+        sources = _battery_sources(field)
+        for trial in range(40):
+            rho = random_surjection(rng, sources[trial % len(sources)])
+            w = random_contramodule(rng, rho.target, max_free=3)
+            v = random_contramodule(rng, rho.source, max_free=3)
+            if wrong == "unit":
+                unit = true_unit(rho, induce(rho, w))
+                if not unit.nnz:
+                    continue
+                bad = _entry_changed(rng, unit)
+                monkeypatch.setattr(functors, "_unit", lambda rho, res: bad)
+            elif wrong == "restriction":
+                bad = _one_entry_changed(rng, true_restrict(rho, v))
+                monkeypatch.setattr(functors, "restrict", lambda rho, v: bad)
+                monkeypatch.setitem(globals(), "restrict", functors.restrict)
+            else:
+                bad = _one_entry_changed(rng, v)
+                monkeypatch.setattr(functors, "_lift", lambda v, psis, count: true_lift(bad, psis, count))
+            got = _outcome(adjunction_check, rho, w, v)
+            assert got == _outcome(loop_adjunction_check, rho, w, v), (field, trial)
+            monkeypatch.undo()
+            seen.add(got.roundtrip_ok if isinstance(got, AdjunctionReport) else got[0])
+    assert {True, False} <= seen
+    assert wrong != "extension" or "ValueError" in seen
 
 
 def test_adjunction_naturality():

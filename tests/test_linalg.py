@@ -221,6 +221,7 @@ def test_quotient_by_image_matches_row_loop(field):
             co = quotient_by_image(sub)
             assert (co.quotient_map, co.dim, co.section) == loop_quotient(sub)
             assert co.image_subspace == sub
+            assert co.where == {i: t for (i, t) in co.section.data}
             lifted = random_mat(rng, 3, co.dim, field) @ co.quotient_map
             assert co.descend(lifted, "no") == lifted @ co.section
             if sub.dim:

@@ -862,6 +862,18 @@ def test_check_coalgebra_matches_column_loop(field):
     assert seen == {"coassociativity", "counit-left", "counit-right"}
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_check_coalgebra_right_counit_only_defect(field):
+    """Delta(x) = e_0 (x) x with eps = e_0^*: coassociative and left counital,
+    but (Id (x) eps) o Delta sends x to eps(x) e_0, so only the right counit
+    law fails."""
+    one = field.one()
+    for n in (2, 3):
+        delta = Mat(n * n, n, field, {(k, k): one for k in range(n)})
+        c = Coalgebra(field, n, delta, Mat(1, n, field, {(0, 0): one}))
+        assert check_coalgebra(c).failures == loop_check_coalgebra(c) == ["counit-right"]
+
+
 # -- check_comodule against its per-scalar loop ---------------------------------------
 
 
