@@ -78,13 +78,23 @@ def _rho(data, field):
     return rho
 
 
+def _contramodule(name: str):
+    """The loader of input name: a contramodule that passes its axioms."""
+    def load(data, field):
+        b = cio.contramodule_from_json(data, field)
+        if not (verdict := check_contramodule(b)).ok:
+            raise SchemaError(f"{name}: not a contramodule: {', '.join(verdict.failures)}")
+        return b
+    return load
+
+
 def _ses_from_json(data, field) -> ShortExactSeq:
     if not isinstance(data, dict):
         raise SchemaError("ses: expected an object")
     for key in ("sub", "mid", "quot", "incl", "proj"):
         if key not in data:
             raise SchemaError(f"ses: missing {key}")
-    sub, mid, quot = (cio.contramodule_from_json(data[k], field) for k in ("sub", "mid", "quot"))
+    sub, mid, quot = (_contramodule(f"ses.{k}")(data[k], field) for k in ("sub", "mid", "quot"))
     incl, proj = (cio.mat_from_json(data[k], sub.field, where=f"ses.{k}") for k in ("incl", "proj"))
     for key, mat, tgt, src in (("incl", incl, mid, sub), ("proj", proj, quot, mid)):
         if (mat.rows, mat.cols) != (tgt.dim, src.dim):
@@ -242,10 +252,10 @@ COMMANDS = {
     "cohom": Command("Cohom of a left comodule and a contramodule", _COMODULE_CONTRA,
                      _sized(lambda job, m, b: ({"dim": cohom(m, b).dim}, True))),
     "induce": Command("induce a contramodule along a surjection",
-                      (("--rho", _rho), ("--W", cio.contramodule_from_json)), _induce),
+                      (("--rho", _rho), ("--W", _contramodule("W"))), _induce),
     "adjoint-check": Command("induction/restriction adjunction report",
-                             (("--rho", _rho), ("--W", cio.contramodule_from_json),
-                              ("--V", cio.contramodule_from_json)), _adjoint_check),
+                             (("--rho", _rho), ("--W", _contramodule("W")), ("--V", _contramodule("V"))),
+                             _adjoint_check),
     "exactness": Command("probe exactness of induction on sequences",
                          (("--rho", _rho), ("[--ses]", _ses_from_json)), _exactness,
                          (("--samples", 10),)),

@@ -420,9 +420,8 @@ def head_radical(m: Comodule, simples: list[Comodule]) -> HeadRadical:
     The list must be complete and irredundant for the coalgebra; this is the
     caller's obligation and cannot be detected here.
     """
-    f = m.field
-    stacked_rows = []
-    head = {}
+    # map j of Hom(M, s)'s basis is rows offset + j*dim s ..; with no map M is the kernel
+    stacked, head, offset = {}, {}, 0
     for idx, s in enumerate(simples):
         hom = hom_comodules(m, s)
         if hom.dim == 0:
@@ -433,10 +432,7 @@ def head_radical(m: Comodule, simples: list[Comodule]) -> HeadRadical:
         if rem:
             raise ValueError("hom dimension not divisible by endomorphism dimension")
         head[label] = mult
-        stacked_rows.extend(hom_basis_maps(m, s, hom))
-    if not stacked_rows:
-        return HeadRadical(Subspace.full(m.dim, f), {})
-    big = stacked_rows[0]
-    for t in stacked_rows[1:]:
-        big = big.vstack(t)
-    return HeadRadical(kernel(big), head)
+        sd = s.dim
+        stacked.update({(offset + j * sd + i % sd, i // sd): v for (i, j), v in hom.basis.data.items()})
+        offset += hom.dim * sd
+    return HeadRadical(kernel(Mat(offset, m.dim, m.field, stacked)), head)

@@ -6,11 +6,10 @@ coalgebra: the quotient contramodule of the free contramodule on the carrier
 of W by Cohom's relations.
 
 ``adjunction_check`` certifies both round trips of the adjunction
-isomorphism on full bases of the two hom spaces as stacked products: each
-basis is stacked into one matrix, so gamma, gamma_inv and the contra-map
-test are one product each for the whole basis, and the per-map outcomes are
-read off the products in the order a loop over the basis maps would meet
-them.
+isomorphism on full bases of the two hom spaces.  It works in the flat
+coordinates of hom spaces (:func:`matrix.map_of_vec`), where gamma and
+gamma_inv are linear maps, so each test of a round trip is one product
+with a kernel basis.
 
 Whether a sequence is exact is decided in one place,
 :func:`linalg.exactness_failures`: ``ShortExactSeq.validate`` names its
@@ -26,7 +25,7 @@ from .coalgebra import CoalgebraMorphism, Verdict
 from .comodule import Comodule, _descend_coaction, _hom_system
 from .contramodule import Contramodule, check_contramodule, cohom, free_contramodule, is_contra_map
 from .linalg import Coequalizer, exactness_failures, kernel, rank
-from .matrix import Mat, kron_identity, push
+from .matrix import Mat, kron_identity, map_of_vec, push
 
 
 def _require_surjective(rho: CoalgebraMorphism):
@@ -107,19 +106,21 @@ def gamma(rho: CoalgebraMorphism, res: InductionResult, phi: Mat) -> Mat:
     return phi @ _unit(rho, res)
 
 
-def _lift(v: Contramodule, psis: Mat, count: int) -> Mat:
-    """The maps Hom(C, W) -> V that extend count maps psi_j: W -> V|_D
-    through the contra-action of V, stacked as the psi_j are (map j is rows
-    j*dim V ..): e_c* (x) w_k goes to row j*dim V + i, read off row
-    c*dim V + i of coaction @ psi_j.  One product, with the psi_j side by
-    side."""
-    bv, wd, f = v.dim, psis.cols, v.field
-    if psis.rows != count * bv:
-        raise ValueError(f"cannot extend {psis.rows}x{wd} maps into V of dimension {bv}")
-    side = Mat(bv, count * wd, f, {(r % bv, r // bv * wd + x): val for (r, x), val in psis.data.items()})
-    return Mat(count * bv, v.coalgebra.dim * wd, f,
-               {(col // wd * bv + idx % bv, idx // bv * wd + col % wd): val
-                for (idx, col), val in (v.left_coaction @ side).data.items()})
+def _extension(res: InductionResult, v: Contramodule, wd: int) -> tuple[Mat, Mat]:
+    """gamma_inv on flat coordinates, x*dim V + r for a map W -> V|_D and
+    t*dim V + i for a map Ind(W) -> V (:func:`matrix.map_of_vec`), as two
+    linear maps.  A map psi extends through V's coaction to Hom(C, W) -> V:
+    entry coaction[c*dim V + i, r] goes to row (c*wd + x)*dim V + i, column
+    x*dim V + r, for each x < wd.  ``section`` keeps the rows whose
+    coordinate c*wd + x is a quotient coordinate (``coeq.where``), and
+    ``kills`` is zero on psi exactly when its extension descends to Ind(W)."""
+    coeq, dv, f = res.coeq, v.dim, v.field
+    ext = {((idx // dv * wd + x) * dv + idx % dv, x * dv + r): val
+           for (idx, r), val in v.left_coaction.data.items() for x in range(wd)}
+    section = Mat(coeq.dim * dv, wd * dv, f, {(coeq.where[row // dv] * dv + row % dv, col): val
+                                              for (row, col), val in ext.items() if row // dv in coeq.where})
+    lift = Mat(v.coalgebra.dim * wd * dv, wd * dv, f, ext)
+    return section, push(coeq.image_subspace.basis.transpose(), dv, False, lift)
 
 
 _NOT_KILLED = "extension does not kill the induction relations"
@@ -127,8 +128,15 @@ _NOT_KILLED = "extension does not kill the induction relations"
 
 def gamma_inv(rho: CoalgebraMorphism, res: InductionResult, v: Contramodule, psi: Mat) -> Mat:
     """Inverse direction: extend W -> V|_D to Ind(W) -> V via the
-    contra-action of V: e_j* (x) w_k goes to row j*dim V + i of coaction @ psi."""
-    return res.coeq.descend(_lift(v, psi, 1), _NOT_KILLED)
+    contra-action of V (:func:`_extension`), which must descend."""
+    dv, wd = v.dim, psi.cols
+    if psi.rows != dv:
+        raise ValueError(f"cannot extend {psi.rows}x{wd} maps into V of dimension {dv}")
+    section, kills = _extension(res, v, wd)
+    flat = Mat(wd * dv, 1, v.field, {(x * dv + r, 0): val for (r, x), val in psi.data.items()})
+    if not (kills @ flat).is_zero():
+        raise ValueError(_NOT_KILLED)
+    return map_of_vec((section @ flat).col(0), res.dim, dv, v.field)
 
 
 @dataclass
@@ -142,48 +150,14 @@ class AdjunctionReport:
         return self.lhs_dim == self.rhs_dim and self.roundtrip_ok
 
 
-def _stacked(basis: Mat, ny: int, nx: int) -> Mat:
-    """The maps k^nx -> k^ny of a hom basis, flat index x*ny + y in column j
-    (:func:`matrix.map_of_vec`), stacked: map j is rows j*ny .. j*ny + ny - 1."""
-    return Mat(basis.cols * ny, nx, basis.field,
-               {(j * ny + idx % ny, idx // ny): val for (idx, j), val in basis.data.items()})
-
-
-def _differing(a: Mat, b: Mat, size: int) -> set:
-    """The maps, blocks of size rows, where two stacks differ."""
-    ad, bd = a.data, b.data
-    rows = {key[0] for key, val in ad.items() if bd.get(key) != val}
-    rows.update(key[0] for key in bd.keys() - ad.keys())
-    return {r // size for r in rows}
-
-
-def _not_contra(hom_sys: Mat, stack: Mat, ny: int, count: int) -> set:
-    """The maps of a stack of count maps that are not contra-maps: one flat
-    column each (the inverse of :func:`_stacked`), outside the kernel of
-    the hom space's system."""
-    flat = Mat(stack.cols * ny, count, stack.field,
-               {(x * ny + r % ny, r // ny): val for (r, x), val in stack.data.items()})
-    return {j for _, j in (hom_sys @ flat).data}
-
-
-def _gamma_inv_all(res: InductionResult, v: Contramodule, psis: Mat, count: int) -> tuple[Mat, int]:
-    """gamma_inv of a stack of count maps: the stacked extensions read off
-    the section, and the index of the first map whose extension does not
-    kill the induction relations (count when every one does).  Only the
-    extensions before that index descend."""
-    lifted = _lift(v, psis, count)
-    hit = lifted @ res.coeq.image_subspace.basis
-    return res.coeq.on_section(lifted), min((r // v.dim for r, _ in hit.data), default=count)
-
-
 def _first_failure(count: int, tests: list) -> bool:
-    """Walk the stacked outcomes in the per-map loop's order.  tests lists,
-    in the order the loop runs them on one map, (failing maps, raises).  The
-    first map that fails decides, by the first of its tests that fails:
-    ValueError for a lift that does not descend, else False.  True when no
-    map fails."""
-    first, _, raises = min((min(bad, default=count), pos, raises)
-                           for pos, (bad, raises) in enumerate(tests))
+    """Walk the outcomes of count basis maps in the per-map loop's order.
+    tests lists, in the order the loop runs them on one map, (m, raises):
+    map j fails a test where column j of m is nonzero.  The first map that
+    fails decides, by the first of its tests that fails: ValueError for an
+    extension that does not descend, else False.  True when no map fails."""
+    first, _, raises = min((min((j for _, j in m.data), default=count), pos, raises)
+                           for pos, (m, raises) in enumerate(tests))
     if first == count:
         return True
     if raises:
@@ -193,37 +167,26 @@ def _first_failure(count: int, tests: list) -> bool:
 
 def adjunction_check(rho: CoalgebraMorphism, w: Contramodule, v: Contramodule) -> AdjunctionReport:
     """Dimension equality and both round trips on full bases of the two hom
-    spaces related by induction/restriction.  Each round trip runs on the
-    whole basis at once: the basis maps stacked into one matrix, gamma one
-    product with the unit, gamma_inv one product with V's coaction read off
-    the section, and the contra-map test one product with the hom space's
-    system.  The verdict is the per-map loop's: the first basis map that
-    fails decides it, False, or ValueError when its extension does not
-    descend."""
+    spaces related by induction/restriction; on flat coordinates gamma is
+    unit^T (x) Id_V (:func:`matrix.push`).  The verdict is the per-map
+    loop's: the first basis map that fails decides it, False, or ValueError
+    when its extension does not descend."""
     res = induce(rho, w)
     ind, v_res = res.induced, restrict(rho, v)
     lhs_sys, rhs_sys = _hom_system(ind, v), _hom_system(w, v_res)
     lhs, rhs = kernel(lhs_sys), kernel(rhs_sys)
-    unit, vd, wd = _unit(rho, res), v.dim, w.dim
-
-    def there_and_back() -> bool:
-        # phi -> psi = gamma(phi): a contra-map, and gamma_inv(psi) = phi
-        k = lhs.dim
-        phis = _stacked(lhs.basis, vd, ind.dim)
-        psis = phis @ unit
-        back, stop = _gamma_inv_all(res, v, psis, k)
-        return _first_failure(k, [(_not_contra(rhs_sys, psis, vd, k), False),
-                                  ({stop}, True), (_differing(back, phis, vd), False)])
-
-    def back_and_there() -> bool:
-        # psi -> phi = gamma_inv(psi), which descends, a contra-map, and gamma(phi) = psi
-        k = rhs.dim
-        psis = _stacked(rhs.basis, vd, wd)
-        phis, stop = _gamma_inv_all(res, v, psis, k)
-        return _first_failure(k, [({stop}, True), (_not_contra(lhs_sys, phis, vd, k), False),
-                                  (_differing(phis @ unit, psis, vd), False)])
-
-    return AdjunctionReport(lhs.dim, rhs.dim, there_and_back() and back_and_there())
+    unit_t = _unit(rho, res).transpose()
+    section, kills = _extension(res, v, w.dim)
+    # phi -> psi = gamma(phi): a contra-map whose extension descends, and gamma_inv(psi) = phi
+    psis = push(unit_t, v.dim, False, lhs.basis)
+    ok = _first_failure(lhs.dim, [(rhs_sys @ psis, False), (kills @ psis, True),
+                                  (section @ psis - lhs.basis, False)])
+    if ok:
+        # psi -> phi = gamma_inv(psi): it descends, is a contra-map, and gamma(phi) = psi
+        phis = section @ rhs.basis
+        ok = _first_failure(rhs.dim, [(kills @ rhs.basis, True), (lhs_sys @ phis, False),
+                                      (push(unit_t, v.dim, False, phis) - rhs.basis, False)])
+    return AdjunctionReport(lhs.dim, rhs.dim, ok)
 
 
 # -- short exact sequences and exactness probes --------------------------------------

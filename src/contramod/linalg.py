@@ -426,14 +426,10 @@ class Coequalizer:
     def descend(self, lifted: Mat, error: str) -> Mat:
         """The map out of the quotient induced by ``lifted``, a map out of
         k^ambient; raises ValueError(error) unless lifted kills the subspace.
-        It is lifted @ section (:meth:`on_section`)."""
+        It is lifted @ section, read by index: column ``nonpivot[t]`` of
+        lifted, as column t."""
         if not (lifted @ self.image_subspace.basis).is_zero():
             raise ValueError(error)
-        return self.on_section(lifted)
-
-    def on_section(self, lifted: Mat) -> Mat:
-        """lifted @ section by index: column ``nonpivot[t]`` of lifted, as
-        column t.  Only a lifted map that kills the subspace descends to it."""
         where = self.where
         return Mat(lifted.rows, self.dim, lifted.field,
                    {(r, where[j]): v for (r, j), v in lifted.data.items() if j in where})

@@ -13,11 +13,11 @@ from contramod.coalgebra import (
 from contramod.comodule import (
     Comodule, check_comodule, cofree, comodule_closure,
     comodule_over_self, cotensor, direct_sum, dual_comodule, head_radical,
-    hom_comodules, is_comodule_map, is_injective,
+    hom_basis_maps, hom_comodules, is_comodule_map, is_injective,
     quotient_comodule, sub_comodule, trivial_comodule,
 )
 from contramod.fields import GF2, GF3, QQ
-from contramod.linalg import rank
+from contramod.linalg import Subspace, kernel, rank
 from contramod.matrix import Mat
 from test_structure_maps import coaction_stabilizes, comodule_of
 
@@ -256,6 +256,44 @@ def test_head_radical_nonsemisimple():
     # head is semisimple: quotient by the radical has zero radical
     head, _ = quotient_comodule(m, hr.radical)
     assert head_radical(head, [triv]).radical.dim == 0
+
+
+def loop_head_radical(m, simples):
+    """The radical as the kernel of every hom basis map to a simple, the
+    maps decoded one by one and stacked with vstack."""
+    maps = [t for s in simples for t in hom_basis_maps(m, s)]
+    if not maps:
+        return Subspace.full(m.dim, m.field)
+    big = maps[0]
+    for t in maps[1:]:
+        big = big.vstack(t)
+    return kernel(big)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_head_radical_matches_vstack_loop(field):
+    rng = random.Random(2901)
+    for c in (grouplike(field, 3), divided_power_dual(field, 3), divided_power_dual(field, 4)):
+        simples = [trivial_comodule(c, g) for g in grouplike_elements(c)]
+        for i, s in enumerate(simples):
+            s.name = f"S{i}"
+        for _ in range(6):
+            m = randomgen.random_comodule(rng, c)
+            hr = head_radical(m, simples)
+            assert hr.radical == loop_head_radical(m, simples)
+            assert hr.head == {s.name: hom_comodules(m, s).dim for s in simples
+                               if hom_comodules(m, s).dim}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_head_radical_when_no_simple_receives_a_map(field):
+    c = grouplike(field, 3)
+    g0, *rest = grouplike_elements(c)
+    m = direct_sum(trivial_comodule(c, g0), trivial_comodule(c, g0))
+    for simples in ([trivial_comodule(c, g) for g in rest], []):
+        hr = head_radical(m, simples)
+        assert hr.radical == Subspace.full(m.dim, field) == loop_head_radical(m, simples)
+        assert hr.head == {}
 
 
 

@@ -162,6 +162,15 @@ def test_adjunction_battery_catalog_surjection():
 # -- adjunction_check against its per-map loop --------------------------------------
 
 
+def loop_gamma_inv(rho, res, v, psi):
+    """gamma_inv in Mat form: e_j* (x) w_k goes to row j*dim V + i of
+    coaction @ psi, and that map out of Hom(C, W) descends to Ind(W)."""
+    bv, wd, composed = v.dim, psi.cols, (v.left_coaction @ psi).data.items()
+    lifted = Mat(bv, rho.source.dim * wd, v.field,
+                 {(idx % bv, idx // bv * wd + k): val for (idx, k), val in composed})
+    return res.coeq.descend(lifted, "extension does not kill the induction relations")
+
+
 def loop_adjunction_check(rho, w, v):
     """Both round trips one basis map at a time, stopping at the first map
     that fails."""
@@ -175,12 +184,12 @@ def loop_adjunction_check(rho, w, v):
         if not is_contra_map(w, v_res, psi):
             ok = False
             break
-        if gamma_inv(rho, res, v, psi) != phi:
+        if loop_gamma_inv(rho, res, v, psi) != phi:
             ok = False
             break
     if ok:
         for psi in hom_contra_basis_maps(w, v_res, rhs):
-            phi = gamma_inv(rho, res, v, psi)
+            phi = loop_gamma_inv(rho, res, v, psi)
             if not is_contra_map(res.induced, v, phi):
                 ok = False
                 break
@@ -188,6 +197,31 @@ def loop_adjunction_check(rho, w, v):
                 ok = False
                 break
     return AdjunctionReport(lhs.dim, rhs.dim, ok)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_gamma_inv_matches_loop_gamma_inv(field):
+    """The shipped gamma_inv against its Mat form, on every basis map of
+    Hom(W, V|_D), which descends, and on random maps W -> V, which mostly
+    do not."""
+    rng = random.Random(2901)
+    sources = _battery_sources(field)
+    seen = set()
+    for trial in range(16):
+        rho = random_surjection(rng, sources[trial % len(sources)])
+        w = random_contramodule(rng, rho.target, max_free=2)
+        v = random_contramodule(rng, rho.source, max_free=2)
+        res = induce(rho, w)
+        psis = hom_contra_basis_maps(w, restrict(rho, v))
+        psis += [Mat.from_entries(v.dim, w.dim, field, [(rng.randrange(v.dim), rng.randrange(w.dim), 1)])
+                 for _ in range(3) if v.dim and w.dim]
+        for psi in psis:
+            got = _outcome(lambda *a: gamma_inv(*a, psi), rho, res, v)
+            assert got == _outcome(lambda *a: loop_gamma_inv(*a, psi), rho, res, v), (trial, psi)
+            seen.add(type(got).__name__)
+    assert seen == {"Mat", "tuple"}
+    with pytest.raises(ValueError, match=rf"^cannot extend {v.dim + 1}x{w.dim} maps into V of dimension {v.dim}$"):
+        gamma_inv(rho, res, v, Mat(v.dim + 1, w.dim, field))
 
 
 def _outcome(check, rho, w, v):
@@ -272,14 +306,15 @@ def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
     gamma_inv on a coaction of V, with one entry changed.  gamma and
     gamma_inv then no longer match the two hom spaces: psi = gamma(phi) can
     fail to be a contra-map, the first round trip can fail where the second
-    passes, and gamma_inv(gamma(phi)) can fail to descend.  The stacked
-    check, which reads all three through the module, still gives the loop's
-    verdict."""
+    passes, and gamma_inv(gamma(phi)) can fail to descend.  The flat check,
+    which reads all three through the module, still gives the loop's
+    verdict when the loop reads the same faulty data."""
     from contramod import functors
 
     rng = random.Random(2804)
     seen = set()
-    true_unit, true_restrict, true_lift = functors._unit, functors.restrict, functors._lift
+    true_unit, true_restrict, true_ext = functors._unit, functors.restrict, functors._extension
+    true_loop_gamma_inv = loop_gamma_inv
     for field in FIELDS:
         sources = _battery_sources(field)
         for trial in range(40):
@@ -298,7 +333,9 @@ def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
                 monkeypatch.setitem(globals(), "restrict", functors.restrict)
             else:
                 bad = _one_entry_changed(rng, v)
-                monkeypatch.setattr(functors, "_lift", lambda v, psis, count: true_lift(bad, psis, count))
+                monkeypatch.setattr(functors, "_extension", lambda res, v, wd: true_ext(res, bad, wd))
+                monkeypatch.setitem(globals(), "loop_gamma_inv",
+                                    lambda rho, res, v, psi: true_loop_gamma_inv(rho, res, bad, psi))
             got = _outcome(adjunction_check, rho, w, v)
             assert got == _outcome(loop_adjunction_check, rho, w, v), (field, trial)
             monkeypatch.undo()

@@ -21,8 +21,8 @@ from contramod.coalgebra import (
 )
 from contramod.comodule import cofree, comodule_over_self, dual_comodule
 from contramod.contramodule import (
-    contra_closure, direct_sum, free_contramodule, quotient_contramodule, sub_contramodule,
-    trivial_contramodule,
+    check_contramodule, contra_closure, direct_sum, free_contramodule, quotient_contramodule,
+    sub_contramodule, trivial_contramodule,
 )
 from contramod.fields import _MR_LIMIT, GF, GF2, GF3, QQ, FieldSpec, _is_prime
 from contramod.io import SchemaError
@@ -293,6 +293,42 @@ def test_cli_exactness_witness_and_sampling(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["exactness"]["total"] == 5
     assert code in (0, 1)
+
+
+def _not_a_contramodule(b):
+    """b's JSON with one more theta entry, a payload that loads but fails the
+    contramodule axioms."""
+    payload = cio.contramodule_to_json(b)
+    payload["theta"].append([0, 0, 1, "1"])
+    return payload
+
+
+def test_cli_refuses_inputs_that_are_not_contramodules(tmp_path, capsys):
+    """induce, adjoint-check and exactness --ses exit 2 on a W, a V or a
+    sequence term that fails the contramodule axioms, naming the input."""
+    rho = divided_power_surjection(GF2, 3, 2, 2)
+    rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(rho))
+    w, v = free_contramodule(rho.target, 1), free_contramodule(rho.source, 1)
+    w_path = _write(tmp_path, "w.json", cio.contramodule_to_json(w))
+    v_path = _write(tmp_path, "v.json", cio.contramodule_to_json(v))
+    bad_w = _write(tmp_path, "bad_w.json", _not_a_contramodule(w))
+    bad_v = _write(tmp_path, "bad_v.json", _not_a_contramodule(v))
+    rad = contra_closure(w, [{1: GF2.one()}])
+    (sub, incl), (quot, proj) = sub_contramodule(w, rad), quotient_contramodule(w, rad)
+    terms = {"sub": sub, "mid": w, "quot": quot}
+    ses = {"incl": cio.mat_to_json(incl), "proj": cio.mat_to_json(proj)}
+    ses.update((k, cio.contramodule_to_json(b)) for k, b in terms.items())
+    cases = [(["induce", "--W", bad_w], "W", w),
+             (["adjoint-check", "--W", bad_w, "--V", v_path], "W", w),
+             (["adjoint-check", "--W", w_path, "--V", bad_v], "V", v)]
+    for key, b in terms.items():
+        path = _write(tmp_path, f"ses_{key}.json", dict(ses, **{key: _not_a_contramodule(b)}))
+        cases.append((["exactness", "--ses", path], f"ses.{key}", b))
+    for argv, name, b in cases:
+        failures = check_contramodule(cio.contramodule_from_json(_not_a_contramodule(b), GF2)).failures
+        assert failures and main(["--field", "Fp:2", *argv, "--rho", rho_path]) == 2, argv
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == f"{name}: not a contramodule: {', '.join(failures)}"
 
 
 def test_cli_duality(tmp_path, capsys):
