@@ -5,30 +5,37 @@ the categorical plumbing done by exact sparse linear algebra: cotensor and
 contratensor products, Cohom, induction and restriction along coalgebra
 surjections, injectivity/projectivity tests, Mittag-Leffler inverse systems,
 and a concrete SL2 catalog in characteristic 2.
+
+Importing the package loads none of its submodules: each name in ``__all__``
+is looked up in ``_EXPORTS`` and its submodule imported on first use (PEP
+562), so a CLI job loads only the layers its subcommand runs.
 """
 
-from .coalgebra import (
-    Coalgebra, CoalgebraMorphism, Verdict, check_coalgebra, check_morphism,
-    divided_power_dual, divided_power_surjection, dual_of_algebra, grouplike,
-    matrix_coalgebra,
-)
-from .comodule import (
-    Comodule, check_comodule, cofree, comodule_over_self, cotensor, dual_comodule,
-    head_radical, hom_comodules, is_injective, trivial_comodule,
-)
-from .contramodule import (
-    Contramodule, check_contramodule, cohom, contra_from_comodule, contra_from_dual,
-    contratensor, duality_check, free_contramodule, hom_contra, is_projective,
-    trivial_contramodule,
-)
-from .fields import FieldSpec, GF, GF2, GF3, QQ
-from .functors import (
-    InductionResult, ShortExactSeq, adjunction_check, comodule_along, exactness_probe,
-    gamma, gamma_inv, induce, restrict,
-)
-from .linalg import Subspace, coequalizer, equalizer, image, kernel, rank
-from .matrix import Mat, kron
-from .towers import InverseSystem, cohom_tower, is_mittag_leffler, limit_four_term
+_EXPORTS = {
+    "coalgebra": (
+        "Coalgebra", "CoalgebraMorphism", "Verdict", "check_coalgebra", "check_morphism",
+        "divided_power_dual", "divided_power_surjection", "dual_of_algebra", "grouplike",
+        "matrix_coalgebra",
+    ),
+    "comodule": (
+        "Comodule", "check_comodule", "cofree", "comodule_over_self", "cotensor",
+        "dual_comodule", "head_radical", "hom_comodules", "is_injective", "trivial_comodule",
+    ),
+    "contramodule": (
+        "Contramodule", "check_contramodule", "cohom", "contra_from_comodule",
+        "contra_from_dual", "contratensor", "duality_check", "free_contramodule", "hom_contra",
+        "is_projective", "trivial_contramodule",
+    ),
+    "fields": ("FieldSpec", "GF", "GF2", "GF3", "QQ"),
+    "functors": (
+        "InductionResult", "ShortExactSeq", "adjunction_check", "comodule_along",
+        "exactness_probe", "gamma", "gamma_inv", "induce", "restrict",
+    ),
+    "linalg": ("Subspace", "coequalizer", "equalizer", "image", "kernel", "rank"),
+    "matrix": ("Mat", "kron"),
+    "towers": ("InverseSystem", "cohom_tower", "is_mittag_leffler", "limit_four_term"),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "Coalgebra", "CoalgebraMorphism", "Comodule", "Contramodule",
@@ -48,3 +55,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,6 +12,12 @@ over different coalgebras, and on a report that cannot be written to
 ``--out``.  A reader that closes stdout early leaves the exit code as it
 is.  Reports are deterministic for a fixed seed;
 --pretty only re-indents the identical payload.
+
+A job loads only what its subcommand runs: this module imports ``io`` and
+the layers ``io`` is built on; the jobs that induce import ``functors`` when
+they run, and ``tower`` imports ``sl2`` and ``towers``.  ``main(argv)`` is the
+in-process API and returns the exit code; ``entry``, the process entry,
+ends the process once the report is flushed, without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .comodule import Comodule, check_comodule, cotensor, hom_comodules
 from .contramodule import (
     Contramodule, check_contramodule, cohom, contratensor, duality_check,
 )
-from .functors import ShortExactSeq, adjunction_check, exactness_probe, induce
 from .io import SchemaError, parse_field_flag
 
 DEFAULT_SEED = 20240
@@ -88,7 +93,9 @@ def _contramodule(name: str):
     return load
 
 
-def _ses_from_json(data, field) -> ShortExactSeq:
+def _ses_from_json(data, field):
+    from .functors import ShortExactSeq
+
     if not isinstance(data, dict):
         raise SchemaError("ses: expected an object")
     for key in ("sub", "mid", "quot", "incl", "proj"):
@@ -135,6 +142,8 @@ def _check_size(job, dims: str, size: int):
 
 
 def _induce(job, rho, w):
+    from .functors import induce
+
     # inducing W along rho: C -> D works in Hom(C, W) = C* (x) W
     c = rho.source.dim
     _check_size(job, f"dim C {c} and dim W {w.dim}", c * w.dim)
@@ -144,6 +153,8 @@ def _induce(job, rho, w):
 
 
 def _adjoint_check(job, rho, w, v):
+    from .functors import adjunction_check
+
     # Hom(Ind W, V) lies inside Hom(C* (x) W, V)
     c = rho.source.dim
     _check_size(job, f"dim C {c}, dim W {w.dim} and dim V {v.dim}", c * w.dim * v.dim)
@@ -153,6 +164,8 @@ def _adjoint_check(job, rho, w, v):
 
 
 def _exactness(job, rho, ses):
+    from .functors import exactness_probe
+
     # the middle term is the largest one induced; random_contra_ses draws
     # middle terms of dim at most 2 dim D
     c = rho.source.dim
@@ -352,5 +365,18 @@ def main(argv=None) -> int:
     return code
 
 
+def entry():
+    """The process entry of the console script and ``python -m
+    contramod.cli``: run ``main``, flush the report, and end the process
+    without interpreter teardown, which would only free objects the exiting
+    process drops anyway.  An exception, or argparse's exit on ``--help`` or
+    a bad flag, leaves the usual way."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with it closed
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

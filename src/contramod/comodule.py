@@ -348,17 +348,19 @@ def cotensor(m: Comodule, n_mod: Comodule) -> Subspace:
 def comodule_closure(m: Comodule, vectors: list[dict]) -> Subspace:
     """Smallest subcomodule containing the given vectors: the span grows by
     the coaction's slices on its basis, one per coalgebra index, until it
-    holds them all."""
+    holds them all.  Each round slices only the span added in the round
+    before: by linearity the older span's slices already lie in the span."""
     md = m.dim
-    sub = Subspace.from_columns(md, m.field, vectors)
+    sub = new = Subspace.from_columns(md, m.field, vectors)
     while True:
         slices: dict = {}
-        for (idx, t), v in (m.left_coaction @ sub.basis).data.items():
+        for (idx, t), v in (m.left_coaction @ new.basis).data.items():
             slices.setdefault((t, idx // md), {})[idx % md] = v
         extra = [vec for vec in slices.values() if not sub.contains(vec)]
         if not extra:
             return sub
-        sub = sub.add(Subspace.from_columns(md, m.field, extra))
+        new = Subspace.from_columns(md, m.field, extra)
+        sub = sub.add(new)
 
 
 def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
