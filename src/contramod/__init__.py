@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "fields": ("FieldSpec", "GF", "GF2", "GF3", "QQ"),
     "functors": (
-        "InductionResult", "ShortExactSeq", "adjunction_check", "comodule_along",
+        "Induction", "InductionResult", "ShortExactSeq", "adjunction_check", "comodule_along",
         "exactness_probe", "gamma", "gamma_inv", "induce", "restrict",
     ),
     "linalg": ("Subspace", "coequalizer", "equalizer", "image", "kernel", "rank"),
@@ -40,7 +40,7 @@ _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = [
     "Coalgebra", "CoalgebraMorphism", "Comodule", "Contramodule",
     "FieldSpec", "GF", "GF2", "GF3", "QQ",
-    "InductionResult", "InverseSystem", "Mat", "ShortExactSeq", "Subspace", "Verdict",
+    "Induction", "InductionResult", "InverseSystem", "Mat", "ShortExactSeq", "Subspace", "Verdict",
     "adjunction_check", "check_coalgebra",
     "check_comodule", "check_contramodule", "check_morphism", "coequalizer", "cofree",
     "cohom", "cohom_tower", "comodule_along", "comodule_over_self",

@@ -164,7 +164,7 @@ def _adjoint_check(job, rho, w, v):
 
 
 def _exactness(job, rho, ses):
-    from .functors import exactness_probe
+    from .functors import Induction
 
     # the middle term is the largest one induced; random_contra_ses draws
     # middle terms of dim at most 2 dim D
@@ -190,9 +190,11 @@ def _exactness(job, rho, ses):
                 probes.append(ses)
         if len(probes) < wanted:
             raise SchemaError("exactness: could not draw enough nondegenerate sequences")
+    # rho is checked surjective, and C pushed to a D-comodule, once per job
+    induction = Induction(rho)
     failures = []
     for idx, ses in enumerate(probes):
-        verdict = exactness_probe(rho, ses)
+        verdict = induction.exactness_probe(ses)
         if not verdict.exact:
             failures.append({"probe": idx, "positions": verdict.failures, "dims": list(verdict.dims)})
     return {"exactness": {"total": len(probes), "failures": failures}}, not failures

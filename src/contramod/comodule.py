@@ -380,15 +380,16 @@ def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
     """Quotient by a subcomodule; returns (M/sub, projection)."""
     coeq = quotient_by_image(sub)
-    return _descend_coaction(m, coeq), coeq.quotient_map
+    return _descend_coaction(m, coeq, f"{m.name}/sub"), coeq.quotient_map
 
 
-def _descend_coaction(m: Comodule, coeq: Coequalizer) -> Comodule:
-    """M/sub, for coeq the quotient of M's carrier by a subcomodule sub."""
+def _descend_coaction(m: Comodule, coeq: Coequalizer, name: str) -> Comodule:
+    """M/sub, named name, for coeq the quotient of M's carrier by a
+    subcomodule sub."""
     # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub
     lifted = push(coeq.quotient_map, m.coalgebra.dim, True, m.left_coaction)
     coact = coeq.descend(lifted, "subspace is not a subcomodule")
-    return replace(m, dim=coeq.dim, left_coaction=coact, name=f"{m.name}/sub")
+    return replace(m, dim=coeq.dim, left_coaction=coact, name=name)
 
 
 # -- injectivity ----------------------------------------------------------------

@@ -3,13 +3,17 @@ map, the explicit adjunction isomorphism, and exactness probes.
 
 Induction is the Cohom of the target-side comodule structure on the source
 coalgebra: the quotient contramodule of the free contramodule on the carrier
-of W by Cohom's relations.
+of W by Cohom's relations.  ``Induction(rho)`` induces and restricts along
+one surjection: it checks rho and builds C as a D-comodule once, for every
+contramodule induced along it.
 
-``adjunction_check`` certifies both round trips of the adjunction
-isomorphism on full bases of the two hom spaces.  It works in the flat
+``adjunction_check`` certifies the adjunction isomorphism in the flat
 coordinates of hom spaces (:func:`matrix.map_of_vec`), where gamma and
 gamma_inv are linear maps, so each test of a round trip is one product
-with a kernel basis.
+with a kernel basis.  The first round trip runs on a full basis of
+Hom(Ind W, V).  Once it passes, equal dimensions make gamma a bijection
+onto Hom(W, V|_D), which implies the second round trip; so Hom(W, V|_D)
+gets a basis, and the second trip, only when the dimensions differ.
 
 Whether a sequence is exact is decided in one place,
 :func:`linalg.exactness_failures`: ``ShortExactSeq.validate`` names its
@@ -19,37 +23,13 @@ sequence as an ``ExactnessVerdict``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .coalgebra import CoalgebraMorphism, Verdict
 from .comodule import Comodule, _descend_coaction, _hom_system
 from .contramodule import Contramodule, check_contramodule, cohom, free_contramodule, is_contra_map
 from .linalg import Coequalizer, exactness_failures, kernel, rank
 from .matrix import Mat, kron_identity, map_of_vec, push
-
-
-def _require_surjective(rho: CoalgebraMorphism):
-    if not rho.surjective or rank(rho.matrix) != rho.target.dim:
-        raise ValueError("induction is only defined along surjective coalgebra maps")
-
-
-def restrict(rho: CoalgebraMorphism, v: Contramodule) -> Contramodule:
-    """View a C-contramodule as a D-contramodule through rho*: D* -> C*; its
-    coaction is (rho (x) Id) o coaction."""
-    if v.coalgebra != rho.source:
-        raise ValueError("contramodule does not live over the source coalgebra")
-    _require_surjective(rho)
-    coact = push(rho.matrix, v.dim, False, v.left_coaction)
-    return Contramodule(rho.target, v.dim, coact, name=f"{v.name}|res")
-
-
-def comodule_along(rho: CoalgebraMorphism) -> Comodule:
-    """The source coalgebra as a left comodule over the target, via
-    (rho (x) id) o Delta."""
-    _require_surjective(rho)
-    c = rho.source
-    return Comodule(rho.target, "left", c.dim, push(rho.matrix, c.dim, False, c.delta),
-                    name=f"{c.name or 'C'}-over-{rho.target.name or 'D'}")
 
 
 @dataclass
@@ -62,20 +42,64 @@ class InductionResult:
         return self.induced.dim
 
 
+class Induction:
+    """Induction and restriction along one surjective coalgebra map rho: C -> D,
+    built once per rho: surjectivity is checked once, and ``comodule`` holds C
+    as a left D-comodule, via (rho (x) id) o Delta, for every induction."""
+
+    def __init__(self, rho: CoalgebraMorphism):
+        if not rho.surjective or rank(rho.matrix) != rho.target.dim:
+            raise ValueError("induction is only defined along surjective coalgebra maps")
+        c = rho.source
+        self.rho = rho
+        self.comodule = Comodule(rho.target, "left", c.dim, push(rho.matrix, c.dim, False, c.delta),
+                                 name=f"{c.name or 'C'}-over-{rho.target.name or 'D'}")
+
+    def restrict(self, v: Contramodule) -> Contramodule:
+        """View a C-contramodule as a D-contramodule through rho*: D* -> C*;
+        its coaction is (rho (x) Id) o coaction."""
+        if v.coalgebra != self.rho.source:
+            raise ValueError("contramodule does not live over the source coalgebra")
+        coact = push(self.rho.matrix, v.dim, False, v.left_coaction)
+        return Contramodule(self.rho.target, v.dim, coact, name=f"{v.name}|res")
+
+    def induce(self, w: Contramodule) -> InductionResult:
+        """Cohom_D(C, W), with its free presentation: the quotient of Hom(C, W)
+        also carries the free contramodule on W's carrier down to the induced
+        contramodule, whose axioms are certified."""
+        if w.coalgebra != self.rho.target:
+            raise ValueError("contramodule does not live over the target coalgebra")
+        coeq = cohom(self.comodule, w)
+        induced = _descend_coaction(free_contramodule(self.rho.source, w.dim), coeq, f"ind({w.name})")
+        verdict = check_contramodule(induced)
+        if not verdict.ok:
+            raise AssertionError(f"induced object fails axioms: {verdict.failures}")
+        return InductionResult(induced, coeq)
+
+    def exactness_probe(self, ses: ShortExactSeq) -> ExactnessVerdict:
+        """Induce a short exact sequence and report where exactness fails."""
+        v = ses.validate()
+        if not v.ok:
+            raise ValueError(f"input sequence is not a valid SES: {v.failures}")
+        res_a, res_b, res_c = self.induce(ses.sub), self.induce(ses.mid), self.induce(ses.quot)
+        return ExactnessVerdict.of(induce_map(self.rho, res_a, res_b, ses.incl),
+                                   induce_map(self.rho, res_b, res_c, ses.proj))
+
+
+def restrict(rho: CoalgebraMorphism, v: Contramodule) -> Contramodule:
+    """:meth:`Induction.restrict` along rho."""
+    return Induction(rho).restrict(v)
+
+
+def comodule_along(rho: CoalgebraMorphism) -> Comodule:
+    """The source coalgebra as a left comodule over the target, via
+    (rho (x) id) o Delta."""
+    return Induction(rho).comodule
+
+
 def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
-    """Induction along a surjective coalgebra map, with its free presentation:
-    Cohom_D(C, W), whose quotient of Hom(C, W) also carries the free
-    contramodule on W's carrier down to the induced contramodule."""
-    c_over_d = comodule_along(rho)
-    if w.coalgebra != rho.target:
-        raise ValueError("contramodule does not live over the target coalgebra")
-    coeq = cohom(c_over_d, w)
-    free = free_contramodule(rho.source, w.dim)
-    induced = replace(_descend_coaction(free, coeq), name=f"ind({w.name})")
-    verdict = check_contramodule(induced)
-    if not verdict.ok:
-        raise AssertionError(f"induced object fails axioms: {verdict.failures}")
-    return InductionResult(induced, coeq)
+    """:meth:`Induction.induce` along rho."""
+    return Induction(rho).induce(w)
 
 
 def induce_map(
@@ -166,27 +190,38 @@ def _first_failure(count: int, tests: list) -> bool:
 
 
 def adjunction_check(rho: CoalgebraMorphism, w: Contramodule, v: Contramodule) -> AdjunctionReport:
-    """Dimension equality and both round trips on full bases of the two hom
-    spaces related by induction/restriction; on flat coordinates gamma is
+    """Dimension equality and both round trips of the adjunction isomorphism
+    between Hom(Ind W, V) and Hom(W, V|_D); on flat coordinates gamma is
     unit^T (x) Id_V (:func:`matrix.push`).  The verdict is the per-map
     loop's: the first basis map that fails decides it, False, or ValueError
-    when its extension does not descend."""
-    res = induce(rho, w)
-    ind, v_res = res.induced, restrict(rho, v)
-    lhs_sys, rhs_sys = _hom_system(ind, v), _hom_system(w, v_res)
-    lhs, rhs = kernel(lhs_sys), kernel(rhs_sys)
+    when its extension does not descend.
+
+    The first trip runs on a basis of Hom(Ind W, V).  Hom(W, V|_D) is the
+    kernel of ``rhs_sys``, and only its dimension is needed: when the first
+    trip passes, gamma maps Hom(Ind W, V) into that kernel, injectively since
+    section o gamma = id on it.  With equal dimensions gamma is then onto, so
+    every psi in Hom(W, V|_D) is gamma(phi) with phi = section(psi), and the
+    second trip's three tests, ``kills``, ``lhs_sys`` o section and
+    gamma o section - id, vanish on psi because they are linear and vanish
+    on gamma(phi).  So the second trip, on a basis of the kernel, runs only
+    when the first passes and the dimensions differ."""
+    ind = Induction(rho)
+    res, v_res = ind.induce(w), ind.restrict(v)
+    lhs_sys, rhs_sys = _hom_system(res.induced, v), _hom_system(w, v_res)
+    lhs, rhs_dim = kernel(lhs_sys), rhs_sys.cols - rank(rhs_sys)
     unit_t = _unit(rho, res).transpose()
     section, kills = _extension(res, v, w.dim)
     # phi -> psi = gamma(phi): a contra-map whose extension descends, and gamma_inv(psi) = phi
     psis = push(unit_t, v.dim, False, lhs.basis)
     ok = _first_failure(lhs.dim, [(rhs_sys @ psis, False), (kills @ psis, True),
                                   (section @ psis - lhs.basis, False)])
-    if ok:
+    if ok and lhs.dim != rhs_dim:
         # psi -> phi = gamma_inv(psi): it descends, is a contra-map, and gamma(phi) = psi
+        rhs = kernel(rhs_sys)
         phis = section @ rhs.basis
         ok = _first_failure(rhs.dim, [(kills @ rhs.basis, True), (lhs_sys @ phis, False),
                                       (push(unit_t, v.dim, False, phis) - rhs.basis, False)])
-    return AdjunctionReport(lhs.dim, rhs.dim, ok)
+    return AdjunctionReport(lhs.dim, rhs_dim, ok)
 
 
 # -- short exact sequences and exactness probes --------------------------------------
@@ -224,12 +259,5 @@ class ExactnessVerdict:
 
 
 def exactness_probe(rho: CoalgebraMorphism, ses: ShortExactSeq) -> ExactnessVerdict:
-    """Induce a short exact sequence and report where exactness fails."""
-    v = ses.validate()
-    if not v.ok:
-        raise ValueError(f"input sequence is not a valid SES: {v.failures}")
-    res_a = induce(rho, ses.sub)
-    res_b = induce(rho, ses.mid)
-    res_c = induce(rho, ses.quot)
-    return ExactnessVerdict.of(induce_map(rho, res_a, res_b, ses.incl),
-                               induce_map(rho, res_b, res_c, ses.proj))
+    """:meth:`Induction.exactness_probe` along rho."""
+    return Induction(rho).exactness_probe(ses)

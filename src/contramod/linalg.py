@@ -335,23 +335,27 @@ def rank(mat: Mat) -> int:
 
 
 def kernel(mat: Mat) -> Subspace:
-    """Right kernel {x : mat @ x = 0} as a canonical subspace of k^cols."""
-    f = mat.field
-    ech = row_echelon(mat)
+    """Right kernel {x : mat @ x = 0} as a canonical subspace of k^cols.
+
+    The rows are eliminated with column j relabelled last - j, so a reduced
+    row leads with its largest original column.  The null vector of a free
+    column j, e_j minus the entries at j of the reduced rows, then meets only
+    j and pivot columns above j: j leads it and no other free column meets
+    it.  In ascending j these vectors are the canonical reduced basis, read
+    off with no second elimination."""
+    f, last = mat.field, mat.cols - 1
+    ech = make_echelon(f)
+    for row in mat.row_groups().values():
+        ech.add_row({last - j: v for j, v in row.items()})
     ech.finalize()
     items = ech.row_items()
-    pivot_set = {p for p, _ in items}
-    free_cols = [j for j in range(mat.cols) if j not in pivot_set]
-    cols = []
+    free = [j for j in range(mat.cols) if last - j not in ech.rows]
+    where = {last - j: t for t, j in enumerate(free)}
     one = f.one()
-    for j in free_cols:
-        vec = {j: one}
-        for p, row in items:
-            c = row.get(j)
-            if c is not None and c != 0:
-                vec[p] = f.neg(c)
-        cols.append(vec)
-    return Subspace.from_columns(mat.cols, f, cols)
+    data = {(j, t): one for t, j in enumerate(free)}
+    # a reduced row meets its own pivot and free columns only
+    data.update({(last - p, where[k]): f.neg(c) for p, row in items for k, c in row.items() if k != p})
+    return Subspace(mat.cols, f, Mat(mat.cols, len(free), f, data), free)
 
 
 def image(mat: Mat) -> Subspace:

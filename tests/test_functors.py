@@ -281,12 +281,30 @@ def test_adjunction_check_matches_loop_on_catalog_surjection(field):
             assert rep.ok
 
 
-def test_adjunction_check_matches_loop_on_one_changed_entry():
+def _count_trips(monkeypatch) -> list:
+    """Record the count of basis maps of each round trip adjunction_check
+    runs, one _first_failure call per trip: a second entry means it took
+    the branch that runs the second trip on a basis of Hom(W, V|_D)."""
+    from contramod import functors
+
+    trips, first_failure = [], functors._first_failure
+
+    def counted(count, tests):
+        trips.append(count)
+        return first_failure(count, tests)
+
+    monkeypatch.setattr(functors, "_first_failure", counted)
+    return trips
+
+
+def test_adjunction_check_matches_loop_on_one_changed_entry(monkeypatch):
     """With W or V not a contramodule, the first basis map that fails decides
     the verdict, in the loop's order: a passing report, a failing one, or
-    the extension's ValueError."""
+    the extension's ValueError.  Both sides of the branch on unequal hom
+    dimensions are reached, and both match the loop."""
     rng = random.Random(2803)
-    seen = set()
+    seen, branches = set(), set()
+    trips = _count_trips(monkeypatch)
     for field in FIELDS:
         sources = _battery_sources(field)
         for trial in range(60):
@@ -294,10 +312,34 @@ def test_adjunction_check_matches_loop_on_one_changed_entry():
             w = random_contramodule(rng, rho.target, max_free=3)
             v = random_contramodule(rng, rho.source, max_free=3)
             for w2, v2 in ((_one_entry_changed(rng, w), v), (w, _one_entry_changed(rng, v))):
+                trips.clear()
                 got = _outcome(adjunction_check, rho, w2, v2)
                 assert got == _outcome(loop_adjunction_check, rho, w2, v2), (field, trial)
+                branches.add(len(trips) == 2)
                 seen.add(got.roundtrip_ok if isinstance(got, AdjunctionReport) else got)
     assert seen == {True, False, ("ValueError", "extension does not kill the induction relations")}
+    assert branches == {True, False}
+
+
+def _with_dead_vector(b):
+    """b plus one basis vector on which the coaction is zero: coassociative
+    still, but the counit law fails on it."""
+    d = b.dim
+    data = {(idx // d * (d + 1) + idx % d, k): x for (idx, k), x in b.left_coaction.data.items()}
+    return Contramodule(b.coalgebra, d + 1, Mat(b.coalgebra.dim * (d + 1), d + 1, b.field, data))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_second_trip_decided_by_gamma_of_gamma_inv(field):
+    """W with zero coaction and V with a dead vector, each failing only the
+    counit law.  Hom(Ind W, V) is 0, so the first trip passes and the second
+    runs on Hom(W, V|_D), the map onto the dead vector: its extension
+    through V's coaction is zero, so it descends to the zero map, a
+    contra-map, and only gamma(gamma_inv(psi)) = psi fails."""
+    rho = divided_power_surjection(field, 3, 2, 2)
+    w = Contramodule(rho.target, 1, Mat(rho.target.dim, 1, field))
+    v = _with_dead_vector(free_contramodule(rho.source, 1))
+    assert adjunction_check(rho, w, v) == AdjunctionReport(0, 1, False) == loop_adjunction_check(rho, w, v)
 
 
 @pytest.mark.parametrize("wrong", ["unit", "restriction", "extension"])
@@ -312,7 +354,7 @@ def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
     from contramod import functors
 
     rng = random.Random(2804)
-    seen = set()
+    seen, branches = set(), set()
     true_unit, true_restrict, true_ext = functors._unit, functors.restrict, functors._extension
     true_loop_gamma_inv = loop_gamma_inv
     for field in FIELDS:
@@ -328,20 +370,27 @@ def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
                 bad = _entry_changed(rng, unit)
                 monkeypatch.setattr(functors, "_unit", lambda rho, res: bad)
             elif wrong == "restriction":
+                # the free restrict, which the loop calls, runs this method too
                 bad = _one_entry_changed(rng, true_restrict(rho, v))
-                monkeypatch.setattr(functors, "restrict", lambda rho, v: bad)
-                monkeypatch.setitem(globals(), "restrict", functors.restrict)
+                monkeypatch.setattr(functors.Induction, "restrict", lambda self, v: bad)
             else:
                 bad = _one_entry_changed(rng, v)
                 monkeypatch.setattr(functors, "_extension", lambda res, v, wd: true_ext(res, bad, wd))
                 monkeypatch.setitem(globals(), "loop_gamma_inv",
                                     lambda rho, res, v, psi: true_loop_gamma_inv(rho, res, bad, psi))
+            trips = _count_trips(monkeypatch)
             got = _outcome(adjunction_check, rho, w, v)
+            branches.add(len(trips) == 2)
             assert got == _outcome(loop_adjunction_check, rho, w, v), (field, trial)
             monkeypatch.undo()
             seen.add(got.roundtrip_ok if isinstance(got, AdjunctionReport) else got[0])
     assert {True, False} <= seen
     assert wrong != "extension" or "ValueError" in seen
+    # a faulty unit or extension leaves both hom spaces as they are: their
+    # dimensions agree and the first trip decides alone.  A faulty V|_D can
+    # take the second trip, about twice in 1,200 draws; the test above
+    # reaches both sides of the branch.
+    assert wrong == "restriction" or branches == {False}
 
 
 def test_adjunction_naturality():

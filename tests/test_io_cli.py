@@ -636,7 +636,7 @@ def test_cli_induction_jobs_refuse_spaces_above_max_dim(job, tmp_path, capsys, m
     """Each job that induces is refused, naming the dims, before anything is
     induced or drawn when its space is above io.MAX_DIM; at exactly
     io.MAX_DIM it reaches induction."""
-    for name in ("contramod.functors.induce", "contramod.randomgen.random_contra_ses"):
+    for name in ("contramod.functors.Induction.induce", "contramod.randomgen.random_contra_ses"):
         def reached(*args, name=name):
             raise ValueError(f"{name} reached")
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from contramod.fields import GF, GF2, GF3, QQ
 from contramod.linalg import (
-    Subspace, _EchelonGeneric, coequalizer, equalizer, image, kernel, quotient_by_image, rank, solve,
+    Subspace, _EchelonGeneric, coequalizer, equalizer, image, kernel, quotient_by_image, rank,
+    row_echelon, solve,
 )
 from contramod.matrix import Mat, _col, _ints, _row, kron, kron_identity
 
@@ -475,6 +476,46 @@ def test_linalg_matches_dense_gauss_jordan(field):
         else:
             expected = {p: row[ncols] for p, row in zip(a_pivots, a_rref) if row[ncols] != 0}
             assert solve(mat, rhs) == expected
+
+
+def two_elimination_kernel(mat):
+    """The kernel in two eliminations: the null vectors read off the rows
+    reduced in column order, then made canonical by a second elimination."""
+    f = mat.field
+    ech = row_echelon(mat)
+    ech.finalize()
+    items = ech.row_items()
+    pivot_set = {p for p, _ in items}
+    cols = []
+    for j in (j for j in range(mat.cols) if j not in pivot_set):
+        vec = {j: f.one()}
+        vec.update({p: f.neg(row[j]) for p, row in items if row.get(j, 0) != 0})
+        cols.append(vec)
+    return Subspace.from_columns(mat.cols, f, cols)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+def test_kernel_matches_two_elimination_oracle(field):
+    """kernel, read off one elimination with the columns reversed, is the
+    Subspace of the two-elimination oracle: equal pivots and basis, on wide
+    scalars with zero, duplicate and combined rows, and on the zero matrix,
+    no rows, no columns and full column rank."""
+    rng = random.Random(3101)
+    mats = []
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = hard_rows(rng, nrows, ncols, field)
+        mats.append(Mat.from_entries(nrows, ncols, field,
+                                     [(i, j, v) for i, row in enumerate(rows) for j, v in row.items()]))
+    # upper triangular with a nonzero diagonal: full column rank, zero kernel
+    triangular = Mat.from_entries(5, 3, field, [(i, j, wide_scalar(rng, field))
+                                                for j in range(3) for i in range(j + 1)])
+    mats += [Mat(3, 4, field), Mat(0, 4, field), Mat(3, 0, field), Mat(0, 0, field),
+             Mat.identity(4, field), triangular]
+    for mat in mats:
+        got, want = kernel(mat), two_elimination_kernel(mat)
+        assert (got.ambient, got.pivots, got.basis) == (want.ambient, want.pivots, want.basis), mat.data
+    assert [kernel(m).dim for m in mats[-6:]] == [4, 4, 0, 0, 0, 0]
 
 
 def dense_product(a, b, field):
