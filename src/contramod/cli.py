@@ -15,7 +15,8 @@ is.  Reports are deterministic for a fixed seed;
 
 A job loads only what its subcommand runs: this module imports ``io`` and
 the layers ``io`` is built on; the jobs that induce import ``functors`` when
-they run, and ``tower`` imports ``sl2`` and ``towers``.  ``main(argv)`` is the
+they run, and ``tower`` imports ``towers``, which loads ``sl2`` and guards
+the tower's size and weight window itself.  ``main(argv)`` is the
 in-process API and returns the exit code; ``entry``, the process entry,
 ends the process once the report is flushed, without interpreter teardown.
 """
@@ -215,30 +216,14 @@ def _duality(job, v, w):
 
 
 def _tower(job, battery):
-    from .sl2 import battery_dim, battery_module, battery_top_weight, stage_dim, tower_base
-    from .towers import cohom_tower, first_stable_stage
+    from .towers import cohom_tower
 
+    # cohom_tower refuses a tower too large to build, or one that compares
+    # nothing, before it builds anything
     p, lam, mmax = job.params["p"], job.params["lambda"], job.params["mmax"]
-    # the last stage lives over k[G_mmax], of dimension p^(3 mmax); the
-    # bounds on p and mmax come first so the power is never large
-    if p > 1 and mmax > 0 and (max(p, mmax) > cio.MAX_DIM or p ** (3 * mmax) > cio.MAX_DIM):
-        raise SchemaError(f"tower: k[G_{mmax}] has dimension {p}^{3 * mmax}, above {cio.MAX_DIM}")
-    # the largest Cohom coequalizer has dim V * dim P(lam, mmax) rows; checked
-    # before any stage or module is tensored together
-    top = stage_dim(lam, p, mmax)
-    for expr in battery:
-        if battery_dim(p, expr) * top > cio.MAX_DIM:
-            raise SchemaError(f"tower: {expr} times the last stage P({lam},{mmax}), of dimension "
-                              f"{top}, has dimension above {cio.MAX_DIM}")
-    # so is each module's weight window, read off its factors' characters
-    m0 = tower_base(lam, p, mmax)
-    for expr in battery:
-        first_stable_stage(expr, battery_top_weight(p, expr), m0, p, mmax)
-    modules = [battery_module(p, expr) for expr in battery]
-    reports = [{**rep.to_json(), "module": expr}
-               for expr, rep in zip(battery, cohom_tower(modules, lam, p, mmax))]
-    ok = all(r["match"] for r in reports)
-    return {"towers": reports, "all_match": ok}, ok
+    reports = cohom_tower(battery, lam, p, mmax)
+    ok = all(rep.match for rep in reports)
+    return {"towers": [rep.to_json() for rep in reports], "all_match": ok}, ok
 
 
 class Command(NamedTuple):

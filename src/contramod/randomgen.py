@@ -15,20 +15,25 @@ from .functors import ShortExactSeq
 from .linalg import Subspace
 from .matrix import Mat, push
 
+MAX_SUPPORT = 4    # nonzero entries of a random vector
+EXTRA_GENS = 2     # random generators of a subalgebra beyond the counit
+MAX_COFREE = 2     # copies of C in the cofree comodule a random comodule comes from
+SES_ATTEMPTS = 20  # draws of a middle term before a sequence gives up
 
-def random_vector(rng, dim, field, max_support=4) -> dict:
-    support = rng.sample(range(dim), k=min(dim, rng.randint(1, max_support)))
+
+def random_vector(rng, dim, field) -> dict:
+    support = rng.sample(range(dim), k=min(dim, rng.randint(1, MAX_SUPPORT)))
     return {i: field.random(rng) for i in support}
 
 
-def random_subalgebra(rng, c: Coalgebra, tries: int = 2) -> Subspace:
+def random_subalgebra(rng, c: Coalgebra) -> Subspace:
     """Unital subalgebra of the dual algebra C*, generated by random
     functionals and closed under the convolution product."""
     f = c.field
     n = c.dim
     mult = c.delta.transpose()  # C* (x) C* -> C* in first-slot order
     gens = [dict(c.epsilon.row_groups().get(0, {}))]
-    for _ in range(rng.randint(0, tries)):
+    for _ in range(rng.randint(0, EXTRA_GENS)):
         gens.append(random_vector(rng, n, f))
     sub = Subspace.from_columns(n, f, gens)
     while True:
@@ -73,9 +78,9 @@ def _subquotient(rng, amb: Comodule) -> Comodule:
     return quotient_comodule(amb, sub)[0]
 
 
-def random_comodule(rng, c: Coalgebra, max_cofree: int = 2, side: str = "left") -> Comodule:
+def random_comodule(rng, c: Coalgebra, side: str = "left") -> Comodule:
     """Random subcomodule or quotient of a cofree comodule."""
-    return _subquotient(rng, cofree(c, rng.randint(1, max_cofree), side=side))
+    return _subquotient(rng, cofree(c, rng.randint(1, MAX_COFREE), side=side))
 
 
 def random_contramodule(rng, c: Coalgebra, max_free: int = 2) -> Contramodule:
@@ -83,10 +88,10 @@ def random_contramodule(rng, c: Coalgebra, max_free: int = 2) -> Contramodule:
     return _subquotient(rng, free_contramodule(c, rng.randint(1, max_free)))
 
 
-def _random_ses(rng, draw_mid, attempts: int) -> tuple | None:
+def _random_ses(rng, draw_mid) -> tuple | None:
     """(sub, mid, quot, incl, proj) with a nontrivial middle term from
     ``draw_mid()``; degenerate draws (zero or full subobject) are redrawn."""
-    for _ in range(attempts):
+    for _ in range(SES_ATTEMPTS):
         mid = draw_mid()
         if mid.dim < 2:
             continue
@@ -99,9 +104,9 @@ def _random_ses(rng, draw_mid, attempts: int) -> tuple | None:
     return None
 
 
-def random_contra_ses(rng, c: Coalgebra, max_free: int = 2, attempts: int = 20) -> ShortExactSeq | None:
+def random_contra_ses(rng, c: Coalgebra) -> ShortExactSeq | None:
     """Short exact sequence of contramodules with a nontrivial middle term."""
-    drawn = _random_ses(rng, lambda: random_contramodule(rng, c, max_free), attempts)
+    drawn = _random_ses(rng, lambda: random_contramodule(rng, c))
     return None if drawn is None else ShortExactSeq(*drawn)
 
 

@@ -1,6 +1,10 @@
 """Inverse systems of finite-dimensional spaces, Mittag-Leffler detection,
 four-term limit exactness, and stabilization tables for Cohom towers.
 
+:func:`cohom_tower` is where an SL2 tower is admitted: it takes a battery of
+module expressions and refuses, before it tensors anything, a tower that is
+too large or a module that no stage of the tower would compare.
+
 A system holds stages indexed m0 .. m0+len-1 with transition maps pointing
 DOWN the index: transitions[t] maps stage t+1 to stage t.  Detection of the
 Mittag-Leffler condition is inherently windowed: image chains that are still
@@ -181,6 +185,7 @@ class TowerRow:
 
 @dataclass
 class TowerReport:
+    module: str           # the battery expression
     lam: int
     p: int
     stages: list          # list[TowerRow]
@@ -191,6 +196,7 @@ class TowerReport:
 
     def to_json(self) -> dict:
         return {
+            "module": self.module,
             "lambda": self.lam,
             "p": self.p,
             "stages": [{"m": r.m, "dim_cohom": r.dim_cohom} for r in self.stages],
@@ -200,41 +206,43 @@ class TowerReport:
         }
 
 
-def first_stable_stage(name: str, top_weight: int, m0: int, p: int, m_max: int) -> int:
-    """The first stage m >= m0 where the weight bound p^(m-1) > top_weight
-    holds for a module of that top (absolute) weight; raises ValueError
-    naming the module when the tower ends at m_max before it."""
-    m = m0
-    while p ** (m - 1) <= top_weight:
-        m += 1
-    if m > m_max:
-        raise ValueError(f"{name}: the weight bound first holds at stage {m}, "
-                         f"beyond the last stage {m_max}")
-    return m
-
-
-def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[TowerReport]:
+def cohom_tower(battery: list, lam: int, p: int = 2, m_max: int = 3) -> list[TowerReport]:
     """Dimension tables of Cohom over the stage kernels against the character
-    multiplicity oracle, one ``TowerReport`` per module.
+    multiplicity oracle, one ``TowerReport`` per battery expression ("L1*L1").
 
-    ``modules`` are rational modules from the SL2 catalog; the tower of lam
-    runs from its first stage m0 to ``m_max``, and stage m is computed over
-    the m-th Frobenius-kernel coalgebra.  Every module's weight window is
-    checked first: a tower that ends before the first stage where a module's
-    weight bound holds compares nothing for it, so that raises ValueError
-    naming the first such module before anything is built.  Then each stage
-    is built once in its kernel, only as the F2 theta masks of its dual
-    (:func:`sl2.kernel_stage_masks`), and each module is restricted once
-    per stage and paired with those masks by :func:`contramodule.gf2_cohom`.
+    The tower of lam runs from its first stage m0 to ``m_max``.  Before any
+    module is tensored, ValueError refuses, in this order, a k[G_m_max] or a
+    module times the last stage above ``io.MAX_DIM``, and a module whose
+    weight bound p^(m-1) > top weight first holds past ``m_max``, so that no
+    stage of it would be compared.  Each stage is then built once in its
+    kernel, as the F2 theta masks of its dual (:func:`sl2.kernel_stage_masks`),
+    and each module restricted once per stage and paired with them by
+    :func:`contramodule.gf2_cohom`.
     """
     from . import contramodule, sl2  # local import: sl2 builds on this module's InverseSystem
     from .comodule import dual_comodule
+    from .io import MAX_DIM
 
+    # the bounds on p and m_max come first so the power is never large
+    if p > 1 and m_max > 0 and (max(p, m_max) > MAX_DIM or p ** (3 * m_max) > MAX_DIM):
+        raise ValueError(f"tower: k[G_{m_max}] has dimension {p}^{3 * m_max}, above {MAX_DIM}")
+    # the largest Cohom coequalizer has dim V * dim P(lam, m_max) rows
+    top = sl2.stage_dim(lam, p, m_max)
+    for expr in battery:
+        if sl2.battery_dim(p, expr) * top > MAX_DIM:
+            raise ValueError(f"tower: {expr} times the last stage P({lam},{m_max}), of dimension "
+                             f"{top}, has dimension above {MAX_DIM}")
     m0 = sl2.tower_base(lam, p, m_max)
     stable_froms = []
-    for v in modules:
-        top = max((abs(w) for w in v.character()), default=0)
-        stable_froms.append(first_stable_stage(v.name, top, m0, p, m_max))
+    for expr in battery:
+        m, top_weight = m0, sl2.battery_top_weight(p, expr)
+        while p ** (m - 1) <= top_weight:
+            m += 1
+        if m > m_max:
+            raise ValueError(f"{expr}: the weight bound first holds at stage {m}, "
+                             f"beyond the last stage {m_max}")
+        stable_froms.append(m)
+    modules = [sl2.battery_module(p, expr) for expr in battery]
     rows = [[] for _ in modules]
     for m in range(m0, m_max + 1):
         db, ts = sl2.kernel_stage_masks(lam, m)
@@ -242,11 +250,11 @@ def cohom_tower(modules: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
             v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
             v_rows.append(TowerRow(m, contramodule.gf2_cohom(v_m, db, ts).dim))
     reports = []
-    for v, v_rows, stable_from in zip(modules, rows, stable_froms):
+    for expr, v, v_rows, stable_from in zip(battery, modules, rows, stable_froms):
         f_v = sl2.f_multiplicity(lam, v)
         # stabilization counts only when it was observed: before the last stage
         pos = _settled_from([r.dim_cohom for r in v_rows])
         stabilized_at = v_rows[pos].m if pos < len(v_rows) - 1 else None
         match = all(r.dim_cohom == f_v for r in v_rows if r.m >= stable_from)
-        reports.append(TowerReport(lam, p, v_rows, stabilized_at, f_v, match, stable_from))
+        reports.append(TowerReport(expr, lam, p, v_rows, stabilized_at, f_v, match, stable_from))
     return reports

@@ -36,7 +36,7 @@ from contramod.randomgen import (
     socle_filtration_sequences,
 )
 from contramod.sl2 import (
-    battery_module, build_tower, catalog_modules, frob_kernel_coalgebra,
+    build_tower, catalog_modules, frob_kernel_coalgebra,
     restrict_to_kernel, simple_module,
 )
 from contramod.towers import InverseSystem, cohom_tower, is_mittag_leffler
@@ -433,7 +433,7 @@ def test_criterion_6_tower_stabilization():
     }
     for lam in (0, 1):
         tower = build_tower(lam, 2, 3)
-        reports = cohom_tower([battery_module(2, expr) for expr in battery], lam, 2, 3)
+        reports = cohom_tower(battery, lam, 2, 3)
         for expr, rep in zip(battery, reports):
             assert rep.f_v == expected[lam][expr], (lam, expr, rep.f_v)
             assert rep.match, (lam, expr, [r.dim_cohom for r in rep.stages], rep.stable_from)

@@ -19,9 +19,9 @@ from contramod.randomgen import (
 FIELDS = [QQ, GF2, GF3]
 
 
-def random_comodule_ses(rng, c, max_cofree=2, attempts=20):
+def random_comodule_ses(rng, c):
     """Short exact sequence of left comodules: (sub, mid, quot, incl, proj)."""
-    return _random_ses(rng, lambda: random_comodule(rng, c, max_cofree), attempts)
+    return _random_ses(rng, lambda: random_comodule(rng, c))
 
 
 def source_coalgebras(field):

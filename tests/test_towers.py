@@ -303,14 +303,12 @@ def test_transition_contra_hom_validation():
 
 
 def test_cohom_tower_report_shape():
-    from contramod.sl2 import battery_module
-
-    [rep] = cohom_tower([battery_module(2, "L0")], 0, 2, 2)
+    [rep] = cohom_tower(["L0"], 0, 2, 2)
     assert rep.f_v == 1
     assert [r.dim_cohom for r in rep.stages] == [1, 1]
     assert rep.match
     data = rep.to_json()
-    assert data["lambda"] == 0 and data["stages"][0]["m"] == 1
+    assert data["module"] == "L0" and data["lambda"] == 0 and data["stages"][0]["m"] == 1
 
 
 README_BATTERY = ["L0", "L1", "L2", "L3", "L1*L1"]
@@ -329,12 +327,11 @@ def test_cohom_tower_builds_each_stage_mask_once(monkeypatch):
 
     real = sl2.kernel_stage_masks
     monkeypatch.setattr(sl2, "kernel_stage_masks", counted)
-    modules = [sl2.battery_module(2, expr) for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
-    cohom_tower(modules, 0, 2, 3)
+    cohom_tower(README_BATTERY, 0, 2, 3)
     assert builds == [(0, m) for m in (1, 2, 3)]
 
 
-def _cohom_tower_one(v, tower, lam, p):
+def _cohom_tower_one(expr, tower, lam, p):
     """The per-module loop the battery call replaced: every stage is
     restricted and made a contramodule again for each module."""
     from contramod import sl2
@@ -342,6 +339,7 @@ def _cohom_tower_one(v, tower, lam, p):
     from contramod.contramodule import cohom, contra_from_comodule
     from contramod.towers import TowerReport, TowerRow
 
+    v = sl2.battery_module(p, expr)
     max_wt = max((abs(w) for w in v.character()), default=0)
     stable_from = tower.m0
     while p ** (stable_from - 1) <= max_wt:
@@ -360,17 +358,16 @@ def _cohom_tower_one(v, tower, lam, p):
         else:
             break
     match = all(r.dim_cohom == f_v for r in rows if r.m >= stable_from)
-    return TowerReport(lam, p, rows, stabilized_at, f_v, match, stable_from)
+    return TowerReport(expr, lam, p, rows, stabilized_at, f_v, match, stable_from)
 
 
 @pytest.mark.parametrize("lam", [0, 1])
 def test_cohom_tower_matches_the_per_module_loop(lam):
-    from contramod.sl2 import battery_module, build_tower
+    from contramod.sl2 import build_tower
 
     tower = build_tower(lam, 2, 3)
-    modules = [battery_module(2, expr) for expr in README_BATTERY]
-    reports = cohom_tower(modules, lam, 2, 3)
-    assert reports == [_cohom_tower_one(v, tower, lam, 2) for v in modules]
+    reports = cohom_tower(README_BATTERY, lam, 2, 3)
+    assert reports == [_cohom_tower_one(expr, tower, lam, 2) for expr in README_BATTERY]
     assert [r.stable_from for r in reports] == [1, 2, 3, 3, 3]
 
 
@@ -384,11 +381,10 @@ def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, mo
     from types import SimpleNamespace
 
     from contramod import contramodule
-    from contramod.sl2 import battery_module
 
     scripted = iter(dims)
     monkeypatch.setattr(contramodule, "gf2_cohom", lambda v, db, ts: SimpleNamespace(dim=next(scripted)))
-    [rep] = cohom_tower([battery_module(2, "L0")], 0, 2, len(dims))
+    [rep] = cohom_tower(["L0"], 0, 2, len(dims))
     assert [r.dim_cohom for r in rep.stages] == dims
     assert rep.stabilized_at == stabilized_at
 
@@ -418,13 +414,13 @@ def _count_builds(monkeypatch, stages: dict) -> list:
 def test_cohom_tower_restricts_each_stage_once(monkeypatch):
     """Each stage is built in its kernel once for the whole battery, and
     each module is restricted once per stage."""
-    from contramod.sl2 import battery_module, kernel_stage_masks
+    from contramod.sl2 import kernel_stage_masks
 
-    modules = [battery_module(2, expr) for expr in ("L0", "L1", "P1")]
+    battery = ["L0", "L1", "P1"]
     calls = _count_builds(monkeypatch, {m: kernel_stage_masks(0, m) for m in (1, 2)})
-    cohom_tower(modules, 0, 2, 2)
+    cohom_tower(battery, 0, 2, 2)
     stages = [("stage", 1), ("stage", 2)]
-    assert sorted(calls) == sorted(stages + [(v.name, m) for _, m in stages for v in modules])
+    assert sorted(calls) == sorted(stages + [(expr, m) for _, m in stages for expr in battery])
 
 
 def test_cohom_tower_relabels_no_full_stage(monkeypatch):
@@ -450,8 +446,7 @@ def test_cohom_tower_relabels_no_full_stage(monkeypatch):
     monkeypatch.setattr(comodule, "dual_comodule", counted)
     monkeypatch.setattr(sl2, "dual_comodule", counted)
     monkeypatch.setattr(comodule.Comodule, "__post_init__", built)
-    modules = [sl2.battery_module(2, expr) for expr in ("L0", "L1*L1")]
-    cohom_tower(modules, 0, 2, 3)
+    cohom_tower(["L0", "L1*L1"], 0, 2, 3)
     monkeypatch.undo()
     stage2, stage3 = (dual_kernel_stage(0, 2, m).left_coaction.nnz for m in (2, 3))
     assert handed and max(handed) < stage2 and sum(handed) < stage3
@@ -461,10 +456,29 @@ def test_cohom_tower_relabels_no_full_stage(monkeypatch):
 def test_cohom_tower_window_error_names_the_first_offending_module(monkeypatch):
     """At --mmax 2 the README battery's L2, L3 and L1*L1 all first compare
     at stage 3; the error names L2 and nothing is built or restricted."""
-    from contramod.sl2 import battery_module
-
-    modules = [battery_module(2, expr) for expr in README_BATTERY]
     calls = _count_builds(monkeypatch, {})
     with pytest.raises(ValueError, match=r"^L2: .*stage 3, beyond the last stage 2$"):
-        cohom_tower(modules, 0, 2, 2)
+        cohom_tower(README_BATTERY, 0, 2, 2)
     assert calls == []
+
+
+@pytest.mark.parametrize("battery, m_max, error", [
+    (["L0"], 5, "tower: k[G_5] has dimension 2^15, above 4096"),
+    (["L0", "*".join(["L1"] * 9)], 2,
+     "tower: L1*L1*L1*L1*L1*L1*L1*L1*L1 times the last stage P(0,2), of dimension 16, "
+     "has dimension above 4096"),
+    (README_BATTERY, 2, "L2: the weight bound first holds at stage 3, beyond the last stage 2"),
+], ids=["kernel", "module-size", "window"])
+def test_cohom_tower_guards_before_building_anything(battery, m_max, error, monkeypatch):
+    """The library call refuses a tower with the CLI's messages, before any
+    battery module or stage is built."""
+    from contramod import sl2
+
+    def refused(*args):
+        raise AssertionError("a module or stage was built")
+
+    monkeypatch.setattr(sl2, "battery_module", refused)
+    monkeypatch.setattr(sl2, "kernel_stage_masks", refused)
+    with pytest.raises(ValueError) as info:
+        cohom_tower(battery, 0, 2, m_max)
+    assert str(info.value) == error
