@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "fields": ("FieldSpec", "GF", "GF2", "GF3", "QQ"),
     "functors": (
-        "Induction", "InductionResult", "ShortExactSeq", "adjunction_check", "comodule_along",
-        "exactness_probe", "gamma", "gamma_inv", "induce", "restrict",
+        "Induction", "InductionResult", "ShortExactSeq", "adjunction_check", "exactness_probe",
+        "gamma", "gamma_inv",
     ),
     "linalg": ("Subspace", "coequalizer", "equalizer", "image", "kernel", "rank"),
     "matrix": ("Mat", "kron"),

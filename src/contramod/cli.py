@@ -143,13 +143,13 @@ def _check_size(job, dims: str, size: int):
 
 
 def _induce(job, rho, w):
-    from .functors import induce
+    from .functors import Induction
 
     # inducing W along rho: C -> D works in Hom(C, W) = C* (x) W
     c = rho.source.dim
     _check_size(job, f"dim C {c} and dim W {w.dim}", c * w.dim)
     # induce asserts the contramodule axioms of what it returns
-    res = induce(rho, w)
+    res = Induction(rho).induce(w)
     return {"dim_W": w.dim, "dim_induced": res.dim, "axioms_ok": True}, True
 
 

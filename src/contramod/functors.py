@@ -3,9 +3,11 @@ map, the explicit adjunction isomorphism, and exactness probes.
 
 Induction is the Cohom of the target-side comodule structure on the source
 coalgebra: the quotient contramodule of the free contramodule on the carrier
-of W by Cohom's relations.  ``Induction(rho)`` induces and restricts along
-one surjection: it checks rho and builds C as a D-comodule once, for every
-contramodule induced along it.
+of W by Cohom's relations.  ``Induction(rho)`` is the one way to induce and
+restrict along a surjection: it checks rho and builds C as a D-comodule
+once, for every contramodule induced along it.  The maps built from an
+induction result, ``induce_map``, ``gamma`` and ``gamma_inv``, read C off
+the induced contramodule, so no second rho can disagree with it.
 
 ``adjunction_check`` certifies the adjunction isomorphism in the flat
 coordinates of hom spaces (:func:`matrix.map_of_vec`), where gamma and
@@ -82,52 +84,29 @@ class Induction:
         if not v.ok:
             raise ValueError(f"input sequence is not a valid SES: {v.failures}")
         res_a, res_b, res_c = self.induce(ses.sub), self.induce(ses.mid), self.induce(ses.quot)
-        return ExactnessVerdict.of(induce_map(self.rho, res_a, res_b, ses.incl),
-                                   induce_map(self.rho, res_b, res_c, ses.proj))
+        return ExactnessVerdict.of(induce_map(res_a, res_b, ses.incl), induce_map(res_b, res_c, ses.proj))
 
 
-def restrict(rho: CoalgebraMorphism, v: Contramodule) -> Contramodule:
-    """:meth:`Induction.restrict` along rho."""
-    return Induction(rho).restrict(v)
-
-
-def comodule_along(rho: CoalgebraMorphism) -> Comodule:
-    """The source coalgebra as a left comodule over the target, via
-    (rho (x) id) o Delta."""
-    return Induction(rho).comodule
-
-
-def induce(rho: CoalgebraMorphism, w: Contramodule) -> InductionResult:
-    """:meth:`Induction.induce` along rho."""
-    return Induction(rho).induce(w)
-
-
-def induce_map(
-    rho: CoalgebraMorphism,
-    res_src: InductionResult,
-    res_tgt: InductionResult,
-    h: Mat,
-) -> Mat:
+def induce_map(res_src: InductionResult, res_tgt: InductionResult, h: Mat) -> Mat:
     """Functorial action on a contra-homomorphism h: W -> W'."""
-    lifted = res_tgt.coeq.quotient_map @ kron_identity(h, rho.source.dim, left=True)
+    lifted = res_tgt.coeq.quotient_map @ kron_identity(h, res_tgt.induced.coalgebra.dim, left=True)
     return res_src.coeq.descend(lifted, "map does not descend: is h a contra-homomorphism?")
 
 
 # -- the adjunction ---------------------------------------------------------------
 
 
-def _unit(rho: CoalgebraMorphism, res: InductionResult) -> Mat:
-    """The unit W -> Ind(W)|_D that gamma precomposes: Ind(W)'s free
-    presentation after the counit-induced splitting W -> Hom(C, W)."""
-    presentation = res.coeq.quotient_map
-    w_dim = presentation.cols // rho.source.dim
-    return presentation @ kron_identity(rho.source.epsilon.transpose(), w_dim, left=False)
+def _unit(res: InductionResult) -> Mat:
+    """The unit W -> Ind(W)|_D that gamma precomposes: Ind(W)'s free presentation
+    after the splitting W -> Hom(C, W) by the counit of C, Ind(W)'s coalgebra."""
+    c, presentation = res.induced.coalgebra, res.coeq.quotient_map
+    return presentation @ kron_identity(c.epsilon.transpose(), presentation.cols // c.dim, left=False)
 
 
-def gamma(rho: CoalgebraMorphism, res: InductionResult, phi: Mat) -> Mat:
+def gamma(res: InductionResult, phi: Mat) -> Mat:
     """Turn a contra-hom Ind(W) -> V into W -> V|_D by precomposing with the
     counit-induced splitting of the free presentation."""
-    return phi @ _unit(rho, res)
+    return phi @ _unit(res)
 
 
 def _extension(res: InductionResult, v: Contramodule, wd: int) -> tuple[Mat, Mat]:
@@ -150,7 +129,7 @@ def _extension(res: InductionResult, v: Contramodule, wd: int) -> tuple[Mat, Mat
 _NOT_KILLED = "extension does not kill the induction relations"
 
 
-def gamma_inv(rho: CoalgebraMorphism, res: InductionResult, v: Contramodule, psi: Mat) -> Mat:
+def gamma_inv(res: InductionResult, v: Contramodule, psi: Mat) -> Mat:
     """Inverse direction: extend W -> V|_D to Ind(W) -> V via the
     contra-action of V (:func:`_extension`), which must descend."""
     dv, wd = v.dim, psi.cols
@@ -209,7 +188,7 @@ def adjunction_check(rho: CoalgebraMorphism, w: Contramodule, v: Contramodule) -
     res, v_res = ind.induce(w), ind.restrict(v)
     lhs_sys, rhs_sys = _hom_system(res.induced, v), _hom_system(w, v_res)
     lhs, rhs_dim = kernel(lhs_sys), rhs_sys.cols - rank(rhs_sys)
-    unit_t = _unit(rho, res).transpose()
+    unit_t = _unit(res).transpose()
     section, kills = _extension(res, v, w.dim)
     # phi -> psi = gamma(phi): a contra-map whose extension descends, and gamma_inv(psi) = phi
     psis = push(unit_t, v.dim, False, lhs.basis)

@@ -147,6 +147,8 @@ def _dim(data: dict, where: str) -> int:
         dim = _int(data["dim"])
     except (KeyError, TypeError, ValueError):
         raise SchemaError(f"{where}: missing or bad dim") from None
+    if dim < 0:
+        raise SchemaError(f"{where}: dim {dim} is negative")
     if dim > MAX_DIM:
         raise SchemaError(f"{where}: dim {dim} exceeds {MAX_DIM}")
     return dim

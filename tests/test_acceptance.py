@@ -26,9 +26,7 @@ from contramod.contramodule import (
     trivial_contramodule,
 )
 from contramod.fields import GF2, GF3, QQ
-from contramod.functors import (
-    ShortExactSeq, adjunction_check, comodule_along, exactness_probe, induce,
-)
+from contramod.functors import Induction, ShortExactSeq, adjunction_check, exactness_probe
 from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.randomgen import (
@@ -356,7 +354,7 @@ def test_criterion_5_injectivity_projectivity_exactness():
     # (a) the fixed counterexample along the divided-power surjection
     for field in FIELDS:
         rho = divided_power_surjection(field, 3, 2, 2)
-        assert not is_injective(comodule_along(rho))[0]
+        assert not is_injective(Induction(rho).comodule)[0]
         breg = free_contramodule(rho.target, 1)
         from contramod.contramodule import contra_closure, quotient_contramodule, sub_contramodule
 
@@ -374,7 +372,7 @@ def test_criterion_5_injectivity_projectivity_exactness():
         rho = random_surjection(rng, c)
         while rho.target.dim < 2:
             rho = random_surjection(rng, c)
-        assert is_injective(comodule_along(rho))[0]
+        assert is_injective(Induction(rho).comodule)[0]
         while exact_count < (10 if field is GF2 else 20):
             ses = random_contra_ses(rng, rho.target)
             if ses is None:

@@ -206,11 +206,11 @@ def test_regular_comodule_injective():
 def test_restricted_regular_comodule_not_injective():
     # the 3-dimensional divided-power dual viewed over its quotient is
     # free + trivial over the dual numbers; the trivial part obstructs
-    from contramod.functors import comodule_along
+    from contramod.functors import Induction
 
     for field in FIELDS:
         rho = divided_power_surjection(field, 3, 2, 2)
-        m = comodule_along(rho)
+        m = Induction(rho).comodule
         assert check_comodule(m).ok
         flag, _ = is_injective(m)
         assert not flag

@@ -21,7 +21,7 @@ from contramod.contramodule import (
     Contramodule, cohom, direct_sum, free_contramodule, is_contra_map, trivial_contramodule,
 )
 from contramod.fields import GF2, GF3, QQ
-from contramod.functors import ExactnessVerdict, exactness_probe, induce, induce_map
+from contramod.functors import ExactnessVerdict, Induction, exactness_probe, induce_map
 from contramod.linalg import exactness_failures, image, kernel, quotient_by_image, rank, solve
 from contramod.matrix import Mat, kron, kron_identity
 from contramod.randomgen import (
@@ -88,9 +88,9 @@ def _oracle_verdict(first, second, dims):
 def oracle_exactness_probe(rho, ses):
     if oracle_ses_failures(ses):
         raise ValueError("input sequence is not a valid SES")
-    res_a, res_b, res_c = (induce(rho, w) for w in (ses.sub, ses.mid, ses.quot))
-    ind_incl = induce_map(rho, res_a, res_b, ses.incl)
-    ind_proj = induce_map(rho, res_b, res_c, ses.proj)
+    res_a, res_b, res_c = map(Induction(rho).induce, (ses.sub, ses.mid, ses.quot))
+    ind_incl = induce_map(res_a, res_b, ses.incl)
+    ind_proj = induce_map(res_b, res_c, ses.proj)
     return _oracle_verdict(ind_incl, ind_proj, (res_a.dim, res_b.dim, res_c.dim))
 
 

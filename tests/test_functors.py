@@ -14,8 +14,8 @@ from contramod.contramodule import (
     trivial_contramodule,
 )
 from contramod.functors import (
-    AdjunctionReport, ShortExactSeq, adjunction_check, comodule_along, exactness_probe,
-    gamma, gamma_inv, induce, induce_map, restrict,
+    AdjunctionReport, Induction, ShortExactSeq, adjunction_check, exactness_probe, gamma,
+    gamma_inv, induce_map,
 )
 from contramod.fields import GF2, GF3, QQ
 from contramod.linalg import rank
@@ -30,7 +30,7 @@ FIELDS = [QQ, GF2, GF3]
 def test_restrict_identity():
     c = divided_power_dual(QQ, 3)
     b = free_contramodule(c, 1)
-    assert restrict(identity_morphism(c), b).theta == b.theta
+    assert Induction(identity_morphism(c)).restrict(b).theta == b.theta
 
 
 def test_restrict_to_trivial_coalgebra():
@@ -38,7 +38,7 @@ def test_restrict_to_trivial_coalgebra():
     for field in FIELDS:
         c = divided_power_dual(field, 3)
         b = free_contramodule(c, 2)
-        r = restrict(augmentation(c), b)
+        r = Induction(augmentation(c)).restrict(b)
         assert r.theta == Mat.identity(b.dim, field)
 
 
@@ -46,18 +46,18 @@ def test_restrict_along_catalog_surjection():
     for field in FIELDS:
         rho = divided_power_surjection(field, 3, 2, 2)
         b = free_contramodule(rho.source, 1)
-        assert check_contramodule(restrict(rho, b)).ok
+        assert check_contramodule(Induction(rho).restrict(b)).ok
 
 
 def test_comodule_along():
     for field in FIELDS:
         c = divided_power_dual(field, 3)
-        assert comodule_along(identity_morphism(c)).coaction == c.delta
+        assert Induction(identity_morphism(c)).comodule.coaction == c.delta
         rho = divided_power_surjection(field, 3, 2, 2)
-        m = comodule_along(rho)
+        m = Induction(rho).comodule
         assert check_comodule(m).ok
         # along the augmentation every coalgebra becomes a trivial comodule
-        triv = comodule_along(augmentation(c))
+        triv = Induction(augmentation(c)).comodule
         assert check_comodule(triv).ok
         assert triv.coaction == Mat.identity(c.dim, field)
 
@@ -67,10 +67,10 @@ def test_build_f_g_shapes_and_zero():
     for field in FIELDS:
         rho = divided_power_surjection(field, 3, 2, 2)
         w = free_contramodule(rho.target, 1)
-        coeq = cohom(comodule_along(rho), w)
+        coeq = cohom(Induction(rho).comodule, w)
         assert coeq.quotient_map.cols == rho.source.dim * w.dim
         w0 = free_contramodule(rho.target, 0)
-        assert cohom(comodule_along(rho), w0).dim == 0
+        assert cohom(Induction(rho).comodule, w0).dim == 0
 
 
 def test_build_f_g_rank_identity_case():
@@ -79,7 +79,7 @@ def test_build_f_g_rank_identity_case():
     for field in FIELDS:
         c = divided_power_dual(field, 3)
         w = free_contramodule(c, 1)
-        coeq = cohom(comodule_along(identity_morphism(c)), w)
+        coeq = cohom(Induction(identity_morphism(c)).comodule, w)
         assert coeq.image_subspace.dim == c.dim * w.dim - w.dim
 
 
@@ -87,7 +87,7 @@ def test_induce_along_identity():
     for field in FIELDS:
         c = divided_power_dual(field, 3)
         w = free_contramodule(c, 1)
-        res = induce(identity_morphism(c), w)
+        res = Induction(identity_morphism(c)).induce(w)
         assert res.dim == w.dim
         # explicit isomorphism: theta descends and inverts against the counit section
         descended = w.theta @ res.coeq.section
@@ -98,7 +98,7 @@ def test_induce_free_gives_free():
     for field in FIELDS:
         rho = divided_power_surjection(field, 3, 2, 2)
         for d in (1, 2):
-            res = induce(rho, free_contramodule(rho.target, d))
+            res = Induction(rho).induce(free_contramodule(rho.target, d))
             assert res.dim == free_contramodule(rho.source, d).dim
 
 
@@ -108,7 +108,7 @@ def test_induce_rejects_non_surjection():
     c = divided_power_dual(QQ, 3)
     rho = CoalgebraMorphism(c, c, Mat.zeros(3, 3, QQ), surjective=False)
     with pytest.raises(ValueError):
-        induce(rho, free_contramodule(c, 1))
+        Induction(rho).induce(free_contramodule(c, 1))
 
 
 def test_induction_dims_regression_catalog_pair():
@@ -118,20 +118,22 @@ def test_induction_dims_regression_catalog_pair():
         rho = divided_power_surjection(field, 3, 2, 2)
         d = rho.target
         w_free = free_contramodule(d, 1)
-        assert induce(rho, w_free).dim == 3
+        assert Induction(rho).induce(w_free).dim == 3
         t = trivial_contramodule(d, grouplike_elements(d)[0])
-        assert induce(rho, t).dim == 2
+        assert Induction(rho).induce(t).dim == 2
 
 
 def test_gamma_identity_case():
+    """Coalgebras of equal or small dimension whose counits differ: gamma's
+    unit reads the counit of the coalgebra that Ind(W) lives over."""
     for field in FIELDS:
-        c = divided_power_dual(field, 3)
-        w = free_contramodule(c, 1)
-        res = induce(identity_morphism(c), w)
-        # phi := descended theta is a contra-hom Ind(W) -> W; gamma(phi) = id_W
-        phi = w.theta @ res.coeq.section
-        assert is_contra_map(res.induced, w, phi)
-        assert gamma(identity_morphism(c), res, phi) == Mat.identity(w.dim, field)
+        for c in (divided_power_dual(field, 3), grouplike(field, 3), matrix_coalgebra(field, 2)):
+            w = free_contramodule(c, 1)
+            res = Induction(identity_morphism(c)).induce(w)
+            # phi := descended theta is a contra-hom Ind(W) -> W; gamma(phi) = id_W
+            phi = w.theta @ res.coeq.section
+            assert is_contra_map(res.induced, w, phi)
+            assert gamma(res, phi) == Mat.identity(w.dim, field)
 
 
 def _random_contramodule(rng, c, max_free=2):
@@ -174,13 +176,13 @@ def loop_gamma_inv(rho, res, v, psi):
 def loop_adjunction_check(rho, w, v):
     """Both round trips one basis map at a time, stopping at the first map
     that fails."""
-    res = induce(rho, w)
-    v_res = restrict(rho, v)
+    ind = Induction(rho)
+    res, v_res = ind.induce(w), ind.restrict(v)
     lhs = hom_contra(res.induced, v)
     rhs = hom_contra(w, v_res)
     ok = True
     for phi in hom_contra_basis_maps(res.induced, v, lhs):
-        psi = gamma(rho, res, phi)
+        psi = gamma(res, phi)
         if not is_contra_map(w, v_res, psi):
             ok = False
             break
@@ -193,7 +195,7 @@ def loop_adjunction_check(rho, w, v):
             if not is_contra_map(res.induced, v, phi):
                 ok = False
                 break
-            if gamma(rho, res, phi) != psi:
+            if gamma(res, phi) != psi:
                 ok = False
                 break
     return AdjunctionReport(lhs.dim, rhs.dim, ok)
@@ -211,17 +213,18 @@ def test_gamma_inv_matches_loop_gamma_inv(field):
         rho = random_surjection(rng, sources[trial % len(sources)])
         w = random_contramodule(rng, rho.target, max_free=2)
         v = random_contramodule(rng, rho.source, max_free=2)
-        res = induce(rho, w)
-        psis = hom_contra_basis_maps(w, restrict(rho, v))
+        ind = Induction(rho)
+        res = ind.induce(w)
+        psis = hom_contra_basis_maps(w, ind.restrict(v))
         psis += [Mat.from_entries(v.dim, w.dim, field, [(rng.randrange(v.dim), rng.randrange(w.dim), 1)])
                  for _ in range(3) if v.dim and w.dim]
         for psi in psis:
-            got = _outcome(lambda *a: gamma_inv(*a, psi), rho, res, v)
+            got = _outcome(lambda rho, res, v: gamma_inv(res, v, psi), rho, res, v)
             assert got == _outcome(lambda *a: loop_gamma_inv(*a, psi), rho, res, v), (trial, psi)
             seen.add(type(got).__name__)
     assert seen == {"Mat", "tuple"}
     with pytest.raises(ValueError, match=rf"^cannot extend {v.dim + 1}x{w.dim} maps into V of dimension {v.dim}$"):
-        gamma_inv(rho, res, v, Mat(v.dim + 1, w.dim, field))
+        gamma_inv(res, v, Mat(v.dim + 1, w.dim, field))
 
 
 def _outcome(check, rho, w, v):
@@ -355,7 +358,7 @@ def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
 
     rng = random.Random(2804)
     seen, branches = set(), set()
-    true_unit, true_restrict, true_ext = functors._unit, functors.restrict, functors._extension
+    true_unit, true_ext = functors._unit, functors._extension
     true_loop_gamma_inv = loop_gamma_inv
     for field in FIELDS:
         sources = _battery_sources(field)
@@ -364,14 +367,13 @@ def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
             w = random_contramodule(rng, rho.target, max_free=3)
             v = random_contramodule(rng, rho.source, max_free=3)
             if wrong == "unit":
-                unit = true_unit(rho, induce(rho, w))
+                unit = true_unit(Induction(rho).induce(w))
                 if not unit.nnz:
                     continue
                 bad = _entry_changed(rng, unit)
-                monkeypatch.setattr(functors, "_unit", lambda rho, res: bad)
+                monkeypatch.setattr(functors, "_unit", lambda res: bad)
             elif wrong == "restriction":
-                # the free restrict, which the loop calls, runs this method too
-                bad = _one_entry_changed(rng, true_restrict(rho, v))
+                bad = _one_entry_changed(rng, Induction(rho).restrict(v))
                 monkeypatch.setattr(functors.Induction, "restrict", lambda self, v: bad)
             else:
                 bad = _one_entry_changed(rng, v)
@@ -397,7 +399,7 @@ def test_adjunction_naturality():
     rng = random.Random(15)
     rho = divided_power_surjection(GF3, 3, 2, 2)
     w = free_contramodule(rho.target, 1)
-    res = induce(rho, w)
+    res = Induction(rho).induce(w)
     v = free_contramodule(rho.source, 1)
     from contramod.contramodule import hom_contra_basis_maps
 
@@ -405,8 +407,8 @@ def test_adjunction_naturality():
     endos = hom_contra_basis_maps(v, v)
     for phi in homs_phi:
         for h in endos:
-            lhs = gamma(rho, res, h @ phi)
-            rhs = h @ gamma(rho, res, phi)
+            lhs = gamma(res, h @ phi)
+            rhs = h @ gamma(res, phi)
             assert lhs == rhs
 
 
@@ -417,7 +419,7 @@ def test_forgetful_compatibility():
         rho = divided_power_surjection(field, 3, 2, 2)
         for _ in range(3):
             w = _random_contramodule(rng, rho.target)
-            assert cohom(comodule_along(rho), w).dim == induce(rho, w).dim
+            assert cohom(Induction(rho).comodule, w).dim == Induction(rho).induce(w).dim
 
 
 def _regular_trivial_ses(d):
@@ -451,7 +453,7 @@ def test_exactness_probe_fails_for_catalog_surjection():
         assert "left" in verdict.failures
         assert verdict.dims == (2, 3, 2)
         # consistency: the comodule criterion agrees
-        assert not is_injective(comodule_along(rho))[0]
+        assert not is_injective(Induction(rho).comodule)[0]
 
 
 def test_exactness_probe_grouplike_always_exact():
@@ -468,7 +470,7 @@ def test_exactness_probe_grouplike_always_exact():
         from contramod.coalgebra import check_morphism
 
         assert check_morphism(rho).ok
-        assert is_injective(comodule_along(rho))[0]
+        assert is_injective(Induction(rho).comodule)[0]
         for _ in range(5):
             b = _random_contramodule(rng, d)
             sub = contra_closure(
@@ -485,9 +487,9 @@ def test_exactness_probe_grouplike_always_exact():
 def test_induce_map_functorial_on_identity():
     rho = divided_power_surjection(QQ, 3, 2, 2)
     w = free_contramodule(rho.target, 1)
-    res = induce(rho, w)
+    res = Induction(rho).induce(w)
     eye = Mat.identity(w.dim, QQ)
-    assert induce_map(rho, res, res, eye) == Mat.identity(res.dim, QQ)
+    assert induce_map(res, res, eye) == Mat.identity(res.dim, QQ)
 
 
 def test_maps_that_are_not_contra_homs_do_not_descend():
@@ -496,16 +498,16 @@ def test_maps_that_are_not_contra_homs_do_not_descend():
     for field in FIELDS:
         rho = divided_power_surjection(field, 3, 2, 2)
         w = free_contramodule(rho.target, 1)
-        res = induce(rho, w)
+        res = Induction(rho).induce(w)
         h = Mat.from_entries(w.dim, w.dim, field, [(0, 1, 1)])
         assert not is_contra_map(w, w, h)
         with pytest.raises(ValueError, match=r"^map does not descend: is h a contra-homomorphism\?$"):
-            induce_map(rho, res, res, h)
+            induce_map(res, res, h)
         v = free_contramodule(rho.source, 1)
         psi = Mat.from_entries(v.dim, w.dim, field, [(0, 1, 1)])
-        assert not is_contra_map(w, restrict(rho, v), psi)
+        assert not is_contra_map(w, Induction(rho).restrict(v), psi)
         with pytest.raises(ValueError, match=r"^extension does not kill the induction relations$"):
-            gamma_inv(rho, res, v, psi)
+            gamma_inv(res, v, psi)
 
 
 def test_section3_consistency_on_catalog_surjections():
@@ -522,7 +524,7 @@ def test_section3_consistency_on_catalog_surjections():
             random_surjection(rng, grouplike(field, 3)),
         ]
         for rho in surjections:
-            injective = is_injective(comodule_along(rho))[0]
+            injective = is_injective(Induction(rho).comodule)[0]
             found_failure = False
             sampled = 0
             while sampled < 8:
@@ -562,7 +564,7 @@ def test_restrict_preserves_homs_functorially():
     rho = divided_power_surjection(GF2, 3, 2, 2)
     b = free_contramodule(rho.source, 1)
     maps = hom_contra_basis_maps(b, b)
-    rb = restrict(rho, b)
+    rb = Induction(rho).restrict(b)
     for t in maps:
         assert is_contra_map(rb, rb, t)
 
@@ -574,8 +576,8 @@ def test_induction_presentation_invariant():
     for field in FIELDS:
         rho = divided_power_surjection(field, 3, 2, 2)
         w = free_contramodule(rho.target, 1)
-        res = induce(rho, w)
-        f_map, g_map = kron_cohom_maps(comodule_along(rho), w)
+        res = Induction(rho).induce(w)
+        f_map, g_map = kron_cohom_maps(Induction(rho).comodule, w)
         assert kernel(res.coeq.quotient_map) == image(f_map - g_map)
         assert res.coeq.image_subspace == image(f_map - g_map)
 
@@ -598,5 +600,5 @@ def test_induce_quotients_once(monkeypatch):
         if name.startswith("contramod") and getattr(mod, "quotient_by_image", None) is quotient_by_image:
             monkeypatch.setattr(mod, "quotient_by_image", counting)
     rho = divided_power_surjection(GF2, 3, 2, 2)
-    induce(rho, free_contramodule(rho.target, 1))
+    Induction(rho).induce(free_contramodule(rho.target, 1))
     assert calls == [(6, 3)]

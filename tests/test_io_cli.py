@@ -1127,3 +1127,16 @@ def test_documented_theta_example_loads(tmp_path, capsys):
     b = cio.contramodule_from_json(doc, QQ)
     assert b.theta == direct_sum(*trivial).theta
     assert cio.contramodule_to_json(b)["theta"] == doc["theta"]
+
+
+@pytest.mark.parametrize("kind", ["coalgebra", "comodule", "contramodule"])
+def test_cli_negative_dim_names_its_field(kind, tmp_path, capsys):
+    """A negative dim is refused by the schema, naming the object, before
+    any matrix of that shape is built."""
+    c = grouplike(GF2, 2)
+    doc = {"coalgebra": cio.coalgebra_to_json(c),
+           "comodule": cio.comodule_to_json(comodule_over_self(c)),
+           "contramodule": cio.contramodule_to_json(free_contramodule(c, 1))}[kind]
+    doc["dim"] = -1
+    assert main(["--field", "Fp:2", "verify", _write(tmp_path, "x.json", doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == f"{kind}: dim -1 is negative"

@@ -13,7 +13,7 @@ on the Kronecker product, ``dual_comodule`` against one loop per side, pivot-rea
 trace-pairing loops, and the identity that makes Hom pair to zero against
 Cohom's relations, ``matrix.push`` against the product with
 ``kron_identity`` and Delta pushed along a coalgebra map
-(``check_morphism``, ``comodule_along``, ``random_surjection``) against the
+(``check_morphism``, ``Induction.comodule``, ``random_surjection``) against the
 Kronecker product and structure-constant formulas, and Cohom's F2 bitmask
 relations against its dict columns and the packed rows of the Hom system.  The stored left layout is checked
 against the relabels that once converted each object to and from it, and a
@@ -43,7 +43,7 @@ from contramod.contramodule import (
     quotient_contramodule, sub_contramodule, _gf2_relations,
 )
 from contramod.fields import GF, GF2, GF3, QQ
-from contramod.functors import comodule_along, induce
+from contramod.functors import Induction
 from contramod.linalg import (
     Subspace, coequalizer, equalizer, image, quotient_by_image, rank, solve,
 )
@@ -342,7 +342,7 @@ def test_cohom_matches_dict_columns_on_readme_inputs():
     rho = divided_power_surjection(GF2, 3, 2, 2)
     regular = comodule_over_self(c3)
     pairs = [(regular, free_contramodule(c3, 1)), (regular, contra_from_comodule(cofree(c3, 1))),
-             (comodule_along(rho), free_contramodule(rho.target, 1))]
+             (Induction(rho).comodule, free_contramodule(rho.target, 1))]
     for m, b in pairs:
         co = cohom(m, b)
         assert co == dict_cohom(m, b)
@@ -472,8 +472,9 @@ def test_induce_matches_kron_formulas(field):
         for _ in range(3):
             rho = random_surjection(rng, c)
             w = random_contramodule(rng, rho.target)
-            f_map, g_map = kron_cohom_maps(comodule_along(rho), w)
-            res = induce(rho, w)
+            ind = Induction(rho)
+            f_map, g_map = kron_cohom_maps(ind.comodule, w)
+            res = ind.induce(w)
             oracle = difference_coequalizer(f_map, g_map)
             assert res.coeq.quotient_map == oracle.quotient_map
             assert res.coeq.section == oracle.section
@@ -1359,7 +1360,7 @@ def test_push_delta_matches_kron(field):
     """push(t, n, left, m) equals kron_identity(t, n, left) @ m, entry types
     included, on random operands, empty ones and a t with no rows, and raises
     the same ValueError where the shapes do not compose; (r (x) Id_C) o Delta_C
-    and the coaction of comodule_along equal the Kronecker product."""
+    and the coaction of Induction.comodule equal the Kronecker product."""
     rng = random.Random(1313)
     for _ in range(150):
         left, n = rng.random() < 0.5, rng.randint(0, 3)
@@ -1383,7 +1384,7 @@ def test_push_delta_matches_kron(field):
             r = _random_mat(rng, rng.randint(1, c.dim + 1), c.dim, field, 0.4)
             assert push(r, c.dim, False, c.delta) == kron(r, eye) @ c.delta
             rho = random_surjection(rng, c)
-            assert comodule_along(rho).coaction == kron(rho.matrix, eye) @ c.delta
+            assert Induction(rho).comodule.coaction == kron(rho.matrix, eye) @ c.delta
 
 
 def morphism_variants(rng, rho):
