@@ -13,7 +13,7 @@ the orientation that makes these LEFT contramodules.  So
 :func:`contra_from_comodule` copies no entry, and the axioms, hom spaces,
 subobjects, quotients and direct sums are the comodule code.  Over F2
 Cohom reads B only as theta's columns packed as int bitmasks, which
-:func:`gf2_cohom` takes as an argument: the tower tensors each stage's
+:func:`gf2_cohom_dim` takes as an argument: the tower tensors each stage's
 masks from its factors and forms no contramodule of the stage.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
-from .linalg import Coequalizer, Subspace, quotient_by_image, rank
+from .linalg import Coequalizer, Subspace, make_echelon, quotient_by_image, rank
 from .matrix import Mat
 
 
@@ -130,8 +130,8 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     relations are the rows of its system :func:`comodule._hom_system`:
     row x, with entry v at column beta*dm + k of B* (x) M, is the relation
     column x with v at row k*db + beta of M* (x) B, for dm = dim M and
-    db = dim B.  Over F2 the same rows come packed as int bitmasks from
-    theta's masks (:func:`gf2_cohom`).
+    db = dim B.  Over F2 a set of int bitmasks with the same span comes
+    from theta's masks (:func:`_gf2_relations`).
     """
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
@@ -139,47 +139,51 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
         raise ValueError("cohom needs a left comodule")
     dm, db, fld = m.dim, b.dim, m.field
     if fld.characteristic == 2:
-        return gf2_cohom(m, db, comodule._gf2_masks(b))
-    cols: dict = {}
-    for (x, y), v in comodule._hom_system(b, m).data.items():
-        beta, k = divmod(y, dm)
-        cols.setdefault(x, {})[k * db + beta] = v
-    return quotient_by_image(Subspace.from_columns(dm * db, fld, cols.values()))
+        cols = _gf2_relations(m, db, comodule._gf2_masks(b))
+    else:
+        rows: dict = {}
+        for (x, y), v in comodule._hom_system(b, m).data.items():
+            beta, k = divmod(y, dm)
+            rows.setdefault(x, {})[k * db + beta] = v
+        cols = rows.values()
+    return quotient_by_image(Subspace.from_columns(dm * db, fld, cols))
 
 
-def gf2_cohom(m: Comodule, db: int, ts: dict) -> Coequalizer:
-    """Cohom over F2 of a left comodule M and a contramodule B given only by
-    its dimension db and theta's masks ts (:func:`comodule._gf2_masks`), so a caller
-    holding the masks, as the tower does for each stage, forms no B."""
-    return quotient_by_image(Subspace.from_columns(m.dim * db, m.field, _gf2_relations(m, db, ts)))
+def gf2_cohom_dim(m: Comodule, db: int, ts: dict) -> int:
+    """dim Cohom over F2 of a left comodule M and a contramodule B given only by
+    its dimension db and theta's masks ts (:func:`comodule._gf2_masks`), read
+    as dim M * db minus the rank of :func:`_gf2_relations`.  A caller holding
+    the masks, as the tower does for each stage, forms no B, and no reduced
+    basis or quotient map is built for a number."""
+    ech = make_echelon(m.field)
+    return m.dim * db - sum(ech.add_row(r) for r in _gf2_relations(m, db, ts))
 
 
 def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
-    """The rows of ``comodule._hom_system(b, m)`` over F2, packed as Cohom's
-    relation columns: ints with bit k*db + beta for the system's column
-    beta*dm + k, for B of dimension db with theta's masks T_y = ts[y].  K_r
-    has bit k*db for each coaction[r, k] = 1.  Then the row for (beta, r),
-    r = c*dm + i, is (K_r << beta) ^ (T_{c*db + beta} << i*db).  Most rows
-    repeat, so they come back as a set, without the zero row."""
+    """A set of ints that spans Cohom's relations over F2, and is no larger
+    than the nonzero rows of ``comodule._hom_system(b, m)``, for B of
+    dimension db with theta's masks T_y = ts[y].  A relation has bit
+    k*db + beta for the system's column beta*dm + k.  K_r has bit k*db for
+    each coaction[r, k] = 1, and the row for (beta, r), r = c*dm + i, is
+    (K_r << beta) ^ (T_{c*db + beta} << i*db).  These rows are kept, as a
+    set without the zero row, for each monomial c where M has a coaction
+    row.  At every other c the rows are the masks T_{c*db + beta} alone,
+    shifted into each block i: those are replaced by a basis of the masks,
+    picked from them, shifted into each block, which spans the same."""
     dm = m.dim
     ks: dict = {}
     for r, k in m.left_coaction.data:
         ks[r] = ks.get(r, 0) | 1 << k * db
-    cols = set()
-    for r, kr in ks.items():
-        c, i = divmod(r, dm)
-        y, off = c * db, i * db
-        cols.update((kr << beta) ^ (ts.get(y + beta, 0) << off) for beta in range(db))
-    # rows r without a coaction entry give theta's masks alone, shifted
     with_k = {r // dm for r in ks}
-    alone = set()
-    for y, t in ts.items():
-        c = y // db
-        if c in with_k:
-            cols.update(t << i * db for i in range(dm) if c * dm + i not in ks)
-        else:
-            alone.add(t)
-    cols.update(t << i * db for t in alone for i in range(dm))
+    cols = set()
+    for c in with_k:
+        tc = [ts.get(c * db + beta, 0) for beta in range(db)]
+        for i in range(dm):
+            kr, off = ks.get(c * dm + i, 0), i * db
+            cols.update((kr << beta) ^ (t << off) for beta, t in enumerate(tc))
+    ech = make_echelon(m.field)
+    lone = [t for t in {t for y, t in ts.items() if y // db not in with_k} if ech.add_row(t)]
+    cols.update(t << i * db for t in lone for i in range(dm))
     cols.discard(0)
     return cols
 

@@ -217,7 +217,8 @@ def cohom_tower(battery: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
     stage of it would be compared.  Each stage is then built once in its
     kernel, as the F2 theta masks of its dual (:func:`sl2.kernel_stage_masks`),
     and each module restricted once per stage and paired with them by
-    :func:`contramodule.gf2_cohom`.
+    :func:`contramodule.gf2_cohom_dim`: each dimension is dim V * db minus
+    the rank of Cohom's relations, with no quotient built.
     """
     from . import contramodule, sl2  # local import: sl2 builds on this module's InverseSystem
     from .comodule import dual_comodule
@@ -248,7 +249,7 @@ def cohom_tower(battery: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
         db, ts = sl2.kernel_stage_masks(lam, m)
         for v, v_rows in zip(modules, rows):
             v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
-            v_rows.append(TowerRow(m, contramodule.gf2_cohom(v_m, db, ts).dim))
+            v_rows.append(TowerRow(m, contramodule.gf2_cohom_dim(v_m, db, ts)))
     reports = []
     for expr, v, v_rows, stable_from in zip(battery, modules, rows, stable_froms):
         f_v = sl2.f_multiplicity(lam, v)

@@ -928,3 +928,16 @@ def test_kernel_stage_masks_trace_under_10_mb_at_g4():
         tracemalloc.stop()
     assert dim == 256 and sum(t.bit_count() for t in masks.values()) == 135016
     assert peak < 10_000_000, peak
+
+
+def test_kernel_stage_masks_trace_under_5_5_mb_at_g4():
+    """The masks of a tensor step drop their zero keys in place: a filtered
+    copy of them, next to the accumulator it is read from, traced 6.77 MB."""
+    tracemalloc.start()
+    try:
+        dim, masks = kernel_stage_masks(0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 256 and len(masks) == 30157
+    assert peak < 5_500_000, peak

@@ -371,6 +371,30 @@ def test_cohom_tower_matches_the_per_module_loop(lam):
     assert [r.stable_from for r in reports] == [1, 2, 3, 3, 3]
 
 
+@pytest.mark.parametrize("lam", range(8))
+def test_cohom_tower_dims_match_the_dict_columns(lam):
+    """The tower's dimensions, read off the rank of its F2 bitmask relations,
+    against Cohom with dict-column relations of each restricted module and
+    the dual stage built by ``tensor_kernel``.  The tower of lam runs from
+    stage lam.bit_length() (at least 1) to 3, so the eight towers meet
+    every stage P(lam, m), lam < 2^m, m <= 3."""
+    from test_sl2 import dual_kernel_stage
+    from test_structure_maps import dict_cohom
+
+    from contramod import sl2
+    from contramod.comodule import dual_comodule
+    from contramod.contramodule import contra_from_comodule
+
+    reports = cohom_tower(README_BATTERY, lam, 2, 3)
+    assert [r.m for r in reports[0].stages] == list(range(max(lam.bit_length(), 1), 4))
+    for expr, rep in zip(README_BATTERY, reports):
+        v = sl2.battery_module(2, expr)
+        for row in rep.stages:
+            b = contra_from_comodule(dual_kernel_stage(lam, 2, row.m))
+            v_m = dual_comodule(sl2.restrict_to_kernel(v, row.m))
+            assert row.dim_cohom == dict_cohom(v_m, b).dim, (expr, row.m)
+
+
 @pytest.mark.parametrize("dims, stabilized_at", [
     ([1, 1, 1], 1), ([2, 1, 1], 2), ([1, 1, 2], None), ([1, 2, 1], None), ([1], None),
 ])
@@ -378,12 +402,10 @@ def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, mo
     """stabilized_at is the first stage from which the dimensions equal the
     last one, and None unless that stage comes before the last: a one-stage
     tower observes nothing."""
-    from types import SimpleNamespace
-
     from contramod import contramodule
 
     scripted = iter(dims)
-    monkeypatch.setattr(contramodule, "gf2_cohom", lambda v, db, ts: SimpleNamespace(dim=next(scripted)))
+    monkeypatch.setattr(contramodule, "gf2_cohom_dim", lambda v, db, ts: next(scripted))
     [rep] = cohom_tower(["L0"], 0, 2, len(dims))
     assert [r.dim_cohom for r in rep.stages] == dims
     assert rep.stabilized_at == stabilized_at
