@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from contramod.fields import GF, QQ
 from contramod.matrix import Mat
-from contramod.towers import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
+from limits import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
 
 
 @dataclass

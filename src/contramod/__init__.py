@@ -3,8 +3,8 @@
 Finite-dimensional objects over the rationals or a prime field, with all of
 the categorical plumbing done by exact sparse linear algebra: cotensor and
 contratensor products, Cohom, induction and restriction along coalgebra
-surjections, injectivity/projectivity tests, Mittag-Leffler inverse systems,
-and a concrete SL2 catalog in characteristic 2.
+surjections, injectivity/projectivity tests, and a concrete SL2 catalog in
+characteristic 2 with its Cohom tower.
 
 Importing the package loads none of its submodules: ``_EXPORTS`` lists the
 public names, ``__all__``, by submodule, and each is imported on first use
@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "linalg": ("Subspace", "coequalizer", "equalizer", "image", "kernel", "rank"),
     "matrix": ("Mat", "kron"),
-    "towers": ("InverseSystem", "cohom_tower", "is_mittag_leffler", "limit_four_term"),
+    "towers": ("cohom_tower",),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

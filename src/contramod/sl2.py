@@ -19,13 +19,13 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb, prod
+from typing import NamedTuple
 
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule, _gf2_masks, dual_comodule
 from .fields import GF
 from .linalg import Subspace, kernel
-from .matrix import Mat, kron_identity
-from .towers import InverseSystem
+from .matrix import Mat
 
 Mono = tuple  # (b_exp, c_exp, a_exp, d_exp), a_exp * d_exp == 0
 
@@ -603,16 +603,19 @@ def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
     return dim, masks
 
 
-def build_tower(lam: int, p: int = 2, m_max: int = 3) -> InverseSystem:
+class Tower(NamedTuple):
+    stages: list  # P(lam, m) for m = m0 .. m_max
+    m0: int
+
+
+def build_tower(lam: int, p: int = 2, m_max: int = 3) -> Tower:
     """Stages P_{lam, m} for m = s+1 .. m_max, where s indexes the top p-adic
-    digit; transitions tensor the fixed projection q into the top twist."""
+    digit: each stage tensors one more twist of P0 into the one before."""
     m0 = tower_base(lam, p, m_max)
     factors = _stage_factors(lam, p, m_max)
     products = accumulate(factors[m0:], tensor_rational, initial=reduce(tensor_rational, factors[:m0]))
     stages = [replace(stage, name=f"P({lam},{m})") for m, stage in enumerate(products, start=m0)]
-    proj = catalog_modules(p)["q"]
-    transitions = [kron_identity(proj, prev.dim, left=True) for prev in stages[:-1]]
-    return InverseSystem(stages, transitions, m0=m0)
+    return Tower(stages, m0)
 
 
 def _battery_factors(p: int, expr: str) -> list:

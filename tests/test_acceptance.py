@@ -37,7 +37,8 @@ from contramod.sl2 import (
     build_tower, catalog_modules, frob_kernel_coalgebra,
     restrict_to_kernel, simple_module,
 )
-from contramod.towers import InverseSystem, cohom_tower, is_mittag_leffler
+from contramod.towers import cohom_tower
+from scripts.limits import InverseSystem, is_mittag_leffler
 from test_exactness import cohom_exactness_probe
 from test_randomgen import random_comodule_ses
 from test_structure_maps import coaction_stabilizes, comodule_of, contra_of_theta
@@ -501,7 +502,7 @@ def test_criterion_7_mittag_leffler():
     # four-term verdicts: honest exact fixture and the adversarial one
     from tests.test_towers import _constant_four_term  # shared fixtures
 
-    from contramod.towers import limit_four_term
+    from scripts.limits import limit_four_term
 
     assert limit_four_term(_constant_four_term(GF2)).status == "exact"
     field = QQ
@@ -510,7 +511,7 @@ def test_criterion_7_mittag_leffler():
     def rank_proj(n, r):
         return Mat.from_entries(n, n, field, [(i, i, 1) for i in range(r)])
 
-    from contramod.towers import FourTermSystem
+    from scripts.limits import FourTermSystem
 
     adversarial = FourTermSystem(
         InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * 3),

@@ -61,6 +61,24 @@ def test_each_readme_job_loads_only_the_layers_of_its_subcommand(examples):
         assert _loaded_after(code, cwd=examples) == CLI_LAYERS | extra, argv
 
 
+def test_importing_sl2_loads_no_tower():
+    assert "towers" not in _loaded_after("import contramod.sl2")
+
+
+def test_verify_on_a_named_frobenius_kernel_loads_sl2_but_no_tower(tmp_path):
+    from contramod import io as cio
+    from contramod.contramodule import free_contramodule
+    from contramod.sl2 import frob_kernel_coalgebra
+
+    doc = cio.contramodule_to_json(free_contramodule(frob_kernel_coalgebra(2, 1), 1))
+    doc["coalgebra"] = "sl2_kernel(1)"
+    (tmp_path / "b.json").write_text(json.dumps(doc))
+    code = ("import contextlib, io, contramod.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert contramod.cli.main(['--field', 'Fp:2', 'verify', 'b.json']) == 0")
+    assert _loaded_after(code, cwd=tmp_path) == CLI_LAYERS | {"sl2"}
+
+
 def _process_and_main(argv, capsys):
     """(exit code, stdout bytes) of argv run by ``python -m contramod.cli``
     and by ``main`` in this process, where argparse's exit is a SystemExit."""

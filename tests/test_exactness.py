@@ -27,7 +27,7 @@ from contramod.matrix import Mat, kron, kron_identity
 from contramod.randomgen import (
     random_contra_ses, random_contramodule, random_surjection, socle_filtration_sequences,
 )
-from contramod.towers import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
+from scripts.limits import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
 from test_coalgebra import augmentation, identity_morphism
 from test_randomgen import random_comodule_ses
 

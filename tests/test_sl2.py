@@ -19,7 +19,7 @@ from contramod.comodule import (
 from contramod.contramodule import check_contramodule, contra_from_comodule, is_projective
 from contramod.fields import GF, GF2, QQ
 from contramod.linalg import rank
-from contramod.matrix import Mat
+from contramod.matrix import Mat, kron_identity
 from contramod.sl2 import (
     RationalComodule, SL2Poly, battery_module, build_tower, catalog_modules, character_decomposition,
     char_product, delta_poly, f_multiplicity, frob_kernel_coalgebra, frobenius_twist,
@@ -395,8 +395,8 @@ def test_build_tower_dims_and_transitions():
         tower = build_tower(lam, 2, 3)
         assert [s.dim for s in tower.stages] == dims
         assert tower.m0 == 1
-        for t, tr in enumerate(tower.transitions):
-            big, small = tower.stages[t + 1], tower.stages[t]
+        for small, big in zip(tower.stages, tower.stages[1:]):
+            tr = kron_identity(catalog_modules(2)["q"], small.dim, left=True)
             assert is_rational_map(tr, big, small)
             assert rank(tr) == small.dim
     with pytest.raises(ValueError):
@@ -655,14 +655,12 @@ def loop_build_tower(lam, p, m_max):
         factor = frobenius_twist(proj[digit], t)
         stage = factor if stage is None else tensor_rational(stage, factor)
     stage.name = f"P({lam},{s + 1})"
-    stages, transitions = [stage], []
+    stages = [stage]
     for m in range(s + 2, m_max + 1):
-        prev = stages[-1]
-        nxt = tensor_rational(prev, frobenius_twist(cat["P0"], m - 1))
+        nxt = tensor_rational(stages[-1], frobenius_twist(cat["P0"], m - 1))
         nxt.name = f"P({lam},{m})"
         stages.append(nxt)
-        transitions.append(Mat.identity(prev.dim, GF2).kron(cat["q"]))
-    return stages, transitions, s + 1
+    return stages, s + 1
 
 
 def typed(m):
@@ -680,7 +678,7 @@ def assert_same_comodule(got, want):
 def test_build_tower_matches_the_stage_loop(m_max):
     for lam in range(2 ** m_max):
         tower = build_tower(lam, 2, m_max)
-        assert (tower.stages, tower.transitions, tower.m0) == loop_build_tower(lam, 2, m_max)
+        assert (tower.stages, tower.m0) == loop_build_tower(lam, 2, m_max)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

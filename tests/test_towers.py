@@ -8,9 +8,8 @@ import pytest
 from contramod.fields import GF2, GF3, QQ
 from contramod.linalg import image, rank
 from contramod.matrix import Mat
-from contramod.towers import (
-    FourTermSystem, InverseSystem, cohom_tower, is_mittag_leffler, limit_four_term,
-)
+from contramod.towers import cohom_tower
+from scripts.limits import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
 
 
 def random_mat(rng, rows, cols, field, density=0.7):
