@@ -114,7 +114,8 @@ class FourTermSystem:
 
     def validate(self) -> list:
         n = self.stage_count()
-        if not (len(self.b) == len(self.c) == len(self.d) == n):
+        systems_and_maps = (self.b, self.c, self.d, self.alphas, self.betas, self.gammas)
+        if any(len(each) != n for each in systems_and_maps):
             return ["stage-count-mismatch"]
         names = ("alpha-not-injective", "not-exact-at-B", "not-exact-at-C", "gamma-not-surjective")
         failures = [

@@ -205,6 +205,18 @@ def test_four_term_validation_rejects_nonexact_stage():
         limit_four_term(four)
 
 
+@pytest.mark.parametrize("maps", ["alphas", "betas", "gammas"])
+@pytest.mark.parametrize("stages", [1, 3])
+def test_four_term_validation_rejects_a_map_list_of_the_wrong_length(maps, stages):
+    """Two stages with one map too few or too many in one of the three
+    lists: the stage-count mismatch, not an IndexError or an unchecked map."""
+    four = _constant_four_term(QQ, stages=2)
+    setattr(four, maps, [getattr(four, maps)[0]] * stages)
+    assert four.validate() == ["stage-count-mismatch"]
+    with pytest.raises(ValueError, match=r"stage-count-mismatch"):
+        limit_four_term(four)
+
+
 def test_eventually_surjective_fixture_exact():
     """A systems with one shrinking step then surjective transitions."""
     field = GF2
