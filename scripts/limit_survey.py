@@ -53,13 +53,13 @@ def adversarial_fixture(stages):
 
     shrink = [rank_proj(n - 1 - t) for t in range(stages - 1)]
     return FourTermSystem(
-        InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * (stages - 1)),
+        InverseSystem([0] * stages, [Mat(0, 0, field)] * (stages - 1)),
         InverseSystem([n] * stages, shrink),
         InverseSystem([n] * stages, shrink),
-        InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * (stages - 1)),
-        [Mat.zeros(n, 0, field)] * stages,
+        InverseSystem([0] * stages, [Mat(0, 0, field)] * (stages - 1)),
+        [Mat(n, 0, field)] * stages,
         [Mat.identity(n, field)] * stages,
-        [Mat.zeros(0, n, field)] * stages,
+        [Mat(0, n, field)] * stages,
     )
 
 

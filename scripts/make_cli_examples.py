@@ -15,10 +15,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from contramod import io as cio
 from contramod.coalgebra import divided_power_dual, divided_power_surjection, grouplike
-from contramod.comodule import cofree, comodule_over_self
-from contramod.contramodule import (
-    contra_closure, free_contramodule, quotient_contramodule, sub_contramodule,
+from contramod.comodule import (
+    cofree, comodule_closure, comodule_over_self, quotient_comodule, sub_comodule,
 )
+from contramod.contramodule import free_contramodule
 from contramod.fields import GF2, QQ
 
 
@@ -47,9 +47,9 @@ def main():
                       cio.contramodule_to_json(free_contramodule(rho.source, 1))))
     # the short exact sequence whose induction fails to be exact
     breg = free_contramodule(rho.target, 1)
-    rad = contra_closure(breg, [{1: GF2.one()}])
-    sub, incl = sub_contramodule(breg, rad)
-    quot, proj = quotient_contramodule(breg, rad)
+    rad = comodule_closure(breg, [{1: GF2.one()}])
+    sub, incl = sub_comodule(breg, rad)
+    quot, proj = quotient_comodule(breg, rad)
     files.append(dump("ses_witness.json", {
         "sub": cio.contramodule_to_json(sub),
         "mid": cio.contramodule_to_json(breg),

@@ -8,7 +8,11 @@ characteristic 2 with its Cohom tower.
 
 Importing the package loads none of its submodules: ``_EXPORTS`` lists the
 public names, ``__all__``, by submodule, and each is imported on first use
-(PEP 562), so a CLI job loads only the layers its subcommand runs.
+(PEP 562), so a CLI job loads only the layers its subcommand runs.  Each
+operation has one name: a contramodule is a left comodule on the same
+matrix, so its hom spaces, maps, subobjects, quotients and direct sums are
+the ``comodule`` functions, and ``contramodule`` exports only what is its
+own.
 """
 
 _EXPORTS = {
@@ -19,20 +23,19 @@ _EXPORTS = {
     ),
     "comodule": (
         "Comodule", "check_comodule", "cofree", "comodule_over_self", "cotensor",
-        "dual_comodule", "head_radical", "hom_comodules", "is_injective", "trivial_comodule",
+        "dual_comodule", "hom_comodules", "is_injective",
     ),
     "contramodule": (
         "Contramodule", "check_contramodule", "cohom", "contra_from_comodule",
-        "contra_from_dual", "contratensor", "duality_check", "free_contramodule", "hom_contra",
-        "is_projective", "trivial_contramodule",
+        "contra_from_dual", "contratensor", "duality_check", "free_contramodule", "is_projective",
     ),
-    "fields": ("FieldSpec", "GF", "GF2", "GF3", "QQ"),
+    "fields": ("FieldSpec", "GF", "GF2", "QQ"),
     "functors": (
         "Induction", "InductionResult", "ShortExactSeq", "adjunction_check", "exactness_probe",
         "gamma", "gamma_inv",
     ),
     "linalg": ("Subspace", "coequalizer", "equalizer", "image", "kernel", "rank"),
-    "matrix": ("Mat", "kron"),
+    "matrix": ("Mat",),
     "towers": ("cohom_tower",),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

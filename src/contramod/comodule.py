@@ -1,5 +1,5 @@
 """Comodules over a coalgebra: axioms, cofree objects, hom spaces, cotensor,
-duals, injectivity and head/radical structure.
+duals, subobjects, quotients and injectivity.
 
 Every coaction is stored once, in left layout: a comodule of dimension m
 over an n-dimensional coalgebra C keeps an (n*m) x m matrix
@@ -9,8 +9,9 @@ stored as a left C^cop-comodule, so every construction runs on one layout;
 axiom checker and the constructors that read Delta need.  The right layout,
 row i*n + c, is the view ``coaction``.  The one reindexing of a stored
 matrix is :func:`dual_comodule`'s block transpose.  A contramodule is a left
-comodule on the same matrix, and the constructions here that build a new
-object of the same kind return a contramodule for one.  Hom(M, N) is the
+comodule on the same matrix, so the functions here are the contramodule
+ones too, under the same names: those that build a new object of the same
+kind return a contramodule for one.  Hom(M, N) is the
 kernel of one system on M* (x) N, written from the stored entries.  Over F2
 the stored matrix is also read packed, by :func:`_gf2_masks`: block c of
 column k is one int with bit i for each stored entry (c*m + i, k).
@@ -23,7 +24,7 @@ from math import lcm
 
 from .coalgebra import Coalgebra, Verdict
 from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
-from .matrix import Mat, _ints, _scalars, kron_identity, map_of_vec, push
+from .matrix import Mat, _ints, _scalars, kron_identity, push
 
 
 @dataclass
@@ -250,12 +251,6 @@ def comodule_over_self(c: Coalgebra, side: str = "left") -> Comodule:
     return replace(cofree(c, 1, side), name=f"{c.name or 'C'}-regular")
 
 
-def trivial_comodule(c: Coalgebra, grouplike_vec: dict) -> Comodule:
-    """One-dimensional left comodule along a grouplike element."""
-    coact = Mat.column(grouplike_vec, c.dim, c.field)
-    return Comodule(c, "left", 1, coact, name="trivial")
-
-
 def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
     """Block sum of the stored matrices: row c*d + i, column j, d = d1 + d2."""
     if m1.coalgebra is not m2.coalgebra and m1.coalgebra != m2.coalgebra:
@@ -316,13 +311,6 @@ def _hom_system(x: Comodule, y: Comodule) -> Mat:
 def hom_comodules(m: Comodule, n_mod: Comodule) -> Subspace:
     """All comodule maps M -> N as a subspace of M* (x) N."""
     return kernel(_hom_system(m, n_mod))
-
-
-def hom_basis_maps(m: Comodule, n_mod: Comodule, sub: Subspace | None = None) -> list[Mat]:
-    """Decode a hom subspace into matrices N.dim x M.dim."""
-    if sub is None:
-        sub = hom_comodules(m, n_mod)
-    return [map_of_vec(col, m.dim, n_mod.dim, m.field) for col in sub.basis_columns()]
 
 
 def is_comodule_map(m: Comodule, n_mod: Comodule, t: Mat) -> bool:
@@ -406,36 +394,3 @@ def is_injective(m: Comodule) -> tuple[bool, Mat | None]:
     # the coaction in its side's layout is the embedding of M into amb's carrier
     retraction = split_solve(_hom_system(amb, m), m.coaction)
     return retraction is not None, retraction
-
-
-# -- head and radical -------------------------------------------------------------
-
-
-@dataclass
-class HeadRadical:
-    radical: Subspace
-    head: dict  # simple label -> multiplicity
-
-
-def head_radical(m: Comodule, simples: list[Comodule]) -> HeadRadical:
-    """Radical and head multiplicities relative to a complete list of simples.
-
-    The list must be complete and irredundant for the coalgebra; this is the
-    caller's obligation and cannot be detected here.
-    """
-    # map j of Hom(M, s)'s basis is rows offset + j*dim s ..; with no map M is the kernel
-    stacked, head, offset = {}, {}, 0
-    for idx, s in enumerate(simples):
-        hom = hom_comodules(m, s)
-        if hom.dim == 0:
-            continue
-        end_dim = hom_comodules(s, s).dim
-        label = s.name or f"simple{idx}"
-        mult, rem = divmod(hom.dim, end_dim)
-        if rem:
-            raise ValueError("hom dimension not divisible by endomorphism dimension")
-        head[label] = mult
-        sd = s.dim
-        stacked.update({(offset + j * sd + i % sd, i // sd): v for (i, j), v in hom.basis.data.items()})
-        offset += hom.dim * sd
-    return HeadRadical(kernel(Mat(offset, m.dim, m.field, stacked)), head)

@@ -1,6 +1,6 @@
-"""Finite-dimensional contramodules: axioms, free objects, contra-hom spaces,
-the comodule conversion, contratensor, Cohom, projectivity and the
-Hom/Cohom duality pairing.
+"""Finite-dimensional contramodules: axioms, free objects, the comodule
+conversion, contratensor, Cohom, projectivity and the Hom/Cohom duality
+pairing.
 
 Over a finite-dimensional coalgebra a contramodule is the same thing as a
 left comodule, so a :class:`Contramodule` is a left :class:`Comodule` that
@@ -10,11 +10,16 @@ column j*b + k meaning (dual basis vector j) (x) (basis vector k), is the
 view ``theta``: theta[i, c*b + k] = left_coaction[c*b + i, k].  The
 tensor-hom adjunction used throughout is Hom(U, Hom(V, W)) = Hom(V (x) U, W),
 the orientation that makes these LEFT contramodules.  So
-:func:`contra_from_comodule` copies no entry, and the axioms, hom spaces,
-subobjects, quotients and direct sums are the comodule code.  Over F2
-Cohom reads B only as theta's columns packed as int bitmasks, which
-:func:`gf2_cohom_dim` takes as an argument: the tower tensors each stage's
-masks from its factors and forms no contramodule of the stage.
+:func:`contra_from_comodule` copies no entry, and the axioms are the
+comodule checker's.  Hom spaces, maps, subobjects, quotients and direct
+sums have no names here: the :mod:`comodule` functions
+(``hom_comodules``, ``is_comodule_map``, ``comodule_closure``,
+``sub_comodule``, ``quotient_comodule``, ``direct_sum``) take
+contramodules, and those that build an object return a contramodule for
+one.  Over F2 Cohom reads B only as theta's columns packed as int
+bitmasks, which :func:`gf2_cohom_dim` takes as an argument: the tower
+tensors each stage's masks from its factors and forms no contramodule of
+the stage.
 """
 
 from __future__ import annotations
@@ -70,11 +75,6 @@ def free_contramodule(c: Coalgebra, d: int) -> Contramodule:
     return free
 
 
-def trivial_contramodule(c: Coalgebra, grouplike_vec: dict) -> Contramodule:
-    """k with theta = evaluation at a grouplike element."""
-    return Contramodule(c, 1, Mat.column(grouplike_vec, c.dim, c.field), name="trivial")
-
-
 def contra_from_comodule(w: Comodule) -> Contramodule:
     """The natural dual-algebra action on a finite-dimensional left comodule,
     as a contra-action: evaluate the functional against the coaction.  The
@@ -99,23 +99,6 @@ def contra_from_dual(m: Comodule, d: int) -> Contramodule:
                 {(idx // md * b + s * d + l, idx % md * d + l): v
                  for (idx, s), v in m.left_coaction.data.items() for l in range(d)})
     return Contramodule(c, b, coact, name=f"hom({m.name},k^{d})")
-
-
-# -- contra-hom spaces and subobjects: the comodule code on the same matrix -------
-
-
-def hom_contra(b: Contramodule, d: Contramodule) -> Subspace:
-    """Contra-homomorphisms B -> D as a subspace of B* (x) D."""
-    return comodule.hom_comodules(b, d)
-
-
-# the comodule constructions return a contramodule for a contramodule
-direct_sum = comodule.direct_sum
-hom_contra_basis_maps = comodule.hom_basis_maps
-is_contra_map = comodule.is_comodule_map
-contra_closure = comodule.comodule_closure
-sub_contramodule = comodule.sub_comodule
-quotient_contramodule = comodule.quotient_comodule
 
 
 # -- contratensor and Cohom -------------------------------------------------------

@@ -109,13 +109,6 @@ class FieldSpec:
     def neg(self, a):
         return -a if self.characteristic == 0 else (-a) % self.characteristic
 
-    def invert(self, a):
-        if self.characteristic == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return _rational(1 / Fraction(a))
-        return pow(a, -1, self.characteristic)
-
     # -- serialization -----------------------------------------------------
 
     def format(self, a) -> str:
@@ -161,4 +154,3 @@ def GF(p: int) -> FieldSpec:
 
 
 GF2 = GF(2)
-GF3 = GF(3)

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coalgebra import CoalgebraMorphism, Verdict
-from .comodule import Comodule, _descend_coaction, _hom_system
-from .contramodule import Contramodule, check_contramodule, cohom, free_contramodule, is_contra_map
+from .comodule import Comodule, _descend_coaction, _hom_system, is_comodule_map
+from .contramodule import Contramodule, check_contramodule, cohom, free_contramodule
 from .linalg import Coequalizer, exactness_failures, kernel, rank
 from .matrix import Mat, kron_identity, map_of_vec, push
 
@@ -217,9 +217,9 @@ class ShortExactSeq:
     def validate(self) -> Verdict:
         names = ("inclusion-not-injective", "not-exact-at-mid", "projection-not-surjective")
         failures = [names[i] for i in exactness_failures([self.incl, self.proj])]
-        if not is_contra_map(self.sub, self.mid, self.incl):
+        if not is_comodule_map(self.sub, self.mid, self.incl):
             failures.append("inclusion-not-contra-map")
-        if not is_contra_map(self.mid, self.quot, self.proj):
+        if not is_comodule_map(self.mid, self.quot, self.proj):
             failures.append("projection-not-contra-map")
         return Verdict(failures)
 

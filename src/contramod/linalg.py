@@ -256,12 +256,6 @@ class Subspace:
                     {(i, t): v for t, (_, vec) in enumerate(items) for i, v in vec.items()})
         return cls(ambient, field, basis, pivots)
 
-    @classmethod
-    def full(cls, ambient: int, field: FieldSpec) -> "Subspace":
-        return cls(
-            ambient, field, Mat.identity(ambient, field), list(range(ambient))
-        )
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -281,18 +275,6 @@ class Subspace:
         if self.basis.apply(coeffs) != {i: v for i, v in vec.items() if v != 0}:
             return None
         return coeffs
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        stacked = self.basis.hstack(other.basis)
-        ker = kernel(stacked)
-        cols = []
-        for kcol in ker.basis_columns():
-            part = {i: v for i, v in kcol.items() if i < self.dim}
-            vec = self.basis.apply(part)
-            cols.append(vec)
-        return Subspace.from_columns(self.ambient, self.field, cols)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -317,20 +299,12 @@ class Subspace:
 # -- derived operations --------------------------------------------------------
 
 
-def row_echelon(mat: Mat):
-    ech = make_echelon(mat.field)
-    for row in mat.row_groups().values():
-        ech.add_row(row)
-    return ech
-
-
 def rank(mat: Mat) -> int:
     # eliminate in the cheaper orientation; rank is symmetric
-    if mat.cols <= mat.rows:
-        return row_echelon(mat).rank()
+    lines = mat.row_groups() if mat.cols <= mat.rows else mat.columns()
     ech = make_echelon(mat.field)
-    for col in mat.columns().values():
-        ech.add_row(col)
+    for line in lines.values():
+        ech.add_row(line)
     return ech.rank()
 
 

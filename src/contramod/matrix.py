@@ -104,10 +104,6 @@ class Mat:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows, cols, field):
-        return cls(rows, cols, field)
-
-    @classmethod
     def identity(cls, n, field):
         one = field.one()
         return cls(n, n, field, {(i, i): one for i in range(n)})
@@ -137,19 +133,6 @@ class Mat:
                 del data[i, j]
         return cls(rows, cols, field, data)
 
-    @classmethod
-    def from_dense(cls, rows_list, field):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        entries = (
-            (i, j, v) for i, row in enumerate(rows_list) for j, v in enumerate(row)
-        )
-        return cls.from_entries(rows, cols, field, entries)
-
-    @classmethod
-    def column(cls, vec: dict, rows: int, field):
-        return cls(rows, 1, field, {(i, 0): v for i, v in vec.items() if v != 0})
-
     # -- accessors ----------------------------------------------------------
 
     def __getitem__(self, key):
@@ -170,13 +153,6 @@ class Mat:
         for (i, j), v in self.data.items():
             out.setdefault(i, {})[j] = v
         return out
-
-    def to_dense(self):
-        z = self.field.zero()
-        dense = [[z] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            dense[i][j] = v
-        return dense
 
     @property
     def nnz(self) -> int:
@@ -288,14 +264,6 @@ class Mat:
         s = sx.get(None, 1)
         return _scalars(acc, f, (lambda i: sa.get(i, 1) * s) if sa else s)
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows or self.field != other.field:
-            raise ValueError("hstack mismatch")
-        data = dict(self.data)
-        for (i, j), v in other.data.items():
-            data[(i, j + self.cols)] = v
-        return Mat(self.rows, self.cols + other.cols, self.field, data)
-
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols or self.field != other.field:
             raise ValueError("vstack mismatch")
@@ -303,10 +271,6 @@ class Mat:
         for (i, j), v in other.data.items():
             data[(i + self.rows, j)] = v
         return Mat(self.rows + other.rows, self.cols, self.field, data)
-
-
-def kron(f: Mat, g: Mat) -> Mat:
-    return f.kron(g)
 
 
 def kron_identity(t: Mat, n: int, left: bool) -> Mat:

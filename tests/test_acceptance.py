@@ -16,18 +16,16 @@ from contramod.coalgebra import (
     divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
 from contramod.comodule import (
-    check_comodule, cofree, comodule_over_self,
-    cotensor, dual_comodule, head_radical, hom_comodules, is_injective,
-    trivial_comodule,
+    check_comodule, cofree, comodule_closure, comodule_over_self,
+    cotensor, direct_sum, dual_comodule, hom_comodules, is_injective,
+    quotient_comodule, sub_comodule,
 )
 from contramod.contramodule import (
     check_contramodule, cohom, contra_from_comodule, contratensor,
-    direct_sum as contra_direct_sum, duality_check, free_contramodule, is_projective,
-    trivial_contramodule,
+    duality_check, free_contramodule, is_projective,
 )
-from contramod.fields import GF2, GF3, QQ
+from contramod.fields import GF, GF2, QQ
 from contramod.functors import Induction, ShortExactSeq, adjunction_check, exactness_probe
-from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.randomgen import (
     random_comodule, random_contra_ses, random_contramodule, random_surjection,
@@ -39,11 +37,12 @@ from contramod.sl2 import (
 )
 from contramod.towers import cohom_tower
 from scripts.limits import InverseSystem, is_mittag_leffler
+from test_comodule import head_radical, trivial
 from test_exactness import cohom_exactness_probe
 from test_randomgen import random_comodule_ses
 from test_structure_maps import coaction_stabilizes, comodule_of, contra_of_theta
 
-FIELDS = [QQ, GF2, GF3]
+FIELDS = [QQ, GF2, GF(3)]
 
 
 def _passline(n, text):
@@ -70,8 +69,8 @@ def _catalog_objects():
             objs.append(("contramodule", free_contramodule(c, 1)))
             objs.append(("contramodule", contra_from_comodule(comodule_over_self(c))))
             for g in grouplike_elements(c)[:1]:
-                objs.append(("comodule", trivial_comodule(c, g)))
-                objs.append(("contramodule", trivial_contramodule(c, g)))
+                objs.append(("comodule", trivial(c, g)))
+                objs.append(("contramodule", trivial(c, g, contra=True)))
     # SL2 corner at p = 2
     cat = catalog_modules(2)
     objs.append(("coalgebra", frob_kernel_coalgebra(2, 1)))
@@ -305,7 +304,7 @@ def test_criterion_3_duality():
             (comodule_over_self(c), comodule_over_self(c)),
             (comodule_over_self(c), cofree(c, 2)),
             (cofree(c, 1), comodule_over_self(c)),
-            (trivial_comodule(c, grouplike_elements(c)[0]), cofree(c, 1)),
+            (trivial(c, grouplike_elements(c)[0]), cofree(c, 1)),
         ]
         for v, w in catalog_pairs:
             rep = duality_check(v, w)
@@ -357,17 +356,15 @@ def test_criterion_5_injectivity_projectivity_exactness():
         rho = divided_power_surjection(field, 3, 2, 2)
         assert not is_injective(Induction(rho).comodule)[0]
         breg = free_contramodule(rho.target, 1)
-        from contramod.contramodule import contra_closure, quotient_contramodule, sub_contramodule
-
-        rad = contra_closure(breg, [{1: field.one()}])
-        sub, incl = sub_contramodule(breg, rad)
-        quot, proj = quotient_contramodule(breg, rad)
+        rad = comodule_closure(breg, [{1: field.one()}])
+        sub, incl = sub_comodule(breg, rad)
+        quot, proj = quotient_comodule(breg, rad)
         verdict = exactness_probe(rho, ShortExactSeq(sub, breg, quot, incl, proj))
         assert not verdict.exact and "left" in verdict.failures
 
     # (b) grouplike targets are cosemisimple: sampled sequences all induce exactly
     exact_count = 0
-    for field in (GF2, GF3):
+    for field in (GF2, GF(3)):
         rng = random.Random(4000 + field.characteristic)
         c = grouplike(field, 4)
         rho = random_surjection(rng, c)
@@ -388,7 +385,7 @@ def test_criterion_5_injectivity_projectivity_exactness():
         for c in (grouplike(field, 2), divided_power_dual(field, 3), matrix_coalgebra(field, 2)):
             assert is_projective(free_contramodule(c, 1))[0]
         c3 = divided_power_dual(field, 3)
-        assert not is_projective(trivial_contramodule(c3, grouplike_elements(c3)[0]))[0]
+        assert not is_projective(trivial(c3, grouplike_elements(c3)[0], contra=True))[0]
 
     # Cohom(-, B) exactness sampling agrees with the projectivity verdict
     agreements = 0
@@ -403,8 +400,8 @@ def test_criterion_5_injectivity_projectivity_exactness():
             g = grouplike_elements(c)[0]
             candidates = [
                 free_contramodule(c, 1),
-                trivial_contramodule(c, g),
-                contra_direct_sum(free_contramodule(c, 1), trivial_contramodule(c, g)),
+                trivial(c, g, contra=True),
+                direct_sum(free_contramodule(c, 1), trivial(c, g, contra=True)),
                 random_contramodule(rng, c),
             ]
             for b in candidates:
@@ -469,7 +466,7 @@ def test_criterion_7_mittag_leffler():
     rng = random.Random(0x714)
     checked = 0
     for trial in range(50):
-        field = GF2 if trial % 2 else GF3
+        field = GF2 if trial % 2 else GF(3)
         dims = [rng.randint(1, 6) for _ in range(4)]
         transitions = []
         for t in range(3):
@@ -514,13 +511,13 @@ def test_criterion_7_mittag_leffler():
     from scripts.limits import FourTermSystem
 
     adversarial = FourTermSystem(
-        InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * 3),
+        InverseSystem([0] * stages, [Mat(0, 0, field)] * 3),
         InverseSystem([3] * stages, [rank_proj(3, r) for r in (2, 1, 0)]),
         InverseSystem([3] * stages, [rank_proj(3, r) for r in (2, 1, 0)]),
-        InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * 3),
-        [Mat.zeros(3, 0, field)] * stages,
+        InverseSystem([0] * stages, [Mat(0, 0, field)] * 3),
+        [Mat(3, 0, field)] * stages,
         [Mat.identity(3, field)] * stages,
-        [Mat.zeros(0, 3, field)] * stages,
+        [Mat(0, 3, field)] * stages,
     )
     assert limit_four_term(adversarial).status == "inconclusive"
     _passline(7, "ML detection matches brute-force image enumeration on 50 towers; "

@@ -1,7 +1,11 @@
-"""Comodule axioms, cofree objects, hom spaces, cotensor, duals, injectivity."""
+"""Comodule axioms, cofree objects, hom spaces, cotensor, duals, injectivity,
+and the test helpers ``trivial`` (the comodule or contramodule k along a
+grouplike element) and ``head_radical`` (radical and head multiplicities
+against a list of simples)."""
 
 import random
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 
@@ -12,16 +16,58 @@ from contramod.coalgebra import (
 )
 from contramod.comodule import (
     Comodule, check_comodule, cofree, comodule_closure,
-    comodule_over_self, cotensor, direct_sum, dual_comodule, head_radical,
-    hom_basis_maps, hom_comodules, is_comodule_map, is_injective,
-    quotient_comodule, sub_comodule, trivial_comodule,
+    comodule_over_self, cotensor, direct_sum, dual_comodule,
+    hom_comodules, is_comodule_map, is_injective,
+    quotient_comodule, sub_comodule,
 )
-from contramod.fields import GF2, GF3, QQ
+from contramod.contramodule import Contramodule
+from contramod.fields import GF, GF2, QQ
 from contramod.linalg import Subspace, kernel, rank
 from contramod.matrix import Mat
-from test_structure_maps import coaction_stabilizes, comodule_of
+from test_linalg import full_space
+from test_structure_maps import coaction_stabilizes, comodule_of, hom_basis_maps
 
-FIELDS = [QQ, GF2, GF3]
+FIELDS = [QQ, GF2, GF(3)]
+
+
+def trivial(c, grouplike_vec, contra=False):
+    """k along a grouplike element g: the one-dimensional left comodule,
+    coaction 1 -> g (x) 1, or with ``contra`` the contramodule on the same
+    matrix, whose theta is evaluation at g."""
+    coact = Mat(c.dim, 1, c.field, {(i, 0): v for i, v in grouplike_vec.items() if v != 0})
+    if contra:
+        return Contramodule(c, 1, coact, name="trivial")
+    return Comodule(c, "left", 1, coact, name="trivial")
+
+
+class HeadRadical(NamedTuple):
+    radical: Subspace
+    head: dict  # simple label -> multiplicity
+
+
+def head_radical(m, simples):
+    """Radical and head multiplicities relative to a complete list of simples.
+
+    The list must be complete and irredundant for the coalgebra; this is the
+    caller's obligation and cannot be detected here.  The radical is the
+    common kernel of every map to a simple: map j of Hom(M, s)'s basis is
+    stacked at rows offset + j*dim s .., and with no map it is all of M.
+    """
+    stacked, head, offset = {}, {}, 0
+    for idx, s in enumerate(simples):
+        hom = hom_comodules(m, s)
+        if hom.dim == 0:
+            continue
+        end_dim = hom_comodules(s, s).dim
+        label = s.name or f"simple{idx}"
+        mult, rem = divmod(hom.dim, end_dim)
+        if rem:
+            raise ValueError("hom dimension not divisible by endomorphism dimension")
+        head[label] = mult
+        sd = s.dim
+        stacked.update({(offset + j * sd + i % sd, i // sd): v for (i, j), v in hom.basis.data.items()})
+        offset += hom.dim * sd
+    return HeadRadical(kernel(Mat(offset, m.dim, m.field, stacked)), head)
 
 
 def catalog_coalgebras(field):
@@ -60,7 +106,7 @@ def test_mutated_coaction_fails():
 def test_trivial_comodule():
     c = divided_power_dual(GF2, 3)
     g = grouplike_elements(c)[0]
-    t = trivial_comodule(c, g)
+    t = trivial(c, g)
     assert check_comodule(t).ok
 
 
@@ -82,7 +128,7 @@ def test_hom_exhaustive_oracle_f2():
     same count, and every enumerated map lies in the computed subspace."""
     c = divided_power_dual(GF2, 3)
     m = comodule_over_self(c)
-    t = trivial_comodule(c, grouplike_elements(c)[0])
+    t = trivial(c, grouplike_elements(c)[0])
     hom = hom_comodules(m, t)
     found = 0
     for combo in product([0, 1], repeat=3):
@@ -121,7 +167,7 @@ def test_dual_comodule_axioms_and_double_dual():
 
 def test_dual_of_trivial_is_trivial():
     c = divided_power_dual(QQ, 3)
-    t = trivial_comodule(c, grouplike_elements(c)[0])
+    t = trivial(c, grouplike_elements(c)[0])
     td = dual_comodule(t)
     assert td.dim == 1 and check_comodule(td).ok
 
@@ -219,17 +265,17 @@ def test_restricted_regular_comodule_not_injective():
 def test_direct_sum_injectivity():
     c = divided_power_dual(GF2, 2)
     free = comodule_over_self(c)
-    triv = trivial_comodule(c, grouplike_elements(c)[0])
+    triv = trivial(c, grouplike_elements(c)[0])
     assert is_injective(direct_sum(free, free))[0]
     assert not is_injective(direct_sum(free, triv))[0]
     assert not is_injective(triv)[0]
 
 
 def test_head_radical_simple_cases():
-    c = grouplike(GF3, 2)
+    c = grouplike(GF(3), 2)
     # over a grouplike coalgebra the simples are the coordinate lines
     simples = [
-        trivial_comodule(c, g) for g in grouplike_elements(c)
+        trivial(c, g) for g in grouplike_elements(c)
     ]
     for i, s in enumerate(simples):
         s.name = f"S{i}"
@@ -246,7 +292,7 @@ def test_head_radical_simple_cases():
 
 def test_head_radical_nonsemisimple():
     c = divided_power_dual(GF2, 3)
-    triv = trivial_comodule(c, grouplike_elements(c)[0])
+    triv = trivial(c, grouplike_elements(c)[0])
     triv.name = "k"
     m = comodule_over_self(c)
     hr = head_radical(m, [triv])
@@ -263,7 +309,7 @@ def loop_head_radical(m, simples):
     maps decoded one by one and stacked with vstack."""
     maps = [t for s in simples for t in hom_basis_maps(m, s)]
     if not maps:
-        return Subspace.full(m.dim, m.field)
+        return full_space(m.dim, m.field)
     big = maps[0]
     for t in maps[1:]:
         big = big.vstack(t)
@@ -274,7 +320,7 @@ def loop_head_radical(m, simples):
 def test_head_radical_matches_vstack_loop(field):
     rng = random.Random(2901)
     for c in (grouplike(field, 3), divided_power_dual(field, 3), divided_power_dual(field, 4)):
-        simples = [trivial_comodule(c, g) for g in grouplike_elements(c)]
+        simples = [trivial(c, g) for g in grouplike_elements(c)]
         for i, s in enumerate(simples):
             s.name = f"S{i}"
         for _ in range(6):
@@ -289,27 +335,28 @@ def test_head_radical_matches_vstack_loop(field):
 def test_head_radical_when_no_simple_receives_a_map(field):
     c = grouplike(field, 3)
     g0, *rest = grouplike_elements(c)
-    m = direct_sum(trivial_comodule(c, g0), trivial_comodule(c, g0))
-    for simples in ([trivial_comodule(c, g) for g in rest], []):
+    m = direct_sum(trivial(c, g0), trivial(c, g0))
+    for simples in ([trivial(c, g) for g in rest], []):
         hr = head_radical(m, simples)
-        assert hr.radical == Subspace.full(m.dim, field) == loop_head_radical(m, simples)
+        assert hr.radical == full_space(m.dim, field) == loop_head_radical(m, simples)
         assert hr.head == {}
 
 
 
 def test_maps_between_comodules_over_different_coalgebras_raise():
-    """is_comodule_map and is_contra_map refuse what hom_comodules refuses,
-    rather than comparing coactions over two coalgebras of the same dimension."""
-    from contramod.contramodule import contra_from_comodule, is_contra_map
+    """is_comodule_map, on comodules and on contramodules, refuses what
+    hom_comodules refuses, rather than comparing coactions over two
+    coalgebras of the same dimension."""
+    from contramod.contramodule import contra_from_comodule
 
     one = GF2.one()
-    m = trivial_comodule(grouplike(GF2, 2), {0: one})
-    n_mod = trivial_comodule(divided_power_dual(GF2, 2), {0: one})
+    m = trivial(grouplike(GF2, 2), {0: one})
+    n_mod = trivial(divided_power_dual(GF2, 2), {0: one})
     eye = Mat.identity(1, GF2)
     with pytest.raises(ValueError, match="coalgebra mismatch"):
         hom_comodules(m, n_mod)
     with pytest.raises(ValueError, match="coalgebra mismatch"):
         is_comodule_map(m, n_mod, eye)
     with pytest.raises(ValueError, match="coalgebra mismatch"):
-        is_contra_map(contra_from_comodule(m), contra_from_comodule(n_mod), eye)
+        is_comodule_map(contra_from_comodule(m), contra_from_comodule(n_mod), eye)
     assert is_comodule_map(m, m, eye) and is_comodule_map(n_mod, n_mod, eye)

@@ -16,22 +16,22 @@ import pytest
 from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
-from contramod.comodule import Comodule
-from contramod.contramodule import (
-    Contramodule, cohom, direct_sum, free_contramodule, is_contra_map, trivial_contramodule,
-)
-from contramod.fields import GF2, GF3, QQ
+from contramod.comodule import Comodule, direct_sum, is_comodule_map
+from contramod.contramodule import Contramodule, cohom, free_contramodule
+from contramod.fields import GF, GF2, QQ
 from contramod.functors import ExactnessVerdict, Induction, exactness_probe, induce_map
 from contramod.linalg import exactness_failures, image, kernel, quotient_by_image, rank, solve
-from contramod.matrix import Mat, kron, kron_identity
+from contramod.matrix import Mat, kron_identity
 from contramod.randomgen import (
     random_contra_ses, random_contramodule, random_surjection, socle_filtration_sequences,
 )
 from scripts.limits import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
 from test_coalgebra import augmentation, identity_morphism
+from test_comodule import trivial
+from test_linalg import random_mat
 from test_randomgen import random_comodule_ses
 
-FIELDS = [QQ, GF2, GF3]
+FIELDS = [QQ, GF2, GF(3)]
 
 
 # -- the Cohom exactness probe that the other test modules import ------------------
@@ -67,9 +67,9 @@ def oracle_ses_failures(ses):
         failures.append("projection-not-surjective")
     if not (ses.proj @ ses.incl).is_zero():
         failures.append("composite-nonzero")
-    if not is_contra_map(ses.sub, ses.mid, ses.incl):
+    if not is_comodule_map(ses.sub, ses.mid, ses.incl):
         failures.append("inclusion-not-contra-map")
-    if not is_contra_map(ses.mid, ses.quot, ses.proj):
+    if not is_comodule_map(ses.mid, ses.quot, ses.proj):
         failures.append("projection-not-contra-map")
     return failures
 
@@ -99,7 +99,7 @@ def oracle_cohom_exactness_probe(sub, mid, quot, incl, proj, b):
     co_a, co_m, co_q = cohom(sub, b), cohom(mid, b), cohom(quot, b)
 
     def descend(co_src, co_tgt, structural):
-        lifted = co_tgt.quotient_map @ kron(structural.transpose(), eye_b)
+        lifted = co_tgt.quotient_map @ structural.transpose().kron(eye_b)
         assert (lifted @ co_src.image_subspace.basis).is_zero()
         return lifted @ co_src.section
 
@@ -115,7 +115,8 @@ def _dim(stage):
 def oracle_four_validate(four):
     failures = []
     n = four.stage_count()
-    if not (len(four.b) == len(four.c) == len(four.d) == n):
+    lengths = (len(four.b), len(four.c), len(four.d), len(four.alphas), len(four.betas), len(four.gammas))
+    if any(length != n for length in lengths):
         return ["stage-count-mismatch"]
     for i in range(n):
         al, be, ga = four.alphas[i], four.betas[i], four.gammas[i]
@@ -206,12 +207,6 @@ def _plain(detail):
 # -- random inputs --------------------------------------------------------------
 
 
-def _random_mat(rng, rows, cols, field, density=0.5):
-    return Mat.from_entries(rows, cols, field, [
-        (i, j, field.random(rng)) for i in range(rows) for j in range(cols) if rng.random() < density
-    ])
-
-
 def _mutate(rng, m):
     """m with one entry shifted by a nonzero scalar, or m itself when empty."""
     if m.rows == 0 or m.cols == 0:
@@ -246,7 +241,7 @@ def random_four_term(rng, field, stages):
     block triangular (B preserves A, C preserves X) with random blocks, so
     the squares commute and the stable images need not split."""
     a, x, y = ([rng.randint(0, 2) for _ in range(stages)] for _ in range(3))
-    ta, tx, ty, u, v = ([_random_mat(rng, d[t], e[t + 1], field) for t in range(stages - 1)]
+    ta, tx, ty, u, v = ([random_mat(rng, d[t], e[t + 1], field, 0.5) for t in range(stages - 1)]
                         for d, e in ((a, a), (x, x), (y, y), (a, x), (x, y)))
     changes_b = [_random_basis_change(rng, a[i] + x[i], field) for i in range(stages)]
     changes_c = [_random_basis_change(rng, x[i] + y[i], field) for i in range(stages)]
@@ -397,13 +392,13 @@ def test_cohom_probe_matches_oracle_at_every_position():
             g = grouplike_elements(c)[0]
             candidates = [
                 free_contramodule(c, 1),
-                trivial_contramodule(c, g),
-                direct_sum(free_contramodule(c, 1), trivial_contramodule(c, g)),
+                trivial(c, g, contra=True),
+                direct_sum(free_contramodule(c, 1), trivial(c, g, contra=True)),
                 random_contramodule(rng, c),
             ]
             for s, mid, q, incl, proj in battery:
-                zero_incl = Mat.zeros(incl.rows, incl.cols, field)
-                zero_proj = Mat.zeros(proj.rows, proj.cols, field)
+                zero_incl = Mat(incl.rows, incl.cols, field)
+                zero_proj = Mat(proj.rows, proj.cols, field)
                 for i, pr in ((incl, proj), (zero_incl, proj), (incl, zero_proj)):
                     b = rng.choice(candidates)
                     new = _verdict(cohom_exactness_probe(s, mid, q, i, pr, b))

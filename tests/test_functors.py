@@ -7,24 +7,25 @@ import pytest
 from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
-from contramod.comodule import check_comodule, cofree, is_injective
-from contramod.contramodule import (
-    Contramodule, check_contramodule, cohom, contra_closure, free_contramodule, hom_contra,
-    hom_contra_basis_maps, is_contra_map, sub_contramodule, quotient_contramodule,
-    trivial_contramodule,
+from contramod.comodule import (
+    check_comodule, cofree, comodule_closure, hom_comodules, is_comodule_map, is_injective,
+    quotient_comodule, sub_comodule,
 )
+from contramod.contramodule import Contramodule, check_contramodule, cohom, free_contramodule
 from contramod.functors import (
     AdjunctionReport, Induction, ShortExactSeq, adjunction_check, exactness_probe, gamma,
     gamma_inv, induce_map,
 )
-from contramod.fields import GF2, GF3, QQ
+from contramod.fields import GF, GF2, QQ
 from contramod.linalg import rank
 from contramod.matrix import Mat
 from contramod.randomgen import random_contramodule, random_surjection
 from test_coalgebra import augmentation, identity_morphism
-from test_structure_maps import kron_cohom_maps
+from test_comodule import trivial
+from test_contramodule import _random_contramodule
+from test_structure_maps import hom_basis_maps, kron_cohom_maps
 
-FIELDS = [QQ, GF2, GF3]
+FIELDS = [QQ, GF2, GF(3)]
 
 
 def test_restrict_identity():
@@ -106,7 +107,7 @@ def test_induce_rejects_non_surjection():
     from contramod.coalgebra import CoalgebraMorphism
 
     c = divided_power_dual(QQ, 3)
-    rho = CoalgebraMorphism(c, c, Mat.zeros(3, 3, QQ), surjective=False)
+    rho = CoalgebraMorphism(c, c, Mat(3, 3, QQ), surjective=False)
     with pytest.raises(ValueError):
         Induction(rho).induce(free_contramodule(c, 1))
 
@@ -119,7 +120,7 @@ def test_induction_dims_regression_catalog_pair():
         d = rho.target
         w_free = free_contramodule(d, 1)
         assert Induction(rho).induce(w_free).dim == 3
-        t = trivial_contramodule(d, grouplike_elements(d)[0])
+        t = trivial(d, grouplike_elements(d)[0], contra=True)
         assert Induction(rho).induce(t).dim == 2
 
 
@@ -132,22 +133,8 @@ def test_gamma_identity_case():
             res = Induction(identity_morphism(c)).induce(w)
             # phi := descended theta is a contra-hom Ind(W) -> W; gamma(phi) = id_W
             phi = w.theta @ res.coeq.section
-            assert is_contra_map(res.induced, w, phi)
+            assert is_comodule_map(res.induced, w, phi)
             assert gamma(res, phi) == Mat.identity(w.dim, field)
-
-
-def _random_contramodule(rng, c, max_free=2):
-    amb = free_contramodule(c, rng.randint(1, max_free))
-    vecs = [
-        {i: c.field.random(rng) for i in rng.sample(range(amb.dim), k=min(amb.dim, 3))}
-        for _ in range(rng.randint(1, 2))
-    ]
-    sub = contra_closure(amb, vecs)
-    if sub.dim == 0 or sub.dim == amb.dim:
-        return amb
-    if rng.random() < 0.5:
-        return sub_contramodule(amb, sub)[0]
-    return quotient_contramodule(amb, sub)[0]
 
 
 def test_adjunction_battery_catalog_surjection():
@@ -178,21 +165,21 @@ def loop_adjunction_check(rho, w, v):
     that fails."""
     ind = Induction(rho)
     res, v_res = ind.induce(w), ind.restrict(v)
-    lhs = hom_contra(res.induced, v)
-    rhs = hom_contra(w, v_res)
+    lhs = hom_comodules(res.induced, v)
+    rhs = hom_comodules(w, v_res)
     ok = True
-    for phi in hom_contra_basis_maps(res.induced, v, lhs):
+    for phi in hom_basis_maps(res.induced, v, lhs):
         psi = gamma(res, phi)
-        if not is_contra_map(w, v_res, psi):
+        if not is_comodule_map(w, v_res, psi):
             ok = False
             break
         if loop_gamma_inv(rho, res, v, psi) != phi:
             ok = False
             break
     if ok:
-        for psi in hom_contra_basis_maps(w, v_res, rhs):
+        for psi in hom_basis_maps(w, v_res, rhs):
             phi = loop_gamma_inv(rho, res, v, psi)
-            if not is_contra_map(res.induced, v, phi):
+            if not is_comodule_map(res.induced, v, phi):
                 ok = False
                 break
             if gamma(res, phi) != psi:
@@ -215,7 +202,7 @@ def test_gamma_inv_matches_loop_gamma_inv(field):
         v = random_contramodule(rng, rho.source, max_free=2)
         ind = Induction(rho)
         res = ind.induce(w)
-        psis = hom_contra_basis_maps(w, ind.restrict(v))
+        psis = hom_basis_maps(w, ind.restrict(v))
         psis += [Mat.from_entries(v.dim, w.dim, field, [(rng.randrange(v.dim), rng.randrange(w.dim), 1)])
                  for _ in range(3) if v.dim and w.dim]
         for psi in psis:
@@ -273,7 +260,7 @@ def test_adjunction_check_matches_loop_on_catalog_surjection(field):
     rho = divided_power_surjection(field, 3, 2, 2)
     d = rho.target
     ws = [free_contramodule(d, 1), free_contramodule(d, 2), free_contramodule(d, 0),
-          trivial_contramodule(d, grouplike_elements(d)[0])]
+          trivial(d, grouplike_elements(d)[0], contra=True)]
     vs = [free_contramodule(rho.source, 1), free_contramodule(rho.source, 0)]
     ws += [_random_contramodule(rng, d) for _ in range(3)]
     vs += [_random_contramodule(rng, rho.source) for _ in range(3)]
@@ -397,14 +384,12 @@ def test_adjunction_check_matches_loop_with_wrong_data(monkeypatch, wrong):
 
 def test_adjunction_naturality():
     rng = random.Random(15)
-    rho = divided_power_surjection(GF3, 3, 2, 2)
+    rho = divided_power_surjection(GF(3), 3, 2, 2)
     w = free_contramodule(rho.target, 1)
     res = Induction(rho).induce(w)
     v = free_contramodule(rho.source, 1)
-    from contramod.contramodule import hom_contra_basis_maps
-
-    homs_phi = hom_contra_basis_maps(res.induced, v)
-    endos = hom_contra_basis_maps(v, v)
+    homs_phi = hom_basis_maps(res.induced, v)
+    endos = hom_basis_maps(v, v)
     for phi in homs_phi:
         for h in endos:
             lhs = gamma(res, h @ phi)
@@ -426,10 +411,10 @@ def _regular_trivial_ses(d):
     """0 -> k -> D* -> k -> 0 for the 2-dimensional divided-power dual."""
     field = d.field
     breg = free_contramodule(d, 1)
-    rad = contra_closure(breg, [{1: field.one()}])
+    rad = comodule_closure(breg, [{1: field.one()}])
     assert rad.dim == 1
-    sub, incl = sub_contramodule(breg, rad)
-    quot, proj = quotient_contramodule(breg, rad)
+    sub, incl = sub_comodule(breg, rad)
+    quot, proj = quotient_comodule(breg, rad)
     return ShortExactSeq(sub, breg, quot, incl, proj)
 
 
@@ -459,7 +444,7 @@ def test_exactness_probe_fails_for_catalog_surjection():
 def test_exactness_probe_grouplike_always_exact():
     # over a grouplike (cosemisimple) coalgebra every probe is exact
     rng = random.Random(19)
-    for field in [GF2, GF3]:
+    for field in [GF2, GF(3)]:
         d = grouplike(field, 2)
         c = grouplike(field, 4)
         # surjection: dual of the diagonal subalgebra inclusion
@@ -473,13 +458,13 @@ def test_exactness_probe_grouplike_always_exact():
         assert is_injective(Induction(rho).comodule)[0]
         for _ in range(5):
             b = _random_contramodule(rng, d)
-            sub = contra_closure(
+            sub = comodule_closure(
                 b, [{i: field.random(rng) for i in range(b.dim)}]
             )
             if sub.dim in (0, b.dim):
                 continue
-            s, incl = sub_contramodule(b, sub)
-            q, proj = quotient_contramodule(b, sub)
+            s, incl = sub_comodule(b, sub)
+            q, proj = quotient_comodule(b, sub)
             verdict = exactness_probe(rho, ShortExactSeq(s, b, q, incl, proj))
             assert verdict.exact
 
@@ -500,12 +485,12 @@ def test_maps_that_are_not_contra_homs_do_not_descend():
         w = free_contramodule(rho.target, 1)
         res = Induction(rho).induce(w)
         h = Mat.from_entries(w.dim, w.dim, field, [(0, 1, 1)])
-        assert not is_contra_map(w, w, h)
+        assert not is_comodule_map(w, w, h)
         with pytest.raises(ValueError, match=r"^map does not descend: is h a contra-homomorphism\?$"):
             induce_map(res, res, h)
         v = free_contramodule(rho.source, 1)
         psi = Mat.from_entries(v.dim, w.dim, field, [(0, 1, 1)])
-        assert not is_contra_map(w, Induction(rho).restrict(v), psi)
+        assert not is_comodule_map(w, Induction(rho).restrict(v), psi)
         with pytest.raises(ValueError, match=r"^extension does not kill the induction relations$"):
             gamma_inv(res, v, psi)
 
@@ -516,7 +501,7 @@ def test_section3_consistency_on_catalog_surjections():
     from contramod.randomgen import random_contra_ses, random_surjection
 
     rng = random.Random(88)
-    for field in [GF2, GF3]:
+    for field in [GF2, GF(3)]:
         surjections = [
             identity_morphism(divided_power_dual(field, 3)),
             augmentation(divided_power_dual(field, 3)),
@@ -546,7 +531,6 @@ def test_section3_consistency_on_catalog_surjections():
 
 def test_hom_dims_cofree_random_w():
     from contramod.randomgen import random_comodule
-    from contramod.comodule import hom_comodules
 
     rng = random.Random(99)
     for field in FIELDS:
@@ -559,14 +543,12 @@ def test_hom_dims_cofree_random_w():
 
 def test_restrict_preserves_homs_functorially():
     # restriction of a contra-hom is a contra-hom over the target
-    from contramod.contramodule import hom_contra_basis_maps
-
     rho = divided_power_surjection(GF2, 3, 2, 2)
     b = free_contramodule(rho.source, 1)
-    maps = hom_contra_basis_maps(b, b)
+    maps = hom_basis_maps(b, b)
     rb = Induction(rho).restrict(b)
     for t in maps:
-        assert is_contra_map(rb, rb, t)
+        assert is_comodule_map(rb, rb, t)
 
 
 def test_induction_presentation_invariant():

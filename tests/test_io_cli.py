@@ -19,16 +19,17 @@ from contramod.cli import COMMANDS, DEFAULT_SEED, JobSpec, build_parser, main, r
 from contramod.coalgebra import (
     divided_power_dual, divided_power_surjection, grouplike, grouplike_elements, matrix_coalgebra,
 )
-from contramod.comodule import cofree, comodule_over_self, dual_comodule
-from contramod.contramodule import (
-    check_contramodule, contra_closure, direct_sum, free_contramodule, quotient_contramodule,
-    sub_contramodule, trivial_contramodule,
+from contramod.comodule import (
+    cofree, comodule_closure, comodule_over_self, direct_sum, dual_comodule, quotient_comodule,
+    sub_comodule,
 )
-from contramod.fields import _MR_LIMIT, GF, GF2, GF3, QQ, FieldSpec, _is_prime
+from contramod.contramodule import check_contramodule, free_contramodule
+from contramod.fields import _MR_LIMIT, GF, GF2, QQ, FieldSpec, _is_prime
 from contramod.io import SchemaError
 from contramod.matrix import Mat
 from contramod.randomgen import random_comodule, random_contramodule
 from test_coalgebra import identity_morphism
+from test_comodule import trivial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,7 +39,7 @@ def test_field_json_roundtrip():
     assert cio.field_from_json(cio.field_to_json(GF2)) == GF2
     with pytest.raises(SchemaError):
         cio.field_from_json({"Fp": 4})
-    assert cio.parse_field_flag("Fp:3") == GF3
+    assert cio.parse_field_flag("Fp:3") == GF(3)
     with pytest.raises(SchemaError):
         cio.parse_field_flag("R")
 
@@ -58,7 +59,7 @@ def test_coalgebra_json_roundtrip():
 
 
 def test_comodule_and_contramodule_roundtrip():
-    c = divided_power_dual(GF3, 3)
+    c = divided_power_dual(GF(3), 3)
     for m in (comodule_over_self(c), cofree(c, 2), dual_comodule(cofree(c, 1))):
         back = cio.comodule_from_json(cio.comodule_to_json(m))
         assert back.coaction == m.coaction and back.side == m.side
@@ -94,7 +95,7 @@ def test_right_comodule_and_contramodule_json_is_pinned():
     assert json.dumps(cio.contramodule_to_json(free_contramodule(c, 1))["theta"]) == PINNED_THETA
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("field", [QQ, GF2, GF(3)])
 def test_json_triples_are_the_sorted_input_layouts(field):
     """Right coactions and theta are written from the stored matrix in the
     order of their own layouts, and read back to the same stored matrix."""
@@ -157,7 +158,7 @@ def _edited_triples(rng, triples, dims):
         yield ts
 
 
-@pytest.mark.parametrize("field", [QQ, GF3])
+@pytest.mark.parametrize("field", [QQ, GF(3)])
 def test_loader_matches_the_layout_loader(field):
     """Right coactions and theta are read straight into the stored matrix,
     each scalar string parsed once: every edited input is accepted or
@@ -253,7 +254,7 @@ def test_cli_hom_cotensor_cohom(tmp_path, capsys):
 
 
 def test_cli_induce_and_adjoint(tmp_path, capsys):
-    rho = divided_power_surjection(GF3, 3, 2, 2)
+    rho = divided_power_surjection(GF(3), 3, 2, 2)
     rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(rho))
     w = free_contramodule(rho.target, 1)
     w_path = _write(tmp_path, "w.json", cio.contramodule_to_json(w))
@@ -273,9 +274,9 @@ def test_cli_exactness_witness_and_sampling(tmp_path, capsys):
     rho_path = _write(tmp_path, "rho.json", cio.morphism_to_json(rho))
     # explicit witness: 0 -> k -> D* -> k -> 0 over the target
     breg = free_contramodule(rho.target, 1)
-    rad = contra_closure(breg, [{1: GF2.one()}])
-    sub, incl = sub_contramodule(breg, rad)
-    quot, proj = quotient_contramodule(breg, rad)
+    rad = comodule_closure(breg, [{1: GF2.one()}])
+    sub, incl = sub_comodule(breg, rad)
+    quot, proj = quotient_comodule(breg, rad)
     ses_payload = {
         "sub": cio.contramodule_to_json(sub),
         "mid": cio.contramodule_to_json(breg),
@@ -313,8 +314,8 @@ def test_cli_refuses_inputs_that_are_not_contramodules(tmp_path, capsys):
     v_path = _write(tmp_path, "v.json", cio.contramodule_to_json(v))
     bad_w = _write(tmp_path, "bad_w.json", _not_a_contramodule(w))
     bad_v = _write(tmp_path, "bad_v.json", _not_a_contramodule(v))
-    rad = contra_closure(w, [{1: GF2.one()}])
-    (sub, incl), (quot, proj) = sub_contramodule(w, rad), quotient_contramodule(w, rad)
+    rad = comodule_closure(w, [{1: GF2.one()}])
+    (sub, incl), (quot, proj) = sub_comodule(w, rad), quotient_comodule(w, rad)
     terms = {"sub": sub, "mid": w, "quot": quot}
     ses = {"incl": cio.mat_to_json(incl), "proj": cio.mat_to_json(proj)}
     ses.update((k, cio.contramodule_to_json(b)) for k, b in terms.items())
@@ -873,9 +874,9 @@ def _write_mismatch_inputs(tmp_path):
     }
     # 0 -> k -> D* -> k -> 0 over rho's target, but with its k on the left over grouplike(2)
     breg = free_contramodule(rho.target, 1)
-    rad = contra_closure(breg, [{1: GF2.one()}])
-    incl, (quot, proj) = sub_contramodule(breg, rad)[1], quotient_contramodule(breg, rad)
-    sub = trivial_contramodule(other, {0: GF2.one()})
+    rad = comodule_closure(breg, [{1: GF2.one()}])
+    incl, (quot, proj) = sub_comodule(breg, rad)[1], quotient_comodule(breg, rad)
+    sub = trivial(other, {0: GF2.one()}, contra=True)
     docs["ses_mixed.json"] = {"sub": cio.contramodule_to_json(sub), "mid": cio.contramodule_to_json(breg),
                               "quot": cio.contramodule_to_json(quot), "incl": cio.mat_to_json(incl),
                               "proj": cio.mat_to_json(proj)}
@@ -906,7 +907,7 @@ def test_cli_mismatched_inputs_and_bad_rho_exit_2(line, needle, tmp_path, monkey
 
 def test_scalars_parse_only_from_strings_and_integers():
     assert QQ.parse("2/5") == QQ.of("2/5") and QQ.parse(-3) == QQ.of(-3)
-    assert GF3.parse("4") == GF3.parse(4) == 1
+    assert GF(3).parse("4") == GF(3).parse(4) == 1
     for field in (QQ, GF2):
         for value in (0.5, 1.0, True, None, [1], {"x": 1}):
             with pytest.raises(ValueError, match="string or an integer"):
@@ -922,7 +923,7 @@ def _outcome(read, s):
     return type(v), v
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, QQ])
+@pytest.mark.parametrize("field", [GF2, GF(3), QQ])
 def test_parse_reads_integer_strings_as_of_does(field):
     """Integer strings take parse's int path; every string, on that path or
     not, is accepted or refused exactly as of() does, with the same scalar
@@ -1020,13 +1021,27 @@ def test_size_limit_on_dimensions():
     with pytest.raises(SchemaError, match="exceeds"):
         cio.coalgebra_by_name("grouplike(4097)", QQ)
     with pytest.raises(SchemaError, match="exceeds"):
-        cio.coalgebra_by_name("sl2_kernel(3)", GF3)   # dimension 3^9
+        cio.coalgebra_by_name("sl2_kernel(3)", GF(3))   # dimension 3^9
     for load, doc in ((cio.coalgebra_from_json, cio.coalgebra_to_json(grouplike(QQ, 1))),
                       (cio.contramodule_from_json,
                        cio.contramodule_to_json(free_contramodule(grouplike(QQ, 1), 1)))):
         doc["dim"] = 10 ** 30
         with pytest.raises(SchemaError, match="exceeds 4096"):
             load(doc)
+
+
+@pytest.mark.parametrize("kind", ["comodule", "contramodule", "coalgebra"])
+def test_cli_inline_dim_one_above_max_dim_exits_2(kind, tmp_path, capsys):
+    """An inline "dim" of MAX_DIM + 1 is refused where it is read, with exit
+    2, on a comodule, a contramodule and a coalgebra; MAX_DIM itself is read."""
+    c = grouplike(GF2, 1)
+    doc = {"comodule": cio.comodule_to_json(comodule_over_self(c)),
+           "contramodule": cio.contramodule_to_json(free_contramodule(c, 1)),
+           "coalgebra": cio.coalgebra_to_json(c)}[kind]
+    doc["dim"] = cio.MAX_DIM + 1
+    assert main(["--field", "Fp:2", "verify", _write(tmp_path, "x.json", doc)]) == 2
+    assert f"{kind}: dim 4097 exceeds 4096" in json.loads(capsys.readouterr().out)["error"]
+    assert cio._dim({"dim": cio.MAX_DIM}, kind) == 4096
 
 
 @pytest.mark.parametrize("edit", ["dim", "field", "ses"])
@@ -1123,9 +1138,9 @@ def test_documented_theta_example_loads(tmp_path, capsys):
     assert main(["verify", _write(tmp_path, "b.json", doc)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
     c = grouplike(QQ, 2)
-    trivial = [trivial_contramodule(c, g) for g in grouplike_elements(c)]
+    lines = [trivial(c, g, contra=True) for g in grouplike_elements(c)]
     b = cio.contramodule_from_json(doc, QQ)
-    assert b.theta == direct_sum(*trivial).theta
+    assert b.theta == direct_sum(*lines).theta
     assert cio.contramodule_to_json(b)["theta"] == doc["theta"]
 
 

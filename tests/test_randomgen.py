@@ -10,13 +10,13 @@ from contramod.coalgebra import (
 )
 from contramod.comodule import check_comodule
 from contramod.contramodule import check_contramodule
-from contramod.fields import GF2, GF3, QQ
+from contramod.fields import GF, GF2, QQ
 from contramod.randomgen import (
     _random_ses, random_comodule, random_contra_ses, random_contramodule,
     random_surjection, socle_filtration_sequences,
 )
 
-FIELDS = [QQ, GF2, GF3]
+FIELDS = [QQ, GF2, GF(3)]
 
 
 def random_comodule_ses(rng, c):

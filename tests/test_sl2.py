@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from contramod.coalgebra import check_coalgebra, grouplike
 from contramod.comodule import (
     Comodule, _gf2_masks, check_comodule, comodule_over_self, dual_comodule,
-    head_radical, is_injective, quotient_comodule,
+    is_injective, quotient_comodule,
 )
 from contramod.contramodule import check_contramodule, contra_from_comodule, is_projective
 from contramod.fields import GF, GF2, QQ
@@ -28,7 +28,9 @@ from contramod.sl2 import (
     standard_rational, tensor_rational, trivial_rational,
 )
 from contramod.sl2 import _kernel_index, _mono_mul, _mul3, _reduce_mono_kernel, _stage_factors
-from test_structure_maps import coaction_stabilizes, comodule_of
+from test_comodule import head_radical, trivial
+from test_linalg import intersect
+from test_structure_maps import coaction_stabilizes, comodule_of, typed
 
 
 def _gens(p=2):
@@ -321,7 +323,7 @@ def brute_force_radical_f2(m):
             maximal.append(s)
     rad = None
     for s in maximal:
-        rad = s if rad is None else rad.intersect(s)
+        rad = s if rad is None else intersect(rad, s)
     return rad
 
 
@@ -517,14 +519,11 @@ def test_torus_restriction_multiplicative(rng):
 
 def test_trivial_objects_over_kernel_coalgebras():
     # the unit monomial is grouplike, giving trivial (co/contra)modules
-    from contramod.comodule import trivial_comodule
-    from contramod.contramodule import trivial_contramodule
-
     for r in (1, 2):
         c = frob_kernel_coalgebra(2, r)
         g = {0: GF2.one()}
-        assert check_comodule(trivial_comodule(c, g)).ok
-        assert check_contramodule(trivial_contramodule(c, g)).ok
+        assert check_comodule(trivial(c, g)).ok
+        assert check_contramodule(trivial(c, g, contra=True)).ok
     # the catalog entry points agree with the generic constructors
     assert standard_rational(2).entries == catalog_modules(2)["L1"].entries
     assert trivial_rational(2).entries == catalog_modules(2)["L0"].entries
@@ -661,11 +660,6 @@ def loop_build_tower(lam, p, m_max):
         nxt.name = f"P({lam},{m})"
         stages.append(nxt)
     return stages, s + 1
-
-
-def typed(m):
-    """A matrix with the type of every entry, so Fraction(1) and 1 differ."""
-    return m.rows, m.cols, m.field, sorted((key, type(v).__name__, v) for key, v in m.data.items())
 
 
 def assert_same_comodule(got, want):

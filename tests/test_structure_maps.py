@@ -33,21 +33,19 @@ from contramod.coalgebra import (
 )
 from contramod.comodule import (
     Comodule, _gf2_masks, check_comodule, cofree, comodule_closure, comodule_over_self,
-    cotensor, dual_comodule, hom_basis_maps, hom_comodules, is_injective, quotient_comodule,
-    sub_comodule,
+    cotensor, direct_sum, dual_comodule, hom_comodules, is_comodule_map, is_injective,
+    quotient_comodule, sub_comodule,
 )
 from contramod.contramodule import (
-    Contramodule, check_contramodule, cohom, duality_check,
-    contra_closure, contra_from_comodule, contratensor, direct_sum, free_contramodule,
-    contra_from_dual, hom_contra, hom_contra_basis_maps, is_contra_map, is_projective,
-    quotient_contramodule, sub_contramodule, _gf2_relations,
+    Contramodule, _gf2_relations, check_contramodule, cohom, contra_from_comodule,
+    contra_from_dual, contratensor, duality_check, free_contramodule, is_projective,
 )
-from contramod.fields import GF, GF2, GF3, QQ
+from contramod.fields import GF, GF2, QQ
 from contramod.functors import Induction
 from contramod.linalg import (
     Subspace, coequalizer, equalizer, image, quotient_by_image, rank, solve,
 )
-from contramod.matrix import Mat, kron, kron_identity, map_of_vec, push
+from contramod.matrix import Mat, kron_identity, map_of_vec, push
 from contramod.randomgen import (
     random_comodule, random_contramodule, random_surjection, random_vector,
 )
@@ -55,13 +53,22 @@ from contramod.sl2 import (
     battery_module, build_tower, frob_kernel_coalgebra, frobenius_twist, kernel_stage_masks,
     restrict_to_kernel, standard_rational, tensor_rational,
 )
+from test_linalg import invert, random_mat
 
-FIELDS = [QQ, GF2, GF3]
+FIELDS = [QQ, GF2, GF(3)]
 PAIRS_PER_COALGEBRA = 15
 
 
 def small_coalgebras(field):
     return [grouplike(field, 3), matrix_coalgebra(field, 2), divided_power_dual(field, 3)]
+
+
+def hom_basis_maps(m, n_mod, sub=None):
+    """The basis of a hom subspace, Hom(M, N) by default, decoded into
+    N.dim x M.dim matrices by :func:`matrix.map_of_vec`."""
+    if sub is None:
+        sub = hom_comodules(m, n_mod)
+    return [map_of_vec(col, m.dim, n_mod.dim, m.field) for col in sub.basis_columns()]
 
 
 # -- the side layouts: the relabels that once converted to and from left layout ------
@@ -156,8 +163,8 @@ def swap_mat(field, a, b):
 def kron_cohom_maps(m, b):
     f, n = m.field, m.coalgebra.dim
     eye_b = Mat.identity(b.dim, f)
-    f_map = kron(m.coaction.transpose(), eye_b)
-    g_map = kron(Mat.identity(m.dim, f), b.theta) @ kron(swap_mat(f, n, m.dim), eye_b)
+    f_map = m.coaction.transpose().kron(eye_b)
+    g_map = Mat.identity(m.dim, f).kron(b.theta) @ swap_mat(f, n, m.dim).kron(eye_b)
     return f_map, g_map
 
 
@@ -168,17 +175,16 @@ def kron_dual_mult(c):
 def kron_cotensor(m, n_mod):
     """The equalizer of rho_M (x) Id_N and Id_M (x) rho_N inside M (x) N."""
     f = m.field
-    return equalizer(kron(m.coaction, Mat.identity(n_mod.dim, f)),
-                     kron(Mat.identity(m.dim, f), n_mod.coaction))
+    return equalizer(m.coaction.kron(Mat.identity(n_mod.dim, f)),
+                     Mat.identity(m.dim, f).kron(n_mod.coaction))
 
 
 def kron_contratensor_maps(m, b):
     f, n = m.field, m.coalgebra.dim
     ev = Mat(1, n * n, f, {(0, c * n + c): f.one() for c in range(n)})
-    map1 = kron(Mat.identity(m.dim, f), b.theta)
-    map2 = kron(kron(Mat.identity(m.dim, f), ev), Mat.identity(b.dim, f)) @ kron(
-        m.coaction, Mat.identity(n * b.dim, f)
-    )
+    map1 = Mat.identity(m.dim, f).kron(b.theta)
+    map2 = (Mat.identity(m.dim, f).kron(ev).kron(Mat.identity(b.dim, f))
+            @ m.coaction.kron(Mat.identity(n * b.dim, f)))
     return map1, map2
 
 
@@ -273,8 +279,8 @@ def test_constructors_match_the_side_layouts(field):
     read off Delta, against Hom(C, k^d) for C over itself on the right."""
     for c in small_coalgebras(field) + [grouplike(field, 1)]:
         for d in (0, 1, 2):
-            assert cofree(c, d, "right").coaction == kron(Mat.identity(d, field), c.delta)
-            assert cofree(c, d, "left").coaction == kron(c.delta, Mat.identity(d, field))
+            assert cofree(c, d, "right").coaction == Mat.identity(d, field).kron(c.delta)
+            assert cofree(c, d, "left").coaction == c.delta.kron(Mat.identity(d, field))
             right_self = comodule_over_self(c, "right")
             assert free_contramodule(c, d).left_coaction == contra_from_dual(right_self, d).left_coaction
         assert comodule_over_self(c, "right").coaction == comodule_over_self(c).coaction == c.delta
@@ -468,7 +474,7 @@ def test_free_contramodule_matches_kron_formula(field):
     for c in small_coalgebras(field) + [grouplike(field, 1)]:
         for d in (0, 1, 2):
             free = free_contramodule(c, d)
-            assert free.theta == kron(kron_dual_mult(c), Mat.identity(d, field))
+            assert free.theta == kron_dual_mult(c).kron(Mat.identity(d, field))
             assert free.name == f"free({d})"
 
 
@@ -488,17 +494,11 @@ def test_induce_matches_kron_formulas(field):
             assert res.coeq.image_subspace == oracle.image_subspace
             free = free_contramodule(c, w.dim)
             eye = Mat.identity(c.dim, field)
-            assert res.induced.theta == oracle.quotient_map @ free.theta @ kron(eye, oracle.section)
+            assert res.induced.theta == oracle.quotient_map @ free.theta @ eye.kron(oracle.section)
             assert res.induced.name == f"ind({w.name})"
 
 
 # -- the coequalizer ----------------------------------------------------------------
-
-
-def _random_mat(rng, rows, cols, field, density):
-    entries = [(i, j, field.random(rng)) for i in range(rows) for j in range(cols)
-               if rng.random() < density]
-    return Mat.from_entries(rows, cols, field, entries)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -506,8 +506,8 @@ def test_coequalizer_matches_image_of_difference(field):
     rng = random.Random(404)
     for _ in range(60):
         rows, cols = rng.randint(1, 7), rng.randint(1, 9)
-        f = _random_mat(rng, rows, cols, field, rng.choice([0.1, 0.3, 0.6]))
-        g = _random_mat(rng, rows, cols, field, rng.choice([0.1, 0.3, 0.6]))
+        f = random_mat(rng, rows, cols, field, rng.choice([0.1, 0.3, 0.6]))
+        g = random_mat(rng, rows, cols, field, rng.choice([0.1, 0.3, 0.6]))
         # share some entries so that whole columns of f - g cancel
         shared = {k: v for k, v in f.data.items() if rng.random() < 0.5}
         g = Mat(rows, cols, field, {**g.data, **shared})
@@ -522,10 +522,10 @@ def kron_check_contramodule(b):
     c, f = b.coalgebra, b.field
     eye_b = Mat.identity(b.dim, f)
     failures = []
-    if b.theta @ kron(c.epsilon.transpose(), eye_b) != eye_b:
+    if b.theta @ c.epsilon.transpose().kron(eye_b) != eye_b:
         failures.append("contra-unity")
-    lhs = b.theta @ kron(Mat.identity(c.dim, f), b.theta)
-    if lhs != b.theta @ kron(kron_dual_mult(c), eye_b):
+    lhs = b.theta @ Mat.identity(c.dim, f).kron(b.theta)
+    if lhs != b.theta @ kron_dual_mult(c).kron(eye_b):
         failures.append("contra-associativity")
     return failures
 
@@ -533,7 +533,7 @@ def kron_check_contramodule(b):
 def kron_hom_equations(b, d):
     """f -> f o theta_B and f -> theta_D o (Id_C* (x) f) on B* (x) D."""
     n, bd, dd = b.coalgebra.dim, b.dim, d.dim
-    lhs = kron(b.theta.transpose(), Mat.identity(dd, d.field))
+    lhs = b.theta.transpose().kron(Mat.identity(dd, d.field))
     entries = []
     for (d2, idx), v in d.theta.data.items():
         j, delta = divmod(idx, dd)
@@ -543,12 +543,12 @@ def kron_hom_equations(b, d):
 
 
 def kron_is_contra_map(b, d, t):
-    return t @ b.theta == d.theta @ kron(Mat.identity(b.coalgebra.dim, b.field), t)
+    return t @ b.theta == d.theta @ Mat.identity(b.coalgebra.dim, b.field).kron(t)
 
 
 def kron_hit(b, basis):
     """theta applied to C* (x) (the columns of basis)."""
-    return b.theta @ kron(Mat.identity(b.coalgebra.dim, b.field), basis)
+    return b.theta @ Mat.identity(b.coalgebra.dim, b.field).kron(basis)
 
 
 def kron_stabilizes(b, sub):
@@ -587,23 +587,23 @@ def kron_direct_sum(b1, b2):
     eye_n = Mat.identity(n, f)
     incl1 = Mat(d1 + d2, d1, f, {(i, i): f.one() for i in range(d1)})
     incl2 = Mat(d1 + d2, d2, f, {(d1 + i, i): f.one() for i in range(d2)})
-    theta = (incl1 @ b1.theta @ kron(eye_n, incl1.transpose())
-             + incl2 @ b2.theta @ kron(eye_n, incl2.transpose()))
+    theta = (incl1 @ b1.theta @ eye_n.kron(incl1.transpose())
+             + incl2 @ b2.theta @ eye_n.kron(incl2.transpose()))
     return contra_of_theta(b1.coalgebra, d1 + d2, theta, name=f"{b1.name}+{b2.name}")
 
 
 def kron_split_solve(hom_rows, post, pre):
     """A map X with hom_rows @ vec(X) = 0 and post @ X @ pre = identity, or
-    None: one solve on the Kronecker product kron(pre^T, post)."""
+    None: one solve on the Kronecker product pre^T (x) post."""
     f, e = hom_rows.field, post.rows
-    system = hom_rows.vstack(kron(pre.transpose(), post))
+    system = hom_rows.vstack(pre.transpose().kron(post))
     x = solve(system, {hom_rows.rows + i * e + i: f.one() for i in range(e)})
     return None if x is None else map_of_vec(x, pre.rows, post.cols, f)
 
 
 def kron_is_projective(b):
     c, f = b.coalgebra, b.field
-    free = contra_of_theta(c, c.dim * b.dim, kron(kron_dual_mult(c), Mat.identity(b.dim, f)))
+    free = contra_of_theta(c, c.dim * b.dim, kron_dual_mult(c).kron(Mat.identity(b.dim, f)))
     lhs, rhs = kron_hom_equations(b, free)
     section = kron_split_solve(lhs - rhs, b.theta, Mat.identity(b.dim, f))
     return section is not None, section
@@ -635,7 +635,7 @@ def test_contramodule_verdicts_match_kron_identities(field):
     seen = set()
     for _, b in random_contramodules(field, 505, count=15):
         # the zero action is contra-associative, never contra-unital
-        zero = contra_of_theta(b.coalgebra, b.dim, Mat.zeros(b.dim, b.theta.cols, field))
+        zero = contra_of_theta(b.coalgebra, b.dim, Mat(b.dim, b.theta.cols, field))
         for x in (b, zero):
             failures = check_contramodule(x).failures
             assert failures == kron_check_contramodule(x)
@@ -650,11 +650,11 @@ def test_contra_homs_match_kron_equations(field):
     for _, b in random_contramodules(field, 607):
         d = random_contramodule(rng, b.coalgebra)
         for x, y in ((b, d), (d, b), (b, b)):
-            hom = hom_contra(x, y)
+            hom = hom_comodules(x, y)
             assert hom == equalizer(*kron_hom_equations(x, y))
-            maps = hom_contra_basis_maps(x, y, hom) + [_random_mat(rng, y.dim, x.dim, field, 0.5)]
+            maps = hom_basis_maps(x, y, hom) + [random_mat(rng, y.dim, x.dim, field, 0.5)]
             for t in maps:
-                assert is_contra_map(x, y, t) == kron_is_contra_map(x, y, t)
+                assert is_comodule_map(x, y, t) == kron_is_contra_map(x, y, t)
         flag, section = is_projective(b)
         assert (flag, section) == kron_is_projective(b)
         if flag:
@@ -666,7 +666,7 @@ def kron_hom_pair(x, y):
     F -> (Id_C (x) F) o coaction_X on X* (x) Y, in left layout; Hom(X, Y) is
     their equalizer."""
     n, xd, yd = x.coalgebra.dim, x.dim, y.dim
-    lhs = kron(Mat.identity(xd, x.field), _left_coaction(y))
+    lhs = Mat.identity(xd, x.field).kron(_left_coaction(y))
     data = {}
     for (idx, vcol), val in _left_coaction(x).data.items():
         cc, v = divmod(idx, xd)
@@ -745,21 +745,21 @@ def test_contra_subobjects_match_kron_formulas(field):
         vecs = [random_vector(rng, b.dim, field) for _ in range(rng.randint(1, 2))]
         span = Subspace.from_columns(b.dim, field, vecs)
         assert theta_stabilizes(b, span) == kron_stabilizes(b, span)
-        sub = contra_closure(b, vecs)
+        sub = comodule_closure(b, vecs)
         assert sub == kron_closure(b, vecs)
         assert theta_stabilizes(b, sub)
-        assert sub_contramodule(b, sub) == kron_sub(b, sub)
-        assert quotient_contramodule(b, sub) == kron_quotient(b, sub)
+        assert sub_comodule(b, sub) == kron_sub(b, sub)
+        assert quotient_comodule(b, sub) == kron_quotient(b, sub)
         if not theta_stabilizes(b, span):
             with pytest.raises(ValueError, match="not a subcomodule"):
-                sub_contramodule(b, span)
+                sub_comodule(b, span)
             with pytest.raises(ValueError, match="not a subcomodule"):
-                quotient_contramodule(b, span)
+                quotient_comodule(b, span)
 
 
 def kron_right_stable(m, sub):
     """rho(sub) inside sub (x) C for a right comodule, by one span test."""
-    inside = image(kron(sub.basis, Mat.identity(m.coalgebra.dim, m.field)))
+    inside = image(sub.basis.kron(Mat.identity(m.coalgebra.dim, m.field)))
     return all(inside.contains(col) for col in (m.coaction @ sub.basis).columns().values())
 
 
@@ -851,7 +851,7 @@ def mutated_coalgebras(rng, c):
     eps[(0, k)] = f.add(eps.get((0, k), f.zero()), f.random(rng, nonzero=True))
     yield c.delta, Mat(1, n, f, {key: v for key, v in eps.items() if v != 0})
     yield Mat(n * n, n, f, {key: v for key, v in c.delta.data.items() if key[1] != k}), c.epsilon
-    yield c.delta, Mat.zeros(1, n, f)
+    yield c.delta, Mat(1, n, f)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -973,16 +973,16 @@ def rescaled(m, coalgebra_scales, module_scales):
     n, md = c.dim, m.dim
     g = [f.of(coalgebra_scales[a % len(coalgebra_scales)]) for a in range(n)]
     d = [f.of(module_scales[i % len(module_scales)]) for i in range(md)]
-    delta = Mat(n * n, n, f, {(x, k): f.mul(v * g[k], f.invert(g[x // n] * g[x % n]))
+    delta = Mat(n * n, n, f, {(x, k): f.mul(v * g[k], invert(f, g[x // n] * g[x % n]))
                               for (x, k), v in c.delta.data.items()})
     eps = Mat(1, n, f, {(0, k): f.mul(v, g[k]) for (_, k), v in c.epsilon.data.items()})
     c2 = Coalgebra(f, n, delta, eps, name=f"{c.name}'")
-    coact = Mat(n * md, md, f, {(idx, j): f.mul(v * d[j], f.invert(g[idx // md] * d[idx % md]))
+    coact = Mat(n * md, md, f, {(idx, j): f.mul(v * d[j], invert(f, g[idx // md] * d[idx % md]))
                                 for (idx, j), v in _left_coaction(m).data.items()})
     return Comodule(c2, m.side, md, coact, f"{m.name}'")
 
 
-CHECK_FIELDS = [QQ, GF2, GF3, GF(5)]
+CHECK_FIELDS = [QQ, GF2, GF(3), GF(5)]
 ALL_VERDICTS = {(), ("coassociativity",), ("counit",), ("coassociativity", "counit")}
 
 
@@ -1243,7 +1243,7 @@ def test_duality_check_matches_trace_pair_loops(field):
 
 def _random_coaction_data(rng, c, dim):
     """A left 'comodule' whose coaction is a random matrix, axioms or not."""
-    return Comodule(c, "left", dim, _random_mat(rng, c.dim * dim, dim, c.field, 0.3), name="random")
+    return Comodule(c, "left", dim, random_mat(rng, c.dim * dim, dim, c.field, 0.3), name="random")
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -1388,10 +1388,10 @@ def test_push_delta_matches_kron(field):
     for c in surjection_sources(field):
         eye = Mat.identity(c.dim, field)
         for _ in range(4):
-            r = _random_mat(rng, rng.randint(1, c.dim + 1), c.dim, field, 0.4)
-            assert push(r, c.dim, False, c.delta) == kron(r, eye) @ c.delta
+            r = random_mat(rng, rng.randint(1, c.dim + 1), c.dim, field, 0.4)
+            assert push(r, c.dim, False, c.delta) == r.kron(eye) @ c.delta
             rho = random_surjection(rng, c)
-            assert Induction(rho).comodule.coaction == kron(rho.matrix, eye) @ c.delta
+            assert Induction(rho).comodule.coaction == rho.matrix.kron(eye) @ c.delta
 
 
 def morphism_variants(rng, rho):
@@ -1406,7 +1406,7 @@ def morphism_variants(rng, rho):
         key = (rng.randrange(d.dim), rng.randrange(c.dim))
         data[key] = f.add(data.get(key, f.zero()), f.random(rng, nonzero=True))
         variants.append((d, Mat(d.dim, c.dim, f, {k: v for k, v in data.items() if v != 0})))
-    variants.append((d, Mat.zeros(d.dim, c.dim, f)))
+    variants.append((d, Mat(d.dim, c.dim, f)))
     variants += [(Coalgebra(f, d.dim, delta, eps), r) for delta, eps in mutated_coalgebras(rng, d)]
     if c.name.startswith("grouplike"):
         bigger = grouplike(f, c.dim + 1)

@@ -5,20 +5,13 @@ from itertools import product
 
 import pytest
 
-from contramod.fields import GF2, GF3, QQ
+from contramod.fields import GF, GF2, QQ
 from contramod.linalg import image, rank
 from contramod.matrix import Mat
 from contramod.towers import cohom_tower
 from scripts.limits import FourTermSystem, InverseSystem, is_mittag_leffler, limit_four_term
-
-
-def random_mat(rng, rows, cols, field, density=0.7):
-    entries = []
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < density:
-                entries.append((i, j, field.random(rng)))
-    return Mat.from_entries(rows, cols, field, entries)
+from test_exactness import oracle_four_validate
+from test_linalg import from_dense, random_mat
 
 
 def test_constant_identity_system_is_ml():
@@ -30,7 +23,7 @@ def test_constant_identity_system_is_ml():
 
 
 def test_surjective_transitions_stabilize_immediately():
-    f = GF3
+    f = GF(3)
     rng = random.Random(5)
     transitions = []
     for _ in range(3):
@@ -51,7 +44,7 @@ def test_surjective_transitions_stabilize_immediately():
 def test_transitions_and_base_index_outside_the_stages_raise():
     """Stages m0 .. last_index have transitions into m0 .. last_index - 1
     only; an index outside wraps to no real stage, so it raises."""
-    sys = InverseSystem([1, 2, 3, 4, 5], [Mat.zeros(d, d + 1, QQ) for d in (1, 2, 3, 4)], m0=2)
+    sys = InverseSystem([1, 2, 3, 4, 5], [Mat(d, d + 1, QQ) for d in (1, 2, 3, 4)], m0=2)
     assert [sys.transition(idx).rows for idx in range(3, 7)] == [1, 2, 3, 4]
     for idx in (sys.m0 - 1, sys.m0, sys.last_index + 1):
         with pytest.raises(ValueError):
@@ -64,7 +57,7 @@ def test_transitions_and_base_index_outside_the_stages_raise():
 
 def random_surjection_3x3(rng):
     while True:
-        m = random_mat(rng, 3, 3, GF3, density=0.9)
+        m = random_mat(rng, 3, 3, GF(3), density=0.9)
         if rank(m) == 3:
             return m
 
@@ -74,9 +67,9 @@ def test_shrink_then_constant_fixture():
     stabilization index is the first stage of the frozen tail."""
     f = QQ
     e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    proj2 = Mat.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 0]], f)  # rank 2
-    proj1 = Mat.from_dense([[1, 0, 0], [0, 0, 0], [0, 0, 0]], f)  # rank 1
-    eye = Mat.from_dense(e, f)
+    proj2 = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 0]], f)  # rank 2
+    proj1 = from_dense([[1, 0, 0], [0, 0, 0], [0, 0, 0]], f)  # rank 1
+    eye = from_dense(e, f)
     # stages 0..4; images in stage 0: rank 2, then rank 1 from composite at j=2 on
     sys = InverseSystem([3, 3, 3, 3, 3], [proj2, proj1, eye, eye])
     res = is_mittag_leffler(sys, 0)
@@ -109,10 +102,10 @@ def brute_image_set(mat, field):
 def test_ml_agrees_with_brute_force_on_random_towers():
     rng = random.Random(77)
     for trial in range(50):
-        field = GF2 if trial % 2 == 0 else GF3
+        field = GF2 if trial % 2 == 0 else GF(3)
         dims = [rng.randint(1, 6) for _ in range(4)]
         transitions = [
-            random_mat(rng, dims[t], dims[t + 1], field) for t in range(3)
+            random_mat(rng, dims[t], dims[t + 1], field, density=0.7) for t in range(3)
         ]
         sys = InverseSystem(dims, transitions)
         res = is_mittag_leffler(sys, 0)
@@ -155,9 +148,9 @@ def _four_term_from_maps(field, alphas, betas, gammas, ta, tb, tc, td):
 
 def _constant_four_term(field, stages=4):
     """0 -> k -> k^2 -> k^2 -> k -> 0, constant in every stage."""
-    alpha = Mat.from_dense([[1], [0]], field)
-    beta = Mat.from_dense([[0, 0], [0, 1]], field)
-    gamma = Mat.from_dense([[1, 0]], field)
+    alpha = from_dense([[1], [0]], field)
+    beta = from_dense([[0, 0], [0, 1]], field)
+    gamma = from_dense([[1, 0]], field)
     eye1, eye2 = Mat.identity(1, field), Mat.identity(2, field)
     return _four_term_from_maps(
         field,
@@ -174,17 +167,17 @@ def test_constant_four_term_exact():
         assert verdict.status == "exact"
 
 
-@pytest.mark.parametrize("field", [QQ, GF2, GF3])
+@pytest.mark.parametrize("field", [QQ, GF2, GF(3)])
 def test_four_term_restricts_maps_to_proper_stable_images(field):
     """0 -> k -> k^2 + k -> k^2 + k -> k -> 0 where the transitions of B and
     C kill the extra summand, so the stable images are proper subspaces, and
     the stage maps are not diagonal in the stable bases: the verdict reads
     the maps' coordinates in those bases."""
     stages = 4
-    alpha = Mat.from_dense([[1], [1], [0]], field)
-    beta = Mat.from_dense([[1, -1, 0], [0, 0, 0], [0, 0, 1]], field)
-    gamma = Mat.from_dense([[0, 1, 0]], field)
-    proj = Mat.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 0]], field)
+    alpha = from_dense([[1], [1], [0]], field)
+    beta = from_dense([[1, -1, 0], [0, 0, 0], [0, 0, 1]], field)
+    gamma = from_dense([[0, 1, 0]], field)
+    proj = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 0]], field)
     eye1 = Mat.identity(1, field)
     four = _four_term_from_maps(
         field, [alpha] * stages, [beta] * stages, [gamma] * stages,
@@ -200,7 +193,7 @@ def test_four_term_restricts_maps_to_proper_stable_images(field):
 def test_four_term_validation_rejects_nonexact_stage():
     field = QQ
     four = _constant_four_term(field)
-    four.gammas[0] = Mat.zeros(1, 2, field)
+    four.gammas[0] = Mat(1, 2, field)
     with pytest.raises(ValueError):
         limit_four_term(four)
 
@@ -209,10 +202,11 @@ def test_four_term_validation_rejects_nonexact_stage():
 @pytest.mark.parametrize("stages", [1, 3])
 def test_four_term_validation_rejects_a_map_list_of_the_wrong_length(maps, stages):
     """Two stages with one map too few or too many in one of the three
-    lists: the stage-count mismatch, not an IndexError or an unchecked map."""
+    lists: the stage-count mismatch, not an IndexError or an unchecked map,
+    from validate and from its independent oracle alike."""
     four = _constant_four_term(QQ, stages=2)
     setattr(four, maps, [getattr(four, maps)[0]] * stages)
-    assert four.validate() == ["stage-count-mismatch"]
+    assert four.validate() == ["stage-count-mismatch"] == oracle_four_validate(four)
     with pytest.raises(ValueError, match=r"stage-count-mismatch"):
         limit_four_term(four)
 
@@ -224,17 +218,17 @@ def test_eventually_surjective_fixture_exact():
     four = _constant_four_term(field, stages)
     # replace the A-system by one whose first transition kills everything,
     # then stays identity: images stabilize at the second stage
-    zero1 = Mat.zeros(1, 1, field)
+    zero1 = Mat(1, 1, field)
     eye1 = Mat.identity(1, field)
     # A: 0 <- k <- k <- k with first map zero: stable image in stage 0 is 0
     four.a.transitions[0] = zero1
     # keep the squares commuting: B transition must kill alpha-image too
-    proj_kill = Mat.from_dense([[0, 0], [0, 1]], field)
+    proj_kill = from_dense([[0, 0], [0, 1]], field)
     four.b.transitions[0] = proj_kill
     # C transition: beta o tb = tc o beta: beta = diag(0,1) selector
     four.c.transitions[0] = proj_kill
     # D transition: gamma o tc = td o gamma with gamma = (1,0) forces td = 0
-    four.d.transitions[0] = Mat.zeros(1, 1, field)
+    four.d.transitions[0] = Mat(1, 1, field)
     failures = four.validate()
     assert not failures
     verdict = limit_four_term(four)
@@ -250,16 +244,16 @@ def test_adversarial_fixture_is_inconclusive():
     stages = 4
     # A constant zero; B = k^3 with strictly shrinking transitions
     zero_dim = 0
-    a_tr = [Mat.zeros(0, 0, field)] * (stages - 1)
+    a_tr = [Mat(0, 0, field)] * (stages - 1)
     b_tr = [rank_proj(field, 3, r) for r in (2, 1, 0)][: stages - 1]
-    alphas = [Mat.zeros(3, 0, field)] * stages
+    alphas = [Mat(3, 0, field)] * stages
     betas = [Mat.identity(3, field)] * stages
-    gammas = [Mat.zeros(0, 3, field)] * stages
+    gammas = [Mat(0, 3, field)] * stages
     four = FourTermSystem(
         InverseSystem([0] * stages, a_tr),
         InverseSystem([3] * stages, b_tr),
         InverseSystem([3] * stages, b_tr),
-        InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * (stages - 1)),
+        InverseSystem([0] * stages, [Mat(0, 0, field)] * (stages - 1)),
         alphas, betas, gammas,
     )
     assert not four.validate()
@@ -276,27 +270,28 @@ def test_limit_never_exact_against_stable_stage_contradiction():
     # sequence 0 -> 0 -> k -> k -> 0 -> 0 with beta = id is exact; sabotage
     # compatibility so the restriction step must catch it -- here instead we
     # build an honest exact input and confirm "exact" to pin the cross-check
-    zero0 = Mat.zeros(1, 0, field)
+    zero0 = Mat(1, 0, field)
     four = FourTermSystem(
-        InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * (stages - 1)),
+        InverseSystem([0] * stages, [Mat(0, 0, field)] * (stages - 1)),
         InverseSystem([1] * stages, [Mat.identity(1, field)] * (stages - 1)),
         InverseSystem([1] * stages, [Mat.identity(1, field)] * (stages - 1)),
-        InverseSystem([0] * stages, [Mat.zeros(0, 0, field)] * (stages - 1)),
+        InverseSystem([0] * stages, [Mat(0, 0, field)] * (stages - 1)),
         [zero0] * stages,
         [Mat.identity(1, field)] * stages,
-        [Mat.zeros(0, 1, field)] * stages,
+        [Mat(0, 1, field)] * stages,
     )
     assert limit_four_term(four).status == "exact"
 
 
 def validate_contra_transitions(sys: InverseSystem) -> bool:
     """When stages are contramodules, transitions must be contra-homs."""
-    from contramod.contramodule import Contramodule, is_contra_map
+    from contramod.comodule import is_comodule_map
+    from contramod.contramodule import Contramodule
 
     for t, tr in enumerate(sys.transitions):
         src, tgt = sys.stages[t + 1], sys.stages[t]
         if isinstance(src, Contramodule) and isinstance(tgt, Contramodule):
-            if not is_contra_map(src, tgt, tr):
+            if not is_comodule_map(src, tgt, tr):
                 return False
     return True
 
@@ -420,6 +415,19 @@ def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, mo
     [rep] = cohom_tower(["L0"], 0, 2, len(dims))
     assert [r.dim_cohom for r in rep.stages] == dims
     assert rep.stabilized_at == stabilized_at
+
+
+def test_cohom_tower_compares_the_first_stage_inside_the_weight_window(monkeypatch):
+    """match compares f_V with every stage from stable_from on, that stage
+    included: for L1*L1 the window opens at stage 3, whose scripted
+    dimension 3 is not f_V = 2, though the last stage's is."""
+    from contramod import contramodule
+
+    scripted = iter([4, 2, 3, 2])
+    monkeypatch.setattr(contramodule, "gf2_cohom_dim", lambda v, db, ts: next(scripted))
+    [rep] = cohom_tower(["L1*L1"], 0, 2, 4)
+    assert [(r.m, r.dim_cohom) for r in rep.stages] == [(1, 4), (2, 2), (3, 3), (4, 2)]
+    assert (rep.stable_from, rep.f_v, rep.match) == (3, 2, False)
 
 
 def _count_builds(monkeypatch, stages: dict) -> list:
