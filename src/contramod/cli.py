@@ -16,9 +16,12 @@ is.  Reports are deterministic for a fixed seed;
 A job loads only what its subcommand runs: this module imports ``io`` and
 the layers ``io`` is built on; the jobs that induce import ``functors`` when
 they run, and ``tower`` imports ``towers``, which loads ``sl2`` and guards
-the tower's size and weight window itself.  ``main(argv)`` is the
-in-process API and returns the exit code; ``entry``, the process entry,
-ends the process once the report is flushed, without interpreter teardown.
+the tower's size and weight window itself.  The package's records are
+plain classes (:class:`fields.Record`), so a job imports neither the
+standard library's record decorator nor the ``inspect`` it loads.
+``main(argv)`` is the in-process API and returns the exit code; ``entry``,
+the process entry, ends the process once the report is flushed, without
+interpreter teardown.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, NamedTuple
 
 from . import io as cio
@@ -37,6 +39,7 @@ from .comodule import Comodule, check_comodule, cotensor, hom_comodules
 from .contramodule import (
     Contramodule, check_contramodule, cohom, contratensor, duality_check,
 )
+from .fields import Record
 from .io import SchemaError, parse_field_flag
 
 DEFAULT_SEED = 20240
@@ -49,15 +52,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-@dataclass
-class JobSpec:
-    command: str
-    inputs: dict = dc_field(default_factory=dict)
-    out: str | None = None
-    seed: int = DEFAULT_SEED
-    field: str = "Q"
-    pretty: bool = False
-    params: dict = dc_field(default_factory=dict)
+class JobSpec(Record):
+    def __init__(self, command: str, inputs: dict | None = None, out: str | None = None,
+                 seed: int = DEFAULT_SEED, field: str = "Q", pretty: bool = False,
+                 params: dict | None = None):
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.out = out
+        self.seed = seed
+        self.field = field
+        self.pretty = pretty
+        self.params = {} if params is None else params
 
 
 def _load_json(path: str):
@@ -347,7 +352,7 @@ def main(argv=None) -> int:
             os.close(devnull)
             return code
         error = f"cannot write the report to {job.out}: {e.strerror or e}"
-        _emit(replace(job, out=None), {"command": job.command, "seed": job.seed, "error": error})
+        _emit(job.replace(out=None), {"command": job.command, "seed": job.seed, "error": error})
         return EXIT_INPUT_ERROR
     return code
 

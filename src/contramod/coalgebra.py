@@ -9,18 +9,16 @@ Python ints, so big sparse comultiplications never get Kronecker-expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .fields import FieldSpec
+from .fields import FieldSpec, Record
 from .linalg import rank
 from .matrix import Mat, push
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Outcome of an axiom check: empty failure list means pass."""
 
-    failures: list = dc_field(default_factory=list)
+    def __init__(self, failures: list | None = None):
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -108,16 +106,14 @@ def check_coalgebra(c: Coalgebra) -> Verdict:
     return Verdict(failures)
 
 
-@dataclass
-class CoalgebraMorphism:
-    source: Coalgebra
-    target: Coalgebra
-    matrix: Mat     # target.dim x source.dim
-    surjective: bool = False
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+class CoalgebraMorphism(Record):
+    def __init__(self, source: Coalgebra, target: Coalgebra, matrix: Mat, surjective: bool = False):
+        if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ValueError("morphism matrix shape mismatch")
+        self.source = source
+        self.target = target
+        self.matrix = matrix     # target.dim x source.dim
+        self.surjective = surjective
 
 
 def check_morphism(rho: CoalgebraMorphism) -> Verdict:

@@ -19,30 +19,28 @@ column k is one int with bit i for each stored entry (c*m + i, k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import lcm
 
 from .coalgebra import Coalgebra, Verdict
+from .fields import Record
 from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
 from .matrix import Mat, _ints, _scalars, kron_identity, push
 
 
-@dataclass
-class Comodule:
-    coalgebra: Coalgebra
-    side: str   # "left" | "right"
-    dim: int
-    left_coaction: Mat   # (n * dim) x dim, row c*dim + i; over C^cop when side is right
-    name: str = ""
-
-    def __post_init__(self):
-        n, m = self.coalgebra.dim, self.dim
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be left or right, got {self.side!r}")
-        if self.left_coaction.rows != n * m or self.left_coaction.cols != m:
+class Comodule(Record):
+    def __init__(self, coalgebra: Coalgebra, side: str, dim: int, left_coaction: Mat, name: str = ""):
+        n, m = coalgebra.dim, dim
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be left or right, got {side!r}")
+        if left_coaction.rows != n * m or left_coaction.cols != m:
             raise ValueError(f"coaction must be {n * m}x{m}")
-        if self.left_coaction.field != self.coalgebra.field:
+        if left_coaction.field != coalgebra.field:
             raise ValueError("field mismatch")
+        self.coalgebra = coalgebra
+        self.side = side     # "left" | "right"
+        self.dim = dim
+        self.left_coaction = left_coaction   # (n * dim) x dim, row c*dim + i; over C^cop when side is right
+        self.name = name
 
     @property
     def field(self):
@@ -248,7 +246,7 @@ def comodule_over_self(c: Coalgebra, side: str = "left") -> Comodule:
     whose stored matrix is Delta^cop."""
     if side == "left":
         return Comodule(c, "left", c.dim, c.delta, name=f"{c.name or 'C'}-regular")
-    return replace(cofree(c, 1, side), name=f"{c.name or 'C'}-regular")
+    return cofree(c, 1, side).replace(name=f"{c.name or 'C'}-regular")
 
 
 def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
@@ -264,7 +262,7 @@ def direct_sum(m1: Comodule, m2: Comodule) -> Comodule:
             c, i = divmod(idx, m.dim)
             data[(c * d + off + i, off + j)] = v
     coact = Mat(m1.coalgebra.dim * d, d, m1.field, data)
-    return replace(m1, dim=d, left_coaction=coact, name=f"{m1.name}+{m2.name}")
+    return m1.replace(dim=d, left_coaction=coact, name=f"{m1.name}+{m2.name}")
 
 
 def dual_comodule(m: Comodule) -> Comodule:
@@ -362,7 +360,7 @@ def sub_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
     coact = push(pick, n, True, hit)
     if push(basis, n, True, coact) != hit:
         raise ValueError("subspace is not a subcomodule")
-    return replace(m, dim=sub.dim, left_coaction=coact, name=f"{m.name}|sub"), basis
+    return m.replace(dim=sub.dim, left_coaction=coact, name=f"{m.name}|sub"), basis
 
 
 def quotient_comodule(m: Comodule, sub: Subspace) -> tuple[Comodule, Mat]:
@@ -377,7 +375,7 @@ def _descend_coaction(m: Comodule, coeq: Coequalizer, name: str) -> Comodule:
     # (Id (x) q) o coaction kills sub iff the coaction maps sub into C (x) sub
     lifted = push(coeq.quotient_map, m.coalgebra.dim, True, m.left_coaction)
     coact = coeq.descend(lifted, "subspace is not a subcomodule")
-    return replace(m, dim=coeq.dim, left_coaction=coact, name=name)
+    return m.replace(dim=coeq.dim, left_coaction=coact, name=name)
 
 
 # -- injectivity ----------------------------------------------------------------

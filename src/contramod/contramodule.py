@@ -24,20 +24,24 @@ the stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
+from .fields import Record
 from .linalg import Coequalizer, Subspace, make_echelon, quotient_by_image, rank
 from .matrix import Mat
 
 
-@dataclass
 class Contramodule(Comodule):
-    """Built as ``Contramodule(coalgebra, dim, left_coaction, name)``."""
+    """A left comodule, built as ``Contramodule(coalgebra, dim, left_coaction, name)``."""
 
-    side: str = field(default="left", init=False)
+    def __init__(self, coalgebra: Coalgebra, dim: int, left_coaction: Mat, name: str = ""):
+        super().__init__(coalgebra, "left", dim, left_coaction, name)
+
+    def replace(self, **changes) -> "Contramodule":
+        """Record.replace without ``side``, which is always left."""
+        kept = {k: v for k, v in vars(self).items() if k != "side" and k not in changes}
+        return Contramodule(**kept, **changes)
 
     @property
     def theta(self) -> Mat:
@@ -199,11 +203,11 @@ def is_projective(b: Contramodule) -> tuple[bool, Mat | None]:
 # -- duality ------------------------------------------------------------------------
 
 
-@dataclass
-class DualityReport:
-    cohom_dim: int
-    hom_dim: int
-    pairing_rank: int
+class DualityReport(Record):
+    def __init__(self, cohom_dim: int, hom_dim: int, pairing_rank: int):
+        self.cohom_dim = cohom_dim
+        self.hom_dim = hom_dim
+        self.pairing_rank = pairing_rank
 
     @property
     def ok(self) -> bool:

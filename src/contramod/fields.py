@@ -10,11 +10,13 @@ work on Python ints instead, the kernels handing back canonical scalars;
 there is no floating point anywhere.  A serialized integer such as ``"-12"``
 is parsed as an int, without a ``Fraction``.  Integral rationals being ints,
 the kernels read most rational operands as they are, with no conversion.
+
+:class:`Record`, the base of the package's record classes, lives here, in
+the one module every layer imports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -59,16 +61,28 @@ def _rational(x):
     return x._numerator if x._denominator == 1 else x
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: characteristic 0 means the rationals, p means F_p."""
+    """Ground field: characteristic 0 means the rationals, p means F_p.
+    Immutable, equal by characteristic, and hashable."""
 
-    characteristic: int = 0
+    def __init__(self, characteristic: int = 0):
+        if characteristic != 0 and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+        object.__setattr__(self, "characteristic", characteristic)
 
-    def __post_init__(self):
-        c = self.characteristic
-        if c != 0 and not _is_prime(c):
-            raise ValueError(f"characteristic must be 0 or prime, got {c}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"FieldSpec is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.characteristic == other.characteristic if type(other) is FieldSpec else NotImplemented
+
+    def __hash__(self):
+        return hash(self.characteristic)
+
+    def __repr__(self):
+        return f"FieldSpec(characteristic={self.characteristic})"
 
     # -- canonical scalars ------------------------------------------------
 
@@ -154,3 +168,22 @@ def GF(p: int) -> FieldSpec:
 
 
 GF2 = GF(2)
+
+
+class Record:
+    """Base of the package's plain record classes.  ``__init__`` checks its
+    arguments and stores each, and nothing else, as an attribute of the same
+    name; equality (within one class), ``repr`` and ``replace`` read them
+    off ``vars``.  A record is mutable, so unhashable.  ``Contramodule``,
+    which also stores its fixed ``side``, overrides ``replace``."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with changes, built by ``__init__``, so its checks run again."""
+        return type(self)(**{**vars(self), **changes})

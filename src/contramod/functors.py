@@ -25,19 +25,18 @@ sequence as an ``ExactnessVerdict``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coalgebra import CoalgebraMorphism, Verdict
 from .comodule import Comodule, _descend_coaction, _hom_system, is_comodule_map
 from .contramodule import Contramodule, check_contramodule, cohom, free_contramodule
+from .fields import Record
 from .linalg import Coequalizer, exactness_failures, kernel, rank
 from .matrix import Mat, kron_identity, map_of_vec, push
 
 
-@dataclass
-class InductionResult:
-    induced: Contramodule
-    coeq: Coequalizer     # Hom(C, W) = the free contramodule on W's carrier, mod Im(f - g)
+class InductionResult(Record):
+    def __init__(self, induced: Contramodule, coeq: Coequalizer):
+        self.induced = induced
+        self.coeq = coeq     # Hom(C, W) = the free contramodule on W's carrier, mod Im(f - g)
 
     @property
     def dim(self) -> int:
@@ -142,11 +141,11 @@ def gamma_inv(res: InductionResult, v: Contramodule, psi: Mat) -> Mat:
     return map_of_vec((section @ flat).col(0), res.dim, dv, v.field)
 
 
-@dataclass
-class AdjunctionReport:
-    lhs_dim: int
-    rhs_dim: int
-    roundtrip_ok: bool
+class AdjunctionReport(Record):
+    def __init__(self, lhs_dim: int, rhs_dim: int, roundtrip_ok: bool):
+        self.lhs_dim = lhs_dim
+        self.rhs_dim = rhs_dim
+        self.roundtrip_ok = roundtrip_ok
 
     @property
     def ok(self) -> bool:
@@ -206,13 +205,13 @@ def adjunction_check(rho: CoalgebraMorphism, w: Contramodule, v: Contramodule) -
 # -- short exact sequences and exactness probes --------------------------------------
 
 
-@dataclass
-class ShortExactSeq:
-    sub: Contramodule
-    mid: Contramodule
-    quot: Contramodule
-    incl: Mat
-    proj: Mat
+class ShortExactSeq(Record):
+    def __init__(self, sub: Contramodule, mid: Contramodule, quot: Contramodule, incl: Mat, proj: Mat):
+        self.sub = sub
+        self.mid = mid
+        self.quot = quot
+        self.incl = incl
+        self.proj = proj
 
     def validate(self) -> Verdict:
         names = ("inclusion-not-injective", "not-exact-at-mid", "projection-not-surjective")
@@ -224,11 +223,11 @@ class ShortExactSeq:
         return Verdict(failures)
 
 
-@dataclass
-class ExactnessVerdict:
-    exact: bool
-    failures: list   # subset of {"left", "middle", "right"}
-    dims: tuple      # dimensions of the three terms, left to right
+class ExactnessVerdict(Record):
+    def __init__(self, exact: bool, failures: list, dims: tuple):
+        self.exact = exact
+        self.failures = failures   # subset of {"left", "middle", "right"}
+        self.dims = dims           # dimensions of the three terms, left to right
 
     @classmethod
     def of(cls, first: Mat, second: Mat) -> "ExactnessVerdict":

@@ -14,10 +14,9 @@ coalgebras) never materialize densely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .fields import FieldSpec
+from .fields import FieldSpec, Record
 from .matrix import Mat, _ints, _scalars, kron_identity, map_of_vec
 
 
@@ -388,18 +387,18 @@ def split_solve(hom_rows: Mat, t: Mat) -> Mat | None:
     return None if x is None else map_of_vec(x, t.rows, e, f)
 
 
-@dataclass
-class Coequalizer:
+class Coequalizer(Record):
     """Quotient of k^ambient by a subspace (:func:`quotient_by_image`), with
     ``section`` picking the coset representatives supported on the non-pivot
     rows, ``nonpivot[t]`` for coordinate t of the quotient, and ``where``
     the inverse index, nonpivot[t] -> t."""
 
-    quotient_map: Mat
-    dim: int
-    section: Mat
-    image_subspace: Subspace
-    where: dict
+    def __init__(self, quotient_map: Mat, dim: int, section: Mat, image_subspace: Subspace, where: dict):
+        self.quotient_map = quotient_map
+        self.dim = dim
+        self.section = section
+        self.image_subspace = image_subspace
+        self.where = where
 
     def descend(self, lifted: Mat, error: str) -> Mat:
         """The map out of the quotient induced by ``lifted``, a map out of

@@ -15,7 +15,6 @@ matrix kernels reduce once per output entry.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import comb, prod
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule, _gf2_masks, dual_comodule
-from .fields import GF
+from .fields import GF, Record
 from .linalg import Subspace, kernel
 from .matrix import Mat
 
@@ -173,16 +172,16 @@ def delta_poly(poly: SL2Poly) -> dict:
 # -- rational modules -------------------------------------------------------------
 
 
-@dataclass
-class RationalComodule:
+class RationalComodule(Record):
     """Module with a polynomial coaction v_j -> sum_i v_i (x) a_ij, stored as
     the matrix of coefficients (a_ij); entries must satisfy the
     matrix-coefficient identities, checked by validate()."""
 
-    p: int
-    dim: int
-    entries: dict   # (i, j) -> SL2Poly, nonzero only
-    name: str = ""
+    def __init__(self, p: int, dim: int, entries: dict, name: str = ""):
+        self.p = p
+        self.dim = dim
+        self.entries = entries   # (i, j) -> SL2Poly, nonzero only
+        self.name = name
 
     def entry(self, i: int, j: int) -> SL2Poly:
         return self.entries.get((i, j), SL2Poly(self.p))
@@ -276,7 +275,7 @@ def simple_module(p: int, mu: int) -> RationalComodule:
         raise NotImplementedError("module catalog is shipped for p = 2 only")
     factors = [frobenius_twist(standard_rational(p) if digit else trivial_rational(p), t)
                for t, digit in enumerate(p_adic_digits(mu, p))]
-    return replace(reduce(tensor_rational, factors), name=f"L{mu}")
+    return reduce(tensor_rational, factors).replace(name=f"L{mu}")
 
 
 def catalog_modules(p: int = 2) -> dict:
@@ -287,7 +286,7 @@ def catalog_modules(p: int = 2) -> dict:
         raise NotImplementedError("catalog is shipped for p = 2 only")
     out = {f"L{mu}": simple_module(p, mu) for mu in range(4)}
     l1 = out["L1"]
-    out["P0"] = replace(tensor_rational(l1, l1), name="P0")
+    out["P0"] = tensor_rational(l1, l1).replace(name="P0")
     out["P1"] = RationalComodule(p, 2, dict(l1.entries), name="P1")
     out["q"] = Mat(1, 4, GF(p), {(0, 1): 1, (0, 2): 1})
     return out
@@ -614,7 +613,7 @@ def build_tower(lam: int, p: int = 2, m_max: int = 3) -> Tower:
     m0 = tower_base(lam, p, m_max)
     factors = _stage_factors(lam, p, m_max)
     products = accumulate(factors[m0:], tensor_rational, initial=reduce(tensor_rational, factors[:m0]))
-    stages = [replace(stage, name=f"P({lam},{m})") for m, stage in enumerate(products, start=m0)]
+    stages = [stage.replace(name=f"P({lam},{m})") for m, stage in enumerate(products, start=m0)]
     return Tower(stages, m0)
 
 
@@ -647,4 +646,4 @@ def battery_top_weight(p: int, expr: str) -> int:
 
 def battery_module(p: int, expr: str) -> RationalComodule:
     """Parse battery expressions like "L1*L1" or "L3" into catalog tensors."""
-    return replace(reduce(tensor_rational, _battery_factors(p, expr)), name=expr)
+    return reduce(tensor_rational, _battery_factors(p, expr)).replace(name=expr)

@@ -10,10 +10,9 @@ too large or a module that no stage of the tower would compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import contramodule, sl2
 from .comodule import dual_comodule
+from .fields import Record
 from .io import MAX_DIM
 
 
@@ -25,22 +24,23 @@ def _settled_from(values: list) -> int:
     return pos
 
 
-@dataclass
-class TowerRow:
-    m: int
-    dim_cohom: int
+class TowerRow(Record):
+    def __init__(self, m: int, dim_cohom: int):
+        self.m = m
+        self.dim_cohom = dim_cohom
 
 
-@dataclass
-class TowerReport:
-    module: str           # the battery expression
-    lam: int
-    p: int
-    stages: list          # list[TowerRow]
-    stabilized_at: int | None
-    f_v: int
-    match: bool
-    stable_from: int      # first stage where the weight bound holds
+class TowerReport(Record):
+    def __init__(self, module: str, lam: int, p: int, stages: list, stabilized_at: int | None,
+                 f_v: int, match: bool, stable_from: int):
+        self.module = module        # the battery expression
+        self.lam = lam
+        self.p = p
+        self.stages = stages        # list[TowerRow]
+        self.stabilized_at = stabilized_at
+        self.f_v = f_v
+        self.match = match
+        self.stable_from = stable_from   # first stage where the weight bound holds
 
     def to_json(self) -> dict:
         return {

@@ -9,7 +9,6 @@ the objects, and Im against Ker compared as canonical subspaces.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -336,9 +335,9 @@ def test_ses_validate_matches_oracle_on_mutated_sequences():
                 variants = [ses]
                 for _ in range(3):
                     if rng.random() < 0.5:
-                        variants.append(replace(ses, incl=_mutate(rng, ses.incl)))
+                        variants.append(ses.replace(incl=_mutate(rng, ses.incl)))
                     else:
-                        variants.append(replace(ses, proj=_mutate(rng, ses.proj)))
+                        variants.append(ses.replace(proj=_mutate(rng, ses.proj)))
                 for cand in variants:
                     old, new = oracle_ses_failures(cand), cand.validate().failures
                     assert (not old) == (not new), (old, new)

@@ -2,7 +2,6 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -761,7 +760,7 @@ def dual_kernel_stage(lam: int, p: int, m: int) -> Comodule:
     each twisted factor is restricted and dualised, and the duals are
     tensored in k[G_m] by :func:`tensor_kernel`."""
     factors = [dual_comodule(restrict_to_kernel(f, m)) for f in _stage_factors(lam, p, m)]
-    return replace(reduce(tensor_kernel, factors), name=f"P({lam},{m})|G{m}*")
+    return reduce(tensor_kernel, factors).replace(name=f"P({lam},{m})|G{m}*")
 
 
 def loop_tensor_kernel(m, n, q):

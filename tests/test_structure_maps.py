@@ -430,8 +430,6 @@ def test_stage_masks_serve_only_their_own_matrix():
     ``replace`` copy of A with B's coaction, and over A after its coaction is
     reassigned, each against the dict columns: Cohom reads B's masks off the
     matrix B holds at the call."""
-    from dataclasses import replace
-
     from test_sl2 import dual_kernel_stage
 
     v = dual_comodule(restrict_to_kernel(battery_module(2, "L1*L1"), 2))
@@ -439,7 +437,7 @@ def test_stage_masks_serve_only_their_own_matrix():
     assert a.dim == b.dim and cohom(v, a) != cohom(v, b)
     for x in (a, b, a):
         assert cohom(v, x) == dict_cohom(v, x)
-    copy = replace(a, left_coaction=b.left_coaction)
+    copy = a.replace(left_coaction=b.left_coaction)
     assert cohom(v, copy) == dict_cohom(v, b)
     a.left_coaction = b.left_coaction
     assert cohom(v, a) == dict_cohom(v, b)

@@ -474,19 +474,19 @@ def test_cohom_tower_relabels_no_full_stage(monkeypatch):
     from test_sl2 import dual_kernel_stage
 
     handed, formed = [], []
-    dual, init = comodule.dual_comodule, comodule.Comodule.__post_init__
+    dual, init = comodule.dual_comodule, comodule.Comodule.__init__
 
     def counted(m):
         handed.append(m.left_coaction.nnz)
         return dual(m)
 
-    def built(m):
+    def built(m, *args, **kwargs):
+        init(m, *args, **kwargs)
         formed.append(m.dim)
-        init(m)
 
     monkeypatch.setattr(comodule, "dual_comodule", counted)
     monkeypatch.setattr(sl2, "dual_comodule", counted)
-    monkeypatch.setattr(comodule.Comodule, "__post_init__", built)
+    monkeypatch.setattr(comodule.Comodule, "__init__", built)
     cohom_tower(["L0", "L1*L1"], 0, 2, 3)
     monkeypatch.undo()
     stage2, stage3 = (dual_kernel_stage(0, 2, m).left_coaction.nnz for m in (2, 3))
