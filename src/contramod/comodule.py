@@ -13,8 +13,11 @@ comodule on the same matrix, so the functions here are the contramodule
 ones too, under the same names: those that build a new object of the same
 kind return a contramodule for one.  Hom(M, N) is the
 kernel of one system on M* (x) N, written from the stored entries.  Over F2
-the stored matrix is also read packed, by :func:`_gf2_masks`: block c of
-column k is one int with bit i for each stored entry (c*m + i, k).
+the stored matrix is also read packed, by :func:`_gf2_masks`, in the one F2
+mask layout of the package, ``{monomial c: {column k: mask}}``: the mask of
+block c of column k is one int with bit i for each stored entry
+(c*m + i, k).  The tower's stages (:func:`sl2.kernel_stage_masks`), Cohom's
+F2 relations and the F2 coassociativity square all read that layout.
 """
 
 from __future__ import annotations
@@ -129,33 +132,36 @@ def _coassociative(m: Comodule) -> bool:
 
 
 def _gf2_masks(m: Comodule) -> dict:
-    """The stored coaction over F2 packed by blocks: the int at key c*d + k,
-    d = dim M, has bit i for each stored entry (c*d + i, k).  For a
-    contramodule this is theta's column c*d + k as a bitmask."""
+    """The stored coaction over F2 packed by blocks, as ``{c: {k: mask}}``
+    with bit i of mask for each stored entry (c*d + i, k), d = dim M, and no
+    empty block.  For a contramodule the mask is theta's column c*d + k as a
+    bitmask."""
     d = m.dim
-    masks: dict = {}
+    blocks: dict = {}
     for idx, k in m.left_coaction.data:
-        i = idx % d
-        key = idx - i + k
-        masks[key] = masks.get(key, 0) | 1 << i
-    return masks
+        c, i = divmod(idx, d)
+        block = blocks.get(c)
+        if block is None:
+            block = blocks[c] = {}
+        block[k] = block.get(k, 0) | 1 << i
+    return blocks
 
 
 def _gf2_coassociative(m: Comodule) -> bool:
     """:func:`_coassociative` over F2 on the packed blocks B_k(c) of
-    :func:`_gf2_masks`.  For each column k both sides are held as one int
-    over i per row x = a*n + b of C (x) C: (Delta (x) Id) XORs B_k(c) into
-    row x for each entry (x, c) of Delta (of Delta^cop on the right), and
-    (Id (x) coaction) XORs B_j(b) into row c*n + b for each bit j of B_k(c).
-    The square holds iff every row XORs to 0.  The second side depends on
-    B_k(c) only through its bits, and few block values occur, so the XOR of
-    the blocks B_j(b) over the bits j of a block value is formed once per
-    value."""
+    :func:`_gf2_masks`, regrouped by column.  For each column k both sides
+    are held as one int over i per row x = a*n + b of C (x) C: (Delta (x) Id)
+    XORs B_k(c) into row x for each entry (x, c) of Delta (of Delta^cop on
+    the right), and (Id (x) coaction) XORs B_j(b) into row c*n + b for each
+    bit j of B_k(c).  The square holds iff every row XORs to 0.  The second
+    side depends on B_k(c) only through its bits, and few block values
+    occur, so the XOR of the blocks B_j(b) over the bits j of a block value
+    is formed once per value."""
     n, d = m.coalgebra.dim, m.dim
     cols: list = [[] for _ in range(d)]   # cols[k]: the blocks (c, B_k(c))
-    for key, t in _gf2_masks(m).items():
-        c, k = divmod(key, d)
-        cols[k].append((c, t))
+    for c, block in _gf2_masks(m).items():
+        for k, t in block.items():
+            cols[k].append((c, t))
     targets: dict = {}   # c -> the rows x of Delta's column c
     if m.side == "right":
         for x, c in m.coalgebra.delta.data:

@@ -17,9 +17,10 @@ sums have no names here: the :mod:`comodule` functions
 ``sub_comodule``, ``quotient_comodule``, ``direct_sum``) take
 contramodules, and those that build an object return a contramodule for
 one.  Over F2 Cohom reads B only as theta's columns packed as int
-bitmasks, which :func:`gf2_cohom_dim` takes as an argument: the tower
-tensors each stage's masks from its factors and forms no contramodule of
-the stage.
+bitmasks in the layout ``{monomial c: {column beta: mask}}``
+(:func:`comodule._gf2_masks`), which :func:`gf2_cohom_dim` takes as an
+argument: the tower tensors each stage's masks from its factors and forms
+no contramodule of the stage.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     row x, with entry v at column beta*dm + k of B* (x) M, is the relation
     column x with v at row k*db + beta of M* (x) B, for dm = dim M and
     db = dim B.  Over F2 a set of int bitmasks with the same span comes
-    from theta's masks (:func:`_gf2_relations`).
+    from theta's masks grouped by monomial (:func:`comodule._gf2_masks`,
+    read by :func:`_gf2_relations`).
     """
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
@@ -138,10 +140,11 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
 
 def gf2_cohom_dim(m: Comodule, db: int, ts: dict) -> int:
     """dim Cohom over F2 of a left comodule M and a contramodule B given only by
-    its dimension db and theta's masks ts (:func:`comodule._gf2_masks`), read
-    as dim M * db minus the rank of :func:`_gf2_relations`.  A caller holding
-    the masks, as the tower does for each stage, forms no B, and no reduced
-    basis or quotient map is built for a number."""
+    its dimension db and theta's masks ts = {c: {beta: mask}}
+    (:func:`comodule._gf2_masks`), read as dim M * db minus the rank of
+    :func:`_gf2_relations`.  A caller holding the masks, as the tower does
+    for each stage, forms no B, and no reduced basis or quotient map is
+    built for a number."""
     ech = make_echelon(m.field)
     return m.dim * db - sum(ech.add_row(r) for r in _gf2_relations(m, db, ts))
 
@@ -149,14 +152,15 @@ def gf2_cohom_dim(m: Comodule, db: int, ts: dict) -> int:
 def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
     """A set of ints that spans Cohom's relations over F2, and is no larger
     than the nonzero rows of ``comodule._hom_system(b, m)``, for B of
-    dimension db with theta's masks T_y = ts[y].  A relation has bit
-    k*db + beta for the system's column beta*dm + k.  K_r has bit k*db for
-    each coaction[r, k] = 1, and the row for (beta, r), r = c*dm + i, is
-    (K_r << beta) ^ (T_{c*db + beta} << i*db).  These rows are kept, as a
-    set without the zero row, for each monomial c where M has a coaction
-    row.  At every other c the rows are the masks T_{c*db + beta} alone,
-    shifted into each block i: those are replaced by a basis of the masks,
-    picked from them, shifted into each block, which spans the same."""
+    dimension db with theta's masks T_{c, beta} = ts[c][beta].  A relation
+    has bit k*db + beta for the system's column beta*dm + k.  K_r has bit
+    k*db for each coaction[r, k] = 1, and the row for (beta, r),
+    r = c*dm + i, is (K_r << beta) ^ (T_{c, beta} << i*db).  These rows are
+    kept, as a set without the zero row, for each monomial c where M has a
+    coaction row.  At every other c the rows are the masks of block ts[c]
+    alone, shifted into each block i: the lone masks, the union of those
+    blocks' values, are replaced by a basis of them, picked from them,
+    shifted into each block, which spans the same."""
     dm = m.dim
     ks: dict = {}
     for r, k in m.left_coaction.data:
@@ -164,13 +168,17 @@ def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
     with_k = {r // dm for r in ks}
     cols = set()
     for c in with_k:
-        tc = [ts.get(c * db + beta, 0) for beta in range(db)]
+        block = ts.get(c, {})
+        tc = [block.get(beta, 0) for beta in range(db)]
         for i in range(dm):
             kr, off = ks.get(c * dm + i, 0), i * db
             cols.update((kr << beta) ^ (t << off) for beta, t in enumerate(tc))
+    lone: set = set()
+    for c, block in ts.items():
+        if c not in with_k:
+            lone.update(block.values())
     ech = make_echelon(m.field)
-    lone = [t for t in {t for y, t in ts.items() if y // db not in with_k} if ech.add_row(t)]
-    cols.update(t << i * db for t in lone for i in range(dm))
+    cols.update(t << i * db for t in lone if ech.add_row(t) for i in range(dm))
     cols.discard(0)
     return cols
 

@@ -552,54 +552,81 @@ def stage_dim(lam: int, p: int, m: int) -> int:
 
 
 def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
-    """The dual of P(lam, m) restricted to G_m over F2, as (dim, masks):
-    masks[z*dim + j] has bit i for each entry (z*dim + i, j) of the dual
-    stage, the theta masks :func:`comodule._gf2_masks` reads off its
-    contramodule.  No matrix of the stage is formed: the masks are tensored
-    from those of the restricted factors' duals, in k[G_m], which is
-    commutative, so the product of the duals is the dual of the product.
+    """The dual of P(lam, m) restricted to G_m over F2, as (dim, blocks):
+    blocks[z][j] has bit i for each entry (z*dim + i, j) of the dual stage,
+    the theta masks of its contramodule in the layout of
+    :func:`comodule._gf2_masks`.  No matrix of the stage is formed: the masks
+    are tensored from those of the restricted factors' duals, in k[G_m],
+    which is commutative, so the product of the duals is the dual of the
+    product.
 
     For M of dimension md and N of dimension nd, out = md*nd, entry
     ((x*y)*out + i*nd + i2, j*nd + j2) of M (x) N adds the products of M's
     entries (x*md + i, j) and N's (y*nd + i2, j2), where x*y is one
     truncated monomial or 0 (a^q = 1, b^q = c^q = 0).  So M's mask (x, j),
-    spread to bit i*nd for its bit i, times N's mask (y, j2) is the image at
-    key (x*y)*out + j*nd + j2: the bits i*nd + i2 are distinct, so the
-    integer product carries nothing.  Images at one key add mod 2.  Few
-    mask values occur (217 among P(0,4)'s last 3887 left masks), so each
-    value is spread once per step, and the keys whose images cancel are
-    dropped from the sums in place."""
+    spread to bit i*nd for its bit i, times N's mask (y, j2) is the image in
+    block x*y, column j*nd + j2: the bits i*nd + i2 are distinct, so the
+    integer product carries nothing.  Images in one column of one block add
+    mod 2.  Each step groups the pairs (x, y) by their product z and writes
+    one block at a time, without its cancelled columns or an empty block.
+
+    Few mask values occur (1533 among P(0,4)'s 30157 masks), and the stage
+    keeps one int object per value and one per column index.  Each step
+    forms the product of each distinct spread left value with each right
+    value once; these are distinct, since such a product determines both
+    factors.  A column with one image stores its product, and only a sum of
+    images is looked up among the step's values, which start as the
+    products."""
     q = 2 ** m
-    dim, masks = 1, {0: 1}  # the trivial comodule, e -> 1 (x) e
+    dim, blocks = 1, {0: {0: 1}}  # the trivial comodule, e -> 1 (x) e
     for f in _stage_factors(lam, 2, m):
         nd, pad = f.dim, "0" * (f.dim - 1)
-        out = dim * nd
-        by_y: dict = {}
-        for key, t in _gf2_masks(dual_comodule(restrict_to_kernel(f, m))).items():
-            y, j2 = divmod(key, nd)
-            by_y.setdefault(y, []).append((j2, t))
-        spread_of = {t: int(pad.join(bin(t)[2:]), 2) for t in set(masks.values())}
-        by_x: dict = {}
-        for key, t in masks.items():
-            x, j = divmod(key, dim)
-            by_x.setdefault(x, []).append((j * nd, spread_of[t]))
-        exps = [(x // (q * q), x // q % q, x % q, x, images) for x, images in by_x.items()]
-        acc: dict = {}
-        get = acc.get
-        for y, uses in by_y.items():
+        right = _gf2_masks(dual_comodule(restrict_to_kernel(f, m)))
+        us = {u for block in right.values() for u in block.values()}
+        products: dict = {}   # left value t -> row, row[u] = t spread times u for u in us
+        for t in {t for block in blocks.values() for t in block.values()}:
+            spread, row = int(pad.join(bin(t)[2:]), 2), [0] * (1 << nd)
+            for u in us:
+                row[u] = spread * u
+            products[t] = row
+        left = [(x // (q * q), x // q % q, x % q, x, [(j * nd, products[t]) for j, t in block.items()])
+                for x, block in blocks.items()]
+        values = {p: p for row in products.values() for p in row if p}
+        share = values.setdefault
+        dim, blocks = dim * nd, {}
+        column = list(range(dim))   # one int object per column index, shared by every block
+        pairs: dict = {}   # z -> (images of x, uses of y) for the pairs x*y = z
+        for y, block in right.items():
             yb, yc, ya = y // (q * q), y // q % q, y % q
-            for xb, xc, xa, x, images in exps:
+            uses = list(block.items())
+            for xb, xc, xa, x, images in left:
                 if xb + yb < q and xc + yc < q:
-                    base = (x + y - q if xa + ya >= q else x + y) * out
-                    for j2, t2 in uses:
-                        at = base + j2
-                        for col, spread in images:
-                            key = at + col
-                            acc[key] = get(key, 0) ^ spread * t2
-        for key in [key for key, t in acc.items() if not t]:
-            del acc[key]
-        dim, masks = out, acc
-    return dim, masks
+                    z = x + y - q if xa + ya >= q else x + y
+                    pairs.setdefault(z, []).append((images, uses))
+        while pairs:   # popped, so each group is freed once its block is written
+            z, zpairs = pairs.popitem()
+            acc: dict = {}
+            get = acc.get
+            sums = []   # the columns that received a second image
+            for images, uses in zpairs:
+                for j2, u in uses:
+                    for col, row in images:
+                        key = col + j2
+                        old = get(key)
+                        if old is None:
+                            acc[column[key]] = row[u]
+                        else:
+                            acc[key] = old ^ row[u]
+                            sums.append(key)
+            for key in sums:
+                t = get(key)
+                if t:
+                    acc[key] = share(t, t)
+                elif t == 0:
+                    del acc[key]
+            if acc:
+                blocks[z] = acc
+    return dim, blocks
 
 
 class Tower(NamedTuple):

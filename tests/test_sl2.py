@@ -908,27 +908,58 @@ def test_kernel_stage_masks_are_the_masks_of_the_dict_stage_at_g4(lam):
     assert_masks_of_the_dict_stage(lam, 4)
 
 
-def test_kernel_stage_masks_trace_under_10_mb_at_g4():
-    """P(0,4)'s masks take about 4 MB; the dict stage they were once packed
-    from held 135016 entries and traced a 20 MB peak."""
+def traced_stage_masks(lam, m):
+    """(dim, blocks, traced peak) of one kernel_stage_masks call."""
     tracemalloc.start()
     try:
-        dim, masks = kernel_stage_masks(0, 4)
+        dim, blocks = kernel_stage_masks(lam, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dim == 256 and sum(t.bit_count() for t in masks.values()) == 135016
+    return dim, blocks, peak
+
+
+def stage_masks(blocks):
+    """Every mask of a stage, block by block."""
+    return [t for block in blocks.values() for t in block.values()]
+
+
+def test_kernel_stage_masks_trace_under_10_mb_at_g4():
+    """P(0,4)'s masks once took about 4 MB; the dict stage they were once
+    packed from held 135016 entries and traced a 20 MB peak."""
+    dim, blocks, peak = traced_stage_masks(0, 4)
+    assert dim == 256 and sum(t.bit_count() for t in stage_masks(blocks)) == 135016
     assert peak < 10_000_000, peak
 
 
 def test_kernel_stage_masks_trace_under_5_5_mb_at_g4():
-    """The masks of a tensor step drop their zero keys in place: a filtered
-    copy of them, next to the accumulator it is read from, traced 6.77 MB."""
-    tracemalloc.start()
-    try:
-        dim, masks = kernel_stage_masks(0, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dim == 256 and len(masks) == 30157
+    """The masks of a tensor step drop their zero columns in place: a
+    filtered copy of them, next to the accumulator it is read from, traced
+    6.77 MB."""
+    dim, blocks, peak = traced_stage_masks(0, 4)
+    assert dim == 256 and len(stage_masks(blocks)) == 30157
     assert peak < 5_500_000, peak
+
+
+def test_kernel_stage_masks_trace_under_3_5_mb_at_g4_with_one_int_per_value():
+    """Grouped by monomial, with one int object per distinct mask value and
+    per column index, P(0,4)'s 30157 masks trace about 2.1 MB; with a key
+    int and a value int of its own for every mask they traced 4.69 MB."""
+    dim, blocks, peak = traced_stage_masks(0, 4)
+    masks = stage_masks(blocks)
+    assert dim == 256 and len(masks) == 30157 and len(blocks) == 1564
+    assert len(set(masks)) == len({id(t) for t in masks}) == 1533
+    assert all(blocks.values()) and 0 not in masks
+    assert peak < 3_500_000, peak
+
+
+def test_kernel_stage_masks_share_column_ints_at_g5():
+    """Past the small-int cache, every block's column j is the same int
+    object: P(0,5)'s 415674 masks hold 1024 column ints and one int per
+    distinct value."""
+    dim, blocks = kernel_stage_masks(0, 5)
+    columns = [j for block in blocks.values() for j in block]
+    masks = stage_masks(blocks)
+    assert dim == 1024 and len(masks) == 415674
+    assert len({id(j) for j in columns}) == 1024
+    assert len(set(masks)) == len({id(t) for t in masks})

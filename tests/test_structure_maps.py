@@ -38,7 +38,7 @@ from contramod.comodule import (
 )
 from contramod.contramodule import (
     Contramodule, _gf2_relations, check_contramodule, cohom, contra_from_comodule,
-    contra_from_dual, contratensor, duality_check, free_contramodule, is_projective,
+    contra_from_dual, contratensor, duality_check, free_contramodule, gf2_cohom_dim, is_projective,
 )
 from contramod.fields import GF, GF2, QQ
 from contramod.functors import Induction
@@ -403,6 +403,42 @@ def test_gf2_relations_span_the_packed_hom_rows():
             b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
             for v in modules:
                 assert_gf2_relations_span_the_packed_hom_rows(v, db, ts, b, (lam, m, v.name))
+
+
+def unpacked_masks(blocks, d):
+    """The entries (c*d + i, k) of the bits i of every mask blocks[c][k]."""
+    return {(c * d + i, k) for c, block in blocks.items() for k, t in block.items()
+            for i in range(t.bit_length()) if t >> i & 1}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gf2_masks_unpack_to_the_stored_entries(side):
+    """Every bit of ``_gf2_masks`` is one stored entry and every stored entry
+    one bit, with no empty block and no mask past bit dim - 1, on the seeded
+    F2 pairs (both the comodule and the contramodule) and k[G_2] over itself."""
+    objects = [x for seed in (101, 303) for pair in random_pairs(GF2, side, seed) for x in pair]
+    objects.append(comodule_over_self(frob_kernel_coalgebra(2, 2), side))
+    for x in objects:
+        blocks = _gf2_masks(x)
+        assert unpacked_masks(blocks, x.dim) == set(x.left_coaction.data), x
+        assert all(blocks.values()) and all(0 < t < 1 << x.dim for b in blocks.values() for t in b.values())
+
+
+def test_gf2_cohom_reads_the_lone_masks_at_monomial_0():
+    """divided_power_dual(2) with its two basis vectors swapped, so index 0
+    is c_1 and eps = (0, 1).  The trivial comodule's one coaction row is at
+    monomial 1, so the masks of free(1) at monomial 0 are lone.  Cohom of k
+    against free(1) is k* (Cohom(M, Hom(C, V)) = Hom(M, V)), dimension 1;
+    it reads 2 if those masks are skipped."""
+    delta = Mat(4, 2, GF2, {(1, 0): 1, (2, 0): 1, (3, 1): 1})
+    c = Coalgebra(GF2, 2, delta, Mat(1, 2, GF2, {(0, 1): 1}), name="divided_power_dual(2), swapped")
+    assert check_coalgebra(c).ok
+    k = Comodule(c, "left", 1, Mat(2, 1, GF2, {(1, 0): 1}), name="trivial")
+    b = free_contramodule(c, 1)
+    assert check_comodule(k).ok and check_contramodule(b).ok
+    ts = _gf2_masks(b)
+    assert 0 in ts and not any(r // k.dim == 0 for r, _ in k.left_coaction.data)
+    assert gf2_cohom_dim(k, b.dim, ts) == cohom(k, b).dim == dict_cohom(k, b).dim == 1
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -1061,9 +1097,9 @@ def parity_flips(rng, m, count):
     for x, c in m.coalgebra.delta.data:
         holders.setdefault(x if m.side == "left" else x % n * n + x // n, set()).add(c)
     columns_at: dict = {}   # (b, block value u) -> the columns j with B_j(b) = u
-    for key, u in _gf2_masks(m).items():
-        b, j = divmod(key, d)
-        columns_at.setdefault((b, u), set()).add(j)
+    for b, block in _gf2_masks(m).items():
+        for j, u in block.items():
+            columns_at.setdefault((b, u), set()).add(j)
     shared_rows = sorted(sorted(cs) for cs in holders.values() if len(cs) > 1)
     shared_values = sorted(sorted(js) for js in columns_at.values() if len(js) > 1)
     for _ in range(count):
