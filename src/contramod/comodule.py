@@ -152,11 +152,13 @@ def _gf2_coassociative(m: Comodule) -> bool:
     :func:`_gf2_masks`, regrouped by column.  For each column k both sides
     are held as one int over i per row x = a*n + b of C (x) C: (Delta (x) Id)
     XORs B_k(c) into row x for each entry (x, c) of Delta (of Delta^cop on
-    the right), and (Id (x) coaction) XORs B_j(b) into row c*n + b for each
-    bit j of B_k(c).  The square holds iff every row XORs to 0.  The second
-    side depends on B_k(c) only through its bits, and few block values
-    occur, so the XOR of the blocks B_j(b) over the bits j of a block value
-    is formed once per value."""
+    the right), and (Id (x) coaction) puts the XOR of B_j(b) over the bits j
+    of B_k(c) at row c*n + b.  The second side's rows c*n + b are distinct
+    over the column's blocks, so once the first side is accumulated each is
+    popped from it and compared, and the square holds iff they all agree
+    and what is left is 0.  The second side depends on B_k(c) only through
+    its value, so its image is formed once per value, from the image of
+    the value without its lowest bit (:func:`_image`)."""
     n, d = m.coalgebra.dim, m.dim
     cols: list = [[] for _ in range(d)]   # cols[k]: the blocks (c, B_k(c))
     for c, block in _gf2_masks(m).items():
@@ -169,36 +171,41 @@ def _gf2_coassociative(m: Comodule) -> bool:
     else:
         for x, c in m.coalgebra.delta.data:
             targets.setdefault(c, []).append(x)
-    images: dict = {}   # block value t -> _xor_blocks(cols, t)
+    images: dict = {0: {}}   # block value t -> _image(images, cols, t)
     for col in cols:
         acc: dict = {}
         get = acc.get
         for c, t in col:
             for x in targets.get(c, ()):
                 acc[x] = get(x, 0) ^ t
-            image = images.get(t)
-            if image is None:
-                image = images[t] = _xor_blocks(cols, t)
+        pop = acc.pop
+        for c, t in col:
             base = c * n
-            for b, u in image:
-                key = base + b
-                acc[key] = get(key, 0) ^ u
+            for b, u in _image(images, cols, t).items():
+                if pop(base + b, 0) != u:
+                    return False
         if any(acc.values()):
             return False
     return True
 
 
-def _xor_blocks(cols: list, t: int) -> list:
-    """The nonzero (b, XOR of B_j(b) over the bits j of t), for cols[j] the
-    blocks (b, B_j(b)) of column j."""
-    out: dict = {}
-    get = out.get
-    while t:
-        low = t & -t
-        for b, u in cols[low.bit_length() - 1]:
-            out[b] = get(b, 0) ^ u
-        t ^= low
-    return [bu for bu in out.items() if bu[1]]
+def _image(images: dict, cols: list, t: int) -> dict:
+    """{b: XOR of B_j(b) over the bits j of t}, for cols[j] the blocks
+    (b, B_j(b)) of column j, kept in images for t and for each value met on
+    the way: the image of t is that of t without its lowest bit j, XORed
+    with the blocks of column j."""
+    chain = []
+    while t not in images:
+        chain.append(t)
+        t &= t - 1
+    image = images[t]
+    for t in reversed(chain):
+        image = dict(image)
+        get = image.get
+        for b, u in cols[(t & -t).bit_length() - 1]:
+            image[b] = get(b, 0) ^ u
+        images[t] = image
+    return image
 
 
 def counit_holds(m: Comodule) -> bool:

@@ -18,18 +18,24 @@ sums have no names here: the :mod:`comodule` functions
 contramodules, and those that build an object return a contramodule for
 one.  Over F2 Cohom reads B only as theta's columns packed as int
 bitmasks in the layout ``{monomial c: {column beta: mask}}``
-(:func:`comodule._gf2_masks`), which :func:`gf2_cohom_dim` takes as an
+(:func:`comodule._gf2_masks`), which :func:`gf2_cohom_dims` takes as an
 argument: the tower tensors each stage's masks from its factors and forms
-no contramodule of the stage.
+no contramodule of the stage.  :func:`gf2_cohom_dims` reads the dimensions
+of a whole battery of modules against one stage in one pass, modulo the
+span of the masks at the monomials where no module has a coaction row; the
+relations themselves, which the quotient needs, are
+:func:`_gf2_relations`, and both take that span from :func:`_lone_echelon`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
-from .fields import Record
-from .linalg import Coequalizer, Subspace, make_echelon, quotient_by_image, rank
+from .fields import GF2, Record
+from .linalg import Coequalizer, Subspace, _bits, make_echelon, quotient_by_image, rank
 from .matrix import Mat
 
 
@@ -138,15 +144,86 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     return quotient_by_image(Subspace.from_columns(dm * db, fld, cols))
 
 
-def gf2_cohom_dim(m: Comodule, db: int, ts: dict) -> int:
-    """dim Cohom over F2 of a left comodule M and a contramodule B given only by
-    its dimension db and theta's masks ts = {c: {beta: mask}}
-    (:func:`comodule._gf2_masks`), read as dim M * db minus the rank of
-    :func:`_gf2_relations`.  A caller holding the masks, as the tower does
-    for each stage, forms no B, and no reduced basis or quotient map is
-    built for a number."""
-    ech = make_echelon(m.field)
-    return m.dim * db - sum(ech.add_row(r) for r in _gf2_relations(m, db, ts))
+def gf2_cohom_dims(modules: list, db: int, ts: dict) -> list[int]:
+    """dim Cohom over F2 of each left comodule V of ``modules`` against one
+    contramodule B given only by its dimension db and theta's masks
+    ts = {c: {beta: mask}} (:func:`comodule._gf2_masks`).  A caller holding
+    the masks, as the tower does for each stage, forms no B.
+
+    Cohom's relations (:func:`_gf2_relations`) are L_V (x) k^dim V plus the
+    rows at W_V, the monomials where V has a coaction row, with L_V the span
+    of the lone masks, the values of ts at every other monomial.  So dim
+    Cohom is dim V * q minus the rank of the rows at W_V read in
+    (k^db / L_V) (x) k^dim V, q = db - dim L_V.  The lone values outside
+    every module's W are eliminated once for the battery, and the masks are
+    read in the quotient by their span (:func:`_quotient`); each module
+    then quotients that by the values at the other modules' W, read there.
+    The row (K_{c,i} << beta) ^ (T_{c,beta} << i*db) becomes dim V * q
+    bits, the coordinates of e_beta in chunk k for each bit k*db of
+    K_{c,i}, XOR those of T_{c,beta} in chunk i, and at each c only the
+    distinct pairs of the two over beta give rows."""
+    ws = [{r // v.dim for r, _ in v.left_coaction.data} for v in modules]
+    w_all = set().union(*ws)
+    q0, read0 = _quotient(_lone_echelon(ts, [c for c in ts if c not in w_all]), db)
+    at = {c: {read0(t) for t in ts[c].values()} for c in w_all if c in ts}
+    units0 = [read0(1 << beta) for beta in range(db)]
+    dims = []
+    for v, w in zip(modules, ws):
+        extra = make_echelon(GF2)
+        for x in set().union(*(at[c] for c in w_all - w if c in at)):
+            extra.add_row(x)
+        q, read = _quotient(extra, q0)
+        dm, unit = v.dim, [read(x) for x in units0]
+        ks: dict = {}
+        for r, k in v.left_coaction.data:
+            ks[r] = ks.get(r, 0) | 1 << k * q
+        uses = Counter(unit)
+        rows = set()
+        for c in w:
+            block = ts.get(c, {})
+            pairs = {(unit[beta], read(read0(t))) for beta, t in block.items()}
+            inside = Counter(unit[beta] for beta in block)
+            pairs.update((u, 0) for u, count in uses.items() if count > inside[u])
+            for i in range(dm):
+                kq, off = ks.get(c * dm + i, 0), i * q
+                rows.update(a * kq ^ x << off for a, x in pairs)
+        rows.discard(0)
+        relations = make_echelon(GF2)
+        dims.append(dm * q - sum(map(relations.add_row, rows)))
+    return dims
+
+
+def _lone_echelon(ts: dict, monomials):
+    """The GF(2) echelon of the distinct mask values of ts at
+    ``monomials``: a basis of the lone masks' span when those are the
+    monomials where a module has no coaction row."""
+    ech = make_echelon(GF2)
+    for t in {t for c in monomials for t in ts[c].values()}:
+        ech.add_row(t)
+    return ech
+
+
+def _quotient(ech, width: int):
+    """(q, read) for k^width / span(ech), q = width - rank: read(t) packs
+    the coordinates of an int bitmask t there as q bits, bit s the parity of
+    t & phi_s, for q functionals phi_s spanning the annihilator of the span.
+    They are read off the reduced echelon: for each free column j, e_j plus
+    e_p for each pivot row p with bit j.  read is memoized by value."""
+    ech.finalize()
+    phis = {j: 1 << j for j in range(width) if j not in ech.rows}
+    for p, r in ech.rows.items():
+        for j in _bits(r ^ 1 << p):
+            phis[j] |= 1 << p
+    phis = list(phis.values())
+    seen = {0: 0}
+
+    def read(t: int) -> int:
+        x = seen.get(t)
+        if x is None:
+            x = seen[t] = sum(((phi & t).bit_count() & 1) << s for s, phi in enumerate(phis))
+        return x
+
+    return len(phis), read
 
 
 def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
@@ -159,8 +236,9 @@ def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
     kept, as a set without the zero row, for each monomial c where M has a
     coaction row.  At every other c the rows are the masks of block ts[c]
     alone, shifted into each block i: the lone masks, the union of those
-    blocks' values, are replaced by a basis of them, picked from them,
-    shifted into each block, which spans the same."""
+    blocks' values, are replaced by a basis of their span
+    (:func:`_lone_echelon`), shifted into each block, which spans the
+    same."""
     dm = m.dim
     ks: dict = {}
     for r, k in m.left_coaction.data:
@@ -173,12 +251,8 @@ def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
         for i in range(dm):
             kr, off = ks.get(c * dm + i, 0), i * db
             cols.update((kr << beta) ^ (t << off) for beta, t in enumerate(tc))
-    lone: set = set()
-    for c, block in ts.items():
-        if c not in with_k:
-            lone.update(block.values())
-    ech = make_echelon(m.field)
-    cols.update(t << i * db for t in lone if ech.add_row(t) for i in range(dm))
+    lone = _lone_echelon(ts, [c for c in ts if c not in with_k]).rows.values()
+    cols.update(t << i * db for t in lone for i in range(dm))
     cols.discard(0)
     return cols
 

@@ -1,7 +1,9 @@
 """The Cohom tower of the paper's second theorem, checked stage by stage:
 :func:`cohom_tower` tabulates dim Cohom(V|G_m, P(lam, m)) over the stages of
 the tower of lam against the character multiplicity oracle, and reports the
-first stage from which the dimensions stay put.
+first stage from which the dimensions stay put.  Each stage is built once,
+as F2 masks, and the whole battery's dimensions against it are read in one
+pass (:func:`contramodule.gf2_cohom_dims`).
 
 :func:`cohom_tower` is where an SL2 tower is admitted: it takes a battery of
 module expressions and refuses, before it tensors anything, a tower that is
@@ -64,9 +66,10 @@ def cohom_tower(battery: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
     weight bound p^(m-1) > top weight first holds past ``m_max``, so that no
     stage of it would be compared.  Each stage is then built once in its
     kernel, as the F2 theta masks of its dual (:func:`sl2.kernel_stage_masks`),
-    and each module restricted once per stage and paired with them by
-    :func:`contramodule.gf2_cohom_dim`: each dimension is dim V * db minus
-    the rank of Cohom's relations, with no quotient built.
+    each module is restricted once per stage, and the battery is paired with
+    the masks in one call of :func:`contramodule.gf2_cohom_dims`, which
+    eliminates the stage's lone masks once for all the modules and reads
+    each dimension off a rank modulo their span, with no quotient built.
     """
     # the bounds on p and m_max come first so the power is never large
     if p > 1 and m_max > 0 and (max(p, m_max) > MAX_DIM or p ** (3 * m_max) > MAX_DIM):
@@ -91,9 +94,9 @@ def cohom_tower(battery: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
     rows = [[] for _ in modules]
     for m in range(m0, m_max + 1):
         db, ts = sl2.kernel_stage_masks(lam, m)
-        for v, v_rows in zip(modules, rows):
-            v_m = dual_comodule(sl2.restrict_to_kernel(v, m))
-            v_rows.append(TowerRow(m, contramodule.gf2_cohom_dim(v_m, db, ts)))
+        v_ms = [dual_comodule(sl2.restrict_to_kernel(v, m)) for v in modules]
+        for v_rows, dim in zip(rows, contramodule.gf2_cohom_dims(v_ms, db, ts)):
+            v_rows.append(TowerRow(m, dim))
     reports = []
     for expr, v, v_rows, stable_from in zip(battery, modules, rows, stable_froms):
         f_v = sl2.f_multiplicity(lam, v)

@@ -7,7 +7,8 @@ image of f - g, the contramodule operations that run on the comodule code
 against their direct Kronecker formulas, ``check_coalgebra`` against its
 own column loop and ``check_comodule`` against its per-scalar loop on
 seeded, rescaled and mutated comodules (over F2 also on k[G_1], k[G_2]
-and k[G_3], with flips whose packed contributions cancel mod 2), ``split_solve`` against one solve
+and k[G_3], with flips whose packed contributions cancel mod 2; the packed
+F2 square also against the generic one), ``split_solve`` against one solve
 on the Kronecker product, ``dual_comodule`` against one loop per side, pivot-read
 ``Subspace.coords`` against elimination, ``duality_check`` against the
 trace-pairing loops, and the identity that makes Hom pair to zero against
@@ -15,10 +16,12 @@ Cohom's relations, ``matrix.push`` against the product with
 ``kron_identity`` and Delta pushed along a coalgebra map
 (``check_morphism``, ``Induction.comodule``, ``random_surjection``) against the
 Kronecker product and structure-constant formulas, and Cohom's F2 bitmask
-relations against its dict columns and the packed rows of the Hom system.  The stored left layout is checked
-against the relabels that once converted each object to and from it, and a
-right C-comodule against the left C^cop-comodule it is stored as.  The
-oracles live here only."""
+relations against its dict columns and the packed rows of the Hom system,
+and the battery's F2 Cohom dimensions against the per-module count on
+those relations.  The stored left layout is checked against the relabels
+that once converted each object to and from it, and a right C-comodule
+against the left C^cop-comodule it is stored as.  The oracles live here
+only."""
 
 import random
 import re
@@ -38,12 +41,12 @@ from contramod.comodule import (
 )
 from contramod.contramodule import (
     Contramodule, _gf2_relations, check_contramodule, cohom, contra_from_comodule,
-    contra_from_dual, contratensor, duality_check, free_contramodule, gf2_cohom_dim, is_projective,
+    contra_from_dual, contratensor, duality_check, free_contramodule, gf2_cohom_dims, is_projective,
 )
 from contramod.fields import GF, GF2, QQ
 from contramod.functors import Induction
 from contramod.linalg import (
-    Subspace, coequalizer, equalizer, image, quotient_by_image, rank, solve,
+    Subspace, coequalizer, equalizer, image, make_echelon, quotient_by_image, rank, solve,
 )
 from contramod.matrix import Mat, kron_identity, map_of_vec, push
 from contramod.randomgen import (
@@ -405,6 +408,60 @@ def test_gf2_relations_span_the_packed_hom_rows():
                 assert_gf2_relations_span_the_packed_hom_rows(v, db, ts, b, (lam, m, v.name))
 
 
+def slow_gf2_cohom_dim(m, db, ts):
+    """dim Cohom over F2 of one module, dim M * db minus the rank of the
+    full-width relations of :func:`_gf2_relations`: the slow per-module
+    oracle for :func:`gf2_cohom_dims`."""
+    ech = make_echelon(GF2)
+    return m.dim * db - sum(ech.add_row(r) for r in _gf2_relations(m, db, ts))
+
+
+def coaction_monomials(m):
+    return {r // m.dim for r, _ in m.left_coaction.data}
+
+
+def assert_gf2_cohom_dims_match(modules, db, ts, b, label):
+    dims = gf2_cohom_dims(modules, db, ts)
+    assert dims == [slow_gf2_cohom_dim(v, db, ts) for v in modules], label
+    assert dims == [cohom(v, b).dim for v in modules], label
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_gf2_cohom_dims_match_the_per_module_count_on_tower_stages(m):
+    """One call per stage against L0, L1, L2, L3 and L1*L1, whose coaction
+    monomials differ, so the lone set shared by the battery is smaller
+    than each module's own: every stage P(lam, m), lam < 2^m, m <= 3, and
+    P(0, 4), and an empty battery."""
+    from test_sl2 import dual_kernel_stage
+
+    modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
+               for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
+    ws = [coaction_monomials(v) for v in modules]
+    assert all(w < set().union(*ws) for w in ws)
+    for lam in range(2 ** m if m <= 3 else 1):
+        db, ts = kernel_stage_masks(lam, m)
+        b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
+        assert_gf2_cohom_dims_match(modules, db, ts, b, (lam, m))
+        assert gf2_cohom_dims([], db, ts) == []
+
+
+def test_gf2_cohom_dims_match_the_per_module_count_on_random_pairs():
+    """Each seeded F2 contramodule against all the seeded comodules over its
+    coalgebra in one call; their lone spans are small, so the quotient
+    k^db / L_V is read in many coordinates."""
+    qs = set()
+    for seed in (101, 303):
+        pairs = list(random_pairs(GF2, "left", seed))
+        for _, b in pairs:
+            battery = [m for m, _ in pairs if m.coalgebra == b.coalgebra]
+            ts = _gf2_masks(b)
+            assert_gf2_cohom_dims_match(battery, b.dim, ts, b, b)
+            w_all = set().union(*map(coaction_monomials, battery))
+            lone = [t for c, block in ts.items() if c not in w_all for t in block.values()]
+            qs.add(b.dim - Subspace.from_columns(b.dim, GF2, lone).dim)
+    assert max(qs) > 2
+
+
 def unpacked_masks(blocks, d):
     """The entries (c*d + i, k) of the bits i of every mask blocks[c][k]."""
     return {(c * d + i, k) for c, block in blocks.items() for k, t in block.items()
@@ -438,7 +495,8 @@ def test_gf2_cohom_reads_the_lone_masks_at_monomial_0():
     assert check_comodule(k).ok and check_contramodule(b).ok
     ts = _gf2_masks(b)
     assert 0 in ts and not any(r // k.dim == 0 for r, _ in k.left_coaction.data)
-    assert gf2_cohom_dim(k, b.dim, ts) == cohom(k, b).dim == dict_cohom(k, b).dim == 1
+    assert gf2_cohom_dims([k], b.dim, ts) == [slow_gf2_cohom_dim(k, b.dim, ts)] == [1]
+    assert cohom(k, b).dim == dict_cohom(k, b).dim == 1
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -1132,6 +1190,26 @@ def test_check_comodule_matches_scalar_loop_on_parity_flips(r, side):
         assert failures == loop_check_comodule(bad), (k, rows)
         seen.add(tuple(failures))
     assert seen == {("coassociativity",), ("coassociativity", "counit")}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gf2_coassociative_matches_the_generic_square(side):
+    """The packed F2 square against the generic one on the same coaction:
+    the seeded F2 pairs (comodule and contramodule) and k[G_2] over itself,
+    each with its mutations, and parity flips of k[G_2]."""
+    rng = random.Random(2020 if side == "left" else 2121)
+    objects = [x for seed in (101, 303) for pair in random_pairs(GF2, side, seed) for x in pair]
+    kg2 = comodule_over_self(frob_kernel_coalgebra(2, 2), side)
+    seen = set()
+    for x in (*objects, kg2):
+        for y in (x, *broken_comodules(rng, x)):
+            verdict = comodule._gf2_coassociative(y)
+            assert verdict == comodule._coassociative(y), y.name
+            seen.add(verdict)
+    for k, rows in parity_flips(rng, kg2, 20):
+        bad = flipped(kg2, k, rows)
+        assert comodule._gf2_coassociative(bad) == comodule._coassociative(bad), (k, rows)
+    assert seen == {True, False}
 
 
 def test_check_coalgebra_on_kG3():

@@ -377,6 +377,23 @@ def test_cohom_tower_matches_the_per_module_loop(lam):
     assert [r.stable_from for r in reports] == [1, 2, 3, 3, 3]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_every_stage_has_head_its_simple(m):
+    """The head check of the paper's second theorem: against every simple
+    L(mu), mu < 2^m, each stage P(lam, m)|G_m has
+    dim Cohom(L(mu)|G_m, P(lam, m)) = delta_{lam mu}, read by one
+    ``gf2_cohom_dims`` call per stage."""
+    from contramod import sl2
+    from contramod.comodule import dual_comodule
+    from contramod.contramodule import gf2_cohom_dims
+
+    simples = [dual_comodule(sl2.restrict_to_kernel(sl2.simple_module(2, mu), m))
+               for mu in range(2 ** m)]
+    for lam in range(2 ** m):
+        db, ts = sl2.kernel_stage_masks(lam, m)
+        assert gf2_cohom_dims(simples, db, ts) == [int(mu == lam) for mu in range(2 ** m)], lam
+
+
 @pytest.mark.parametrize("lam", range(8))
 def test_cohom_tower_dims_match_the_dict_columns(lam):
     """The tower's dimensions, read off the rank of its F2 bitmask relations,
@@ -410,8 +427,8 @@ def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, mo
     tower observes nothing."""
     from contramod import contramodule
 
-    scripted = iter(dims)
-    monkeypatch.setattr(contramodule, "gf2_cohom_dim", lambda v, db, ts: next(scripted))
+    scripted = iter([[d] for d in dims])
+    monkeypatch.setattr(contramodule, "gf2_cohom_dims", lambda vs, db, ts: next(scripted))
     [rep] = cohom_tower(["L0"], 0, 2, len(dims))
     assert [r.dim_cohom for r in rep.stages] == dims
     assert rep.stabilized_at == stabilized_at
@@ -423,8 +440,8 @@ def test_cohom_tower_compares_the_first_stage_inside_the_weight_window(monkeypat
     dimension 3 is not f_V = 2, though the last stage's is."""
     from contramod import contramodule
 
-    scripted = iter([4, 2, 3, 2])
-    monkeypatch.setattr(contramodule, "gf2_cohom_dim", lambda v, db, ts: next(scripted))
+    scripted = iter([[4], [2], [3], [2]])
+    monkeypatch.setattr(contramodule, "gf2_cohom_dims", lambda vs, db, ts: next(scripted))
     [rep] = cohom_tower(["L1*L1"], 0, 2, 4)
     assert [(r.m, r.dim_cohom) for r in rep.stages] == [(1, 4), (2, 2), (3, 3), (4, 2)]
     assert (rep.stable_from, rep.f_v, rep.match) == (3, 2, False)
