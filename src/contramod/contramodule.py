@@ -16,15 +16,12 @@ sums have no names here: the :mod:`comodule` functions
 (``hom_comodules``, ``is_comodule_map``, ``comodule_closure``,
 ``sub_comodule``, ``quotient_comodule``, ``direct_sum``) take
 contramodules, and those that build an object return a contramodule for
-one.  Over F2 Cohom reads B only as theta's columns packed as int
-bitmasks in the layout ``{monomial c: {column beta: mask}}``
-(:func:`comodule._gf2_masks`), which :func:`gf2_cohom_dims` takes as an
-argument: the tower tensors each stage's masks from its factors and forms
-no contramodule of the stage.  :func:`gf2_cohom_dims` reads the dimensions
-of a whole battery of modules against one stage in one pass, modulo the
-span of the masks at the monomials where no module has a coaction row; the
-relations themselves, which the quotient needs, are
-:func:`_gf2_relations`, and both take that span from :func:`_lone_echelon`.
+one.  Cohom is the quotient of M* (x) B by the rows of the system whose
+kernel is Hom(B, M) (:func:`comodule._hom_system`), over every field.  The
+tower needs only dimensions over F2 and forms no contramodule of a stage:
+:func:`gf2_cohom_dims` reads those of a whole battery of modules against
+one stage in one pass, from theta's columns packed as int bitmasks in the
+layout ``{monomial c: {column beta: mask}}`` (:func:`comodule._gf2_masks`).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
 from .fields import GF2, Record
-from .linalg import Coequalizer, Subspace, _bits, make_echelon, quotient_by_image, rank
+from .linalg import Coequalizer, Subspace, _bits, kernel, make_echelon, quotient_by_image, rank
 from .matrix import Mat
 
 
@@ -121,27 +118,24 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     the coaction and apply the contra-action.
 
     Hom(B, M) is the equalizer of the transposes of f and g, so the
-    relations are the rows of its system :func:`comodule._hom_system`:
-    row x, with entry v at column beta*dm + k of B* (x) M, is the relation
-    column x with v at row k*db + beta of M* (x) B, for dm = dim M and
-    db = dim B.  Over F2 a set of int bitmasks with the same span comes
-    from theta's masks grouped by monomial (:func:`comodule._gf2_masks`,
-    read by :func:`_gf2_relations`).
-    """
+    relations are the rows of its system :func:`comodule._hom_system`, over
+    every field (:func:`_cohom_quotient`)."""
     if m.coalgebra != b.coalgebra:
         raise ValueError("coalgebra mismatch")
     if m.side != "left":
         raise ValueError("cohom needs a left comodule")
-    dm, db, fld = m.dim, b.dim, m.field
-    if fld.characteristic == 2:
-        cols = _gf2_relations(m, db, comodule._gf2_masks(b))
-    else:
-        rows: dict = {}
-        for (x, y), v in comodule._hom_system(b, m).data.items():
-            beta, k = divmod(y, dm)
-            rows.setdefault(x, {})[k * db + beta] = v
-        cols = rows.values()
-    return quotient_by_image(Subspace.from_columns(dm * db, fld, cols))
+    return _cohom_quotient(comodule._hom_system(b, m), m.dim, b.dim)
+
+
+def _cohom_quotient(system: Mat, dm: int, db: int) -> Coequalizer:
+    """M* (x) B by the rows of ``system = comodule._hom_system(B, M)``, for
+    dm = dim M and db = dim B: row x, with entry v at column beta*dm + k of
+    B* (x) M, is the relation column x with v at row k*db + beta."""
+    rows: dict = {}
+    for (x, y), v in system.data.items():
+        beta, k = divmod(y, dm)
+        rows.setdefault(x, {})[k * db + beta] = v
+    return quotient_by_image(Subspace.from_columns(dm * db, system.field, rows.values()))
 
 
 def gf2_cohom_dims(modules: list, db: int, ts: dict) -> list[int]:
@@ -150,21 +144,26 @@ def gf2_cohom_dims(modules: list, db: int, ts: dict) -> list[int]:
     ts = {c: {beta: mask}} (:func:`comodule._gf2_masks`).  A caller holding
     the masks, as the tower does for each stage, forms no B.
 
-    Cohom's relations (:func:`_gf2_relations`) are L_V (x) k^dim V plus the
-    rows at W_V, the monomials where V has a coaction row, with L_V the span
-    of the lone masks, the values of ts at every other monomial.  So dim
-    Cohom is dim V * q minus the rank of the rows at W_V read in
-    (k^db / L_V) (x) k^dim V, q = db - dim L_V.  The lone values outside
-    every module's W are eliminated once for the battery, and the masks are
-    read in the quotient by their span (:func:`_quotient`); each module
-    then quotients that by the values at the other modules' W, read there.
+    Cohom's relations, the rows of the Hom system (:func:`cohom`), span
+    L_V (x) k^dim V plus the rows at W_V, the monomials where V has a
+    coaction row, with L_V the span of the lone masks, the values of ts at
+    every other monomial: there a row is one mask alone, shifted into one
+    block of k^db (x) k^dim V.  So dim Cohom is dim V * q minus the rank of
+    the rows at W_V read in (k^db / L_V) (x) k^dim V, q = db - dim L_V.  The
+    lone values outside every module's W are eliminated once for the
+    battery, and the masks are read in the quotient by their span
+    (:func:`_quotient`); each module then quotients that by the values at
+    the other modules' W, read there.
     The row (K_{c,i} << beta) ^ (T_{c,beta} << i*db) becomes dim V * q
     bits, the coordinates of e_beta in chunk k for each bit k*db of
     K_{c,i}, XOR those of T_{c,beta} in chunk i, and at each c only the
     distinct pairs of the two over beta give rows."""
     ws = [{r // v.dim for r, _ in v.left_coaction.data} for v in modules]
     w_all = set().union(*ws)
-    q0, read0 = _quotient(_lone_echelon(ts, [c for c in ts if c not in w_all]), db)
+    lone = make_echelon(GF2)
+    for t in {t for c in ts if c not in w_all for t in ts[c].values()}:
+        lone.add_row(t)
+    q0, read0 = _quotient(lone, db)
     at = {c: {read0(t) for t in ts[c].values()} for c in w_all if c in ts}
     units0 = [read0(1 << beta) for beta in range(db)]
     dims = []
@@ -193,16 +192,6 @@ def gf2_cohom_dims(modules: list, db: int, ts: dict) -> list[int]:
     return dims
 
 
-def _lone_echelon(ts: dict, monomials):
-    """The GF(2) echelon of the distinct mask values of ts at
-    ``monomials``: a basis of the lone masks' span when those are the
-    monomials where a module has no coaction row."""
-    ech = make_echelon(GF2)
-    for t in {t for c in monomials for t in ts[c].values()}:
-        ech.add_row(t)
-    return ech
-
-
 def _quotient(ech, width: int):
     """(q, read) for k^width / span(ech), q = width - rank: read(t) packs
     the coordinates of an int bitmask t there as q bits, bit s the parity of
@@ -224,37 +213,6 @@ def _quotient(ech, width: int):
         return x
 
     return len(phis), read
-
-
-def _gf2_relations(m: Comodule, db: int, ts: dict) -> set:
-    """A set of ints that spans Cohom's relations over F2, and is no larger
-    than the nonzero rows of ``comodule._hom_system(b, m)``, for B of
-    dimension db with theta's masks T_{c, beta} = ts[c][beta].  A relation
-    has bit k*db + beta for the system's column beta*dm + k.  K_r has bit
-    k*db for each coaction[r, k] = 1, and the row for (beta, r),
-    r = c*dm + i, is (K_r << beta) ^ (T_{c, beta} << i*db).  These rows are
-    kept, as a set without the zero row, for each monomial c where M has a
-    coaction row.  At every other c the rows are the masks of block ts[c]
-    alone, shifted into each block i: the lone masks, the union of those
-    blocks' values, are replaced by a basis of their span
-    (:func:`_lone_echelon`), shifted into each block, which spans the
-    same."""
-    dm = m.dim
-    ks: dict = {}
-    for r, k in m.left_coaction.data:
-        ks[r] = ks.get(r, 0) | 1 << k * db
-    with_k = {r // dm for r in ks}
-    cols = set()
-    for c in with_k:
-        block = ts.get(c, {})
-        tc = [block.get(beta, 0) for beta in range(db)]
-        for i in range(dm):
-            kr, off = ks.get(c * dm + i, 0), i * db
-            cols.update((kr << beta) ^ (t << off) for beta, t in enumerate(tc))
-    lone = _lone_echelon(ts, [c for c in ts if c not in with_k]).rows.values()
-    cols.update(t << i * db for t in lone for i in range(dm))
-    cols.discard(0)
-    return cols
 
 
 def contratensor(m: Comodule, b: Contramodule) -> Coequalizer:
@@ -300,20 +258,21 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     """Compare Cohom(V, W-as-contramodule) with Hom(W, V)* and certify the
     trace pairing between them is perfect.
 
-    Both sides read one system, ``comodule._hom_system(W, V)``: Cohom is the
-    quotient of V* (x) W, index x*dim W + y, by its rows (packed as bitmasks
-    over F2), and Hom(W, V) its kernel in W* (x) V, index y*dim V + x.  So
-    the pairing kills Cohom's relations for any coaction data and is well
-    defined on the section representatives; with the Hom basis reindexed to
-    the first layout it is a plain dot product.  The check certifies that
-    the pairing is perfect, not that either side is right: the tests hold
-    the independent Kronecker and dict-column oracles for Cohom.
+    Both sides read one system, ``comodule._hom_system(W, V)``, built once:
+    Cohom is the quotient of V* (x) W, index x*dim W + y, by its rows
+    (:func:`_cohom_quotient`), and Hom(W, V) its kernel in W* (x) V, index
+    y*dim V + x.  So the pairing kills Cohom's relations for any coaction
+    data and is well defined on the section representatives; with the Hom
+    basis reindexed to the first layout it is a plain dot product.  The
+    check certifies that the pairing is perfect, not that either side is
+    right: the tests hold the independent Kronecker and dict-column oracles
+    for Cohom.
     """
     if v.side != "left" or w.side != "left":
         raise ValueError("duality check needs left comodules")
-    co = cohom(v, contra_from_comodule(w))
-    hom = comodule.hom_comodules(w, v)
     dv, dw = v.dim, w.dim
+    system = comodule._hom_system(w, v)
+    co, hom = _cohom_quotient(system, dv, dw), kernel(system)
     hom_basis = Mat(dv * dw, hom.dim, v.field,
                     {((i % dv) * dw + i // dv, s): val for (i, s), val in hom.basis.data.items()})
     return DualityReport(co.dim, hom.dim, rank(co.section.transpose() @ hom_basis))

@@ -15,13 +15,11 @@ trace-pairing loops, and the identity that makes Hom pair to zero against
 Cohom's relations, ``matrix.push`` against the product with
 ``kron_identity`` and Delta pushed along a coalgebra map
 (``check_morphism``, ``Induction.comodule``, ``random_surjection``) against the
-Kronecker product and structure-constant formulas, and Cohom's F2 bitmask
-relations against its dict columns and the packed rows of the Hom system,
-and the battery's F2 Cohom dimensions against the per-module count on
-those relations.  The stored left layout is checked against the relabels
-that once converted each object to and from it, and a right C-comodule
-against the left C^cop-comodule it is stored as.  The oracles live here
-only."""
+Kronecker product and structure-constant formulas, and the battery's F2
+Cohom dimensions against the dict columns of each module's relations.  The
+stored left layout is checked against the relabels that once converted each
+object to and from it, and a right C-comodule against the left
+C^cop-comodule it is stored as.  The oracles live here only."""
 
 import random
 import re
@@ -40,13 +38,13 @@ from contramod.comodule import (
     quotient_comodule, sub_comodule,
 )
 from contramod.contramodule import (
-    Contramodule, _gf2_relations, check_contramodule, cohom, contra_from_comodule,
+    Contramodule, check_contramodule, cohom, contra_from_comodule,
     contra_from_dual, contratensor, duality_check, free_contramodule, gf2_cohom_dims, is_projective,
 )
 from contramod.fields import GF, GF2, QQ
 from contramod.functors import Induction
 from contramod.linalg import (
-    Subspace, coequalizer, equalizer, image, make_echelon, quotient_by_image, rank, solve,
+    Subspace, coequalizer, equalizer, image, quotient_by_image, rank, solve,
 )
 from contramod.matrix import Mat, kron_identity, map_of_vec, push
 from contramod.randomgen import (
@@ -338,8 +336,8 @@ def test_cohom_maps_match_kron_formulas(field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_cohom_matches_dict_columns_on_random_pairs(field):
-    """Over F2 the relation columns are bitmasks; over Q and F3 they are the
-    dict columns.  The whole coequalizer agrees either way."""
+    """The relations read off the Hom system give the whole coequalizer of
+    the dict columns, over every field."""
     for seed in (101, 303):
         for m, b in random_pairs(field, "left", seed):
             assert cohom(m, b) == dict_cohom(m, b)
@@ -371,67 +369,17 @@ def test_cohom_matches_dict_columns_on_tower_stages(m):
             assert cohom(v, b) == dict_cohom(v, b), (lam, v.name)
 
 
-def packed_hom_rows(m, b):
-    """The nonzero rows of ``_hom_system(b, m)`` over F2 as ints, entry
-    (x, beta*dm + k) setting bit k*db + beta of row x."""
-    rows: dict = {}
-    for (x, y), v in comodule._hom_system(b, m).data.items():
-        if v & 1:
-            beta, k = divmod(y, m.dim)
-            rows[x] = rows.get(x, 0) ^ 1 << k * b.dim + beta
-    return {r for r in rows.values() if r}
-
-
-def assert_gf2_relations_span_the_packed_hom_rows(m, db, ts, b, label=None):
-    rels, rows = _gf2_relations(m, db, ts), packed_hom_rows(m, b)
-    ambient = m.dim * db
-    assert Subspace.from_columns(ambient, GF2, rels) == Subspace.from_columns(ambient, GF2, rows), label
-    assert 0 not in rels and len(rels) <= len(rows), label
-
-
-def test_gf2_relations_span_the_packed_hom_rows():
-    """Cohom's F2 bitmask relations span the rows of the one Hom system and
-    are no more of them, on seeded pairs with B's masks, and on every stage
-    P(lam, m), m <= 3, with the masks the tower tensors from the factors,
-    against the README battery."""
-    from test_sl2 import dual_kernel_stage
-
-    for m, b in (pair for seed in (101, 303) for pair in random_pairs(GF2, "left", seed)):
-        assert_gf2_relations_span_the_packed_hom_rows(m, b.dim, _gf2_masks(b), b)
-    for m in (1, 2, 3):
-        modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
-                   for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
-        for lam in range(2 ** m):
-            db, ts = kernel_stage_masks(lam, m)
-            b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
-            for v in modules:
-                assert_gf2_relations_span_the_packed_hom_rows(v, db, ts, b, (lam, m, v.name))
-
-
-def slow_gf2_cohom_dim(m, db, ts):
-    """dim Cohom over F2 of one module, dim M * db minus the rank of the
-    full-width relations of :func:`_gf2_relations`: the slow per-module
-    oracle for :func:`gf2_cohom_dims`."""
-    ech = make_echelon(GF2)
-    return m.dim * db - sum(ech.add_row(r) for r in _gf2_relations(m, db, ts))
-
-
 def coaction_monomials(m):
     return {r // m.dim for r, _ in m.left_coaction.data}
-
-
-def assert_gf2_cohom_dims_match(modules, db, ts, b, label):
-    dims = gf2_cohom_dims(modules, db, ts)
-    assert dims == [slow_gf2_cohom_dim(v, db, ts) for v in modules], label
-    assert dims == [cohom(v, b).dim for v in modules], label
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_gf2_cohom_dims_match_the_per_module_count_on_tower_stages(m):
     """One call per stage against L0, L1, L2, L3 and L1*L1, whose coaction
     monomials differ, so the lone set shared by the battery is smaller
-    than each module's own: every stage P(lam, m), lam < 2^m, m <= 3, and
-    P(0, 4), and an empty battery."""
+    than each module's own, against the dict columns of each module's
+    Cohom: every stage P(lam, m), lam < 2^m, m <= 3, and P(0, 4), and an
+    empty battery."""
     from test_sl2 import dual_kernel_stage
 
     modules = [dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
@@ -441,7 +389,7 @@ def test_gf2_cohom_dims_match_the_per_module_count_on_tower_stages(m):
     for lam in range(2 ** m if m <= 3 else 1):
         db, ts = kernel_stage_masks(lam, m)
         b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
-        assert_gf2_cohom_dims_match(modules, db, ts, b, (lam, m))
+        assert gf2_cohom_dims(modules, db, ts) == [dict_cohom(v, b).dim for v in modules], (lam, m)
         assert gf2_cohom_dims([], db, ts) == []
 
 
@@ -455,7 +403,8 @@ def test_gf2_cohom_dims_match_the_per_module_count_on_random_pairs():
         for _, b in pairs:
             battery = [m for m, _ in pairs if m.coalgebra == b.coalgebra]
             ts = _gf2_masks(b)
-            assert_gf2_cohom_dims_match(battery, b.dim, ts, b, b)
+            dims = gf2_cohom_dims(battery, b.dim, ts)
+            assert dims == [dict_cohom(m, b).dim for m in battery] == [cohom(m, b).dim for m in battery], b
             w_all = set().union(*map(coaction_monomials, battery))
             lone = [t for c, block in ts.items() if c not in w_all for t in block.values()]
             qs.add(b.dim - Subspace.from_columns(b.dim, GF2, lone).dim)
@@ -495,7 +444,7 @@ def test_gf2_cohom_reads_the_lone_masks_at_monomial_0():
     assert check_comodule(k).ok and check_contramodule(b).ok
     ts = _gf2_masks(b)
     assert 0 in ts and not any(r // k.dim == 0 for r, _ in k.left_coaction.data)
-    assert gf2_cohom_dims([k], b.dim, ts) == [slow_gf2_cohom_dim(k, b.dim, ts)] == [1]
+    assert gf2_cohom_dims([k], b.dim, ts) == [1]
     assert cohom(k, b).dim == dict_cohom(k, b).dim == 1
 
 
@@ -1351,6 +1300,19 @@ def test_duality_check_matches_trace_pair_loops(field):
         assert (rep.cohom_dim, rep.hom_dim, rep.pairing_rank) == trace_pair_duality(v, w)
         ranks.add(rep.pairing_rank)
     assert len(ranks) > 2 and -1 not in ranks
+
+
+def test_duality_check_builds_one_hom_system(monkeypatch):
+    """Cohom and Hom read one system per ``duality_check``, over Q."""
+    calls = []
+    build = comodule._hom_system
+    monkeypatch.setattr(comodule, "_hom_system", lambda x, y: calls.append((x, y)) or build(x, y))
+    rng = random.Random(709)
+    for c in small_coalgebras(QQ):
+        v, w = random_comodule(rng, c), random_comodule(rng, c)
+        calls.clear()
+        assert duality_check(v, w).ok
+        assert calls == [(w, v)]
 
 
 def _random_coaction_data(rng, c, dim):
