@@ -16,9 +16,10 @@ kernel of one system on M* (x) N, written from the stored entries.  Over F2
 the stored matrix is also read packed, by :func:`_gf2_masks`, in the one F2
 mask layout of the package, ``{monomial c: {column k: mask}}``: the mask of
 block c of column k is one int with bit i for each stored entry
-(c*m + i, k).  The tower's stages (:func:`sl2.kernel_stage_masks`), its F2
-Cohom dimensions (:func:`contramodule.gf2_cohom_dims`) and the F2
-coassociativity square all read that layout.
+(c*m + i, k).  The tower's stages and battery modules, tensored in k[G_m]
+by one step (:func:`sl2.kernel_masks`), its F2 Cohom dimensions, which read
+both sides in it (:func:`contramodule.gf2_cohom_dims`), and the F2
+coassociativity square all use that layout.
 """
 
 from __future__ import annotations

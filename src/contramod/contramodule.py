@@ -18,10 +18,10 @@ sums have no names here: the :mod:`comodule` functions
 contramodules, and those that build an object return a contramodule for
 one.  Cohom is the quotient of M* (x) B by the rows of the system whose
 kernel is Hom(B, M) (:func:`comodule._hom_system`), over every field.  The
-tower needs only dimensions over F2 and forms no contramodule of a stage:
-:func:`gf2_cohom_dims` reads those of a whole battery of modules against
-one stage in one pass, from theta's columns packed as int bitmasks in the
-layout ``{monomial c: {column beta: mask}}`` (:func:`comodule._gf2_masks`).
+tower needs only dimensions over F2 and forms no comodule of a module or a
+stage: :func:`gf2_cohom_dims` reads those of a whole battery against one
+stage in one pass, both sides packed as int bitmasks in the layout
+``{monomial c: {column beta: mask}}`` (:func:`comodule._gf2_masks`).
 """
 
 from __future__ import annotations
@@ -138,27 +138,30 @@ def _cohom_quotient(system: Mat, dm: int, db: int) -> Coequalizer:
     return quotient_by_image(Subspace.from_columns(dm * db, system.field, rows.values()))
 
 
-def gf2_cohom_dims(modules: list, db: int, ts: dict) -> list[int]:
+def gf2_cohom_dims(modules: list, stage: tuple) -> list[int]:
     """dim Cohom over F2 of each left comodule V of ``modules`` against one
-    contramodule B given only by its dimension db and theta's masks
-    ts = {c: {beta: mask}} (:func:`comodule._gf2_masks`).  A caller holding
-    the masks, as the tower does for each stage, forms no B.
+    contramodule B, each given only as (dim, blocks) in the F2 mask layout
+    (:func:`comodule._gf2_masks`) of V's coaction and of B's theta, ts.  A
+    caller holding the masks, as the tower does (:func:`sl2.kernel_masks`),
+    forms no comodule or contramodule.
 
     Cohom's relations, the rows of the Hom system (:func:`cohom`), span
-    L_V (x) k^dim V plus the rows at W_V, the monomials where V has a
-    coaction row, with L_V the span of the lone masks, the values of ts at
-    every other monomial: there a row is one mask alone, shifted into one
-    block of k^db (x) k^dim V.  So dim Cohom is dim V * q minus the rank of
-    the rows at W_V read in (k^db / L_V) (x) k^dim V, q = db - dim L_V.  The
-    lone values outside every module's W are eliminated once for the
-    battery, and the masks are read in the quotient by their span
-    (:func:`_quotient`); each module then quotients that by the values at
-    the other modules' W, read there.
-    The row (K_{c,i} << beta) ^ (T_{c,beta} << i*db) becomes dim V * q
-    bits, the coordinates of e_beta in chunk k for each bit k*db of
-    K_{c,i}, XOR those of T_{c,beta} in chunk i, and at each c only the
-    distinct pairs of the two over beta give rows."""
-    ws = [{r // v.dim for r, _ in v.left_coaction.data} for v in modules]
+    L_V (x) k^dim V plus the rows at W_V, the monomials of V's blocks, with
+    L_V the span of the lone masks, the values of ts at every other
+    monomial: there a row is one mask alone, shifted into one block of
+    k^db (x) k^dim V.  So dim Cohom is dim V * q minus the rank of the rows
+    at W_V read in (k^db / L_V) (x) k^dim V, q = db - dim L_V.  The lone
+    values outside every module's W are eliminated once for the battery,
+    and the masks are read in the quotient by their span (:func:`_quotient`);
+    each module then quotients that by the values at the other modules' W,
+    read there.
+    The row (K_{c,i} << beta) ^ (T_{c,beta} << i*db), with bit k*db of
+    K_{c,i} for each bit i of V's mask (c, k), becomes dim V * q bits, the
+    coordinates of e_beta in chunk k for each bit k*db of K_{c,i}, XOR those
+    of T_{c,beta} in chunk i, and at each c only the distinct pairs of the
+    two over beta give rows."""
+    db, ts = stage
+    ws = [set(blocks) for _, blocks in modules]
     w_all = set().union(*ws)
     lone = make_echelon(GF2)
     for t in {t for c in ts if c not in w_all for t in ts[c].values()}:
@@ -167,25 +170,24 @@ def gf2_cohom_dims(modules: list, db: int, ts: dict) -> list[int]:
     at = {c: {read0(t) for t in ts[c].values()} for c in w_all if c in ts}
     units0 = [read0(1 << beta) for beta in range(db)]
     dims = []
-    for v, w in zip(modules, ws):
+    for (dm, vs), w in zip(modules, ws):
         extra = make_echelon(GF2)
         for x in set().union(*(at[c] for c in w_all - w if c in at)):
             extra.add_row(x)
         q, read = _quotient(extra, q0)
-        dm, unit = v.dim, [read(x) for x in units0]
-        ks: dict = {}
-        for r, k in v.left_coaction.data:
-            ks[r] = ks.get(r, 0) | 1 << k * q
+        unit = [read(x) for x in units0]
         uses = Counter(unit)
         rows = set()
         for c in w:
+            ks = [0] * dm
+            for k, mask in vs[c].items():
+                for i in _bits(mask):
+                    ks[i] |= 1 << k * q
             block = ts.get(c, {})
             pairs = {(unit[beta], read(read0(t))) for beta, t in block.items()}
             inside = Counter(unit[beta] for beta in block)
             pairs.update((u, 0) for u, count in uses.items() if count > inside[u])
-            for i in range(dm):
-                kq, off = ks.get(c * dm + i, 0), i * q
-                rows.update(a * kq ^ x << off for a, x in pairs)
+            rows.update(a * kq ^ x << i * q for i, kq in enumerate(ks) for a, x in pairs)
         rows.discard(0)
         relations = make_echelon(GF2)
         dims.append(dm * q - sum(map(relations.add_row, rows)))
@@ -264,9 +266,10 @@ def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     y*dim V + x.  So the pairing kills Cohom's relations for any coaction
     data and is well defined on the section representatives; with the Hom
     basis reindexed to the first layout it is a plain dot product.  The
-    check certifies that the pairing is perfect, not that either side is
-    right: the tests hold the independent Kronecker and dict-column oracles
-    for Cohom.
+    check certifies nothing: a quotient by a matrix's rows and the matrix's
+    kernel always pair perfectly, so cohom_dim = hom_dim = pairing_rank for
+    any coaction data, comodules or not, and ``ok`` is never False.  The
+    tests hold the independent Kronecker and dict-column oracles for Cohom.
     """
     if v.side != "left" or w.side != "left":
         raise ValueError("duality check needs left comodules")

@@ -6,7 +6,10 @@ catalog, the twisted tensor tower, and the character multiplicity oracle.
 Normal form: the relation ad = 1 + bc eliminates mixed a/d monomials, so a
 monomial is (i, j, k, l) for b^i c^j a^k d^l with k*l = 0.  The r-th
 Frobenius-kernel coordinate ring has basis b^i c^j a^k with all exponents
-below p^r, using a^{p^r} = 1 and d = a^{p^r - 1}(1 + bc).
+below q = p^r, using a^q = 1 and d = a^{q - 1}(1 + bc); from the reduction
+on, such a monomial is the int (i*q + j)*q + k, and :func:`_mul3` is its one
+product.  Stages and battery modules reach k[G_m] one way, through the one
+tensor step :func:`kernel_masks` on their factors.
 
 Every mod-p sum adds plain ints and is reduced once, by :func:`_mod`, as the
 matrix kernels reduce once per output entry.
@@ -341,47 +344,40 @@ def hom_rational(m: RationalComodule, n: RationalComodule) -> Subspace:
 # -- Frobenius kernels ---------------------------------------------------------------
 
 
-def _kernel_index(mono3, q: int) -> int:
-    i, j, k = mono3
-    return (i * q + j) * q + k
-
-
 @lru_cache(maxsize=None)
 def _reduce_mono_kernel(mono: Mono, p: int, q: int) -> tuple:
-    """Image of a normal-form monomial in the kernel basis {b^i c^j a^k}, as
-    ((mono3, coeff), ..).  Memoised: the entries of a tower stage repeat a
-    few thousand monomials across some hundred thousand terms."""
+    """Image of a normal-form monomial in the kernel basis, as ((x, coeff), ..)
+    with x = (i*q + j)*q + k for b^i c^j a^k.  Memoised: a tower stage repeats
+    a few thousand monomials across some hundred thousand terms."""
     i, j, k, l = mono
-    if l == 0:
-        return (((i, j, k % q), 1),) if i < q and j < q else ()
     k2 = (k + (q - 1) * l) % q
     out = []
     for s in range(min(l, q - 1) + 1):
         c = comb(l, s) % p
         if c and i + s < q and j + s < q:
-            out.append(((i + s, j + s, k2), c))
+            out.append((((i + s) * q + j + s) * q + k2, c))
     return tuple(out)
 
 
 def reduce_poly_to_kernel(poly: SL2Poly, r: int) -> dict:
-    """Coefficients of a polynomial on the k[G_r] basis, as {mono3: coeff}."""
+    """Coefficients of a polynomial on the k[G_r] basis, as {x: coeff} with
+    x = (i*q + j)*q + k for b^i c^j a^k, q = p^r."""
     p = poly.p
     q = p ** r
     out: dict = {}
     for mono, c in poly.terms.items():
-        for m3, c2 in _reduce_mono_kernel(mono, p, q):
-            out[m3] = out.get(m3, 0) + c * c2
+        for x, c2 in _reduce_mono_kernel(mono, p, q):
+            out[x] = out.get(x, 0) + c * c2
     return _mod(out, p)
 
 
-def _mul3(m1, m2, q: int):
-    """Product of two monomials b^i c^j a^k of k[G_r], q = p^r: one monomial,
-    or None where b^q = 0 or c^q = 0 kills it; a^q = 1."""
-    i = m1[0] + m2[0]
-    j = m1[1] + m2[1]
-    if i >= q or j >= q:
+def _mul3(x: int, y: int, q: int):
+    """Product of monomials (i*q + j)*q + k of k[G_r], q = p^r, for b^i c^j a^k:
+    one monomial, or None where b^q = 0 or c^q = 0 kills it; a^q = 1."""
+    qq = q * q
+    if x // qq + y // qq >= q or x // q % q + y // q % q >= q:
         return None
-    return (i, j, (m1[2] + m2[2]) % q)
+    return x + y - q if x % q + y % q >= q else x + y
 
 
 def _kernel_delta(p: int, r: int) -> Mat:
@@ -397,13 +393,8 @@ def _kernel_delta(p: int, r: int) -> Mat:
         out: dict = {}
         for (x1, y1), c1 in acc.items():
             for (x2, y2), c2 in factor.items():
-                mx = _mul3(x1, x2, q)
-                if mx is None:
-                    continue
-                my = _mul3(y1, y2, q)
-                if my is None:
-                    continue
-                out[mx, my] = out.get((mx, my), 0) + c1 * c2
+                if (mx := _mul3(x1, x2, q)) is not None and (my := _mul3(y1, y2, q)) is not None:
+                    out[mx, my] = out.get((mx, my), 0) + c1 * c2
         return _mod(out, p)
 
     def reduced_delta(gen):
@@ -415,9 +406,8 @@ def _kernel_delta(p: int, r: int) -> Mat:
         return _mod(out, p)
 
     db, dc, da = (reduced_delta(gen) for gen in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
-    e = (0, 0, 0)
     data = {}
-    base_i = {(e, e): 1}
+    base_i = {(0, 0): 1}
     for i in range(q):
         if i:
             base_i = tmul(base_i, db)
@@ -429,9 +419,9 @@ def _kernel_delta(p: int, r: int) -> Mat:
             for k in range(q):
                 if k:
                     cur = tmul(cur, da)
-                col = _kernel_index((i, j, k), q)
+                col = (i * q + j) * q + k
                 for (m1, m2), c in cur.items():
-                    data[_kernel_index(m1, q) * dim + _kernel_index(m2, q), col] = c
+                    data[m1 * dim + m2, col] = c
     return Mat(dim * dim, dim, GF(p), data)
 
 
@@ -444,7 +434,7 @@ def frob_kernel_coalgebra(p: int, r: int) -> Coalgebra:
     q = p ** r
     dim = q * q * q
     field = GF(p)
-    epsilon = Mat(1, dim, field, {(0, _kernel_index((0, 0, k), q)): 1 for k in range(q)})
+    epsilon = Mat(1, dim, field, {(0, k): 1 for k in range(q)})  # b^0 c^0 a^k
     return Coalgebra(
         field, dim, epsilon=epsilon, name=f"k[G_{r}]",
         delta_factory=lambda: _kernel_delta(p, r),
@@ -457,13 +447,13 @@ def restrict_to_kernel(m: RationalComodule, r: int) -> Comodule:
     The polynomial coaction v_j -> sum_i v_i (x) a_ij lands in V (x) k[G_r]
     after reduction; left-comodule consumers take the dual."""
     c = frob_kernel_coalgebra(m.p, r)
-    q, md = m.p ** r, m.dim
+    md = m.dim
     # each (i, j) owns the stored rows x*dim + i of column j, and the reduced
     # coefficients are nonzero residues mod p, so they go straight in
     data = {}
     for (i, j), poly in m.entries.items():
-        for mono3, coeff in reduce_poly_to_kernel(poly, r).items():
-            data[(_kernel_index(mono3, q) * md + i, j)] = coeff
+        for x, coeff in reduce_poly_to_kernel(poly, r).items():
+            data[(x * md + i, j)] = coeff
     coact = Mat(m.dim * c.dim, m.dim, c.field, data)
     return Comodule(c, "right", m.dim, coact, name=f"{m.name}|G{r}")
 
@@ -551,26 +541,26 @@ def stage_dim(lam: int, p: int, m: int) -> int:
     return prod(f.dim for f in _stage_factors(lam, p, m))
 
 
-def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
-    """The dual of P(lam, m) restricted to G_m over F2, as (dim, blocks):
-    blocks[z][j] has bit i for each entry (z*dim + i, j) of the dual stage,
-    the theta masks of its contramodule in the layout of
-    :func:`comodule._gf2_masks`.  No matrix of the stage is formed: the masks
-    are tensored from those of the restricted factors' duals, in k[G_m],
-    which is commutative, so the product of the duals is the dual of the
-    product.
+def kernel_masks(factors: list, m: int) -> tuple[int, dict]:
+    """The dual of the tensor product of the rational modules ``factors``, in
+    order, restricted to G_m over F2, as (dim, blocks): blocks[z][j] has
+    bit i for each entry (z*dim + i, j) of the dual, the theta masks of its
+    contramodule in the layout of :func:`comodule._gf2_masks`.  No matrix of
+    the product is formed: the masks are tensored from those of the
+    restricted factors' duals, in k[G_m], which is commutative, so the
+    product of the duals is the dual of the product.
 
     For M of dimension md and N of dimension nd, out = md*nd, entry
     ((x*y)*out + i*nd + i2, j*nd + j2) of M (x) N adds the products of M's
     entries (x*md + i, j) and N's (y*nd + i2, j2), where x*y is one
-    truncated monomial or 0 (a^q = 1, b^q = c^q = 0).  So M's mask (x, j),
-    spread to bit i*nd for its bit i, times N's mask (y, j2) is the image in
-    block x*y, column j*nd + j2: the bits i*nd + i2 are distinct, so the
-    integer product carries nothing.  Images in one column of one block add
-    mod 2.  Each step groups the pairs (x, y) by their product z and writes
-    one block at a time, without its cancelled columns or an empty block.
+    truncated monomial or 0 (:func:`_mul3`).  So M's mask (x, j), spread to
+    bit i*nd for its bit i, times N's mask (y, j2) is the image in block
+    x*y, column j*nd + j2: the bits i*nd + i2 are distinct, so the integer
+    product carries nothing.  Images in one column of one block add mod 2.
+    Each step groups the pairs (x, y) by their product z and writes one
+    block at a time, without its cancelled columns or an empty block.
 
-    Few mask values occur (1533 among P(0,4)'s 30157 masks), and the stage
+    Few mask values occur (1533 among P(0,4)'s 30157 masks), and the result
     keeps one int object per value and one per column index.  Each step
     forms the product of each distinct spread left value with each right
     value once; these are distinct, since such a product determines both
@@ -579,29 +569,25 @@ def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
     products."""
     q = 2 ** m
     dim, blocks = 1, {0: {0: 1}}  # the trivial comodule, e -> 1 (x) e
-    for f in _stage_factors(lam, 2, m):
+    for f in factors:
         nd, pad = f.dim, "0" * (f.dim - 1)
         right = _gf2_masks(dual_comodule(restrict_to_kernel(f, m)))
-        us = {u for block in right.values() for u in block.values()}
-        products: dict = {}   # left value t -> row, row[u] = t spread times u for u in us
+        us = list({u for block in right.values() for u in block.values()})
+        slot = {u: s for s, u in enumerate(us)}
+        products: dict = {}   # left value t -> row, row[s] = t spread times us[s]
         for t in {t for block in blocks.values() for t in block.values()}:
-            spread, row = int(pad.join(bin(t)[2:]), 2), [0] * (1 << nd)
-            for u in us:
-                row[u] = spread * u
-            products[t] = row
-        left = [(x // (q * q), x // q % q, x % q, x, [(j * nd, products[t]) for j, t in block.items()])
-                for x, block in blocks.items()]
-        values = {p: p for row in products.values() for p in row if p}
+            spread = int(pad.join(bin(t)[2:]), 2)
+            products[t] = [spread * u for u in us]
+        left = [(x, [(j * nd, products[t]) for j, t in block.items()]) for x, block in blocks.items()]
+        values = {p: p for row in products.values() for p in row}
         share = values.setdefault
         dim, blocks = dim * nd, {}
         column = list(range(dim))   # one int object per column index, shared by every block
-        pairs: dict = {}   # z -> (images of x, uses of y) for the pairs x*y = z
+        pairs: dict = {}   # z -> (images of x, uses of y as (j2, slot)) for the pairs x*y = z
         for y, block in right.items():
-            yb, yc, ya = y // (q * q), y // q % q, y % q
-            uses = list(block.items())
-            for xb, xc, xa, x, images in left:
-                if xb + yb < q and xc + yc < q:
-                    z = x + y - q if xa + ya >= q else x + y
+            uses = [(j2, slot[u]) for j2, u in block.items()]
+            for x, images in left:
+                if (z := _mul3(x, y, q)) is not None:
                     pairs.setdefault(z, []).append((images, uses))
         while pairs:   # popped, so each group is freed once its block is written
             z, zpairs = pairs.popitem()
@@ -609,14 +595,14 @@ def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
             get = acc.get
             sums = []   # the columns that received a second image
             for images, uses in zpairs:
-                for j2, u in uses:
+                for j2, s in uses:
                     for col, row in images:
                         key = col + j2
                         old = get(key)
                         if old is None:
-                            acc[column[key]] = row[u]
+                            acc[column[key]] = row[s]
                         else:
-                            acc[key] = old ^ row[u]
+                            acc[key] = old ^ row[s]
                             sums.append(key)
             for key in sums:
                 t = get(key)
@@ -627,6 +613,11 @@ def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
             if acc:
                 blocks[z] = acc
     return dim, blocks
+
+
+def kernel_stage_masks(lam: int, m: int) -> tuple[int, dict]:
+    """:func:`kernel_masks` of P(lam, m), from its twisted factors."""
+    return kernel_masks(_stage_factors(lam, 2, m), m)
 
 
 class Tower(NamedTuple):

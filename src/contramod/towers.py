@@ -1,9 +1,11 @@
 """The Cohom tower of the paper's second theorem, checked stage by stage:
 :func:`cohom_tower` tabulates dim Cohom(V|G_m, P(lam, m)) over the stages of
 the tower of lam against the character multiplicity oracle, and reports the
-first stage from which the dimensions stay put.  Each stage is built once,
-as F2 masks, and the whole battery's dimensions against it are read in one
-pass (:func:`contramodule.gf2_cohom_dims`).
+first stage from which the dimensions stay put.  Stages and battery modules
+reach k[G_m] one way: the F2 masks of their duals are tensored there from
+their factors (:func:`sl2.kernel_masks`), and the whole battery's
+dimensions against a stage are read in one pass
+(:func:`contramodule.gf2_cohom_dims`).
 
 :func:`cohom_tower` is where an SL2 tower is admitted: it takes a battery of
 module expressions and refuses, before it tensors anything, a tower that is
@@ -13,7 +15,6 @@ too large or a module that no stage of the tower would compare.
 from __future__ import annotations
 
 from . import contramodule, sl2
-from .comodule import dual_comodule
 from .fields import Record
 from .io import MAX_DIM
 
@@ -64,12 +65,14 @@ def cohom_tower(battery: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
     module is tensored, ValueError refuses, in this order, a k[G_m_max] or a
     module times the last stage above ``io.MAX_DIM``, and a module whose
     weight bound p^(m-1) > top weight first holds past ``m_max``, so that no
-    stage of it would be compared.  Each stage is then built once in its
-    kernel, as the F2 theta masks of its dual (:func:`sl2.kernel_stage_masks`),
-    each module is restricted once per stage, and the battery is paired with
-    the masks in one call of :func:`contramodule.gf2_cohom_dims`, which
-    eliminates the stage's lone masks once for all the modules and reads
-    each dimension off a rank modulo their span, with no quotient built.
+    stage of it would be compared.  Each module's factors are then parsed
+    once, and at each stage m the stage and the modules are tensored in
+    k[G_m] by one step, as the F2 masks of their duals
+    (:func:`sl2.kernel_masks`).  One call of
+    :func:`contramodule.gf2_cohom_dims` eliminates the stage's lone masks
+    once for all the modules and reads each dimension off a rank modulo
+    their span, with no quotient built.  f_V is read off the character of
+    the module tensored in k[SL2], apart from the masks.
     """
     # the bounds on p and m_max come first so the power is never large
     if p > 1 and m_max > 0 and (max(p, m_max) > MAX_DIM or p ** (3 * m_max) > MAX_DIM):
@@ -90,16 +93,16 @@ def cohom_tower(battery: list, lam: int, p: int = 2, m_max: int = 3) -> list[Tow
             raise ValueError(f"{expr}: the weight bound first holds at stage {m}, "
                              f"beyond the last stage {m_max}")
         stable_froms.append(m)
-    modules = [sl2.battery_module(p, expr) for expr in battery]
-    rows = [[] for _ in modules]
+    factors = [sl2._battery_factors(p, expr) for expr in battery]
+    rows = [[] for _ in battery]
     for m in range(m0, m_max + 1):
-        db, ts = sl2.kernel_stage_masks(lam, m)
-        v_ms = [dual_comodule(sl2.restrict_to_kernel(v, m)) for v in modules]
-        for v_rows, dim in zip(rows, contramodule.gf2_cohom_dims(v_ms, db, ts)):
+        stage = sl2.kernel_stage_masks(lam, m)
+        v_ms = [sl2.kernel_masks(fs, m) for fs in factors]
+        for v_rows, dim in zip(rows, contramodule.gf2_cohom_dims(v_ms, stage)):
             v_rows.append(TowerRow(m, dim))
     reports = []
-    for expr, v, v_rows, stable_from in zip(battery, modules, rows, stable_froms):
-        f_v = sl2.f_multiplicity(lam, v)
+    for expr, v_rows, stable_from in zip(battery, rows, stable_froms):
+        f_v = sl2.f_multiplicity(lam, sl2.battery_module(p, expr))
         # stabilization counts only when it was observed: before the last stage
         pos = _settled_from([r.dim_cohom for r in v_rows])
         stabilized_at = v_rows[pos].m if pos < len(v_rows) - 1 else None

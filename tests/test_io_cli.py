@@ -774,6 +774,7 @@ def test_cli_tower_reads_the_weight_window_before_building_modules(tmp_path, cap
         raise AssertionError("a battery module was built")
 
     monkeypatch.setattr("contramod.sl2.battery_module", refused)
+    monkeypatch.setattr("contramod.sl2.kernel_masks", refused)
     expr = "*".join(["L1"] * 10)
     battery = _write(tmp_path, "battery.json", [expr])
     argv = ["tower", "--p", "2", "--lambda", "0", "--mmax", "1", "--battery", battery]

@@ -22,11 +22,11 @@ from contramod.matrix import Mat, kron_identity
 from contramod.sl2 import (
     RationalComodule, SL2Poly, battery_module, build_tower, catalog_modules, character_decomposition,
     char_product, delta_poly, f_multiplicity, frob_kernel_coalgebra, frobenius_twist,
-    hom_rational, is_rational_map, kernel_stage_masks, p_adic_digits,
+    hom_rational, is_rational_map, kernel_masks, kernel_stage_masks, p_adic_digits,
     reduce_poly_to_kernel, restrict_to_kernel, simple_character, simple_module, stage_dim,
     standard_rational, tensor_rational, trivial_rational,
 )
-from contramod.sl2 import _kernel_index, _mono_mul, _mul3, _reduce_mono_kernel, _stage_factors
+from contramod.sl2 import _battery_factors, _mono_mul, _reduce_mono_kernel, _stage_factors
 from test_comodule import head_radical, trivial
 from test_linalg import intersect
 from test_structure_maps import coaction_stabilizes, comodule_of, typed
@@ -34,6 +34,24 @@ from test_structure_maps import coaction_stabilizes, comodule_of, typed
 
 def _gens(p=2):
     return {n: SL2Poly.gen(p, n) for n in "abcd"}
+
+
+def kernel_index(mono3, q):
+    """The tests' own flat index (i*q + j)*q + k of b^i c^j a^k in k[G_r],
+    q = p^r, and its inverse :func:`kernel_mono`."""
+    i, j, k = mono3
+    return (i * q + j) * q + k
+
+
+def kernel_mono(x, q):
+    return x // (q * q), x // q % q, x % q
+
+
+def mul_bca(m1, m2, q):
+    """The tests' own product of two monomials (b, c, a exponents) of k[G_r]:
+    None where b^q = 0 or c^q = 0 kills it; a^q = 1."""
+    i, j = m1[0] + m2[0], m1[1] + m2[1]
+    return None if i >= q or j >= q else (i, j, (m1[2] + m2[2]) % q)
 
 
 def _random_poly(rng, p=2, nterms=3, maxexp=3):
@@ -81,16 +99,15 @@ def test_reduce_is_multiplicative():
             lhs = reduce_poly_to_kernel(x * y, r)
             # multiply inside the truncated ring through matrices: compare
             # against reducing the factors and multiplying normal forms
-            from contramod.sl2 import _kernel_index  # white-box check
-
             q = 2 ** r
             acc = {}
-            for m1, c1 in reduce_poly_to_kernel(x, r).items():
-                for m2, c2 in reduce_poly_to_kernel(y, r).items():
+            for x1, c1 in reduce_poly_to_kernel(x, r).items():
+                for x2, c2 in reduce_poly_to_kernel(y, r).items():
+                    m1, m2 = kernel_mono(x1, q), kernel_mono(x2, q)
                     i, j = m1[0] + m2[0], m1[1] + m2[1]
                     if i >= q or j >= q:
                         continue
-                    key = (i, j, (m1[2] + m2[2]) % q)
+                    key = kernel_index((i, j, (m1[2] + m2[2]) % q), q)
                     acc[key] = (acc.get(key, 0) + c1 * c2) % 2
             acc = {k: v for k, v in acc.items() if v}
             assert lhs == acc
@@ -539,17 +556,18 @@ def test_character_invariants():
 
 
 def _reduce_mono_oracle(mono, p, q):
-    """The uncached generator that _reduce_mono_kernel memoises."""
+    """The uncached generator that _reduce_mono_kernel memoises, on flat
+    indices (:func:`kernel_index`)."""
     i, j, k, l = mono
     if l == 0:
         if i < q and j < q:
-            yield (i, j, k % q), 1
+            yield kernel_index((i, j, k % q), q), 1
         return
     k2 = (k + (q - 1) * l) % q
     for s in range(min(l, q - 1) + 1):
         c = comb(l, s) % p
         if c and i + s < q and j + s < q:
-            yield (i + s, j + s, k2), c
+            yield kernel_index((i + s, j + s, k2), q), c
 
 
 def _restrict_oracle(m, r):
@@ -557,10 +575,10 @@ def _restrict_oracle(m, r):
     from the uncached reduction."""
     c = frob_kernel_coalgebra(m.p, r)
     q = m.p ** r
-    entries = [(i * c.dim + _kernel_index(m3, q), j, coeff * c2)
+    entries = [(i * c.dim + x, j, coeff * c2)
                for (i, j), poly in m.entries.items()
                for mono, coeff in poly.terms.items()
-               for m3, c2 in _reduce_mono_oracle(mono, m.p, q)]
+               for x, c2 in _reduce_mono_oracle(mono, m.p, q)]
     return Mat.from_entries(m.dim * c.dim, m.dim, c.field, entries)
 
 
@@ -594,15 +612,11 @@ def hand_table_kernel_delta(p, r):
     q = p ** r
     dim = q * q * q
 
-    def mul3(m1, m2):
-        i, j = m1[0] + m2[0], m1[1] + m2[1]
-        return None if i >= q or j >= q else (i, j, (m1[2] + m2[2]) % q)
-
     def tmul(acc, factor):
         out: dict = {}
         for (x1, y1), c1 in acc.items():
             for (x2, y2), c2 in factor.items():
-                mx, my = mul3(x1, x2), mul3(y1, y2)
+                mx, my = mul_bca(x1, x2, q), mul_bca(y1, y2, q)
                 if mx is not None and my is not None:
                     out[mx, my] = (out.get((mx, my), 0) + c1 * c2) % p
         return {key: c for key, c in out.items() if c}
@@ -617,7 +631,7 @@ def hand_table_kernel_delta(p, r):
             for _ in range(exp):
                 cur = tmul(cur, factor)
         for (m1, m2), c in cur.items():
-            entries.append((_kernel_index(m1, q) * dim + _kernel_index(m2, q), _kernel_index((i, j, k), q), c))
+            entries.append((kernel_index(m1, q) * dim + kernel_index(m2, q), kernel_index((i, j, k), q), c))
     return Mat.from_entries(dim * dim, dim, GF(p), entries)
 
 
@@ -786,13 +800,13 @@ def loop_tensor_kernel(m, n, q):
             acc: dict = {}
             for x1, c1 in e1:
                 for x2, c2 in e2:
-                    x = _mul3(x1, x2, q)
+                    x = mul_bca(x1, x2, q)
                     if x is not None:
                         acc[x] = (acc.get(x, 0) + c1 * c2) % p
             base, col = (i * nd + i2) * dim, j * nd + j2
             for x, v in acc.items():
                 if v:
-                    data[base + _kernel_index(x, q), col] = v
+                    data[base + kernel_index(x, q), col] = v
     coact = Mat(m.dim * nd * dim, m.dim * nd, c.field, data)
     return comodule_of(c, "right", m.dim * nd, coact, name=f"{m.name}*{n.name}")
 
@@ -963,3 +977,95 @@ def test_kernel_stage_masks_share_column_ints_at_g5():
     assert dim == 1024 and len(masks) == 415674
     assert len({id(j) for j in columns}) == 1024
     assert len(set(masks)) == len({id(t) for t in masks})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_masks_of_battery_modules_are_the_masks_of_their_restricted_duals(m):
+    """The tower reads its battery through the stages' tensor step: the
+    masks tensored from an expression's factors are those of the dual of
+    the module tensored in k[SL2] and restricted to G_m."""
+    for expr in ("L0", "L1", "L2", "L3", "L1*L1", "P0*L2", "L3*L1*L0", "P1*P0"):
+        v = dual_comodule(restrict_to_kernel(battery_module(2, expr), m))
+        assert kernel_masks(_battery_factors(2, expr), m) == (v.dim, _gf2_masks(v)), (expr, m)
+
+
+# -- paper theorem 2, checks (a) and (c), on the stage masks ---------------------------
+
+
+def gf2_rank(ints):
+    """The tests' own GF(2) rank of int bitmasks, by leading bits."""
+    pivots: dict = {}
+    for v in ints:
+        while v and v.bit_length() - 1 in pivots:
+            v ^= pivots[v.bit_length() - 1]
+        if v:
+            pivots[v.bit_length() - 1] = v
+    return len(pivots)
+
+
+def u_coinvariants(dim, blocks, m):
+    """dim M^{co U_m} of the left comodule M over k[G_m] with F2 masks
+    (dim, blocks), q = 2^m.  k[G_m] -> k[U_m] = k[b]/(b^q) sends b^i c^j a^k
+    to b^i when j = 0 and to 0 otherwise, and by Lucas's theorem a vector is
+    coinvariant once the coefficients of b^(2^t), t < m, vanish on it.  So
+    column j is one int, the XOR of blocks[z][j] << t*dim over the monomials
+    z = b^(2^t) a^k, and the coinvariants number dim minus the rank of those
+    ints.  M is free over k[U_m] iff q times that number is dim."""
+    q = 2 ** m
+    cols = [0] * dim
+    for z, block in blocks.items():
+        b, c = z // (q * q), z // q % q
+        if c or not b or b & (b - 1):
+            continue
+        for j, mask in block.items():
+            cols[j] ^= mask << (b.bit_length() - 1) * dim
+    return dim - gf2_rank(cols)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_theorem_2_check_c_the_stages_count_the_regular_module(m):
+    """Check (c): the regular module of k[G_m] is the sum of the covers
+    P(mu) with multiplicity dim L(mu), so with every stage the cover of its
+    simple the sum of dim L(mu) * stage_dim(mu, 2, m) over mu < 2^m is
+    dim k[G_m] = 8^m.  dim L(mu) is the sum of its character."""
+    dims = [sum(simple_character(2, mu).values()) for mu in range(2 ** m)]
+    if m <= 3:
+        assert dims == [simple_module(2, mu).dim for mu in range(2 ** m)]
+    assert sum(d * stage_dim(mu, 2, m) for mu, d in enumerate(dims)) == 8 ** m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_theorem_2_check_a_every_stage_is_free_over_u(m):
+    """Check (a) on the test side: every dual stage P(lam, m)*|G_m,
+    lam < 2^m, is free over k[U_m]."""
+    for lam in range(2 ** m):
+        dim, blocks = kernel_stage_masks(lam, m)
+        assert u_coinvariants(dim, blocks, m) * 2 ** m == dim, (lam, m)
+
+
+def test_theorem_2_check_a_at_g5():
+    dim, blocks = kernel_stage_masks(0, 5)
+    assert (dim, u_coinvariants(dim, blocks, 5)) == (1024, 32)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_theorem_2_check_a_controls_are_not_free(m):
+    """L0, L1*L1 and P0, of dimensions 1, 4 and 4, have 1, 2 and 2
+    coinvariants over k[U_m] at m = 2 and 3, so none is free there.  Nor
+    are P(0,2) and P(1,2) with their top factor P0 left untwisted: 6 of 16
+    and 3 of 8."""
+    cat = catalog_modules(2)
+    controls = [[cat["L0"]], [cat["L1"], cat["L1"]], [cat["P0"]],
+                [cat["P0"], cat["P0"]], [cat["P1"], cat["P0"]]]
+    counts = [(kernel_masks(fs, m)[0], u_coinvariants(*kernel_masks(fs, m), m)) for fs in controls]
+    assert counts == [(1, 1), (4, 2), (4, 2), (16, 6), (8, 3)]
+
+
+def test_theorem_2_check_a_agrees_with_is_injective_over_g1():
+    """At m = 1 the count finds P0 and P1 free and L0 not, as the split of
+    the cofree embedding does for the restricted modules."""
+    cat = catalog_modules(2)
+    for name, free in (("P0", True), ("P1", True), ("L0", False)):
+        dim, blocks = kernel_masks([cat[name]], 1)
+        assert (u_coinvariants(dim, blocks, 1) * 2 == dim) == free, name
+        assert is_injective(restrict_to_kernel(cat[name], 1))[0] == free, name

@@ -386,11 +386,12 @@ def test_gf2_cohom_dims_match_the_per_module_count_on_tower_stages(m):
                for expr in ("L0", "L1", "L2", "L3", "L1*L1")]
     ws = [coaction_monomials(v) for v in modules]
     assert all(w < set().union(*ws) for w in ws)
+    masks = [(v.dim, _gf2_masks(v)) for v in modules]
     for lam in range(2 ** m if m <= 3 else 1):
-        db, ts = kernel_stage_masks(lam, m)
+        stage = kernel_stage_masks(lam, m)
         b = contra_from_comodule(dual_kernel_stage(lam, 2, m))
-        assert gf2_cohom_dims(modules, db, ts) == [dict_cohom(v, b).dim for v in modules], (lam, m)
-        assert gf2_cohom_dims([], db, ts) == []
+        assert gf2_cohom_dims(masks, stage) == [dict_cohom(v, b).dim for v in modules], (lam, m)
+        assert gf2_cohom_dims([], stage) == []
 
 
 def test_gf2_cohom_dims_match_the_per_module_count_on_random_pairs():
@@ -403,7 +404,7 @@ def test_gf2_cohom_dims_match_the_per_module_count_on_random_pairs():
         for _, b in pairs:
             battery = [m for m, _ in pairs if m.coalgebra == b.coalgebra]
             ts = _gf2_masks(b)
-            dims = gf2_cohom_dims(battery, b.dim, ts)
+            dims = gf2_cohom_dims([(m.dim, _gf2_masks(m)) for m in battery], (b.dim, ts))
             assert dims == [dict_cohom(m, b).dim for m in battery] == [cohom(m, b).dim for m in battery], b
             w_all = set().union(*map(coaction_monomials, battery))
             lone = [t for c, block in ts.items() if c not in w_all for t in block.values()]
@@ -444,7 +445,7 @@ def test_gf2_cohom_reads_the_lone_masks_at_monomial_0():
     assert check_comodule(k).ok and check_contramodule(b).ok
     ts = _gf2_masks(b)
     assert 0 in ts and not any(r // k.dim == 0 for r, _ in k.left_coaction.data)
-    assert gf2_cohom_dims([k], b.dim, ts) == [1]
+    assert gf2_cohom_dims([(k.dim, _gf2_masks(k))], (b.dim, ts)) == [1]
     assert cohom(k, b).dim == dict_cohom(k, b).dim == 1
 
 

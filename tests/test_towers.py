@@ -382,16 +382,15 @@ def test_every_stage_has_head_its_simple(m):
     """The head check of the paper's second theorem: against every simple
     L(mu), mu < 2^m, each stage P(lam, m)|G_m has
     dim Cohom(L(mu)|G_m, P(lam, m)) = delta_{lam mu}, read by one
-    ``gf2_cohom_dims`` call per stage."""
+    ``gf2_cohom_dims`` call per stage, each simple tensored in k[G_m] as
+    one factor by the stages' own step."""
     from contramod import sl2
-    from contramod.comodule import dual_comodule
     from contramod.contramodule import gf2_cohom_dims
 
-    simples = [dual_comodule(sl2.restrict_to_kernel(sl2.simple_module(2, mu), m))
-               for mu in range(2 ** m)]
+    simples = [sl2.kernel_masks([sl2.simple_module(2, mu)], m) for mu in range(2 ** m)]
     for lam in range(2 ** m):
-        db, ts = sl2.kernel_stage_masks(lam, m)
-        assert gf2_cohom_dims(simples, db, ts) == [int(mu == lam) for mu in range(2 ** m)], lam
+        stage = sl2.kernel_stage_masks(lam, m)
+        assert gf2_cohom_dims(simples, stage) == [int(mu == lam) for mu in range(2 ** m)], lam
 
 
 @pytest.mark.parametrize("lam", range(8))
@@ -428,7 +427,7 @@ def test_cohom_tower_reports_only_observed_stabilization(dims, stabilized_at, mo
     from contramod import contramodule
 
     scripted = iter([[d] for d in dims])
-    monkeypatch.setattr(contramodule, "gf2_cohom_dims", lambda vs, db, ts: next(scripted))
+    monkeypatch.setattr(contramodule, "gf2_cohom_dims", lambda vs, stage: next(scripted))
     [rep] = cohom_tower(["L0"], 0, 2, len(dims))
     assert [r.dim_cohom for r in rep.stages] == dims
     assert rep.stabilized_at == stabilized_at
@@ -441,7 +440,7 @@ def test_cohom_tower_compares_the_first_stage_inside_the_weight_window(monkeypat
     from contramod import contramodule
 
     scripted = iter([[4], [2], [3], [2]])
-    monkeypatch.setattr(contramodule, "gf2_cohom_dims", lambda vs, db, ts: next(scripted))
+    monkeypatch.setattr(contramodule, "gf2_cohom_dims", lambda vs, stage: next(scripted))
     [rep] = cohom_tower(["L1*L1"], 0, 2, 4)
     assert [(r.m, r.dim_cohom) for r in rep.stages] == [(1, 4), (2, 2), (3, 3), (4, 2)]
     assert (rep.stable_from, rep.f_v, rep.match) == (3, 2, False)
@@ -471,7 +470,7 @@ def _count_builds(monkeypatch, stages: dict) -> list:
 
 def test_cohom_tower_restricts_each_stage_once(monkeypatch):
     """Each stage is built in its kernel once for the whole battery, and
-    each module is restricted once per stage."""
+    each module's one factor is restricted once per stage."""
     from contramod.sl2 import kernel_stage_masks
 
     battery = ["L0", "L1", "P1"]
@@ -537,6 +536,7 @@ def test_cohom_tower_guards_before_building_anything(battery, m_max, error, monk
 
     monkeypatch.setattr(sl2, "battery_module", refused)
     monkeypatch.setattr(sl2, "kernel_stage_masks", refused)
+    monkeypatch.setattr(sl2, "kernel_masks", refused)
     with pytest.raises(ValueError) as info:
         cohom_tower(battery, 0, 2, m_max)
     assert str(info.value) == error
