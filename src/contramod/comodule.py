@@ -11,15 +11,16 @@ row i*n + c, is the view ``coaction``.  The one reindexing of a stored
 matrix is :func:`dual_comodule`'s block transpose.  A contramodule is a left
 comodule on the same matrix, so the functions here are the contramodule
 ones too, under the same names: those that build a new object of the same
-kind return a contramodule for one.  Hom(M, N) is the
-kernel of one system on M* (x) N, written from the stored entries.  Over F2
-the stored matrix is also read packed, by :func:`_gf2_masks`, in the one F2
-mask layout of the package, ``{monomial c: {column k: mask}}``: the mask of
-block c of column k is one int with bit i for each stored entry
-(c*m + i, k).  The tower's stages and battery modules, tensored in k[G_m]
-by one step (:func:`sl2.kernel_masks`), its F2 Cohom dimensions, which read
-both sides in it (:func:`contramodule.gf2_cohom_dims`), and the F2
-coassociativity square all use that layout.
+kind return a contramodule for one.  Hom(M, N) is the kernel of one system
+on M* (x) N, written from the stored entries as int rows by one builder,
+:func:`_hom_rows`, keyed as each caller eliminates them.  Over F2 the
+stored matrix is also read packed, by :func:`_gf2_masks`, in the one F2 mask
+layout of the package, ``{monomial c: {column k: mask}}``: the mask of block
+c of column k is one int with bit i for each stored entry (c*m + i, k).
+The tower's stages and battery modules, tensored in k[G_m] by one step
+(:func:`sl2.kernel_masks`), its F2 Cohom dimensions, which read both sides
+in it (:func:`contramodule.gf2_cohom_dims`), and the F2 coassociativity
+square all use that layout.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import lcm
 
 from .coalgebra import Coalgebra, Verdict
 from .fields import Record
-from .linalg import Coequalizer, Subspace, kernel, quotient_by_image, split_solve
+from .linalg import Coequalizer, Subspace, _null_space, make_echelon, quotient_by_image, split_solve
 from .matrix import Mat, _ints, _scalars, kron_identity, push
 
 
@@ -295,35 +296,53 @@ def dual_comodule(m: Comodule) -> Comodule:
 # -- hom spaces and cotensor --------------------------------------------------
 
 
-def _hom_system(x: Comodule, y: Comodule) -> Mat:
+def _hom_rows(x: Comodule, y: Comodule, base: int, sv: int, sw: int) -> tuple[dict, int]:
     """Hom(X, Y) is the kernel of F -> coaction_Y o F - (Id_C (x) F) o coaction_X
-    on X* (x) Y, from the stored coactions.  Column v*yd + w holds coaction_Y[r, w] at row
-    v*n*yd + r, minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w, summed on
-    ints over the lcm of the two coactions' scales.  Its rows are also the
-    relations of Cohom(Y, X) (:func:`contramodule.cohom`)."""
+    on X* (x) Y: ``({row: {column: int}}, s)``, row v*n*yd + r holding coaction_Y[r, w]
+    at column (v, w), minus coaction_X[c*xd + v, v'] at row v'*n*yd + c*yd + w, times s,
+    the lcm of the coactions' scales.  Column (v, w) is keyed base + sv*v + sw*w; the
+    ints are nonzero and reduced mod p, in fresh dicts for an echelon's ``add_ints``."""
     if x.coalgebra != y.coalgebra:
         raise ValueError("coalgebra mismatch")
     if x.side != y.side:
         raise ValueError("side mismatch")
-    n, xd, yd, fld = x.coalgebra.dim, x.dim, y.dim, x.field
+    n, xd, yd, p = x.coalgebra.dim, x.dim, y.dim, x.field.characteristic
     coact_x, sx = _int_entries(x.left_coaction)
     coact_y, sy = _int_entries(y.left_coaction)
     s = lcm(sx, sy)
     ex, ey = s // sx, s // sy
-    data = {(v * n * yd + r, v * yd + w): val * ey
-            for v in range(xd) for (r, w), val in coact_y.items()}
-    get = data.get
+    y_rows: dict = {}
+    for (r, w), val in coact_y.items():
+        y_rows.setdefault(r, {})[sw * w] = val * ey
+    rows = {v * n * yd + r: {base + sv * v + k: val for k, val in line.items()}
+            for v in range(xd) for r, line in y_rows.items()}
     for (idx, vcol), val in coact_x.items():
-        row, col, val = vcol * n * yd + idx // xd * yd, idx % xd * yd, val * ex
+        row, col, val = vcol * n * yd + idx // xd * yd, base + sv * (idx % xd), val * ex
         for w in range(yd):
-            key = row + w, col + w
-            data[key] = get(key, 0) - val
-    return Mat(xd * n * yd, xd * yd, fld, _scalars(data, fld, s))
+            line = rows.setdefault(row + w, {})
+            key = col + sw * w
+            t = line.get(key, 0) - val
+            if p:
+                t %= p
+            if t:
+                line[key] = t
+            else:
+                del line[key]
+    return rows, s
+
+
+def _hom_system(x: Comodule, y: Comodule) -> Mat:
+    """The system of :func:`_hom_rows` as a matrix, column v*yd + w, to multiply by."""
+    rows, s = _hom_rows(x, y, 0, y.dim, 1)
+    data = {(i, j): v for i, line in rows.items() for j, v in line.items()}
+    return Mat(x.dim * x.coalgebra.dim * y.dim, x.dim * y.dim, x.field, _scalars(data, x.field, s))
 
 
 def hom_comodules(m: Comodule, n_mod: Comodule) -> Subspace:
-    """All comodule maps M -> N as a subspace of M* (x) N."""
-    return kernel(_hom_system(m, n_mod))
+    """All comodule maps M -> N as a subspace of M* (x) N, the kernel of the Hom rows."""
+    cols = m.dim * n_mod.dim
+    rows, _ = _hom_rows(m, n_mod, cols - 1, -n_mod.dim, -1)
+    return _null_space(cols, make_echelon(m.field, rows.values()))
 
 
 def is_comodule_map(m: Comodule, n_mod: Comodule, t: Mat) -> bool:

@@ -16,11 +16,12 @@ sums have no names here: the :mod:`comodule` functions
 (``hom_comodules``, ``is_comodule_map``, ``comodule_closure``,
 ``sub_comodule``, ``quotient_comodule``, ``direct_sum``) take
 contramodules, and those that build an object return a contramodule for
-one.  Cohom is the quotient of M* (x) B by the rows of the system whose
-kernel is Hom(B, M) (:func:`comodule._hom_system`), over every field.  The
-tower needs only dimensions over F2 and forms no comodule of a module or a
-stage: :func:`gf2_cohom_dims` reads those of a whole battery against one
-stage in one pass, both sides packed as int bitmasks in the layout
+one.  Cohom is the quotient of M* (x) B by the int rows of the system whose
+kernel is Hom(B, M) (:func:`comodule._hom_rows`), over every field, and
+:func:`duality_check` reads Hom off the same elimination.  The tower needs
+only dimensions over F2 and forms no comodule of a module or a stage:
+:func:`gf2_cohom_dims` reads those of a whole battery against one stage in
+one pass, both sides packed as int bitmasks in the layout
 ``{monomial c: {column beta: mask}}`` (:func:`comodule._gf2_masks`).
 """
 
@@ -32,7 +33,7 @@ from . import comodule
 from .coalgebra import Coalgebra, Verdict
 from .comodule import Comodule
 from .fields import GF2, Record
-from .linalg import Coequalizer, Subspace, _bits, kernel, make_echelon, quotient_by_image, rank
+from .linalg import Coequalizer, _bits, _span, make_echelon, quotient_by_image
 from .matrix import Mat
 
 
@@ -118,24 +119,13 @@ def cohom(m: Comodule, b: Contramodule) -> Coequalizer:
     the coaction and apply the contra-action.
 
     Hom(B, M) is the equalizer of the transposes of f and g, so the
-    relations are the rows of its system :func:`comodule._hom_system`, over
-    every field (:func:`_cohom_quotient`)."""
-    if m.coalgebra != b.coalgebra:
-        raise ValueError("coalgebra mismatch")
+    relations are the rows of its system, over every field: the int rows of
+    :func:`comodule._hom_rows`, column beta*dm + k of B* (x) M keyed
+    k*db + beta in M* (x) B, which raises on a coalgebra mismatch."""
     if m.side != "left":
         raise ValueError("cohom needs a left comodule")
-    return _cohom_quotient(comodule._hom_system(b, m), m.dim, b.dim)
-
-
-def _cohom_quotient(system: Mat, dm: int, db: int) -> Coequalizer:
-    """M* (x) B by the rows of ``system = comodule._hom_system(B, M)``, for
-    dm = dim M and db = dim B: row x, with entry v at column beta*dm + k of
-    B* (x) M, is the relation column x with v at row k*db + beta."""
-    rows: dict = {}
-    for (x, y), v in system.data.items():
-        beta, k = divmod(y, dm)
-        rows.setdefault(x, {})[k * db + beta] = v
-    return quotient_by_image(Subspace.from_columns(dm * db, system.field, rows.values()))
+    rows, _ = comodule._hom_rows(b, m, 0, 1, b.dim)
+    return quotient_by_image(_span(m.dim * b.dim, make_echelon(b.field, rows.values())))
 
 
 def gf2_cohom_dims(modules: list, stage: tuple) -> list[int]:
@@ -258,24 +248,19 @@ class DualityReport(Record):
 
 def duality_check(v: Comodule, w: Comodule) -> DualityReport:
     """Compare Cohom(V, W-as-contramodule) with Hom(W, V)* and certify the
-    trace pairing between them is perfect.
+    trace pairing between them is perfect, from one elimination.
 
-    Both sides read one system, ``comodule._hom_system(W, V)``, built once:
-    Cohom is the quotient of V* (x) W, index x*dim W + y, by its rows
-    (:func:`_cohom_quotient`), and Hom(W, V) its kernel in W* (x) V, index
-    y*dim V + x.  So the pairing kills Cohom's relations for any coaction
-    data and is well defined on the section representatives; with the Hom
-    basis reindexed to the first layout it is a plain dot product.  The
-    check certifies nothing: a quotient by a matrix's rows and the matrix's
-    kernel always pair perfectly, so cohom_dim = hom_dim = pairing_rank for
-    any coaction data, comodules or not, and ``ok`` is never False.  The
-    tests hold the independent Kronecker and dict-column oracles for Cohom.
+    Cohom's relations are the rows of the system whose kernel is Hom(W, V)
+    (:func:`cohom`), so Hom(W, V) is their annihilator in Cohom's
+    coordinates x*dim W + y: for each free column j, e_j minus the reduced
+    rows' entries at j, the quotient map's row at j.  Paired with the
+    section these rows give quotient_map @ section, Cohom's identity.  So
+    the check certifies nothing: cohom_dim = hom_dim = pairing_rank for any
+    coaction data, comodules or not, and ``ok`` is never False.  The tests
+    hold the independent oracles for Cohom and the trace-pair loops.
     """
     if v.side != "left" or w.side != "left":
         raise ValueError("duality check needs left comodules")
-    dv, dw = v.dim, w.dim
-    system = comodule._hom_system(w, v)
-    co, hom = _cohom_quotient(system, dv, dw), kernel(system)
-    hom_basis = Mat(dv * dw, hom.dim, v.field,
-                    {((i % dv) * dw + i // dv, s): val for (i, s), val in hom.basis.data.items()})
-    return DualityReport(co.dim, hom.dim, rank(co.section.transpose() @ hom_basis))
+    co = cohom(v, contra_from_comodule(w))
+    hom_dim = co.quotient_map.rows
+    return DualityReport(co.dim, hom_dim, hom_dim)

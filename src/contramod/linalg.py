@@ -9,7 +9,9 @@ bases read off directly.
 
 The engines are incremental: rows are fed one at a time, so very wide or very
 tall sparse systems (the Cohom coequalizers over the 512-dimensional
-coalgebras) never materialize densely.
+coalgebras) never materialize densely.  ``add_ints`` takes int rows the
+engine owns, converted once per matrix (:func:`_lines`) or built as ints
+(:func:`comodule._hom_rows`); ``add_row`` converts one row of scalars.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from math import gcd
 
 from .fields import FieldSpec, Record
-from .matrix import Mat, _ints, _scalars, kron_identity, map_of_vec
+from .matrix import Mat, _col, _ints, _row, _scalars, kron_identity, map_of_vec
 
 
 def _eliminate(row: dict, existing: dict, j: int, p: int) -> int:
@@ -81,8 +83,11 @@ class _EchelonGeneric:
         return ints, scale.get(None, 1)
 
     def add_row(self, row: dict) -> bool:
+        return self.add_ints(self._int_row(row)[0])
+
+    def add_ints(self, row: dict) -> bool:
+        """Feed an owned row of nonzero ints, reduced mod p; it is eliminated in place."""
         p = self.field.characteristic
-        row, _ = self._int_row(row)
         while row:
             piv = min(row)
             existing = self.rows.get(piv)
@@ -166,6 +171,8 @@ class _EchelonGF2:
             r ^= existing
         return False
 
+    add_ints = add_row
+
     def finalize(self):
         if self._jordan:
             return
@@ -216,10 +223,12 @@ def _bits(x: int):
         x ^= low
 
 
-def make_echelon(field: FieldSpec):
-    if field.characteristic == 2:
-        return _EchelonGF2(field)
-    return _EchelonGeneric(field)
+def make_echelon(field: FieldSpec, rows=()):
+    """An echelon over field, fed the owned int rows ``rows`` (``add_ints``)."""
+    ech = _EchelonGF2(field) if field.characteristic == 2 else _EchelonGeneric(field)
+    for row in rows:
+        ech.add_ints(row)
+    return ech
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -247,13 +256,7 @@ class Subspace:
         ech = make_echelon(field)
         for col in columns:
             ech.add_row(col)
-        ech.finalize()
-        items = ech.row_items()
-        pivots = [p for p, _ in items]
-        # the rows' entries are canonical nonzero scalars at distinct keys
-        basis = Mat(ambient, len(items), field,
-                    {(i, t): v for t, (_, vec) in enumerate(items) for i, v in vec.items()})
-        return cls(ambient, field, basis, pivots)
+        return _span(ambient, ech)
 
     @property
     def dim(self) -> int:
@@ -295,16 +298,47 @@ class Subspace:
         return f"Subspace(dim={self.dim} in k^{self.ambient} over {self.field})"
 
 
+def _span(ambient: int, ech) -> Subspace:
+    """Span of the rows fed to ech as a canonical subspace of k^ambient."""
+    ech.finalize()
+    items, field = ech.row_items(), ech.field
+    # the rows' entries are canonical nonzero scalars at distinct keys
+    basis = Mat(ambient, len(items), field,
+                {(i, t): v for t, (_, vec) in enumerate(items) for i, v in vec.items()})
+    return Subspace(ambient, field, basis, [p for p, _ in items])
+
+
+def _null_space(ncols: int, ech) -> Subspace:
+    """Kernel in k^ncols of the rows fed to ech with column j at ncols - 1 - j."""
+    last, field = ncols - 1, ech.field
+    ech.finalize()
+    items, one = ech.row_items(), field.one()
+    free = [j for j in range(ncols) if last - j not in ech.rows]
+    where = {last - j: t for t, j in enumerate(free)}
+    data = {(j, t): one for t, j in enumerate(free)}
+    # a reduced row meets its own pivot and free columns only
+    data.update({(last - p, where[k]): field.neg(c) for p, row in items for k, c in row.items() if k != p})
+    return Subspace(ncols, field, Mat(ncols, len(free), field, data), free)
+
+
 # -- derived operations --------------------------------------------------------
+
+
+def _lines(mat: Mat, line, at):
+    """mat's lines as fresh int dicts, entry k at position at(k) of line
+    line(k), read by one :func:`matrix._ints` pass with a scale per line,
+    which leaves row spans, kernels and ranks as they are."""
+    ints, _ = _ints(mat.data, mat.field, line)
+    out: dict = {}
+    for k, v in ints.items():
+        out.setdefault(line(k), {})[at(k)] = v
+    return out.values()
 
 
 def rank(mat: Mat) -> int:
     # eliminate in the cheaper orientation; rank is symmetric
-    lines = mat.row_groups() if mat.cols <= mat.rows else mat.columns()
-    ech = make_echelon(mat.field)
-    for line in lines.values():
-        ech.add_row(line)
-    return ech.rank()
+    lines = _lines(mat, _row, _col) if mat.cols <= mat.rows else _lines(mat, _col, _row)
+    return make_echelon(mat.field, lines).rank()
 
 
 def kernel(mat: Mat) -> Subspace:
@@ -315,25 +349,14 @@ def kernel(mat: Mat) -> Subspace:
     column j, e_j minus the entries at j of the reduced rows, then meets only
     j and pivot columns above j: j leads it and no other free column meets
     it.  In ascending j these vectors are the canonical reduced basis, read
-    off with no second elimination."""
-    f, last = mat.field, mat.cols - 1
-    ech = make_echelon(f)
-    for row in mat.row_groups().values():
-        ech.add_row({last - j: v for j, v in row.items()})
-    ech.finalize()
-    items = ech.row_items()
-    free = [j for j in range(mat.cols) if last - j not in ech.rows]
-    where = {last - j: t for t, j in enumerate(free)}
-    one = f.one()
-    data = {(j, t): one for t, j in enumerate(free)}
-    # a reduced row meets its own pivot and free columns only
-    data.update({(last - p, where[k]): f.neg(c) for p, row in items for k, c in row.items() if k != p})
-    return Subspace(mat.cols, f, Mat(mat.cols, len(free), f, data), free)
+    off with no second elimination (:func:`_null_space`)."""
+    last = mat.cols - 1
+    return _null_space(mat.cols, make_echelon(mat.field, _lines(mat, _row, lambda k: last - k[1])))
 
 
 def image(mat: Mat) -> Subspace:
     """Column space as a canonical subspace of k^rows."""
-    return Subspace.from_columns(mat.rows, mat.field, mat.columns().values())
+    return _span(mat.rows, make_echelon(mat.field, _lines(mat, _col, _row)))
 
 
 def exactness_failures(maps: list[Mat]) -> list[int]:
@@ -355,26 +378,14 @@ def exactness_failures(maps: list[Mat]) -> list[int]:
 
 def solve(mat: Mat, rhs: dict) -> dict | None:
     """One solution x of mat @ x = rhs, or None.  Free variables are 0."""
-    f = mat.field
-    aug_col = mat.cols
-    ech = make_echelon(f)
-    rows = mat.row_groups()
-    for i in range(mat.rows):
-        row = dict(rows.get(i, {}))
-        b = rhs.get(i)
-        if b is not None and b != 0:
-            row[aug_col] = b
-        if row:
-            ech.add_row(row)
+    f, aug_col = mat.field, mat.cols
+    aug = dict(mat.data)
+    aug.update({(i, aug_col): b for i, b in rhs.items() if b != 0 and i < mat.rows})
+    ech = make_echelon(f, _lines(Mat(mat.rows, aug_col + 1, f, aug), _row, _col))
     if aug_col in ech.rows:
         return None
     ech.finalize()
-    x = {}
-    for p, row in ech.row_items():
-        c = row.get(aug_col)
-        if c is not None and c != 0:
-            x[p] = c
-    return x
+    return {p: row[aug_col] for p, row in ech.row_items() if aug_col in row}
 
 
 def split_solve(hom_rows: Mat, t: Mat) -> Mat | None:

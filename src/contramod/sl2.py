@@ -284,7 +284,12 @@ def simple_module(p: int, mu: int) -> RationalComodule:
 def catalog_modules(p: int = 2) -> dict:
     """The characteristic-2 catalog: the simples L0-L3 from
     :func:`simple_module`, the projective G-structures, and the fixed
-    projection q."""
+    projection q, built once per p and returned as a fresh dict."""
+    return dict(_catalog(p))
+
+
+@lru_cache(maxsize=None)
+def _catalog(p: int) -> dict:
     if p != 2:
         raise NotImplementedError("catalog is shipped for p = 2 only")
     out = {f"L{mu}": simple_module(p, mu) for mu in range(4)}

@@ -631,3 +631,112 @@ def test_from_entries_drops_cancelling_entries():
     assert q.data == {(1, 0): 3} and type(q.data[1, 0]) is int
     f3 = Mat.from_entries(2, 2, GF(3), [(0, 0, 2), (0, 0, 1), (1, 1, 5), (1, 1, -1), (0, 1, 3)])
     assert f3.data == {(1, 1): 1}
+
+
+# -- the int-row path against a dense Fraction oracle --------------------------------
+
+
+def fraction_rref(dense, ncols, p):
+    """Dense Gauss-Jordan on ``Fraction``s with no FieldSpec and no engine
+    code: over F_p (p > 0) an entry a/b is read as a * b^-1 mod p and every
+    result is reduced again.  Returns the pivot columns and the nonzero rows
+    of the reduced row echelon form, each with pivot entry 1."""
+    def norm(x):
+        x = Fraction(x)
+        return Fraction(x.numerator * pow(x.denominator, -1, p) % p) if p else x
+
+    rows = [[norm(v) for v in row] for row in dense]
+    pivots, r = [], 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = norm(1 / rows[r][col])
+        rows[r] = [norm(inv * v) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [norm(a - c * b) for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots, rows[:r]
+
+
+def oracle_basis(vectors, ncols, p):
+    """(pivots, basis columns) of the span of dense vectors, read off
+    :func:`fraction_rref`."""
+    pivots, rref = fraction_rref(vectors, ncols, p)
+    return pivots, [{j: v for j, v in enumerate(row) if v} for row in rref]
+
+
+def oracle_kernel(dense, ncols, p):
+    """The kernel's canonical basis: the null vectors read off the reduced
+    rows, reduced once more."""
+    pivots, rref = fraction_rref(dense, ncols, p)
+    null = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for q, row in zip(pivots, rref):
+            vec[q] = -row[j]
+        null.append(vec)
+    return oracle_basis(null, ncols, p)
+
+
+def mixed_mat(rng, rows, cols, field, density=0.4):
+    """A sparse matrix whose rows over Q mix denominators 1 to 12."""
+    entries = []
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                v = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12))
+                entries.append((i, j, v if not field.characteristic else v.numerator))
+    return Mat.from_entries(rows, cols, field, entries)
+
+
+def snapshot(mat):
+    """Mat.data with each scalar's type, to compare before and after."""
+    return {k: (type(v), v) for k, v in mat.data.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF2])
+def test_int_row_path_matches_fraction_oracle(field):
+    """kernel, rank and image, which read a matrix's lines as ints once per
+    matrix, and the Subspace of Cohom's relations, which the Hom system's
+    builder feeds as int rows, equal a dense Fraction Gauss-Jordan on
+    seeded sparse matrices; no input Mat.data changes."""
+    from contramod.coalgebra import divided_power_dual, grouplike, matrix_coalgebra
+    from contramod.comodule import _hom_system
+    from contramod.contramodule import cohom, contra_from_comodule, duality_check
+    from contramod.randomgen import random_comodule, random_contramodule
+
+    p, rng = field.characteristic, random.Random(4301)
+    for _ in range(60):
+        mat = mixed_mat(rng, rng.randint(0, 7), rng.randint(0, 7), field)
+        before = snapshot(mat)
+        dense = to_dense(mat)
+        assert rank(mat) == len(fraction_rref(dense, mat.cols, p)[0])
+        ker, img = kernel(mat), image(mat)
+        assert (ker.pivots, ker.basis_columns()) == oracle_kernel(dense, mat.cols, p)
+        columns = [list(col) for col in zip(*dense)]
+        assert (img.pivots, img.basis_columns()) == oracle_basis(columns, mat.rows, p)
+        assert snapshot(mat) == before
+    for c in (grouplike(field, 3), matrix_coalgebra(field, 2), divided_power_dual(field, 3)):
+        for _ in range(6):
+            m, b = random_comodule(rng, c), random_contramodule(rng, c)
+            inputs = (m.left_coaction, b.left_coaction)
+            before = [snapshot(x) for x in inputs]
+            dm, db = m.dim, b.dim
+            # row x of the Hom system of (B, M), column beta*dm + k, read at k*db + beta
+            relations = [[Fraction(0)] * (dm * db) for _ in range(_hom_system(b, m).rows)]
+            for (x, y), v in _hom_system(b, m).data.items():
+                beta, k = divmod(y, dm)
+                relations[x][k * db + beta] = Fraction(v)
+            sub = cohom(m, b).image_subspace
+            assert (sub.pivots, sub.basis_columns()) == oracle_basis(relations, dm * db, p)
+            w = random_comodule(rng, c)
+            before.append(snapshot(w.left_coaction))
+            rep = duality_check(m, w)
+            assert rep.cohom_dim == cohom(m, contra_from_comodule(w)).dim
+            assert [snapshot(x) for x in (*inputs, w.left_coaction)] == before

@@ -186,6 +186,22 @@ def test_catalog_validates():
     assert dims == {"L0": 1, "L1": 2, "L2": 2, "L3": 4, "P0": 4, "P1": 2}
 
 
+def test_catalog_is_built_once_and_returned_as_a_fresh_dict():
+    """Each call returns a new dict of the same modules, so a caller that
+    edits its dict leaves the next call's catalog as it was."""
+    cat = catalog_modules(2)
+    names = sorted(cat)
+    first = dict(cat)
+    cat["L1"] = cat.pop("L0")
+    cat["extra"] = cat.pop("q")
+    again = catalog_modules(2)
+    assert again is not cat and sorted(again) == names
+    assert all(again[name] is first[name] for name in names)
+    assert again["L0"].dim == 1 and again["L1"].dim == 2 and again["q"].cols == 4
+    with pytest.raises(NotImplementedError):
+        catalog_modules(3)
+
+
 def test_characters():
     cat = catalog_modules(2)
     assert cat["L0"].character() == {0: 1}

@@ -1304,16 +1304,24 @@ def test_duality_check_matches_trace_pair_loops(field):
 
 
 def test_duality_check_builds_one_hom_system(monkeypatch):
-    """Cohom and Hom read one system per ``duality_check``, over Q."""
-    calls = []
-    build = comodule._hom_system
-    monkeypatch.setattr(comodule, "_hom_system", lambda x, y: calls.append((x, y)) or build(x, y))
+    """duality_check builds the rows of one Hom system and eliminates them
+    in one echelon, over Q, F2 and F3; it forms no Hom-system matrix."""
+    from contramod import contramodule, linalg
+    rows, echelons, matrices = [], [], []
+    build, make, system = comodule._hom_rows, linalg.make_echelon, comodule._hom_system
+    monkeypatch.setattr(comodule, "_hom_rows", lambda x, y, *key: rows.append((x.left_coaction, y)) or build(x, y, *key))
+    for module in (linalg, comodule, contramodule):
+        monkeypatch.setattr(module, "make_echelon", lambda f, *fed: echelons.append(f) or make(f, *fed))
+    monkeypatch.setattr(comodule, "_hom_system", lambda x, y: matrices.append((x, y)) or system(x, y))
     rng = random.Random(709)
-    for c in small_coalgebras(QQ):
-        v, w = random_comodule(rng, c), random_comodule(rng, c)
-        calls.clear()
-        assert duality_check(v, w).ok
-        assert calls == [(w, v)]
+    for field in FIELDS:
+        for c in small_coalgebras(field):
+            v, w = random_comodule(rng, c), random_comodule(rng, c)
+            rows.clear()
+            echelons.clear()
+            assert duality_check(v, w).ok
+            # Cohom(V, W) reads the system of (W as a contramodule, V), on W's matrix
+            assert rows == [(w.left_coaction, v)] and echelons == [field] and not matrices
 
 
 def _random_coaction_data(rng, c, dim):
@@ -1347,6 +1355,51 @@ def test_hom_pairs_to_zero_against_cohom_relations(field):
         nonzero += hom.dim > 0 and co.image_subspace.dim > 0
         non_comodules += not (comodule.check_comodule(v).ok and comodule.check_comodule(w).ok)
     assert nonzero > len(pairs) // 2 and non_comodules > len(pairs) // 2
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_duality_check_reads_hom_and_cohom_off_one_elimination(field):
+    """duality_check's hom_dim is that of hom_comodules(W, V) and its
+    cohom_dim that of cohom(V, W), on comodules and on random coaction data;
+    the quotient map's rows it reads Hom from span Hom(W, V) once reindexed
+    from V* (x) W to W* (x) V."""
+    rng = random.Random(711)
+    pairs = []
+    for c in small_coalgebras(field):
+        for _ in range(PAIRS_PER_COALGEBRA):
+            pairs.append((random_comodule(rng, c), random_comodule(rng, c)))
+            pairs.append((_random_coaction_data(rng, c, rng.randint(1, 3)),
+                          _random_coaction_data(rng, c, rng.randint(1, 3))))
+    dims = set()
+    for v, w in pairs:
+        rep = duality_check(v, w)
+        hom = comodule.hom_comodules(w, v)
+        co = cohom(v, contra_from_comodule(w))
+        assert (rep.hom_dim, rep.cohom_dim) == (hom.dim, co.dim)
+        dv, dw = v.dim, w.dim
+        rows = [{(i % dw) * dv + i // dw: val for i, val in row.items()}
+                for row in co.quotient_map.row_groups().values()]
+        assert Subspace.from_columns(dv * dw, field, rows) == hom
+        dims.add(hom.dim)
+    assert len(dims) > 2
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_hom_rows_are_the_hom_system_in_each_callers_coordinates(field):
+    """The builder's int rows are nonzero and reduced mod p, and over their
+    scale they are the Hom system's rows, with column v*yd + w keyed
+    base + sv*v + sw*w, for the keys of Hom's kernel and of Cohom."""
+    for m, b in random_pairs(field, "left", 713):
+        for x, y in ((b, m), (m, b), (m, m)):
+            system, xd, yd = comodule._hom_system(x, y), x.dim, y.dim
+            for base, sv, sw in ((0, yd, 1), (xd * yd - 1, -yd, -1), (0, 1, xd)):
+                rows, s = comodule._hom_rows(x, y, base, sv, sw)
+                p = field.characteristic
+                ints = [v for row in rows.values() for v in row.values()]
+                assert all(v and (not p or 0 < v < p) for v in ints)
+                got = {(i, base + sv * (j // yd) + sw * (j % yd)): v for (i, j), v in system.data.items()}
+                assert {(i, j): field.of(Fraction(v, s)) for i, row in rows.items()
+                        for j, v in row.items()} == got
 
 
 # -- pushing Delta along a coalgebra map --------------------------------------------------
